@@ -26,7 +26,6 @@ from .layers import (
     CavityConfig,
     Layer,
     PerfectMirrorPlate,
-    ReflectionPair,
     TransverseMode,
     Wall,
     beta_imag,
@@ -37,11 +36,9 @@ from .layers import (
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
-    ScaledVariables,
     integrate_semi_infinite,
     matsubara_frequency,
     matsubara_sum,
-    nondimensionalize,
 )
 from .engine import (
     DEFAULT_SPEC,
@@ -73,12 +70,10 @@ __all__ = [
     "MIRROR", "VACUUM", "DispersionModel", "MaterialKind", "constant",
     "drude_lorentz", "eval_eps", "eval_mu", "is_drude_like", "is_nonmagnetic",
     "perfect_mirror", "plasma", "refractive_index_sq",
-    "CavityConfig", "Layer", "PerfectMirrorPlate", "ReflectionPair",
-    "TransverseMode", "Wall", "beta_imag", "fresnel", "single_plate_rt",
-    "wall_reflection",
-    "IntegralResult", "QuadratureSpec", "ScaledVariables",
-    "integrate_semi_infinite", "matsubara_frequency", "matsubara_sum",
-    "nondimensionalize",
+    "CavityConfig", "Layer", "PerfectMirrorPlate", "TransverseMode",
+    "Wall", "beta_imag", "fresnel", "single_plate_rt", "wall_reflection",
+    "IntegralResult", "QuadratureSpec", "integrate_semi_infinite",
+    "matsubara_frequency", "matsubara_sum",
     "DEFAULT_SPEC", "ForceResult", "InterspaceView", "StressProfile",
     "cavity_interspaces", "g_fn", "interspace", "minkowski_plate_force",
     "minkowski_stress_zz", "plate_force", "stress_profile", "stress_zz",

@@ -31,6 +31,8 @@ from .config import (
     ZERO_TERM_POLICIES,
     ConfigError,
     RunConfig,
+    _to_float,
+    _to_int,
     build_config,
     load_sections,
 )
@@ -128,20 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_limits)
 
     return parser
-
-
-def _to_float(text: str, where: str) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: {text!r} is not a number") from None
-
-
-def _to_int(text: str, where: str) -> int:
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: {text!r} is not an integer") from None
 
 
 def _override(sections, section: str, key: str, value) -> None:
@@ -384,12 +372,7 @@ def _cmd_compare(args) -> int:
     if eps_text is None and rc.cavity is not None:
         # Compare the two tensors on the configured cavity itself.
         sections["command"] = {"name": "compare"}
-        row = _cavity_compare_row(rc)
-        _emit("compare", sections, rc, [row])
-        if not (row["force_converged"] and row["minkowski_converged"]):
-            _diverged("compare", 1, 1)
-            return 3
-        return 0
+        return _emit_compare(sections, rc, [_quadrature_compare_row(rc, rc.cavity)])
 
     eps_values = []
     for item in (eps_text or "1,2,4,10").split(","):
@@ -406,86 +389,67 @@ def _cmd_compare(args) -> int:
         command["d3"] = repr(d3)
     sections["command"] = command
 
+    if mode == "quadrature" and d1 is None:
+        raise ConfigError(
+            "compare --mode quadrature needs distances: pass --d1/--d3"
+            " or configure a cavity"
+        )
     rows = []
-    all_ok = True
     for eps in eps_values:
         try:
             medium = StaticMedium(eps=eps)
         except ValueError as exc:
             raise ConfigError(f"--eps: {exc}") from None
+        if mode == "quadrature":
+            mirror = Wall.perfect_mirror()
+            rows.append(_quadrature_compare_row(rc, CavityConfig(
+                mirror, constant(eps=eps), d1, PerfectMirrorPlate(), d3, mirror)))
+            continue
         row = {"eps": eps, "n": medium.n}
-        if mode == "closed":
-            if d1 is not None:
-                row["force_per_area_N_per_m2"] = casimir_generalized(medium, d1, d3)
-                row["minkowski_force_N_per_m2"] = minkowski_generalized(eps, d1, d3)
-                row["d1_m"] = d1
-                row["d3_m"] = d3
-            row["ratio_minkowski_over_force"] = force_ratio(eps)
-        else:
-            if d1 is None:
-                raise ConfigError(
-                    "compare --mode quadrature needs distances: pass --d1/--d3"
-                    " or configure a cavity"
-                )
-            cavity = CavityConfig(
-                left_wall=Wall.perfect_mirror(),
-                medium=constant(eps=eps),
-                d1=d1,
-                plate=PerfectMirrorPlate(),
-                d3=d3,
-                right_wall=Wall.perfect_mirror(),
-            )
-            force = plate_force(
-                cavity, temperature=rc.temperature, spec=rc.quadrature,
-                method=rc.method, zero_term_policy=rc.zero_term_policy,
-                zero_term_value=_force_zero_value(rc),
-            )
-            mink = minkowski_plate_force(
-                cavity, temperature=rc.temperature, spec=rc.quadrature,
-                zero_term_policy=rc.zero_term_policy,
-                zero_term_value=_force_zero_value(rc),
-            )
-            row["force_per_area_N_per_m2"] = force.force_per_area
-            row["minkowski_force_N_per_m2"] = mink.force_per_area
-            row["ratio_minkowski_over_force"] = (
-                mink.force_per_area / force.force_per_area
-            )
+        if d1 is not None:
+            row["force_per_area_N_per_m2"] = casimir_generalized(medium, d1, d3)
+            row["minkowski_force_N_per_m2"] = minkowski_generalized(eps, d1, d3)
             row["d1_m"] = d1
             row["d3_m"] = d3
-            row["force_converged"] = force.converged
-            row["minkowski_converged"] = mink.converged
-            all_ok = all_ok and force.converged and mink.converged
+        row["ratio_minkowski_over_force"] = force_ratio(eps)
         row["mode"] = mode
         row.update(_meta(rc))
         rows.append(row)
+    return _emit_compare(sections, rc, rows)
+
+
+def _emit_compare(sections: dict, rc: RunConfig, rows: list[dict]) -> int:
     _emit("compare", sections, rc, rows)
-    if not all_ok:
-        _diverged("compare", sum(
-            1 for r in rows if not r.get("force_converged", True)
-            or not r.get("minkowski_converged", True)), len(rows))
+    n_bad = sum(1 for r in rows if not r.get("force_converged", True)
+                or not r.get("minkowski_converged", True))
+    if n_bad:
+        _diverged("compare", n_bad, len(rows))
         return 3
     return 0
 
 
-def _cavity_compare_row(rc: RunConfig) -> dict:
-    cavity = _need_cavity(rc)
+def _quadrature_compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
+    """Both tensors' plate forces on one cavity; the ratio is None at F = 0."""
+    zero_term_value = _force_zero_value(rc)
     force = plate_force(
         cavity, temperature=rc.temperature, spec=rc.quadrature,
         method=rc.method, zero_term_policy=rc.zero_term_policy,
-        zero_term_value=_force_zero_value(rc),
+        zero_term_value=zero_term_value,
     )
     mink = minkowski_plate_force(
         cavity, temperature=rc.temperature, spec=rc.quadrature,
-        zero_term_policy=rc.zero_term_policy,
-        zero_term_value=_force_zero_value(rc),
+        zero_term_policy=rc.zero_term_policy, zero_term_value=zero_term_value,
     )
     eps = _static_eps(cavity.medium)
+    ratio = None
+    if force.force_per_area != 0.0:
+        ratio = mink.force_per_area / force.force_per_area
     return {
         "eps": eps,
         "n": None if eps is None else eps ** 0.5,
         "force_per_area_N_per_m2": force.force_per_area,
         "minkowski_force_N_per_m2": mink.force_per_area,
-        "ratio_minkowski_over_force": mink.force_per_area / force.force_per_area,
+        "ratio_minkowski_over_force": ratio,
         "d1_m": cavity.d1,
         "d3_m": cavity.d3,
         "force_converged": force.converged,

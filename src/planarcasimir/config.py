@@ -120,14 +120,14 @@ class RunConfig:
 def _to_float(text: str, where: str) -> float:
     try:
         return float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"{where}: {text!r} is not a number") from None
 
 
 def _to_int(text: str, where: str) -> int:
     try:
         return int(text)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"{where}: {text!r} is not an integer") from None
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.constants import Boltzmann, c, hbar
+from scipy.constants import c, hbar
 
 from .layers import (
     DELTA,
@@ -51,22 +51,16 @@ from .layers import (
     CavityConfig,
     Layer,
     PerfectMirrorPlate,
-    ReflectionPair,
     TransverseMode,
     Wall,
     beta_imag,
+    _column,
     _medium_imag,
     _plate_rt,
     _wall_refl,
 )
 from .materials import DispersionModel, MaterialKind, is_drude_like, is_nonmagnetic
-from .quadrature import (
-    IntegralResult,
-    QuadratureSpec,
-    double_semi_infinite,
-    integrate_semi_infinite,
-    matsubara_sum,
-)
+from .quadrature import IntegralResult, QuadratureSpec, double_semi_infinite
 
 DEFAULT_SPEC = QuadratureSpec()
 
@@ -79,8 +73,9 @@ class InterspaceView:
     """An interspace reduced to what the stress integrand needs.
 
     The walls appear only through the reflection providers ``r_plus`` (toward
-    +z) and ``r_minus`` (toward -z), each a callable ``(xi, q, pol) ->
-    reflection`` accepting ndarray q.
+    +z) and ``r_minus`` (toward -z). Each is a callable ``(xi, q) -> r``
+    accepting float or ndarray q and returning shape ``np.shape(q) + (2,)``,
+    the trailing axis ordered (s, p).
     """
 
     medium: DispersionModel
@@ -88,15 +83,6 @@ class InterspaceView:
     r_plus: Callable
     r_minus: Callable
     has_drude_like: bool = False
-
-    def reflection_pair(self, mode: TransverseMode) -> ReflectionPair:
-        """Both wall reflections for one transverse mode."""
-        if mode.pol is None:
-            raise ValueError("reflection_pair needs a definite polarization")
-        return ReflectionPair(
-            r_plus=self.r_plus(mode.xi, mode.q, mode.pol),
-            r_minus=self.r_minus(mode.xi, mode.q, mode.pol),
-        )
 
 
 @dataclass(frozen=True)
@@ -139,13 +125,13 @@ def interspace(
     if width <= 0.0:
         raise ValueError("interspace width must be positive")
 
-    def r_plus(xi, q, pol):
+    def r_plus(xi, q):
         eps, mu, _ = _medium_imag(medium, xi)
-        return _wall_refl(right_wall, eps, mu, xi, q, pol)
+        return _wall_refl(right_wall, eps, mu, xi, q)
 
-    def r_minus(xi, q, pol):
+    def r_minus(xi, q):
         eps, mu, _ = _medium_imag(medium, xi)
-        return _wall_refl(left_wall, eps, mu, xi, q, pol)
+        return _wall_refl(left_wall, eps, mu, xi, q)
 
     wall_models = [left_wall.terminator, right_wall.terminator]
     wall_models += [ly.material for ly in left_wall.layers + right_wall.layers]
@@ -179,15 +165,24 @@ def cavity_interspaces(cavity: CavityConfig) -> tuple[InterspaceView, Interspace
     return view1, view3
 
 
-def _g_sigma(n_sq, xi, kappa, q, width, z, r_plus, r_minus, pol):
-    """One polarization's share of the mode function g at height z."""
-    delta = DELTA[pol]
+def _modes(medium: DispersionModel, xi: float, q):
+    """(eps, mu, n^2, kappa, q); kappa and q gain a trailing unit axis.
+
+    The unit axis broadcasts against the (s, p) axis of the reflections.
+    """
+    eps, mu, n_sq = _medium_imag(medium, xi)
+    kappa = np.asarray(beta_imag(n_sq, xi, q))
+    return eps, mu, n_sq, kappa[..., None], np.asarray(q, dtype=float)[..., None]
+
+
+def _g(n_sq, xi, kappa, q, width, z, r_plus, r_minus):
+    """Mode function g at height z, one column per polarization (s, p)."""
     inv = 1.0 / n_sq
     roundtrip = np.exp(-2.0 * kappa * width)
     denom = 1.0 - r_plus * r_minus * roundtrip
-    pair = 2.0 * (-(kappa**2) * (1.0 + inv) + delta * q**2 * (1.0 - inv))
+    pair = 2.0 * (-(kappa**2) * (1.0 + inv) + DELTA * q**2 * (1.0 - inv))
     surf_coef = -(xi * xi / c**2) * (n_sq - 1.0)
-    surface = delta * surf_coef * (
+    surface = DELTA * surf_coef * (
         r_minus * np.exp(-2.0 * kappa * z)
         + r_plus * np.exp(-2.0 * kappa * (width - z))
     )
@@ -207,86 +202,39 @@ def g_fn(view: InterspaceView, z: float, mode: TransverseMode):
             f"z = {z} is not strictly inside the interspace (0, {view.width});"
             " the surface divergence makes boundary evaluation meaningless"
         )
-    _, _, n_sq = _medium_imag(view.medium, mode.xi)
-    kappa = beta_imag(n_sq, mode.xi, mode.q)
-    pols = POLARIZATIONS if mode.pol is None else (mode.pol,)
-    total = 0.0
-    for pol in pols:
-        total = total + _g_sigma(
-            n_sq, mode.xi, kappa, mode.q, view.width, z,
-            view.r_plus(mode.xi, mode.q, pol),
-            view.r_minus(mode.xi, mode.q, pol),
-            pol,
-        )
-    return total if np.ndim(mode.q) else float(total)
+    xi, q = mode.xi, mode.q
+    _, _, n_sq, kappa, qc = _modes(view.medium, xi, q)
+    g = _g(n_sq, xi, kappa, qc, view.width, z, view.r_plus(xi, q),
+           view.r_minus(xi, q))
+    if mode.pol is not None:
+        return _column(g, mode.pol, q)
+    return g.sum(axis=-1) if np.ndim(q) else float(g.sum())
 
 
-def _resolve_zero_policy(policy, has_drude):
-    if policy is None:
-        policy = "half-weight"
-    if policy == "half-weight" and has_drude:
+def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
+    """(policy, value) of the m = 0 thermal term, checked before integrating.
+
+    Forces take ``value`` as a dict of per-polarization m = 0 contributions
+    and get it back as an (s, p) array.
+    """
+    policy = policy or "half-weight"
+    if temperature > 0.0 and policy == "half-weight" and has_drude:
         raise ValueError(
             "a material in this structure has a diverging response at xi -> 0,"
             " so the m = 0 thermal term is ambiguous: pass zero_term_policy"
             " 'drop' or 'custom-value' explicitly"
         )
-    return policy
-
-
-def _thermal_double(integrand_si, spec, d_ref, prefactor, temperature,
-                    policy, custom_value, has_drude):
-    """prefactor * (thermal sum over xi_m of the q integral)."""
-    policy = _resolve_zero_policy(policy, has_drude)
-    inner_rel = 0.1 * spec.rel_tol
-    v_upper = None if spec.q_cutoff is None else spec.q_cutoff * d_ref
-    # The evolving abs_floor mirrors double_semi_infinite: q integrals at
-    # thermal frequencies deep in the exponential tail cannot meet a purely
-    # relative target and contribute nothing to the sum.
-    state = {"evals": 0, "inner_ok": True, "scale": 0.0}
-    inner_errors: list[float] = []
-
-    def h(xi):
-        def f(vs):
-            return integrand_si(xi, vs / d_ref) / d_ref
-
-        inner_spec = replace(spec, rel_tol=inner_rel,
-                             abs_floor=0.01 * spec.rel_tol * state["scale"])
-        res = integrate_semi_infinite(f, inner_spec, upper=v_upper)
-        state["evals"] += res.evaluations
-        state["inner_ok"] = state["inner_ok"] and res.converged
-        state["scale"] = max(state["scale"], abs(res.value))
-        inner_errors.append(res.error_estimate)
-        return res.value
-
-    sum_policy = "drop" if policy == "custom-value" else policy
-    ms = matsubara_sum(h, temperature, spec, zero_term_policy=sum_policy)
-
-    node_spacing = 2.0 * np.pi * Boltzmann * temperature / hbar
-    if policy == "half-weight" and inner_errors:
-        weighted = 0.5 * inner_errors[0] + sum(inner_errors[1:])
-    else:
-        weighted = sum(inner_errors)
-
-    value = prefactor * ms.value
     if policy == "custom-value":
-        value += float(custom_value)
-    error = prefactor * (ms.error_estimate + node_spacing * weighted)
-    return IntegralResult(
-        value=value,
-        error_estimate=error,
-        evaluations=state["evals"] + ms.evaluations,
-        converged=ms.converged and state["inner_ok"],
-    )
-
-
-def _evaluate(integrand_si, spec, d_ref, prefactor, temperature,
-              policy, custom_value, has_drude):
-    if temperature < 0.0:
-        raise ValueError("temperature must be >= 0")
-    if temperature == 0.0:
-        return double_semi_infinite(integrand_si, spec, d_ref, prefactor)
-    return _thermal_double(integrand_si, spec, d_ref, prefactor, temperature,
-                           policy, custom_value, has_drude)
+        if per_polarization:
+            if not isinstance(value, dict):
+                raise ValueError(
+                    "custom-value on a plate force needs a per-polarization"
+                    " dict {'s': ..., 'p': ...} of m = 0 contributions in N/m^2"
+                )
+            value = np.array([value["s"], value["p"]], dtype=float)
+        elif value is None:
+            raise ValueError("custom-value policy requires zero_term_value")
+    return policy, value
 
 
 def stress_zz(
@@ -312,20 +260,18 @@ def stress_zz(
             " stress diverges at the surfaces (set q_cutoff to study the"
             " near-surface region at finite resolution)"
         )
+    zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
+                           view.has_drude_like)
 
     def integrand(xi, q):
-        _, mu, n_sq = _medium_imag(view.medium, xi)
-        kappa = beta_imag(n_sq, xi, q)
-        g = sum(
-            _g_sigma(n_sq, xi, kappa, q, view.width, z,
-                     view.r_plus(xi, q, pol), view.r_minus(xi, q, pol), pol)
-            for pol in POLARIZATIONS
-        )
-        return q * (-mu / kappa) * g
+        _, mu, n_sq, kappa, qc = _modes(view.medium, xi, q)
+        g = _g(n_sq, xi, kappa, qc, view.width, z, view.r_plus(xi, q),
+               view.r_minus(xi, q))
+        return q * (-mu / kappa[..., 0]) * g.sum(axis=-1)
 
     d_ref = min(z, view.width - z)
-    return _evaluate(integrand, spec, d_ref, _STRESS_PREFACTOR, temperature,
-                     zero_term_policy, zero_term_value, view.has_drude_like)
+    return double_semi_infinite(integrand, spec, d_ref, _STRESS_PREFACTOR,
+                                temperature, *zero_term)
 
 
 def minkowski_stress_zz(
@@ -346,21 +292,17 @@ def minkowski_stress_zz(
             "the Minkowski form used here requires a nonmagnetic interspace"
             f" medium, got mu != 1 for kind {view.medium.kind.value!r}"
         )
+    zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
+                           view.has_drude_like)
 
     def integrand(xi, q):
-        _, _, n_sq = _medium_imag(view.medium, xi)
-        kappa = beta_imag(n_sq, xi, q)
-        total = 0.0
-        for pol in POLARIZATIONS:
-            rp = view.r_plus(xi, q, pol)
-            rm = view.r_minus(xi, q, pol)
-            roundtrip = np.exp(-2.0 * kappa * view.width)
-            total = total + rp * rm * roundtrip / (1.0 - rp * rm * roundtrip)
-        return q * kappa * total
+        kappa = _modes(view.medium, xi, q)[3]
+        rr = view.r_plus(xi, q) * view.r_minus(xi, q) * np.exp(
+            -2.0 * kappa * view.width)
+        return q * kappa[..., 0] * (rr / (1.0 - rr)).sum(axis=-1)
 
-    return _evaluate(integrand, spec, view.width, _MINKOWSKI_PREFACTOR,
-                     temperature, zero_term_policy, zero_term_value,
-                     view.has_drude_like)
+    return double_semi_infinite(integrand, spec, view.width,
+                                _MINKOWSKI_PREFACTOR, temperature, *zero_term)
 
 
 def stress_profile(
@@ -393,7 +335,7 @@ def stress_profile(
                          converged=flags, temperature=temperature, spec=spec)
 
 
-def _exact_difference_integrand(cavity: CavityConfig, pol: str):
+def _exact_difference_integrand(cavity: CavityConfig, pol: str | None = None):
     """Single-plate (r, t) form of the stress difference across the plate.
 
     Writing A = r_1- e^{-2 kappa d1}, B = r_3+ e^{-2 kappa d3} and the
@@ -405,46 +347,58 @@ def _exact_difference_integrand(cavity: CavityConfig, pol: str):
                            * (B - A) / N ,
 
     which is manifestly exponentially convergent in q (every term carries A
-    or B).
+    or B). The integrand returns both polarization columns (s, p); ``pol``
+    "s" or "p" selects one, as a float for scalar q.
     """
     med = cavity.medium
-    delta = DELTA[pol]
 
     def integrand(xi, q):
-        eps, mu, n_sq = _medium_imag(med, xi)
-        kappa = beta_imag(n_sq, xi, q)
-        r, t = _plate_rt(cavity.plate, eps, mu, xi, q, pol)
-        r1m = _wall_refl(cavity.left_wall, eps, mu, xi, q, pol)
-        r3p = _wall_refl(cavity.right_wall, eps, mu, xi, q, pol)
-        a = r1m * np.exp(-2.0 * kappa * cavity.d1)
-        b = r3p * np.exp(-2.0 * kappa * cavity.d3)
+        eps, mu, n_sq, kappa, qc = _modes(med, xi, q)
+        r, t = _plate_rt(cavity.plate, eps, mu, xi, q)
+        a = _wall_refl(cavity.left_wall, eps, mu, xi, q) * np.exp(
+            -2.0 * kappa * cavity.d1)
+        b = _wall_refl(cavity.right_wall, eps, mu, xi, q) * np.exp(
+            -2.0 * kappa * cavity.d3)
         n_den = (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
         inv = 1.0 / n_sq
         surf_coef = -(xi * xi / c**2) * (n_sq - 1.0)
         curly = (
-            2.0 * (-(kappa**2) * (1.0 + inv) + delta * q**2 * (1.0 - inv)) * r
-            + delta * surf_coef * (1.0 + r * r - t * t)
+            2.0 * (-(kappa**2) * (1.0 + inv) + DELTA * qc**2 * (1.0 - inv)) * r
+            + DELTA * surf_coef * (1.0 + r * r - t * t)
         )
-        return q * (-mu / kappa) * curly * (b - a) / n_den
+        return qc * (-mu / kappa) * curly * (b - a) / n_den
 
-    return integrand
+    if pol is None:
+        return integrand
+    return lambda xi, q: _column(integrand(xi, q), pol, q)
 
 
-def _direct_difference_integrand(cavity: CavityConfig, pol: str):
-    """g_3(0) - g_1(d1) evaluated literally at the plate faces."""
+def _direct_difference_integrand(cavity: CavityConfig):
+    """g_3(0) - g_1(d1) evaluated literally at the plate faces, columns (s, p)."""
     view1, view3 = cavity_interspaces(cavity)
-    med = cavity.medium
 
     def integrand(xi, q):
-        _, mu, n_sq = _medium_imag(med, xi)
-        kappa = beta_imag(n_sq, xi, q)
-        g3 = _g_sigma(n_sq, xi, kappa, q, cavity.d3, 0.0,
-                      view3.r_plus(xi, q, pol), view3.r_minus(xi, q, pol), pol)
-        g1 = _g_sigma(n_sq, xi, kappa, q, cavity.d1, cavity.d1,
-                      view1.r_plus(xi, q, pol), view1.r_minus(xi, q, pol), pol)
-        return q * (-mu / kappa) * (g3 - g1)
+        _, mu, n_sq, kappa, qc = _modes(cavity.medium, xi, q)
+        g3 = _g(n_sq, xi, kappa, qc, cavity.d3, 0.0,
+                view3.r_plus(xi, q), view3.r_minus(xi, q))
+        g1 = _g(n_sq, xi, kappa, qc, cavity.d1, cavity.d1,
+                view1.r_plus(xi, q), view1.r_minus(xi, q))
+        return qc * (-mu / kappa) * (g3 - g1)
 
     return integrand
+
+
+def _force_result(res: IntegralResult, method: str) -> ForceResult:
+    """ForceResult from a two-column (s, p) integral."""
+    per_pol = dict(zip(POLARIZATIONS, map(float, res.value)))
+    return ForceResult(
+        force_per_area=per_pol["s"] + per_pol["p"],
+        error_estimate=float(res.error_estimate.sum()),
+        per_polarization=per_pol,
+        method=method,
+        converged=res.converged,
+        evaluations=res.evaluations,
+    )
 
 
 def plate_force(
@@ -476,7 +430,8 @@ def plate_force(
     Returns
     -------
     ForceResult
-        Positive force pushes the plate toward +z.
+        Positive force pushes the plate toward +z. Both polarizations are
+        integrated in one adaptive pass.
     """
     spec = spec or DEFAULT_SPEC
     d_min = min(cavity.d1, cavity.d3)
@@ -495,35 +450,11 @@ def plate_force(
             spec = replace(spec, q_cutoff=noise_guard)
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    if zero_term_policy == "custom-value":
-        if not isinstance(zero_term_value, dict):
-            raise ValueError(
-                "plate_force custom-value needs a per-polarization dict"
-                " {'s': ..., 'p': ...} of m = 0 contributions in N/m^2"
-            )
-
-    per_pol: dict[str, float] = {}
-    error = 0.0
-    evaluations = 0
-    converged = True
-    for pol in POLARIZATIONS:
-        custom = zero_term_value[pol] if isinstance(zero_term_value, dict) else None
-        res = _evaluate(make(cavity, pol), spec, d_min, _STRESS_PREFACTOR,
-                        temperature, zero_term_policy, custom,
-                        cavity.has_drude_like)
-        per_pol[pol] = res.value
-        error += res.error_estimate
-        evaluations += res.evaluations
-        converged = converged and res.converged
-    return ForceResult(
-        force_per_area=per_pol["s"] + per_pol["p"],
-        error_estimate=error,
-        per_polarization=per_pol,
-        method=method,
-        converged=converged,
-        evaluations=evaluations,
-    )
+    zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
+                           cavity.has_drude_like, per_polarization=True)
+    res = double_semi_infinite(make(cavity), spec, d_min, _STRESS_PREFACTOR,
+                               temperature, *zero_term)
+    return _force_result(res, method)
 
 
 def minkowski_plate_force(
@@ -545,44 +476,18 @@ def minkowski_plate_force(
             "the Minkowski force is defined here for nonmagnetic interspace"
             " media only"
         )
-    if zero_term_policy == "custom-value" and not isinstance(zero_term_value, dict):
-        raise ValueError(
-            "minkowski_plate_force custom-value needs a per-polarization dict"
-        )
+    zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
+                           cavity.has_drude_like, per_polarization=True)
     view1, view3 = cavity_interspaces(cavity)
-    med = cavity.medium
 
-    def make(pol):
-        def integrand(xi, q):
-            _, _, n_sq = _medium_imag(med, xi)
-            kappa = beta_imag(n_sq, xi, q)
-            e1 = np.exp(-2.0 * kappa * cavity.d1)
-            e3 = np.exp(-2.0 * kappa * cavity.d3)
-            rr1 = view1.r_plus(xi, q, pol) * view1.r_minus(xi, q, pol) * e1
-            rr3 = view3.r_plus(xi, q, pol) * view3.r_minus(xi, q, pol) * e3
-            return q * kappa * (rr3 / (1.0 - rr3) - rr1 / (1.0 - rr1))
+    def integrand(xi, q):
+        kappa, qc = _modes(cavity.medium, xi, q)[3:]
+        rr1 = view1.r_plus(xi, q) * view1.r_minus(xi, q) * np.exp(
+            -2.0 * kappa * cavity.d1)
+        rr3 = view3.r_plus(xi, q) * view3.r_minus(xi, q) * np.exp(
+            -2.0 * kappa * cavity.d3)
+        return qc * kappa * (rr3 / (1.0 - rr3) - rr1 / (1.0 - rr1))
 
-        return integrand
-
-    d_ref = min(cavity.d1, cavity.d3)
-    per_pol: dict[str, float] = {}
-    error = 0.0
-    evaluations = 0
-    converged = True
-    for pol in POLARIZATIONS:
-        custom = zero_term_value[pol] if isinstance(zero_term_value, dict) else None
-        res = _evaluate(make(pol), spec, d_ref, _MINKOWSKI_PREFACTOR,
-                        temperature, zero_term_policy, custom,
-                        cavity.has_drude_like)
-        per_pol[pol] = res.value
-        error += res.error_estimate
-        evaluations += res.evaluations
-        converged = converged and res.converged
-    return ForceResult(
-        force_per_area=per_pol["s"] + per_pol["p"],
-        error_estimate=error,
-        per_polarization=per_pol,
-        method="minkowski",
-        converged=converged,
-        evaluations=evaluations,
-    )
+    res = double_semi_infinite(integrand, spec, min(cavity.d1, cavity.d3),
+                               _MINKOWSKI_PREFACTOR, temperature, *zero_term)
+    return _force_result(res, "minkowski")

@@ -19,6 +19,13 @@ Multilayer walls are folded by the two-media recursion
 r = (r_front + e^{-2 kappa d} r_back) / (1 + r_front e^{-2 kappa d} r_back);
 an independent transfer-matrix product in the test suite cross-checks every
 code path of that recursion.
+
+Polarization is an array axis: internal reflection and transmission arrays
+have shape ``np.shape(q) + (2,)`` with the trailing axis ordered (s, p), as
+is ``DELTA``. The s and p coefficients are one expression whose kappa
+contrast is weighted by (mu, eps), so every medium's response and kappa are
+computed once for both polarizations. The public per-polarization functions
+select a column.
 """
 
 from __future__ import annotations
@@ -36,9 +43,9 @@ from .materials import (
     mu_imag_axis,
 )
 
-# Perfect-reflector limits of the interface coefficients per polarization.
-DELTA = {"s": -1.0, "p": +1.0}
 POLARIZATIONS = ("s", "p")
+# Perfect-reflector limits of the interface coefficients, axis (s, p).
+DELTA = np.array([-1.0, +1.0])
 
 
 @dataclass(frozen=True)
@@ -112,14 +119,6 @@ class TransverseMode:
 
 
 @dataclass(frozen=True)
-class ReflectionPair:
-    """Reflections seen from inside an interspace toward +z and -z."""
-
-    r_plus: float | np.ndarray
-    r_minus: float | np.ndarray
-
-
-@dataclass(frozen=True)
 class CavityConfig:
     """Wall | gap d1 | plate | gap d3 | wall, with one common gap medium.
 
@@ -167,21 +166,39 @@ def beta_imag(n_sq: float, xi: float, q: float | np.ndarray):
     return kappa if np.ndim(q) else float(kappa)
 
 
+def _column(pair, pol: str, q):
+    """The ``pol`` column of an (s, p) array; a float for scalar q."""
+    if pol not in POLARIZATIONS:
+        raise ValueError(f"polarization must be 's' or 'p', got {pol!r}")
+    out = pair[..., POLARIZATIONS.index(pol)]
+    return out if np.ndim(q) else float(out)
+
+
+def _wave(eps, mu, xi: float, q):
+    """Fresnel weights (mu, eps) and kappa as a trailing unit axis."""
+    kappa = np.asarray(beta_imag(eps * mu, xi, q))
+    return np.array([mu, eps]), kappa[..., None]
+
+
+def _fresnel(a, b):
+    """Interface coefficients from medium a into medium b, axis (s, p).
+
+    s weights the kappa contrast by permeability, p by permittivity
+    (magnetic-field amplitude convention, conductor limit +1).
+    """
+    (w_a, kappa_a), (w_b, kappa_b) = a, b
+    return (w_b * kappa_a - w_a * kappa_b) / (w_b * kappa_a + w_a * kappa_b)
+
+
 def fresnel(pol: str, eps_a, mu_a, kappa_a, eps_b, mu_b, kappa_b):
     """Single-interface reflection from medium a into medium b.
 
     s uses the permeability-weighted kappa contrast, p the permittivity-
     weighted one (magnetic-field amplitude convention, conductor limit +1).
     """
-    if pol == "s":
-        num = mu_b * kappa_a - mu_a * kappa_b
-        den = mu_b * kappa_a + mu_a * kappa_b
-    elif pol == "p":
-        num = eps_b * kappa_a - eps_a * kappa_b
-        den = eps_b * kappa_a + eps_a * kappa_b
-    else:
-        raise ValueError(f"polarization must be 's' or 'p', got {pol!r}")
-    return num / den
+    a = (np.array([mu_a, eps_a]), np.asarray(kappa_a)[..., None])
+    b = (np.array([mu_b, eps_b]), np.asarray(kappa_b)[..., None])
+    return _column(_fresnel(a, b), pol, kappa_a)
 
 
 def _medium_imag(model: DispersionModel, xi: float):
@@ -191,31 +208,26 @@ def _medium_imag(model: DispersionModel, xi: float):
     return eps, mu, eps * mu
 
 
-def _wall_refl(wall: Wall, eps_amb, mu_amb, xi: float, q, pol: str):
-    """Reflection of ``wall`` seen from the ambient medium, vectorized in q."""
-    kappa_amb = beta_imag(eps_amb * mu_amb, xi, q)
-    media = [(eps_amb, mu_amb, kappa_amb)]
+def _wall_refl(wall: Wall, eps_amb, mu_amb, xi: float, q):
+    """Reflection of ``wall`` seen from the ambient medium, q.shape + (2,)."""
+    media = [_wave(eps_amb, mu_amb, xi, q)]
     for layer in wall.layers:
-        eps, mu, n_sq = _medium_imag(layer.material, xi)
-        media.append((eps, mu, beta_imag(n_sq, xi, q)))
+        eps, mu, _ = _medium_imag(layer.material, xi)
+        media.append(_wave(eps, mu, xi, q))
 
     # Innermost reflection: from the deepest finite medium into the terminator.
-    eps_n, mu_n, kappa_n = media[-1]
     if wall.is_mirror_terminated:
-        r = DELTA[pol] * np.ones_like(np.asarray(q, dtype=float))
+        r = DELTA * np.ones_like(media[-1][1])
     else:
-        eps_t, mu_t, n_sq_t = _medium_imag(wall.terminator, xi)
-        kappa_t = beta_imag(n_sq_t, xi, q)
-        r = fresnel(pol, eps_n, mu_n, kappa_n, eps_t, mu_t, kappa_t)
+        eps_t, mu_t, _ = _medium_imag(wall.terminator, xi)
+        r = _fresnel(media[-1], _wave(eps_t, mu_t, xi, q))
 
     # Fold outward: each finite layer adds one interface and one round trip.
     for i in range(len(wall.layers) - 1, -1, -1):
-        eps_a, mu_a, kappa_a = media[i]
-        eps_b, mu_b, kappa_b = media[i + 1]
-        rf = fresnel(pol, eps_a, mu_a, kappa_a, eps_b, mu_b, kappa_b)
-        phase = np.exp(-2.0 * kappa_b * wall.layers[i].thickness)
+        rf = _fresnel(media[i], media[i + 1])
+        phase = np.exp(-2.0 * media[i + 1][1] * wall.layers[i].thickness)
         r = (rf + phase * r) / (1.0 + rf * phase * r)
-    return r if np.ndim(q) else float(r)
+    return r
 
 
 def wall_reflection(wall: Wall, ambient: DispersionModel, mode: TransverseMode):
@@ -239,25 +251,22 @@ def wall_reflection(wall: Wall, ambient: DispersionModel, mode: TransverseMode):
     if mode.pol is None:
         raise ValueError("wall_reflection needs a definite polarization")
     eps_amb, mu_amb, _ = _medium_imag(ambient, mode.xi)
-    return _wall_refl(wall, eps_amb, mu_amb, mode.xi, mode.q, mode.pol)
+    r = _wall_refl(wall, eps_amb, mu_amb, mode.xi, mode.q)
+    return _column(r, mode.pol, mode.q)
 
 
-def _plate_rt(plate, eps_amb, mu_amb, xi: float, q, pol: str):
-    """(r, t) of the plate between identical ambient media, vectorized in q."""
+def _plate_rt(plate, eps_amb, mu_amb, xi: float, q):
+    """(r, t) of the plate between identical ambient media, q.shape + (2,)."""
     if isinstance(plate, PerfectMirrorPlate):
-        shaped = np.ones_like(np.asarray(q, dtype=float))
-        r = DELTA[pol] * shaped
-        t = 0.0 * shaped
-        return (r, t) if np.ndim(q) else (float(r), float(t))
-    kappa_amb = beta_imag(eps_amb * mu_amb, xi, q)
-    eps_p, mu_p, n_sq_p = _medium_imag(plate.material, xi)
-    kappa_p = beta_imag(n_sq_p, xi, q)
-    r12 = fresnel(pol, eps_amb, mu_amb, kappa_amb, eps_p, mu_p, kappa_p)
-    decay = np.exp(-kappa_p * plate.thickness)
+        return DELTA * np.ones(np.shape(q) + (1,)), np.zeros(np.shape(q) + (2,))
+    eps_p, mu_p, _ = _medium_imag(plate.material, xi)
+    inside = _wave(eps_p, mu_p, xi, q)
+    r12 = _fresnel(_wave(eps_amb, mu_amb, xi, q), inside)
+    decay = np.exp(-inside[1] * plate.thickness)
     den = 1.0 - r12 * r12 * decay * decay
     r = r12 * (1.0 - decay * decay) / den
     t = (1.0 - r12 * r12) * decay / den
-    return (r, t) if np.ndim(q) else (float(r), float(t))
+    return r, t
 
 
 def single_plate_rt(plate, ambient: DispersionModel, mode: TransverseMode):
@@ -276,4 +285,5 @@ def single_plate_rt(plate, ambient: DispersionModel, mode: TransverseMode):
     if mode.pol is None:
         raise ValueError("single_plate_rt needs a definite polarization")
     eps_amb, mu_amb, _ = _medium_imag(ambient, mode.xi)
-    return _plate_rt(plate, eps_amb, mu_amb, mode.xi, mode.q, mode.pol)
+    r, t = _plate_rt(plate, eps_amb, mu_amb, mode.xi, mode.q)
+    return _column(r, mode.pol, mode.q), _column(t, mode.pol, mode.q)

@@ -86,7 +86,7 @@ def force_ratio(eps: float) -> float:
 
 def mirror_reflections() -> dict[str, float]:
     """The ideal-mirror per-polarization constants r_s = -1, r_p = +1."""
-    return dict(DELTA)
+    return {pol: float(delta) for pol, delta in zip(POLARIZATIONS, DELTA)}
 
 
 def approx_plate_force(
@@ -122,12 +122,13 @@ def approx_plate_force(
         Force per area (N/m^2), positive toward +z.
     """
     spec = spec or QuadratureSpec()
-    for pol in POLARIZATIONS:
-        if r_half[pol] == 0.0:
-            raise ValueError(
-                "r_half must be nonzero per polarization: the constant-"
-                "reflection force carries the combination r + 1/r"
-            )
+    rh, r_left, r_right = (np.array([r[pol] for pol in POLARIZATIONS], dtype=float)
+                           for r in (r_half, r_left, r_right))
+    if np.any(rh == 0.0):
+        raise ValueError(
+            "r_half must be nonzero per polarization: the constant-"
+            "reflection force carries the combination r + 1/r"
+        )
     if d1 <= 0.0 or d3 <= 0.0:
         raise ValueError("gap widths must be positive")
 
@@ -137,21 +138,16 @@ def approx_plate_force(
 
     def integrand(xi, q):
         kappa = np.sqrt(q**2 + xi * xi * n_sq / c**2)
-        total = 0.0
-        for pol in POLARIZATIONS:
-            delta = DELTA[pol]
-            rh = r_half[pol]
-            e1 = r_left[pol] * np.exp(-2.0 * kappa * d1)
-            e3 = r_right[pol] * np.exp(-2.0 * kappa * d3)
-            d3_den = 1.0 - rh * e3
-            d1_den = 1.0 - rh * e1
-            coef = (
-                -2.0 * kappa**2 * (1.0 + inv)
-                - delta * (xi * xi / c**2) * (n_sq - 1.0) * (rh + 1.0 / rh)
-                + 2.0 * delta * q**2 * (1.0 - inv)
-            )
-            # 1/d3_den - 1/d1_den written difference-free of cancellation
-            total = total + coef * rh * (e3 - e1) / (d3_den * d1_den)
-        return q * (-medium.mu / kappa) * total
+        k, qc = kappa[:, None], q[:, None]  # broadcast against (s, p)
+        e1 = r_left * np.exp(-2.0 * k * d1)
+        e3 = r_right * np.exp(-2.0 * k * d3)
+        coef = (
+            -2.0 * k**2 * (1.0 + inv)
+            - DELTA * (xi * xi / c**2) * (n_sq - 1.0) * (rh + 1.0 / rh)
+            + 2.0 * DELTA * qc**2 * (1.0 - inv)
+        )
+        # 1/d3_den - 1/d1_den written difference-free of cancellation
+        total = coef * rh * (e3 - e1) / ((1.0 - rh * e3) * (1.0 - rh * e1))
+        return q * (-medium.mu / kappa) * total.sum(axis=-1)
 
     return double_semi_infinite(integrand, spec, min(d1, d3), prefactor)

@@ -7,15 +7,17 @@ never evaluated at x = 0 or at infinity. Subdivision order, and therefore the
 floating-point result, is a pure function of the integrand and the spec: no
 randomized nodes, no thread-order dependence.
 
-Integrands are vectorized callables: they receive an ndarray of abscissas and
-return an ndarray of the same length (or of shape (n, 2) when an auxiliary
-error channel rides along, see ``integrate_semi_infinite``).
+Integrands are vectorized callables: they receive an ndarray of n abscissas
+and return an ndarray of shape (n,), or (n, k) for k integrals sharing the
+abscissas (the engine's s and p polarizations). An auxiliary error channel
+adds a trailing axis of length 2, see ``integrate_semi_infinite``.
+``double_semi_infinite`` is the one two-dimensional core: an inner q integral
+under either an adaptive xi integral (T = 0) or a thermal frequency sum.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -74,11 +76,13 @@ class IntegralResult:
 
     ``converged`` is true iff
     ``error_estimate <= max(rel_tol*|value|, abs_floor)`` for the spec the
-    result was produced with.
+    result was produced with, for every column. ``value`` and
+    ``error_estimate`` are floats for a one-column integrand or sum and
+    ndarrays of shape (k,) for k columns.
     """
 
-    value: float
-    error_estimate: float
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     evaluations: int
     converged: bool
 
@@ -112,70 +116,75 @@ _N_INITIAL = 8  # initial uniform panels on the transformed interval
 
 
 def _panel(f: Callable, a: float, b: float, error_channel: bool):
-    """One GK15 panel: returns (value, gk_error, channel_integral)."""
+    """One GK15 panel: (value, gk_error, channel_integral), one entry per column."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid + half * _XGK
     y = np.asarray(f(x), dtype=float)
     if error_channel:
-        if y.ndim != 2 or y.shape != (15, 2):
-            raise ValueError("error-channel integrand must return shape (n, 2)")
-        vals, errs = y[:, 0], y[:, 1]
+        if y.ndim not in (2, 3) or y.shape[0] != 15 or y.shape[-1] != 2:
+            raise ValueError(
+                "error-channel integrand must return shape (n, 2) or (n, k, 2)")
+        vals, errs = y[..., 0], y[..., 1]
     else:
-        if y.shape != (15,):
-            raise ValueError("integrand must return one value per abscissa")
+        if y.ndim not in (1, 2) or y.shape[0] != 15:
+            raise ValueError(
+                "integrand must return one value or one row per abscissa")
         vals, errs = y, None
-    if not np.all(np.isfinite(vals)):
-        bad = x[~np.isfinite(vals)][0]
-        raise ValueError(f"integrand returned a non-finite value at x = {bad}")
-    kron = float(half * (_WGK @ vals))
-    gauss = float(half * (_WG @ vals[_GAUSS_IDX]))
-    channel = 0.0
-    if errs is not None:
-        if not np.all(np.isfinite(errs)):
-            bad = x[~np.isfinite(errs)][0]
-            raise ValueError(f"error channel non-finite at x = {bad}")
-        channel = float(half * (_WGK @ np.abs(errs)))
-    return kron, abs(kron - gauss), channel
+    finite = np.isfinite(y).reshape(15, -1).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"integrand returned a non-finite value at x = {x[~finite][0]}")
+    kron = half * (_WGK @ vals)
+    gauss = half * (_WG @ vals[_GAUSS_IDX])
+    channel = 0.0 if errs is None else half * (_WGK @ np.abs(errs))
+    return kron, np.abs(kron - gauss), channel
 
 
 def _adaptive(f: Callable, a: float, b: float, spec: QuadratureSpec,
-              error_channel: bool) -> IntegralResult:
-    """Globally adaptive GK15 on the finite interval [a, b]."""
-    edges = np.linspace(a, b, _N_INITIAL + 1)
-    panels = []  # heap of (-gk_error, left, right, value, gk_error, channel)
-    evaluations = 0
-    for i in range(_N_INITIAL):
-        v, e, ch = _panel(f, edges[i], edges[i + 1], error_channel)
-        evaluations += 15
-        heapq.heappush(panels, (-e, edges[i], edges[i + 1], v, e, ch))
+              error_channel: bool, floor) -> IntegralResult:
+    """Globally adaptive GK15 on the finite interval [a, b].
 
+    Panels are kept ordered by left edge, so totals are summed in a fixed
+    order. Each round splits the panel with the largest GK error summed over
+    columns (the leftmost one on a tie) until every column meets its own
+    target ``max(rel_tol*|value_k|, floor_k)``.
+    """
+    edges = np.linspace(a, b, _N_INITIAL + 1)
+    bounds = list(zip(edges[:-1], edges[1:]))
+    panels = [_panel(f, lo, hi, error_channel) for lo, hi in bounds]
+    scores = [float(np.sum(p[1])) for p in panels]
+    evaluations = 15 * _N_INITIAL
     splits = 0
     while True:
-        # Deterministic totals: sum panels ordered by left edge.
-        ordered = sorted(panels, key=lambda p: p[1])
-        value = sum(p[3] for p in ordered)
-        gk_error = sum(p[4] for p in ordered)
-        channel = sum(p[5] for p in ordered)
-        tol = max(spec.rel_tol * abs(value), spec.abs_floor)
-        if gk_error <= tol or splits >= spec.max_subdivisions:
+        value, gk_error, channel = (np.sum(col, axis=0) for col in zip(*panels))
+        tol = np.maximum(spec.rel_tol * np.abs(value), floor)
+        converged = bool(np.all(gk_error <= tol))
+        if converged or splits >= spec.max_subdivisions:
             # converged tracks this integral's own subdivision target; the
             # channel is a pass-through contribution from inner integrals and
             # is booked in error_estimate but not judged here.
-            converged = gk_error <= tol
             return IntegralResult(
-                value=value,
-                error_estimate=gk_error + channel,
+                value=_plain(value),
+                error_estimate=_plain(gk_error + channel),
                 evaluations=evaluations,
                 converged=converged,
             )
-        _, left, right, _, _, _ = heapq.heappop(panels)
-        mid_ = 0.5 * (left + right)
-        for lo, hi in ((left, mid_), (mid_, right)):
-            v, e, ch = _panel(f, lo, hi, error_channel)
-            evaluations += 15
-            heapq.heappush(panels, (-e, lo, hi, v, e, ch))
+        worst = scores.index(max(scores))
+        left, right = bounds[worst]
+        mid = 0.5 * (left + right)
+        halves = [(left, mid), (mid, right)]
+        children = [_panel(f, lo, hi, error_channel) for lo, hi in halves]
+        bounds[worst:worst + 1] = halves
+        panels[worst:worst + 1] = children
+        scores[worst:worst + 1] = [float(np.sum(p[1])) for p in children]
+        evaluations += 30
         splits += 1
+
+
+def _plain(x):
+    """A float for one column, the ndarray for several."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def integrate_semi_infinite(
@@ -183,29 +192,37 @@ def integrate_semi_infinite(
     spec: QuadratureSpec,
     upper: float | None = None,
     error_channel: bool = False,
+    abs_floor: float | np.ndarray | None = None,
 ) -> IntegralResult:
     """Integrate a decaying function over [0, upper) with upper = inf default.
 
     Parameters
     ----------
     f : callable
-        Vectorized integrand: ndarray of abscissas -> ndarray of values. With
-        ``error_channel=True`` it must return shape (n, 2); column 0 is the
-        integrand proper, column 1 a non-negative auxiliary error density that
-        is integrated alongside and added to ``error_estimate`` (used to pass
-        inner-integral errors through an outer integral).
+        Vectorized integrand: ndarray of n abscissas -> ndarray of shape (n,),
+        or (n, k) for k integrals over the same abscissas (columns). With
+        ``error_channel=True`` a trailing axis of length 2 is added; entry 0
+        is the integrand proper, entry 1 a non-negative auxiliary error
+        density that is integrated alongside and added to ``error_estimate``
+        (used to pass inner-integral errors through an outer integral).
     spec : QuadratureSpec
     upper : float, optional
         Finite sharp truncation point (used for momentum cutoffs). ``None``
         means the full half line.
     error_channel : bool
         See ``f``.
+    abs_floor : float or ndarray, optional
+        Absolute error floor in place of ``spec.abs_floor``; one per column
+        when an ndarray.
 
     Returns
     -------
     IntegralResult
-        Non-convergence within the subdivision budget is reported through the
-        ``converged`` flag, never silently.
+        Floats for a one-column integrand, ndarrays of shape (k,) for
+        ``value`` and ``error_estimate`` otherwise. Panels are split by the
+        error summed over columns; ``converged`` requires every column to
+        meet its own target. Non-convergence within the subdivision budget is
+        reported through the flag, never silently.
     """
     if upper is not None and upper <= 0.0:
         raise ValueError("upper truncation must be positive")
@@ -223,17 +240,17 @@ def integrate_semi_infinite(
                 "upper-limit transform collapsed; rescale the integrand so "
                 "its decay scale is of order one before integrating")
         y = np.asarray(f(x), dtype=float)
-        if y.shape[0] == x.size:
-            finite = np.isfinite(y).reshape(y.shape[0], -1).all(axis=1)
-            if not finite.all():
-                bad = x[~finite][0]
-                raise ValueError(
-                    f"integrand returned a non-finite value at x = {bad}")
-        if error_channel:
-            return y * jac[:, None]
-        return y * jac
+        if y.ndim == 0 or y.shape[0] != x.size:
+            return y  # rejected by the panel's shape check
+        finite = np.isfinite(y).reshape(y.shape[0], -1).all(axis=1)
+        if not finite.all():
+            bad = x[~finite][0]
+            raise ValueError(
+                f"integrand returned a non-finite value at x = {bad}")
+        return y * jac.reshape((-1,) + (1,) * (y.ndim - 1))
 
-    return _adaptive(transformed, 0.0, t_max, spec, error_channel)
+    floor = spec.abs_floor if abs_floor is None else abs_floor
+    return _adaptive(transformed, 0.0, t_max, spec, error_channel, floor)
 
 
 def double_semi_infinite(
@@ -241,101 +258,97 @@ def double_semi_infinite(
     spec: QuadratureSpec,
     d_ref: float,
     prefactor: float = 1.0,
+    temperature: float = 0.0,
+    zero_term_policy: str = "half-weight",
+    zero_term_value: float | np.ndarray | None = None,
 ) -> IntegralResult:
     """prefactor * Int_0^inf dxi Int_0^inf dq integrand_si(xi, q).
 
-    The integrand is evaluated in SI variables but integrated in the
-    dimensionless pair (u, v) = (xi*d_ref/c, q*d_ref), so exponential decay
-    scales of order d_ref become O(1). The inner q integral runs at a tenfold
-    tighter relative tolerance so the outer Kronrod estimate dominates; inner
-    error estimates ride through the outer integral on the error channel and
-    land in ``error_estimate``. ``spec.q_cutoff`` truncates the inner
-    integral sharply. ``converged`` requires the outer target and every inner
-    integral's own target.
+    The integrand gives one value, or one row of k columns, per q; all
+    columns share one pass. The q integral runs in v = q*d_ref, so decay
+    scales of order d_ref become O(1), at a tenfold tighter relative
+    tolerance so the outer error dominates; ``spec.q_cutoff`` truncates it
+    sharply. Each q integral also gets a per-column absolute floor tracking
+    the largest inner value seen so far: q integrals deep in the exponential
+    tail (or pure rounding noise) could otherwise never meet a relative
+    target and would burn the subdivision budget on contributions the outer
+    rule cannot see.
 
-    Inner integrals additionally receive an absolute floor that tracks the
-    largest inner value seen so far. Without it, inner integrals deep in the
-    exponential tail (value many orders below the outer integral's scale,
-    or pure rounding noise) could never meet a purely relative target and
-    would burn the subdivision budget on contributions the outer integral
-    cannot see.
+    At T = 0 the outer rule is the adaptive integral over u = xi*d_ref/c,
+    with inner errors riding the error channel. At T > 0 it is
+    ``matsubara_sum``; the error is the tail bound plus the inner errors
+    weighted by the node spacing (half weight on m = 0 under
+    ``"half-weight"``). ``"custom-value"`` skips m = 0 and adds
+    ``zero_term_value``, the full m = 0 contribution per column, to the
+    value. ``converged`` requires the outer target and every inner target.
     """
     if d_ref <= 0.0:
         raise ValueError("reference length must be positive")
-    from dataclasses import replace
+    if temperature < 0.0:
+        raise ValueError("temperature must be >= 0")
 
     inner_rel = 0.1 * spec.rel_tol
+    inner_spec = replace(spec, rel_tol=inner_rel)
     v_upper = None if spec.q_cutoff is None else spec.q_cutoff * d_ref
     state = {"evals": 0, "inner_ok": True, "scale": 0.0}
-    jac = c / d_ref
 
-    def outer_f(us):
-        out = np.empty((us.size, 2))
-        for i, u in enumerate(us):
-            xi = u * jac
+    def inner(xi):
+        def f(vs):
+            return integrand_si(xi, vs / d_ref) / d_ref
 
-            def f(vs):
-                return integrand_si(xi, vs / d_ref) / d_ref
+        res = integrate_semi_infinite(
+            f, inner_spec, upper=v_upper,
+            abs_floor=0.01 * spec.rel_tol * state["scale"])
+        state["evals"] += res.evaluations
+        state["inner_ok"] = state["inner_ok"] and res.converged
+        state["scale"] = np.maximum(state["scale"], np.abs(res.value))
+        return res
 
-            inner_spec = replace(
-                spec, rel_tol=inner_rel,
-                abs_floor=0.01 * spec.rel_tol * state["scale"],
-            )
-            res = integrate_semi_infinite(f, inner_spec, upper=v_upper)
-            state["evals"] += res.evaluations
-            state["inner_ok"] = state["inner_ok"] and res.converged
-            state["scale"] = max(state["scale"], abs(res.value))
-            out[i, 0] = res.value * jac
-            out[i, 1] = res.error_estimate * jac
-        return out
+    if temperature == 0.0:
+        jac = c / d_ref
 
-    outer_spec = spec if spec.abs_floor == 0.0 else replace(
-        spec, abs_floor=spec.abs_floor / abs(prefactor)
-    )
-    outer = integrate_semi_infinite(outer_f, outer_spec, error_channel=True)
+        def outer_f(us):
+            rows = []
+            for u in us:
+                res = inner(u * jac)
+                rows.append(np.stack([res.value, res.error_estimate], axis=-1))
+            return np.array(rows) * jac
+
+        outer_spec = spec if spec.abs_floor == 0.0 else replace(
+            spec, abs_floor=spec.abs_floor / abs(prefactor)
+        )
+        outer = integrate_semi_infinite(outer_f, outer_spec, error_channel=True)
+        return IntegralResult(
+            value=_plain(prefactor * outer.value),
+            error_estimate=_plain(abs(prefactor) * outer.error_estimate),
+            evaluations=state["evals"],
+            converged=outer.converged and state["inner_ok"],
+        )
+
+    inner_errors = []
+
+    def h(xi):
+        res = inner(xi)
+        inner_errors.append(res.error_estimate)
+        return res.value
+
+    custom = zero_term_policy == "custom-value"
+    sum_policy = "drop" if custom else zero_term_policy
+    ms = matsubara_sum(h, temperature, spec, zero_term_policy=sum_policy)
+
+    node_spacing = 2.0 * np.pi * Boltzmann * temperature / hbar
+    head = 0.5 if zero_term_policy == "half-weight" else 1.0
+    weighted = head * inner_errors[0] + sum(inner_errors[1:])
+    value = prefactor * ms.value
+    if custom:
+        value = value + np.asarray(zero_term_value, dtype=float)
+    error = abs(prefactor) * (ms.error_estimate + node_spacing * weighted)
     return IntegralResult(
-        value=prefactor * outer.value,
-        error_estimate=abs(prefactor) * outer.error_estimate,
-        evaluations=state["evals"],
-        converged=outer.converged and state["inner_ok"],
+        value=_plain(value),
+        error_estimate=_plain(error),
+        evaluations=state["evals"] + ms.evaluations,
+        converged=ms.converged and state["inner_ok"],
     )
-
-
-@dataclass(frozen=True)
-class ScaledVariables:
-    """Dimensionless substitution u = xi*d_ref/c, v = q*d_ref.
-
-    The Jacobian factors ``dxi_du`` and ``dq_dv`` convert integrals over
-    (u, v) back to SI integrals over (xi, q); using them keeps engine
-    integrands O(1) over O(1) ranges of u and v.
-    """
-
-    d_ref: float
-    dxi_du: float = field(init=False)
-    dq_dv: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.d_ref <= 0.0:
-            raise ValueError("reference length must be positive")
-        object.__setattr__(self, "dxi_du", c / self.d_ref)
-        object.__setattr__(self, "dq_dv", 1.0 / self.d_ref)
-
-    def xi_from_u(self, u):
-        return u * c / self.d_ref
-
-    def u_from_xi(self, xi):
-        return xi * self.d_ref / c
-
-    def q_from_v(self, v):
-        return v / self.d_ref
-
-    def v_from_q(self, q):
-        return q * self.d_ref
-
-
-def nondimensionalize(d_ref: float) -> ScaledVariables:
-    """Variable map and Jacobians for a reference length (see ScaledVariables)."""
-    return ScaledVariables(d_ref)
 
 
 def matsubara_frequency(m: int | np.ndarray, temperature: float):
@@ -343,25 +356,24 @@ def matsubara_frequency(m: int | np.ndarray, temperature: float):
     return 2.0 * np.pi * Boltzmann * temperature * np.asarray(m) / hbar
 
 
-def _geometric_tail(last: float, prev: float) -> float:
-    """Upper bound on the remaining sum, from the last two terms.
+def _geometric_tail(last, prev):
+    """Upper bound on the remaining sum, from the last two terms, per column.
 
     Models the tail as a geometric series with the observed term ratio
     (clipped to 0.999 so a ratio near 1 gives a large but finite bound).
     """
-    if last == 0.0:
-        return 0.0
-    ratio = abs(last / prev) if prev != 0.0 else 0.5
-    ratio = min(ratio, 0.999)
-    return abs(last) * ratio / (1.0 - ratio)
+    last, prev = np.abs(last), np.abs(prev)
+    ratio = np.divide(last, prev, out=np.full_like(last, 0.5), where=prev != 0.0)
+    ratio = np.minimum(ratio, 0.999)
+    return last * ratio / (1.0 - ratio)
 
 
 def matsubara_sum(
-    g: Callable[[float], float],
+    g: Callable,
     temperature: float,
     spec: QuadratureSpec,
     zero_term_policy: str = "half-weight",
-    zero_term_value: float | None = None,
+    zero_term_value: float | np.ndarray | None = None,
 ) -> IntegralResult:
     """Weighted thermal sum (2 pi k_B T/hbar) * [w0*g(0) + sum_m g(xi_m)].
 
@@ -371,9 +383,11 @@ def matsubara_sum(
     Parameters
     ----------
     g : callable
-        Real-valued function of the imaginary frequency xi (rad/s). Must
-        decay; summation stops once the geometric tail bound falls below the
-        tolerance for three consecutive m.
+        Function of the imaginary frequency xi (rad/s) returning a real
+        number, or an ndarray of shape (k,) for k sums over the same
+        frequencies (columns). Must decay; summation stops once the geometric
+        tail bound of every column falls below its tolerance for three
+        consecutive m.
     temperature : float
         Temperature in kelvin, > 0.
     spec : QuadratureSpec
@@ -383,7 +397,7 @@ def matsubara_sum(
         ``"drop"`` omits the m = 0 term without evaluating g(0);
         ``"custom-value"`` uses ``zero_term_value/2`` in place of g(0)/2, for
         integrands whose xi -> 0 limit exists but cannot be evaluated at 0.
-    zero_term_value : float, optional
+    zero_term_value : float or ndarray, optional
         Stand-in for g(0) under ``"custom-value"``.
 
     Returns
@@ -391,7 +405,8 @@ def matsubara_sum(
     IntegralResult
         ``value`` includes the 2 pi k_B T/hbar prefactor; ``error_estimate``
         covers truncation of the tail (and the discarded/added tail per the
-        tail policy), not errors internal to g itself.
+        tail policy), not errors internal to g itself. Floats for a scalar g,
+        ndarrays of shape (k,) otherwise; ``converged`` covers every column.
     """
     if temperature <= 0.0:
         raise ValueError("matsubara_sum needs temperature > 0; use the"
@@ -407,11 +422,11 @@ def matsubara_sum(
     if zero_term_policy == "drop":
         total = 0.0
     elif zero_term_policy == "custom-value":
-        total = 0.5 * float(zero_term_value)
+        total = 0.5 * np.asarray(zero_term_value, dtype=float)
     else:
-        g0 = float(g(0.0))
+        g0 = np.asarray(g(0.0), dtype=float)
         evaluations += 1
-        if not np.isfinite(g0):
+        if not np.all(np.isfinite(g0)):
             raise ValueError(
                 "g(0) is not finite; choose zero_term_policy 'drop' or"
                 " 'custom-value' for zero-frequency-divergent media"
@@ -422,31 +437,31 @@ def matsubara_sum(
     last = prev = 0.0
     truncated = True
     for m in range(1, spec.matsubara_max_terms + 1):
-        term = float(g(float(matsubara_frequency(m, temperature))))
+        term = np.asarray(g(float(matsubara_frequency(m, temperature))),
+                          dtype=float)
         evaluations += 1
-        if not np.isfinite(term):
+        if not np.all(np.isfinite(term)):
             raise ValueError(f"thermal term m = {m} is not finite")
         prev, last = last, term
-        total += term
-        tol = max(spec.rel_tol * abs(total), spec.abs_floor / prefactor)
+        total = total + term
+        tol = np.maximum(spec.rel_tol * np.abs(total), spec.abs_floor / prefactor)
         # Judge the geometric tail, not the term: at low temperature the
         # term ratio approaches 1 and the tail dwarfs the last term.
-        below = below + 1 if _geometric_tail(last, prev) <= tol else 0
-        if below >= 3:
+        below = np.where(_geometric_tail(last, prev) <= tol, below + 1, 0)
+        if np.all(below >= 3):
             truncated = False
             break
 
     tail = _geometric_tail(last, prev)
-    if spec.matsubara_tail == "integral-tail-estimate" and last != 0.0:
-        sign = 1.0 if last > 0.0 else -1.0
-        total += sign * tail
+    if spec.matsubara_tail == "integral-tail-estimate":
+        total = total + np.sign(last) * tail
         error = prefactor * 0.5 * tail
     else:
         error = prefactor * tail
 
     value = prefactor * total
-    converged = (not truncated) and (
-        error <= max(spec.rel_tol * abs(value), spec.abs_floor)
-    )
-    return IntegralResult(value=value, error_estimate=error,
+    converged = (not truncated) and bool(np.all(
+        error <= np.maximum(spec.rel_tol * np.abs(value), spec.abs_floor)
+    ))
+    return IntegralResult(value=_plain(value), error_estimate=_plain(error),
                           evaluations=evaluations, converged=converged)

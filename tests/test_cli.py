@@ -235,6 +235,16 @@ def test_truncated_thermal_sum_exits_3(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # stress-profile
 
+def test_profile_custom_zero_term_without_value_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, TWO_WALL)
+    code, out, err = _run(capsys, ["stress-profile", "--config", cfg,
+                                   "--temperature", "300",
+                                   "--zero-term-policy", "custom-value"])
+    assert code == 2
+    assert "zero_term_value" in err
+    assert out == ""
+
+
 def test_profile_rows_and_flatness(tmp_path, capsys):
     cfg = _write(tmp_path, TWO_WALL)
     code, out, err = _run(capsys, ["stress-profile", "--config", cfg,
@@ -343,6 +353,25 @@ def test_compare_on_configured_cavity(tmp_path, capsys):
     assert float(row["ratio_minkowski_over_force"]) == pytest.approx(
         1.0, rel=1e-6)
     assert float(row["d1_m"]) == 1e-6
+
+
+def test_compare_zero_force_has_no_ratio(tmp_path, capsys):
+    cfg = _write(tmp_path, SYMMETRIC_CAVITY)
+    code, out, _ = _run(capsys, ["compare", "--config", cfg, "--format", "csv"])
+    assert code == 0
+    row = _rows(out)[0]
+    assert float(row["force_per_area_N_per_m2"]) == 0.0
+    assert row["ratio_minkowski_over_force"] == ""
+    code, out, _ = _run(capsys, ["compare", "--config", cfg])
+    assert code == 0
+    assert "ratio_minkowski_over_force" in out and "= -" in out
+    code, out, _ = _run(capsys, ["compare", "--format", "json", "--eps", "1,2",
+                                 "--mode", "quadrature",
+                                 "--d1", "8e-7", "--d3", "8e-7"])
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert [r["ratio_minkowski_over_force"] for r in rows] == [None, None]
+    assert [r["force_per_area_N_per_m2"] for r in rows] == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from scipy.constants import c, hbar
 
 from planarcasimir.engine import (
     ForceResult,
+    InterspaceView,
     cavity_interspaces,
     g_fn,
     interspace,
@@ -67,9 +68,9 @@ def test_mode_function_matches_complex_phase_assembly():
         for q in (1e5, 2e6, 3e7):
             kappa = beta_imag(n_sq, xi, q)
             beta = 1j * kappa
-            for pol, delta in (("s", -1.0), ("p", 1.0)):
-                rp = view.r_plus(xi, q, pol)
-                rm = view.r_minus(xi, q, pol)
+            for col, (pol, delta) in enumerate((("s", -1.0), ("p", 1.0))):
+                rp = view.r_plus(xi, q)[col]
+                rm = view.r_minus(xi, q)[col]
                 z = 1.3e-7
                 phase_d = np.exp(2j * beta * d)
                 w = (beta ** 2 + q ** 2) * (1.0 - 1.0 / n_sq)
@@ -195,17 +196,6 @@ def test_interspace_validation():
         interspace(Wall.perfect_mirror(), VACUUM, 0.0, Wall.perfect_mirror())
 
 
-def test_reflection_pair():
-    view = interspace(Wall.semi_infinite(constant(eps=4.0)), VACUUM, 1e-6,
-                      Wall.perfect_mirror())
-    pair = view.reflection_pair(TransverseMode(xi=1e15, q=1e6, pol="s"))
-    assert pair.r_plus == -1.0
-    assert pair.r_minus == pytest.approx(
-        view.r_minus(1e15, 1e6, "s"), rel=1e-15)
-    with pytest.raises(ValueError, match="polarization"):
-        view.reflection_pair(TransverseMode(xi=1e15, q=1e6, pol=None))
-
-
 def test_stress_domain_and_temperature_validation():
     view = _mirror_gap()
     for z in (0.0, 1e-6, -1e-7, 2e-6):
@@ -258,6 +248,41 @@ def test_symmetric_cavity_force_is_exactly_zero():
             res = plate_force(cavity, spec=SPEC, method=method)
             assert res.force_per_area == 0.0
             assert res.per_polarization == {"s": 0.0, "p": 0.0}
+
+
+def test_vacuum_mirror_cavity_polarizations_share_one_pass():
+    # In a vacuum mirror cavity s and p contribute identically; integrated
+    # as two columns of one pass they must come out bit for bit equal.
+    d1, d3 = 1e-6, 5e-5
+    cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, d1,
+                          PerfectMirrorPlate(), d3, Wall.perfect_mirror())
+    res = plate_force(cavity, spec=SPEC)
+    assert res.converged
+    s, p = res.per_polarization["s"], res.per_polarization["p"]
+    assert s == p
+    half = 0.5 * hbar * c * np.pi ** 2 / 240.0 * (d3 ** -4 - d1 ** -4)
+    assert abs(s - half) <= 0.5 * res.error_estimate
+
+
+def test_custom_zero_term_needs_a_value_before_integrating():
+    view = _mirror_gap()
+    calls = []
+
+    def counting(xi, q):
+        calls.append(xi)
+        return view.r_plus(xi, q)
+
+    counted = InterspaceView(view.medium, view.width, counting, view.r_minus)
+    for stress in (lambda: stress_zz(counted, 5e-7, 300.0, SPEC,
+                                     "custom-value"),
+                   lambda: minkowski_stress_zz(counted, 300.0, SPEC,
+                                               "custom-value")):
+        with pytest.raises(ValueError, match="zero_term_value"):
+            stress()
+    assert calls == []
+    given = stress_zz(view, 5e-7, 300.0, SPEC, "custom-value", 0.0)
+    dropped = stress_zz(view, 5e-7, 300.0, SPEC, "drop")
+    assert given.value == dropped.value
 
 
 def test_mirror_cavity_force_matches_stress_difference():
@@ -363,5 +388,5 @@ def test_cavity_interspaces_widths_and_media():
     mode = TransverseMode(xi=5e14, q=1e6, pol="p")
     from planarcasimir.layers import single_plate_rt
     r_bare, _ = single_plate_rt(cavity.plate, cavity.medium, mode)
-    r_composite = view1.r_plus(mode.xi, mode.q, mode.pol)
+    r_composite = view1.r_plus(mode.xi, mode.q)[1]  # column p
     assert abs(r_composite - r_bare) > 1e-6

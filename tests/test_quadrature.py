@@ -9,7 +9,6 @@ from planarcasimir.quadrature import (
     integrate_semi_infinite,
     matsubara_frequency,
     matsubara_sum,
-    nondimensionalize,
 )
 
 from oracles import INTEGRAND_SUITE
@@ -113,6 +112,41 @@ def test_error_channel_adds_auxiliary_error():
     assert plain.error_estimate < 1e-9
 
 
+def test_two_column_integrand_meets_each_relative_target():
+    # Column 1 is 1e-6 of column 0 in size and much harder (an endpoint
+    # singularity); a target judged on the summed error would under-resolve
+    # it, so each column must reach its own relative tolerance.
+    spec = QuadratureSpec(rel_tol=1e-9)
+
+    def f(x):
+        return np.stack([np.exp(-x), 1e-6 * np.exp(-x) / np.sqrt(x)], axis=-1)
+
+    both = integrate_semi_infinite(f, spec)
+    assert both.converged
+    assert both.value.shape == both.error_estimate.shape == (2,)
+    exact = np.array([1.0, 1e-6 * np.sqrt(np.pi)])
+    assert np.all(both.error_estimate <= spec.rel_tol * np.abs(both.value))
+    assert np.all(np.abs(both.value - exact) <= both.error_estimate)
+    for k in range(2):
+        alone = integrate_semi_infinite(lambda x: f(x)[:, k], spec)
+        assert isinstance(alone.value, float)
+        assert abs(both.value[k] - alone.value) <= (
+            both.error_estimate[k] + alone.error_estimate)
+
+
+def test_two_column_error_channel():
+    def f(x):
+        col = np.exp(-x)
+        # column 0 carries no auxiliary error, column 1 an error density
+        return np.stack([np.stack([col, 0.0 * col], axis=-1),
+                         np.stack([col, col], axis=-1)], axis=1)
+
+    res = integrate_semi_infinite(f, SPEC, error_channel=True)
+    assert res.value == pytest.approx([1.0, 1.0], rel=1e-12)
+    assert res.error_estimate[0] < 1e-9
+    assert res.error_estimate[1] == pytest.approx(1.0, rel=1e-6)
+
+
 def test_double_semi_infinite_separable_product():
     d = 2.5e-6
 
@@ -139,16 +173,6 @@ def test_double_semi_infinite_momentum_cutoff():
     res = double_semi_infinite(integrand, spec, d)
     expected = (c / d) * (1.0 - np.exp(-q_cut * d)) / d
     assert res.value == pytest.approx(expected, rel=1e-8)
-
-
-def test_scaled_variables_round_trip():
-    sv = nondimensionalize(3e-7)
-    assert sv.xi_from_u(sv.u_from_xi(4.2e14)) == pytest.approx(4.2e14, rel=1e-15)
-    assert sv.q_from_v(sv.v_from_q(7.7e6)) == pytest.approx(7.7e6, rel=1e-15)
-    assert sv.dxi_du == pytest.approx(c / 3e-7)
-    assert sv.dq_dv == pytest.approx(1.0 / 3e-7)
-    with pytest.raises(ValueError):
-        nondimensionalize(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +220,29 @@ def test_matsubara_zero_term_policies():
     assert custom.value == half.value  # g(0) = 1 here
     assert drop.value == pytest.approx(_geometric_expected(T, xi_c, "drop"),
                                        rel=1e-9)
+
+
+def test_matsubara_two_columns_equal_two_scalar_sums():
+    T = 300.0
+    slow, fast = 5e14, 1e14
+    spec = QuadratureSpec(rel_tol=1e-10)
+    both = matsubara_sum(lambda xi: np.array([np.exp(-xi / slow),
+                                              2.0 * np.exp(-xi / fast)]),
+                         T, spec)
+    s_slow = matsubara_sum(lambda xi: np.exp(-xi / slow), T, spec)
+    s_fast = matsubara_sum(lambda xi: 2.0 * np.exp(-xi / fast), T, spec)
+    assert both.converged and s_slow.converged and s_fast.converged
+    # The slower column sets the stopping point, so it equals its scalar
+    # sum exactly; the faster one only gains negligible extra terms.
+    assert both.value[0] == s_slow.value
+    assert both.evaluations == s_slow.evaluations
+    assert both.value[1] == pytest.approx(s_fast.value, rel=spec.rel_tol)
+    assert both.error_estimate[0] == s_slow.error_estimate
+    custom = matsubara_sum(lambda xi: np.array([np.exp(-xi / slow),
+                                                2.0 * np.exp(-xi / fast)]),
+                           T, spec, zero_term_policy="custom-value",
+                           zero_term_value=[1.0, 2.0])
+    np.testing.assert_array_equal(custom.value, both.value)
 
 
 def test_matsubara_policy_validation():
