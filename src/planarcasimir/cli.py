@@ -53,6 +53,12 @@ from .materials import MaterialKind, constant, eps_imag_axis, is_drude_like
 
 __all__ = ["main"]
 
+# Choices of the command flags, shared with the check of stored [command]
+# values, which argparse never sees.
+_COMPARE_MODES = ("closed", "quadrature")
+_SWEEP_UNITS = {"d1": "m", "d3": "m", "d": "m", "eps": "", "T": "K"}
+_SPACINGS = ("log", "linear")
+
 _META_KEYS = (
     "temperature_K", "method", "zero_term_policy", "rel_tol", "abs_floor",
     "max_subdivisions", "q_cutoff_rad_per_m", "matsubara_max_terms",
@@ -104,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", metavar="LIST",
                    help="comma-separated relative permittivities"
                         " (default 1,2,4,10)")
-    p.add_argument("--mode", choices=("closed", "quadrature"),
+    p.add_argument("--mode", choices=_COMPARE_MODES,
                    help="closed forms (instant) or engine quadrature")
     p.add_argument("--d1", metavar="M", help="near gap width in meters")
     p.add_argument("--d3", metavar="M", help="far gap width in meters")
@@ -112,12 +118,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common],
                        help="force while one parameter varies")
-    p.add_argument("--parameter", choices=("d1", "d3", "d", "eps", "T"),
+    p.add_argument("--parameter", choices=tuple(_SWEEP_UNITS),
                    help="swept parameter; 'd' scales both gaps proportionally")
     p.add_argument("--start", metavar="X", help="first value (SI units)")
     p.add_argument("--stop", metavar="X", help="last value (SI units)")
     p.add_argument("--points", metavar="N", help="number of points (default 9)")
-    p.add_argument("--spacing", choices=("log", "linear"),
+    p.add_argument("--spacing", choices=_SPACINGS,
                    help="point spacing (default log)")
     p.set_defaults(handler=_cmd_sweep)
 
@@ -158,10 +164,18 @@ def _stored_args(rc: RunConfig, command: str) -> dict[str, str]:
 
 
 def _resolve(flag_value, stored: dict[str, str], key: str,
-             default: str | None) -> str | None:
+             default: str | None, choices=None) -> str | None:
+    """The flag's value, else the stored [command] value, else ``default``.
+
+    A stored value must be one of the flag's ``choices``, if it has any.
+    """
     if flag_value is not None:
         return str(flag_value)
-    return stored.get(key, default)
+    value = stored.get(key, default)
+    if choices is not None and value is not None and value not in choices:
+        raise ConfigError(
+            f"[command] {key}: {value!r} is not one of {', '.join(choices)}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +373,7 @@ def _cmd_compare(args) -> int:
     sections, rc = _prepare(args)
     stored = _stored_args(rc, "compare")
     eps_text = _resolve(args.eps, stored, "eps", None)
-    mode = _resolve(args.mode, stored, "mode", "closed")
+    mode = _resolve(args.mode, stored, "mode", "closed", _COMPARE_MODES)
     d1_text = _resolve(args.d1, stored, "d1", None)
     d3_text = _resolve(args.d3, stored, "d3", None)
     if (d1_text is None) != (d3_text is None):
@@ -459,14 +473,12 @@ def _quadrature_compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
     }
 
 
-_SWEEP_UNITS = {"d1": "m", "d3": "m", "d": "m", "eps": "", "T": "K"}
-
-
 def _cmd_sweep(args) -> int:
     sections, rc = _prepare(args)
     cavity = _need_cavity(rc)
     stored = _stored_args(rc, "sweep")
-    parameter = _resolve(args.parameter, stored, "parameter", None)
+    parameter = _resolve(args.parameter, stored, "parameter", None,
+                         _SWEEP_UNITS)
     if parameter is None:
         raise ConfigError("sweep needs --parameter (d1, d3, d, eps or T)")
     start_text = _resolve(args.start, stored, "start", None)
@@ -476,7 +488,7 @@ def _cmd_sweep(args) -> int:
     start = _to_float(start_text, "--start")
     stop = _to_float(stop_text, "--stop")
     points = _to_int(_resolve(args.points, stored, "points", "9"), "--points")
-    spacing = _resolve(args.spacing, stored, "spacing", "log")
+    spacing = _resolve(args.spacing, stored, "spacing", "log", _SPACINGS)
     if points < 1:
         raise ConfigError("--points: need at least 1 point")
     if spacing == "log" and (start <= 0.0 or stop <= 0.0):

@@ -74,8 +74,11 @@ class InterspaceView:
 
     The walls appear only through the reflection providers ``r_plus`` (toward
     +z) and ``r_minus`` (toward -z). Each is a callable ``(xi, q) -> r``
-    accepting float or ndarray q and returning shape ``np.shape(q) + (2,)``,
-    the trailing axis ordered (s, p).
+    returning the broadcast shape of (xi, q) plus a trailing axis ordered
+    (s, p). xi is a float, or a column of shape (A, 1) broadcast against q of
+    shape (A, m): the stress integrands built on a view are evaluated in
+    batches of frequency rows by ``double_semi_infinite``, one refinement
+    round of all rows per call, under a per-batch inner error floor.
     """
 
     medium: DispersionModel
@@ -165,18 +168,25 @@ def cavity_interspaces(cavity: CavityConfig) -> tuple[InterspaceView, Interspace
     return view1, view3
 
 
-def _modes(medium: DispersionModel, xi: float, q):
-    """(eps, mu, n^2, kappa, q); kappa and q gain a trailing unit axis.
+def _modes(medium: DispersionModel, xi, q):
+    """(eps, mu, n^2, kappa): the medium's response at xi, kappa at (xi, q).
 
-    The unit axis broadcasts against the (s, p) axis of the reflections.
+    xi is a float, or a column of shape (A, 1) broadcast against q of shape
+    (A, m). eps, mu and n^2 are shaped like xi, as the layer functions take
+    them; kappa is shaped like the broadcast (xi, q).
     """
     eps, mu, n_sq = _medium_imag(medium, xi)
-    kappa = np.asarray(beta_imag(n_sq, xi, q))
-    return eps, mu, n_sq, kappa[..., None], np.asarray(q, dtype=float)[..., None]
+    return eps, mu, n_sq, beta_imag(n_sq, xi, q)
+
+
+def _axis(*values):
+    """Each value with a trailing unit axis, to broadcast against (s, p)."""
+    return [np.asarray(v, dtype=float)[..., None] for v in values]
 
 
 def _g(n_sq, xi, kappa, q, width, z, r_plus, r_minus):
     """Mode function g at height z, one column per polarization (s, p)."""
+    n_sq, xi, kappa, q = _axis(n_sq, xi, kappa, q)
     inv = 1.0 / n_sq
     roundtrip = np.exp(-2.0 * kappa * width)
     denom = 1.0 - r_plus * r_minus * roundtrip
@@ -203,8 +213,8 @@ def g_fn(view: InterspaceView, z: float, mode: TransverseMode):
             " the surface divergence makes boundary evaluation meaningless"
         )
     xi, q = mode.xi, mode.q
-    _, _, n_sq, kappa, qc = _modes(view.medium, xi, q)
-    g = _g(n_sq, xi, kappa, qc, view.width, z, view.r_plus(xi, q),
+    _, _, n_sq, kappa = _modes(view.medium, xi, q)
+    g = _g(n_sq, xi, kappa, q, view.width, z, view.r_plus(xi, q),
            view.r_minus(xi, q))
     if mode.pol is not None:
         return _column(g, mode.pol, q)
@@ -264,10 +274,10 @@ def stress_zz(
                            view.has_drude_like)
 
     def integrand(xi, q):
-        _, mu, n_sq, kappa, qc = _modes(view.medium, xi, q)
-        g = _g(n_sq, xi, kappa, qc, view.width, z, view.r_plus(xi, q),
+        _, mu, n_sq, kappa = _modes(view.medium, xi, q)
+        g = _g(n_sq, xi, kappa, q, view.width, z, view.r_plus(xi, q),
                view.r_minus(xi, q))
-        return q * (-mu / kappa[..., 0]) * g.sum(axis=-1)
+        return q * (-mu / kappa) * g.sum(axis=-1)
 
     d_ref = min(z, view.width - z)
     return double_semi_infinite(integrand, spec, d_ref, _STRESS_PREFACTOR,
@@ -298,8 +308,8 @@ def minkowski_stress_zz(
     def integrand(xi, q):
         kappa = _modes(view.medium, xi, q)[3]
         rr = view.r_plus(xi, q) * view.r_minus(xi, q) * np.exp(
-            -2.0 * kappa * view.width)
-        return q * kappa[..., 0] * (rr / (1.0 - rr)).sum(axis=-1)
+            -2.0 * kappa[..., None] * view.width)
+        return q * kappa * (rr / (1.0 - rr)).sum(axis=-1)
 
     return double_semi_infinite(integrand, spec, view.width,
                                 _MINKOWSKI_PREFACTOR, temperature, *zero_term)
@@ -353,12 +363,14 @@ def _exact_difference_integrand(cavity: CavityConfig, pol: str | None = None):
     med = cavity.medium
 
     def integrand(xi, q):
-        eps, mu, n_sq, kappa, qc = _modes(med, xi, q)
+        eps, mu, n_sq, kappa = _modes(med, xi, q)
         r, t = _plate_rt(cavity.plate, eps, mu, xi, q)
-        a = _wall_refl(cavity.left_wall, eps, mu, xi, q) * np.exp(
-            -2.0 * kappa * cavity.d1)
-        b = _wall_refl(cavity.right_wall, eps, mu, xi, q) * np.exp(
-            -2.0 * kappa * cavity.d3)
+        r_left = _wall_refl(cavity.left_wall, eps, mu, xi, q)
+        r_right = _wall_refl(cavity.right_wall, eps, mu, xi, q)
+        weight = q * (-mu / kappa)
+        n_sq, xi, kappa, qc, weight = _axis(n_sq, xi, kappa, q, weight)
+        a = r_left * np.exp(-2.0 * kappa * cavity.d1)
+        b = r_right * np.exp(-2.0 * kappa * cavity.d3)
         n_den = (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
         inv = 1.0 / n_sq
         surf_coef = -(xi * xi / c**2) * (n_sq - 1.0)
@@ -366,7 +378,7 @@ def _exact_difference_integrand(cavity: CavityConfig, pol: str | None = None):
             2.0 * (-(kappa**2) * (1.0 + inv) + DELTA * qc**2 * (1.0 - inv)) * r
             + DELTA * surf_coef * (1.0 + r * r - t * t)
         )
-        return qc * (-mu / kappa) * curly * (b - a) / n_den
+        return weight * curly * (b - a) / n_den
 
     if pol is None:
         return integrand
@@ -378,12 +390,12 @@ def _direct_difference_integrand(cavity: CavityConfig):
     view1, view3 = cavity_interspaces(cavity)
 
     def integrand(xi, q):
-        _, mu, n_sq, kappa, qc = _modes(cavity.medium, xi, q)
-        g3 = _g(n_sq, xi, kappa, qc, cavity.d3, 0.0,
+        _, mu, n_sq, kappa = _modes(cavity.medium, xi, q)
+        g3 = _g(n_sq, xi, kappa, q, cavity.d3, 0.0,
                 view3.r_plus(xi, q), view3.r_minus(xi, q))
-        g1 = _g(n_sq, xi, kappa, qc, cavity.d1, cavity.d1,
+        g1 = _g(n_sq, xi, kappa, q, cavity.d1, cavity.d1,
                 view1.r_plus(xi, q), view1.r_minus(xi, q))
-        return qc * (-mu / kappa) * (g3 - g1)
+        return _axis(q * (-mu / kappa))[0] * (g3 - g1)
 
     return integrand
 
@@ -481,7 +493,7 @@ def minkowski_plate_force(
     view1, view3 = cavity_interspaces(cavity)
 
     def integrand(xi, q):
-        kappa, qc = _modes(cavity.medium, xi, q)[3:]
+        kappa, qc = _axis(_modes(cavity.medium, xi, q)[3], q)
         rr1 = view1.r_plus(xi, q) * view1.r_minus(xi, q) * np.exp(
             -2.0 * kappa * cavity.d1)
         rr3 = view3.r_plus(xi, q) * view3.r_minus(xi, q) * np.exp(

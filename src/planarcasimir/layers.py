@@ -26,6 +26,10 @@ is ``DELTA``. The s and p coefficients are one expression whose kappa
 contrast is weighted by (mu, eps), so every medium's response and kappa are
 computed once for both polarizations. The public per-polarization functions
 select a column.
+
+The internal functions also take xi as a column of shape (A, 1), one
+frequency per row, broadcast against q of shape (A, m): a medium's response
+is then shaped like xi and gains the (s, p) axis in ``_wave``.
 """
 
 from __future__ import annotations
@@ -154,10 +158,11 @@ class CavityConfig:
         )
 
 
-def beta_imag(n_sq: float, xi: float, q: float | np.ndarray):
+def beta_imag(n_sq, xi, q: float | np.ndarray):
     """Normal decay constant kappa = sqrt(q^2 + xi^2 n^2 / c^2).
 
-    This is beta evaluated at omega = i*xi, written as beta = i*kappa. The
+    This is beta evaluated at omega = i*xi, written as beta = i*kappa. n_sq
+    and xi may be frequency columns of shape (A, 1) broadcast against q. The
     mode (xi, q) = (0, 0) has no propagation direction and is rejected.
     """
     kappa = np.sqrt(np.asarray(q, dtype=float) ** 2 + xi * xi * n_sq / c**2)
@@ -174,10 +179,14 @@ def _column(pair, pol: str, q):
     return out if np.ndim(q) else float(out)
 
 
-def _wave(eps, mu, xi: float, q):
-    """Fresnel weights (mu, eps) and kappa as a trailing unit axis."""
+def _wave(eps, mu, xi, q):
+    """Fresnel weights (mu, eps) on the (s, p) axis, kappa with a unit axis.
+
+    eps, mu and xi are floats or shaped like the frequencies, (A, 1), and
+    broadcast against q.
+    """
     kappa = np.asarray(beta_imag(eps * mu, xi, q))
-    return np.array([mu, eps]), kappa[..., None]
+    return np.stack(np.broadcast_arrays(mu, eps), axis=-1), kappa[..., None]
 
 
 def _fresnel(a, b):
@@ -201,32 +210,37 @@ def fresnel(pol: str, eps_a, mu_a, kappa_a, eps_b, mu_b, kappa_b):
     return _column(_fresnel(a, b), pol, kappa_a)
 
 
-def _medium_imag(model: DispersionModel, xi: float):
-    """(eps, mu, n^2) of a material at omega = i*xi."""
+def _medium_imag(model: DispersionModel, xi):
+    """(eps, mu, n^2) of a material at omega = i*xi, shaped like xi."""
     eps = eps_imag_axis(model, xi)
     mu = mu_imag_axis(model, xi)
     return eps, mu, eps * mu
 
 
-def _wall_refl(wall: Wall, eps_amb, mu_amb, xi: float, q):
-    """Reflection of ``wall`` seen from the ambient medium, q.shape + (2,)."""
-    media = [_wave(eps_amb, mu_amb, xi, q)]
-    for layer in wall.layers:
-        eps, mu, _ = _medium_imag(layer.material, xi)
-        media.append(_wave(eps, mu, xi, q))
+def _wall_refl(wall: Wall, eps_amb, mu_amb, xi, q):
+    """Reflection of ``wall`` seen from the ambient medium, axis (s, p) last.
+
+    The fold runs from the terminator outward and keeps only the two media
+    of the current interface, so memory does not grow with the slab count.
+    """
+    responses = [(eps_amb, mu_amb)]
+    responses += [_medium_imag(layer.material, xi)[:2] for layer in wall.layers]
+    inner = _wave(*responses[-1], xi, q)
 
     # Innermost reflection: from the deepest finite medium into the terminator.
     if wall.is_mirror_terminated:
-        r = DELTA * np.ones_like(media[-1][1])
+        r = DELTA * np.ones_like(inner[1])
     else:
         eps_t, mu_t, _ = _medium_imag(wall.terminator, xi)
-        r = _fresnel(media[-1], _wave(eps_t, mu_t, xi, q))
+        r = _fresnel(inner, _wave(eps_t, mu_t, xi, q))
 
     # Fold outward: each finite layer adds one interface and one round trip.
     for i in range(len(wall.layers) - 1, -1, -1):
-        rf = _fresnel(media[i], media[i + 1])
-        phase = np.exp(-2.0 * media[i + 1][1] * wall.layers[i].thickness)
+        outer = _wave(*responses[i], xi, q)
+        rf = _fresnel(outer, inner)
+        phase = np.exp(-2.0 * inner[1] * wall.layers[i].thickness)
         r = (rf + phase * r) / (1.0 + rf * phase * r)
+        inner = outer
     return r
 
 
@@ -255,8 +269,8 @@ def wall_reflection(wall: Wall, ambient: DispersionModel, mode: TransverseMode):
     return _column(r, mode.pol, mode.q)
 
 
-def _plate_rt(plate, eps_amb, mu_amb, xi: float, q):
-    """(r, t) of the plate between identical ambient media, q.shape + (2,)."""
+def _plate_rt(plate, eps_amb, mu_amb, xi, q):
+    """(r, t) of the plate between identical ambient media, axis (s, p) last."""
     if isinstance(plate, PerfectMirrorPlate):
         return DELTA * np.ones(np.shape(q) + (1,)), np.zeros(np.shape(q) + (2,))
     eps_p, mu_p, _ = _medium_imag(plate.material, xi)

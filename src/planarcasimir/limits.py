@@ -138,12 +138,13 @@ def approx_plate_force(
 
     def integrand(xi, q):
         kappa = np.sqrt(q**2 + xi * xi * n_sq / c**2)
-        k, qc = kappa[:, None], q[:, None]  # broadcast against (s, p)
+        # kappa, q and xi broadcast against the (s, p) axis
+        k, qc, xc = (np.asarray(v)[..., None] for v in (kappa, q, xi))
         e1 = r_left * np.exp(-2.0 * k * d1)
         e3 = r_right * np.exp(-2.0 * k * d3)
         coef = (
             -2.0 * k**2 * (1.0 + inv)
-            - DELTA * (xi * xi / c**2) * (n_sq - 1.0) * (rh + 1.0 / rh)
+            - DELTA * (xc * xc / c**2) * (n_sq - 1.0) * (rh + 1.0 / rh)
             + 2.0 * DELTA * qc**2 * (1.0 - inv)
         )
         # 1/d3_den - 1/d1_den written difference-free of cancellation

@@ -7,12 +7,17 @@ never evaluated at x = 0 or at infinity. Subdivision order, and therefore the
 floating-point result, is a pure function of the integrand and the spec: no
 randomized nodes, no thread-order dependence.
 
-Integrands are vectorized callables: they receive an ndarray of n abscissas
-and return an ndarray of shape (n,), or (n, k) for k integrals sharing the
-abscissas (the engine's s and p polarizations). An auxiliary error channel
-adds a trailing axis of length 2, see ``integrate_semi_infinite``.
-``double_semi_infinite`` is the one two-dimensional core: an inner q integral
-under either an adaptive xi integral (T = 0) or a thermal frequency sum.
+One core, ``_adaptive_rows``, runs R independent integrals ("rows") at
+once, with every refinement round of all rows in one integrand call, so
+numpy's per-call cost is paid per round rather than per 15-node panel (the
+QUADPACK qags rule of Piessens et al., 1983, applied row by row).
+``integrate_semi_infinite`` is its one-row caller. Its integrands are
+vectorized callables: they receive an ndarray of n abscissas and return an
+ndarray of shape (n,), or (n, k) for k integrals sharing the abscissas (the
+engine's s and p polarizations). An auxiliary error channel adds a trailing
+axis of length 2. ``double_semi_infinite`` is the one two-dimensional core:
+batches of inner q integrals, one row per frequency, under either an
+adaptive xi integral (T = 0) or a thermal frequency sum.
 """
 
 from __future__ import annotations
@@ -105,81 +110,167 @@ _WGK = np.array([
     0.140653259715525, 0.104790010322250, 0.063092092629979,
     0.022935322010529,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
 _WG = np.array([
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469,
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 
+# Kronrod and Gauss weights as the rows of one matrix, so one product gives
+# both estimates of every panel.
+_W_KG = np.zeros((2, 15))
+_W_KG[0] = _WGK
+_W_KG[1, 1::2] = _WG
+
 _N_INITIAL = 8  # initial uniform panels on the transformed interval
+_EDGES = np.arange(_N_INITIAL + 1) / _N_INITIAL
+# Rows per batch of inner integrals. Larger batches amortize more per-call
+# overhead but hold more points in the integrand's temporaries: 30 rows
+# (about 3,600 points in the first call) add about 1 MB to peak memory.
+_BATCH_ROWS = 30
 
 
-def _panel(f: Callable, a: float, b: float, error_channel: bool):
-    """One GK15 panel: (value, gk_error, channel_integral), one entry per column."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _XGK
-    y = np.asarray(f(x), dtype=float)
-    if error_channel:
-        if y.ndim not in (2, 3) or y.shape[0] != 15 or y.shape[-1] != 2:
-            raise ValueError(
-                "error-channel integrand must return shape (n, 2) or (n, k, 2)")
-        vals, errs = y[..., 0], y[..., 1]
-    else:
-        if y.ndim not in (1, 2) or y.shape[0] != 15:
-            raise ValueError(
-                "integrand must return one value or one row per abscissa")
-        vals, errs = y, None
-    finite = np.isfinite(y).reshape(15, -1).all(axis=1)
-    if not finite.all():
+def _panels(f: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            error_channel: bool):
+    """GK15 on the panels [lo, hi) of t, for all rows in one call of ``f``.
+
+    ``lo`` and ``hi`` have shape (r, p): p panels of each of the r rows
+    listed in ``rows``. ``f`` gets ``rows`` and the abscissas x = t/(1 - t)
+    of shape (r, 15 p); the Jacobian is applied here. Returns the panel
+    data of shape (r, p, 2k), or (r, p, 3k) with the error channel: the
+    Kronrod values, the GK errors and the channel integrals of the k
+    columns, then the column shape of ``f``, () or (k,).
+    """
+    half = 0.5 * (hi - lo)
+    t = ((0.5 * (lo + hi))[..., None] + half[..., None] * _XGK).reshape(
+        lo.shape[0], -1)
+    if not t.max() < 1.0:
+        # Subdivision walked into the last representable sliver before
+        # t = 1, which only happens when the integrand varies on a scale
+        # wildly different from order one.
+        raise ValueError(
+            "upper-limit transform collapsed; rescale the integrand so "
+            "its decay scale is of order one before integrating")
+    gap = 1.0 - t
+    x = t / gap
+    y = np.asarray(f(rows, x), dtype=float)
+    n_cols = y.ndim - 2 - error_channel
+    if (y.shape[:2] != x.shape or n_cols not in (0, 1)
+            or (error_channel and y.shape[-1] != 2)):
+        raise ValueError(
+            "error-channel integrand must return shape (n, 2) or (n, k, 2)"
+            if error_channel else
+            "integrand must return one value or one row per abscissa")
+    y = y * (1.0 / gap**2).reshape(x.shape + (1,) * (y.ndim - 2))
+    if not np.isfinite(y).all():
+        finite = np.isfinite(y).reshape(x.shape + (-1,)).all(axis=-1)
         raise ValueError(
             f"integrand returned a non-finite value at x = {x[~finite][0]}")
-    kron = half * (_WGK @ vals)
-    gauss = half * (_WG @ vals[_GAUSS_IDX])
-    channel = 0.0 if errs is None else half * (_WGK @ np.abs(errs))
-    return kron, np.abs(kron - gauss), channel
+    cols = y.shape[2:2 + n_cols]
+    # einsum rather than a stacked matmul: BLAS would add its work buffers
+    # to the peak memory of every run for no speed gain at these sizes.
+    y = y.reshape(lo.shape + (15, -1, 1 + error_channel))
+    both = np.einsum("gn,rpnk->rpgk", _W_KG, y[..., 0])
+    half = half[..., None]
+    kron = half * both[:, :, 0]
+    parts = [kron, np.abs(kron - half * both[:, :, 1])]
+    if error_channel:
+        parts.append(half * np.einsum("n,rpnk->rpk", _WGK, np.abs(y[..., 1])))
+    return np.concatenate(parts, axis=-1), cols
 
 
-def _adaptive(f: Callable, a: float, b: float, spec: QuadratureSpec,
-              error_channel: bool, floor) -> IntegralResult:
-    """Globally adaptive GK15 on the finite interval [a, b].
+def _adaptive_rows(f: Callable, n_rows: int, upper: float | None,
+                   spec: QuadratureSpec, floor_of: Callable,
+                   error_channel: bool = False):
+    """R = ``n_rows`` independent globally adaptive GK15 integrals on [0, upper).
 
-    Panels are kept ordered by left edge, so totals are summed in a fixed
-    order. Each round splits the panel with the largest GK error summed over
-    columns (the leftmost one on a tie) until every column meets its own
-    target ``max(rel_tol*|value_k|, floor_k)``.
+    ``f(rows, x)`` evaluates the rows listed in ``rows``, shape (r,), at
+    abscissas x of shape (r, n) and returns shape (r, n), or (r, n, k) for
+    k columns, plus a trailing axis of 2 with the error channel. The first
+    8 panels of every row are one call of ``f``. Each round then splits, in
+    every row still short of its target and of ``spec.max_subdivisions``,
+    the panel with the largest GK error summed over columns (the lowest
+    slot on a tie), and evaluates all children of the round in one call.
+
+    A row's target is ``max(rel_tol*|value_k|, floor_k)`` for every column,
+    with ``floor_of(first)`` computed once from the first-pass values, shape
+    (R,) + columns. Running totals drive the rounds; a row is converged
+    when the exact sum of its panels confirms it. Panel storage doubles on
+    demand, for the rows still running. Returns (value, error_estimate, evaluations, converged): value
+    and error of shape (R,) + columns, the others of shape (R,).
     """
-    edges = np.linspace(a, b, _N_INITIAL + 1)
-    bounds = list(zip(edges[:-1], edges[1:]))
-    panels = [_panel(f, lo, hi, error_channel) for lo, hi in bounds]
-    scores = [float(np.sum(p[1])) for p in panels]
-    evaluations = 15 * _N_INITIAL
-    splits = 0
+    # Panel slots per row: [lo, hi) on the transformed axis, data holds the
+    # (Kronrod, GK error, channel) columns, score the GK error summed over
+    # columns (-1 marks a free slot).
+    cap = 2 * _N_INITIAL
+    lo, hi = np.zeros((n_rows, cap)), np.zeros((n_rows, cap))
+    edges = (1.0 if upper is None else upper / (1.0 + upper)) * _EDGES
+    lo[:, :_N_INITIAL], hi[:, :_N_INITIAL] = edges[:-1], edges[1:]
+    first, cols = _panels(f, np.arange(n_rows), lo[:, :_N_INITIAL],
+                          hi[:, :_N_INITIAL], error_channel)
+    k = first.shape[-1] // (2 + error_channel)
+    data = np.zeros((n_rows, cap, first.shape[-1]))
+    data[:, :_N_INITIAL] = first
+    score = np.full((n_rows, cap), -1.0)
+    score[:, :_N_INITIAL] = first[..., k:2 * k].sum(axis=-1)
+    total = first.sum(axis=1)
+    floor = (np.zeros((n_rows,) + cols) + floor_of(
+        total[:, :k].reshape((n_rows,) + cols))).reshape(n_rows, k)
+    count = np.full(n_rows, _N_INITIAL)
+    limit = _N_INITIAL + spec.max_subdivisions
+    done = np.zeros(n_rows, dtype=bool)
+    converged = np.zeros(n_rows, dtype=bool)
+    # Storage row of each integral. A finished row keeps its exact sums in
+    # ``total`` and loses its slots when the storage next grows, so a long
+    # row does not hold the finished ones' panels at its own size.
+    slot_row = np.arange(n_rows)
     while True:
-        value, gk_error, channel = (np.sum(col, axis=0) for col in zip(*panels))
-        tol = np.maximum(spec.rel_tol * np.abs(value), floor)
-        converged = bool(np.all(gk_error <= tol))
-        if converged or splits >= spec.max_subdivisions:
-            # converged tracks this integral's own subdivision target; the
-            # channel is a pass-through contribution from inner integrals and
-            # is booked in error_estimate but not judged here.
-            return IntegralResult(
-                value=_plain(value),
-                error_estimate=_plain(gk_error + channel),
-                evaluations=evaluations,
-                converged=converged,
-            )
-        worst = scores.index(max(scores))
-        left, right = bounds[worst]
-        mid = 0.5 * (left + right)
-        halves = [(left, mid), (mid, right)]
-        children = [_panel(f, lo, hi, error_channel) for lo, hi in halves]
-        bounds[worst:worst + 1] = halves
-        panels[worst:worst + 1] = children
-        scores[worst:worst + 1] = [float(np.sum(p[1])) for p in children]
-        evaluations += 30
-        splits += 1
+        claim = ~done & (total[:, k:2 * k] <= np.maximum(
+            spec.rel_tol * np.abs(total[:, :k]), floor)).all(axis=1)
+        if claim.any():
+            # Running totals drift once errors span many decades, so
+            # convergence is judged on exact sums.
+            rows = claim.nonzero()[0]
+            total[rows] = data[slot_row[rows]].sum(axis=1)
+            ok = rows[(total[rows, k:2 * k] <= np.maximum(
+                spec.rel_tol * np.abs(total[rows, :k]), floor[rows])
+            ).all(axis=1)]
+            converged[ok] = done[ok] = True
+        spent = ~done & (count >= limit)
+        if spent.any():
+            rows = spent.nonzero()[0]
+            total[rows] = data[slot_row[rows]].sum(axis=1)
+            done[rows] = True
+        rows = (~done).nonzero()[0]
+        if rows.size == 0:
+            break
+        if count[rows].max() == cap:
+            live = slot_row[rows]
+            data, score, lo, hi = (
+                np.concatenate([a, np.full_like(a, fill)], axis=1)
+                for a, fill in ((data[live], 0.0), (score[live], -1.0),
+                                (lo[live], 0.0), (hi[live], 0.0)))
+            slot_row[rows] = np.arange(rows.size)
+            cap *= 2
+        at = slot_row[rows]
+        worst = score[at].argmax(axis=1)
+        cut = np.empty((rows.size, 3))
+        cut[:, 0], cut[:, 2] = lo[at, worst], hi[at, worst]
+        cut[:, 1] = 0.5 * (cut[:, 0] + cut[:, 2])
+        children = _panels(f, rows, cut[:, :2], cut[:, 1:], error_channel)[0]
+        total[rows] += children.sum(axis=1) - data[at, worst]
+        pair = at[:, None], np.stack([worst, count[rows]], axis=1)
+        data[pair] = children
+        score[pair] = children[..., k:2 * k].sum(axis=-1)
+        lo[pair], hi[pair] = cut[:, :2], cut[:, 1:]
+        count[rows] += 1
+
+    # converged tracks each row's own subdivision target; the channel is a
+    # pass-through contribution from inner integrals and is booked in the
+    # error estimate but not judged here.
+    sums = total.reshape((n_rows, 2 + error_channel) + cols)
+    return (sums[:, 0], sums[:, 1:].sum(axis=1),
+            15 * (2 * count - _N_INITIAL), converged)
 
 
 def _plain(x):
@@ -226,31 +317,16 @@ def integrate_semi_infinite(
     """
     if upper is not None and upper <= 0.0:
         raise ValueError("upper truncation must be positive")
-    t_max = 1.0 if upper is None else upper / (1.0 + upper)
-
-    def transformed(t: np.ndarray):
-        with np.errstate(divide="ignore"):
-            x = t / (1.0 - t)
-            jac = 1.0 / (1.0 - t) ** 2
-        if not np.all(np.isfinite(x)):
-            # Subdivision walked into the last representable sliver before
-            # t = 1, which only happens when the integrand varies on a scale
-            # wildly different from order one.
-            raise ValueError(
-                "upper-limit transform collapsed; rescale the integrand so "
-                "its decay scale is of order one before integrating")
-        y = np.asarray(f(x), dtype=float)
-        if y.ndim == 0 or y.shape[0] != x.size:
-            return y  # rejected by the panel's shape check
-        finite = np.isfinite(y).reshape(y.shape[0], -1).all(axis=1)
-        if not finite.all():
-            bad = x[~finite][0]
-            raise ValueError(
-                f"integrand returned a non-finite value at x = {bad}")
-        return y * jac.reshape((-1,) + (1,) * (y.ndim - 1))
-
     floor = spec.abs_floor if abs_floor is None else abs_floor
-    return _adaptive(transformed, 0.0, t_max, spec, error_channel, floor)
+    value, error, evaluations, converged = _adaptive_rows(
+        lambda rows, x: np.asarray(f(x[0]))[None], 1, upper, spec,
+        lambda first: floor, error_channel)
+    return IntegralResult(
+        value=_plain(value[0]),
+        error_estimate=_plain(error[0]),
+        evaluations=int(evaluations[0]),
+        converged=bool(converged[0]),
+    )
 
 
 def double_semi_infinite(
@@ -264,55 +340,72 @@ def double_semi_infinite(
 ) -> IntegralResult:
     """prefactor * Int_0^inf dxi Int_0^inf dq integrand_si(xi, q).
 
-    The integrand gives one value, or one row of k columns, per q; all
-    columns share one pass. The q integral runs in v = q*d_ref, so decay
-    scales of order d_ref become O(1), at a tenfold tighter relative
-    tolerance so the outer error dominates; ``spec.q_cutoff`` truncates it
-    sharply. Each q integral also gets a per-column absolute floor tracking
-    the largest inner value seen so far: q integrals deep in the exponential
-    tail (or pure rounding noise) could otherwise never meet a relative
-    target and would burn the subdivision budget on contributions the outer
-    rule cannot see.
+    ``integrand_si(xi, q)`` is called with xi of shape (A, 1), one
+    frequency per row, and q of shape (A, m); it returns shape (A, m), or
+    (A, m, k) for k columns (the engine's s and p), and all columns share
+    one pass. The q integral runs in v = q*d_ref, so decay scales of order
+    d_ref become O(1), at a tenfold tighter relative tolerance so the outer
+    error dominates; ``spec.q_cutoff`` truncates it sharply.
+
+    The q integrals of all outer nodes of one outer call run together, up
+    to ``_BATCH_ROWS`` rows per batch, each row with its own target, budget
+    and ``converged`` flag (``_adaptive_rows``): every refinement round of
+    a batch is one integrand call. Each batch gets a per-column absolute
+    floor, ``0.01*rel_tol*max(scale, max over its rows of |first-pass
+    value|)``, where ``scale`` is the largest inner value of the batches
+    before it: q integrals deep in the exponential tail (or pure rounding
+    noise) could otherwise never meet a relative target and would burn the
+    subdivision budget on contributions the outer rule cannot see. The
+    floor depends only on the integrand and the spec, so results replay
+    bit for bit.
 
     At T = 0 the outer rule is the adaptive integral over u = xi*d_ref/c,
-    with inner errors riding the error channel. At T > 0 it is
-    ``matsubara_sum``; the error is the tail bound plus the inner errors
-    weighted by the node spacing (half weight on m = 0 under
-    ``"half-weight"``). ``"custom-value"`` skips m = 0 and adds
-    ``zero_term_value``, the full m = 0 contribution per column, to the
-    value. ``converged`` requires the outer target and every inner target.
+    with inner errors riding the error channel; its first call (120 nodes)
+    and each split (30 nodes) feed one batched inner evaluation. At T > 0
+    it is ``matsubara_sum``, each term a one-row batch; the error is the
+    tail bound plus the inner errors weighted by the node spacing (half
+    weight on m = 0 under ``"half-weight"``). ``"custom-value"`` skips
+    m = 0 and adds ``zero_term_value``, the full m = 0 contribution per
+    column, to the value. ``converged`` requires the outer target and every
+    inner target.
     """
     if d_ref <= 0.0:
         raise ValueError("reference length must be positive")
     if temperature < 0.0:
         raise ValueError("temperature must be >= 0")
 
-    inner_rel = 0.1 * spec.rel_tol
-    inner_spec = replace(spec, rel_tol=inner_rel)
+    inner_spec = replace(spec, rel_tol=0.1 * spec.rel_tol)
     v_upper = None if spec.q_cutoff is None else spec.q_cutoff * d_ref
     state = {"evals": 0, "inner_ok": True, "scale": 0.0}
 
-    def inner(xi):
-        def f(vs):
-            return integrand_si(xi, vs / d_ref) / d_ref
+    def floor(first):
+        return 0.01 * spec.rel_tol * np.maximum(
+            state["scale"], np.abs(first).max(axis=0))
 
-        res = integrate_semi_infinite(
-            f, inner_spec, upper=v_upper,
-            abs_floor=0.01 * spec.rel_tol * state["scale"])
-        state["evals"] += res.evaluations
-        state["inner_ok"] = state["inner_ok"] and res.converged
-        state["scale"] = np.maximum(state["scale"], np.abs(res.value))
-        return res
+    def inner(xi):
+        """(values, errors) of the q integrals at the frequencies xi, (A,)."""
+        values, errors = [], []
+        for start in range(0, xi.size, _BATCH_ROWS):
+            batch = xi[start:start + _BATCH_ROWS, None]
+
+            def f(rows, vs, batch=batch):
+                return integrand_si(batch[rows], vs / d_ref) / d_ref
+
+            value, error, evals, ok = _adaptive_rows(
+                f, batch.shape[0], v_upper, inner_spec, floor)
+            state["evals"] += int(evals.sum())
+            state["inner_ok"] = state["inner_ok"] and bool(ok.all())
+            state["scale"] = np.maximum(state["scale"],
+                                        np.abs(value).max(axis=0))
+            values.append(value)
+            errors.append(error)
+        return np.concatenate(values), np.concatenate(errors)
 
     if temperature == 0.0:
         jac = c / d_ref
 
         def outer_f(us):
-            rows = []
-            for u in us:
-                res = inner(u * jac)
-                rows.append(np.stack([res.value, res.error_estimate], axis=-1))
-            return np.array(rows) * jac
+            return np.stack(inner(us * jac), axis=-1) * jac
 
         outer_spec = spec if spec.abs_floor == 0.0 else replace(
             spec, abs_floor=spec.abs_floor / abs(prefactor)
@@ -328,9 +421,9 @@ def double_semi_infinite(
     inner_errors = []
 
     def h(xi):
-        res = inner(xi)
-        inner_errors.append(res.error_estimate)
-        return res.value
+        values, errors = inner(np.array([xi]))
+        inner_errors.append(errors[0])
+        return values[0]
 
     custom = zero_term_policy == "custom-value"
     sum_policy = "drop" if custom else zero_term_policy

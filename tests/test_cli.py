@@ -540,3 +540,25 @@ def test_csv_cells_use_full_precision(tmp_path, capsys):
     code, out, _ = _run(capsys, ["force", "--config", cfg, "--format", "csv"])
     row = _rows(out)[0]
     assert row["rel_tol"] == format(1e-8, ".16e")
+
+
+@pytest.mark.parametrize("command,stored,key", [
+    ("sweep", "parameter = x\nstart = 8e-7\nstop = 2e-6", "parameter"),
+    ("sweep", "parameter = d1\nstart = 8e-7\nstop = 2e-6\nspacing = bogus",
+     "spacing"),
+    ("compare", "eps = 2\nmode = bogus", "mode"),
+])
+def test_stored_command_values_are_checked_before_integrating(
+        tmp_path, capsys, monkeypatch, command, stored, key):
+    # Values replayed from [command] never pass through argparse, so they
+    # get the same choices as their flags, before any force is computed.
+    calls = []
+    monkeypatch.setattr("planarcasimir.cli.plate_force",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = _write(tmp_path, VACUUM_CAVITY
+                 + f"\n[command]\nname = {command}\n{stored}\n")
+    code, _, err = _run(capsys, [command, "--config", cfg,
+                                 "--temperature", "1"])
+    assert code == 2
+    assert f"[command] {key}:" in err and "is not one of" in err
+    assert calls == []

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from scipy.constants import Boltzmann, c, hbar
 
+from planarcasimir import engine, limits
+from planarcasimir.layers import CavityConfig, Layer, Wall
+from planarcasimir.materials import MIRROR, constant, drude_lorentz
 from planarcasimir.quadrature import (
     IntegralResult,
     QuadratureSpec,
+    _adaptive_rows,
     double_semi_infinite,
     integrate_semi_infinite,
     matsubara_frequency,
@@ -173,6 +177,148 @@ def test_double_semi_infinite_momentum_cutoff():
     res = double_semi_infinite(integrand, spec, d)
     expected = (c / d) * (1.0 - np.exp(-q_cut * d)) / d
     assert res.value == pytest.approx(expected, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the row core: many independent integrals, one integrand call per round
+
+def _no_floor(first):
+    return 0.0
+
+
+def _decays(rates, singular=()):
+    """Row r: columns exp(-a_r x) and 3 exp(-a_r x), over sqrt(x) if singular."""
+    rates = np.asarray(rates, dtype=float)
+    weak = np.isin(np.arange(rates.size), singular)
+
+    def f(rows, x):
+        col = np.exp(-rates[rows, None] * x)
+        col = np.where(weak[rows, None], col / np.sqrt(x), col)
+        return np.stack([col, 3.0 * col], axis=-1)
+
+    return f
+
+
+def test_batched_rows_match_one_row_runs():
+    # With no floor every row's relative target binds, so a row's panels,
+    # value and flag cannot depend on the rows it is batched with.
+    rates = [0.05, 0.7, 1.0, 4.0, 30.0]
+    spec = QuadratureSpec(rel_tol=1e-11)
+    f = _decays(rates)
+    value, error, evals, ok = _adaptive_rows(f, len(rates), None, spec,
+                                             _no_floor)
+    assert value.shape == error.shape == (len(rates), 2)
+    assert ok.all()
+    np.testing.assert_allclose(value[:, 0], 1.0 / np.array(rates), rtol=1e-10)
+    for r, rate in enumerate(rates):
+        one = _adaptive_rows(_decays([rate]), 1, None, spec, _no_floor)
+        np.testing.assert_allclose(value[r], one[0][0], rtol=1e-14, atol=0.0)
+        assert evals[r] == one[2][0]
+        assert ok[r] == one[3][0]
+    # Rows converge after different numbers of rounds.
+    assert len(set(evals)) > 1
+
+
+def test_row_out_of_budget_is_flagged_alone():
+    spec = QuadratureSpec(rel_tol=1e-12, max_subdivisions=8)
+    value, error, evals, ok = _adaptive_rows(
+        _decays([1.0, 1.0, 2.0], singular=[1]), 3, None, spec, _no_floor)
+    assert ok.tolist() == [True, False, True]
+    assert evals[1] == 15 * (8 + 2 * 8)
+    assert abs(value[1, 0] - np.sqrt(np.pi)) <= 10.0 * error[1, 0]
+
+
+def test_double_integral_reports_an_inner_budget_miss():
+    # The outer integrand exp(-u) (1 + u sqrt(pi)) is smooth, but every q
+    # integral has a 1/sqrt(q) endpoint singularity that 8 subdivisions
+    # cannot resolve; the miss must reach the flag.
+    d = 1e-6
+
+    def integrand(xi, q):
+        u, v = xi * d / c, q * d
+        return np.exp(-u - v) * (1.0 + u / np.sqrt(v))
+
+    exact = c / d ** 2 * (1.0 + np.sqrt(np.pi))
+    loose = double_semi_infinite(integrand, QuadratureSpec(rel_tol=1e-6), d)
+    assert loose.converged
+    assert abs(loose.value - exact) <= loose.error_estimate
+    tight = double_semi_infinite(
+        integrand, QuadratureSpec(rel_tol=1e-6, max_subdivisions=8), d)
+    assert not tight.converged
+    assert abs(tight.value - exact) <= tight.error_estimate
+
+
+def test_non_finite_value_names_the_abscissa_of_its_row():
+    def f(rows, x):
+        bad = (rows[:, None] == 1) & (np.abs(x - 0.5) < 0.2)
+        return np.where(bad, np.nan, np.exp(-x))
+
+    with pytest.raises(ValueError, match=r"non-finite value at x = 0\.3"):
+        _adaptive_rows(f, 3, None, SPEC, _no_floor)
+
+
+def test_double_integral_replays_bit_for_bit():
+    d = 2.5e-6
+
+    def integrand(xi, q):
+        u, v = xi * d / c, q * d
+        return np.stack([np.exp(-u - v), np.exp(-2.0 * u - v) * v], axis=-1)
+
+    spec = QuadratureSpec(rel_tol=1e-9)
+    for temperature in (0.0, 300.0):
+        a = double_semi_infinite(integrand, spec, d, temperature=temperature)
+        b = double_semi_infinite(integrand, spec, d, temperature=temperature)
+        assert a.converged and b.converged
+        assert np.array_equal(a.value, b.value)
+        assert np.array_equal(a.error_estimate, b.error_estimate)
+        assert a.evaluations == b.evaluations
+
+
+def _captured_integrands(monkeypatch):
+    """Every integrand the public observables hand to the double integral."""
+    seen = []
+
+    def capture(integrand, *args, **kwargs):
+        seen.append(integrand)
+        return IntegralResult(np.zeros(2), np.zeros(2), 0, True)
+
+    monkeypatch.setattr(engine, "double_semi_infinite", capture)
+    monkeypatch.setattr(limits, "double_semi_infinite", capture)
+    gold = drude_lorentz(1.37e16, 0.0, 5.3e13)
+    glass = drude_lorentz(1.5e16, 1.2e16, 2e14, mu_model=(3e15, 5e15, 1e13))
+    medium = drude_lorentz(1.2e16, 2.0e16, 1e14)
+    cavity = CavityConfig(
+        left_wall=Wall.stack([Layer(glass, 3e-8), Layer(gold, 5e-8)], gold),
+        medium=medium, d1=4e-7, plate=Layer(gold, 1e-7), d3=9e-7,
+        right_wall=Wall.stack([Layer(glass, 2e-8)], MIRROR))
+    view = engine.cavity_interspaces(cavity)[0]
+    engine.stress_zz(view, 1.3e-7)
+    engine.minkowski_stress_zz(view)
+    for method in ("exact-difference", "direct-difference"):
+        engine.plate_force(cavity, method=method)
+    engine.minkowski_plate_force(cavity)
+    limits.approx_plate_force(limits.StaticMedium(2.0, 1.3),
+                              {"s": -0.9, "p": 0.8}, {"s": -1.0, "p": 1.0},
+                              {"s": -0.7, "p": 0.95}, 4e-7, 9e-7)
+    return seen
+
+
+def test_integrands_broadcast_frequency_rows(monkeypatch):
+    # The row core calls integrands with xi of shape (A, 1) against q of
+    # shape (A, m); each row must equal the scalar-xi evaluation.
+    integrands = _captured_integrands(monkeypatch)
+    assert len(integrands) == 6
+    rng = np.random.default_rng(5)
+    xi = np.geomspace(1e12, 3e16, 7)
+    q = rng.uniform(1e4, 3e7, size=(xi.size, 11))
+    for integrand in integrands:
+        rows = integrand(xi[:, None], q)
+        assert rows.shape[:2] == q.shape
+        assert np.all(np.isfinite(rows))
+        for i, x in enumerate(xi):
+            one = integrand(float(x), q[i])
+            np.testing.assert_allclose(rows[i], one, rtol=1e-14,
+                                       atol=1e-14 * np.abs(one).max())
 
 
 # ---------------------------------------------------------------------------
