@@ -40,7 +40,6 @@ at xi -> 0 require an explicit zero-term policy.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 from scipy.constants import c, hbar
@@ -53,13 +52,13 @@ from .layers import (
     PerfectMirrorPlate,
     TransverseMode,
     Wall,
-    beta_imag,
     _column,
-    _medium_imag,
+    _has_drude_like,
     _plate_rt,
     _wall_refl,
+    _wave,
 )
-from .materials import DispersionModel, MaterialKind, is_drude_like, is_nonmagnetic
+from .materials import DispersionModel, MaterialKind, is_nonmagnetic
 from .quadrature import IntegralResult, QuadratureSpec, double_semi_infinite
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -70,22 +69,24 @@ _MINKOWSKI_PREFACTOR = hbar / (2.0 * np.pi**2)
 
 @dataclass(frozen=True)
 class InterspaceView:
-    """An interspace reduced to what the stress integrand needs.
+    """An interspace: ``medium`` of ``width`` between ``left`` and ``right``.
 
-    The walls appear only through the reflection providers ``r_plus`` (toward
-    +z) and ``r_minus`` (toward -z). Each is a callable ``(xi, q) -> r``
-    returning the broadcast shape of (xi, q) plus a trailing axis ordered
-    (s, p). xi is a float, or a column of shape (A, 1) broadcast against q of
-    shape (A, m): the stress integrands built on a view are evaluated in
-    batches of frequency rows by ``double_semi_infinite``, one refinement
-    round of all rows per call, under a per-batch inner error floor.
+    The stress integrands see the walls only through their reflections from
+    the medium, which each integrand call evaluates once for both walls.
+    xi is a float, or a column of shape (A, 1) broadcast against q of shape
+    (A, m): ``double_semi_infinite`` evaluates the integrands in batches of
+    frequency rows, one refinement round of all rows per call, under a
+    per-batch inner error floor.
     """
 
     medium: DispersionModel
     width: float
-    r_plus: Callable
-    r_minus: Callable
-    has_drude_like: bool = False
+    left: Wall
+    right: Wall
+
+    @property
+    def has_drude_like(self) -> bool:
+        return _has_drude_like(self.medium, self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -127,25 +128,8 @@ def interspace(
         raise ValueError("the interspace medium must have a finite response")
     if width <= 0.0:
         raise ValueError("interspace width must be positive")
-
-    def r_plus(xi, q):
-        eps, mu, _ = _medium_imag(medium, xi)
-        return _wall_refl(right_wall, eps, mu, xi, q)
-
-    def r_minus(xi, q):
-        eps, mu, _ = _medium_imag(medium, xi)
-        return _wall_refl(left_wall, eps, mu, xi, q)
-
-    wall_models = [left_wall.terminator, right_wall.terminator]
-    wall_models += [ly.material for ly in left_wall.layers + right_wall.layers]
-    drude = any(
-        m.kind is not MaterialKind.PERFECT_MIRROR and is_drude_like(m)
-        for m in [medium] + wall_models
-    )
-    return InterspaceView(
-        medium=medium, width=width, r_plus=r_plus, r_minus=r_minus,
-        has_drude_like=drude,
-    )
+    return InterspaceView(medium=medium, width=width, left=left_wall,
+                          right=right_wall)
 
 
 def cavity_interspaces(cavity: CavityConfig) -> tuple[InterspaceView, InterspaceView]:
@@ -169,14 +153,15 @@ def cavity_interspaces(cavity: CavityConfig) -> tuple[InterspaceView, Interspace
 
 
 def _modes(medium: DispersionModel, xi, q):
-    """(eps, mu, n^2, kappa): the medium's response at xi, kappa at (xi, q).
+    """(wave, mu, n^2, kappa) of the gap medium: its one evaluation per call.
 
     xi is a float, or a column of shape (A, 1) broadcast against q of shape
-    (A, m). eps, mu and n^2 are shaped like xi, as the layer functions take
-    them; kappa is shaped like the broadcast (xi, q).
+    (A, m). The wave is what every wall and plate reflection takes; mu and
+    n^2 are shaped like xi, kappa like the broadcast (xi, q).
     """
-    eps, mu, n_sq = _medium_imag(medium, xi)
-    return eps, mu, n_sq, beta_imag(n_sq, xi, q)
+    wave = _wave(medium, xi, q)
+    mu, eps = np.moveaxis(wave[0], -1, 0)
+    return wave, mu, eps * mu, wave[1][..., 0]
 
 
 def _axis(*values):
@@ -184,17 +169,20 @@ def _axis(*values):
     return [np.asarray(v, dtype=float)[..., None] for v in values]
 
 
-def _g(n_sq, xi, kappa, q, width, z, r_plus, r_minus):
-    """Mode function g at height z, one column per polarization (s, p)."""
+def _g(view: InterspaceView, z, xi, q, modes):
+    """Mode function g at z, columns (s, p); ``modes`` from ``_modes``."""
+    wave, _, n_sq, kappa = modes
+    r_plus = _wall_refl(view.right, wave, xi, q)
+    r_minus = _wall_refl(view.left, wave, xi, q)
     n_sq, xi, kappa, q = _axis(n_sq, xi, kappa, q)
     inv = 1.0 / n_sq
-    roundtrip = np.exp(-2.0 * kappa * width)
+    roundtrip = np.exp(-2.0 * kappa * view.width)
     denom = 1.0 - r_plus * r_minus * roundtrip
     pair = 2.0 * (-(kappa**2) * (1.0 + inv) + DELTA * q**2 * (1.0 - inv))
     surf_coef = -(xi * xi / c**2) * (n_sq - 1.0)
     surface = DELTA * surf_coef * (
         r_minus * np.exp(-2.0 * kappa * z)
-        + r_plus * np.exp(-2.0 * kappa * (width - z))
+        + r_plus * np.exp(-2.0 * kappa * (view.width - z))
     )
     return (pair * r_plus * r_minus * roundtrip + surface) / denom
 
@@ -213,9 +201,7 @@ def g_fn(view: InterspaceView, z: float, mode: TransverseMode):
             " the surface divergence makes boundary evaluation meaningless"
         )
     xi, q = mode.xi, mode.q
-    _, _, n_sq, kappa = _modes(view.medium, xi, q)
-    g = _g(n_sq, xi, kappa, q, view.width, z, view.r_plus(xi, q),
-           view.r_minus(xi, q))
+    g = _g(view, z, xi, q, _modes(view.medium, xi, q))
     if mode.pol is not None:
         return _column(g, mode.pol, q)
     return g.sum(axis=-1) if np.ndim(q) else float(g.sum())
@@ -274,10 +260,9 @@ def stress_zz(
                            view.has_drude_like)
 
     def integrand(xi, q):
-        _, mu, n_sq, kappa = _modes(view.medium, xi, q)
-        g = _g(n_sq, xi, kappa, q, view.width, z, view.r_plus(xi, q),
-               view.r_minus(xi, q))
-        return q * (-mu / kappa) * g.sum(axis=-1)
+        modes = _modes(view.medium, xi, q)
+        _, mu, _, kappa = modes
+        return q * (-mu / kappa) * _g(view, z, xi, q, modes).sum(axis=-1)
 
     d_ref = min(z, view.width - z)
     return double_semi_infinite(integrand, spec, d_ref, _STRESS_PREFACTOR,
@@ -306,9 +291,10 @@ def minkowski_stress_zz(
                            view.has_drude_like)
 
     def integrand(xi, q):
-        kappa = _modes(view.medium, xi, q)[3]
-        rr = view.r_plus(xi, q) * view.r_minus(xi, q) * np.exp(
-            -2.0 * kappa[..., None] * view.width)
+        wave, _, _, kappa = _modes(view.medium, xi, q)
+        rr = (_wall_refl(view.right, wave, xi, q)
+              * _wall_refl(view.left, wave, xi, q)
+              * np.exp(-2.0 * wave[1] * view.width))
         return q * kappa * (rr / (1.0 - rr)).sum(axis=-1)
 
     return double_semi_infinite(integrand, spec, view.width,
@@ -345,11 +331,27 @@ def stress_profile(
                          converged=flags, temperature=temperature, spec=spec)
 
 
+def _plate_terms(cavity: CavityConfig, xi, q):
+    """(modes, r, t, A, B, N) of the single-plate form, columns (s, p).
+
+    With the plate's (r, t) and the bare walls' reflections r_1- and r_3+,
+    all seen from the gap medium, A = r_1- e^{-2 kappa d1},
+    B = r_3+ e^{-2 kappa d3} and N = (1 - r A)(1 - r B) - t^2 A B.
+    """
+    modes = _modes(cavity.medium, xi, q)
+    wave = modes[0]
+    r, t = _plate_rt(cavity.plate, wave, xi, q)
+    a = _wall_refl(cavity.left_wall, wave, xi, q) * np.exp(
+        -2.0 * wave[1] * cavity.d1)
+    b = _wall_refl(cavity.right_wall, wave, xi, q) * np.exp(
+        -2.0 * wave[1] * cavity.d3)
+    return modes, r, t, a, b, (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
+
+
 def _exact_difference_integrand(cavity: CavityConfig, pol: str | None = None):
     """Single-plate (r, t) form of the stress difference across the plate.
 
-    Writing A = r_1- e^{-2 kappa d1}, B = r_3+ e^{-2 kappa d3} and the
-    denominator N = (1 - r A)(1 - r B) - t^2 A B, the difference of the mode
+    With A, B and N of ``_plate_terms``, the difference of the mode
     functions at the plate faces collapses to
 
         g_3(0) - g_1(d1) = { 2 [ -kappa^2 (1+1/n^2) + Delta q^2 (1-1/n^2) ] r
@@ -360,18 +362,10 @@ def _exact_difference_integrand(cavity: CavityConfig, pol: str | None = None):
     or B). The integrand returns both polarization columns (s, p); ``pol``
     "s" or "p" selects one, as a float for scalar q.
     """
-    med = cavity.medium
-
     def integrand(xi, q):
-        eps, mu, n_sq, kappa = _modes(med, xi, q)
-        r, t = _plate_rt(cavity.plate, eps, mu, xi, q)
-        r_left = _wall_refl(cavity.left_wall, eps, mu, xi, q)
-        r_right = _wall_refl(cavity.right_wall, eps, mu, xi, q)
+        (_, mu, n_sq, kappa), r, t, a, b, n_den = _plate_terms(cavity, xi, q)
         weight = q * (-mu / kappa)
         n_sq, xi, kappa, qc, weight = _axis(n_sq, xi, kappa, q, weight)
-        a = r_left * np.exp(-2.0 * kappa * cavity.d1)
-        b = r_right * np.exp(-2.0 * kappa * cavity.d3)
-        n_den = (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
         inv = 1.0 / n_sq
         surf_coef = -(xi * xi / c**2) * (n_sq - 1.0)
         curly = (
@@ -390,11 +384,10 @@ def _direct_difference_integrand(cavity: CavityConfig):
     view1, view3 = cavity_interspaces(cavity)
 
     def integrand(xi, q):
-        _, mu, n_sq, kappa = _modes(cavity.medium, xi, q)
-        g3 = _g(n_sq, xi, kappa, q, cavity.d3, 0.0,
-                view3.r_plus(xi, q), view3.r_minus(xi, q))
-        g1 = _g(n_sq, xi, kappa, q, cavity.d1, cavity.d1,
-                view1.r_plus(xi, q), view1.r_minus(xi, q))
+        modes = _modes(cavity.medium, xi, q)
+        _, mu, _, kappa = modes
+        g3 = _g(view3, 0.0, xi, q, modes)
+        g1 = _g(view1, cavity.d1, xi, q, modes)
         return _axis(q * (-mu / kappa))[0] * (g3 - g1)
 
     return integrand
@@ -481,6 +474,8 @@ def minkowski_plate_force(
     F^M = T^M(gap 3) - T^M(gap 1) with the z-independent Minkowski stress;
     requires a nonmagnetic interspace medium. For idealized mirror walls and
     a static medium this reproduces the eps^{-1/2}-screened closed form.
+    With A, B and N of ``_plate_terms``, the composite-wall gap difference
+    r r_3/(1 - r r_3) - r r_1/(1 - r r_1) reduces exactly to r (B - A) / N.
     """
     spec = spec or DEFAULT_SPEC
     if not is_nonmagnetic(cavity.medium):
@@ -490,15 +485,11 @@ def minkowski_plate_force(
         )
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
                            cavity.has_drude_like, per_polarization=True)
-    view1, view3 = cavity_interspaces(cavity)
 
     def integrand(xi, q):
-        kappa, qc = _axis(_modes(cavity.medium, xi, q)[3], q)
-        rr1 = view1.r_plus(xi, q) * view1.r_minus(xi, q) * np.exp(
-            -2.0 * kappa * cavity.d1)
-        rr3 = view3.r_plus(xi, q) * view3.r_minus(xi, q) * np.exp(
-            -2.0 * kappa * cavity.d3)
-        return qc * kappa * (rr3 / (1.0 - rr3) - rr1 / (1.0 - rr1))
+        (_, _, _, kappa), r, _, a, b, n_den = _plate_terms(cavity, xi, q)
+        kappa, qc = _axis(kappa, q)
+        return qc * kappa * r * (b - a) / n_den
 
     res = double_semi_infinite(integrand, spec, min(cavity.d1, cavity.d3),
                                _MINKOWSKI_PREFACTOR, temperature, *zero_term)

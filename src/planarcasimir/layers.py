@@ -23,9 +23,11 @@ code path of that recursion.
 Polarization is an array axis: internal reflection and transmission arrays
 have shape ``np.shape(q) + (2,)`` with the trailing axis ordered (s, p), as
 is ``DELTA``. The s and p coefficients are one expression whose kappa
-contrast is weighted by (mu, eps), so every medium's response and kappa are
-computed once for both polarizations. The public per-polarization functions
-select a column.
+contrast is weighted by (mu, eps). ``_wave`` is the one place a material is
+evaluated, for both polarizations. The internal reflections take the wave of
+the medium they are seen from, so a caller evaluates that medium once per
+integrand call for every wall and plate. The public per-polarization
+functions select a column.
 
 The internal functions also take xi as a column of shape (A, 1), one
 frequency per row, broadcast against q of shape (A, m): a medium's response
@@ -147,15 +149,17 @@ class CavityConfig:
 
     @property
     def has_drude_like(self) -> bool:
-        models = [self.medium, self.left_wall.terminator, self.right_wall.terminator]
-        models += [ly.material for ly in self.left_wall.layers]
-        models += [ly.material for ly in self.right_wall.layers]
-        if isinstance(self.plate, Layer):
-            models.append(self.plate.material)
-        return any(
-            m.kind is not MaterialKind.PERFECT_MIRROR and is_drude_like(m)
-            for m in models
-        )
+        return _has_drude_like(self.medium, self.left_wall, self.right_wall,
+                               plate=self.plate)
+
+
+def _has_drude_like(medium: DispersionModel, *walls: Wall, plate=None) -> bool:
+    """Whether the medium, a wall or a Layer plate diverges as xi -> 0."""
+    slabs = [ly for wall in walls for ly in wall.layers]
+    slabs += [plate] if isinstance(plate, Layer) else []
+    models = [medium, *(wall.terminator for wall in walls),
+              *(ly.material for ly in slabs)]
+    return any(map(is_drude_like, models))
 
 
 def beta_imag(n_sq, xi, q: float | np.ndarray):
@@ -179,12 +183,15 @@ def _column(pair, pol: str, q):
     return out if np.ndim(q) else float(out)
 
 
-def _wave(eps, mu, xi, q):
-    """Fresnel weights (mu, eps) on the (s, p) axis, kappa with a unit axis.
+def _wave(model: DispersionModel, xi, q):
+    """A material's Fresnel weights (mu, eps) and kappa at omega = i*xi.
 
-    eps, mu and xi are floats or shaped like the frequencies, (A, 1), and
-    broadcast against q.
+    xi is a float or a column of shape (A, 1) broadcast against q. The
+    weights are shaped like xi plus the (s, p) axis; kappa is shaped like
+    the broadcast (xi, q) plus a unit axis.
     """
+    eps = eps_imag_axis(model, xi)
+    mu = mu_imag_axis(model, xi)
     kappa = np.asarray(beta_imag(eps * mu, xi, q))
     return np.stack(np.broadcast_arrays(mu, eps), axis=-1), kappa[..., None]
 
@@ -210,35 +217,26 @@ def fresnel(pol: str, eps_a, mu_a, kappa_a, eps_b, mu_b, kappa_b):
     return _column(_fresnel(a, b), pol, kappa_a)
 
 
-def _medium_imag(model: DispersionModel, xi):
-    """(eps, mu, n^2) of a material at omega = i*xi, shaped like xi."""
-    eps = eps_imag_axis(model, xi)
-    mu = mu_imag_axis(model, xi)
-    return eps, mu, eps * mu
+def _wall_refl(wall: Wall, ambient, xi, q):
+    """Reflection of ``wall`` seen from the medium of wave ``ambient``.
 
-
-def _wall_refl(wall: Wall, eps_amb, mu_amb, xi, q):
-    """Reflection of ``wall`` seen from the ambient medium, axis (s, p) last.
-
-    The fold runs from the terminator outward and keeps only the two media
-    of the current interface, so memory does not grow with the slab count.
+    The result has the (s, p) axis last. The fold runs from the terminator
+    outward and keeps only the two media of the current interface, so
+    memory does not grow with the slab count.
     """
-    responses = [(eps_amb, mu_amb)]
-    responses += [_medium_imag(layer.material, xi)[:2] for layer in wall.layers]
-    inner = _wave(*responses[-1], xi, q)
-
+    layers = wall.layers
     # Innermost reflection: from the deepest finite medium into the terminator.
+    inner = _wave(layers[-1].material, xi, q) if layers else ambient
     if wall.is_mirror_terminated:
         r = DELTA * np.ones_like(inner[1])
     else:
-        eps_t, mu_t, _ = _medium_imag(wall.terminator, xi)
-        r = _fresnel(inner, _wave(eps_t, mu_t, xi, q))
+        r = _fresnel(inner, _wave(wall.terminator, xi, q))
 
     # Fold outward: each finite layer adds one interface and one round trip.
-    for i in range(len(wall.layers) - 1, -1, -1):
-        outer = _wave(*responses[i], xi, q)
+    for i in range(len(layers) - 1, -1, -1):
+        outer = _wave(layers[i - 1].material, xi, q) if i else ambient
         rf = _fresnel(outer, inner)
-        phase = np.exp(-2.0 * inner[1] * wall.layers[i].thickness)
+        phase = np.exp(-2.0 * inner[1] * layers[i].thickness)
         r = (rf + phase * r) / (1.0 + rf * phase * r)
         inner = outer
     return r
@@ -264,18 +262,17 @@ def wall_reflection(wall: Wall, ambient: DispersionModel, mode: TransverseMode):
     """
     if mode.pol is None:
         raise ValueError("wall_reflection needs a definite polarization")
-    eps_amb, mu_amb, _ = _medium_imag(ambient, mode.xi)
-    r = _wall_refl(wall, eps_amb, mu_amb, mode.xi, mode.q)
+    r = _wall_refl(wall, _wave(ambient, mode.xi, mode.q), mode.xi, mode.q)
     return _column(r, mode.pol, mode.q)
 
 
-def _plate_rt(plate, eps_amb, mu_amb, xi, q):
-    """(r, t) of the plate between identical ambient media, axis (s, p) last."""
+def _plate_rt(plate, ambient, xi, q):
+    """(r, t) of the plate in the medium of wave ``ambient``, axis (s, p) last."""
     if isinstance(plate, PerfectMirrorPlate):
-        return DELTA * np.ones(np.shape(q) + (1,)), np.zeros(np.shape(q) + (2,))
-    eps_p, mu_p, _ = _medium_imag(plate.material, xi)
-    inside = _wave(eps_p, mu_p, xi, q)
-    r12 = _fresnel(_wave(eps_amb, mu_amb, xi, q), inside)
+        r = DELTA * np.ones_like(ambient[1])
+        return r, np.zeros_like(r)
+    inside = _wave(plate.material, xi, q)
+    r12 = _fresnel(ambient, inside)
     decay = np.exp(-inside[1] * plate.thickness)
     den = 1.0 - r12 * r12 * decay * decay
     r = r12 * (1.0 - decay * decay) / den
@@ -298,6 +295,5 @@ def single_plate_rt(plate, ambient: DispersionModel, mode: TransverseMode):
     """
     if mode.pol is None:
         raise ValueError("single_plate_rt needs a definite polarization")
-    eps_amb, mu_amb, _ = _medium_imag(ambient, mode.xi)
-    r, t = _plate_rt(plate, eps_amb, mu_amb, mode.xi, mode.q)
+    r, t = _plate_rt(plate, _wave(ambient, mode.xi, mode.q), mode.xi, mode.q)
     return _column(r, mode.pol, mode.q), _column(t, mode.pol, mode.q)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c, hbar
 
-from .layers import DELTA, POLARIZATIONS
+from .layers import DELTA, POLARIZATIONS, beta_imag
 from .quadrature import IntegralResult, QuadratureSpec, double_semi_infinite
 
 _CLOSED_FORM_COEF = hbar * c * math.pi**2 / 240.0
@@ -137,7 +137,7 @@ def approx_plate_force(
     prefactor = hbar / (8.0 * math.pi**2)
 
     def integrand(xi, q):
-        kappa = np.sqrt(q**2 + xi * xi * n_sq / c**2)
+        kappa = beta_imag(n_sq, xi, q)
         # kappa, q and xi broadcast against the (s, p) axis
         k, qc, xc = (np.asarray(v)[..., None] for v in (kappa, q, xi))
         e1 = r_left * np.exp(-2.0 * k * d1)

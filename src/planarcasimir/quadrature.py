@@ -283,7 +283,6 @@ def integrate_semi_infinite(
     spec: QuadratureSpec,
     upper: float | None = None,
     error_channel: bool = False,
-    abs_floor: float | np.ndarray | None = None,
 ) -> IntegralResult:
     """Integrate a decaying function over [0, upper) with upper = inf default.
 
@@ -302,9 +301,6 @@ def integrate_semi_infinite(
         means the full half line.
     error_channel : bool
         See ``f``.
-    abs_floor : float or ndarray, optional
-        Absolute error floor in place of ``spec.abs_floor``; one per column
-        when an ndarray.
 
     Returns
     -------
@@ -317,10 +313,9 @@ def integrate_semi_infinite(
     """
     if upper is not None and upper <= 0.0:
         raise ValueError("upper truncation must be positive")
-    floor = spec.abs_floor if abs_floor is None else abs_floor
     value, error, evaluations, converged = _adaptive_rows(
         lambda rows, x: np.asarray(f(x[0]))[None], 1, upper, spec,
-        lambda first: floor, error_channel)
+        lambda first: spec.abs_floor, error_channel)
     return IntegralResult(
         value=_plain(value[0]),
         error_estimate=_plain(error[0]),
@@ -375,6 +370,10 @@ def double_semi_infinite(
         raise ValueError("temperature must be >= 0")
 
     inner_spec = replace(spec, rel_tol=0.1 * spec.rel_tol)
+    # The outer rules see values without the prefactor; so must the floor.
+    outer_spec = spec if spec.abs_floor == 0.0 else replace(
+        spec, abs_floor=spec.abs_floor / abs(prefactor)
+    )
     v_upper = None if spec.q_cutoff is None else spec.q_cutoff * d_ref
     state = {"evals": 0, "inner_ok": True, "scale": 0.0}
 
@@ -407,9 +406,6 @@ def double_semi_infinite(
         def outer_f(us):
             return np.stack(inner(us * jac), axis=-1) * jac
 
-        outer_spec = spec if spec.abs_floor == 0.0 else replace(
-            spec, abs_floor=spec.abs_floor / abs(prefactor)
-        )
         outer = integrate_semi_infinite(outer_f, outer_spec, error_channel=True)
         return IntegralResult(
             value=_plain(prefactor * outer.value),
@@ -427,7 +423,7 @@ def double_semi_infinite(
 
     custom = zero_term_policy == "custom-value"
     sum_policy = "drop" if custom else zero_term_policy
-    ms = matsubara_sum(h, temperature, spec, zero_term_policy=sum_policy)
+    ms = matsubara_sum(h, temperature, outer_spec, zero_term_policy=sum_policy)
 
     node_spacing = 2.0 * np.pi * Boltzmann * temperature / hbar
     head = 0.5 if zero_term_policy == "half-weight" else 1.0

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.constants import c, hbar
 
+from planarcasimir import engine, layers
 from planarcasimir.engine import (
     ForceResult,
-    InterspaceView,
     cavity_interspaces,
     g_fn,
     interspace,
@@ -22,6 +22,8 @@ from planarcasimir.layers import (
     TransverseMode,
     Wall,
     beta_imag,
+    single_plate_rt,
+    wall_reflection,
 )
 from planarcasimir.materials import (
     MIRROR,
@@ -31,7 +33,7 @@ from planarcasimir.materials import (
     eps_imag_axis,
     mu_imag_axis,
 )
-from planarcasimir.quadrature import QuadratureSpec
+from planarcasimir.quadrature import IntegralResult, QuadratureSpec
 
 SPEC = QuadratureSpec(rel_tol=1e-8)
 
@@ -68,9 +70,10 @@ def test_mode_function_matches_complex_phase_assembly():
         for q in (1e5, 2e6, 3e7):
             kappa = beta_imag(n_sq, xi, q)
             beta = 1j * kappa
-            for col, (pol, delta) in enumerate((("s", -1.0), ("p", 1.0))):
-                rp = view.r_plus(xi, q)[col]
-                rm = view.r_minus(xi, q)[col]
+            for pol, delta in (("s", -1.0), ("p", 1.0)):
+                mode = TransverseMode(xi=xi, q=q, pol=pol)
+                rp = wall_reflection(view.right, view.medium, mode)
+                rm = wall_reflection(view.left, view.medium, mode)
                 z = 1.3e-7
                 phase_d = np.exp(2j * beta * d)
                 w = (beta ** 2 + q ** 2) * (1.0 - 1.0 / n_sq)
@@ -81,7 +84,7 @@ def test_mode_function_matches_complex_phase_assembly():
                     rm * np.exp(2j * beta * z)
                     + rp * np.exp(2j * beta * (d - z)))) / denom
                 assert literal.imag == 0.0
-                got = g_fn(view, z, TransverseMode(xi=xi, q=q, pol=pol))
+                got = g_fn(view, z, mode)
                 assert got == pytest.approx(literal.real, rel=1e-13)
 
 
@@ -264,22 +267,19 @@ def test_vacuum_mirror_cavity_polarizations_share_one_pass():
     assert abs(s - half) <= 0.5 * res.error_estimate
 
 
-def test_custom_zero_term_needs_a_value_before_integrating():
+def test_custom_zero_term_needs_a_value_before_integrating(monkeypatch):
     view = _mirror_gap()
     calls = []
-
-    def counting(xi, q):
-        calls.append(xi)
-        return view.r_plus(xi, q)
-
-    counted = InterspaceView(view.medium, view.width, counting, view.r_minus)
-    for stress in (lambda: stress_zz(counted, 5e-7, 300.0, SPEC,
+    monkeypatch.setattr(engine, "double_semi_infinite",
+                        lambda *args, **kwargs: calls.append(args))
+    for stress in (lambda: stress_zz(view, 5e-7, 300.0, SPEC,
                                      "custom-value"),
-                   lambda: minkowski_stress_zz(counted, 300.0, SPEC,
+                   lambda: minkowski_stress_zz(view, 300.0, SPEC,
                                                "custom-value")):
         with pytest.raises(ValueError, match="zero_term_value"):
             stress()
     assert calls == []
+    monkeypatch.undo()
     given = stress_zz(view, 5e-7, 300.0, SPEC, "custom-value", 0.0)
     dropped = stress_zz(view, 5e-7, 300.0, SPEC, "drop")
     assert given.value == dropped.value
@@ -386,7 +386,98 @@ def test_cavity_interspaces_widths_and_media():
     # the far wall a mirror and check the composite differs from the bare
     # plate reflection (transmission through to the mirror matters).
     mode = TransverseMode(xi=5e14, q=1e6, pol="p")
-    from planarcasimir.layers import single_plate_rt
     r_bare, _ = single_plate_rt(cavity.plate, cavity.medium, mode)
-    r_composite = view1.r_plus(mode.xi, mode.q)[1]  # column p
+    r_composite = wall_reflection(view1.right, view1.medium, mode)
     assert abs(r_composite - r_bare) > 1e-6
+
+
+def _integrand_of(monkeypatch, observable):
+    """The integrand ``observable()`` hands to the double integral."""
+    seen = []
+
+    def capture(integrand, *args, **kwargs):
+        seen.append(integrand)
+        return IntegralResult(np.zeros(2), np.zeros(2), 0, True)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "double_semi_infinite", capture)
+        observable()
+    return seen[0]
+
+
+def test_minkowski_force_equals_the_two_interspace_form(monkeypatch):
+    # The single-plate form r (B - A) / N must equal the gap difference
+    # r r3/(1 - r r3) - r r1/(1 - r r1) of the two composite-wall views.
+    metal = drude_lorentz(1.37e16, 0.0, 5.3e13)
+    glass = drude_lorentz(1.5e16, 1.2e16, 2e14)
+    medium = drude_lorentz(1.2e16, 2.0e16, 1e14)
+    walls = (Wall.stack([Layer(glass, 3e-8), Layer(metal, 5e-8)], metal),
+             Wall.stack([Layer(glass, 2e-8), Layer(constant(eps=3.0), 4e-8)],
+                        MIRROR))
+    q = np.geomspace(1e5, 3e7, 9)
+    for plate in (Layer(metal, 1e-7), PerfectMirrorPlate()):
+        cavity = CavityConfig(walls[0], medium, 4e-7, plate, 9e-7, walls[1])
+        integrand = _integrand_of(
+            monkeypatch, lambda: minkowski_plate_force(cavity, spec=SPEC))
+        view1, view3 = cavity_interspaces(cavity)
+        for xi in (3e13, 8e14, 1e16):
+            got = integrand(xi, q)
+            kappa = beta_imag(eps_imag_axis(medium, xi), xi, q)
+            for col, pol in enumerate(("s", "p")):
+                mode = TransverseMode(xi=xi, q=q, pol=pol)
+                rr1, rr3 = (
+                    wall_reflection(view.right, medium, mode)
+                    * wall_reflection(view.left, medium, mode)
+                    * np.exp(-2.0 * kappa * view.width)
+                    for view in (view1, view3)
+                )
+                want = q * kappa * (rr3 / (1.0 - rr3) - rr1 / (1.0 - rr1))
+                np.testing.assert_allclose(got[:, col], want, rtol=1e-13,
+                                           atol=1e-13 * np.abs(want).max())
+
+
+def test_one_kappa_evaluation_per_integrand_call(monkeypatch):
+    # The gap medium is evaluated once per call; mirror walls and a mirror
+    # plate reflect without evaluating any material.
+    cavity = CavityConfig(Wall.perfect_mirror(), constant(eps=2.0), 4e-7,
+                          PerfectMirrorPlate(), 9e-7, Wall.perfect_mirror())
+    view = _mirror_gap(constant(eps=2.0))
+    integrands = [_integrand_of(monkeypatch, observable) for observable in (
+        lambda: plate_force(cavity, spec=SPEC),
+        lambda: minkowski_plate_force(cavity, spec=SPEC),
+        lambda: stress_zz(view, 3e-7, spec=SPEC),
+    )]
+    calls = []
+    real = layers.beta_imag
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (layers, engine):
+        monkeypatch.setattr(module, "beta_imag", counting, raising=False)
+    xi = np.geomspace(1e13, 1e16, 4)[:, None]
+    q = np.geomspace(1e5, 1e8, 12) * np.ones_like(xi)
+    for integrand in integrands:
+        calls.clear()
+        assert np.all(np.isfinite(integrand(xi, q)))
+        assert len(calls) == 1
+
+
+def test_absolute_floor_applies_to_thermal_sums():
+    # abs_floor is in N/m^2, so the Matsubara rule must see it scaled by the
+    # prefactor as the zero-temperature rule does.
+    cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, 1e-6,
+                          PerfectMirrorPlate(), 5e-6, Wall.perfect_mirror())
+    def force(temperature, floor):
+        spec = QuadratureSpec(rel_tol=1e-13, abs_floor=floor,
+                              matsubara_max_terms=10)
+        return plate_force(cavity, temperature, spec)
+
+    for temperature in (0.0, 300.0):
+        res = force(temperature, 1e-6)
+        assert res.converged
+        assert res.error_estimate < 1e-6
+    tight = force(300.0, 1e-12)
+    assert tight.error_estimate > 1e-12
+    assert not tight.converged

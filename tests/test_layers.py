@@ -241,11 +241,12 @@ def _denominator_parts(cavity, xi, q, pol):
         -2.0 * kappa * cavity.d1)
     b = wall_reflection(cavity.right_wall, cavity.medium, mode) * np.exp(
         -2.0 * kappa * cavity.d3)
-    col = ("s", "p").index(pol)
-    d1 = 1.0 - view1.r_plus(xi, q)[..., col] * view1.r_minus(xi, q)[..., col] \
-        * np.exp(-2.0 * kappa * cavity.d1)
-    d3 = 1.0 - view3.r_plus(xi, q)[..., col] * view3.r_minus(xi, q)[..., col] \
-        * np.exp(-2.0 * kappa * cavity.d3)
+    d1, d3 = (
+        1.0 - wall_reflection(view.right, view.medium, mode)
+        * wall_reflection(view.left, view.medium, mode)
+        * np.exp(-2.0 * kappa * view.width)
+        for view in (view1, view3)
+    )
     n = (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
     return n, d1, d3, r, t, a, b
 
