@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -28,9 +29,11 @@ import numpy as np
 
 from .config import (
     METHODS,
+    SECTION_KEYS,
     ZERO_TERM_POLICIES,
     ConfigError,
     RunConfig,
+    _choice,
     _to_float,
     _to_int,
     build_config,
@@ -53,17 +56,28 @@ from .materials import MaterialKind, constant, eps_imag_axis, is_drude_like
 
 __all__ = ["main"]
 
-# Choices of the command flags, shared with the check of stored [command]
-# values, which argparse never sees.
-_COMPARE_MODES = ("closed", "quadrature")
 _SWEEP_UNITS = {"d1": "m", "d3": "m", "d": "m", "eps": "", "T": "K"}
-_SPACINGS = ("log", "linear")
 
-_META_KEYS = (
-    "temperature_K", "method", "zero_term_policy", "rel_tol", "abs_floor",
-    "max_subdivisions", "q_cutoff_rad_per_m", "matsubara_max_terms",
-    "matsubara_tail",
+# The flags every command takes: flag, the config key it overrides, its
+# metavar (a string) or choices (a tuple), help.
+_COMMON = (
+    ("--format", "format", ("csv", "json"),
+     "machine-readable output (default: human summary)"),
+    ("--out", "path", "PATH", "write output to PATH instead of stdout"),
+    ("--temperature", "temperature", "K", "temperature in kelvin (default 0)"),
+    ("--rel-tol", "rel_tol", "TOL", "relative tolerance of all integrals"),
+    ("--q-cutoff", "q_cutoff", "RAD_PER_M", "sharp transverse-momentum cutoff"),
+    ("--matsubara-terms", "matsubara_max_terms", "N",
+     "cap on nonzero thermal terms"),
+    ("--zero-term-policy", "zero_term_policy", ZERO_TERM_POLICIES,
+     "handling of the zero-frequency thermal term"),
+    ("--method", "method", METHODS, "force evaluation route"),
 )
+
+
+def _add(parser, flag: str, shape, help_text: str, **kwargs) -> None:
+    kind = "choices" if isinstance(shape, tuple) else "metavar"
+    parser.add_argument(flag, help=help_text, **{kind: shape}, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,22 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH",
                         help="INI config file, or a JSON file emitted by a"
                              " previous run")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        help="machine-readable output (default: human summary)")
-    common.add_argument("--out", metavar="PATH",
-                        help="write output to PATH instead of stdout")
-    common.add_argument("--temperature", metavar="K",
-                        help="temperature in kelvin (default 0)")
-    common.add_argument("--rel-tol", metavar="TOL",
-                        help="relative tolerance of all integrals")
-    common.add_argument("--q-cutoff", metavar="RAD_PER_M",
-                        help="sharp transverse-momentum cutoff")
-    common.add_argument("--matsubara-terms", metavar="N",
-                        help="cap on nonzero thermal terms")
-    common.add_argument("--zero-term-policy", choices=ZERO_TERM_POLICIES,
-                        help="handling of the zero-frequency thermal term")
-    common.add_argument("--method", choices=METHODS,
-                        help="force evaluation route")
+    for flag, key, shape, help_text in _COMMON:
+        _add(common, flag, shape, help_text, dest=key)
 
     parser = argparse.ArgumentParser(
         prog="planarcasimir",
@@ -94,88 +94,57 @@ def _build_parser() -> argparse.ArgumentParser:
                     " from the field-only (Lorentz-force) stress tensor.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("force", parents=[common],
-                       help="net force per area on the central plate")
-    p.set_defaults(handler=_cmd_force)
-
-    p = sub.add_parser("stress-profile", parents=[common],
-                       help="stress on an interior grid of a two-wall interspace")
-    p.add_argument("--samples", type=int, metavar="N",
-                   help="number of interior samples (>= 2, default 9)")
-    p.set_defaults(handler=_cmd_stress_profile)
-
-    p = sub.add_parser("compare", parents=[common],
-                       help="field-based force vs Minkowski prediction")
-    p.add_argument("--eps", metavar="LIST",
-                   help="comma-separated relative permittivities"
-                        " (default 1,2,4,10)")
-    p.add_argument("--mode", choices=_COMPARE_MODES,
-                   help="closed forms (instant) or engine quadrature")
-    p.add_argument("--d1", metavar="M", help="near gap width in meters")
-    p.add_argument("--d3", metavar="M", help="far gap width in meters")
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="force while one parameter varies")
-    p.add_argument("--parameter", choices=tuple(_SWEEP_UNITS),
-                   help="swept parameter; 'd' scales both gaps proportionally")
-    p.add_argument("--start", metavar="X", help="first value (SI units)")
-    p.add_argument("--stop", metavar="X", help="last value (SI units)")
-    p.add_argument("--points", metavar="N", help="number of points (default 9)")
-    p.add_argument("--spacing", choices=_SPACINGS,
-                   help="point spacing (default log)")
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("limits", parents=[common],
-                       help="idealized-mirror closed forms")
-    p.add_argument("--eps", metavar="X", help="relative permittivity (default 1)")
-    p.add_argument("--mu", metavar="X", help="relative permeability (default 1)")
-    p.add_argument("--d1", metavar="M", help="near gap width (default 1e-6)")
-    p.add_argument("--d3", metavar="M", help="far gap width (default inf)")
-    p.set_defaults(handler=_cmd_limits)
-
+    for command, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for name, _, _, shape, help_text in flags:
+            _add(p, f"--{name}", shape, help_text)
     return parser
 
 
-def _override(sections, section: str, key: str, value) -> None:
-    if value is not None:
-        sections.setdefault(section, {})[key] = str(value)
-
-
 def _prepare(args) -> tuple[dict, RunConfig]:
-    """Load config sections, fold in CLI overrides, resolve."""
+    """Load config sections, fold in the common flags, resolve.
+
+    Overrides are written in the config's own key order, not in the --help
+    order of ``_COMMON``, so emitted sections keep their established order.
+    """
     sections = load_sections(args.config) if args.config else {}
-    _override(sections, "run", "temperature", args.temperature)
-    _override(sections, "run", "method", args.method)
-    _override(sections, "run", "zero_term_policy", args.zero_term_policy)
-    _override(sections, "quadrature", "rel_tol", args.rel_tol)
-    _override(sections, "quadrature", "q_cutoff", args.q_cutoff)
-    _override(sections, "quadrature", "matsubara_max_terms", args.matsubara_terms)
-    _override(sections, "output", "format", args.fmt)
-    _override(sections, "output", "path", args.out)
+    overrides = {key: getattr(args, key) for _, key, _, _ in _COMMON}
+    for section, keys in SECTION_KEYS.items():
+        for key in keys:
+            if overrides.get(key) is not None:
+                sections.setdefault(section, {})[key] = overrides[key]
     return sections, build_config(sections)
 
 
-def _stored_args(rc: RunConfig, command: str) -> dict[str, str]:
-    # [command] args only apply when re-running the same subcommand.
-    stored = rc.command_args
-    return stored if stored.get("name") == command else {}
+def _command_values(args, rc: RunConfig) -> dict:
+    """Each command flag's value, converted and checked.
 
-
-def _resolve(flag_value, stored: dict[str, str], key: str,
-             default: str | None, choices=None) -> str | None:
-    """The flag's value, else the stored [command] value, else ``default``.
-
-    A stored value must be one of the flag's ``choices``, if it has any.
+    A flag wins; else the [command] value an emission of the same command
+    stored; else the flag's default. Stored values never pass through
+    argparse, so they are checked against the flag's choices here.
     """
-    if flag_value is not None:
-        return str(flag_value)
-    value = stored.get(key, default)
-    if choices is not None and value is not None and value not in choices:
-        raise ConfigError(
-            f"[command] {key}: {value!r} is not one of {', '.join(choices)}")
-    return value
+    stored = rc.command_args
+    stored = stored if stored.get("name") == args.command else {}
+    values = {}
+    for name, convert, default, shape, _ in _COMMANDS[args.command][2]:
+        text, where = getattr(args, name), f"--{name}"
+        if text is None and name in stored:
+            text, where = stored[name], f"[command] {name}"
+            if isinstance(shape, tuple):
+                _choice(text, shape, where)
+        if text is None:
+            text = default
+        values[name] = (text if text is None or convert is None
+                        else convert(text, where))
+    return values
+
+
+def _stored(value) -> str:
+    # The [command] text of a resolved value: floats as repr, so a replay
+    # reads back the very same number.
+    if isinstance(value, list):
+        return ",".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +183,12 @@ def _render_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_human(rows: list[dict]) -> str:
+def _render_human(rows: list[dict], meta: dict) -> str:
     if len(rows) == 1:
         width = max(len(k) for k in rows[0])
         return "\n".join(f"{k:<{width}} = {_hcell(v)}"
                          for k, v in rows[0].items()) + "\n"
-    columns = [k for k in rows[0] if k not in _META_KEYS]
+    columns = [k for k in rows[0] if k not in meta]
     table = [[_hcell(row[k]) for k in columns] for row in rows]
     widths = [max(len(name), *(len(line[i]) for line in table))
               for i, name in enumerate(columns)]
@@ -251,7 +220,7 @@ def _emit(command: str, sections: dict, rc: RunConfig, rows: list[dict]) -> None
         doc = {"command": command, "config": sections, "results": rows}
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        text = _render_human(rows)
+        text = _render_human(rows, _meta(rc))
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -259,36 +228,42 @@ def _emit(command: str, sections: dict, rc: RunConfig, rows: list[dict]) -> None
         sys.stdout.write(text)
 
 
-def _diverged(what: str, n_bad: int, n_total: int) -> None:
-    print(
-        f"warning: {what}: {n_bad} of {n_total} result(s) did not reach the"
-        " requested tolerance (raise --rel-tol, max_subdivisions or"
-        " matsubara_max_terms); error estimates stay honest",
-        file=sys.stderr,
-    )
-
-
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each takes the run and its resolved command values and
+# returns (rows, number of rows that missed the requested tolerance)
 
 def _need_cavity(rc: RunConfig) -> CavityConfig:
     if rc.cavity is None:
-        raise ConfigError(
-            "this command needs a wall/gap/plate/gap/wall [structure] in"
-            " --config"
-        )
+        raise ConfigError("this command needs a wall/gap/plate/gap/wall"
+                          " [structure] in --config")
     return rc.cavity
 
 
-def _force_zero_value(rc: RunConfig) -> dict[str, float] | None:
-    if rc.zero_term_policy != "custom-value":
-        return None
-    if rc.zero_term_value_s is None or rc.zero_term_value_p is None:
+def _at_zero_kelvin(rc: RunConfig) -> None:
+    # The ideal-mirror closed forms are zero-temperature results.
+    if rc.temperature != 0.0:
         raise ConfigError(
-            "[run]: custom-value policy on a force needs zero_term_value_s"
-            " and zero_term_value_p"
-        )
-    return {"s": rc.zero_term_value_s, "p": rc.zero_term_value_p}
+            f"[run] temperature: the closed forms hold at 0 K, not at"
+            f" {rc.temperature!r} K; use compare --mode quadrature for a"
+            " force at finite temperature")
+
+
+def _force(rc: RunConfig, cavity: CavityConfig, temperature=None,
+           minkowski: bool = False):
+    """The run's field-only (or Minkowski) plate force on ``cavity``."""
+    zero_term_value = None
+    if rc.zero_term_policy == "custom-value":
+        if rc.zero_term_value_s is None or rc.zero_term_value_p is None:
+            raise ConfigError("[run]: custom-value policy on a force needs"
+                              " zero_term_value_s and zero_term_value_p")
+        zero_term_value = {"s": rc.zero_term_value_s, "p": rc.zero_term_value_p}
+    kwargs = dict(
+        temperature=rc.temperature if temperature is None else temperature,
+        spec=rc.quadrature, zero_term_policy=rc.zero_term_policy,
+        zero_term_value=zero_term_value)
+    if minkowski:
+        return minkowski_plate_force(cavity, **kwargs)
+    return plate_force(cavity, method=rc.method, **kwargs)
 
 
 def _force_row(result, rc: RunConfig) -> dict:
@@ -303,64 +278,30 @@ def _force_row(result, rc: RunConfig) -> dict:
     }
 
 
-def _cmd_force(args) -> int:
-    sections, rc = _prepare(args)
-    cavity = _need_cavity(rc)
-    sections["command"] = {"name": "force"}
-    result = plate_force(
-        cavity,
-        temperature=rc.temperature,
-        spec=rc.quadrature,
-        method=rc.method,
-        zero_term_policy=rc.zero_term_policy,
-        zero_term_value=_force_zero_value(rc),
-    )
-    _emit("force", sections, rc, [_force_row(result, rc)])
-    if not result.converged:
-        _diverged("force", 1, 1)
-        return 3
-    return 0
+def _cmd_force(rc: RunConfig, values: dict):
+    result = _force(rc, _need_cavity(rc))
+    return [_force_row(result, rc)], int(not result.converged)
 
 
-def _cmd_stress_profile(args) -> int:
-    sections, rc = _prepare(args)
+def _cmd_stress_profile(rc: RunConfig, values: dict):
     if rc.pair is None:
         raise ConfigError(
-            "stress-profile needs a wall/gap/wall [structure] in --config"
-        )
-    stored = _stored_args(rc, "stress-profile")
-    samples = _to_int(_resolve(args.samples, stored, "samples", "9"),
-                      "--samples")
+            "stress-profile needs a wall/gap/wall [structure] in --config")
+    samples = values["samples"]
     if samples < 2:
         raise ConfigError("--samples: a profile needs at least 2 samples")
-    sections["command"] = {"name": "stress-profile", "samples": str(samples)}
-
     left_wall, medium, width, right_wall = rc.pair
     view = interspace(left_wall, medium, width, right_wall)
     profile = stress_profile(
-        view, samples,
-        temperature=rc.temperature,
-        spec=rc.quadrature,
+        view, samples, temperature=rc.temperature, spec=rc.quadrature,
         zero_term_policy=rc.zero_term_policy,
-        zero_term_value=rc.zero_term_value,
-    )
-    rows = [
-        {
-            "z_m": float(z),
-            "t_zz_N_per_m2": float(t),
-            "error_estimate_N_per_m2": float(err),
-            "converged": bool(ok),
-            **_meta(rc),
-        }
-        for z, t, err, ok in zip(profile.z, profile.t_zz,
-                                 profile.error_estimate, profile.converged)
-    ]
-    _emit("stress-profile", sections, rc, rows)
-    n_bad = int(sum(not bool(ok) for ok in profile.converged))
-    if n_bad:
-        _diverged("stress-profile", n_bad, samples)
-        return 3
-    return 0
+        zero_term_value=rc.zero_term_value)
+    rows = [{"z_m": float(z), "t_zz_N_per_m2": float(t),
+             "error_estimate_N_per_m2": float(err), "converged": bool(ok),
+             **_meta(rc)}
+            for z, t, err, ok in zip(profile.z, profile.t_zz,
+                                     profile.error_estimate, profile.converged)]
+    return rows, sum(not row["converged"] for row in rows)
 
 
 def _static_eps(model) -> float | None:
@@ -369,91 +310,70 @@ def _static_eps(model) -> float | None:
     return float(eps_imag_axis(model, 0.0))
 
 
-def _cmd_compare(args) -> int:
-    sections, rc = _prepare(args)
-    stored = _stored_args(rc, "compare")
-    eps_text = _resolve(args.eps, stored, "eps", None)
-    mode = _resolve(args.mode, stored, "mode", "closed", _COMPARE_MODES)
-    d1_text = _resolve(args.d1, stored, "d1", None)
-    d3_text = _resolve(args.d3, stored, "d3", None)
-    if (d1_text is None) != (d3_text is None):
+def _eps_list(text: str, where: str) -> list[float]:
+    items = (item.strip() for item in text.split(","))
+    values = [_to_float(item, where) for item in items if item]
+    if not values:
+        raise ConfigError(f"{where}: empty permittivity list")
+    return values
+
+
+def _cmd_compare(rc: RunConfig, values: dict):
+    """Both tensors on the configured cavity, else over a contrast sweep."""
+    d1, d3 = values["d1"], values["d3"]
+    if (d1 is None) != (d3 is None):
         raise ConfigError("compare needs both --d1 and --d3 or neither")
-    d1 = None if d1_text is None else _to_float(d1_text, "--d1")
-    d3 = None if d3_text is None else _to_float(d3_text, "--d3")
-    if d1 is None and rc.cavity is not None:
-        d1, d3 = rc.cavity.d1, rc.cavity.d3
-
-    if eps_text is None and rc.cavity is not None:
+    if values["eps"] is None and rc.cavity is not None:
         # Compare the two tensors on the configured cavity itself.
-        sections["command"] = {"name": "compare"}
-        return _emit_compare(sections, rc, [_quadrature_compare_row(rc, rc.cavity)])
-
-    eps_values = []
-    for item in (eps_text or "1,2,4,10").split(","):
-        item = item.strip()
-        if item:
-            eps_values.append(_to_float(item, "--eps"))
-    if not eps_values:
-        raise ConfigError("--eps: empty permittivity list")
-
-    command = {"name": "compare", "eps": ",".join(repr(e) for e in eps_values),
-               "mode": mode}
-    if d1 is not None:
-        command["d1"] = repr(d1)
-        command["d3"] = repr(d3)
-    sections["command"] = command
-
-    if mode == "quadrature" and d1 is None:
-        raise ConfigError(
-            "compare --mode quadrature needs distances: pass --d1/--d3"
-            " or configure a cavity"
-        )
-    rows = []
-    for eps in eps_values:
-        try:
-            medium = StaticMedium(eps=eps)
-        except ValueError as exc:
-            raise ConfigError(f"--eps: {exc}") from None
-        if mode == "quadrature":
-            mirror = Wall.perfect_mirror()
-            rows.append(_quadrature_compare_row(rc, CavityConfig(
-                mirror, constant(eps=eps), d1, PerfectMirrorPlate(), d3, mirror)))
-            continue
-        row = {"eps": eps, "n": medium.n}
         if d1 is not None:
-            row["force_per_area_N_per_m2"] = casimir_generalized(medium, d1, d3)
-            row["minkowski_force_N_per_m2"] = minkowski_generalized(eps, d1, d3)
-            row["d1_m"] = d1
-            row["d3_m"] = d3
-        row["ratio_minkowski_over_force"] = force_ratio(eps)
-        row["mode"] = mode
-        row.update(_meta(rc))
-        rows.append(row)
-    return _emit_compare(sections, rc, rows)
+            raise ConfigError(
+                "compare on a configured cavity takes its gaps from"
+                " [structure]; --d1/--d3 apply only with --eps")
+        if values["mode"] == "closed":
+            raise ConfigError(
+                "compare on a configured cavity runs quadrature; --mode"
+                " closed applies only with --eps")
+        rows = [_quadrature_compare_row(rc, rc.cavity)]
+    else:
+        if d1 is None and rc.cavity is not None:
+            d1, d3 = rc.cavity.d1, rc.cavity.d3
+        eps_values = values["eps"] or [1.0, 2.0, 4.0, 10.0]
+        mode = values["mode"] or "closed"
+        # These defaults depend on the branch; store them as [command].
+        values.update(eps=eps_values, mode=mode, d1=d1, d3=d3)
+        if mode == "quadrature" and d1 is None:
+            raise ConfigError(
+                "compare --mode quadrature needs distances: pass --d1/--d3"
+                " or configure a cavity")
+        if mode == "closed":
+            _at_zero_kelvin(rc)
+        rows = [_contrast_row(rc, eps, mode, d1, d3) for eps in eps_values]
+    return rows, sum(False in (row.get("force_converged"),
+                               row.get("minkowski_converged")) for row in rows)
 
 
-def _emit_compare(sections: dict, rc: RunConfig, rows: list[dict]) -> int:
-    _emit("compare", sections, rc, rows)
-    n_bad = sum(1 for r in rows if not r.get("force_converged", True)
-                or not r.get("minkowski_converged", True))
-    if n_bad:
-        _diverged("compare", n_bad, len(rows))
-        return 3
-    return 0
+def _contrast_row(rc: RunConfig, eps: float, mode: str, d1, d3) -> dict:
+    try:
+        medium = StaticMedium(eps=eps)
+    except ValueError as exc:
+        raise ConfigError(f"--eps: {exc}") from None
+    if mode == "quadrature":
+        mirror = Wall.perfect_mirror()
+        return _quadrature_compare_row(rc, CavityConfig(
+            mirror, constant(eps=eps), d1, PerfectMirrorPlate(), d3, mirror))
+    row = {"eps": eps, "n": medium.n}
+    if d1 is not None:
+        row.update(force_per_area_N_per_m2=casimir_generalized(medium, d1, d3),
+                   minkowski_force_N_per_m2=minkowski_generalized(eps, d1, d3),
+                   d1_m=d1, d3_m=d3)
+    return {**row, "ratio_minkowski_over_force": force_ratio(eps),
+            "mode": mode, **_meta(rc)}
 
 
 def _quadrature_compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
     """Both tensors' plate forces on one cavity; the ratio is None at F = 0."""
-    zero_term_value = _force_zero_value(rc)
-    force = plate_force(
-        cavity, temperature=rc.temperature, spec=rc.quadrature,
-        method=rc.method, zero_term_policy=rc.zero_term_policy,
-        zero_term_value=zero_term_value,
-    )
-    mink = minkowski_plate_force(
-        cavity, temperature=rc.temperature, spec=rc.quadrature,
-        zero_term_policy=rc.zero_term_policy, zero_term_value=zero_term_value,
-    )
+    force = _force(rc, cavity)
+    mink = _force(rc, cavity, minkowski=True)
     eps = _static_eps(cavity.medium)
     ratio = None
     if force.force_per_area != 0.0:
@@ -473,46 +393,28 @@ def _quadrature_compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
     }
 
 
-def _cmd_sweep(args) -> int:
-    sections, rc = _prepare(args)
+def _cmd_sweep(rc: RunConfig, values: dict):
     cavity = _need_cavity(rc)
-    stored = _stored_args(rc, "sweep")
-    parameter = _resolve(args.parameter, stored, "parameter", None,
-                         _SWEEP_UNITS)
+    parameter, start, stop = values["parameter"], values["start"], values["stop"]
     if parameter is None:
         raise ConfigError("sweep needs --parameter (d1, d3, d, eps or T)")
-    start_text = _resolve(args.start, stored, "start", None)
-    stop_text = _resolve(args.stop, stored, "stop", None)
-    if start_text is None or stop_text is None:
+    if start is None or stop is None:
         raise ConfigError("sweep needs a range: --start and --stop")
-    start = _to_float(start_text, "--start")
-    stop = _to_float(stop_text, "--stop")
-    points = _to_int(_resolve(args.points, stored, "points", "9"), "--points")
-    spacing = _resolve(args.spacing, stored, "spacing", "log", _SPACINGS)
+    points, spacing = values["points"], values["spacing"]
     if points < 1:
         raise ConfigError("--points: need at least 1 point")
     if spacing == "log" and (start <= 0.0 or stop <= 0.0):
         raise ConfigError("log spacing needs positive --start and --stop"
                           " (use --spacing linear)")
-    sections["command"] = {
-        "name": "sweep", "parameter": parameter, "start": repr(start),
-        "stop": repr(stop), "points": str(points), "spacing": spacing,
-    }
-
-    if spacing == "log":
-        values = np.geomspace(start, stop, points)
-    else:
-        values = np.linspace(start, stop, points)
-
     if parameter == "eps" and cavity.medium.kind is not MaterialKind.CONSTANT:
         raise ConfigError(
             "an eps sweep needs a constant-kind gap medium in the structure"
         )
 
+    grid = np.geomspace if spacing == "log" else np.linspace
     rows = []
-    n_bad = 0
-    for value in (float(v) for v in values):
-        temperature = rc.temperature
+    for value in (float(v) for v in grid(start, stop, points)):
+        temperature = None
         case = cavity
         try:
             if parameter == "d1":
@@ -529,39 +431,25 @@ def _cmd_sweep(args) -> int:
                 temperature = value
         except ValueError as exc:
             raise ConfigError(f"sweep value {value!r}: {exc}") from None
-        result = plate_force(
-            case, temperature=temperature, spec=rc.quadrature,
-            method=rc.method, zero_term_policy=rc.zero_term_policy,
-            zero_term_value=_force_zero_value(rc),
-        )
         row = {"parameter": parameter, "value": value,
                "unit": _SWEEP_UNITS[parameter]}
-        row.update(_force_row(result, rc))
+        row.update(_force_row(_force(rc, case, temperature), rc))
         if parameter == "T":
             row["temperature_K"] = value
         rows.append(row)
-        n_bad += 0 if result.converged else 1
-    _emit("sweep", sections, rc, rows)
-    if n_bad:
-        _diverged("sweep", n_bad, len(rows))
-        return 3
-    return 0
+    return rows, sum(not row["converged"] for row in rows)
 
 
-def _cmd_limits(args) -> int:
-    sections, rc = _prepare(args)
-    stored = _stored_args(rc, "limits")
-    eps = _to_float(_resolve(args.eps, stored, "eps", "1"), "--eps")
-    mu = _to_float(_resolve(args.mu, stored, "mu", "1"), "--mu")
-    d1 = _to_float(_resolve(args.d1, stored, "d1", "1e-6"), "--d1")
-    d3 = _to_float(_resolve(args.d3, stored, "d3", "inf"), "--d3")
-    sections["command"] = {"name": "limits", "eps": repr(eps), "mu": repr(mu),
-                           "d1": repr(d1), "d3": repr(d3)}
+def _cmd_limits(rc: RunConfig, values: dict):
+    _at_zero_kelvin(rc)
+    eps, mu, d1, d3 = (values[k] for k in ("eps", "mu", "d1", "d3"))
     try:
         medium = StaticMedium(eps=eps, mu=mu)
         force = casimir_generalized(medium, d1, d3)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # The Minkowski closed forms take mu = 1.
+    dielectric = mu == 1.0
     row = {
         "eps": eps,
         "mu": mu,
@@ -569,23 +457,65 @@ def _cmd_limits(args) -> int:
         "d1_m": d1,
         "d3_m": d3,
         "force_per_area_N_per_m2": force,
+        "minkowski_force_N_per_m2":
+            minkowski_generalized(eps, d1, d3) if dielectric else None,
+        "ratio_minkowski_over_force": force_ratio(eps) if dielectric else None,
+        **_meta(rc),
     }
-    if mu == 1.0:
-        row["minkowski_force_N_per_m2"] = minkowski_generalized(eps, d1, d3)
-        row["ratio_minkowski_over_force"] = force_ratio(eps)
-    else:
-        row["minkowski_force_N_per_m2"] = None
-        row["ratio_minkowski_over_force"] = None
-    row.update(_meta(rc))
-    _emit("limits", sections, rc, [row])
-    return 0
+    return [row], 0
+
+
+# Each command: its handler, its help line and its flags. A flag is (name,
+# converter or None for plain text, default text, metavar or choices, help);
+# its name is also its [command] key.
+_COMMANDS = {
+    "force": (_cmd_force, "net force per area on the central plate", ()),
+    "stress-profile": (
+        _cmd_stress_profile, "stress on an interior grid of a two-wall interspace",
+        (("samples", _to_int, "9", "N",
+          "number of interior samples (>= 2, default 9)"),)),
+    "compare": (_cmd_compare, "field-based force vs Minkowski prediction", (
+        ("eps", _eps_list, None, "LIST",
+         "comma-separated relative permittivities (default 1,2,4,10)"),
+        ("mode", None, None, ("closed", "quadrature"),
+         "closed forms (instant) or engine quadrature"),
+        ("d1", _to_float, None, "M", "near gap width in meters"),
+        ("d3", _to_float, None, "M", "far gap width in meters"),
+    )),
+    "sweep": (_cmd_sweep, "force while one parameter varies", (
+        ("parameter", None, None, tuple(_SWEEP_UNITS),
+         "swept parameter; 'd' scales both gaps proportionally"),
+        ("start", _to_float, None, "X", "first value (SI units)"),
+        ("stop", _to_float, None, "X", "last value (SI units)"),
+        ("points", _to_int, "9", "N", "number of points (default 9)"),
+        ("spacing", None, "log", ("log", "linear"),
+         "point spacing (default log)"),
+    )),
+    "limits": (_cmd_limits, "idealized-mirror closed forms", (
+        ("eps", _to_float, "1", "X", "relative permittivity (default 1)"),
+        ("mu", _to_float, "1", "X", "relative permeability (default 1)"),
+        ("d1", _to_float, "1e-6", "M", "near gap width (default 1e-6)"),
+        ("d3", _to_float, "inf", "M", "far gap width (default inf)"),
+    )),
+}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        sections, rc = _prepare(args)
+        values = _command_values(args, rc)
+        path = rc.output_path
+        if path is not None and (os.path.isdir(path) or not os.access(
+                os.path.dirname(path) or ".", os.W_OK)):
+            raise ConfigError(f"[output] path: cannot write a file at {path!r}"
+                              " (a directory, or no writable directory)")
+        rows, n_bad = _COMMANDS[args.command][0](rc, values)
+        sections["command"] = {"name": args.command}
+        sections["command"].update((key, _stored(value))
+                                   for key, value in values.items()
+                                   if value is not None)
+        _emit(args.command, sections, rc, rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -594,6 +524,13 @@ def main(argv=None) -> int:
         # precise messages; surface them as configuration errors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if n_bad:
+        print(f"warning: {args.command}: {n_bad} of {len(rows)} result(s) did"
+              " not reach the requested tolerance (raise --rel-tol,"
+              " max_subdivisions or matsubara_max_terms); error estimates"
+              " stay honest", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -52,6 +52,13 @@ JSON files emitted by the command line (--format json) are accepted
 wherever an INI file is; the resolved configuration embedded under their
 "config" key is re-ingested verbatim, which reproduces the original run
 bit for bit.
+
+A ``[command]`` section holds a run's command arguments: ``name`` (the
+command) and one key per command flag, named without its dashes, e.g.
+``name = sweep``, ``parameter = d``, ``start = 5e-07``. Every emission
+stores every resolved value there, defaults included and floats as their
+``repr``. Only a run of the same command reads it back, and a flag given
+on the command line wins over the stored value.
 """
 
 from __future__ import annotations
@@ -82,12 +89,6 @@ class ConfigError(Exception):
 METHODS = ("exact-difference", "direct-difference")
 ZERO_TERM_POLICIES = ("half-weight", "drop", "custom-value")
 
-_RUN_KEYS = ("temperature", "method", "zero_term_policy", "zero_term_value",
-             "zero_term_value_s", "zero_term_value_p")
-_QUAD_KEYS = ("rel_tol", "abs_floor", "max_subdivisions", "q_cutoff",
-              "matsubara_max_terms", "matsubara_tail")
-_OUTPUT_KEYS = ("format", "path")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -101,8 +102,6 @@ class RunConfig:
     """
 
     sections: dict[str, dict[str, str]]
-    materials: dict[str, DispersionModel]
-    topology: str | None
     cavity: CavityConfig | None
     pair: tuple[Wall, DispersionModel, float, Wall] | None
     temperature: float
@@ -129,6 +128,43 @@ def _to_int(text: str, where: str) -> int:
         return int(text)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: {text!r} is not an integer") from None
+
+
+def _choice(text: str | None, choices: tuple[str, ...], where: str):
+    if text is not None and text not in choices:
+        raise ConfigError(
+            f"{where}: {text!r} is not one of {', '.join(choices)}")
+    return text
+
+
+# [quadrature] keys with their converters, in the order they are checked;
+# an empty or "none" q_cutoff means no cutoff.
+_QUAD_KEYS = {
+    "rel_tol": _to_float,
+    "abs_floor": _to_float,
+    "max_subdivisions": _to_int,
+    "q_cutoff": lambda text, where: (
+        None if text.strip().lower() in ("", "none")
+        else _to_float(text.strip(), where)),
+    "matsubara_max_terms": _to_int,
+    "matsubara_tail": lambda text, where: text.strip(),
+}
+
+# The keys of every fixed section, in canonical order.
+SECTION_KEYS = {
+    "structure": ("regions",),
+    "run": ("temperature", "method", "zero_term_policy", "zero_term_value",
+            "zero_term_value_s", "zero_term_value_p"),
+    "quadrature": tuple(_QUAD_KEYS),
+    "output": ("format", "path"),
+}
+
+
+def _check_keys(section: str, body: dict[str, str]) -> None:
+    extra = set(body) - set(SECTION_KEYS[section])
+    if extra:
+        raise ConfigError(
+            f"[{section}]: unknown key(s): {', '.join(sorted(extra))}")
 
 
 def load_sections(path: str) -> dict[str, dict[str, str]]:
@@ -244,12 +280,10 @@ def _terminator(entry: _Entry, materials) -> DispersionModel | None:
     return None
 
 
-def _wall_slab(entry: _Entry, materials) -> Layer:
+def _layer(entry: _Entry, materials, expected: str) -> Layer:
+    # NAME:THICKNESS, a finite wall slab or plate.
     if len(entry.fields) != 2:
-        raise ConfigError(
-            f"region {entry.raw!r}: expected wall:mirror,"
-            " wall:NAME:semi-infinite or wall:NAME:THICKNESS"
-        )
+        raise ConfigError(f"region {entry.raw!r}: expected {expected}")
     material = _lookup(materials, entry.fields[0], entry.raw)
     thickness = _to_float(entry.fields[1], f"region {entry.raw!r}")
     try:
@@ -276,7 +310,9 @@ def _build_wall(group: list[_Entry], side: str, materials) -> Wall:
             raise ConfigError(
                 f"region {entry.raw!r}: a wall has exactly one terminating entry"
             )
-        layers.append(_wall_slab(entry, materials))
+        layers.append(_layer(
+            entry, materials, "wall:mirror, wall:NAME:semi-infinite or"
+            " wall:NAME:THICKNESS"))
     if side == "left":
         # Reading order lists the left wall outermost-first; Wall stores
         # layers nearest to the interspace first.
@@ -295,25 +331,8 @@ def _gap_parts(entry: _Entry, materials) -> tuple[str, DispersionModel, float]:
     return name, material, width
 
 
-def _build_plate(entry: _Entry, materials) -> Layer | PerfectMirrorPlate:
-    if entry.fields == ("mirror",):
-        return PerfectMirrorPlate()
-    if len(entry.fields) != 2:
-        raise ConfigError(
-            f"region {entry.raw!r}: expected plate:NAME:THICKNESS or plate:mirror"
-        )
-    material = _lookup(materials, entry.fields[0], entry.raw)
-    thickness = _to_float(entry.fields[1], f"region {entry.raw!r}")
-    try:
-        return Layer(material, thickness)
-    except ValueError as exc:
-        raise ConfigError(f"region {entry.raw!r}: {exc}") from None
-
-
 def _build_structure(body: dict[str, str], materials):
-    extra = set(body) - {"regions"}
-    if extra:
-        raise ConfigError(f"[structure]: unknown key(s): {', '.join(sorted(extra))}")
+    _check_keys("structure", body)
     if "regions" not in body:
         raise ConfigError("[structure]: missing 'regions'")
     raw_entries = [e.strip() for e in re.split(r"[,\n]+", body["regions"])]
@@ -337,14 +356,16 @@ def _build_structure(body: dict[str, str], materials):
 
     if len(gap_idx) == 1:
         _, medium, width = _gap_parts(entries[gap_idx[0]], materials)
-        return "two-wall", None, (left_wall, medium, width, right_wall)
+        return None, (left_wall, medium, width, right_wall)
 
     middle = entries[gap_idx[0] + 1:gap_idx[1]]
     if len(middle) != 1 or middle[0].role != "plate":
         raise ConfigError(
             "structure: exactly one plate entry must sit between the two gaps"
         )
-    plate = _build_plate(middle[0], materials)
+    plate = (PerfectMirrorPlate() if middle[0].fields == ("mirror",) else
+             _layer(middle[0], materials,
+                    "plate:NAME:THICKNESS or plate:mirror"))
     name1, medium1, d1 = _gap_parts(entries[gap_idx[0]], materials)
     name3, _, d3 = _gap_parts(entries[gap_idx[1]], materials)
     if name1 != name3:
@@ -357,30 +378,13 @@ def _build_structure(body: dict[str, str], materials):
                               plate=plate, d3=d3, right_wall=right_wall)
     except ValueError as exc:
         raise ConfigError(f"structure: {exc}") from None
-    return "cavity", cavity, None
+    return cavity, None
 
 
 def _build_quadrature(body: dict[str, str]) -> QuadratureSpec:
-    extra = set(body) - set(_QUAD_KEYS)
-    if extra:
-        raise ConfigError(f"[quadrature]: unknown key(s): {', '.join(sorted(extra))}")
-    kwargs = {}
-    if "rel_tol" in body:
-        kwargs["rel_tol"] = _to_float(body["rel_tol"], "[quadrature] rel_tol")
-    if "abs_floor" in body:
-        kwargs["abs_floor"] = _to_float(body["abs_floor"], "[quadrature] abs_floor")
-    if "max_subdivisions" in body:
-        kwargs["max_subdivisions"] = _to_int(
-            body["max_subdivisions"], "[quadrature] max_subdivisions")
-    if "q_cutoff" in body:
-        text = body["q_cutoff"].strip()
-        if text and text.lower() != "none":
-            kwargs["q_cutoff"] = _to_float(text, "[quadrature] q_cutoff")
-    if "matsubara_max_terms" in body:
-        kwargs["matsubara_max_terms"] = _to_int(
-            body["matsubara_max_terms"], "[quadrature] matsubara_max_terms")
-    if "matsubara_tail" in body:
-        kwargs["matsubara_tail"] = body["matsubara_tail"].strip()
+    _check_keys("quadrature", body)
+    kwargs = {key: convert(body[key], f"[quadrature] {key}")
+              for key, convert in _QUAD_KEYS.items() if key in body}
     try:
         return QuadratureSpec(**kwargs)
     except ValueError as exc:
@@ -396,33 +400,22 @@ def build_config(sections: dict[str, dict[str, str]]) -> RunConfig:
             if not short:
                 raise ConfigError("material section needs a name: [material.NAME]")
             materials[short] = _build_material(short, sections[name])
-        elif name not in ("structure", "run", "quadrature", "output", "command"):
+        elif name not in SECTION_KEYS and name != "command":
             raise ConfigError(f"unknown section [{name}]")
 
-    topology = None
-    cavity = None
-    pair = None
+    cavity = pair = None
     if "structure" in sections:
-        topology, cavity, pair = _build_structure(sections["structure"], materials)
+        cavity, pair = _build_structure(sections["structure"], materials)
 
-    run = dict(sections.get("run", {}))
-    extra = set(run) - set(_RUN_KEYS)
-    if extra:
-        raise ConfigError(f"[run]: unknown key(s): {', '.join(sorted(extra))}")
+    run = sections.get("run", {})
+    _check_keys("run", run)
     temperature = _to_float(run.get("temperature", "0"), "[run] temperature")
     if temperature < 0.0:
         raise ConfigError("[run] temperature: must be >= 0 kelvin")
-    method = run.get("method", "exact-difference")
-    if method not in METHODS:
-        raise ConfigError(
-            f"[run] method: {method!r} is not one of {', '.join(METHODS)}"
-        )
-    policy = run.get("zero_term_policy")
-    if policy is not None and policy not in ZERO_TERM_POLICIES:
-        raise ConfigError(
-            f"[run] zero_term_policy: {policy!r} is not one of"
-            f" {', '.join(ZERO_TERM_POLICIES)}"
-        )
+    method = _choice(run.get("method", "exact-difference"), METHODS,
+                     "[run] method")
+    policy = _choice(run.get("zero_term_policy"), ZERO_TERM_POLICIES,
+                     "[run] zero_term_policy")
 
     def opt_float(key: str) -> float | None:
         if key not in run:
@@ -431,18 +424,14 @@ def build_config(sections: dict[str, dict[str, str]]) -> RunConfig:
 
     quadrature = _build_quadrature(sections.get("quadrature", {}))
 
-    output = dict(sections.get("output", {}))
-    extra = set(output) - set(_OUTPUT_KEYS)
-    if extra:
-        raise ConfigError(f"[output]: unknown key(s): {', '.join(sorted(extra))}")
+    output = sections.get("output", {})
+    _check_keys("output", output)
     output_format = output.get("format")
     if output_format is not None and output_format not in ("csv", "json"):
         raise ConfigError(f"[output] format: {output_format!r} is not csv or json")
 
     return RunConfig(
         sections=sections,
-        materials=materials,
-        topology=topology,
         cavity=cavity,
         pair=pair,
         temperature=temperature,

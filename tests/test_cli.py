@@ -499,21 +499,35 @@ def test_format_inferred_from_suffix(tmp_path, capsys):
         "force_per_area_N_per_m2")
 
 
-def test_sweep_command_args_replay_from_json(tmp_path, capsys):
-    cfg = _write(tmp_path, VACUUM_CAVITY)
-    out_path = str(tmp_path / "sweep.json")
-    code, _, _ = _run(capsys, ["sweep", "--config", cfg, "--format", "json",
-                               "--out", out_path, "--parameter", "d1",
-                               "--start", "8e-7", "--stop", "2e-6",
-                               "--points", "3"])
+@pytest.mark.parametrize("structure,argv,stored", [
+    (VACUUM_CAVITY, ["force"], {}),
+    (TWO_WALL, ["stress-profile", "--samples", "3"], {"samples": "3"}),
+    (None, ["compare", "--eps", "2,4", "--d1", "7e-7", "--d3", "2.1e-6"],
+     {"eps": "2.0,4.0", "mode": "closed", "d1": "7e-07", "d3": "2.1e-06"}),
+    (None, ["compare", "--eps", "2", "--mode", "quadrature", "--d1", "1e-6",
+            "--d3", "3e-6"], {"eps": "2.0", "mode": "quadrature"}),
+    (VACUUM_CAVITY, ["sweep", "--parameter", "d1", "--start", "8e-7",
+                     "--stop", "2e-6", "--points", "3"],
+     {"parameter": "d1", "start": "8e-07", "points": "3", "spacing": "log"}),
+    (None, ["limits", "--eps", "2", "--mu", "1.5"],
+     {"eps": "2.0", "mu": "1.5", "d1": "1e-06", "d3": "inf"}),
+], ids=["force", "stress-profile", "compare-closed", "compare-quadrature",
+        "sweep", "limits"])
+def test_command_args_replay_from_json(tmp_path, capsys, structure, argv,
+                                       stored):
+    config = [] if structure is None else ["--config",
+                                           _write(tmp_path, structure)]
+    out_path = str(tmp_path / "run.json")
+    code, _, _ = _run(capsys, argv + config + ["--format", "json",
+                                               "--out", out_path])
     assert code == 0
-    first = json.loads(open(out_path).read())
-    assert first["config"]["command"]["parameter"] == "d1"
-    # Replaying the emission needs no flags: the sweep range is embedded.
-    code, _, _ = _run(capsys, ["sweep", "--config", out_path])
+    first = open(out_path).read()
+    command = json.loads(first)["config"]["command"]
+    assert command == {**command, "name": argv[0], **stored}
+    # Replaying the emission needs no flags: the command args are embedded.
+    code, _, _ = _run(capsys, [argv[0], "--config", out_path])
     assert code == 0
-    again = json.loads(open(out_path).read())
-    assert again == first
+    assert open(out_path).read() == first
 
 
 def test_stored_args_do_not_leak_across_commands(tmp_path, capsys):
@@ -562,3 +576,60 @@ def test_stored_command_values_are_checked_before_integrating(
     assert code == 2
     assert f"[command] {key}:" in err and "is not one of" in err
     assert calls == []
+
+
+def test_stored_number_is_checked_before_integrating(tmp_path, capsys,
+                                                     monkeypatch):
+    calls = []
+    monkeypatch.setattr("planarcasimir.cli.plate_force",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = _write(tmp_path, VACUUM_CAVITY + "\n[command]\nname = sweep\n"
+                 "parameter = d1\nstart = apple\nstop = 2e-6\n")
+    code, _, err = _run(capsys, ["sweep", "--config", cfg])
+    assert code == 2
+    assert "[command] start: 'apple' is not a number" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("target", ["nodir/x.json", "adir"])
+def test_unwritable_output_exits_2_before_integrating(tmp_path, capsys,
+                                                      monkeypatch, target):
+    calls = []
+    monkeypatch.setattr("planarcasimir.cli.plate_force",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = _write(tmp_path, VACUUM_CAVITY)
+    (tmp_path / "adir").mkdir()
+    out_path = str(tmp_path / target)
+    code, _, err = _run(capsys, ["force", "--config", cfg, "--out", out_path])
+    assert code == 2
+    assert f"[output] path: cannot write a file at {out_path!r}" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--d1", "2e-6", "--d3", "3e-6"], "--d1/--d3"),
+    (["--mode", "closed"], "--mode closed"),
+], ids=["d1-d3", "mode-closed"])
+def test_compare_on_configured_cavity_rejects_ignored_flags(
+        tmp_path, capsys, flags, named):
+    # Without --eps, compare runs quadrature on the cavity's own gaps, so
+    # these flags would silently do nothing.
+    cfg = _write(tmp_path, VACUUM_CAVITY)
+    code, out, err = _run(capsys, ["compare", "--config", cfg, *flags])
+    assert code == 2
+    assert named in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--eps", "2"],
+    ["compare", "--eps", "2", "--d1", "1e-6", "--d3", "5e-6"],
+    ["limits"],
+], ids=["compare", "compare-distances", "limits"])
+def test_closed_forms_refuse_a_nonzero_temperature(capsys, argv):
+    # The closed forms are 0 K results; labelling them 300 K would be wrong.
+    code, out, err = _run(capsys, argv + ["--temperature", "300"])
+    assert code == 2
+    assert "0 K" in err and "compare --mode quadrature" in err
+    assert out == ""
+    code, _, _ = _run(capsys, argv + ["--temperature", "0"])
+    assert code == 0

@@ -48,7 +48,6 @@ def _write(tmp_path, text, name="run.ini"):
 
 def test_full_cavity_config(tmp_path):
     rc = load_config(_write(tmp_path, FULL_INI))
-    assert rc.topology == "cavity"
     assert rc.pair is None
     cavity = rc.cavity
     assert cavity.d1 == 1e-6 and cavity.d3 == 2e-6
@@ -63,7 +62,6 @@ def test_full_cavity_config(tmp_path):
     assert rc.quadrature.q_cutoff is None
     assert rc.output_format == "csv"
     assert rc.output_path is None
-    assert set(rc.materials) == {"med", "gold"}
 
 
 def test_two_wall_config(tmp_path):
@@ -78,7 +76,6 @@ eps_static = 2.25
 [structure]
 regions = wall:glass:semi-infinite, gap:vac:5e-7, wall:mirror
 """))
-    assert rc.topology == "two-wall"
     assert rc.cavity is None
     left, medium, width, right = rc.pair
     assert left == Wall.semi_infinite(constant(eps=2.25))
@@ -253,7 +250,7 @@ def test_run_quadrature_output_errors(tmp_path, section, match):
 
 def test_defaults_without_sections(tmp_path):
     rc = load_config(_write(tmp_path, _VAC))
-    assert rc.topology is None and rc.cavity is None and rc.pair is None
+    assert rc.cavity is None and rc.pair is None
     assert rc.temperature == 0.0
     assert rc.method == "exact-difference"
     assert rc.zero_term_policy is None
