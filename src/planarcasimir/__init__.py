@@ -14,13 +14,10 @@ from .materials import (
     MaterialKind,
     constant,
     drude_lorentz,
-    eval_eps,
-    eval_mu,
     is_drude_like,
     is_nonmagnetic,
     perfect_mirror,
     plasma,
-    refractive_index_sq,
 )
 from .layers import (
     CavityConfig,
@@ -29,7 +26,6 @@ from .layers import (
     TransverseMode,
     Wall,
     beta_imag,
-    fresnel,
     single_plate_rt,
     wall_reflection,
 )
@@ -46,7 +42,6 @@ from .engine import (
     InterspaceView,
     StressProfile,
     cavity_interspaces,
-    g_fn,
     interspace,
     minkowski_plate_force,
     minkowski_stress_zz,
@@ -56,11 +51,9 @@ from .engine import (
 )
 from .limits import (
     StaticMedium,
-    approx_plate_force,
     casimir_generalized,
     force_ratio,
     minkowski_generalized,
-    mirror_reflections,
 )
 from .config import ConfigError, RunConfig, build_config, load_config, load_sections
 
@@ -68,17 +61,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MIRROR", "VACUUM", "DispersionModel", "MaterialKind", "constant",
-    "drude_lorentz", "eval_eps", "eval_mu", "is_drude_like", "is_nonmagnetic",
-    "perfect_mirror", "plasma", "refractive_index_sq",
+    "drude_lorentz", "is_drude_like", "is_nonmagnetic", "perfect_mirror",
+    "plasma",
     "CavityConfig", "Layer", "PerfectMirrorPlate", "TransverseMode",
-    "Wall", "beta_imag", "fresnel", "single_plate_rt", "wall_reflection",
+    "Wall", "beta_imag", "single_plate_rt", "wall_reflection",
     "IntegralResult", "QuadratureSpec", "integrate_semi_infinite",
     "matsubara_frequency", "matsubara_sum",
     "DEFAULT_SPEC", "ForceResult", "InterspaceView", "StressProfile",
-    "cavity_interspaces", "g_fn", "interspace", "minkowski_plate_force",
+    "cavity_interspaces", "interspace", "minkowski_plate_force",
     "minkowski_stress_zz", "plate_force", "stress_profile", "stress_zz",
-    "StaticMedium", "approx_plate_force", "casimir_generalized",
-    "force_ratio", "minkowski_generalized", "mirror_reflections",
+    "StaticMedium", "casimir_generalized", "force_ratio",
+    "minkowski_generalized",
     "ConfigError", "RunConfig", "build_config", "load_config",
     "load_sections",
 ]

@@ -400,6 +400,8 @@ def _cmd_sweep(rc: RunConfig, values: dict):
         raise ConfigError("sweep needs --parameter (d1, d3, d, eps or T)")
     if start is None or stop is None:
         raise ConfigError("sweep needs a range: --start and --stop")
+    if not np.isfinite([start, stop]).all():
+        raise ConfigError("sweep needs a finite range: --start and --stop")
     points, spacing = values["points"], values["spacing"]
     if points < 1:
         raise ConfigError("--points: need at least 1 point")

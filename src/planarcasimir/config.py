@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -117,10 +118,14 @@ class RunConfig:
 
 
 def _to_float(text: str, where: str) -> float:
+    """``text`` as a float; NaN is refused, inf is a legal value."""
     try:
-        return float(text)
+        value = float(text)
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}: {text!r} is not a number") from None
+        value = math.nan
+    if math.isnan(value):
+        raise ConfigError(f"{where}: {text!r} is not a number")
+    return value
 
 
 def _to_int(text: str, where: str) -> int:
@@ -207,31 +212,31 @@ def _build_material(name: str, body: dict[str, str]) -> DispersionModel:
     kind = body.pop("kind", None)
     if kind is None:
         raise ConfigError(f"{where}: missing 'kind'")
+
+    def value(key: str, default: str = "0") -> float:
+        return _to_float(body.pop(key, default), f"{where} {key}")
+
     try:
         if kind == "constant":
-            model = constant(
-                eps=_to_float(body.pop("eps_static", "1"), where),
-                mu=_to_float(body.pop("mu_static", "1"), where),
-            )
+            model = constant(eps=value("eps_static", "1"),
+                             mu=value("mu_static", "1"))
         elif kind == "drude-lorentz":
             if "plasma_freq" not in body:
                 raise ConfigError(f"{where}: drude-lorentz needs plasma_freq")
             mu_keys = ("mu_plasma_freq", "mu_resonance_freq", "mu_damping")
             mu_model = None
             if any(k in body for k in mu_keys):
-                mu_model = tuple(
-                    _to_float(body.pop(k, "0"), where) for k in mu_keys
-                )
+                mu_model = tuple(value(k) for k in mu_keys)
             model = drude_lorentz(
-                plasma_freq=_to_float(body.pop("plasma_freq"), where),
-                resonance_freq=_to_float(body.pop("resonance_freq", "0"), where),
-                damping=_to_float(body.pop("damping", "0"), where),
+                plasma_freq=value("plasma_freq"),
+                resonance_freq=value("resonance_freq"),
+                damping=value("damping"),
                 mu_model=mu_model,
             )
         elif kind == "plasma":
             if "plasma_freq" not in body:
                 raise ConfigError(f"{where}: plasma needs plasma_freq")
-            model = plasma(_to_float(body.pop("plasma_freq"), where))
+            model = plasma(value("plasma_freq"))
         else:
             raise ConfigError(
                 f"{where}: unknown kind {kind!r}"
@@ -410,17 +415,21 @@ def build_config(sections: dict[str, dict[str, str]]) -> RunConfig:
     run = sections.get("run", {})
     _check_keys("run", run)
     temperature = _to_float(run.get("temperature", "0"), "[run] temperature")
-    if temperature < 0.0:
-        raise ConfigError("[run] temperature: must be >= 0 kelvin")
+    if not 0.0 <= temperature < math.inf:
+        raise ConfigError("[run] temperature: must be finite and >= 0 kelvin")
     method = _choice(run.get("method", "exact-difference"), METHODS,
                      "[run] method")
     policy = _choice(run.get("zero_term_policy"), ZERO_TERM_POLICIES,
                      "[run] zero_term_policy")
 
     def opt_float(key: str) -> float | None:
+        # An m = 0 contribution is added to the result, so it must be finite.
         if key not in run:
             return None
-        return _to_float(run[key], f"[run] {key}")
+        value = _to_float(run[key], f"[run] {key}")
+        if not math.isfinite(value):
+            raise ConfigError(f"[run] {key}: must be finite")
+        return value
 
     quadrature = _build_quadrature(sections.get("quadrature", {}))
 

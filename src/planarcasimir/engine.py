@@ -50,7 +50,6 @@ from .layers import (
     CavityConfig,
     Layer,
     PerfectMirrorPlate,
-    TransverseMode,
     Wall,
     _column,
     _has_drude_like,
@@ -185,26 +184,6 @@ def _g(view: InterspaceView, z, xi, q, modes):
         + r_plus * np.exp(-2.0 * kappa * (view.width - z))
     )
     return (pair * r_plus * r_minus * roundtrip + surface) / denom
-
-
-def g_fn(view: InterspaceView, z: float, mode: TransverseMode):
-    """Mode function g(z) strictly inside the interspace.
-
-    ``mode.pol`` of None sums both polarizations (the full four-term form);
-    "s" or "p" returns that polarization's share. z must satisfy
-    0 < z < width; the stress integrand diverges on the interfaces
-    themselves, so the endpoints are a domain error.
-    """
-    if not 0.0 < z < view.width:
-        raise ValueError(
-            f"z = {z} is not strictly inside the interspace (0, {view.width});"
-            " the surface divergence makes boundary evaluation meaningless"
-        )
-    xi, q = mode.xi, mode.q
-    g = _g(view, z, xi, q, _modes(view.medium, xi, q))
-    if mode.pol is not None:
-        return _column(g, mode.pol, q)
-    return g.sum(axis=-1) if np.ndim(q) else float(g.sum())
 
 
 def _zero_term(temperature, policy, value, has_drude, per_polarization=False):

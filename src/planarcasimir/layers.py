@@ -206,17 +206,6 @@ def _fresnel(a, b):
     return (w_b * kappa_a - w_a * kappa_b) / (w_b * kappa_a + w_a * kappa_b)
 
 
-def fresnel(pol: str, eps_a, mu_a, kappa_a, eps_b, mu_b, kappa_b):
-    """Single-interface reflection from medium a into medium b.
-
-    s uses the permeability-weighted kappa contrast, p the permittivity-
-    weighted one (magnetic-field amplitude convention, conductor limit +1).
-    """
-    a = (np.array([mu_a, eps_a]), np.asarray(kappa_a)[..., None])
-    b = (np.array([mu_b, eps_b]), np.asarray(kappa_b)[..., None])
-    return _column(_fresnel(a, b), pol, kappa_a)
-
-
 def _wall_refl(wall: Wall, ambient, xi, q):
     """Reflection of ``wall`` seen from the medium of wave ``ambient``.
 

@@ -1,4 +1,4 @@
-"""Closed forms and the constant-reflection approximation for plate forces.
+"""Closed forms for plate forces between ideal mirrors.
 
 For a cavity with nondispersive interspace medium (static eps, mu) between
 nearly ideal reflectors, the net force per area on the central plate has the
@@ -15,11 +15,6 @@ Their ratio F^M/F = 1/(2/3 + 1/(3 eps)) for mu = 1 grows monotonically from 1
 (vacuum) to 3/2 (dense media), so the field-only force is never larger in
 magnitude than the Minkowski one; the factor is the measurable discriminator
 between the two stress tensors.
-
-The constant-reflection approximation re-derives F for walls and plate whose
-reflection coefficients can be frozen to per-polarization constants; it is
-exact in the ideal-mirror limit and is the bridge between the full engine
-quadrature and the closed forms above.
 """
 
 from __future__ import annotations
@@ -27,11 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.constants import c, hbar
-
-from .layers import DELTA, POLARIZATIONS, beta_imag
-from .quadrature import IntegralResult, QuadratureSpec, double_semi_infinite
 
 _CLOSED_FORM_COEF = hbar * c * math.pi**2 / 240.0
 
@@ -82,73 +73,3 @@ def force_ratio(eps: float) -> float:
     if eps < 1.0:
         raise ValueError(f"static eps must be >= 1, got {eps}")
     return 1.0 / (2.0 / 3.0 + 1.0 / (3.0 * eps))
-
-
-def mirror_reflections() -> dict[str, float]:
-    """The ideal-mirror per-polarization constants r_s = -1, r_p = +1."""
-    return {pol: float(delta) for pol, delta in zip(POLARIZATIONS, DELTA)}
-
-
-def approx_plate_force(
-    medium: StaticMedium,
-    r_half: dict[str, float],
-    r_left: dict[str, float],
-    r_right: dict[str, float],
-    d1: float,
-    d3: float,
-    spec: QuadratureSpec | None = None,
-) -> IntegralResult:
-    """Plate force with all reflections frozen to per-polarization constants.
-
-    Parameters
-    ----------
-    medium : StaticMedium
-        The common interspace medium.
-    r_half : dict
-        Single plate-interface reflection constant per polarization ("s",
-        "p"). Must be nonzero: the integrand carries the combination
-        r + 1/r, which is how the near-mirror expansion keeps both faces of
-        the plate in play. Use :func:`mirror_reflections` for ideal mirrors.
-    r_left, r_right : dict
-        Wall reflection constants seen from gap 1 toward -z and from gap 3
-        toward +z.
-    d1, d3 : float
-        Gap widths (m).
-    spec : QuadratureSpec, optional
-
-    Returns
-    -------
-    IntegralResult
-        Force per area (N/m^2), positive toward +z.
-    """
-    spec = spec or QuadratureSpec()
-    rh, r_left, r_right = (np.array([r[pol] for pol in POLARIZATIONS], dtype=float)
-                           for r in (r_half, r_left, r_right))
-    if np.any(rh == 0.0):
-        raise ValueError(
-            "r_half must be nonzero per polarization: the constant-"
-            "reflection force carries the combination r + 1/r"
-        )
-    if d1 <= 0.0 or d3 <= 0.0:
-        raise ValueError("gap widths must be positive")
-
-    n_sq = medium.eps * medium.mu
-    inv = 1.0 / n_sq
-    prefactor = hbar / (8.0 * math.pi**2)
-
-    def integrand(xi, q):
-        kappa = beta_imag(n_sq, xi, q)
-        # kappa, q and xi broadcast against the (s, p) axis
-        k, qc, xc = (np.asarray(v)[..., None] for v in (kappa, q, xi))
-        e1 = r_left * np.exp(-2.0 * k * d1)
-        e3 = r_right * np.exp(-2.0 * k * d3)
-        coef = (
-            -2.0 * k**2 * (1.0 + inv)
-            - DELTA * (xc * xc / c**2) * (n_sq - 1.0) * (rh + 1.0 / rh)
-            + 2.0 * DELTA * qc**2 * (1.0 - inv)
-        )
-        # 1/d3_den - 1/d1_den written difference-free of cancellation
-        total = coef * rh * (e3 - e1) / ((1.0 - rh * e3) * (1.0 - rh * e1))
-        return q * (-medium.mu / kappa) * total.sum(axis=-1)
-
-    return double_semi_infinite(integrand, spec, min(d1, d3), prefactor)

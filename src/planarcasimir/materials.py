@@ -1,4 +1,4 @@
-"""Dispersive material response models on the real and imaginary frequency axes.
+"""Dispersive material response models on the imaginary frequency axis.
 
 Every medium is described by a relative permittivity eps(omega) and a relative
 permeability mu(omega). The models kept here are deliberately small: a
@@ -6,10 +6,10 @@ nondispersive constant, a single Lorentz oscillator (with the Drude metal as
 its zero-resonance special case), the dissipationless plasma model, and an
 idealized perfect-mirror tag that carries no finite response function at all.
 
-All model parameters are SI angular frequencies (rad/s). Causal oscillator
-models evaluated at a point omega = i*xi on the positive imaginary axis give a
-real response with zero imaginary part (exact in floating point, not merely
-small), which is what the imaginary-axis machinery downstream relies on.
+All model parameters are SI angular frequencies (rad/s). At a point
+omega = i*xi on the positive imaginary axis every causal model here has a
+real response, so it is evaluated in pure real arithmetic; that axis is the
+only place the engine evaluates a material.
 """
 
 from __future__ import annotations
@@ -124,84 +124,8 @@ VACUUM = constant()
 MIRROR = perfect_mirror()
 
 
-def _check_axis(freq: np.ndarray) -> None:
-    # Legal evaluation points: the real axis, or the positive imaginary axis.
-    on_real = freq.imag == 0.0
-    on_imag = (freq.real == 0.0) & (freq.imag >= 0.0)
-    if not np.all(on_real | on_imag):
-        bad = freq[~(on_real | on_imag)].flat[0]
-        raise ValueError(
-            f"frequency {bad} lies off the real and positive imaginary axes"
-        )
-
-
-def _oscillator(
-    strength: float, resonance: float, damping: float, freq: np.ndarray
-) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 + strength**2 / (resonance**2 - freq**2 - 1j * damping * freq)
-
-
-def eval_eps(model: DispersionModel, freq: complex | np.ndarray) -> complex | np.ndarray:
-    """Relative permittivity at a complex angular frequency.
-
-    Parameters
-    ----------
-    model : DispersionModel
-    freq : complex or ndarray
-        Angular frequency (rad/s) on the real axis or the positive imaginary
-        axis. Points off both axes are a domain error.
-
-    Returns
-    -------
-    complex or ndarray
-        eps(freq). On the imaginary axis the imaginary part is exactly zero.
-    """
-    if model.kind is MaterialKind.PERFECT_MIRROR:
-        raise ValueError("a perfect mirror has no finite response function")
-    f = np.asarray(freq, dtype=complex)
-    _check_axis(f)
-    if model.kind is MaterialKind.CONSTANT:
-        out = np.full_like(f, complex(model.eps_static))
-    elif model.kind is MaterialKind.PLASMA:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = 1.0 - model.plasma_freq**2 / f**2
-    else:
-        out = _oscillator(model.plasma_freq, model.resonance_freq, model.damping, f)
-    return out if np.ndim(freq) else complex(out)
-
-
-def eval_mu(model: DispersionModel, freq: complex | np.ndarray) -> complex | np.ndarray:
-    """Relative permeability at a complex angular frequency.
-
-    Same domain contract as :func:`eval_eps`. Oscillator kinds without a
-    ``mu_model`` are nonmagnetic (mu = 1).
-    """
-    if model.kind is MaterialKind.PERFECT_MIRROR:
-        raise ValueError("a perfect mirror has no finite response function")
-    f = np.asarray(freq, dtype=complex)
-    _check_axis(f)
-    if model.kind is MaterialKind.CONSTANT:
-        out = np.full_like(f, complex(model.mu_static))
-    elif model.mu_model is None:
-        out = np.ones_like(f)
-    else:
-        out = _oscillator(*model.mu_model, f)
-    return out if np.ndim(freq) else complex(out)
-
-
-def refractive_index_sq(
-    model: DispersionModel, freq: complex | np.ndarray
-) -> complex | np.ndarray:
-    """n^2 = eps * mu at a complex angular frequency."""
-    return eval_eps(model, freq) * eval_mu(model, freq)
-
-
 def eps_imag_axis(model: DispersionModel, xi: float | np.ndarray) -> float | np.ndarray:
-    """eps(i*xi) as a real number, the hot path for imaginary-axis work.
-
-    Equivalent to ``eval_eps(model, 1j*xi).real`` but in pure real arithmetic.
-    """
+    """eps(i*xi) as a real number, the hot path for imaginary-axis work."""
     if model.kind is MaterialKind.PERFECT_MIRROR:
         raise ValueError("a perfect mirror has no finite response function")
     x = np.asarray(xi, dtype=float)

@@ -43,8 +43,8 @@ class QuadratureSpec:
     max_subdivisions : int
         Interval-split budget per one-dimensional integral (>= 8).
     q_cutoff : float or None
-        Sharp upper truncation of transverse-momentum integrals (rad/m).
-        ``None`` integrates to infinity.
+        Sharp, finite upper truncation of transverse-momentum integrals
+        (rad/m). ``None`` integrates to infinity.
     matsubara_max_terms : int
         Hard cap on the number of nonzero thermal terms.
     matsubara_tail : str
@@ -63,12 +63,13 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.abs_floor < 0.0:
-            raise ValueError("abs_floor must be >= 0")
+        if not self.abs_floor >= 0.0:
+            raise ValueError(f"abs_floor must be >= 0, got {self.abs_floor}")
         if self.max_subdivisions < 8:
             raise ValueError("max_subdivisions must be >= 8")
-        if self.q_cutoff is not None and self.q_cutoff <= 0.0:
-            raise ValueError("q_cutoff must be positive when given")
+        if self.q_cutoff is not None and not 0.0 < self.q_cutoff < np.inf:
+            raise ValueError("q_cutoff must be positive and finite when"
+                             f" given, got {self.q_cutoff}")
         if self.matsubara_max_terms < 1:
             raise ValueError("matsubara_max_terms must be >= 1")
         if self.matsubara_tail not in ("none", "integral-tail-estimate"):
@@ -359,9 +360,10 @@ def double_semi_infinite(
     and each split (30 nodes) feed one batched inner evaluation. At T > 0
     it is ``matsubara_sum``, each term a one-row batch; the error is the
     tail bound plus the inner errors weighted by the node spacing (half
-    weight on m = 0 under ``"half-weight"``). ``"custom-value"`` skips
-    m = 0 and adds ``zero_term_value``, the full m = 0 contribution per
-    column, to the value. ``converged`` requires the outer target and every
+    weight on m = 0 under ``"half-weight"``). This is the one
+    implementation of ``"custom-value"``: the sum runs under ``"drop"``
+    and ``zero_term_value``, the full m = 0 contribution per column, is
+    added to the value. ``converged`` requires the outer target and every
     inner target.
     """
     if d_ref <= 0.0:
@@ -462,7 +464,6 @@ def matsubara_sum(
     temperature: float,
     spec: QuadratureSpec,
     zero_term_policy: str = "half-weight",
-    zero_term_value: float | np.ndarray | None = None,
 ) -> IntegralResult:
     """Weighted thermal sum (2 pi k_B T/hbar) * [w0*g(0) + sum_m g(xi_m)].
 
@@ -483,11 +484,7 @@ def matsubara_sum(
         Uses rel_tol, abs_floor, matsubara_max_terms and matsubara_tail.
     zero_term_policy : str
         ``"half-weight"`` uses g(0)/2 (the trapezoid endpoint weight);
-        ``"drop"`` omits the m = 0 term without evaluating g(0);
-        ``"custom-value"`` uses ``zero_term_value/2`` in place of g(0)/2, for
-        integrands whose xi -> 0 limit exists but cannot be evaluated at 0.
-    zero_term_value : float or ndarray, optional
-        Stand-in for g(0) under ``"custom-value"``.
+        ``"drop"`` omits the m = 0 term without evaluating g(0).
 
     Returns
     -------
@@ -500,25 +497,21 @@ def matsubara_sum(
     if temperature <= 0.0:
         raise ValueError("matsubara_sum needs temperature > 0; use the"
                          " zero-temperature integral instead")
-    if zero_term_policy not in ("half-weight", "drop", "custom-value"):
+    if zero_term_policy not in ("half-weight", "drop"):
         raise ValueError(f"unknown zero_term_policy {zero_term_policy!r}")
-    if zero_term_policy == "custom-value" and zero_term_value is None:
-        raise ValueError("custom-value policy requires zero_term_value")
 
     prefactor = 2.0 * np.pi * Boltzmann * temperature / hbar
     evaluations = 0
 
     if zero_term_policy == "drop":
         total = 0.0
-    elif zero_term_policy == "custom-value":
-        total = 0.5 * np.asarray(zero_term_value, dtype=float)
     else:
         g0 = np.asarray(g(0.0), dtype=float)
         evaluations += 1
         if not np.all(np.isfinite(g0)):
             raise ValueError(
-                "g(0) is not finite; choose zero_term_policy 'drop' or"
-                " 'custom-value' for zero-frequency-divergent media"
+                "g(0) is not finite; choose zero_term_policy 'drop' for"
+                " zero-frequency-divergent media"
             )
         total = 0.5 * g0
 

@@ -633,3 +633,37 @@ def test_closed_forms_refuse_a_nonzero_temperature(capsys, argv):
     assert out == ""
     code, _, _ = _run(capsys, argv + ["--temperature", "0"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv,config,needle", [
+    (["limits", "--d1", "nan"], None, "--d1: 'nan'"),
+    (["compare", "--eps", "nan", "--d1", "1e-6", "--d3", "2e-6"], None,
+     "--eps: 'nan'"),
+    (["force", "--temperature", "nan"], VACUUM_CAVITY, "[run] temperature"),
+    (["force", "--temperature", "inf"], VACUUM_CAVITY, "[run] temperature"),
+    (["force", "--q-cutoff", "inf"], VACUUM_CAVITY, "q_cutoff"),
+    (["force"], VACUUM_CAVITY + "\n[quadrature]\nabs_floor = nan\n",
+     "[quadrature] abs_floor"),
+    (["force"], VACUUM_CAVITY.replace("constant", "constant\neps_static = nan"),
+     "[material.vac] eps_static"),
+    (["force"], VACUUM_CAVITY.replace("gap:vac:1e-6", "gap:vac:nan"),
+     "'gap:vac:nan'"),
+    (["force", "--temperature", "300"], VACUUM_CAVITY
+     + "\n[run]\nzero_term_policy = custom-value\nzero_term_value_s = inf"
+     "\nzero_term_value_p = 0\n", "[run] zero_term_value_s"),
+    (["sweep", "--parameter", "T", "--start", "1", "--stop", "inf"],
+     VACUUM_CAVITY, "finite range"),
+], ids=["limits-d1", "compare-eps", "temperature-nan", "temperature-inf",
+        "q-cutoff-inf", "abs-floor", "eps-static", "gap-width",
+        "zero-term-value-inf", "sweep-stop-inf"])
+def test_non_finite_inputs_exit_2_before_integrating(
+        tmp_path, capsys, monkeypatch, argv, config, needle):
+    calls = []
+    monkeypatch.setattr("planarcasimir.cli.plate_force",
+                        lambda *args, **kwargs: calls.append(args))
+    if config is not None:
+        argv = argv + ["--config", _write(tmp_path, config)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert needle in err and out == ""
+    assert calls == []

@@ -6,7 +6,6 @@ from planarcasimir import engine, layers
 from planarcasimir.engine import (
     ForceResult,
     cavity_interspaces,
-    g_fn,
     interspace,
     minkowski_plate_force,
     minkowski_stress_zz,
@@ -40,6 +39,12 @@ SPEC = QuadratureSpec(rel_tol=1e-8)
 
 def _mirror_gap(medium=VACUUM, width=1e-6):
     return interspace(Wall.perfect_mirror(), medium, width, Wall.perfect_mirror())
+
+
+def _g(view, z, xi, q, pol=None):
+    """The mode function g at z: the ``pol`` column, or s and p summed."""
+    g = engine._g(view, z, xi, q, engine._modes(view.medium, xi, q))
+    return g.sum(axis=-1) if pol is None else g[..., "sp".index(pol)]
 
 
 def _ideal_stress(width, eps=1.0, mu=1.0):
@@ -84,38 +89,27 @@ def test_mode_function_matches_complex_phase_assembly():
                     rm * np.exp(2j * beta * z)
                     + rp * np.exp(2j * beta * (d - z)))) / denom
                 assert literal.imag == 0.0
-                got = g_fn(view, z, mode)
+                got = _g(view, z, xi, q, pol)
                 assert got == pytest.approx(literal.real, rel=1e-13)
 
 
 def test_mode_function_sums_polarizations():
     view = _mirror_gap(constant(eps=3.0), 5e-7)
-    mode_b = TransverseMode(xi=1e15, q=2e6, pol=None)
-    parts = [g_fn(view, 2e-7, TransverseMode(xi=1e15, q=2e6, pol=p))
-             for p in ("s", "p")]
-    assert g_fn(view, 2e-7, mode_b) == pytest.approx(sum(parts), rel=1e-15)
+    parts = [_g(view, 2e-7, 1e15, 2e6, p) for p in ("s", "p")]
+    assert _g(view, 2e-7, 1e15, 2e6) == pytest.approx(sum(parts), rel=1e-15)
 
 
 def test_mode_function_z_independent_in_empty_interspace():
     view = interspace(Wall.semi_infinite(constant(eps=4.0)), VACUUM, 1e-6,
                       Wall.semi_infinite(constant(eps=9.0)))
-    mode = TransverseMode(xi=8e14, q=3e6, pol=None)
-    values = {g_fn(view, z, mode) for z in (1e-7, 3e-7, 5e-7, 9e-7)}
+    values = {float(_g(view, z, 8e14, 3e6)) for z in (1e-7, 3e-7, 5e-7, 9e-7)}
     assert len(values) == 1
-
-
-def test_mode_function_domain():
-    view = _mirror_gap()
-    mode = TransverseMode(xi=1e15, q=1e6, pol="s")
-    for z in (0.0, 1e-6, -1e-9, 2e-6):
-        with pytest.raises(ValueError, match="inside"):
-            g_fn(view, z, mode)
 
 
 def test_no_contrast_means_no_stress():
     med = constant(eps=2.0)
     view = interspace(Wall.semi_infinite(med), med, 1e-6, Wall.semi_infinite(med))
-    assert g_fn(view, 4e-7, TransverseMode(xi=1e15, q=1e6, pol=None)) == 0.0
+    assert _g(view, 4e-7, 1e15, 1e6) == 0.0
     assert stress_zz(view, 4e-7, spec=SPEC).value == 0.0
 
 
@@ -251,6 +245,39 @@ def test_symmetric_cavity_force_is_exactly_zero():
             res = plate_force(cavity, spec=SPEC, method=method)
             assert res.force_per_area == 0.0
             assert res.per_polarization == {"s": 0.0, "p": 0.0}
+
+
+_GOLD = drude_lorentz(1.37e16, 0.0, 5.3e13)
+_COATED_GOLD = Wall.stack([Layer(constant(eps=3.0), 5e-8)], _GOLD)
+
+
+def _gold_cavity(d1, d3, left=_COATED_GOLD, right=Wall.semi_infinite(_GOLD)):
+    # Gold walls, eps = 2 gaps and a 200 nm gold plate.
+    return CavityConfig(left, constant(eps=2.0), d1, Layer(_GOLD, 2e-7), d3,
+                        right)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 300.0])
+def test_mirror_imaged_cavity_negates_the_force(temperature):
+    cavity = _gold_cavity(1e-6, 5e-6)
+    image = _gold_cavity(5e-6, 1e-6, cavity.right_wall, cavity.left_wall)
+    policy = "drop" if temperature else None
+    res, res_image = (plate_force(cav, temperature, zero_term_policy=policy)
+                      for cav in (cavity, image))
+    assert res.force_per_area < 0.0
+    assert res_image.force_per_area == -res.force_per_area
+    assert res_image.per_polarization == {
+        pol: -value for pol, value in res.per_polarization.items()}
+    assert res_image.evaluations == res.evaluations
+
+
+@pytest.mark.parametrize("temperature", [0.0, 300.0])
+def test_equal_gaps_between_equal_walls_give_exactly_zero(temperature):
+    cavity = _gold_cavity(2e-6, 2e-6, right=_COATED_GOLD)
+    res = plate_force(cavity, temperature,
+                      zero_term_policy="drop" if temperature else None)
+    assert res.force_per_area == 0.0
+    assert res.per_polarization == {"s": 0.0, "p": 0.0}
 
 
 def test_vacuum_mirror_cavity_polarizations_share_one_pass():

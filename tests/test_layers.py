@@ -11,7 +11,6 @@ from planarcasimir.layers import (
     TransverseMode,
     Wall,
     beta_imag,
-    fresnel,
     single_plate_rt,
     wall_reflection,
 )
@@ -44,42 +43,44 @@ def test_beta_imag_hand_values():
                                [3.0, np.sqrt(18.0), 5.0], rtol=1e-15)
 
 
+def _interface(pol, ambient, terminator, xi, q):
+    """Single-interface reflection from ``ambient`` into ``terminator``."""
+    return wall_reflection(Wall.semi_infinite(terminator), ambient,
+                           TransverseMode(xi=xi, q=q, pol=pol))
+
+
 def test_fresnel_normal_incidence_sign_convention():
     # Vacuum onto eps = 4 at q = 0: the s amplitude flips sign, the p
     # amplitude (magnetic-field convention) does not.
-    xi = 1e15
-    ka = beta_imag(1.0, xi, 0.0)
-    kb = beta_imag(4.0, xi, 0.0)
-    assert fresnel("s", 1.0, 1.0, ka, 4.0, 1.0, kb) == pytest.approx(-1.0 / 3.0)
-    assert fresnel("p", 1.0, 1.0, ka, 4.0, 1.0, kb) == pytest.approx(+1.0 / 3.0)
+    dense = constant(eps=4.0)
+    assert _interface("s", VACUUM, dense, 1e15, 0.0) == pytest.approx(-1.0 / 3.0)
+    assert _interface("p", VACUUM, dense, 1e15, 0.0) == pytest.approx(+1.0 / 3.0)
 
 
 def test_fresnel_no_contrast_and_glancing_limits():
     xi, q = 2e15, 1e7
-    k = beta_imag(2.0, xi, q)
-    assert fresnel("s", 2.0, 1.0, k, 2.0, 1.0, k) == 0.0
-    assert fresnel("p", 2.0, 1.0, k, 2.0, 1.0, k) == 0.0
+    same = constant(eps=2.0)
+    assert _interface("s", same, same, xi, q) == 0.0
+    assert _interface("p", same, same, xi, q) == 0.0
     # q >> xi n/c: kappas equalize, the contrast is carried by eps (p) and
     # mu (s) alone.
     q_big = 1e12
-    ka = beta_imag(1.0, xi, q_big)
-    kb = beta_imag(9.0, xi, q_big)
-    assert fresnel("p", 1.0, 1.0, ka, 9.0, 1.0, kb) == pytest.approx(0.8, rel=1e-6)
-    assert fresnel("s", 1.0, 1.0, ka, 9.0, 1.0, kb) == pytest.approx(0.0, abs=1e-6)
-    kb_mag = beta_imag(2.0, xi, q_big)
-    assert fresnel("s", 1.0, 1.0, ka, 1.0, 2.0, kb_mag) == pytest.approx(
+    dense = constant(eps=9.0)
+    assert _interface("p", VACUUM, dense, xi, q_big) == pytest.approx(0.8, rel=1e-6)
+    assert _interface("s", VACUUM, dense, xi, q_big) == pytest.approx(0.0, abs=1e-6)
+    assert _interface("s", VACUUM, constant(mu=2.0), xi, q_big) == pytest.approx(
         1.0 / 3.0, rel=1e-6)
-    with pytest.raises(ValueError):
-        fresnel("x", 1.0, 1.0, ka, 9.0, 1.0, kb)
+    with pytest.raises(ValueError, match="definite polarization"):
+        _interface(None, VACUUM, dense, xi, q_big)
 
 
 def test_fresnel_antisymmetry():
+    # Swapping the ambient medium and the terminator flips the sign.
     xi, q = 3e14, 4e6
-    ka = beta_imag(2.0, xi, q)
-    kb = beta_imag(6.0, xi, q)
+    a, b = constant(eps=2.0), constant(eps=3.0, mu=2.0)
     for pol in ("s", "p"):
-        fwd = fresnel(pol, 2.0, 1.0, ka, 3.0, 2.0, kb)
-        bwd = fresnel(pol, 3.0, 2.0, kb, 2.0, 1.0, ka)
+        fwd = _interface(pol, a, b, xi, q)
+        bwd = _interface(pol, b, a, xi, q)
         assert fwd == pytest.approx(-bwd, rel=1e-15)
 
 
@@ -169,6 +170,34 @@ def test_layered_walls_match_transfer_matrix():
         )
         assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
         assert abs(got) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("terminator",
+                         [MIRROR, drude_lorentz(1.37e16, 0.0, 5.3e13)],
+                         ids=["mirror", "gold"])
+def test_splitting_a_slab_leaves_the_wall_unchanged(terminator):
+    # The cut adds an interface without contrast (r = 0 exactly) and splits
+    # one round-trip phase into two factors, so only rounding may change:
+    # at most 2 eps here, checked against 4 eps.
+    coat = constant(eps=3.0)
+    film = drude_lorentz(1.5e16, 1.2e16, 2e14, mu_model=(3e15, 5e15, 1e13))
+    whole = Wall.stack([Layer(coat, 3e-8), Layer(film, 6e-8)], terminator)
+    splits = [
+        Wall.stack([Layer(coat, 1e-8), Layer(coat, 2e-8), Layer(film, 6e-8)],
+                   terminator),
+        Wall.stack([Layer(coat, 3e-8), Layer(film, 2.5e-8),
+                    Layer(film, 3.5e-8)], terminator),
+    ]
+    ambient = constant(eps=2.0)
+    q = np.geomspace(1e3, 1e9, 61)
+    tol = 4 * np.finfo(float).eps
+    for xi in np.geomspace(1e13, 3e16, 31):
+        for pol in ("s", "p"):
+            mode = TransverseMode(xi=float(xi), q=q, pol=pol)
+            r = wall_reflection(whole, ambient, mode)
+            for split in splits:
+                got = wall_reflection(split, ambient, mode)
+                np.testing.assert_allclose(got, r, rtol=0.0, atol=tol)
 
 
 def test_single_plate_matches_transfer_matrix():

@@ -5,14 +5,12 @@ import pytest
 from scipy.constants import c, hbar
 
 from planarcasimir.engine import plate_force
-from planarcasimir.layers import CavityConfig, PerfectMirrorPlate, Wall
+from planarcasimir.layers import CavityConfig, Layer, PerfectMirrorPlate, Wall
 from planarcasimir.limits import (
     StaticMedium,
-    approx_plate_force,
     casimir_generalized,
     force_ratio,
     minkowski_generalized,
-    mirror_reflections,
 )
 from planarcasimir.materials import constant
 from planarcasimir.quadrature import QuadratureSpec
@@ -101,54 +99,28 @@ def test_validation_errors():
         force_ratio(0.99)
 
 
-def test_mirror_reflections_is_a_fresh_dict():
-    refl = mirror_reflections()
-    assert refl == {"s": -1.0, "p": 1.0}
-    refl["s"] = 0.0
-    assert mirror_reflections() == {"s": -1.0, "p": 1.0}
+D1, D3 = 6e-7, 2.4e-6
+
+
+def _mirror_cavity(plate, eps=1.0, mu=1.0):
+    return CavityConfig(Wall.perfect_mirror(), constant(eps=eps, mu=mu), D1,
+                        plate, D3, Wall.perfect_mirror())
 
 
 @pytest.mark.parametrize("eps,mu", [(1.0, 1.0), (2.0, 1.0), (4.0, 1.0),
                                     (1.0, 2.0), (3.0, 1.5)])
-def test_constant_reflection_quadrature_matches_closed_form(eps, mu):
-    med = StaticMedium(eps, mu)
-    d1, d3 = 6e-7, 2.4e-6
-    res = approx_plate_force(med, mirror_reflections(), mirror_reflections(),
-                             mirror_reflections(), d1, d3, spec=SPEC)
-    assert res.converged
-    assert res.value == pytest.approx(casimir_generalized(med, d1, d3), rel=1e-7)
-
-
-def test_full_engine_agrees_with_closed_form_when_filled():
-    # Mirror walls, mirror plate, static eps = 2 filling: the dispersive
-    # engine must land on the same closed form the frozen-reflection
-    # integral reproduces.
-    eps = 2.0
-    d1, d3 = 5e-7, 1.5e-6
-    cavity = CavityConfig(Wall.perfect_mirror(), constant(eps=eps), d1,
-                          PerfectMirrorPlate(), d3, Wall.perfect_mirror())
-    res = plate_force(cavity, spec=SPEC)
+def test_full_engine_agrees_with_closed_form_when_filled(eps, mu):
+    # Mirror walls, mirror plate, static (eps, mu) filling: the dispersive
+    # engine must land on the closed form.
+    res = plate_force(_mirror_cavity(PerfectMirrorPlate(), eps, mu), spec=SPEC)
     assert res.converged
     assert res.force_per_area == pytest.approx(
-        casimir_generalized(StaticMedium(eps), d1, d3), rel=1e-7)
+        casimir_generalized(StaticMedium(eps, mu), D1, D3), rel=1e-7)
 
 
 def test_partially_reflecting_plate_weakens_the_force():
-    med = StaticMedium(1.0)
-    d1, d3 = 6e-7, 2.4e-6
-    weak = approx_plate_force(med, {"s": -0.5, "p": 0.5}, mirror_reflections(),
-                              mirror_reflections(), d1, d3, spec=SPEC)
-    full = approx_plate_force(med, mirror_reflections(), mirror_reflections(),
-                              mirror_reflections(), d1, d3, spec=SPEC)
+    weak = plate_force(_mirror_cavity(Layer(constant(eps=4.0), 1e-7)),
+                       spec=SPEC)
+    full = plate_force(_mirror_cavity(PerfectMirrorPlate()), spec=SPEC)
     assert weak.converged
-    assert 0.0 < abs(weak.value) < abs(full.value)
-
-
-def test_constant_reflection_validation():
-    med = StaticMedium(2.0)
-    with pytest.raises(ValueError, match=r"r \+ 1/r"):
-        approx_plate_force(med, {"s": 0.0, "p": 1.0}, mirror_reflections(),
-                           mirror_reflections(), 1e-6, 2e-6)
-    with pytest.raises(ValueError, match="positive"):
-        approx_plate_force(med, mirror_reflections(), mirror_reflections(),
-                           mirror_reflections(), 0.0, 2e-6)
+    assert 0.0 < abs(weak.force_per_area) < abs(full.force_per_area)
