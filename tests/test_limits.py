@@ -109,13 +109,25 @@ def _mirror_cavity(plate, eps=1.0, mu=1.0):
 
 @pytest.mark.parametrize("eps,mu", [(1.0, 1.0), (2.0, 1.0), (4.0, 1.0),
                                     (1.0, 2.0), (3.0, 1.5)])
-def test_full_engine_agrees_with_closed_form_when_filled(eps, mu):
-    # Mirror walls, mirror plate, static (eps, mu) filling: the dispersive
-    # engine must land on the closed form.
+def test_constant_reflection_quadrature_matches_closed_form(eps, mu):
+    # Mirror walls, mirror plate, static (eps, mu) filling: every reflection
+    # is constant, and the engine's quadrature must land on the closed form.
     res = plate_force(_mirror_cavity(PerfectMirrorPlate(), eps, mu), spec=SPEC)
     assert res.converged
     assert res.force_per_area == pytest.approx(
         casimir_generalized(StaticMedium(eps, mu), D1, D3), rel=1e-7)
+
+
+def test_full_engine_agrees_with_closed_form_when_filled():
+    # The eps = 2 filling at a second pair of gaps.
+    eps = 2.0
+    d1, d3 = 5e-7, 1.5e-6
+    cavity = CavityConfig(Wall.perfect_mirror(), constant(eps=eps), d1,
+                          PerfectMirrorPlate(), d3, Wall.perfect_mirror())
+    res = plate_force(cavity, spec=SPEC)
+    assert res.converged
+    assert res.force_per_area == pytest.approx(
+        casimir_generalized(StaticMedium(eps), d1, d3), rel=1e-7)
 
 
 def test_partially_reflecting_plate_weakens_the_force():
