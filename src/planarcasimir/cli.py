@@ -290,11 +290,9 @@ def _cmd_stress_profile(rc: RunConfig, values: dict):
     samples = values["samples"]
     if samples < 2:
         raise ConfigError("--samples: a profile needs at least 2 samples")
-    left_wall, medium, width, right_wall = rc.pair
-    view = interspace(left_wall, medium, width, right_wall)
     profile = stress_profile(
-        view, samples, temperature=rc.temperature, spec=rc.quadrature,
-        zero_term_policy=rc.zero_term_policy,
+        interspace(*rc.pair), samples, temperature=rc.temperature,
+        spec=rc.quadrature, zero_term_policy=rc.zero_term_policy,
         zero_term_value=rc.zero_term_value)
     rows = [{"z_m": float(z), "t_zz_N_per_m2": float(t),
              "error_estimate_N_per_m2": float(err), "converged": bool(ok),
@@ -413,10 +411,10 @@ def _cmd_sweep(rc: RunConfig, values: dict):
             "an eps sweep needs a constant-kind gap medium in the structure"
         )
 
+    # Every point is built and checked before the first force is computed.
     grid = np.geomspace if spacing == "log" else np.linspace
-    rows = []
+    cases = []
     for value in (float(v) for v in grid(start, stop, points)):
-        temperature = None
         case = cavity
         try:
             if parameter == "d1":
@@ -429,10 +427,13 @@ def _cmd_sweep(rc: RunConfig, values: dict):
             elif parameter == "eps":
                 case = replace(cavity, medium=constant(
                     eps=value, mu=cavity.medium.mu_static))
-            else:
-                temperature = value
+            elif value < 0.0:
+                raise ValueError("temperature must be >= 0")
         except ValueError as exc:
             raise ConfigError(f"sweep value {value!r}: {exc}") from None
+        cases.append((value, case, value if parameter == "T" else None))
+    rows = []
+    for value, case, temperature in cases:
         row = {"parameter": parameter, "value": value,
                "unit": _SWEEP_UNITS[parameter]}
         row.update(_force_row(_force(rc, case, temperature), rc))

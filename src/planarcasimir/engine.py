@@ -71,11 +71,7 @@ class InterspaceView:
     """An interspace: ``medium`` of ``width`` between ``left`` and ``right``.
 
     The stress integrands see the walls only through their reflections from
-    the medium, which each integrand call evaluates once for both walls.
-    xi is a float, or a column of shape (A, 1) broadcast against q of shape
-    (A, m): ``double_semi_infinite`` evaluates the integrands in batches of
-    frequency rows, one refinement round of all rows per call, under a
-    per-batch inner error floor.
+    the medium, evaluated once per integrand call for both walls.
     """
 
     medium: DispersionModel
@@ -168,22 +164,33 @@ def _axis(*values):
     return [np.asarray(v, dtype=float)[..., None] for v in values]
 
 
-def _g(view: InterspaceView, z, xi, q, modes):
-    """Mode function g at z, columns (s, p); ``modes`` from ``_modes``."""
+def _mode_coefficients(n_sq, xi, kappa, q):
+    """(pair, surf) = (2 [ -kappa^2 (1 + 1/n^2) + Delta q^2 (1 - 1/n^2) ],
+    -Delta (xi^2/c^2)(n^2 - 1)), the coefficients of g, columns (s, p)."""
+    n_sq, xi, kappa, q = _axis(n_sq, xi, kappa, q)
+    inv = 1.0 / n_sq
+    return (2.0 * (-(kappa**2) * (1.0 + inv) + DELTA * q**2 * (1.0 - inv)),
+            DELTA * (-(xi * xi / c**2) * (n_sq - 1.0)))
+
+
+def _g_terms(view: InterspaceView, xi, q, modes):
+    """(bulk, surf, r_-, r_+, D) of g at ``modes``, columns (s, p):
+    g(z) = (bulk + surf [r_- e^{-2 kappa z} + r_+ e^{-2 kappa (d-z)}]) / D."""
     wave, _, n_sq, kappa = modes
     r_plus = _wall_refl(view.right, wave, xi, q)
     r_minus = _wall_refl(view.left, wave, xi, q)
-    n_sq, xi, kappa, q = _axis(n_sq, xi, kappa, q)
-    inv = 1.0 / n_sq
-    roundtrip = np.exp(-2.0 * kappa * view.width)
-    denom = 1.0 - r_plus * r_minus * roundtrip
-    pair = 2.0 * (-(kappa**2) * (1.0 + inv) + DELTA * q**2 * (1.0 - inv))
-    surf_coef = -(xi * xi / c**2) * (n_sq - 1.0)
-    surface = DELTA * surf_coef * (
-        r_minus * np.exp(-2.0 * kappa * z)
-        + r_plus * np.exp(-2.0 * kappa * (view.width - z))
-    )
-    return (pair * r_plus * r_minus * roundtrip + surface) / denom
+    pair, surf = _mode_coefficients(n_sq, xi, kappa, q)
+    roundtrip = np.exp(-2.0 * wave[1] * view.width)
+    return (pair * r_plus * r_minus * roundtrip, surf, r_minus, r_plus,
+            1.0 - r_plus * r_minus * roundtrip)
+
+
+def _g(view: InterspaceView, z, xi, q, modes):
+    """Mode function g at z, columns (s, p); ``modes`` from ``_modes``."""
+    bulk, surf, r_minus, r_plus, denom = _g_terms(view, xi, q, modes)
+    kappa = modes[0][1]  # the gap's kappa with a unit (s, p) axis
+    return (bulk + surf * (r_minus * np.exp(-2.0 * kappa * z) + r_plus
+                           * np.exp(-2.0 * kappa * (view.width - z)))) / denom
 
 
 def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
@@ -214,36 +221,51 @@ def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
 
 def stress_zz(
     view: InterspaceView,
-    z: float,
+    z: float | np.ndarray,
     temperature: float = 0.0,
     spec: QuadratureSpec | None = None,
     zero_term_policy: str | None = None,
     zero_term_value: float | None = None,
 ) -> IntegralResult:
-    """T_zz at height z inside the interspace, in N/m^2.
+    """T_zz at height z, or at each of a 1-D array of heights, in N/m^2.
 
     Positive values mean the walls are pulled toward the interspace
-    (attraction for the usual configurations). z must lie strictly inside;
-    near an interface the transverse integral develops a 1/z scale and, if
-    no ``q_cutoff`` regularizes it, may exhaust the subdivision budget, which
-    is reported through ``converged`` rather than raised.
+    (attraction for the usual configurations). Every z must lie strictly
+    inside; near an interface the transverse integral develops a 1/z scale
+    and, if no ``q_cutoff`` regularizes it, may exhaust the subdivision
+    budget, which is reported through ``converged`` rather than raised.
+
+    K heights are the K columns of one double integral, with values and
+    errors of shape (K,) (floats for a scalar z). They share one mesh,
+    scaled by the least distance from a height to a face, and so one
+    ``converged`` flag; the integrand's memory grows in proportion to K.
     """
     spec = spec or DEFAULT_SPEC
-    if not 0.0 < z < view.width:
+    heights = np.asarray(z, dtype=float)
+    outside = heights[~((0.0 < heights) & (heights < view.width))]
+    if outside.size:
         raise ValueError(
-            f"z = {z} is on or beyond an interface of (0, {view.width}); the"
-            " stress diverges at the surfaces (set q_cutoff to study the"
-            " near-surface region at finite resolution)"
-        )
+            f"z = {outside[0]} is on or beyond an interface of"
+            f" (0, {view.width}); the stress diverges at the surfaces (set"
+            " q_cutoff to study the near-surface region at finite resolution)")
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
                            view.has_drude_like)
+    spread = (1,) * heights.ndim  # the height axis, if there is one
 
     def integrand(xi, q):
         modes = _modes(view.medium, xi, q)
-        _, mu, _, kappa = modes
-        return q * (-mu / kappa) * _g(view, z, xi, q, modes).sum(axis=-1)
+        bulk, surf, r_minus, r_plus, denom = _g_terms(view, xi, q, modes)
+        # Sum s and p before the heights come in: only the two surface
+        # exponentials depend on z, and their kappa is the gap's for both.
+        terms = [q * (-modes[1] / modes[3]), modes[3]] + [
+            (term / denom).sum(axis=-1)
+            for term in (bulk, surf * r_minus, surf * r_plus)]
+        weight, kappa, bulk, near, far = (
+            term.reshape(term.shape + spread) for term in terms)
+        return weight * (bulk + near * np.exp(-2.0 * kappa * heights)
+                         + far * np.exp(-2.0 * kappa * (view.width - heights)))
 
-    d_ref = min(z, view.width - z)
+    d_ref = min(heights.min(), view.width - heights.max())
     return double_semi_infinite(integrand, spec, d_ref, _STRESS_PREFACTOR,
                                 temperature, *zero_term)
 
@@ -290,24 +312,19 @@ def stress_profile(
 ) -> StressProfile:
     """stress_zz on an evenly spaced interior grid (endpoints excluded).
 
-    Non-convergence of individual samples is recorded per sample; the run
-    continues.
+    One ``stress_zz`` call, the samples its columns, so the walls and gap
+    are evaluated once per node for all of them. Its one flag is repeated in
+    ``converged``: a miss anywhere marks every sample. The integrand's
+    memory grows in proportion to ``n_samples``.
     """
     spec = spec or DEFAULT_SPEC
     if n_samples < 2:
         raise ValueError("a profile needs at least 2 interior samples")
     z_grid = np.linspace(0.0, view.width, n_samples + 2)[1:-1]
-    values = np.empty(n_samples)
-    errors = np.empty(n_samples)
-    flags = np.empty(n_samples, dtype=bool)
-    for i, z in enumerate(z_grid):
-        res = stress_zz(view, float(z), temperature, spec,
-                        zero_term_policy, zero_term_value)
-        values[i] = res.value
-        errors[i] = res.error_estimate
-        flags[i] = res.converged
-    return StressProfile(z=z_grid, t_zz=values, error_estimate=errors,
-                         converged=flags, temperature=temperature, spec=spec)
+    res = stress_zz(view, z_grid, temperature, spec, zero_term_policy,
+                    zero_term_value)
+    return StressProfile(z_grid, res.value, res.error_estimate,
+                         np.full(n_samples, res.converged), temperature, spec)
 
 
 def _plate_terms(cavity: CavityConfig, xi, q):
@@ -330,12 +347,11 @@ def _plate_terms(cavity: CavityConfig, xi, q):
 def _exact_difference_integrand(cavity: CavityConfig, pol: str | None = None):
     """Single-plate (r, t) form of the stress difference across the plate.
 
-    With A, B and N of ``_plate_terms``, the difference of the mode
-    functions at the plate faces collapses to
+    With A, B and N of ``_plate_terms`` and (pair, surf) of
+    ``_mode_coefficients``, the difference of the mode functions at the
+    plate faces collapses to
 
-        g_3(0) - g_1(d1) = { 2 [ -kappa^2 (1+1/n^2) + Delta q^2 (1-1/n^2) ] r
-                             + Delta (beta^2+q^2)(1-1/n^2)(1 + r^2 - t^2) }
-                           * (B - A) / N ,
+        g_3(0) - g_1(d1) = [ pair r + surf (1 + r^2 - t^2) ] (B - A) / N ,
 
     which is manifestly exponentially convergent in q (every term carries A
     or B). The integrand returns both polarization columns (s, p); ``pol``
@@ -343,15 +359,9 @@ def _exact_difference_integrand(cavity: CavityConfig, pol: str | None = None):
     """
     def integrand(xi, q):
         (_, mu, n_sq, kappa), r, t, a, b, n_den = _plate_terms(cavity, xi, q)
-        weight = q * (-mu / kappa)
-        n_sq, xi, kappa, qc, weight = _axis(n_sq, xi, kappa, q, weight)
-        inv = 1.0 / n_sq
-        surf_coef = -(xi * xi / c**2) * (n_sq - 1.0)
-        curly = (
-            2.0 * (-(kappa**2) * (1.0 + inv) + DELTA * qc**2 * (1.0 - inv)) * r
-            + DELTA * surf_coef * (1.0 + r * r - t * t)
-        )
-        return weight * curly * (b - a) / n_den
+        pair, surf = _mode_coefficients(n_sq, xi, kappa, q)
+        curly = pair * r + surf * (1.0 + r * r - t * t)
+        return _axis(q * (-mu / kappa))[0] * curly * (b - a) / n_den
 
     if pol is None:
         return integrand

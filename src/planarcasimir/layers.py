@@ -104,24 +104,20 @@ class PerfectMirrorPlate:
 
 @dataclass(frozen=True)
 class TransverseMode:
-    """One (xi, q, polarization) point of the mode continuum.
-
-    ``pol`` is "s", "p", or None meaning both polarizations summed (only
-    meaningful to consumers that sum over sigma). ``q`` may be an ndarray;
-    all downstream arithmetic is elementwise.
-    """
+    """A mode (xi, q, pol), pol "s" or "p"; q may be an ndarray."""
 
     xi: float
     q: float | np.ndarray
-    pol: str | None
+    pol: str
 
     def __post_init__(self) -> None:
         if self.xi < 0.0:
             raise ValueError("imaginary frequency xi must be >= 0")
         if np.any(np.asarray(self.q) < 0.0):
             raise ValueError("transverse momentum q must be >= 0")
-        if self.pol not in ("s", "p", None):
-            raise ValueError(f"polarization must be 's', 'p' or None, got {self.pol!r}")
+        if self.pol not in POLARIZATIONS:
+            raise ValueError("a mode needs a definite polarization, 's' or"
+                             f" 'p', got {self.pol!r}")
 
 
 @dataclass(frozen=True)
@@ -177,8 +173,6 @@ def beta_imag(n_sq, xi, q: float | np.ndarray):
 
 def _column(pair, pol: str, q):
     """The ``pol`` column of an (s, p) array; a float for scalar q."""
-    if pol not in POLARIZATIONS:
-        raise ValueError(f"polarization must be 's' or 'p', got {pol!r}")
     out = pair[..., POLARIZATIONS.index(pol)]
     return out if np.ndim(q) else float(out)
 
@@ -240,8 +234,6 @@ def wall_reflection(wall: Wall, ambient: DispersionModel, mode: TransverseMode):
     ambient : DispersionModel
         The interspace medium the wave lives in.
     mode : TransverseMode
-        Must carry a definite polarization ("s" or "p"). ``mode.q`` may be an
-        ndarray for batch evaluation.
 
     Returns
     -------
@@ -249,8 +241,6 @@ def wall_reflection(wall: Wall, ambient: DispersionModel, mode: TransverseMode):
         Real reflection coefficient(s) at omega = i*xi, |r| <= 1 for passive
         structures.
     """
-    if mode.pol is None:
-        raise ValueError("wall_reflection needs a definite polarization")
     r = _wall_refl(wall, _wave(ambient, mode.xi, mode.q), mode.xi, mode.q)
     return _column(r, mode.pol, mode.q)
 
@@ -282,7 +272,5 @@ def single_plate_rt(plate, ambient: DispersionModel, mode: TransverseMode):
         Real amplitudes at omega = i*xi with r^2 + t^2 <= 1 (dissipationless
         on the imaginary axis means the bound, not equality).
     """
-    if mode.pol is None:
-        raise ValueError("single_plate_rt needs a definite polarization")
     r, t = _plate_rt(plate, _wave(ambient, mode.xi, mode.q), mode.xi, mode.q)
     return _column(r, mode.pol, mode.q), _column(t, mode.pol, mode.q)

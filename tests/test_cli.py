@@ -667,3 +667,24 @@ def test_non_finite_inputs_exit_2_before_integrating(
     assert code == 2
     assert needle in err and out == ""
     assert calls == []
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["--parameter", "T", "--start", "10", "--stop=-1"],
+     "sweep value -1.0: temperature must be >= 0"),
+    (["--parameter", "d1", "--start", "1e-6", "--stop=-1e-6"],
+     "sweep value -1e-06: gap widths must be positive"),
+], ids=["temperature", "gap"])
+def test_sweep_checks_every_point_before_integrating(tmp_path, capsys,
+                                                     monkeypatch, argv,
+                                                     needle):
+    # The first point is valid, the last is not: nothing may be integrated.
+    calls = []
+    monkeypatch.setattr("planarcasimir.cli.plate_force",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = _write(tmp_path, VACUUM_CAVITY)
+    code, out, err = _run(capsys, ["sweep", "--config", cfg, *argv,
+                                   "--points", "2", "--spacing", "linear"])
+    assert code == 2
+    assert needle in err and out == ""
+    assert calls == []

@@ -508,3 +508,66 @@ def test_absolute_floor_applies_to_thermal_sums():
     tight = force(300.0, 1e-12)
     assert tight.error_estimate > 1e-12
     assert not tight.converged
+
+
+def _gold_gap():
+    # Drude gold | eps = 2, 1 um | mirror: every sample sees a dispersive wall.
+    return interspace(Wall.semi_infinite(_GOLD), constant(eps=2.0), 1e-6,
+                      Wall.perfect_mirror())
+
+
+def test_profile_is_one_double_integral(monkeypatch):
+    calls = []
+    real = engine.double_semi_infinite
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "double_semi_infinite", counting)
+    prof = stress_profile(_gold_gap(), 7)
+    assert len(calls) == 1
+    assert prof.t_zz.shape == prof.error_estimate.shape == (7,)
+    assert np.all(prof.converged)
+    single = stress_zz(_gold_gap(), 3e-7)
+    assert type(single.value) is float and type(single.error_estimate) is float
+
+
+@pytest.mark.parametrize("temperature", [0.0, 300.0])
+def test_profile_matches_one_height_at_a_time(temperature):
+    # The heights share one mesh in the profile and each gets its own in a
+    # scalar call; the two must agree within their combined error bars.
+    view, policy = _gold_gap(), "drop" if temperature else None
+    prof = stress_profile(view, 5, temperature, zero_term_policy=policy)
+    assert np.all(prof.converged)
+    for z, value, error in zip(prof.z, prof.t_zz, prof.error_estimate):
+        one = stress_zz(view, float(z), temperature, zero_term_policy=policy)
+        assert one.converged
+        assert abs(one.value - value) <= one.error_estimate + error
+
+
+@pytest.mark.parametrize("scale", [1e-2, 7.0])
+def test_rescaling_every_length_scales_stress_as_inverse_fourth_power(scale):
+    # Mirrors and a constant medium carry no length of their own, so
+    # multiplying every length by s multiplies each stress by s^-4.
+    def cavity(s):
+        return CavityConfig(Wall.perfect_mirror(), constant(eps=2.5), 6e-7 * s,
+                            PerfectMirrorPlate(), 1.9e-6 * s,
+                            Wall.perfect_mirror())
+
+    def within(value, error, ref, ref_error):
+        scaled = value * scale ** 4
+        assert abs(scaled - ref) <= error * scale ** 4 + ref_error
+
+    for force in (plate_force, minkowski_plate_force):
+        ref, res = force(cavity(1.0)), force(cavity(scale))
+        assert ref.converged and res.converged
+        within(res.force_per_area, res.error_estimate, ref.force_per_area,
+               ref.error_estimate)
+    ref, res = (stress_profile(_mirror_gap(constant(eps=2.0), 8e-7 * s), 5)
+                for s in (1.0, scale))
+    assert np.all(ref.converged) and np.all(res.converged)
+    np.testing.assert_allclose(res.z, scale * ref.z, rtol=1e-15)
+    for args in zip(res.t_zz, res.error_estimate, ref.t_zz,
+                    ref.error_estimate):
+        within(*args)
