@@ -6,8 +6,8 @@
 import argparse
 
 import numpy as np
-from scipy.constants import c, hbar, k
 
+from planarcasimir.constants import Boltzmann as k, c, hbar
 from planarcasimir.engine import plate_force
 from planarcasimir.layers import CavityConfig, PerfectMirrorPlate, Wall
 from planarcasimir.materials import VACUUM

@@ -26,7 +26,6 @@ from .layers import (
     TransverseMode,
     Wall,
     beta_imag,
-    single_plate_rt,
     wall_reflection,
 )
 from .quadrature import (
@@ -64,7 +63,7 @@ __all__ = [
     "drude_lorentz", "is_drude_like", "is_nonmagnetic", "perfect_mirror",
     "plasma",
     "CavityConfig", "Layer", "PerfectMirrorPlate", "TransverseMode",
-    "Wall", "beta_imag", "single_plate_rt", "wall_reflection",
+    "Wall", "beta_imag", "wall_reflection",
     "IntegralResult", "QuadratureSpec", "integrate_semi_infinite",
     "matsubara_frequency", "matsubara_sum",
     "DEFAULT_SPEC", "ForceResult", "InterspaceView", "StressProfile",

@@ -30,7 +30,6 @@ import numpy as np
 from .config import (
     METHODS,
     SECTION_KEYS,
-    ZERO_TERM_POLICIES,
     ConfigError,
     RunConfig,
     _choice,
@@ -40,6 +39,7 @@ from .config import (
     load_sections,
 )
 from .engine import (
+    ZERO_TERM_POLICIES,
     interspace,
     minkowski_plate_force,
     plate_force,
@@ -248,19 +248,12 @@ def _at_zero_kelvin(rc: RunConfig) -> None:
             " force at finite temperature")
 
 
-def _force(rc: RunConfig, cavity: CavityConfig, temperature=None,
-           minkowski: bool = False):
+def _force(rc: RunConfig, cavity: CavityConfig, minkowski: bool = False):
     """The run's field-only (or Minkowski) plate force on ``cavity``."""
-    zero_term_value = None
-    if rc.zero_term_policy == "custom-value":
-        if rc.zero_term_value_s is None or rc.zero_term_value_p is None:
-            raise ConfigError("[run]: custom-value policy on a force needs"
-                              " zero_term_value_s and zero_term_value_p")
-        zero_term_value = {"s": rc.zero_term_value_s, "p": rc.zero_term_value_p}
     kwargs = dict(
-        temperature=rc.temperature if temperature is None else temperature,
-        spec=rc.quadrature, zero_term_policy=rc.zero_term_policy,
-        zero_term_value=zero_term_value)
+        temperature=rc.temperature, spec=rc.quadrature,
+        zero_term_policy=rc.zero_term_policy,
+        zero_term_value={"s": rc.zero_term_value_s, "p": rc.zero_term_value_p})
     if minkowski:
         return minkowski_plate_force(cavity, **kwargs)
     return plate_force(cavity, method=rc.method, **kwargs)
@@ -415,7 +408,7 @@ def _cmd_sweep(rc: RunConfig, values: dict):
     grid = np.geomspace if spacing == "log" else np.linspace
     cases = []
     for value in (float(v) for v in grid(start, stop, points)):
-        case = cavity
+        run, case = rc, cavity
         try:
             if parameter == "d1":
                 case = replace(cavity, d1=value)
@@ -429,16 +422,16 @@ def _cmd_sweep(rc: RunConfig, values: dict):
                     eps=value, mu=cavity.medium.mu_static))
             elif value < 0.0:
                 raise ValueError("temperature must be >= 0")
+            else:
+                run = replace(rc, temperature=value)
         except ValueError as exc:
             raise ConfigError(f"sweep value {value!r}: {exc}") from None
-        cases.append((value, case, value if parameter == "T" else None))
+        cases.append((value, run, case))
     rows = []
-    for value, case, temperature in cases:
+    for value, run, case in cases:
         row = {"parameter": parameter, "value": value,
                "unit": _SWEEP_UNITS[parameter]}
-        row.update(_force_row(_force(rc, case, temperature), rc))
-        if parameter == "T":
-            row["temperature_K"] = value
+        row.update(_force_row(_force(run, case), run))
         rows.append(row)
     return rows, sum(not row["converged"] for row in rows)
 

@@ -69,6 +69,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from .engine import ZERO_TERM_POLICIES
 from .layers import CavityConfig, Layer, PerfectMirrorPlate, Wall
 from .materials import (
     MIRROR,
@@ -88,7 +89,6 @@ class ConfigError(Exception):
 
 
 METHODS = ("exact-difference", "direct-difference")
-ZERO_TERM_POLICIES = ("half-weight", "drop", "custom-value")
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c, hbar
 
+from .constants import c, hbar
 from .layers import (
     DELTA,
     POLARIZATIONS,
@@ -61,6 +61,8 @@ from .materials import DispersionModel, MaterialKind, is_nonmagnetic
 from .quadrature import IntegralResult, QuadratureSpec, double_semi_infinite
 
 DEFAULT_SPEC = QuadratureSpec()
+# The treatments of the m = 0 thermal term, read by ``_zero_term`` alone.
+ZERO_TERM_POLICIES = ("half-weight", "drop", "custom-value")
 
 _STRESS_PREFACTOR = hbar / (8.0 * np.pi**2)
 _MINKOWSKI_PREFACTOR = hbar / (2.0 * np.pi**2)
@@ -194,29 +196,39 @@ def _g(view: InterspaceView, z, xi, q, modes):
 
 
 def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
-    """(policy, value) of the m = 0 thermal term, checked before integrating.
+    """(endpoint rule, m = 0 contribution) of a zero-term request.
 
-    Forces take ``value`` as a dict of per-polarization m = 0 contributions
-    and get it back as an (s, p) array.
+    The one reader of ``zero_term_policy``/``zero_term_value``, run by every
+    observable at every T before its first integral. The rule is one that
+    ``matsubara_sum`` knows; ``custom-value`` drops m = 0 and adds a finite
+    number (stresses) or (s, p) array from a dict with both keys (forces).
     """
     policy = policy or "half-weight"
+    if policy not in ZERO_TERM_POLICIES:
+        raise ValueError(f"unknown zero_term_policy {policy!r}, choose one"
+                         f" of {', '.join(ZERO_TERM_POLICIES)}")
     if temperature > 0.0 and policy == "half-weight" and has_drude:
         raise ValueError(
             "a material in this structure has a diverging response at xi -> 0,"
             " so the m = 0 thermal term is ambiguous: pass zero_term_policy"
             " 'drop' or 'custom-value' explicitly"
         )
-    if policy == "custom-value":
-        if per_polarization:
-            if not isinstance(value, dict):
-                raise ValueError(
-                    "custom-value on a plate force needs a per-polarization"
-                    " dict {'s': ..., 'p': ...} of m = 0 contributions in N/m^2"
-                )
-            value = np.array([value["s"], value["p"]], dtype=float)
-        elif value is None:
-            raise ValueError("custom-value policy requires zero_term_value")
-    return policy, value
+    if policy != "custom-value":
+        return policy, None
+    try:
+        value = np.array([value["s"], value["p"]] if per_polarization
+                         else value, dtype=float)
+    except (TypeError, KeyError, IndexError, ValueError):
+        value = np.array(np.nan)  # not a number, or a key is missing
+    if (value.shape != ((2,) if per_polarization else ())
+            or not np.isfinite(value).all()):
+        raise ValueError(
+            "custom-value on a plate force needs a dict {'s': ..., 'p': ...}"
+            " of finite m = 0 contributions in N/m^2 (in a config, [run]"
+            " zero_term_value_s and zero_term_value_p)" if per_polarization
+            else "custom-value on a stress needs zero_term_value, a finite"
+            " m = 0 contribution in N/m^2 (in a config, [run] zero_term_value)")
+    return "drop", value
 
 
 def stress_zz(
@@ -239,6 +251,9 @@ def stress_zz(
     errors of shape (K,) (floats for a scalar z). They share one mesh,
     scaled by the least distance from a height to a face, and so one
     ``converged`` flag; the integrand's memory grows in proportion to K.
+
+    ``_zero_term`` checks ``zero_term_policy`` and ``zero_term_value`` (under
+    ``custom-value`` a finite m = 0 term in N/m^2) first, at any T.
     """
     spec = spec or DEFAULT_SPEC
     heights = np.asarray(z, dtype=float)
@@ -418,8 +433,8 @@ def plate_force(
         Both converge to the same value; the direct route exercises more of
         the machinery and loses some precision to cancellation.
     zero_term_policy, zero_term_value
-        Thermal zero-term handling. The custom value, when used here, is a
-        per-polarization dict of full m = 0 contributions in N/m^2.
+        Checked by ``_zero_term`` before the first integral; ``custom-value``
+        takes a dict {'s': ..., 'p': ...} of finite m = 0 terms in N/m^2.
 
     Returns
     -------

@@ -26,8 +26,8 @@ is ``DELTA``. The s and p coefficients are one expression whose kappa
 contrast is weighted by (mu, eps). ``_wave`` is the one place a material is
 evaluated, for both polarizations. The internal reflections take the wave of
 the medium they are seen from, so a caller evaluates that medium once per
-integrand call for every wall and plate. The public per-polarization
-functions select a column.
+integrand call for every wall and plate. The public ``wall_reflection``
+selects one polarization's column.
 
 The internal functions also take xi as a column of shape (A, 1), one
 frequency per row, broadcast against q of shape (A, m): a medium's response
@@ -39,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c
 
+from .constants import c
 from .materials import (
     DispersionModel,
     MaterialKind,
@@ -246,7 +246,8 @@ def wall_reflection(wall: Wall, ambient: DispersionModel, mode: TransverseMode):
 
 
 def _plate_rt(plate, ambient, xi, q):
-    """(r, t) of the plate in the medium of wave ``ambient``, axis (s, p) last."""
+    """(r, t) of the plate with the medium of wave ``ambient`` on both faces,
+    axis (s, p) last; t is the face-to-face amplitude."""
     if isinstance(plate, PerfectMirrorPlate):
         r = DELTA * np.ones_like(ambient[1])
         return r, np.zeros_like(r)
@@ -257,20 +258,3 @@ def _plate_rt(plate, ambient, xi, q):
     r = r12 * (1.0 - decay * decay) / den
     t = (1.0 - r12 * r12) * decay / den
     return r, t
-
-
-def single_plate_rt(plate, ambient: DispersionModel, mode: TransverseMode):
-    """Reflection and transmission of a symmetric single plate.
-
-    The plate is immersed in ``ambient`` on both sides, so r and t are the
-    same from either face. t is the face-to-face amplitude: for a plate made
-    of the ambient medium itself, r = 0 and t = e^{-kappa d}.
-
-    Returns
-    -------
-    (r, t) : tuple of float or ndarray
-        Real amplitudes at omega = i*xi with r^2 + t^2 <= 1 (dissipationless
-        on the imaginary axis means the bound, not equality).
-    """
-    r, t = _plate_rt(plate, _wave(ambient, mode.xi, mode.q), mode.xi, mode.q)
-    return _column(r, mode.pol, mode.q), _column(t, mode.pol, mode.q)

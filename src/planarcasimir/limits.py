@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import c, hbar
+from .constants import c, hbar
 
 _CLOSED_FORM_COEF = hbar * c * math.pi**2 / 240.0
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.constants import Boltzmann, hbar, c
+
+from .constants import Boltzmann, c, hbar
 
 
 @dataclass(frozen=True)
@@ -360,16 +361,16 @@ def double_semi_infinite(
     and each split (30 nodes) feed one batched inner evaluation. At T > 0
     it is ``matsubara_sum``, each term a one-row batch; the error is the
     tail bound plus the inner errors weighted by the node spacing (half
-    weight on m = 0 under ``"half-weight"``). This is the one
-    implementation of ``"custom-value"``: the sum runs under ``"drop"``
-    and ``zero_term_value``, the full m = 0 contribution per column, is
-    added to the value. ``converged`` requires the outer target and every
-    inner target.
+    weight on m = 0 under ``"half-weight"``). ``zero_term_policy`` is the
+    endpoint rule of the sum, ``"half-weight"`` or ``"drop"``, and a given
+    ``zero_term_value`` (per column) is added to the value as it is; the
+    caller has checked both (``engine._zero_term``). ``converged``
+    requires the outer target and every inner target.
     """
     if d_ref <= 0.0:
         raise ValueError("reference length must be positive")
-    if temperature < 0.0:
-        raise ValueError("temperature must be >= 0")
+    if not 0.0 <= temperature < np.inf:
+        raise ValueError(f"temperature must be finite and >= 0: {temperature}")
 
     inner_spec = replace(spec, rel_tol=0.1 * spec.rel_tol)
     # The outer rules see values without the prefactor; so must the floor.
@@ -423,16 +424,14 @@ def double_semi_infinite(
         inner_errors.append(errors[0])
         return values[0]
 
-    custom = zero_term_policy == "custom-value"
-    sum_policy = "drop" if custom else zero_term_policy
-    ms = matsubara_sum(h, temperature, outer_spec, zero_term_policy=sum_policy)
+    ms = matsubara_sum(h, temperature, outer_spec, zero_term_policy)
 
     node_spacing = 2.0 * np.pi * Boltzmann * temperature / hbar
     head = 0.5 if zero_term_policy == "half-weight" else 1.0
     weighted = head * inner_errors[0] + sum(inner_errors[1:])
     value = prefactor * ms.value
-    if custom:
-        value = value + np.asarray(zero_term_value, dtype=float)
+    if zero_term_value is not None:
+        value = value + zero_term_value
     error = abs(prefactor) * (ms.error_estimate + node_spacing * weighted)
     return IntegralResult(
         value=_plain(value),

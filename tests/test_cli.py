@@ -232,6 +232,20 @@ def test_truncated_thermal_sum_exits_3(tmp_path, capsys):
     assert _rows(out)[0]["converged"] == "false"
 
 
+def test_force_custom_zero_term_without_values_exits_2(tmp_path, capsys,
+                                                       monkeypatch):
+    calls = []
+    monkeypatch.setattr("planarcasimir.engine.double_semi_infinite",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = _write(tmp_path, VACUUM_CAVITY)
+    code, out, err = _run(capsys, ["force", "--config", cfg,
+                                   "--temperature", "300",
+                                   "--zero-term-policy", "custom-value"])
+    assert code == 2
+    assert "zero_term_value_s" in err and "zero_term_value_p" in err
+    assert out == "" and calls == []
+
+
 # ---------------------------------------------------------------------------
 # stress-profile
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c, hbar
 
 from planarcasimir import engine, layers
@@ -21,7 +23,6 @@ from planarcasimir.layers import (
     TransverseMode,
     Wall,
     beta_imag,
-    single_plate_rt,
     wall_reflection,
 )
 from planarcasimir.materials import (
@@ -31,6 +32,7 @@ from planarcasimir.materials import (
     drude_lorentz,
     eps_imag_axis,
     mu_imag_axis,
+    plasma,
 )
 from planarcasimir.quadrature import IntegralResult, QuadratureSpec
 
@@ -312,6 +314,65 @@ def test_custom_zero_term_needs_a_value_before_integrating(monkeypatch):
     assert given.value == dropped.value
 
 
+_MIRROR_CAVITY = CavityConfig(Wall.perfect_mirror(), VACUUM, 5e-7,
+                              PerfectMirrorPlate(), 1.5e-6,
+                              Wall.perfect_mirror())
+
+# Every observable as (takes a per-polarization value, call(T, **request)).
+_OBSERVABLES = {
+    "stress_zz": (False, lambda t, **kw: stress_zz(
+        _mirror_gap(), 5e-7, t, SPEC, **kw)),
+    "minkowski_stress_zz": (False, lambda t, **kw: minkowski_stress_zz(
+        _mirror_gap(), t, SPEC, **kw)),
+    "stress_profile": (False, lambda t, **kw: stress_profile(
+        _mirror_gap(), 3, t, SPEC, **kw)),
+    "plate_force": (True, lambda t, **kw: plate_force(
+        _MIRROR_CAVITY, t, SPEC, **kw)),
+    "plate_force-direct": (True, lambda t, **kw: plate_force(
+        _MIRROR_CAVITY, t, SPEC, "direct-difference", **kw)),
+    "minkowski_plate_force": (True, lambda t, **kw: minkowski_plate_force(
+        _MIRROR_CAVITY, t, SPEC, **kw)),
+}
+_BAD_ANYWHERE = {"bogus-policy": ("bogus", None), "none": None,
+                 "nan": np.nan, "inf": np.inf}
+_BAD_FOR_FORCES = {"s-only": {"s": 1.0}, "s-none": {"s": None, "p": 0.0},
+                   "s-nan": {"s": np.nan, "p": 0.0},
+                   "p-inf": {"s": 0.0, "p": np.inf}, "bare-number": 1.0}
+_BAD_FOR_STRESSES = {"dict": {"s": 1.0, "p": 0.0}}
+
+
+def _bad_requests():
+    for name, (per_pol, _) in _OBSERVABLES.items():
+        bad = {**_BAD_ANYWHERE,
+               **(_BAD_FOR_FORCES if per_pol else _BAD_FOR_STRESSES)}
+        for case, request in bad.items():
+            policy, value = (request if isinstance(request, tuple)
+                             else ("custom-value", request))
+            for temperature in (0.0, 300.0):
+                yield pytest.param(name, temperature, policy, value,
+                                   id=f"{name}-{case}-{temperature:g}K")
+
+
+@pytest.mark.parametrize("name,temperature,policy,value", _bad_requests())
+def test_bad_zero_term_request_is_refused_before_integrating(
+        monkeypatch, name, temperature, policy, value):
+    calls = []
+    monkeypatch.setattr(engine, "double_semi_infinite",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="zero_term"):
+        _OBSERVABLES[name][1](temperature, zero_term_policy=policy,
+                              zero_term_value=value)
+    assert calls == []
+
+
+@pytest.mark.parametrize("temperature", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("name", list(_OBSERVABLES))
+def test_unusable_temperature_is_refused_by_every_observable(name,
+                                                              temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        _OBSERVABLES[name][1](temperature)
+
+
 def test_mirror_cavity_force_matches_stress_difference():
     # With an opaque plate the two gaps are independent mirror cavities, so
     # F is the difference of the two ideal stresses.
@@ -412,8 +473,10 @@ def test_cavity_interspaces_widths_and_media():
     # Gap 1 looking right must see the plate, gap 3, and the far wall; make
     # the far wall a mirror and check the composite differs from the bare
     # plate reflection (transmission through to the mirror matters).
-    mode = TransverseMode(xi=5e14, q=1e6, pol="p")
-    r_bare, _ = single_plate_rt(cavity.plate, cavity.medium, mode)
+    xi, q = 5e14, 1e6
+    mode = TransverseMode(xi=xi, q=q, pol="p")
+    r_bare = layers._plate_rt(cavity.plate, layers._wave(cavity.medium, xi, q),
+                              xi, q)[0][1]
     r_composite = wall_reflection(view1.right, view1.medium, mode)
     assert abs(r_composite - r_bare) > 1e-6
 
@@ -571,3 +634,65 @@ def test_rescaling_every_length_scales_stress_as_inverse_fourth_power(scale):
     for args in zip(res.t_zz, res.error_estimate, ref.t_zz,
                     ref.error_estimate):
         within(*args)
+
+
+def _log_uniform(low, high):
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+_RATE = _log_uniform(12.0, 17.0)
+_THICKNESS = _log_uniform(-9.0, -6.0)
+# Constant, Drude, Lorentz, plasma and magnetic (Lorentz eps and mu) media.
+_MATERIAL = st.one_of(
+    _log_uniform(0.0, 2.0).map(lambda eps: constant(eps=eps)),
+    st.tuples(_RATE, _RATE).map(lambda a: drude_lorentz(a[0], 0.0, a[1])),
+    st.tuples(_RATE, _RATE, _RATE).map(lambda a: drude_lorentz(*a)),
+    _RATE.map(plasma),
+    st.tuples(_RATE, _RATE, _RATE, _RATE, _RATE, _RATE).map(
+        lambda a: drude_lorentz(*a[:3], mu_model=a[3:])),
+)
+_WALL = st.tuples(
+    st.lists(st.tuples(_MATERIAL, _THICKNESS), max_size=3),
+    st.one_of(st.just(MIRROR), _MATERIAL),
+).map(lambda a: Wall.stack([Layer(m, d) for m, d in a[0]], a[1]))
+_PLATE = st.one_of(st.just(PerfectMirrorPlate()),
+                   st.tuples(_MATERIAL, _THICKNESS).map(lambda a: Layer(*a)))
+_M0 = st.floats(-1e3, 1e3)
+_BAD_VALUE = st.sampled_from([None, np.nan, np.inf, {"s": 1.0},
+                              {"s": None, "p": 0.0}, {"s": np.nan, "p": 0.0}])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(left=_WALL, right=_WALL, plate=_PLATE,
+       d1=_log_uniform(-9.0, -3.0), d3=_log_uniform(-9.0, -3.0),
+       eps=_log_uniform(0.0, 4.0),
+       temperature=st.sampled_from([0.0, 1e-3, 1.0, 300.0, 1e4]),
+       policy=st.sampled_from([None, *engine.ZERO_TERM_POLICIES, "bogus"]),
+       stress_value=st.one_of(_M0, _BAD_VALUE),
+       force_value=st.one_of(
+           st.fixed_dictionaries({"s": _M0, "p": _M0}), _BAD_VALUE))
+def test_random_structures_give_finite_results_or_value_errors(
+        left, right, plate, d1, d3, eps, temperature, policy, stress_value,
+        force_value):
+    spec = QuadratureSpec(rel_tol=1e-4, max_subdivisions=32,
+                          matsubara_max_terms=30)
+    medium = constant(eps=eps)
+    cavity = CavityConfig(left, medium, d1, plate, d3, right)
+    request = dict(temperature=temperature, spec=spec,
+                   zero_term_policy=policy)
+    calls = (
+        lambda: plate_force(cavity, zero_term_value=force_value, **request),
+        lambda: minkowski_plate_force(cavity, zero_term_value=force_value,
+                                      **request),
+        lambda: stress_zz(interspace(left, medium, d1, right), 0.5 * d1,
+                          zero_term_value=stress_value, **request),
+    )
+    for call in calls:
+        try:
+            res = call()
+        except ValueError:
+            continue
+        value, error = ((res.force_per_area, res.error_estimate)
+                        if isinstance(res, ForceResult)
+                        else (res.value, res.error_estimate))
+        assert np.isfinite(value) and np.isfinite(error)

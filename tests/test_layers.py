@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.constants import c
 
+from planarcasimir import layers
 from planarcasimir.engine import cavity_interspaces
 from planarcasimir.layers import (
     DELTA,
@@ -11,7 +12,6 @@ from planarcasimir.layers import (
     TransverseMode,
     Wall,
     beta_imag,
-    single_plate_rt,
     wall_reflection,
 )
 from planarcasimir.materials import (
@@ -25,6 +25,14 @@ from planarcasimir.materials import (
 )
 
 from oracles import interface_r, kappa_of, slab_rt, stack_reflection
+
+
+def _plate_column(plate, ambient, mode):
+    """(r, t) of ``plate`` in ``ambient`` for ``mode``, from ``_plate_rt``."""
+    r, t = layers._plate_rt(plate, layers._wave(ambient, mode.xi, mode.q),
+                            mode.xi, mode.q)
+    return (layers._column(r, mode.pol, mode.q),
+            layers._column(t, mode.pol, mode.q))
 
 
 def test_beta_imag_hand_values():
@@ -89,9 +97,9 @@ def test_mirror_wall_and_mirror_plate():
     mode_p = TransverseMode(xi=1e15, q=3e6, pol="p")
     assert wall_reflection(Wall.perfect_mirror(), VACUUM, mode_s) == -1.0
     assert wall_reflection(Wall.perfect_mirror(), constant(eps=4.0), mode_p) == 1.0
-    r, t = single_plate_rt(PerfectMirrorPlate(), VACUUM, mode_s)
+    r, t = _plate_column(PerfectMirrorPlate(), VACUUM, mode_s)
     assert (r, t) == (-1.0, 0.0)
-    r, t = single_plate_rt(PerfectMirrorPlate(), VACUUM, mode_p)
+    r, t = _plate_column(PerfectMirrorPlate(), VACUUM, mode_p)
     assert (r, t) == (1.0, 0.0)
 
 
@@ -210,7 +218,7 @@ def test_single_plate_matches_transfer_matrix():
         d = 10.0 ** rng.uniform(-9.0, -7.0)
         pol = "s" if rng.random() < 0.5 else "p"
         mode = TransverseMode(xi=xi, q=q, pol=pol)
-        r, t = single_plate_rt(Layer(mat, d), ambient, mode)
+        r, t = _plate_column(Layer(mat, d), ambient, mode)
         r_ref, t_ref = slab_rt(_imag_pair(ambient, xi), _imag_pair(mat, xi),
                                d, xi, q, pol)
         assert r == pytest.approx(r_ref, rel=1e-12, abs=1e-13)
@@ -224,7 +232,7 @@ def test_plate_of_the_ambient_medium_is_transparent():
     xi, q = 8e14, 5e6
     kappa = kappa_of(2.5, 1.0, xi, q)
     for pol in ("s", "p"):
-        r, t = single_plate_rt(Layer(amb, d), amb, TransverseMode(xi=xi, q=q, pol=pol))
+        r, t = _plate_column(Layer(amb, d), amb, TransverseMode(xi=xi, q=q, pol=pol))
         assert r == 0.0
         assert t == pytest.approx(np.exp(-kappa * d), rel=1e-15)
 
@@ -234,7 +242,7 @@ def test_thick_plate_becomes_its_front_interface():
     mat = constant(eps=6.0)
     xi, q = 1e15, 1e7
     mode = TransverseMode(xi=xi, q=q, pol="p")
-    r_thick, t_thick = single_plate_rt(Layer(mat, 1e-5), amb, mode)
+    r_thick, t_thick = _plate_column(Layer(mat, 1e-5), amb, mode)
     r_iface = interface_r("p", 1.0, 1.0, kappa_of(1.0, 1.0, xi, q),
                           6.0, 1.0, kappa_of(6.0, 1.0, xi, q))
     assert r_thick == pytest.approx(r_iface, rel=1e-12)
@@ -265,7 +273,7 @@ def _denominator_parts(cavity, xi, q, pol):
     mu = mu_imag_axis(cavity.medium, xi)
     kappa = beta_imag(eps * mu, xi, q)
     mode = TransverseMode(xi=xi, q=q, pol=pol)
-    r, t = single_plate_rt(cavity.plate, cavity.medium, mode)
+    r, t = _plate_column(cavity.plate, cavity.medium, mode)
     a = wall_reflection(cavity.left_wall, cavity.medium, mode) * np.exp(
         -2.0 * kappa * cavity.d1)
     b = wall_reflection(cavity.right_wall, cavity.medium, mode) * np.exp(
@@ -317,9 +325,9 @@ def test_vectorized_momentum_matches_scalars():
                for q in qs]
     np.testing.assert_allclose(batch, singles, rtol=1e-15)
     plate = Layer(constant(eps=3.0), 7e-8)
-    rb, tb = single_plate_rt(plate, VACUUM, TransverseMode(xi=xi, q=qs, pol="s"))
+    rb, tb = _plate_column(plate, VACUUM, TransverseMode(xi=xi, q=qs, pol="s"))
     for i, q in enumerate(qs):
-        r1, t1 = single_plate_rt(plate, VACUUM, TransverseMode(xi=xi, q=float(q), pol="s"))
+        r1, t1 = _plate_column(plate, VACUUM, TransverseMode(xi=xi, q=float(q), pol="s"))
         assert rb[i] == r1 and tb[i] == t1
 
 
