@@ -32,7 +32,6 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     integrate_semi_infinite,
-    matsubara_frequency,
     matsubara_sum,
 )
 from .engine import (
@@ -65,7 +64,7 @@ __all__ = [
     "CavityConfig", "Layer", "PerfectMirrorPlate", "TransverseMode",
     "Wall", "beta_imag", "wall_reflection",
     "IntegralResult", "QuadratureSpec", "integrate_semi_infinite",
-    "matsubara_frequency", "matsubara_sum",
+    "matsubara_sum",
     "DEFAULT_SPEC", "ForceResult", "InterspaceView", "StressProfile",
     "cavity_interspaces", "interspace", "minkowski_plate_force",
     "minkowski_stress_zz", "plate_force", "stress_profile", "stress_zz",

@@ -40,6 +40,7 @@ from .config import (
 )
 from .engine import (
     ZERO_TERM_POLICIES,
+    _zero_term,
     interspace,
     minkowski_plate_force,
     plate_force,
@@ -424,6 +425,10 @@ def _cmd_sweep(rc: RunConfig, values: dict):
                 raise ValueError("temperature must be >= 0")
             else:
                 run = replace(rc, temperature=value)
+            # The zero-term request of every point, as _force will pass it.
+            _zero_term(run.temperature, run.zero_term_policy,
+                       {"s": run.zero_term_value_s, "p": run.zero_term_value_p},
+                       case.has_drude_like, per_polarization=True)
         except ValueError as exc:
             raise ConfigError(f"sweep value {value!r}: {exc}") from None
         cases.append((value, run, case))

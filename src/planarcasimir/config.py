@@ -95,14 +95,11 @@ METHODS = ("exact-difference", "direct-difference")
 class RunConfig:
     """A fully resolved run: materials, geometry, physics and output choices.
 
-    ``sections`` keeps the canonical textual form the instance was built
-    from, so a run can be re-emitted and later re-ingested without any
-    drift. Exactly one of ``cavity``/``pair`` is set when the configuration
+    Exactly one of ``cavity``/``pair`` is set when the configuration
     declares a structure; both are None otherwise (closed-form commands
     need no geometry).
     """
 
-    sections: dict[str, dict[str, str]]
     cavity: CavityConfig | None
     pair: tuple[Wall, DispersionModel, float, Wall] | None
     temperature: float
@@ -440,7 +437,6 @@ def build_config(sections: dict[str, dict[str, str]]) -> RunConfig:
         raise ConfigError(f"[output] format: {output_format!r} is not csv or json")
 
     return RunConfig(
-        sections=sections,
         cavity=cavity,
         pair=pair,
         temperature=temperature,

@@ -200,8 +200,9 @@ def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
 
     The one reader of ``zero_term_policy``/``zero_term_value``, run by every
     observable at every T before its first integral. The rule is one that
-    ``matsubara_sum`` knows; ``custom-value`` drops m = 0 and adds a finite
-    number (stresses) or (s, p) array from a dict with both keys (forces).
+    ``matsubara_sum`` knows; ``custom-value`` drops m = 0 and, at T > 0
+    only, adds a finite number (stresses) or (s, p) array from a dict with
+    both keys (forces).
     """
     policy = policy or "half-weight"
     if policy not in ZERO_TERM_POLICIES:
@@ -228,7 +229,7 @@ def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
             " zero_term_value_s and zero_term_value_p)" if per_polarization
             else "custom-value on a stress needs zero_term_value, a finite"
             " m = 0 contribution in N/m^2 (in a config, [run] zero_term_value)")
-    return "drop", value
+    return "drop", value if temperature > 0.0 else None
 
 
 def stress_zz(

@@ -16,8 +16,8 @@ vectorized callables: they receive an ndarray of n abscissas and return an
 ndarray of shape (n,), or (n, k) for k integrals sharing the abscissas (the
 engine's s and p polarizations). An auxiliary error channel adds a trailing
 axis of length 2. ``double_semi_infinite`` is the one two-dimensional core:
-batches of inner q integrals, one row per frequency, under either an
-adaptive xi integral (T = 0) or a thermal frequency sum.
+batches of inner q integrals, one row per frequency, whose errors ride the
+channel of an adaptive xi integral (T = 0) or of ``matsubara_sum``.
 """
 
 from __future__ import annotations
@@ -356,16 +356,16 @@ def double_semi_infinite(
     floor depends only on the integrand and the spec, so results replay
     bit for bit.
 
-    At T = 0 the outer rule is the adaptive integral over u = xi*d_ref/c,
-    with inner errors riding the error channel; its first call (120 nodes)
-    and each split (30 nodes) feed one batched inner evaluation. At T > 0
-    it is ``matsubara_sum``, each term a one-row batch; the error is the
-    tail bound plus the inner errors weighted by the node spacing (half
-    weight on m = 0 under ``"half-weight"``). ``zero_term_policy`` is the
-    endpoint rule of the sum, ``"half-weight"`` or ``"drop"``, and a given
-    ``zero_term_value`` (per column) is added to the value as it is; the
-    caller has checked both (``engine._zero_term``). ``converged``
-    requires the outer target and every inner target.
+    One outer integrand maps an array of frequencies to the stacked
+    (value, error) of their q integrals, and both outer rules carry the
+    inner errors on their error channel. At T = 0 the rule is the adaptive
+    integral over u = xi*d_ref/c, whose first call (120 nodes) and each
+    split (30 nodes) feed one batched inner evaluation; at T > 0 it is
+    ``matsubara_sum`` under the endpoint rule ``zero_term_policy``, each
+    term a one-row batch. A given ``zero_term_value`` (per column, only at
+    T > 0) is added as it is; the caller has checked both
+    (``engine._zero_term``). ``evaluations`` counts integrand points at
+    every T; ``converged`` requires the outer and every inner target.
     """
     if d_ref <= 0.0:
         raise ValueError("reference length must be positive")
@@ -384,8 +384,8 @@ def double_semi_infinite(
         return 0.01 * spec.rel_tol * np.maximum(
             state["scale"], np.abs(first).max(axis=0))
 
-    def inner(xi):
-        """(values, errors) of the q integrals at the frequencies xi, (A,)."""
+    def outer_f(xi):
+        """Stacked (value, error) of the q integrals at the frequencies xi."""
         values, errors = [], []
         for start in range(0, xi.size, _BATCH_ROWS):
             batch = xi[start:start + _BATCH_ROWS, None]
@@ -401,43 +401,24 @@ def double_semi_infinite(
                                         np.abs(value).max(axis=0))
             values.append(value)
             errors.append(error)
-        return np.concatenate(values), np.concatenate(errors)
+        return np.stack([np.concatenate(values), np.concatenate(errors)], -1)
 
     if temperature == 0.0:
         jac = c / d_ref
-
-        def outer_f(us):
-            return np.stack(inner(us * jac), axis=-1) * jac
-
-        outer = integrate_semi_infinite(outer_f, outer_spec, error_channel=True)
-        return IntegralResult(
-            value=_plain(prefactor * outer.value),
-            error_estimate=_plain(abs(prefactor) * outer.error_estimate),
-            evaluations=state["evals"],
-            converged=outer.converged and state["inner_ok"],
-        )
-
-    inner_errors = []
-
-    def h(xi):
-        values, errors = inner(np.array([xi]))
-        inner_errors.append(errors[0])
-        return values[0]
-
-    ms = matsubara_sum(h, temperature, outer_spec, zero_term_policy)
-
-    node_spacing = 2.0 * np.pi * Boltzmann * temperature / hbar
-    head = 0.5 if zero_term_policy == "half-weight" else 1.0
-    weighted = head * inner_errors[0] + sum(inner_errors[1:])
-    value = prefactor * ms.value
+        outer = integrate_semi_infinite(lambda u: outer_f(u * jac) * jac,
+                                        outer_spec, error_channel=True)
+    else:
+        outer = matsubara_sum(lambda xi: outer_f(np.array([xi]))[0],
+                              temperature, outer_spec, zero_term_policy,
+                              error_channel=True)
+    value = prefactor * outer.value
     if zero_term_value is not None:
         value = value + zero_term_value
-    error = abs(prefactor) * (ms.error_estimate + node_spacing * weighted)
     return IntegralResult(
         value=_plain(value),
-        error_estimate=_plain(error),
-        evaluations=state["evals"] + ms.evaluations,
-        converged=ms.converged and state["inner_ok"],
+        error_estimate=_plain(abs(prefactor) * outer.error_estimate),
+        evaluations=state["evals"],
+        converged=outer.converged and state["inner_ok"],
     )
 
 
@@ -463,6 +444,7 @@ def matsubara_sum(
     temperature: float,
     spec: QuadratureSpec,
     zero_term_policy: str = "half-weight",
+    error_channel: bool = False,
 ) -> IntegralResult:
     """Weighted thermal sum (2 pi k_B T/hbar) * [w0*g(0) + sum_m g(xi_m)].
 
@@ -476,7 +458,12 @@ def matsubara_sum(
         number, or an ndarray of shape (k,) for k sums over the same
         frequencies (columns). Must decay; summation stops once the geometric
         tail bound of every column falls below its tolerance for three
-        consecutive m.
+        consecutive m. With ``error_channel=True`` a trailing axis of length
+        2 is added, as for ``integrate_semi_infinite``: entry 0 is the term
+        proper, entry 1 a non-negative auxiliary error density that is
+        summed with the same weights and node spacing and added to
+        ``error_estimate``. The stop rule, the tail policy and ``converged``
+        never see it.
     temperature : float
         Temperature in kelvin, > 0.
     spec : QuadratureSpec
@@ -484,14 +471,17 @@ def matsubara_sum(
     zero_term_policy : str
         ``"half-weight"`` uses g(0)/2 (the trapezoid endpoint weight);
         ``"drop"`` omits the m = 0 term without evaluating g(0).
+    error_channel : bool
+        See ``g``.
 
     Returns
     -------
     IntegralResult
         ``value`` includes the 2 pi k_B T/hbar prefactor; ``error_estimate``
         covers truncation of the tail (and the discarded/added tail per the
-        tail policy), not errors internal to g itself. Floats for a scalar g,
-        ndarrays of shape (k,) otherwise; ``converged`` covers every column.
+        tail policy) plus the weighted error channel, if any. Floats for a
+        scalar g, ndarrays of shape (k,) otherwise; ``converged`` covers
+        every column. ``evaluations`` counts the frequencies g received.
     """
     if temperature <= 0.0:
         raise ValueError("matsubara_sum needs temperature > 0; use the"
@@ -499,14 +489,19 @@ def matsubara_sum(
     if zero_term_policy not in ("half-weight", "drop"):
         raise ValueError(f"unknown zero_term_policy {zero_term_policy!r}")
 
-    prefactor = 2.0 * np.pi * Boltzmann * temperature / hbar
-    evaluations = 0
+    spacing = float(matsubara_frequency(1, temperature))
+
+    def term(xi):
+        """g(xi) with its error channel; a channel-less g gets zeros."""
+        y = np.asarray(g(xi), dtype=float)
+        if error_channel and y.shape[-1:] != (2,):
+            raise ValueError("error-channel g must return shape (2,) or (k, 2)")
+        return y if error_channel else np.stack([y, np.zeros_like(y)], -1)
 
     if zero_term_policy == "drop":
         total = 0.0
     else:
-        g0 = np.asarray(g(0.0), dtype=float)
-        evaluations += 1
+        g0 = term(0.0)
         if not np.all(np.isfinite(g0)):
             raise ValueError(
                 "g(0) is not finite; choose zero_term_policy 'drop' for"
@@ -518,14 +513,13 @@ def matsubara_sum(
     last = prev = 0.0
     truncated = True
     for m in range(1, spec.matsubara_max_terms + 1):
-        term = np.asarray(g(float(matsubara_frequency(m, temperature))),
-                          dtype=float)
-        evaluations += 1
-        if not np.all(np.isfinite(term)):
+        y = term(float(matsubara_frequency(m, temperature)))
+        if not np.all(np.isfinite(y)):
             raise ValueError(f"thermal term m = {m} is not finite")
-        prev, last = last, term
-        total = total + term
-        tol = np.maximum(spec.rel_tol * np.abs(total), spec.abs_floor / prefactor)
+        prev, last = last, y[..., 0]
+        total = total + y
+        tol = np.maximum(spec.rel_tol * np.abs(total[..., 0]),
+                         spec.abs_floor / spacing)
         # Judge the geometric tail, not the term: at low temperature the
         # term ratio approaches 1 and the tail dwarfs the last term.
         below = np.where(_geometric_tail(last, prev) <= tol, below + 1, 0)
@@ -533,16 +527,18 @@ def matsubara_sum(
             truncated = False
             break
 
+    value, channel = total[..., 0], total[..., 1]
     tail = _geometric_tail(last, prev)
     if spec.matsubara_tail == "integral-tail-estimate":
-        total = total + np.sign(last) * tail
-        error = prefactor * 0.5 * tail
+        value = value + np.sign(last) * tail
+        error = spacing * 0.5 * tail
     else:
-        error = prefactor * tail
-
-    value = prefactor * total
+        error = spacing * tail
+    value = spacing * value
     converged = (not truncated) and bool(np.all(
         error <= np.maximum(spec.rel_tol * np.abs(value), spec.abs_floor)
     ))
-    return IntegralResult(value=_plain(value), error_estimate=_plain(error),
-                          evaluations=evaluations, converged=converged)
+    return IntegralResult(
+        value=_plain(value), error_estimate=_plain(error + spacing * channel),
+        evaluations=m + (zero_term_policy == "half-weight"),
+        converged=converged)

@@ -683,6 +683,37 @@ def test_non_finite_inputs_exit_2_before_integrating(
     assert calls == []
 
 
+# The README cavity: Drude gold plate between mirrors, no [run] section.
+GOLD_PLATE_CAVITY = """
+[material.oil]
+kind = constant
+eps_static = 2.0
+
+[material.gold]
+kind = drude-lorentz
+plasma_freq = 1.4e16
+damping = 5.3e13
+
+[structure]
+regions = wall:mirror, gap:oil:1e-6, plate:gold:2e-7, gap:oil:5e-6, wall:mirror
+"""
+
+
+def test_sweep_refuses_a_zero_term_request_before_integrating(
+        tmp_path, capsys, monkeypatch):
+    # 0 K is valid, the default half-weight is not at 150 K and 300 K.
+    calls = []
+    monkeypatch.setattr("planarcasimir.engine.double_semi_infinite",
+                        lambda *args, **kwargs: calls.append(args))
+    code, out, err = _run(capsys, [
+        "sweep", "--config", _write(tmp_path, GOLD_PLATE_CAVITY),
+        "--parameter", "T", "--start", "0", "--stop", "300", "--points", "3",
+        "--spacing", "linear"])
+    assert code == 2 and out == ""
+    assert "sweep value 150.0" in err and "m = 0 thermal term is ambiguous" in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv,needle", [
     (["--parameter", "T", "--start", "10", "--stop=-1"],
      "sweep value -1.0: temperature must be >= 0"),

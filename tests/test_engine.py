@@ -365,6 +365,44 @@ def test_bad_zero_term_request_is_refused_before_integrating(
     assert calls == []
 
 
+@pytest.mark.parametrize("temperature", [0.0, 300.0])
+@pytest.mark.parametrize("name", [name for name in _OBSERVABLES
+                                  if name != "stress_profile"])
+def test_evaluations_count_the_points_the_integrand_received(
+        monkeypatch, name, temperature):
+    # The thermal sum adds nothing per term: evaluations are integrand
+    # points at every T.
+    points = []
+    double = engine.double_semi_infinite
+
+    def counted(integrand, *args, **kwargs):
+        def f(xi, q):
+            points.append(np.size(q))
+            return integrand(xi, q)
+
+        return double(f, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "double_semi_infinite", counted)
+    res = _OBSERVABLES[name][1](temperature)
+    assert res.converged
+    assert res.evaluations == sum(points) > 0
+
+
+def _numbers(result):
+    """Every field of a result, arrays as lists, for exact comparison."""
+    return [np.asarray(value).tolist() for value in vars(result).values()]
+
+
+@pytest.mark.parametrize("name", list(_OBSERVABLES))
+def test_custom_value_at_zero_kelvin_is_the_default_result(name):
+    # There is no m = 0 term at T = 0, so a valid value changes nothing.
+    per_pol, observable = _OBSERVABLES[name]
+    value = {"s": 1.0, "p": -2.0} if per_pol else 3.0
+    custom = observable(0.0, zero_term_policy="custom-value",
+                        zero_term_value=value)
+    assert _numbers(custom) == _numbers(observable(0.0))
+
+
 @pytest.mark.parametrize("temperature", [np.nan, np.inf, -1.0])
 @pytest.mark.parametrize("name", list(_OBSERVABLES))
 def test_unusable_temperature_is_refused_by_every_observable(name,

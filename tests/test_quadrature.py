@@ -384,6 +384,66 @@ def test_matsubara_two_columns_equal_two_scalar_sums():
     assert both.error_estimate[0] == s_slow.error_estimate
 
 
+def _two_rates(n_cols):
+    """A decaying thermal summand of one column, or two of different rates."""
+    def g(xi):
+        both = np.array([np.exp(-xi / 5e14), 2.0 * np.exp(-xi / 1e14)])
+        return both if n_cols == 2 else both[0]
+
+    return g
+
+
+@pytest.mark.parametrize("n_cols", [1, 2])
+@pytest.mark.parametrize("tail", ["none", "integral-tail-estimate"])
+@pytest.mark.parametrize("policy", ["half-weight", "drop"])
+def test_matsubara_error_channel_is_weighted_and_never_judged(policy, tail,
+                                                              n_cols):
+    T = 300.0
+    spec = QuadratureSpec(rel_tol=1e-10, matsubara_tail=tail)
+    g = _two_rates(n_cols)
+
+    def density(xi):
+        return 1e-6 / (1.0 + xi / 1e14) ** 2 * np.ones_like(g(xi))
+
+    plain = matsubara_sum(g, T, spec, policy)
+    both = matsubara_sum(lambda xi: np.stack([g(xi), density(xi)], -1), T,
+                         spec, policy, error_channel=True)
+    assert np.array_equal(both.value, plain.value)
+    assert (both.evaluations, both.converged) == (plain.evaluations,
+                                                  plain.converged)
+    assert isinstance(both.error_estimate, float) == (n_cols == 1)
+    # Same weights as the values: 1/2 on m = 0 under half-weight, 1 after.
+    head = policy == "half-weight"
+    terms = range(1, plain.evaluations - head + 1)
+    weighted = sum(density(float(matsubara_frequency(m, T))) for m in terms)
+    if head:
+        weighted = weighted + 0.5 * density(0.0)
+    spacing = float(matsubara_frequency(1, T))
+    np.testing.assert_allclose(both.error_estimate,
+                               plain.error_estimate + spacing * weighted,
+                               rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("policy", ["half-weight", "drop"])
+def test_matsubara_large_error_channel_adds_no_term(policy):
+    g = _two_rates(2)
+    spec = QuadratureSpec(rel_tol=1e-10)
+    plain = matsubara_sum(g, 300.0, spec, policy)
+    loud = matsubara_sum(lambda xi: np.stack([g(xi), 1e6 * g(xi)], -1),
+                         300.0, spec, policy, error_channel=True)
+    assert plain.converged and loud.converged
+    assert loud.evaluations == plain.evaluations
+    assert np.array_equal(loud.value, plain.value)
+    assert np.all(loud.error_estimate > 1e5 * np.abs(loud.value))
+
+
+def test_matsubara_error_channel_needs_a_trailing_pair():
+    with pytest.raises(ValueError, match="error-channel"):
+        matsubara_sum(_two_rates(1), 300.0, SPEC, error_channel=True)
+    with pytest.raises(ValueError, match="error-channel"):
+        matsubara_sum(lambda xi: np.ones(3), 300.0, SPEC, error_channel=True)
+
+
 def test_matsubara_policy_validation():
     g = lambda xi: np.exp(-xi / 5e14)
     with pytest.raises(ValueError):
