@@ -28,7 +28,6 @@ from dataclasses import replace
 import numpy as np
 
 from .config import (
-    METHODS,
     SECTION_KEYS,
     ConfigError,
     RunConfig,
@@ -39,6 +38,7 @@ from .config import (
     load_sections,
 )
 from .engine import (
+    METHODS,
     ZERO_TERM_POLICIES,
     _zero_term,
     interspace,

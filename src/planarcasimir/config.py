@@ -69,7 +69,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .engine import ZERO_TERM_POLICIES
+from .engine import METHODS, ZERO_TERM_POLICIES
 from .layers import CavityConfig, Layer, PerfectMirrorPlate, Wall
 from .materials import (
     MIRROR,
@@ -86,9 +86,6 @@ __all__ = ["ConfigError", "RunConfig", "load_sections", "build_config",
 
 class ConfigError(Exception):
     """Invalid or unparsable run configuration."""
-
-
-METHODS = ("exact-difference", "direct-difference")
 
 
 @dataclass(frozen=True)

@@ -94,8 +94,6 @@ class StressProfile:
     t_zz: np.ndarray
     error_estimate: np.ndarray
     converged: np.ndarray
-    temperature: float
-    spec: QuadratureSpec
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,7 @@ def interspace(
     """Build the stress-ready view of a wall | medium | wall interspace."""
     if medium.kind is MaterialKind.PERFECT_MIRROR:
         raise ValueError("the interspace medium must have a finite response")
-    if width <= 0.0:
+    if not width > 0.0:
         raise ValueError("interspace width must be positive")
     return InterspaceView(medium=medium, width=width, left=left_wall,
                           right=right_wall)
@@ -333,14 +331,13 @@ def stress_profile(
     ``converged``: a miss anywhere marks every sample. The integrand's
     memory grows in proportion to ``n_samples``.
     """
-    spec = spec or DEFAULT_SPEC
     if n_samples < 2:
         raise ValueError("a profile needs at least 2 interior samples")
     z_grid = np.linspace(0.0, view.width, n_samples + 2)[1:-1]
     res = stress_zz(view, z_grid, temperature, spec, zero_term_policy,
                     zero_term_value)
     return StressProfile(z_grid, res.value, res.error_estimate,
-                         np.full(n_samples, res.converged), temperature, spec)
+                         np.full(n_samples, res.converged))
 
 
 def _plate_terms(cavity: CavityConfig, xi, q):
@@ -398,6 +395,12 @@ def _direct_difference_integrand(cavity: CavityConfig):
     return integrand
 
 
+# The plate-force routes in --help order, each with its integrand builder.
+_INTEGRANDS = {"exact-difference": _exact_difference_integrand,
+               "direct-difference": _direct_difference_integrand}
+METHODS = tuple(_INTEGRANDS)
+
+
 def _force_result(res: IntegralResult, method: str) -> ForceResult:
     """ForceResult from a two-column (s, p) integral."""
     per_pol = dict(zip(POLARIZATIONS, map(float, res.value)))
@@ -445,10 +448,9 @@ def plate_force(
     """
     spec = spec or DEFAULT_SPEC
     d_min = min(cavity.d1, cavity.d3)
-    if method == "exact-difference":
-        make = _exact_difference_integrand
-    elif method == "direct-difference":
-        make = _direct_difference_integrand
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "direct-difference":
         # The face evaluations subtracted here agree to within
         # C * e^{-2 kappa min(d1, d3)} (every term of the analytic difference
         # carries a gap round trip), so beyond kappa*d_min ~ 45 the true
@@ -458,12 +460,10 @@ def plate_force(
         noise_guard = 45.0 / d_min
         if spec.q_cutoff is None or spec.q_cutoff > noise_guard:
             spec = replace(spec, q_cutoff=noise_guard)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
                            cavity.has_drude_like, per_polarization=True)
-    res = double_semi_infinite(make(cavity), spec, d_min, _STRESS_PREFACTOR,
-                               temperature, *zero_term)
+    res = double_semi_infinite(_INTEGRANDS[method](cavity), spec, d_min,
+                               _STRESS_PREFACTOR, temperature, *zero_term)
     return _force_result(res, method)
 
 

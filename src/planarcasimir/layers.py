@@ -24,10 +24,10 @@ Polarization is an array axis: internal reflection and transmission arrays
 have shape ``np.shape(q) + (2,)`` with the trailing axis ordered (s, p), as
 is ``DELTA``. The s and p coefficients are one expression whose kappa
 contrast is weighted by (mu, eps). ``_wave`` is the one place a material is
-evaluated, for both polarizations. The internal reflections take the wave of
-the medium they are seen from, so a caller evaluates that medium once per
-integrand call for every wall and plate. The public ``wall_reflection``
-selects one polarization's column.
+evaluated, for both polarizations, through one call into ``materials``. The
+internal reflections take the wave of the medium they are seen from, so a
+caller evaluates that medium once per integrand call for every wall and
+plate. The public ``wall_reflection`` selects one polarization's column.
 
 The internal functions also take xi as a column of shape (A, 1), one
 frequency per row, broadcast against q of shape (A, m): a medium's response
@@ -41,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import c
-from .materials import (
-    DispersionModel,
-    MaterialKind,
-    eps_imag_axis,
-    is_drude_like,
-    mu_imag_axis,
-)
+from .materials import DispersionModel, MaterialKind, _response, is_drude_like
 
 POLARIZATIONS = ("s", "p")
 # Perfect-reflector limits of the interface coefficients, axis (s, p).
@@ -62,7 +56,7 @@ class Layer:
     thickness: float
 
     def __post_init__(self) -> None:
-        if self.thickness <= 0.0:
+        if not self.thickness > 0.0:
             raise ValueError(f"layer thickness must be > 0, got {self.thickness}")
         if self.material.kind is MaterialKind.PERFECT_MIRROR:
             raise ValueError("finite layers need a finite response; use a wall"
@@ -111,9 +105,9 @@ class TransverseMode:
     pol: str
 
     def __post_init__(self) -> None:
-        if self.xi < 0.0:
+        if not self.xi >= 0.0:
             raise ValueError("imaginary frequency xi must be >= 0")
-        if np.any(np.asarray(self.q) < 0.0):
+        if not np.all(np.asarray(self.q) >= 0.0):
             raise ValueError("transverse momentum q must be >= 0")
         if self.pol not in POLARIZATIONS:
             raise ValueError("a mode needs a definite polarization, 's' or"
@@ -138,7 +132,7 @@ class CavityConfig:
     def __post_init__(self) -> None:
         if self.medium.kind is MaterialKind.PERFECT_MIRROR:
             raise ValueError("the interspace medium must have a finite response")
-        if self.d1 <= 0.0 or self.d3 <= 0.0:
+        if not (self.d1 > 0.0 and self.d3 > 0.0):
             raise ValueError("gap widths must be positive")
         if not isinstance(self.plate, (Layer, PerfectMirrorPlate)):
             raise ValueError("plate must be a Layer or PerfectMirrorPlate")
@@ -184,8 +178,7 @@ def _wave(model: DispersionModel, xi, q):
     weights are shaped like xi plus the (s, p) axis; kappa is shaped like
     the broadcast (xi, q) plus a unit axis.
     """
-    eps = eps_imag_axis(model, xi)
-    mu = mu_imag_axis(model, xi)
+    eps, mu = _response(model, xi)
     kappa = np.asarray(beta_imag(eps * mu, xi, q))
     return np.stack(np.broadcast_arrays(mu, eps), axis=-1), kappa[..., None]
 

@@ -35,9 +35,9 @@ class StaticMedium:
     mu: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.eps < 1.0:
+        if not self.eps >= 1.0:
             raise ValueError(f"static eps must be >= 1, got {self.eps}")
-        if self.mu <= 0.0:
+        if not self.mu > 0.0:
             raise ValueError(f"static mu must be > 0, got {self.mu}")
 
     @property
@@ -51,7 +51,7 @@ def casimir_generalized(medium: StaticMedium, d1: float, d3: float = math.inf) -
     ``d3 = inf`` gives the single-wall attraction -coef/d1^4. Positive values
     push the plate toward +z.
     """
-    if d1 <= 0.0 or d3 <= 0.0:
+    if not (d1 > 0.0 and d3 > 0.0):
         raise ValueError("gap widths must be positive")
     factor = math.sqrt(medium.mu / medium.eps) * (
         2.0 / 3.0 + 1.0 / (3.0 * medium.eps * medium.mu)
@@ -61,15 +61,15 @@ def casimir_generalized(medium: StaticMedium, d1: float, d3: float = math.inf) -
 
 def minkowski_generalized(eps: float, d1: float, d3: float = math.inf) -> float:
     """Minkowski-tensor closed form: uniform eps^{-1/2} screening (N/m^2)."""
-    if eps < 1.0:
+    if not eps >= 1.0:
         raise ValueError(f"static eps must be >= 1, got {eps}")
-    if d1 <= 0.0 or d3 <= 0.0:
+    if not (d1 > 0.0 and d3 > 0.0):
         raise ValueError("gap widths must be positive")
     return _CLOSED_FORM_COEF * eps**-0.5 * (d3**-4 - d1**-4)
 
 
 def force_ratio(eps: float) -> float:
     """F^M / F for mu = 1: 1/(2/3 + 1/(3 eps)), from 1 at eps=1 to 3/2."""
-    if eps < 1.0:
+    if not eps >= 1.0:
         raise ValueError(f"static eps must be >= 1, got {eps}")
     return 1.0 / (2.0 / 3.0 + 1.0 / (3.0 * eps))

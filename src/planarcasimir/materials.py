@@ -1,19 +1,24 @@
 """Dispersive material response models on the imaginary frequency axis.
 
-Every medium is described by a relative permittivity eps(omega) and a relative
-permeability mu(omega). The models kept here are deliberately small: a
-nondispersive constant, a single Lorentz oscillator (with the Drude metal as
-its zero-resonance special case), the dissipationless plasma model, and an
-idealized perfect-mirror tag that carries no finite response function at all.
+Every finite medium is one record: for the relative permittivity eps and for
+the relative permeability mu alike, a static value plus at most one damped
+harmonic oscillator of strength Omega, resonance omega_0 and damping gamma.
+At a point omega = i*xi on the positive imaginary axis each response is
 
-All model parameters are SI angular frequencies (rad/s). At a point
-omega = i*xi on the positive imaginary axis every causal model here has a
-real response, so it is evaluated in pure real arithmetic; that axis is the
-only place the engine evaluates a material.
+    static + Omega^2 / (omega_0^2 + xi^2 + gamma*xi),
+
+real, so it is evaluated in pure real arithmetic; that axis is the only
+place the engine evaluates a material. Zero strength counts as no
+oscillator: the response is then its static value at every xi. Zero
+resonance is the Drude metal; zero resonance and damping is the plasma. The
+kinds constrain the record: ``constant`` has no oscillator, ``plasma`` no
+eps resonance or damping. The perfect-mirror tag has no finite response.
+All oscillator parameters are SI angular frequencies (rad/s).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,29 +34,23 @@ class MaterialKind(str, Enum):
 
 @dataclass(frozen=True)
 class DispersionModel:
-    """A material response model.
+    """A material response: one (static, oscillator) record each for eps, mu.
 
     Parameters
     ----------
     kind : MaterialKind
-        Which functional form applies. The remaining fields are interpreted
-        according to the kind; irrelevant fields keep their defaults.
-    eps_static : float
-        Relative permittivity of the ``constant`` kind. Must be >= 1 (a
-        passive, nondispersive dielectric).
-    mu_static : float
-        Relative permeability of the ``constant`` kind. Must be > 0.
-    plasma_freq : float
-        Oscillator strength Omega (rad/s) of the dielectric resonance for the
-        ``drude-lorentz`` and ``plasma`` kinds.
-    resonance_freq : float
-        Resonance frequency omega_0 (rad/s); forced to zero for ``plasma``.
-    damping : float
-        Absorption rate gamma (rad/s); forced to zero for ``plasma``.
+        The constraints the record obeys (see the module docstring).
+    eps_static, mu_static : float
+        Static parts of eps (>= 1) and mu (> 0), the whole response where it
+        has no oscillator.
+    plasma_freq, resonance_freq, damping : float
+        The permittivity's oscillator: strength Omega, resonance omega_0 and
+        damping gamma (rad/s). Zero strength means no oscillator.
     mu_model : tuple of float, optional
-        Optional magnetic Lorentz oscillator ``(plasma_freq, resonance_freq,
-        damping)`` giving mu(omega) the same single-resonance form as the
-        permittivity. ``None`` means mu = 1 for oscillator kinds.
+        The permeability's oscillator ``(plasma_freq, resonance_freq,
+        damping)``; ``None`` means none.
+
+    Every parameter must be finite and every oscillator parameter >= 0.
     """
 
     kind: MaterialKind
@@ -63,26 +62,28 @@ class DispersionModel:
     mu_model: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is MaterialKind.CONSTANT:
-            if self.eps_static < 1.0:
-                raise ValueError(
-                    f"constant permittivity must be >= 1, got {self.eps_static}"
-                )
-            if self.mu_static <= 0.0:
-                raise ValueError(
-                    f"constant permeability must be > 0, got {self.mu_static}"
-                )
-        if self.plasma_freq < 0.0 or self.resonance_freq < 0.0 or self.damping < 0.0:
+        eps_osc = (self.plasma_freq, self.resonance_freq, self.damping)
+        mu_osc = tuple(self.mu_model or ())
+        named = zip(("eps_static", "mu_static", "plasma_freq",
+                     "resonance_freq", "damping", "mu_plasma_freq",
+                     "mu_resonance_freq", "mu_damping"),
+                    (self.eps_static, self.mu_static) + eps_osc + mu_osc)
+        for name, value in named:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not self.eps_static >= 1.0:
+            raise ValueError(
+                f"static permittivity must be >= 1, got {self.eps_static}")
+        if not self.mu_static > 0.0:
+            raise ValueError(
+                f"static permeability must be > 0, got {self.mu_static}")
+        if not all(p >= 0.0 for p in eps_osc + mu_osc):
             raise ValueError("oscillator parameters must be non-negative")
-        if self.kind is MaterialKind.PLASMA and (
-            self.resonance_freq != 0.0 or self.damping != 0.0
-        ):
+        if self.kind is MaterialKind.PLASMA and any(eps_osc[1:]):
             raise ValueError("plasma kind has no resonance or damping")
-        if self.mu_model is not None:
-            if self.kind in (MaterialKind.CONSTANT, MaterialKind.PERFECT_MIRROR):
-                raise ValueError("mu_model applies to oscillator kinds only")
-            if any(p < 0.0 for p in self.mu_model):
-                raise ValueError("mu_model parameters must be non-negative")
+        if self.kind in (MaterialKind.CONSTANT, MaterialKind.PERFECT_MIRROR
+                         ) and any(eps_osc + mu_osc):
+            raise ValueError(f"the {self.kind.value} kind has no oscillator")
 
 
 def constant(eps: float = 1.0, mu: float = 1.0) -> DispersionModel:
@@ -124,62 +125,60 @@ VACUUM = constant()
 MIRROR = perfect_mirror()
 
 
-def eps_imag_axis(model: DispersionModel, xi: float | np.ndarray) -> float | np.ndarray:
-    """eps(i*xi) as a real number, the hot path for imaginary-axis work."""
+def _records(model: DispersionModel):
+    """The (static, oscillator) records of eps and of mu, in that order.
+
+    An oscillator is (Omega, omega_0, gamma), or None when there is none or
+    its strength is zero.
+    """
     if model.kind is MaterialKind.PERFECT_MIRROR:
         raise ValueError("a perfect mirror has no finite response function")
+    eps_osc = (model.plasma_freq, model.resonance_freq, model.damping)
+    mu_osc = model.mu_model or (0.0,)
+    return ((model.eps_static, eps_osc if eps_osc[0] else None),
+            (model.mu_static, mu_osc if mu_osc[0] else None))
+
+
+def _evaluate(record, xi):
+    """static + Omega^2/(omega_0^2 + xi^2 + gamma*xi); a float for scalar xi."""
+    static, oscillator = record
     x = np.asarray(xi, dtype=float)
-    if model.kind is MaterialKind.CONSTANT:
-        out = np.full_like(x, model.eps_static)
-    elif model.kind is MaterialKind.PLASMA:
-        with np.errstate(divide="ignore"):
-            out = 1.0 + model.plasma_freq**2 / x**2
+    if oscillator is None:
+        out = np.full_like(x, static)
     else:
-        out = _osc_imag(model.plasma_freq, model.resonance_freq, model.damping, x)
+        strength, resonance, damping = oscillator
+        with np.errstate(divide="ignore"):
+            out = static + strength**2 / (resonance**2 + x**2 + damping * x)
     return out if np.ndim(xi) else float(out)
+
+
+def _response(model: DispersionModel, xi):
+    """[eps(i*xi), mu(i*xi)], the one evaluation of a material's record."""
+    return [_evaluate(record, xi) for record in _records(model)]
+
+
+def eps_imag_axis(model: DispersionModel, xi: float | np.ndarray) -> float | np.ndarray:
+    """eps(i*xi) as a real number; a float for scalar xi."""
+    return _evaluate(_records(model)[0], xi)
 
 
 def mu_imag_axis(model: DispersionModel, xi: float | np.ndarray) -> float | np.ndarray:
-    """mu(i*xi) as a real number; see :func:`eps_imag_axis`."""
-    if model.kind is MaterialKind.PERFECT_MIRROR:
-        raise ValueError("a perfect mirror has no finite response function")
-    x = np.asarray(xi, dtype=float)
-    if model.kind is MaterialKind.CONSTANT:
-        out = np.full_like(x, model.mu_static)
-    elif model.mu_model is None:
-        out = np.ones_like(x)
-    else:
-        out = _osc_imag(*model.mu_model, x)
-    return out if np.ndim(xi) else float(out)
-
-
-def _osc_imag(strength, resonance, damping, x):
-    # 1 + Omega^2/(omega_0^2 + xi^2 + gamma*xi), the oscillator rotated to i*xi.
-    with np.errstate(divide="ignore"):
-        return 1.0 + strength**2 / (resonance**2 + x**2 + damping * x)
+    """mu(i*xi) as a real number; a float for scalar xi."""
+    return _evaluate(_records(model)[1], xi)
 
 
 def is_drude_like(model: DispersionModel) -> bool:
-    """True when the response diverges as xi -> 0 on the imaginary axis.
+    """True when eps or mu has an oscillator of zero resonance (Drude or
+    plasma), so that it diverges as xi -> 0 on the imaginary axis.
 
-    Such models (plasma, zero-resonance oscillators) make the zero-frequency
-    term of thermal sums ambiguous, so callers must pick an explicit policy.
+    Such models make the zero-frequency term of thermal sums ambiguous, so
+    callers must pick an explicit policy. A perfect mirror is not one.
     """
-    if model.kind is MaterialKind.PLASMA:
-        return model.plasma_freq > 0.0
-    if model.kind is MaterialKind.DRUDE_LORENTZ:
-        if model.resonance_freq == 0.0 and model.plasma_freq > 0.0:
-            return True
-        if model.mu_model is not None:
-            s, res, _ = model.mu_model
-            return res == 0.0 and s > 0.0
-    return False
+    return model.kind is not MaterialKind.PERFECT_MIRROR and any(
+        osc is not None and osc[1] == 0.0 for _, osc in _records(model))
 
 
 def is_nonmagnetic(model: DispersionModel) -> bool:
-    """True when mu(omega) is identically 1."""
-    if model.kind is MaterialKind.CONSTANT:
-        return model.mu_static == 1.0
-    if model.kind is MaterialKind.PERFECT_MIRROR:
-        return False
-    return model.mu_model is None
+    """True when mu(omega) is identically 1: static 1, no oscillator."""
+    return (model.kind is not MaterialKind.PERFECT_MIRROR
+            and _records(model)[1] == (1.0, None))

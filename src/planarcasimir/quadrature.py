@@ -283,10 +283,10 @@ def _plain(x):
 def integrate_semi_infinite(
     f: Callable[[np.ndarray], np.ndarray],
     spec: QuadratureSpec,
-    upper: float | None = None,
+    *,
     error_channel: bool = False,
 ) -> IntegralResult:
-    """Integrate a decaying function over [0, upper) with upper = inf default.
+    """Integrate a decaying function over [0, inf).
 
     Parameters
     ----------
@@ -298,9 +298,6 @@ def integrate_semi_infinite(
         density that is integrated alongside and added to ``error_estimate``
         (used to pass inner-integral errors through an outer integral).
     spec : QuadratureSpec
-    upper : float, optional
-        Finite sharp truncation point (used for momentum cutoffs). ``None``
-        means the full half line.
     error_channel : bool
         See ``f``.
 
@@ -313,10 +310,8 @@ def integrate_semi_infinite(
         meet its own target. Non-convergence within the subdivision budget is
         reported through the flag, never silently.
     """
-    if upper is not None and upper <= 0.0:
-        raise ValueError("upper truncation must be positive")
     value, error, evaluations, converged = _adaptive_rows(
-        lambda rows, x: np.asarray(f(x[0]))[None], 1, upper, spec,
+        lambda rows, x: np.asarray(f(x[0]))[None], 1, None, spec,
         lambda first: spec.abs_floor, error_channel)
     return IntegralResult(
         value=_plain(value[0]),

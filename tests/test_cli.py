@@ -733,3 +733,49 @@ def test_sweep_checks_every_point_before_integrating(tmp_path, capsys,
     assert code == 2
     assert needle in err and out == ""
     assert calls == []
+
+
+# A half-space wall of material "hard" opposite a mirror plate and wall.
+HARD_WALL_CAVITY = """
+[material.vac]
+kind = constant
+
+[material.hard]
+{hard}
+
+[structure]
+regions = wall:hard:semi-infinite, gap:vac:1e-6, plate:mirror, gap:vac:2e-6,
+    wall:mirror
+
+[run]
+temperature = 300
+"""
+
+
+@pytest.mark.parametrize("hard", [
+    "kind = plasma\nplasma_freq = 0",
+    "kind = drude-lorentz\nplasma_freq = 0\nresonance_freq = 0",
+], ids=["plasma", "drude-lorentz"])
+def test_zero_strength_wall_gives_the_constant_wall_force(tmp_path, capsys,
+                                                          hard):
+    rows = []
+    for text in (hard, "kind = constant"):
+        cfg = _write(tmp_path, HARD_WALL_CAVITY.format(hard=text))
+        code, out, err = _run(capsys, ["force", "--config", cfg,
+                                       "--format", "csv"])
+        assert code == 0 and err == ""
+        rows.append(_rows(out))
+    assert rows[0] == rows[1]
+
+
+def test_infinite_material_parameter_exits_2_before_integrating(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("planarcasimir.cli.plate_force",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = _write(tmp_path, HARD_WALL_CAVITY.format(
+        hard="kind = constant\neps_static = inf"))
+    code, out, err = _run(capsys, ["force", "--config", cfg])
+    assert code == 2 and out == ""
+    assert "config error: [material.hard]: eps_static" in err
+    assert calls == []

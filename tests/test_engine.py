@@ -28,6 +28,8 @@ from planarcasimir.layers import (
 from planarcasimir.materials import (
     MIRROR,
     VACUUM,
+    DispersionModel,
+    MaterialKind,
     constant,
     drude_lorentz,
     eps_imag_axis,
@@ -734,3 +736,35 @@ def test_random_structures_give_finite_results_or_value_errors(
                         if isinstance(res, ForceResult)
                         else (res.value, res.error_estimate))
         assert np.isfinite(value) and np.isfinite(error)
+
+
+def _wall_cavity(material):
+    # A half-space wall opposite a mirror plate and a mirror far wall.
+    return CavityConfig(Wall.semi_infinite(material), VACUUM, 1e-6,
+                        PerfectMirrorPlate(), 2e-6, Wall.perfect_mirror())
+
+
+@pytest.mark.parametrize("wall", [plasma(0.0), drude_lorentz(0.0, 0.0, 1e13)],
+                         ids=["plasma", "drude-lorentz"])
+def test_zero_strength_wall_is_the_constant_wall(wall):
+    def force(material):
+        return plate_force(_wall_cavity(material), 300.0, SPEC,
+                           zero_term_policy="half-weight")
+
+    assert force(wall) == force(constant())
+
+
+def test_divergent_mu_is_refused_before_integrating(monkeypatch):
+    wall = DispersionModel(MaterialKind.PLASMA, mu_model=(1e15, 0.0, 1e13))
+    calls = []
+    monkeypatch.setattr(engine, "double_semi_infinite",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="zero_term_policy"):
+        plate_force(_wall_cavity(wall), 300.0, SPEC,
+                    zero_term_policy="half-weight")
+    assert calls == []
+
+
+def test_nan_interspace_width_is_refused():
+    with pytest.raises(ValueError, match="width"):
+        interspace(Wall.perfect_mirror(), VACUUM, np.nan, Wall.perfect_mirror())

@@ -371,3 +371,20 @@ def test_drude_detection_walks_the_whole_structure():
     assert walled.has_drude_like
     assert Wall.perfect_mirror().is_mirror_terminated
     assert not Wall.semi_infinite(constant(eps=2.0)).is_mirror_terminated
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda nan: Layer(VACUUM, nan), id="layer"),
+    pytest.param(lambda nan: CavityConfig(Wall(), VACUUM, nan,
+                                          PerfectMirrorPlate(), 1e-6, Wall()),
+                 id="cavity-d1"),
+    pytest.param(lambda nan: CavityConfig(Wall(), VACUUM, 1e-6,
+                                          PerfectMirrorPlate(), nan, Wall()),
+                 id="cavity-d3"),
+    pytest.param(lambda nan: TransverseMode(nan, 1e6, "s"), id="mode-xi"),
+    pytest.param(lambda nan: TransverseMode(1e14, np.array([1e6, nan]), "p"),
+                 id="mode-q"),
+])
+def test_nan_geometry_is_refused(build):
+    with pytest.raises(ValueError):
+        build(np.nan)

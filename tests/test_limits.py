@@ -136,3 +136,28 @@ def test_partially_reflecting_plate_weakens_the_force():
     full = plate_force(_mirror_cavity(PerfectMirrorPlate()), spec=SPEC)
     assert weak.converged
     assert 0.0 < abs(weak.force_per_area) < abs(full.force_per_area)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda nan: StaticMedium(eps=nan), id="medium-eps"),
+    pytest.param(lambda nan: StaticMedium(eps=2.0, mu=nan), id="medium-mu"),
+    pytest.param(lambda nan: casimir_generalized(StaticMedium(2.0), nan),
+                 id="casimir-d1"),
+    pytest.param(lambda nan: casimir_generalized(StaticMedium(2.0), 1e-6,
+                                                 nan), id="casimir-d3"),
+    pytest.param(lambda nan: minkowski_generalized(nan, 1e-6),
+                 id="minkowski-eps"),
+    pytest.param(lambda nan: minkowski_generalized(2.0, nan),
+                 id="minkowski-d1"),
+    pytest.param(lambda nan: force_ratio(nan), id="ratio-eps"),
+])
+def test_nan_inputs_are_refused(call):
+    with pytest.raises(ValueError):
+        call(math.nan)
+
+
+def test_infinite_permittivity_is_the_closed_form_limit():
+    # eps -> inf screens both forces to zero; their ratio tends to 3/2.
+    assert casimir_generalized(StaticMedium(math.inf), 1e-6) == 0.0
+    assert minkowski_generalized(math.inf, 1e-6) == 0.0
+    assert force_ratio(math.inf) == 1.5

@@ -165,3 +165,72 @@ def test_is_nonmagnetic():
     assert not is_nonmagnetic(drude_lorentz(1e15, 2e15, 1e13,
                                             mu_model=(1e14, 2e14, 0.0)))
     assert not is_nonmagnetic(MIRROR)
+
+
+_PARAMETER = st.one_of(st.just(0.0),
+                       st.floats(8.0, 18.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([MaterialKind.PLASMA, MaterialKind.DRUDE_LORENTZ]),
+       _PARAMETER, _PARAMETER, _PARAMETER,
+       st.none() | st.tuples(_PARAMETER, _PARAMETER, _PARAMETER))
+def test_drude_like_exactly_when_a_response_diverges_at_zero(
+        kind, strength, resonance, damping, mu_model):
+    if kind is MaterialKind.PLASMA:
+        resonance = damping = 0.0
+    model = DispersionModel(kind, plasma_freq=strength,
+                            resonance_freq=resonance, damping=damping,
+                            mu_model=mu_model)
+    xi = np.concatenate([[0.0], np.geomspace(1e8, 1e18, 41)])
+    eps, mu = eps_imag_axis(model, xi), mu_imag_axis(model, xi)
+    assert not np.isnan(eps).any() and not np.isnan(mu).any()
+    assert is_drude_like(model) == bool(np.isinf(eps[0]) or np.isinf(mu[0]))
+
+
+def test_plasma_is_the_undamped_zero_resonance_oscillator():
+    xi = np.concatenate([[0.0], np.geomspace(1e8, 1e18, 41)])
+    for strength in (1e13, 9e15):
+        np.testing.assert_array_equal(
+            eps_imag_axis(plasma(strength), xi),
+            eps_imag_axis(drude_lorentz(strength, 0.0, 0.0), xi))
+
+
+def test_zero_strength_oscillator_is_no_oscillator():
+    for model in (plasma(0.0), drude_lorentz(0.0, 0.0, 1e13),
+                  drude_lorentz(0.0, 2e15, 0.0, mu_model=(0.0, 0.0, 1e13))):
+        assert eps_imag_axis(model, 0.0) == mu_imag_axis(model, 0.0) == 1.0
+        assert not is_drude_like(model)
+        assert is_nonmagnetic(model)
+
+
+def test_divergent_mu_makes_any_kind_drude_like():
+    model = DispersionModel(MaterialKind.PLASMA, mu_model=(1e15, 0.0, 1e13))
+    assert mu_imag_axis(model, 0.0) == np.inf
+    assert is_drude_like(model)
+
+
+@pytest.mark.parametrize("make,field", [
+    pytest.param(lambda v: constant(eps=v), "eps_static", id="eps"),
+    pytest.param(lambda v: constant(mu=v), "mu_static", id="mu"),
+    pytest.param(lambda v: drude_lorentz(v, 0.0, 0.0), "plasma_freq",
+                 id="strength"),
+    pytest.param(lambda v: drude_lorentz(1e15, v, 0.0), "resonance_freq",
+                 id="resonance"),
+    pytest.param(lambda v: drude_lorentz(1e15, 0.0, v), "damping",
+                 id="damping"),
+    pytest.param(plasma, "plasma_freq", id="plasma"),
+    pytest.param(lambda v: drude_lorentz(1e15, 0.0, 0.0,
+                                         mu_model=(1e14, v, 0.0)),
+                 "mu_resonance_freq", id="mu-resonance"),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_parameters_are_refused_by_name(make, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make(value)
+
+
+def test_constant_kind_has_no_oscillator():
+    with pytest.raises(ValueError, match="constant kind has no oscillator"):
+        DispersionModel(MaterialKind.CONSTANT, eps_static=2.0,
+                        plasma_freq=1e15)
