@@ -35,7 +35,6 @@ from .quadrature import (
     matsubara_sum,
 )
 from .engine import (
-    DEFAULT_SPEC,
     ForceResult,
     InterspaceView,
     StressProfile,
@@ -65,7 +64,7 @@ __all__ = [
     "Wall", "beta_imag", "wall_reflection",
     "IntegralResult", "QuadratureSpec", "integrate_semi_infinite",
     "matsubara_sum",
-    "DEFAULT_SPEC", "ForceResult", "InterspaceView", "StressProfile",
+    "ForceResult", "InterspaceView", "StressProfile",
     "cavity_interspaces", "interspace", "minkowski_plate_force",
     "minkowski_stress_zz", "plate_force", "stress_profile", "stress_zz",
     "StaticMedium", "casimir_generalized", "force_ratio",

@@ -159,7 +159,6 @@ def _meta(rc: RunConfig) -> dict:
         "zero_term_policy": rc.zero_term_policy,
         "rel_tol": q.rel_tol,
         "abs_floor": q.abs_floor,
-        "max_subdivisions": q.max_subdivisions,
         "q_cutoff_rad_per_m": q.q_cutoff,
         "matsubara_max_terms": q.matsubara_max_terms,
         "matsubara_tail": q.matsubara_tail,
@@ -527,9 +526,9 @@ def main(argv=None) -> int:
         return 2
     if n_bad:
         print(f"warning: {args.command}: {n_bad} of {len(rows)} result(s) did"
-              " not reach the requested tolerance (raise --rel-tol,"
-              " max_subdivisions or matsubara_max_terms); error estimates"
-              " stay honest", file=sys.stderr)
+              " not reach the requested tolerance (raise --rel-tol or"
+              " matsubara_max_terms); error estimates stay honest",
+              file=sys.stderr)
         return 3
     return 0
 

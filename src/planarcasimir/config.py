@@ -141,7 +141,6 @@ def _choice(text: str | None, choices: tuple[str, ...], where: str):
 _QUAD_KEYS = {
     "rel_tol": _to_float,
     "abs_floor": _to_float,
-    "max_subdivisions": _to_int,
     "q_cutoff": lambda text, where: (
         None if text.strip().lower() in ("", "none")
         else _to_float(text.strip(), where)),

@@ -193,6 +193,11 @@ def _g(view: InterspaceView, z, xi, q, modes):
                            * np.exp(-2.0 * kappa * (view.width - z)))) / denom
 
 
+def _index(medium: DispersionModel) -> float:
+    """A lower bound on the medium's n(i xi): eps >= 1 and mu >= mu_static."""
+    return np.sqrt(min(1.0, medium.mu_static))
+
+
 def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
     """(endpoint rule, m = 0 contribution) of a zero-term request.
 
@@ -243,8 +248,8 @@ def stress_zz(
     Positive values mean the walls are pulled toward the interspace
     (attraction for the usual configurations). Every z must lie strictly
     inside; near an interface the transverse integral develops a 1/z scale
-    and, if no ``q_cutoff`` regularizes it, may exhaust the subdivision
-    budget, which is reported through ``converged`` rather than raised.
+    and, if no ``q_cutoff`` regularizes it, may miss the tolerance at the
+    last level, which is reported through ``converged`` rather than raised.
 
     K heights are the K columns of one double integral, with values and
     errors of shape (K,) (floats for a scalar z). They share one mesh,
@@ -281,7 +286,8 @@ def stress_zz(
 
     d_ref = min(heights.min(), view.width - heights.max())
     return double_semi_infinite(integrand, spec, d_ref, _STRESS_PREFACTOR,
-                                temperature, *zero_term)
+                                temperature, *zero_term,
+                                index=_index(view.medium))
 
 
 def minkowski_stress_zz(
@@ -444,7 +450,7 @@ def plate_force(
     -------
     ForceResult
         Positive force pushes the plate toward +z. Both polarizations are
-        integrated in one adaptive pass.
+        integrated in one pass.
     """
     spec = spec or DEFAULT_SPEC
     d_min = min(cavity.d1, cavity.d3)
@@ -463,7 +469,8 @@ def plate_force(
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
                            cavity.has_drude_like, per_polarization=True)
     res = double_semi_infinite(_INTEGRANDS[method](cavity), spec, d_min,
-                               _STRESS_PREFACTOR, temperature, *zero_term)
+                               _STRESS_PREFACTOR, temperature, *zero_term,
+                               index=_index(cavity.medium))
     return _force_result(res, method)
 
 

@@ -79,6 +79,17 @@ class DispersionModel:
                 f"static permeability must be > 0, got {self.mu_static}")
         if not all(p >= 0.0 for p in eps_osc + mu_osc):
             raise ValueError("oscillator parameters must be non-negative")
+        # The evaluation forms Omega^2, omega_0^2 and, at xi = 0, their ratio.
+        for prefix, osc in (("", eps_osc), ("mu_", mu_osc or (0.0, 0.0))):
+            with np.errstate(over="ignore", divide="ignore"):
+                strength, resonance = np.array(osc[:2], dtype=float) ** 2
+                ratio = strength / resonance if osc[0] and osc[1] else 0.0
+            for name, square in (("plasma_freq", strength),
+                                 ("resonance_freq", resonance),
+                                 ("plasma_freq over resonance_freq", ratio)):
+                if not np.isfinite(square):
+                    raise ValueError(f"{prefix}{name} squared must be finite,"
+                                     f" got {square}")
         if self.kind is MaterialKind.PLASMA and any(eps_osc[1:]):
             raise ValueError("plasma kind has no resonance or damping")
         if self.kind in (MaterialKind.CONSTANT, MaterialKind.PERFECT_MIRROR

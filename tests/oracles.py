@@ -2,12 +2,15 @@
 
 Everything here is deliberately built from first principles with no imports
 from the package under test: a brute-force 2x2 characteristic-matrix solver
-for layered reflection/transmission, and a table of semi-infinite integrals
-with known closed forms.
+for layered reflection/transmission, a table of semi-infinite integrals
+with known closed forms, and the textbook distance limits of the pressure
+between plasma half-spaces.
 """
 
+import math
+
 import numpy as np
-from scipy.constants import c
+from scipy.constants import c, hbar
 from scipy.special import erf
 
 DELTA = {"s": -1.0, "p": 1.0}
@@ -119,3 +122,30 @@ INTEGRAND_SUITE = [
     ("mode_envelope", _calm(lambda x: x * np.exp(-2.0 * np.sqrt(x ** 2 + 1.0))),
      0.75 * np.exp(-2.0)),
 ]
+
+
+# ---------------------------------------------------------------------------
+# Two plasma half-spaces across a vacuum gap d, with delta = c/omega_p, in
+# both distance limits (Bordag, Mohideen & Mostepanenko, Phys. Rep. 353, 1
+# (2001), and Advances in the Casimir Effect (2009)).
+
+def plasma_retarded_ratio(d_over_delta):
+    """P/P_mirror = 1 - (16/3)(delta/d) + 24 (delta/d)^2, to O((delta/d)^3)."""
+    x = 1.0 / d_over_delta
+    return 1.0 - 16.0 / 3.0 * x + 24.0 * x * x
+
+
+def _nonretarded_sum(terms=20000):
+    """S = sum_n n^-3 sqrt(pi) Gamma(2n - 1/2) / (2 Gamma(2n)) = 0.8721256.
+
+    The n-th term falls like n^-3.5, so the sum stops 5e-12 short.
+    """
+    return sum(n ** -3.0 * math.sqrt(math.pi) / 2.0
+               * math.exp(math.lgamma(2 * n - 0.5) - math.lgamma(2 * n))
+               for n in range(1, terms + 1))
+
+
+def plasma_nonretarded_pressure(plasma_freq, d):
+    """P_nr = hbar omega_s S / (8 pi^2 d^3), omega_s = omega_p / sqrt(2)."""
+    surface = plasma_freq / math.sqrt(2.0)
+    return hbar * surface * _nonretarded_sum() / (8.0 * math.pi ** 2 * d ** 3)

@@ -288,11 +288,10 @@ def test_filled_profile_varies_with_z(tmp_path, capsys):
 
 
 def test_profile_budget_exhaustion_exits_3(tmp_path, capsys):
-    # rel_tol below the noise floor of the inner integrals cannot be met.
+    # rel_tol below double rounding cannot be met.
     cfg = _write(tmp_path, TWO_WALL + """
 [quadrature]
-rel_tol = 1e-15
-max_subdivisions = 8
+rel_tol = 1e-17
 """)
     code, out, err = _run(capsys, ["stress-profile", "--config", cfg,
                                    "--format", "csv", "--samples", "3"])
@@ -681,6 +680,22 @@ def test_non_finite_inputs_exit_2_before_integrating(
     assert code == 2
     assert needle in err and out == ""
     assert calls == []
+
+
+def test_overflowing_oscillator_exits_2_before_integrating(
+        tmp_path, capsys, monkeypatch):
+    # plasma_freq**2 overflows a float; it used to crash the integral.
+    calls = []
+    monkeypatch.setattr("planarcasimir.cli.plate_force",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = _write(tmp_path, VACUUM_CAVITY.replace(
+        "wall:mirror, gap", "wall:hard:semi-infinite, gap")
+        + "\n[material.hard]\nkind = plasma\nplasma_freq = 1e160\n")
+    code, out, err = _run(capsys, ["force", "--config", cfg])
+    assert code == 2
+    assert ("config error: [material.hard]: plasma_freq squared must be"
+            " finite") in err
+    assert out == "" and calls == []
 
 
 # The README cavity: Drude gold plate between mirrors, no [run] section.

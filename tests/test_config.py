@@ -239,7 +239,9 @@ regions = wall:mirror, gap:vac:1e-6, plate:mirror, gap:oil:2e-6, wall:mirror
     ("[run]\nspeed = fast", "unknown key"),
     ("[quadrature]\nrel_tol = 2.0", "rel_tol"),
     ("[quadrature]\nnodes = 7", "unknown key"),
-    ("[quadrature]\nmax_subdivisions = many", "not an integer"),
+    ("[quadrature]\nmatsubara_max_terms = many", "not an integer"),
+    ("[quadrature]\nmax_subdivisions = 8",
+     r"\[quadrature\]: unknown key\(s\): max_subdivisions"),
     ("[output]\nformat = yaml", "csv or json"),
     ("[output]\ncompress = yes", "unknown key"),
 ])
@@ -264,7 +266,6 @@ def test_quadrature_options_parse(tmp_path):
 [quadrature]
 rel_tol = 1e-6
 abs_floor = 1e-20
-max_subdivisions = 64
 q_cutoff = 3e7
 matsubara_max_terms = 123
 matsubara_tail = integral-tail-estimate
@@ -272,7 +273,6 @@ matsubara_tail = integral-tail-estimate
     q = rc.quadrature
     assert q.rel_tol == 1e-6
     assert q.abs_floor == 1e-20
-    assert q.max_subdivisions == 64
     assert q.q_cutoff == 3e7
     assert q.matsubara_max_terms == 123
     assert q.matsubara_tail == "integral-tail-estimate"

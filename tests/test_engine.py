@@ -36,7 +36,10 @@ from planarcasimir.materials import (
     mu_imag_axis,
     plasma,
 )
+from planarcasimir.limits import StaticMedium, casimir_generalized
 from planarcasimir.quadrature import IntegralResult, QuadratureSpec
+
+from oracles import plasma_nonretarded_pressure, plasma_retarded_ratio
 
 SPEC = QuadratureSpec(rel_tol=1e-8)
 
@@ -714,8 +717,7 @@ _BAD_VALUE = st.sampled_from([None, np.nan, np.inf, {"s": 1.0},
 def test_random_structures_give_finite_results_or_value_errors(
         left, right, plate, d1, d3, eps, temperature, policy, stress_value,
         force_value):
-    spec = QuadratureSpec(rel_tol=1e-4, max_subdivisions=32,
-                          matsubara_max_terms=30)
+    spec = QuadratureSpec(rel_tol=1e-4, matsubara_max_terms=30)
     medium = constant(eps=eps)
     cavity = CavityConfig(left, medium, d1, plate, d3, right)
     request = dict(temperature=temperature, spec=spec,
@@ -768,3 +770,61 @@ def test_divergent_mu_is_refused_before_integrating(monkeypatch):
 def test_nan_interspace_width_is_refused():
     with pytest.raises(ValueError, match="width"):
         interspace(Wall.perfect_mirror(), VACUUM, np.nan, Wall.perfect_mirror())
+
+
+# ---------------------------------------------------------------------------
+# what the nested rule must not lose
+
+@pytest.mark.parametrize("mu", [0.5, 0.05, 0.005])
+def test_low_index_gap_meets_the_closed_form(mu):
+    # n = sqrt(mu) < 1 stretches the frequency scale of the integrand by
+    # 1/n; a frequency rule that does not follow it misses the closed form.
+    cavity = CavityConfig(Wall.perfect_mirror(), constant(mu=mu), 1e-6,
+                          PerfectMirrorPlate(), 3e-6, Wall.perfect_mirror())
+    res = plate_force(cavity)
+    exact = casimir_generalized(StaticMedium(1.0, mu), 1e-6, 3e-6)
+    assert res.converged
+    assert abs(res.force_per_area - exact) <= res.error_estimate
+
+
+def test_symmetric_direct_difference_noise_returns_unconverged():
+    # Coated-gold walls, eps = 2 gaps of 2 um and a 200 nm gold plate: the
+    # direct difference is rounding noise around a true 0. The rule must
+    # return within its level cap (the level-6 tensor under the noise-guard
+    # cutoff, 365 x 493 points) and book the noise as error.
+    gold = Wall.semi_infinite(_GOLD)
+    cavity = CavityConfig(gold, constant(eps=2.0), 2e-6, Layer(_GOLD, 2e-7),
+                          2e-6, gold)
+    res = plate_force(cavity, method="direct-difference")
+    assert not res.converged
+    assert abs(res.force_per_area) <= res.error_estimate
+    assert res.evaluations <= 365 * 493
+
+
+_PLASMA_FREQ = 1.37e16
+_SKIN = c / _PLASMA_FREQ
+
+
+def _plasma_gap_stress(d):
+    wall = Wall.semi_infinite(plasma(_PLASMA_FREQ))
+    return stress_zz(interspace(wall, VACUUM, d, wall), 0.5 * d,
+                     spec=QuadratureSpec(rel_tol=1e-12))
+
+
+@pytest.mark.parametrize("d_over_skin", [400.0, 800.0])
+def test_plasma_half_spaces_meet_the_retarded_expansion(d_over_skin):
+    d = d_over_skin * _SKIN
+    res = _plasma_gap_stress(d)
+    mirror = np.pi ** 2 * hbar * c / (240.0 * d ** 4)
+    residual = res.value / mirror - plasma_retarded_ratio(d_over_skin)
+    assert res.converged
+    assert abs(residual) <= 150.0 / d_over_skin ** 3
+
+
+@pytest.mark.parametrize("d_over_skin", [1.0 / 400.0, 1.0 / 800.0])
+def test_plasma_half_spaces_meet_the_nonretarded_limit(d_over_skin):
+    d = d_over_skin * _SKIN
+    res = _plasma_gap_stress(d)
+    ratio = res.value / plasma_nonretarded_pressure(_PLASMA_FREQ, d)
+    assert res.converged
+    assert abs(1.0 - ratio) <= 2.5 * d_over_skin ** 2

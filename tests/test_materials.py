@@ -223,6 +223,15 @@ def test_divergent_mu_makes_any_kind_drude_like():
     pytest.param(lambda v: drude_lorentz(1e15, 0.0, 0.0,
                                          mu_model=(1e14, v, 0.0)),
                  "mu_resonance_freq", id="mu-resonance"),
+    # Finite parameters whose squares, or whose ratio of squares at xi = 0,
+    # overflow: the evaluation would raise or return inf.
+    pytest.param(lambda v: drude_lorentz(1e160, 0.0, 0.0),
+                 "plasma_freq squared", id="strength-squared"),
+    pytest.param(lambda v: drude_lorentz(1e15, 0.0, 0.0,
+                                         mu_model=(1e10, 1e200, 0.0)),
+                 "mu_resonance_freq squared", id="mu-resonance-squared"),
+    pytest.param(lambda v: drude_lorentz(1e100, 1e-200, 1e13),
+                 "plasma_freq over resonance_freq squared", id="ratio"),
 ])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_parameters_are_refused_by_name(make, field, value):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.constants import Boltzmann, c, hbar
@@ -8,7 +10,6 @@ from planarcasimir.materials import MIRROR, constant, drude_lorentz
 from planarcasimir.quadrature import (
     IntegralResult,
     QuadratureSpec,
-    _adaptive_rows,
     double_semi_infinite,
     integrate_semi_infinite,
     matsubara_frequency,
@@ -25,8 +26,6 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_floor=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=4)
     with pytest.raises(ValueError):
         QuadratureSpec(q_cutoff=0.0)
     for bad in (np.inf, np.nan):
@@ -72,9 +71,18 @@ def test_results_are_deterministic():
 
 
 def test_finite_upper_truncation():
-    value = _adaptive_rows(lambda rows, x: np.exp(-x), 1, 3.0, SPEC,
-                           _no_floor)[0]
-    assert value[0] == pytest.approx(1.0 - np.exp(-3.0), rel=1e-12)
+    # Under a q cutoff the q rule is tanh-sinh on [0, q_cutoff*d_ref].
+    d = 1e-6
+
+    def integrand(xi, q):
+        return np.exp(-xi * d / c) * np.exp(-q * d)
+
+    res = double_semi_infinite(integrand, SPEC, d, temperature=300.0)
+    cut = double_semi_infinite(integrand, replace(SPEC, q_cutoff=3.0 / d), d,
+                               temperature=300.0)
+    assert res.converged and cut.converged
+    assert cut.value / res.value == pytest.approx(1.0 - np.exp(-3.0),
+                                                  rel=1e-12)
 
 
 def test_non_finite_evaluation_is_reported_with_abscissa():
@@ -94,30 +102,12 @@ def test_pathological_scale_is_reported():
 
 
 def test_budget_exhaustion_flags_not_converged():
-    # A hard endpoint singularity under a tiny subdivision budget cannot
-    # reach 1e-10; the flag must say so instead of lying.
-    tight = QuadratureSpec(rel_tol=1e-12, max_subdivisions=8)
+    # A target below double rounding is refused by the eps floor of the
+    # error at every level; the flag must say so instead of lying.
+    tight = QuadratureSpec(rel_tol=1e-17)
     res = integrate_semi_infinite(lambda x: np.exp(-x) / np.sqrt(x), tight)
     assert not res.converged
     assert abs(res.value - np.sqrt(np.pi)) <= 10.0 * res.error_estimate
-
-
-def test_error_channel_adds_auxiliary_error():
-    def f_plain(x):
-        return np.exp(-x)
-
-    def f_channel(x):
-        out = np.empty((x.size, 2))
-        out[:, 0] = np.exp(-x)
-        out[:, 1] = np.exp(-x)
-        return out
-
-    plain = integrate_semi_infinite(f_plain, SPEC)
-    chan = integrate_semi_infinite(f_channel, SPEC, error_channel=True)
-    assert chan.value == pytest.approx(plain.value, rel=1e-14)
-    # The channel integrates to 1, which lands in the error estimate.
-    assert chan.error_estimate == pytest.approx(1.0, rel=1e-6)
-    assert plain.error_estimate < 1e-9
 
 
 def test_two_column_integrand_meets_each_relative_target():
@@ -140,19 +130,6 @@ def test_two_column_integrand_meets_each_relative_target():
         assert isinstance(alone.value, float)
         assert abs(both.value[k] - alone.value) <= (
             both.error_estimate[k] + alone.error_estimate)
-
-
-def test_two_column_error_channel():
-    def f(x):
-        col = np.exp(-x)
-        # column 0 carries no auxiliary error, column 1 an error density
-        return np.stack([np.stack([col, 0.0 * col], axis=-1),
-                         np.stack([col, col], axis=-1)], axis=1)
-
-    res = integrate_semi_infinite(f, SPEC, error_channel=True)
-    assert res.value == pytest.approx([1.0, 1.0], rel=1e-12)
-    assert res.error_estimate[0] < 1e-9
-    assert res.error_estimate[1] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_double_semi_infinite_separable_product():
@@ -183,59 +160,10 @@ def test_double_semi_infinite_momentum_cutoff():
     assert res.value == pytest.approx(expected, rel=1e-8)
 
 
-# ---------------------------------------------------------------------------
-# the row core: many independent integrals, one integrand call per round
-
-def _no_floor(first):
-    return 0.0
-
-
-def _decays(rates, singular=()):
-    """Row r: columns exp(-a_r x) and 3 exp(-a_r x), over sqrt(x) if singular."""
-    rates = np.asarray(rates, dtype=float)
-    weak = np.isin(np.arange(rates.size), singular)
-
-    def f(rows, x):
-        col = np.exp(-rates[rows, None] * x)
-        col = np.where(weak[rows, None], col / np.sqrt(x), col)
-        return np.stack([col, 3.0 * col], axis=-1)
-
-    return f
-
-
-def test_batched_rows_match_one_row_runs():
-    # With no floor every row's relative target binds, so a row's panels,
-    # value and flag cannot depend on the rows it is batched with.
-    rates = [0.05, 0.7, 1.0, 4.0, 30.0]
-    spec = QuadratureSpec(rel_tol=1e-11)
-    f = _decays(rates)
-    value, error, evals, ok = _adaptive_rows(f, len(rates), None, spec,
-                                             _no_floor)
-    assert value.shape == error.shape == (len(rates), 2)
-    assert ok.all()
-    np.testing.assert_allclose(value[:, 0], 1.0 / np.array(rates), rtol=1e-10)
-    for r, rate in enumerate(rates):
-        one = _adaptive_rows(_decays([rate]), 1, None, spec, _no_floor)
-        np.testing.assert_allclose(value[r], one[0][0], rtol=1e-14, atol=0.0)
-        assert evals[r] == one[2][0]
-        assert ok[r] == one[3][0]
-    # Rows converge after different numbers of rounds.
-    assert len(set(evals)) > 1
-
-
-def test_row_out_of_budget_is_flagged_alone():
-    spec = QuadratureSpec(rel_tol=1e-12, max_subdivisions=8)
-    value, error, evals, ok = _adaptive_rows(
-        _decays([1.0, 1.0, 2.0], singular=[1]), 3, None, spec, _no_floor)
-    assert ok.tolist() == [True, False, True]
-    assert evals[1] == 15 * (8 + 2 * 8)
-    assert abs(value[1, 0] - np.sqrt(np.pi)) <= 10.0 * error[1, 0]
-
-
 def test_double_integral_reports_an_inner_budget_miss():
     # The outer integrand exp(-u) (1 + u sqrt(pi)) is smooth, but every q
-    # integral has a 1/sqrt(q) endpoint singularity that 8 subdivisions
-    # cannot resolve; the miss must reach the flag.
+    # integral has a 1/sqrt(q) endpoint singularity; a target below double
+    # rounding cannot be met, and the miss must reach the flag.
     d = 1e-6
 
     def integrand(xi, q):
@@ -246,19 +174,23 @@ def test_double_integral_reports_an_inner_budget_miss():
     loose = double_semi_infinite(integrand, QuadratureSpec(rel_tol=1e-6), d)
     assert loose.converged
     assert abs(loose.value - exact) <= loose.error_estimate
-    tight = double_semi_infinite(
-        integrand, QuadratureSpec(rel_tol=1e-6, max_subdivisions=8), d)
+    tight = double_semi_infinite(integrand, QuadratureSpec(rel_tol=1e-17), d)
     assert not tight.converged
     assert abs(tight.value - exact) <= tight.error_estimate
 
 
 def test_non_finite_value_names_the_abscissa_of_its_row():
-    def f(rows, x):
-        bad = (rows[:, None] == 1) & (np.abs(x - 0.5) < 0.2)
-        return np.where(bad, np.nan, np.exp(-x))
+    # A NaN band in q at one frequency of a double integral: the error names
+    # the q abscissa (v = q d) inside the band.
+    d = 1e-6
 
-    with pytest.raises(ValueError, match=r"non-finite value at x = 0\.3"):
-        _adaptive_rows(f, 3, None, SPEC, _no_floor)
+    def integrand(xi, q):
+        v = q * d
+        bad = (np.abs(xi * d / c - 1.0) < 0.5) & (np.abs(v - 0.5) < 0.2)
+        return np.where(bad, np.nan, np.exp(-xi * d / c - v))
+
+    with pytest.raises(ValueError, match=r"non-finite value at x = 0\.[3-6]"):
+        double_semi_infinite(integrand, SPEC, d)
 
 
 def test_double_integral_replays_bit_for_bit():
