@@ -161,7 +161,6 @@ def _meta(rc: RunConfig) -> dict:
         "abs_floor": q.abs_floor,
         "q_cutoff_rad_per_m": q.q_cutoff,
         "matsubara_max_terms": q.matsubara_max_terms,
-        "matsubara_tail": q.matsubara_tail,
     }
 
 

@@ -145,7 +145,6 @@ _QUAD_KEYS = {
         None if text.strip().lower() in ("", "none")
         else _to_float(text.strip(), where)),
     "matsubara_max_terms": _to_int,
-    "matsubara_tail": lambda text, where: text.strip(),
 }
 
 # The keys of every fixed section, in canonical order.

@@ -1,21 +1,24 @@
 """Deterministic quadrature on [0, inf) and bosonic frequency sums.
 
-Every integral is one nested double-exponential rule (Takahasi & Mori, Publ.
-RIMS 9, 721 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127, 287
-(2001)): the trapezoid rule of step 2**-k in t under the exp-sinh map
-x = exp((pi/2) sinh t), on a fixed range of t. Each level halves the step
-and evaluates only the nodes it adds. A level's error is its difference from
-the level before plus the end terms, and at least eps times the sum of
-|weight * f|; the rule stops at the tolerance or at its last level. Node
-tables depend only on the range and the level, so results replay bit for
-bit. ``integrate_semi_infinite`` is the 1-D rule. ``double_semi_infinite``
-is the tensor product of the rule in frequency and in momentum at T = 0,
-and one momentum rule per term of ``matsubara_sum`` at T > 0.
+Every integral and sum is one nested double-exponential rule (Takahasi &
+Mori, Publ. RIMS 9, 721 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127,
+287 (2001)) over the tensor product of two axes. An integrated axis is the
+trapezoid rule of step 2**-k in t under the exp-sinh map
+x = exp((pi/2) sinh t) on a fixed range of t: each level halves the step and
+evaluates only the nodes it adds. A fixed axis has the same nodes and
+weights at every level: the single node of a 1-D integral, or a block of
+Matsubara frequencies. A level's error is its difference from the level
+before plus the end terms, and at least eps times the sum of |weight * f|;
+the rule stops at the tolerance or at its last level. Results replay bit
+for bit. ``integrate_semi_infinite`` is the 1-D rule, and
+``double_semi_infinite`` the tensor product of the rule in frequency and in
+momentum at T = 0. At T > 0 it and ``matsubara_sum`` run one loop over
+blocks of Matsubara terms, ``_thermal``, with one stop rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -40,18 +43,14 @@ class QuadratureSpec:
         Sharp, finite upper truncation of transverse-momentum integrals
         (rad/m). ``None`` integrates to infinity.
     matsubara_max_terms : int
-        Hard cap on the number of nonzero thermal terms.
-    matsubara_tail : str
-        ``"none"`` truncates and books the tail bound as error;
-        ``"integral-tail-estimate"`` adds a geometric tail continuation to the
-        value and books half of it as error.
+        Hard cap on the number of nonzero thermal terms; a sum stopped by it
+        books its tail bound as error and is not converged.
     """
 
     rel_tol: float = 1e-8
     abs_floor: float = 0.0
     q_cutoff: float | None = None
     matsubara_max_terms: int = 20000
-    matsubara_tail: str = "none"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < 1.0:
@@ -63,8 +62,6 @@ class QuadratureSpec:
                              f" given, got {self.q_cutoff}")
         if self.matsubara_max_terms < 1:
             raise ValueError("matsubara_max_terms must be >= 1")
-        if self.matsubara_tail not in ("none", "integral-tail-estimate"):
-            raise ValueError(f"unknown matsubara_tail policy {self.matsubara_tail!r}")
 
 
 @dataclass(frozen=True)
@@ -93,9 +90,9 @@ _MOMENTUM = (-3.8125, 1.6875, None)
 _FREQUENCY = (-4.0, 1.6875, None)
 # Top of the q range under a cutoff, where v = V x/(1 + x) is V to 2e-17.
 _CUTOFF_TOP = 3.875
-# First and last level of the 0 K tensor rule and of each thermal term's q
-# rule. At rel_tol 1e-8 nearly every term needs level 5, which one 177-point
-# call reaches at less cost than two calls from level 4.
+# First and last level of the 0 K tensor rule and of the q rule of each
+# block of thermal terms. At rel_tol 1e-8 the first block needs level 5,
+# which one call reaches at less cost than two calls from level 4.
 _TENSOR_LEVELS = (4, 6)
 _TERM_LEVELS = (5, 6)
 _LINE = (-4.5, 3.875, None)
@@ -103,34 +100,35 @@ _LINE_LEVELS = (3, 12)
 # Point-columns per integrand call (3,600 points of an (s, p) pair), and at
 # least one row: larger calls add to the peak memory of every run.
 _CHUNK = 7200
+# Nonzero Matsubara terms in the first block of a thermal sum; every later
+# block is twice the one before, so a sum of n terms takes about log2(n/4)
+# blocks, and a cap of 10 terms still leaves two blocks to compare.
+_FIRST_BLOCK = 4
 
 
 @lru_cache(maxsize=64)
 def _axis(axis, level: int):
-    """(x, weights, odd, even) of one axis of the rule at ``level``.
+    """(x, weights, odd, even) of an integrated axis of the rule at ``level``.
 
-    ``axis`` is a range (lo, hi, None) of the exp-sinh map onto [0, inf),
+    ``axis`` is a range (lo, hi, None) of the exp-sinh map onto [0, inf), or
     (lo, hi, V) for its composition with v = V x/(1 + x), tanh-sinh on
-    [0, V], or None for the single node x = 0 of an axis not integrated.
-    The read-only weight rows are the trapezoid weights, those of the level
-    before (zero on the odd nodes), and dx/dt at the first and at the last
-    node. ``odd`` and ``even`` index the nodes the level adds and keeps.
+    [0, V]. The read-only weight rows are the trapezoid weights, those of
+    the level before (zero on the odd nodes), and dx/dt at the first and at
+    the last node. ``odd`` and ``even`` index the nodes the level adds and
+    keeps.
     """
-    if axis is None:
-        x, weights, j = np.zeros(1), np.array([[1.0], [1.0], [0.0], [0.0]]), [0]
-    else:
-        lo, hi, top = axis
-        j = np.arange(round(lo * 2**level), round(hi * 2**level) + 1)
-        t = np.ldexp(j, -level)
-        x = np.exp(0.5 * np.pi * np.sinh(t))
-        jac = 0.5 * np.pi * np.cosh(t) * x
-        if top is not None:
-            shrink = 1.0 / (1.0 + x)
-            x, jac = top * x * shrink, top * jac * shrink * shrink
-        weights = np.zeros((4, j.size))
-        weights[0] = np.ldexp(jac, -level)
-        weights[1, j % 2 == 0] = 2.0 * weights[0, j % 2 == 0]
-        weights[2, 0], weights[3, -1] = jac[0], jac[-1]
+    lo, hi, top = axis
+    j = np.arange(round(lo * 2**level), round(hi * 2**level) + 1)
+    t = np.ldexp(j, -level)
+    x = np.exp(0.5 * np.pi * np.sinh(t))
+    jac = 0.5 * np.pi * np.cosh(t) * x
+    if top is not None:
+        shrink = 1.0 / (1.0 + x)
+        x, jac = top * x * shrink, top * jac * shrink * shrink
+    weights = np.zeros((4, j.size))
+    weights[0] = np.ldexp(jac, -level)
+    weights[1, j % 2 == 0] = 2.0 * weights[0, j % 2 == 0]
+    weights[2, 0], weights[3, -1] = jac[0], jac[-1]
     x.setflags(write=False)
     weights.setflags(write=False)
     # Node i has j = j[0] + i, so the odd and the even nodes alternate.
@@ -138,10 +136,26 @@ def _axis(axis, level: int):
     return x, weights, range(1 - start, x.size, 2), range(start, x.size, 2)
 
 
-def _nested(f: Callable, outer, inner, levels: tuple[int, int],
-            rel_tol: float, abs_floor: float):
-    """Nested trapezoid rule over the tensor product of two ``_axis`` ranges.
+def _fixed(x: np.ndarray, w: np.ndarray):
+    """A fixed axis in the form of ``_axis``: nodes x with weights w.
 
+    The weights are those of every level, it adds no nodes and has no end
+    terms.
+    """
+    weights = np.zeros((4, x.size))
+    weights[:2] = w
+    return x, weights, range(0), range(x.size)
+
+
+# The single node x = 0 of an axis not integrated.
+_POINT = _fixed(np.zeros(1), np.ones(1))
+
+
+def _nested(f: Callable, outer, inner, levels: tuple[int, int],
+            rel_tol: float, abs_floor: float | np.ndarray):
+    """Nested trapezoid rule over the tensor product of two axes.
+
+    Each axis is a range of ``_axis`` or a fixed axis of ``_fixed``.
     ``f(a, b)`` gets outer abscissas a of shape (A, 1) and inner ones b of
     shape (A, m) and returns shape (A, m), or (A, m, k) for k columns. The
     first of ``levels`` evaluates every node and reads the level before from
@@ -150,17 +164,19 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
     end terms are the integrals along the end lines of each integrated axis
     per unit t. Every column must meet ``max(rel_tol*|S_k|, abs_floor)``.
     Returns (value, error, points evaluated, converged, upper end term of
-    the inner axis).
+    the inner axis, sum of |weight * f|).
     """
     first, last = levels
     # From one level to the next a sum over an integrated axis halves,
-    # one with dx/dt at an end node keeps its size.
-    keep = np.array([0.5, 0.5, 1.0, 1.0])
-    scale = np.outer(keep if outer is not None else np.ones(4), keep)[..., None]
+    # one with dx/dt at an end node keeps its size; a fixed axis keeps all.
+    keep = [np.array([0.5, 0.5, 1.0, 1.0]) if len(axis) == 3 else np.ones(4)
+            for axis in (outer, inner)]
+    scale = np.outer(*keep)[..., None]
     n_cols, evals, before = None, 0, 0.0
     for level in range(first, last + 1):
         (u, w_u, odd_u, even_u), (v, w_v, odd_v, _) = (
-            _axis(outer, level), _axis(inner, level))
+            axis if len(axis) == 4 else _axis(axis, level)
+            for axis in (outer, inner))
         every = range(v.size)
         if level == first:
             # A first call of one row tells the column count.
@@ -186,7 +202,8 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
                 y = y.reshape(y.shape[:2] + (-1,))
                 if not np.isfinite(y).all():
                     i, j = np.argwhere(~np.isfinite(y).all(axis=-1))[0]
-                    where = "" if outer is None else f" (outer {u[chunk[i]]})"
+                    where = ("" if outer is _POINT
+                             else f" (outer {u[chunk[i]]})")
                     raise ValueError("integrand returned a non-finite value"
                                      f" at x = {v[columns[j]]}{where}")
                 if n_cols is None:
@@ -214,7 +231,8 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
         # one level to the next), so book the larger of the last two changes.
         error = np.maximum(error, before + bound)
     return (total.reshape(column_shape), error.reshape(column_shape), evals,
-            converged, np.abs(sums[0, 3]).reshape(column_shape))
+            converged, np.abs(sums[0, 3]).reshape(column_shape),
+            size.reshape(column_shape))
 
 
 def _plain(x):
@@ -249,8 +267,8 @@ def integrate_semi_infinite(
         every column to meet its target, and a miss at level 12 is reported
         through it, never silently. ``evaluations`` counts abscissas.
     """
-    value, error, evaluations, converged, top = _nested(
-        lambda _, x: np.asarray(f(x[0]))[None], None, _LINE, _LINE_LEVELS,
+    value, error, evaluations, converged, top, _ = _nested(
+        lambda _, x: np.asarray(f(x[0]))[None], _POINT, _LINE, _LINE_LEVELS,
         spec.rel_tol, spec.abs_floor)
     if np.any(top > np.maximum(spec.rel_tol * np.abs(value), spec.abs_floor)):
         raise ValueError(
@@ -282,13 +300,12 @@ def double_semi_infinite(
     u = index*xi*d_ref/c from 2.4e-19 to 60. ``index`` is a lower bound on
     the medium's refractive index n(i xi), since the integrand decays like
     exp(-2 n xi d_ref/c). Levels 4 to 6 (8,188 to 128,845 points without a
-    cutoff) are judged as one rule. At T > 0 it is ``matsubara_sum`` under
-    the endpoint rule ``zero_term_policy``; each term is a q rule of levels
-    5 and 6 at a tenfold tighter relative tolerance, its error on the sum's
-    error channel. A given ``zero_term_value`` (per column, only at T > 0)
-    is added as it is; the caller has checked both (``engine._zero_term``).
-    ``evaluations`` counts integrand points; ``converged`` requires every
-    rule's target.
+    cutoff) are judged as one rule. At T > 0 the xi integral is the thermal
+    sum of ``_thermal`` under the endpoint rule ``zero_term_policy``, with
+    the q rule of levels 5 and 6 as its inner axis. A given
+    ``zero_term_value`` (per column, only at T > 0) is added as it is; the
+    caller has checked both (``engine._zero_term``). ``evaluations`` counts
+    integrand points; ``converged`` requires the whole error's target.
     """
     if d_ref <= 0.0:
         raise ValueError("reference length must be positive")
@@ -300,25 +317,13 @@ def double_semi_infinite(
         _MOMENTUM[0], _CUTOFF_TOP, spec.q_cutoff * d_ref)
     if temperature == 0.0:
         jac = c / (index * d_ref)
-        value, error, evaluations, converged, _ = _nested(
+        value, error, evaluations, converged, _, _ = _nested(
             lambda u, v: integrand_si(u * jac, v / d_ref) * (jac / d_ref),
             _FREQUENCY, v_axis, _TENSOR_LEVELS, spec.rel_tol, floor)
     else:
-        effort = [0, True]  # points and convergence of the terms' q rules
-
-        def term(xi):
-            """Stacked (value, error) of the q integral at frequency xi."""
-            value, error, points, ok, _ = _nested(
-                lambda _, v: integrand_si(np.full((1, 1), xi), v / d_ref)
-                / d_ref, None, v_axis, _TERM_LEVELS, 0.1 * spec.rel_tol, 0.0)
-            effort[0], effort[1] = effort[0] + points, effort[1] and ok
-            return np.stack([value, error], -1)
-
-        outer = matsubara_sum(term, temperature,
-                              replace(spec, abs_floor=floor),
-                              zero_term_policy, error_channel=True)
-        value, error = outer.value, outer.error_estimate
-        evaluations, converged = effort[0], outer.converged and effort[1]
+        value, error, evaluations, converged = _thermal(
+            lambda xi, v: integrand_si(xi, v / d_ref) / d_ref, v_axis,
+            _TERM_LEVELS, temperature, zero_term_policy, spec, floor)
     value, error = prefactor * np.asarray(value), np.asarray(error)
     if zero_term_value is not None:
         value = value + zero_term_value
@@ -331,16 +336,55 @@ def matsubara_frequency(m: int | np.ndarray, temperature: float):
     return 2.0 * np.pi * Boltzmann * temperature * np.asarray(m) / hbar
 
 
-def _geometric_tail(last, prev):
-    """Upper bound on the remaining sum, from the last two terms, per column.
+def _thermal(f: Callable, inner, levels: tuple[int, int], temperature: float,
+             zero_term_policy: str, spec: QuadratureSpec, floor: float):
+    """(value, error, points, converged) of the weighted Matsubara sum of f.
 
-    Models the tail as a geometric series with the observed term ratio
-    (clipped to 0.999 so a ratio near 1 gives a large but finite bound).
+    Blocks of ``_FIRST_BLOCK`` nonzero frequencies, then of twice the
+    block before, are each the fixed outer axis of one ``_nested`` rule with
+    ``inner``: nodes xi_m, weights 2 pi k_B T/hbar, 1/2 on m = 0 under
+    ``half-weight`` (``drop`` never evaluates it), judged against a tenth of
+    the sum's target rather than the block's own size. With S the block's
+    sum of |weight * f| and rho its ratio to the block before (0.999 at
+    most, and for the first block or one the cap cut shorter than the block
+    before), the tail bound is S rho/(1 - rho) per column. The error is the
+    tail bound plus the blocks' errors. The sum stops when the error meets
+    the target (the tail bound alone, if the blocks' errors exceed it), or,
+    not converged, at ``spec.matsubara_max_terms`` nonzero terms.
     """
-    last, prev = np.abs(last), np.abs(prev)
-    ratio = np.divide(last, prev, out=np.full_like(last, 0.5), where=prev != 0.0)
-    ratio = np.minimum(ratio, 0.999)
-    return last * ratio / (1.0 - ratio)
+    if zero_term_policy not in ("half-weight", "drop"):
+        raise ValueError(f"unknown zero_term_policy {zero_term_policy!r}")
+    spacing = float(matsubara_frequency(1, temperature))
+    total = error = mass = 0.0
+    # done: the last nonzero m summed; head: m = 0 joins the first block.
+    points, done, size = 0, 0, _FIRST_BLOCK
+    head = int(zero_term_policy == "half-weight")
+    while True:
+        m = np.arange(done + 1 - head,
+                      min(done + size, spec.matsubara_max_terms) + 1)
+        block = _fixed(matsubara_frequency(m, temperature),
+                       np.where(m == 0, 0.5 * spacing, spacing))
+        target = np.maximum(0.1 * spec.rel_tol * np.abs(total), floor)
+        value, block_error, n, _, _, block_mass = _nested(
+            f, block, inner, levels, 0.1 * spec.rel_tol, target)
+        total, error, points = total + value, error + block_error, points + n
+        # For geometric terms the ratio bounds the tail only if the block is
+        # no shorter than the one before, which a cut by the cap can break.
+        # No quotient above 0.999 is formed, so none can overflow.
+        ratio = np.divide(block_mass, mass,
+                          out=np.full(np.shape(block_mass), 0.999),
+                          where=(m[-1] - done >= size // 2)
+                          & (block_mass < 0.999 * mass))
+        tail = block_mass * ratio / (1.0 - ratio)
+        # The tail must fit in what the blocks' errors leave of the target,
+        # or meet the target alone once they leave nothing.
+        goal = np.maximum(spec.rel_tol * np.abs(total), floor)
+        met = bool(np.all(tail <= np.where(error < goal, goal - error, goal)))
+        if met or m[-1] == spec.matsubara_max_terms:
+            break
+        mass, done, size, head = block_mass, int(m[-1]), 2 * size, 0
+    error = error + tail
+    return total, error, points, met and bool(np.all(error <= goal))
 
 
 def matsubara_sum(
@@ -348,101 +392,55 @@ def matsubara_sum(
     temperature: float,
     spec: QuadratureSpec,
     zero_term_policy: str = "half-weight",
-    error_channel: bool = False,
 ) -> IntegralResult:
     """Weighted thermal sum (2 pi k_B T/hbar) * [w0*g(0) + sum_m g(xi_m)].
 
     The weighted sum is a trapezoid rule with node spacing 2 pi k_B T/hbar,
-    so it converges to ``integral_0^inf g(xi) dxi`` as T -> 0.
+    so it converges to ``integral_0^inf g(xi) dxi`` as T -> 0. It is the
+    loop ``_thermal`` of ``double_semi_infinite`` with a single inner node.
 
     Parameters
     ----------
     g : callable
-        Function of the imaginary frequency xi (rad/s) returning a real
-        number, or an ndarray of shape (k,) for k sums over the same
-        frequencies (columns). Must decay; summation stops once the geometric
-        tail bound of every column falls below its tolerance for three
-        consecutive m. With ``error_channel=True`` a trailing axis of length
-        2 is added, as for ``integrate_semi_infinite``: entry 0 is the term
-        proper, entry 1 a non-negative auxiliary error density that is
-        summed with the same weights and node spacing and added to
-        ``error_estimate``. The stop rule, the tail policy and ``converged``
-        never see it.
+        Function of the imaginary frequency xi (rad/s, a float) returning a
+        real number, or an ndarray of shape (k,) for k sums over the same
+        frequencies (columns). It is called once per frequency and must
+        decay.
     temperature : float
         Temperature in kelvin, > 0.
     spec : QuadratureSpec
-        Uses rel_tol, abs_floor, matsubara_max_terms and matsubara_tail.
+        Uses rel_tol, abs_floor and matsubara_max_terms.
     zero_term_policy : str
         ``"half-weight"`` uses g(0)/2 (the trapezoid endpoint weight);
         ``"drop"`` omits the m = 0 term without evaluating g(0).
-    error_channel : bool
-        See ``g``.
 
     Returns
     -------
     IntegralResult
         ``value`` includes the 2 pi k_B T/hbar prefactor; ``error_estimate``
-        covers truncation of the tail (and the discarded/added tail per the
-        tail policy) plus the weighted error channel, if any. Floats for a
-        scalar g, ndarrays of shape (k,) otherwise; ``converged`` covers
-        every column. ``evaluations`` counts the frequencies g received.
+        is the tail bound plus the rounding of the sum (eps times the sum of
+        |terms|). Floats for a scalar g, ndarrays of shape (k,) otherwise;
+        ``converged`` covers every column and is false if the term cap
+        stopped the sum. ``evaluations`` counts the frequencies g received.
     """
     if temperature <= 0.0:
         raise ValueError("matsubara_sum needs temperature > 0; use the"
                          " zero-temperature integral instead")
-    if zero_term_policy not in ("half-weight", "drop"):
-        raise ValueError(f"unknown zero_term_policy {zero_term_policy!r}")
 
-    spacing = float(matsubara_frequency(1, temperature))
-
-    def term(xi):
-        """g(xi) with its error channel; a channel-less g gets zeros."""
-        y = np.asarray(g(xi), dtype=float)
-        if error_channel and y.shape[-1:] != (2,):
-            raise ValueError("error-channel g must return shape (2,) or (k, 2)")
-        return y if error_channel else np.stack([y, np.zeros_like(y)], -1)
-
-    if zero_term_policy == "drop":
-        total = 0.0
-    else:
-        g0 = term(0.0)
-        if not np.all(np.isfinite(g0)):
+    def rows(xi, _):
+        """g at each row's frequency, one call per frequency."""
+        y = np.array([g(x) for x in xi[:, 0].tolist()], dtype=float)
+        bad = ~np.isfinite(y.reshape(len(y), -1)).all(axis=1)
+        if bad.any():
+            x = xi[bad.argmax(), 0]
             raise ValueError(
+                f"thermal term at xi = {x} rad/s is not finite" if x else
                 "g(0) is not finite; choose zero_term_policy 'drop' for"
-                " zero-frequency-divergent media"
-            )
-        total = 0.5 * g0
+                " zero-frequency-divergent media")
+        return y[:, None]
 
-    below = 0
-    last = prev = 0.0
-    truncated = True
-    for m in range(1, spec.matsubara_max_terms + 1):
-        y = term(float(matsubara_frequency(m, temperature)))
-        if not np.all(np.isfinite(y)):
-            raise ValueError(f"thermal term m = {m} is not finite")
-        prev, last = last, y[..., 0]
-        total = total + y
-        tol = np.maximum(spec.rel_tol * np.abs(total[..., 0]),
-                         spec.abs_floor / spacing)
-        # Judge the geometric tail, not the term: at low temperature the
-        # term ratio approaches 1 and the tail dwarfs the last term.
-        below = np.where(_geometric_tail(last, prev) <= tol, below + 1, 0)
-        if np.all(below >= 3):
-            truncated = False
-            break
-
-    value, channel = total[..., 0], total[..., 1]
-    tail = _geometric_tail(last, prev)
-    if spec.matsubara_tail == "integral-tail-estimate":
-        value = value + np.sign(last) * tail
-        error = spacing * 0.5 * tail
-    else:
-        error = spacing * tail
-    value = spacing * value
-    converged = (not truncated) and bool(np.all(
-        error <= np.maximum(spec.rel_tol * np.abs(value), spec.abs_floor)
-    ))
-    return IntegralResult(
-        value=_plain(value), error_estimate=_plain(error + spacing * channel),
-        evaluations=m + (zero_term_policy == "half-weight"),
-        converged=converged)
+    value, error, evaluations, converged = _thermal(
+        rows, _POINT, (0, 0), temperature, zero_term_policy, spec,
+        spec.abs_floor)
+    return IntegralResult(_plain(value), _plain(error), evaluations,
+                          converged)

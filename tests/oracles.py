@@ -3,15 +3,16 @@
 Everything here is deliberately built from first principles with no imports
 from the package under test: a brute-force 2x2 characteristic-matrix solver
 for layered reflection/transmission, a table of semi-infinite integrals
-with known closed forms, and the textbook distance limits of the pressure
-between plasma half-spaces.
+with known closed forms, the textbook distance limits of the pressure
+between plasma half-spaces, and the classical (high-temperature) limit of
+the ideal-mirror plate forces.
 """
 
 import math
 
 import numpy as np
-from scipy.constants import c, hbar
-from scipy.special import erf
+from scipy.constants import Boltzmann, c, hbar
+from scipy.special import erf, zeta
 
 DELTA = {"s": -1.0, "p": 1.0}
 
@@ -149,3 +150,23 @@ def plasma_nonretarded_pressure(plasma_freq, d):
     """P_nr = hbar omega_s S / (8 pi^2 d^3), omega_s = omega_p / sqrt(2)."""
     surface = plasma_freq / math.sqrt(2.0)
     return hbar * surface * _nonretarded_sum() / (8.0 * math.pi ** 2 * d ** 3)
+
+
+# ---------------------------------------------------------------------------
+# Ideal mirrors | d1 | mirror plate | d3 | mirrors with a static (eps, mu) in
+# both gaps, at temperatures where only the m = 0 Matsubara term counts. At
+# xi = 0 the field stress of one gap is (zeta(3) k_B T/(8 pi d^3)) in units
+# of (mu + 1/eps): mu from s (r_s = -1 on both faces of the magnetic gap),
+# 1/eps from p; the Minkowski stress has no such factor.
+
+def classical_plate_force(eps, mu, temperature, d1, d3):
+    """(s, p) shares of F_cl = (zeta(3) k_B T/8 pi)(mu + 1/eps)(d3^-3 - d1^-3)."""
+    unit = (zeta(3.0) * Boltzmann * temperature / (8.0 * math.pi)
+            * (d3 ** -3 - d1 ** -3))
+    return mu * unit, unit / eps
+
+
+def classical_minkowski_plate_force(temperature, d1, d3):
+    """F^M_cl = (zeta(3) k_B T/4 pi)(d3^-3 - d1^-3), half from each of s, p."""
+    return zeta(3.0) * Boltzmann * temperature / (4.0 * math.pi) * (
+        d3 ** -3 - d1 ** -3)

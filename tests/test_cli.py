@@ -232,6 +232,23 @@ def test_truncated_thermal_sum_exits_3(tmp_path, capsys):
     assert _rows(out)[0]["converged"] == "false"
 
 
+def test_high_temperature_force_converges(tmp_path, capsys):
+    # At 3000 K the m = 1 and 2 terms are about 1e-139 of the m = 0 one;
+    # judged on their own size, their q rules miss through the upper end
+    # term of the q range, but they meet the sum's target.
+    cfg = _write(tmp_path, """
+[material.vac]
+kind = constant
+
+[structure]
+regions = wall:mirror, gap:vac:20e-6, plate:mirror, gap:vac:40e-6, wall:mirror
+""")
+    code, out, err = _run(capsys, ["force", "--config", cfg, "--format", "csv",
+                                   "--temperature", "3000"])
+    assert code == 0, err
+    assert _rows(out)[0]["converged"] == "true"
+
+
 def test_force_custom_zero_term_without_values_exits_2(tmp_path, capsys,
                                                        monkeypatch):
     calls = []

@@ -242,6 +242,8 @@ regions = wall:mirror, gap:vac:1e-6, plate:mirror, gap:oil:2e-6, wall:mirror
     ("[quadrature]\nmatsubara_max_terms = many", "not an integer"),
     ("[quadrature]\nmax_subdivisions = 8",
      r"\[quadrature\]: unknown key\(s\): max_subdivisions"),
+    ("[quadrature]\nmatsubara_tail = integral-tail-estimate",
+     r"\[quadrature\]: unknown key\(s\): matsubara_tail"),
     ("[output]\nformat = yaml", "csv or json"),
     ("[output]\ncompress = yes", "unknown key"),
 ])
@@ -268,14 +270,12 @@ rel_tol = 1e-6
 abs_floor = 1e-20
 q_cutoff = 3e7
 matsubara_max_terms = 123
-matsubara_tail = integral-tail-estimate
 """))
     q = rc.quadrature
     assert q.rel_tol == 1e-6
     assert q.abs_floor == 1e-20
     assert q.q_cutoff == 3e7
     assert q.matsubara_max_terms == 123
-    assert q.matsubara_tail == "integral-tail-estimate"
 
 
 def test_command_section_is_kept(tmp_path):

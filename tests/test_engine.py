@@ -39,7 +39,12 @@ from planarcasimir.materials import (
 from planarcasimir.limits import StaticMedium, casimir_generalized
 from planarcasimir.quadrature import IntegralResult, QuadratureSpec
 
-from oracles import plasma_nonretarded_pressure, plasma_retarded_ratio
+from oracles import (
+    classical_minkowski_plate_force,
+    classical_plate_force,
+    plasma_nonretarded_pressure,
+    plasma_retarded_ratio,
+)
 
 SPEC = QuadratureSpec(rel_tol=1e-8)
 
@@ -828,3 +833,28 @@ def test_plasma_half_spaces_meet_the_nonretarded_limit(d_over_skin):
     ratio = res.value / plasma_nonretarded_pressure(_PLASMA_FREQ, d)
     assert res.converged
     assert abs(1.0 - ratio) <= 2.5 * d_over_skin ** 2
+
+
+@pytest.mark.parametrize("eps,mu", [(1.0, 1.0), (4.0, 1.0), (4.0, 2.0),
+                                    (2.0, 3.0), (10.0, 0.5)])
+def test_mirror_cavity_meets_the_classical_limit(eps, mu):
+    # At 3000 K across 20 and 40 um gaps the m >= 1 terms are about 1e-139
+    # of the m = 0 one, so the forces are their classical limits. Judged on
+    # their own size, the q rules of the m >= 1 terms would miss.
+    temperature, d1, d3 = 3000.0, 20e-6, 40e-6
+    cavity = CavityConfig(Wall.perfect_mirror(), constant(eps=eps, mu=mu), d1,
+                          PerfectMirrorPlate(), d3, Wall.perfect_mirror())
+    s, p = classical_plate_force(eps, mu, temperature, d1, d3)
+    cases = [(plate_force(cavity, temperature), {"s": s, "p": p})]
+    if mu == 1.0:
+        half = 0.5 * classical_minkowski_plate_force(temperature, d1, d3)
+        cases.append((minkowski_plate_force(cavity, temperature),
+                       {"s": half, "p": half}))
+    for res, shares in cases:
+        exact = shares["s"] + shares["p"]
+        assert res.converged
+        # The oracle itself rounds at about 1e-15.
+        assert (abs(res.force_per_area - exact)
+                <= res.error_estimate + 1e-15 * abs(exact))
+        for pol, share in shares.items():
+            assert res.per_polarization[pol] == pytest.approx(share, rel=1e-12)

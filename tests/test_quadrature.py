@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gamma
 from scipy.constants import Boltzmann, c, hbar
 
 from planarcasimir import engine
@@ -35,8 +36,6 @@ def test_spec_validation():
         QuadratureSpec(abs_floor=np.nan)
     with pytest.raises(ValueError):
         QuadratureSpec(matsubara_max_terms=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(matsubara_tail="extrapolate")
 
 
 def test_suite_closed_forms_are_consistent():
@@ -160,23 +159,98 @@ def test_double_semi_infinite_momentum_cutoff():
     assert res.value == pytest.approx(expected, rel=1e-8)
 
 
+def _singular_rows(xi, q, d=1e-6):
+    """exp(-u - v) (1 + u/sqrt(v)): smooth in u, 1/sqrt(q) at q = 0."""
+    u, v = xi * d / c, q * d
+    return np.exp(-u - v) * (1.0 + u / np.sqrt(v))
+
+
+def _assert_inner_budget_miss(exact, temperature):
+    d = 1e-6
+    loose = double_semi_infinite(_singular_rows, QuadratureSpec(rel_tol=1e-6),
+                                 d, temperature=temperature)
+    assert loose.converged
+    assert abs(loose.value - exact) <= loose.error_estimate
+    tight = double_semi_infinite(_singular_rows,
+                                 QuadratureSpec(rel_tol=1e-17), d,
+                                 temperature=temperature)
+    assert not tight.converged
+    assert abs(tight.value - exact) <= tight.error_estimate
+
+
 def test_double_integral_reports_an_inner_budget_miss():
     # The outer integrand exp(-u) (1 + u sqrt(pi)) is smooth, but every q
     # integral has a 1/sqrt(q) endpoint singularity; a target below double
     # rounding cannot be met, and the miss must reach the flag.
     d = 1e-6
+    _assert_inner_budget_miss(c / d ** 2 * (1.0 + np.sqrt(np.pi)), 0.0)
+
+
+def test_thermal_double_integral_reports_an_inner_budget_miss():
+    # The same integrand at 300 K: the q rules of the thermal terms carry
+    # the miss. The reference is the trapezoid sum of the q integrals
+    # (1 + u_m sqrt(pi))/d over u_m = m a, closed form through the sums of
+    # r^m and m r^m.
+    d, temperature = 1e-6, 300.0
+    spacing = float(matsubara_frequency(1, temperature))
+    a = spacing * d / c
+    r, rest = np.exp(-a), -np.expm1(-a)
+    exact = spacing / d * (0.5 + r / rest + np.sqrt(np.pi) * a * r / rest ** 2)
+    _assert_inner_budget_miss(exact, temperature)
+
+
+@pytest.mark.parametrize("n_cols", [1, 2])
+@pytest.mark.parametrize("policy", ["half-weight", "drop"])
+def test_thermal_terms_are_judged_against_the_sum(policy, n_cols):
+    # Terms from m = 2 on are below 1e-65 of the sum, and their q integrals
+    # have a v**-0.9 singularity that no q rule meets relative to the term
+    # itself. Judged against the sum, as each column's value is, they
+    # neither flag the result nor hide their error.
+    d, temperature = 1e-6, 300.0
+    spacing = float(matsubara_frequency(1, temperature))
+    scales = np.array([1.0, 1e-30])[:n_cols]
 
     def integrand(xi, q):
-        u, v = xi * d / c, q * d
-        return np.exp(-u - v) * (1.0 + u / np.sqrt(v))
+        m, v = xi / spacing, q * d
+        hard = np.where(m > 1.5, v ** -0.9, 0.0)
+        f = np.exp(-50.0 * m ** 2 - v) * (1.0 + hard)
+        return f[..., None] * scales if n_cols == 2 else f
 
-    exact = c / d ** 2 * (1.0 + np.sqrt(np.pi))
-    loose = double_semi_infinite(integrand, QuadratureSpec(rel_tol=1e-6), d)
-    assert loose.converged
-    assert abs(loose.value - exact) <= loose.error_estimate
-    tight = double_semi_infinite(integrand, QuadratureSpec(rel_tol=1e-17), d)
-    assert not tight.converged
-    assert abs(tight.value - exact) <= tight.error_estimate
+    res = double_semi_infinite(integrand, QuadratureSpec(rel_tol=1e-10), d,
+                               temperature=temperature,
+                               zero_term_policy=policy)
+    m = np.arange(0 if policy == "half-weight" else 1, 40)
+    weights = np.where(m == 0, 0.5, 1.0)
+    inner = np.where(m >= 2, 1.0 + gamma(0.1), 1.0)
+    exact = spacing / d * np.sum(weights * np.exp(-50.0 * m ** 2) * inner)
+    assert res.converged
+    assert np.all(np.abs(res.value - exact * scales) <= res.error_estimate)
+
+
+def test_thermal_double_integral_zero_term_policies():
+    # Under "drop" the m = 0 row is never evaluated, so a NaN there is
+    # harmless; "half-weight" adds it with weight 1/2.
+    d, temperature, xi_c = 1e-6, 300.0, 5e14
+    spacing = float(matsubara_frequency(1, temperature))
+    spec = QuadratureSpec(rel_tol=1e-10)
+
+    def integrand(xi, q):
+        return np.exp(-xi / xi_c - q * d) * np.ones_like(q)
+
+    def poisoned(xi, q):
+        return np.where(xi == 0.0, np.nan, integrand(xi, q))
+
+    drop = double_semi_infinite(poisoned, spec, d, temperature=temperature,
+                                zero_term_policy="drop")
+    assert drop.converged
+    expected = spacing / d / np.expm1(spacing / xi_c)
+    assert abs(drop.value - expected) <= drop.error_estimate
+    half = double_semi_infinite(integrand, spec, d, temperature=temperature)
+    assert half.converged
+    assert half.value - drop.value == pytest.approx(0.5 * spacing / d,
+                                                    rel=1e-9)
+    with pytest.raises(ValueError, match="non-finite"):
+        double_semi_infinite(poisoned, spec, d, temperature=temperature)
 
 
 def test_non_finite_value_names_the_abscissa_of_its_row():
@@ -267,21 +341,24 @@ def test_matsubara_frequency_values():
 
 
 def _geometric_expected(T, xi_c, policy="half-weight"):
-    # g = exp(-xi/xi_c) sums in closed form: prefactor*(1/2 + r/(1-r)).
+    # g = exp(-xi/xi_c) sums in closed form: prefactor*(1/2 + r/(1-r)),
+    # with r/(1 - r) = 1/expm1(xi_1/xi_c) free of cancellation.
     prefactor = 2.0 * np.pi * Boltzmann * T / hbar
-    r = np.exp(-float(matsubara_frequency(1, T)) / xi_c)
-    tail = r / (1.0 - r)
+    tail = 1.0 / np.expm1(float(matsubara_frequency(1, T)) / xi_c)
     w0 = 0.5 if policy == "half-weight" else 0.0
     return prefactor * (w0 + tail)
 
 
-@pytest.mark.parametrize("T", [30.0, 300.0, 3000.0])
+@pytest.mark.parametrize("T", [3.0, 30.0, 300.0, 3000.0])
 def test_matsubara_geometric_closed_form(T):
+    # At 3 K the sum needs about 4,700 terms.
     xi_c = 5e14
     g = lambda xi: np.exp(-xi / xi_c)
     res = matsubara_sum(g, T, QuadratureSpec(rel_tol=1e-10))
+    expected = _geometric_expected(T, xi_c)
     assert res.converged
-    assert res.value == pytest.approx(_geometric_expected(T, xi_c), rel=1e-9)
+    assert res.value == pytest.approx(expected, rel=1e-9)
+    assert abs(res.value - expected) <= res.error_estimate
 
 
 def test_matsubara_zero_term_policies():
@@ -315,66 +392,6 @@ def test_matsubara_two_columns_equal_two_scalar_sums():
     assert both.error_estimate[0] == s_slow.error_estimate
 
 
-def _two_rates(n_cols):
-    """A decaying thermal summand of one column, or two of different rates."""
-    def g(xi):
-        both = np.array([np.exp(-xi / 5e14), 2.0 * np.exp(-xi / 1e14)])
-        return both if n_cols == 2 else both[0]
-
-    return g
-
-
-@pytest.mark.parametrize("n_cols", [1, 2])
-@pytest.mark.parametrize("tail", ["none", "integral-tail-estimate"])
-@pytest.mark.parametrize("policy", ["half-weight", "drop"])
-def test_matsubara_error_channel_is_weighted_and_never_judged(policy, tail,
-                                                              n_cols):
-    T = 300.0
-    spec = QuadratureSpec(rel_tol=1e-10, matsubara_tail=tail)
-    g = _two_rates(n_cols)
-
-    def density(xi):
-        return 1e-6 / (1.0 + xi / 1e14) ** 2 * np.ones_like(g(xi))
-
-    plain = matsubara_sum(g, T, spec, policy)
-    both = matsubara_sum(lambda xi: np.stack([g(xi), density(xi)], -1), T,
-                         spec, policy, error_channel=True)
-    assert np.array_equal(both.value, plain.value)
-    assert (both.evaluations, both.converged) == (plain.evaluations,
-                                                  plain.converged)
-    assert isinstance(both.error_estimate, float) == (n_cols == 1)
-    # Same weights as the values: 1/2 on m = 0 under half-weight, 1 after.
-    head = policy == "half-weight"
-    terms = range(1, plain.evaluations - head + 1)
-    weighted = sum(density(float(matsubara_frequency(m, T))) for m in terms)
-    if head:
-        weighted = weighted + 0.5 * density(0.0)
-    spacing = float(matsubara_frequency(1, T))
-    np.testing.assert_allclose(both.error_estimate,
-                               plain.error_estimate + spacing * weighted,
-                               rtol=1e-14, atol=0.0)
-
-
-@pytest.mark.parametrize("policy", ["half-weight", "drop"])
-def test_matsubara_large_error_channel_adds_no_term(policy):
-    g = _two_rates(2)
-    spec = QuadratureSpec(rel_tol=1e-10)
-    plain = matsubara_sum(g, 300.0, spec, policy)
-    loud = matsubara_sum(lambda xi: np.stack([g(xi), 1e6 * g(xi)], -1),
-                         300.0, spec, policy, error_channel=True)
-    assert plain.converged and loud.converged
-    assert loud.evaluations == plain.evaluations
-    assert np.array_equal(loud.value, plain.value)
-    assert np.all(loud.error_estimate > 1e5 * np.abs(loud.value))
-
-
-def test_matsubara_error_channel_needs_a_trailing_pair():
-    with pytest.raises(ValueError, match="error-channel"):
-        matsubara_sum(_two_rates(1), 300.0, SPEC, error_channel=True)
-    with pytest.raises(ValueError, match="error-channel"):
-        matsubara_sum(lambda xi: np.ones(3), 300.0, SPEC, error_channel=True)
-
-
 def test_matsubara_policy_validation():
     g = lambda xi: np.exp(-xi / 5e14)
     with pytest.raises(ValueError):
@@ -394,6 +411,11 @@ def test_matsubara_divergent_zero_term_instructs():
 
     with pytest.raises(ValueError, match="drop"):
         matsubara_sum(g, 300.0, SPEC)
+    # A later non-finite term names its frequency.
+    xi1 = float(matsubara_frequency(1, 300.0))
+    with pytest.raises(ValueError, match=f"xi = {xi1} rad/s is not finite"):
+        matsubara_sum(lambda xi: np.array([1.0, np.nan if xi else 1.0]),
+                      300.0, SPEC)
 
 
 def test_matsubara_single_term_regime():
@@ -429,21 +451,6 @@ def test_matsubara_term_cap_flags_truncation():
                                                  matsubara_max_terms=5))
     assert not res.converged
     assert res.error_estimate > 0.0
-
-
-def test_matsubara_tail_estimate_policy():
-    T = 300.0
-    xi_c = 2e14
-    g = lambda xi: np.exp(-xi / xi_c)
-    none = matsubara_sum(g, T, QuadratureSpec(rel_tol=1e-10, matsubara_tail="none"))
-    added = matsubara_sum(g, T, QuadratureSpec(
-        rel_tol=1e-10, matsubara_tail="integral-tail-estimate"))
-    exact = _geometric_expected(T, xi_c)
-    # Adding the estimated geometric tail must not hurt, and the booked
-    # error shrinks to half the discarded bound.
-    assert abs(added.value - exact) <= abs(none.value - exact) + 1e-15 * exact
-    assert added.error_estimate <= none.error_estimate
-    assert added.error_estimate > 0.0
 
 
 def test_matsubara_determinism():
