@@ -69,7 +69,7 @@ _COMMON = (
     ("--rel-tol", "rel_tol", "TOL", "relative tolerance of all integrals"),
     ("--q-cutoff", "q_cutoff", "RAD_PER_M", "sharp transverse-momentum cutoff"),
     ("--matsubara-terms", "matsubara_max_terms", "N",
-     "cap on nonzero thermal terms"),
+     "cap on nonzero thermal frequencies (Pade poles, 512 at most)"),
     ("--zero-term-policy", "zero_term_policy", ZERO_TERM_POLICIES,
      "handling of the zero-frequency thermal term"),
     ("--method", "method", METHODS, "force evaluation route"),

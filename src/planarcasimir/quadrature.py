@@ -6,14 +6,18 @@ Mori, Publ. RIMS 9, 721 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127,
 trapezoid rule of step 2**-k in t under the exp-sinh map
 x = exp((pi/2) sinh t) on a fixed range of t: each level halves the step and
 evaluates only the nodes it adds. A fixed axis has the same nodes and
-weights at every level: the single node of a 1-D integral, or a block of
-Matsubara frequencies. A level's error is its difference from the level
+weights at every level: the single node of a 1-D integral, or a set of
+thermal frequencies. A level's error is its difference from the level
 before plus the end terms, and at least eps times the sum of |weight * f|;
 the rule stops at the tolerance or at its last level. Results replay bit
 for bit. ``integrate_semi_infinite`` is the 1-D rule, and
 ``double_semi_infinite`` the tensor product of the rule in frequency and in
-momentum at T = 0. At T > 0 it and ``matsubara_sum`` run one loop over
-blocks of Matsubara terms, ``_thermal``, with one stop rule.
+momentum at T = 0. At T > 0 its frequency axis is the set of poles of a
+Pade spectrum decomposition of the Bose function (``_pade``), a few hundred
+imaginary frequencies where the Matsubara sum needs thousands, and the
+order of the decomposition doubles until two orders agree
+(``_pade_sum``). ``matsubara_sum`` is the plain Matsubara sum, in blocks
+of terms with a geometric tail bound (``_thermal``).
 """
 
 from __future__ import annotations
@@ -43,8 +47,11 @@ class QuadratureSpec:
         Sharp, finite upper truncation of transverse-momentum integrals
         (rad/m). ``None`` integrates to infinity.
     matsubara_max_terms : int
-        Hard cap on the number of nonzero thermal terms; a sum stopped by it
-        books its tail bound as error and is not converged.
+        Hard cap on the number of nonzero thermal frequencies of a sum: the
+        poles of the Pade table of a double integral at T > 0 (whose order
+        also stops at 512), or the Matsubara terms of ``matsubara_sum``. A
+        sum stopped by it books its last change or tail bound as error and
+        is not converged.
     """
 
     rel_tol: float = 1e-8
@@ -100,10 +107,14 @@ _LINE_LEVELS = (3, 12)
 # Point-columns per integrand call (3,600 points of an (s, p) pair), and at
 # least one row: larger calls add to the peak memory of every run.
 _CHUNK = 7200
-# Nonzero Matsubara terms in the first block of a thermal sum; every later
-# block is twice the one before, so a sum of n terms takes about log2(n/4)
-# blocks, and a cap of 10 terms still leaves two blocks to compare.
+# Nonzero Matsubara terms in the first block of ``matsubara_sum``; every
+# later block is twice the one before, so a sum of n terms takes about
+# log2(n/4) blocks, and a cap of 10 terms still leaves two blocks to compare.
 _FIRST_BLOCK = 4
+# Smallest and largest order of the Pade tables of the thermal sums of
+# ``double_semi_infinite``. The largest keeps the build of a table well under
+# a second (0.13 s on a 2-core Xeon; order 1,024 takes 1.2 s).
+_PADE_ORDERS = (8, 512)
 
 
 @lru_cache(maxsize=64)
@@ -149,6 +160,66 @@ def _fixed(x: np.ndarray, w: np.ndarray):
 
 # The single node x = 0 of an axis not integrated.
 _POINT = _fixed(np.zeros(1), np.ones(1))
+
+
+def _singular_values(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Descending singular values of a bidiagonal matrix.
+
+    The matrix has ``diagonal`` and the superdiagonal ``upper``, and one
+    column more than ``upper`` has entries.
+    """
+    matrix = np.zeros((diagonal.size, upper.size + 1))
+    matrix[np.arange(diagonal.size), np.arange(diagonal.size)] = diagonal
+    matrix[np.arange(upper.size), np.arange(1, upper.size + 1)] = upper
+    return np.linalg.svd(matrix, compute_uv=False)
+
+
+@lru_cache(maxsize=None)
+def _pade(order: int):
+    """(poles, residues, rounding) of the [N-1/N] Pade table, N = ``order``.
+
+    The Pade spectrum decomposition of the Bose function (Hu, Xu & Yan,
+    J. Chem. Phys. 133, 101106 (2010)) writes
+    coth(x/2) = 2/x + sum_j 4 eta_j x/(x**2 + xi_j**2), which rebuilds
+    coth(x/2) to rounding for x up to about N**2/4; a thermal sum over the
+    Matsubara frequencies 2 pi m k_B T/hbar becomes a sum over the N poles
+    xi_j k_B T/hbar with weights eta_j. With b_m = 2m + 1, the 2N x 2N
+    tridiagonal of zero diagonal and off-diagonal e_m = (b_m b_{m+1})**-1/2
+    has the eigenvalues +-s, s the singular values of the N x N bidiagonal
+    of diagonal e_1, e_3, ... and superdiagonal e_2, e_4, ... (its
+    Golub-Kahan form); the poles are xi_j = 2/s_j. The zeta_k = 2/s_k of the
+    (N-1) x N bidiagonal of e_2, e_3, ... give the residues
+    eta_j = (N b_{N+1}/2) prod_k (zeta_k**2 - xi_j**2)/(xi_k'**2 - xi_j**2)
+    over the poles k' != j in order, a product of ratios that interlace
+    and so neither overflows nor underflows. ``rounding`` is twice the
+    larger of two measures of the table's own rounding: the relative error
+    of the rebuilt coth(x/2) on a grid of x in (0, N], and the distance of
+    the first N/8 poles and residues from 2 pi j and 1, which the exact
+    table meets far below rounding from order 8 on. The arrays are
+    read-only.
+    """
+    b = 2.0 * np.arange(1, 2 * order + 1) + 1.0
+    e = 1.0 / np.sqrt(b[:-1] * b[1:])
+    poles = 2.0 / _singular_values(e[0::2], e[1::2])
+    zeta = 2.0 / _singular_values(e[1::2], e[2::2])
+    residues = np.empty(order)
+    for j, pole in enumerate(poles):
+        others = np.delete(poles, j)
+        residues[j] = 0.5 * order * b[order] * np.prod(
+            (zeta - pole) * (zeta + pole)
+            / ((others - pole) * (others + pole)))
+    x = np.linspace(0.0, order, 4 * order + 1)[1:]
+    rebuilt = 2.0 / x
+    for pole, residue in zip(poles, residues):
+        rebuilt += 4.0 * residue * x / (x * x + pole * pole)
+    first = np.arange(max(1, order // 8))
+    rounding = 2.0 * max(
+        np.abs(rebuilt * np.tanh(0.5 * x) - 1.0).max(),
+        np.abs(poles[first] / (2.0 * np.pi * (first + 1)) - 1.0).max(),
+        np.abs(residues[first] - 1.0).max())
+    poles.setflags(write=False)
+    residues.setflags(write=False)
+    return poles, residues, float(rounding)
 
 
 def _nested(f: Callable, outer, inner, levels: tuple[int, int],
@@ -294,21 +365,26 @@ def double_semi_infinite(
     (A, m, k) for k columns (the engine's s and p) that share one pass. The
     q rule runs in v = q*d_ref from 3.7e-16 to 60, so decay scales of order
     d_ref become O(1); ``spec.q_cutoff`` composes it with tanh-sinh on
-    [0, q_cutoff*d_ref].
+    [0, q_cutoff*d_ref]. ``index`` is a lower bound on the medium's
+    refractive index n(i xi): the integrand decays like
+    exp(-2 n xi d_ref/c), so ``d_ref`` and ``index`` set the frequency
+    scale both rules must resolve. Both must be finite and positive, and
+    ``prefactor`` finite.
 
     At T = 0 the rule is the tensor product of the q rule with the rule in
-    u = index*xi*d_ref/c from 2.4e-19 to 60. ``index`` is a lower bound on
-    the medium's refractive index n(i xi), since the integrand decays like
-    exp(-2 n xi d_ref/c). Levels 4 to 6 (8,188 to 128,845 points without a
-    cutoff) are judged as one rule. At T > 0 the xi integral is the thermal
-    sum of ``_thermal`` under the endpoint rule ``zero_term_policy``, with
-    the q rule of levels 5 and 6 as its inner axis. A given
-    ``zero_term_value`` (per column, only at T > 0) is added as it is; the
-    caller has checked both (``engine._zero_term``). ``evaluations`` counts
-    integrand points; ``converged`` requires the whole error's target.
+    u = index*xi*d_ref/c from 2.4e-19 to 60. Levels 4 to 6 (8,188 to 128,845
+    points without a cutoff) are judged as one rule. At T > 0 the xi
+    integral is the thermal sum of ``_pade_sum`` under the endpoint rule
+    ``zero_term_policy``. A given ``zero_term_value`` (per column, only at
+    T > 0) is added as it is; the caller has checked both
+    (``engine._zero_term``). ``evaluations`` counts integrand points;
+    ``converged`` requires the whole error's target.
     """
-    if d_ref <= 0.0:
-        raise ValueError("reference length must be positive")
+    for name, bound in (("d_ref", d_ref), ("index", index)):
+        if not 0.0 < bound < np.inf:
+            raise ValueError(f"{name} must be finite and positive: {bound}")
+    if not np.isfinite(prefactor):
+        raise ValueError(f"prefactor must be finite: {prefactor}")
     if not 0.0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0: {temperature}")
     # The rules see values without the prefactor; so must the floor.
@@ -321,9 +397,10 @@ def double_semi_infinite(
             lambda u, v: integrand_si(u * jac, v / d_ref) * (jac / d_ref),
             _FREQUENCY, v_axis, _TENSOR_LEVELS, spec.rel_tol, floor)
     else:
-        value, error, evaluations, converged = _thermal(
+        value, error, evaluations, converged = _pade_sum(
             lambda xi, v: integrand_si(xi, v / d_ref) / d_ref, v_axis,
-            _TERM_LEVELS, temperature, zero_term_policy, spec, floor)
+            temperature, zero_term_policy, spec, floor,
+            c / (2.0 * index * d_ref))
     value, error = prefactor * np.asarray(value), np.asarray(error)
     if zero_term_value is not None:
         value = value + zero_term_value
@@ -336,24 +413,77 @@ def matsubara_frequency(m: int | np.ndarray, temperature: float):
     return 2.0 * np.pi * Boltzmann * temperature * np.asarray(m) / hbar
 
 
-def _thermal(f: Callable, inner, levels: tuple[int, int], temperature: float,
-             zero_term_policy: str, spec: QuadratureSpec, floor: float):
+def _check_policy(zero_term_policy: str) -> None:
+    """Refuse an endpoint rule other than ``half-weight`` and ``drop``."""
+    if zero_term_policy not in ("half-weight", "drop"):
+        raise ValueError(f"unknown zero_term_policy {zero_term_policy!r}")
+
+
+def _pade_sum(f: Callable, inner, temperature: float, zero_term_policy: str,
+              spec: QuadratureSpec, floor: float, decay: float):
+    """(value, error, points, converged) of the thermal sum of f by Pade.
+
+    One ``_nested`` rule per order N of ``_pade`` over a fixed outer axis:
+    the m = 0 node with weight 1/2 of 2 pi k_B T/hbar under
+    ``half-weight`` (none under ``drop``) and the N nodes xi_j k_B T/hbar
+    with weights eta_j 2 pi k_B T/hbar; the q rule ``inner`` of levels 5
+    and 6 is judged against a tenth of the sum's target. The first order is
+    ``_PADE_ORDERS[0]`` doubled until its table spans the decay scale
+    ``decay`` (rad/s) of f, N**2/4 >= hbar decay/(k_B T); each later order
+    is twice the one before. With S_N the sum of order N (and S_N/2 = 0
+    for the first), its change |S_N - S_N/2| plus the table's rounding
+    times the sum of |weight * f| must fit in what the q errors leave of
+    the target, or meet it alone once they leave nothing. The error is
+    that change plus the q errors. The orders stop there, or, not
+    converged, at the smaller of ``spec.matsubara_max_terms`` and
+    ``_PADE_ORDERS[1]``.
+    """
+    _check_policy(zero_term_policy)
+    spacing = float(matsubara_frequency(1, temperature))
+    head = int(zero_term_policy == "half-weight")
+    last = min(spec.matsubara_max_terms, _PADE_ORDERS[1])
+    # The decay scale in units of k_B T/hbar, which a table of order N
+    # spans if N**2/4 reaches it.
+    span = 2.0 * np.pi * decay / spacing
+    order = _PADE_ORDERS[0]
+    while order < last and order**2 < 4.0 * span:
+        order *= 2
+    before, points = 0.0, 0
+    while True:
+        order = min(order, last)
+        poles, residues, rounding = _pade(order)
+        x = np.concatenate([np.zeros(head), poles / (2.0 * np.pi)])
+        w = np.concatenate([np.full(head, 0.5), residues])
+        value, q_error, n, _, _, mass = _nested(
+            f, _fixed(x * spacing, w * spacing), inner, _TERM_LEVELS,
+            0.1 * spec.rel_tol, floor)
+        points += n
+        change = np.abs(value - before) + rounding * mass
+        goal = np.maximum(spec.rel_tol * np.abs(value), floor)
+        if (np.all(change <= np.where(q_error < goal, goal - q_error, goal))
+                or order == last):
+            break
+        before, order = value, 2 * order
+    error = change + q_error
+    return value, error, points, bool(np.all(error <= goal))
+
+
+def _thermal(f: Callable, temperature: float, zero_term_policy: str,
+             spec: QuadratureSpec):
     """(value, error, points, converged) of the weighted Matsubara sum of f.
 
     Blocks of ``_FIRST_BLOCK`` nonzero frequencies, then of twice the
-    block before, are each the fixed outer axis of one ``_nested`` rule with
-    ``inner``: nodes xi_m, weights 2 pi k_B T/hbar, 1/2 on m = 0 under
-    ``half-weight`` (``drop`` never evaluates it), judged against a tenth of
-    the sum's target rather than the block's own size. With S the block's
+    block before, are each the fixed outer axis of one ``_nested`` rule of
+    a single inner node: nodes xi_m, weights 2 pi k_B T/hbar, 1/2 on m = 0
+    under ``half-weight`` (``drop`` never evaluates it). With S the block's
     sum of |weight * f| and rho its ratio to the block before (0.999 at
     most, and for the first block or one the cap cut shorter than the block
     before), the tail bound is S rho/(1 - rho) per column. The error is the
-    tail bound plus the blocks' errors. The sum stops when the error meets
-    the target (the tail bound alone, if the blocks' errors exceed it), or,
-    not converged, at ``spec.matsubara_max_terms`` nonzero terms.
+    tail bound plus the blocks' rounding. The sum stops when the error meets
+    the target (the tail bound alone, if the rounding exceeds it), or, not
+    converged, at ``spec.matsubara_max_terms`` nonzero terms.
     """
-    if zero_term_policy not in ("half-weight", "drop"):
-        raise ValueError(f"unknown zero_term_policy {zero_term_policy!r}")
+    _check_policy(zero_term_policy)
     spacing = float(matsubara_frequency(1, temperature))
     total = error = mass = 0.0
     # done: the last nonzero m summed; head: m = 0 joins the first block.
@@ -364,9 +494,10 @@ def _thermal(f: Callable, inner, levels: tuple[int, int], temperature: float,
                       min(done + size, spec.matsubara_max_terms) + 1)
         block = _fixed(matsubara_frequency(m, temperature),
                        np.where(m == 0, 0.5 * spacing, spacing))
-        target = np.maximum(0.1 * spec.rel_tol * np.abs(total), floor)
+        target = np.maximum(0.1 * spec.rel_tol * np.abs(total),
+                            spec.abs_floor)
         value, block_error, n, _, _, block_mass = _nested(
-            f, block, inner, levels, 0.1 * spec.rel_tol, target)
+            f, block, _POINT, (0, 0), 0.1 * spec.rel_tol, target)
         total, error, points = total + value, error + block_error, points + n
         # For geometric terms the ratio bounds the tail only if the block is
         # no shorter than the one before, which a cut by the cap can break.
@@ -378,7 +509,7 @@ def _thermal(f: Callable, inner, levels: tuple[int, int], temperature: float,
         tail = block_mass * ratio / (1.0 - ratio)
         # The tail must fit in what the blocks' errors leave of the target,
         # or meet the target alone once they leave nothing.
-        goal = np.maximum(spec.rel_tol * np.abs(total), floor)
+        goal = np.maximum(spec.rel_tol * np.abs(total), spec.abs_floor)
         met = bool(np.all(tail <= np.where(error < goal, goal - error, goal)))
         if met or m[-1] == spec.matsubara_max_terms:
             break
@@ -396,8 +527,9 @@ def matsubara_sum(
     """Weighted thermal sum (2 pi k_B T/hbar) * [w0*g(0) + sum_m g(xi_m)].
 
     The weighted sum is a trapezoid rule with node spacing 2 pi k_B T/hbar,
-    so it converges to ``integral_0^inf g(xi) dxi`` as T -> 0. It is the
-    loop ``_thermal`` of ``double_semi_infinite`` with a single inner node.
+    so it converges to ``integral_0^inf g(xi) dxi`` as T -> 0. It sums the
+    Matsubara terms themselves, in the blocks of ``_thermal``, and is the
+    reference for the Pade sums of ``double_semi_infinite``.
 
     Parameters
     ----------
@@ -440,7 +572,6 @@ def matsubara_sum(
         return y[:, None]
 
     value, error, evaluations, converged = _thermal(
-        rows, _POINT, (0, 0), temperature, zero_term_policy, spec,
-        spec.abs_floor)
+        rows, temperature, zero_term_policy, spec)
     return IntegralResult(_plain(value), _plain(error), evaluations,
                           converged)

@@ -5,7 +5,8 @@ from the package under test: a brute-force 2x2 characteristic-matrix solver
 for layered reflection/transmission, a table of semi-infinite integrals
 with known closed forms, the textbook distance limits of the pressure
 between plasma half-spaces, and the classical (high-temperature) limit of
-the ideal-mirror plate forces.
+the ideal-mirror plate forces, and the ideal-mirror thermal pressure at any
+temperature.
 """
 
 import math
@@ -170,3 +171,36 @@ def classical_minkowski_plate_force(temperature, d1, d3):
     """F^M_cl = (zeta(3) k_B T/4 pi)(d3^-3 - d1^-3), half from each of s, p."""
     return zeta(3.0) * Boltzmann * temperature / (4.0 * math.pi) * (
         d3 ** -3 - d1 ** -3)
+
+
+# ---------------------------------------------------------------------------
+# Ideal mirrors across a vacuum gap at any temperature, from the geometric
+# series of the Bose factor; math only, so it shares no code with the
+# engine's quadrature or with numpy.
+
+_ZETA3 = 1.2020569031595942  # Apery's constant
+
+
+def ideal_mirror_pressure(temperature, d):
+    """(k_B T/pi) sum'_m int_{xi_m/c}^inf 2 k^2/(e^{2 k d} - 1) dk at T, gap d.
+
+    The Bose factor is the geometric series 1/(e^x - 1) = sum_n e^{-n x}:
+    with b = 2 n d and a = xi_m/c = m a_1,
+    int_a^inf 2 k^2 e^{-b k} dk = 2 e^{-a b} (a^2/b + 2a/b^2 + 2/b^3).
+    The sum over m >= 1 is taken first, in closed form with r = e^{-a_1 b}
+    (sum_m r^m = r/(1 - r), sum_m m r^m = r/(1 - r)^2 and
+    sum_m m^2 r^m = r (1 + r)/(1 - r)^3), and n runs until r < e^{-42}.
+    The m = 0 term is zeta(3)/(2 d^3), weighted by one half. The plate
+    force of a vacuum mirror cavity is P(d3) - P(d1).
+    """
+    a1 = 2.0 * math.pi * Boltzmann * temperature / (hbar * c)
+    terms = [0.25 * _ZETA3 / d ** 3]
+    for n in range(1, math.ceil(42.0 / (2.0 * d * a1)) + 2):
+        b = 2.0 * d * n
+        r, rest = math.exp(-a1 * b), -math.expm1(-a1 * b)
+        s0 = r / rest
+        s1 = s0 / rest
+        s2 = s1 * (1.0 + r) / rest
+        terms.append(2.0 * (a1 * a1 * s2 / b + 2.0 * a1 * s1 / b ** 2
+                            + 2.0 * s0 / b ** 3))
+    return Boltzmann * temperature / math.pi * math.fsum(terms)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,11 +39,18 @@ from planarcasimir.materials import (
     plasma,
 )
 from planarcasimir.limits import StaticMedium, casimir_generalized
-from planarcasimir.quadrature import IntegralResult, QuadratureSpec
+from planarcasimir.quadrature import (
+    IntegralResult,
+    QuadratureSpec,
+    integrate_semi_infinite,
+    matsubara_frequency,
+    matsubara_sum,
+)
 
 from oracles import (
     classical_minkowski_plate_force,
     classical_plate_force,
+    ideal_mirror_pressure,
     plasma_nonretarded_pressure,
     plasma_retarded_ratio,
 )
@@ -474,6 +483,57 @@ def test_thermal_force_continuity_and_trend():
     # gaps, so the force shift is small but must deepen the attraction.
     ratio = hot.force_per_area / cold.force_per_area
     assert 1.00003 < ratio < 1.005
+
+
+@pytest.mark.parametrize("temperature", [1.0, 30.0, 300.0])
+def test_thermal_mirror_force_meets_the_geometric_series(temperature):
+    d1, d3 = 1e-6, 5e-5
+    cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, d1,
+                          PerfectMirrorPlate(), d3, Wall.perfect_mirror())
+    res = plate_force(cavity, temperature=temperature, spec=SPEC)
+    exact = (ideal_mirror_pressure(temperature, d3)
+             - ideal_mirror_pressure(temperature, d1))
+    assert res.converged
+    assert abs(res.force_per_area - exact) <= res.error_estimate
+
+
+def _brute_thermal_force(cavity, temperature, spec):
+    """(force, bar) from the Matsubara sum of per-frequency q integrals.
+
+    The engine's own integrand, but summed term by term by ``matsubara_sum``
+    under ``drop`` with each q integral from ``integrate_semi_infinite``;
+    the bar is the sum's error plus the q errors at the sum's weights.
+    """
+    integrand = engine._INTEGRANDS["exact-difference"](cavity)
+    d = min(cavity.d1, cavity.d3)
+    q_errors = []
+
+    def term(xi):
+        res = integrate_semi_infinite(lambda v: integrand(xi, v / d) / d,
+                                      spec)
+        q_errors.append(res.error_estimate)
+        return res.value
+
+    total = matsubara_sum(term, temperature, spec, zero_term_policy="drop")
+    assert total.converged
+    spacing = float(matsubara_frequency(1, temperature))
+    prefactor = engine._STRESS_PREFACTOR
+    bar = total.error_estimate.sum() + spacing * np.sum(q_errors)
+    return prefactor * total.value.sum(), abs(prefactor) * bar
+
+
+@pytest.mark.parametrize("temperature", [30.0, 300.0])
+@pytest.mark.parametrize("gap", [constant(eps=2.0),
+                                 drude_lorentz(1.2e16, 2.0e16, 1e14)],
+                         ids=["eps2", "lorentz"])
+def test_dispersive_thermal_force_meets_the_brute_matsubara_sum(gap,
+                                                                temperature):
+    cavity = replace(_gold_cavity(2e-6, 6e-6), medium=gap)
+    res = plate_force(cavity, temperature=temperature, spec=SPEC,
+                      zero_term_policy="drop")
+    brute, bar = _brute_thermal_force(cavity, temperature, SPEC)
+    assert res.converged
+    assert abs(res.force_per_area - brute) <= res.error_estimate + bar
 
 
 def test_thermal_stress_gains_the_blackbody_pressure():

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gamma
 from scipy.constants import Boltzmann, c, hbar
 
-from planarcasimir import engine
+from planarcasimir import engine, quadrature
 from planarcasimir.layers import CavityConfig, Layer, Wall
 from planarcasimir.materials import MIRROR, constant, drude_lorentz
 from planarcasimir.quadrature import (
@@ -267,6 +267,31 @@ def test_non_finite_value_names_the_abscissa_of_its_row():
         double_semi_infinite(integrand, SPEC, d)
 
 
+_BAD_ARGUMENTS = [
+    ("d_ref", 0.0), ("d_ref", -1e-6), ("d_ref", np.nan), ("d_ref", np.inf),
+    ("index", 0.0), ("index", -1.0), ("index", np.nan), ("index", np.inf),
+    ("prefactor", np.nan), ("prefactor", np.inf), ("prefactor", -np.inf),
+]
+
+
+@pytest.mark.parametrize("temperature", [0.0, 300.0])
+@pytest.mark.parametrize("name,bad", _BAD_ARGUMENTS,
+                         ids=[f"{n}={v}" for n, v in _BAD_ARGUMENTS])
+def test_bad_double_integral_arguments_are_refused(name, bad, temperature):
+    # Each is refused by name before the integrand runs: a NaN must not
+    # pass as a length, nor reach the integrand as a NaN abscissa.
+    calls = []
+
+    def integrand(xi, q):
+        calls.append(xi)
+        return np.exp(-xi * 1e-6 / c - q * 1e-6)
+
+    args = {"d_ref": 1e-6, "prefactor": 1.0, "index": 1.0, name: bad}
+    with pytest.raises(ValueError, match=name):
+        double_semi_infinite(integrand, SPEC, temperature=temperature, **args)
+    assert not calls
+
+
 def test_double_integral_replays_bit_for_bit():
     d = 2.5e-6
 
@@ -325,6 +350,73 @@ def test_integrands_broadcast_frequency_rows(monkeypatch):
             one = integrand(float(x), q[i])
             np.testing.assert_allclose(rows[i], one, rtol=1e-14,
                                        atol=1e-14 * np.abs(one).max())
+
+
+# Every order a thermal sum doubles through, and the caps of 10 and 30
+# terms that engine tests set.
+_DOUBLING = [8, 16, 32, 64, 128, 256, 512]
+_ORDERS = sorted(_DOUBLING + [10, 30])
+
+
+def test_pade_orders_double_to_the_largest():
+    assert (_DOUBLING[0], _DOUBLING[-1]) == quadrature._PADE_ORDERS
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+def test_pade_table_poles_and_residues(order):
+    poles, residues, rounding = quadrature._pade(order)
+    assert poles.shape == residues.shape == (order,)
+    assert poles[0] > 0.0 and np.all(np.diff(poles) > 0.0)
+    assert 0.0 < rounding < 1e-11
+    # The first poles are the Matsubara ones, 2 pi j with residue 1.
+    j = np.arange(1, max(1, order // 8) + 1)
+    np.testing.assert_array_less(
+        np.abs(poles[:j.size] / (2.0 * np.pi * j) - 1.0), rounding)
+    np.testing.assert_array_less(np.abs(residues[:j.size] - 1.0), rounding)
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+def test_pade_table_rebuilds_coth(order):
+    poles, residues, rounding = quadrature._pade(order)
+    x = np.concatenate([np.random.default_rng(order).uniform(0.0, order, 999),
+                        [1e-9, 0.5, float(order)]])
+    rebuilt = 2.0 / x + (4.0 * residues * x[:, None]
+                         / (x[:, None] ** 2 + poles ** 2)).sum(axis=1)
+    assert np.all(np.abs(rebuilt * np.tanh(0.5 * x) - 1.0) <= rounding)
+
+
+def test_pade_tables_are_read_only_and_cached():
+    for order in (_ORDERS[0], _ORDERS[-1]):
+        first, again = quadrature._pade(order), quadrature._pade(order)
+        assert all(a is b for a, b in zip(first, again))
+        for array in first[:2]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
+def test_thermal_sum_at_an_unreachable_target_stops_at_the_largest_order(
+        monkeypatch):
+    # Below double rounding no order can meet the target, so the sum runs
+    # to the largest table and stops, flagged, with a bar that still holds
+    # the closed form spacing/d (1/2 + r/(1 - r)), r = exp(-spacing d/c).
+    d, temperature = 1e-6, 1.0
+    built = []
+    pade = quadrature._pade
+    monkeypatch.setattr(quadrature, "_pade",
+                        lambda order: built.append(order) or pade(order))
+    res = double_semi_infinite(lambda xi, q: np.exp(-xi * d / c - q * d),
+                               QuadratureSpec(rel_tol=1e-17), d,
+                               temperature=temperature)
+    spacing = float(matsubara_frequency(1, temperature))
+    exact = spacing / d * (0.5 + 1.0 / np.expm1(spacing * d / c))
+    assert not res.converged
+    assert abs(res.value - exact) <= res.error_estimate
+    assert max(built) == quadrature._PADE_ORDERS[1]
+    # Every order up to the largest, one row more for m = 0, at most at
+    # the last level of the q rule.
+    q_nodes = quadrature._axis(quadrature._MOMENTUM,
+                               quadrature._TERM_LEVELS[1])[0].size
+    assert res.evaluations <= sum(n + 1 for n in _DOUBLING) * q_nodes
 
 
 # ---------------------------------------------------------------------------
