@@ -525,8 +525,10 @@ def main(argv=None) -> int:
         return 2
     if n_bad:
         print(f"warning: {args.command}: {n_bad} of {len(rows)} result(s) did"
-              " not reach the requested tolerance (raise --rel-tol or"
-              " matsubara_max_terms); error estimates stay honest",
+              " not reach the requested tolerance (raise --rel-tol; thermal"
+              " sums stop at min(--matsubara-terms, 512) Pade poles, so"
+              " raising the cap past 512 does not help); error estimates"
+              " stay honest",
               file=sys.stderr)
         return 3
     return 0

@@ -51,7 +51,6 @@ from .layers import (
     Layer,
     PerfectMirrorPlate,
     Wall,
-    _column,
     _has_drude_like,
     _plate_rt,
     _wall_refl,
@@ -147,48 +146,44 @@ def cavity_interspaces(cavity: CavityConfig) -> tuple[InterspaceView, Interspace
     return view1, view3
 
 
-def _modes(medium: DispersionModel, xi, q):
-    """(wave, mu, n^2, kappa) of the gap medium: its one evaluation per call.
+def _integrand(rows):
+    """The integrand of ``rows``, a function of xi (A, 1) and q (A, m); a
+    float xi against a float or 1-D q runs as one row, shaped like q."""
+    def integrand(xi, q):
+        if np.ndim(q) == 2:
+            return rows(xi, q)
+        y = rows(np.reshape(xi, (1, 1)), np.reshape(q, (1, -1)))
+        return y.reshape(np.shape(q) + y.shape[2:])
 
-    xi is a float, or a column of shape (A, 1) broadcast against q of shape
-    (A, m). The wave is what every wall and plate reflection takes; mu and
-    n^2 are shaped like xi, kappa like the broadcast (xi, q).
-    """
-    wave = _wave(medium, xi, q)
-    mu, eps = np.moveaxis(wave[0], -1, 0)
-    return wave, mu, eps * mu, wave[1][..., 0]
-
-
-def _axis(*values):
-    """Each value with a trailing unit axis, to broadcast against (s, p)."""
-    return [np.asarray(v, dtype=float)[..., None] for v in values]
+    return integrand
 
 
-def _mode_coefficients(n_sq, xi, kappa, q):
+def _mode_coefficients(wave, xi, q):
     """(pair, surf) = (2 [ -kappa^2 (1 + 1/n^2) + Delta q^2 (1 - 1/n^2) ],
-    -Delta (xi^2/c^2)(n^2 - 1)), the coefficients of g, columns (s, p)."""
-    n_sq, xi, kappa, q = _axis(n_sq, xi, kappa, q)
+    -Delta (xi^2/c^2)(n^2 - 1)) of the gap's ``wave``, the coefficients of
+    g, of shapes (2, A, m) and (2, A, 1), rows (s, p)."""
+    (mu, eps), kappa = wave
+    n_sq = eps * mu
     inv = 1.0 / n_sq
-    return (2.0 * (-(kappa**2) * (1.0 + inv) + DELTA * q**2 * (1.0 - inv)),
-            DELTA * (-(xi * xi / c**2) * (n_sq - 1.0)))
+    return ((-2.0 - 2.0 * inv) * kappa**2 + DELTA * ((2.0 - 2.0 * inv) * q**2),
+            DELTA * ((xi * xi / c**2) * (1.0 - n_sq)))
 
 
-def _g_terms(view: InterspaceView, xi, q, modes):
-    """(bulk, surf, r_-, r_+, D) of g at ``modes``, columns (s, p):
+def _g_terms(view: InterspaceView, xi, q, wave):
+    """(bulk, surf, r_-, r_+, D) of g for the gap's ``wave``, rows (s, p):
     g(z) = (bulk + surf [r_- e^{-2 kappa z} + r_+ e^{-2 kappa (d-z)}]) / D."""
-    wave, _, n_sq, kappa = modes
     r_plus = _wall_refl(view.right, wave, xi, q)
     r_minus = _wall_refl(view.left, wave, xi, q)
-    pair, surf = _mode_coefficients(n_sq, xi, kappa, q)
+    pair, surf = _mode_coefficients(wave, xi, q)
     roundtrip = np.exp(-2.0 * wave[1] * view.width)
     return (pair * r_plus * r_minus * roundtrip, surf, r_minus, r_plus,
             1.0 - r_plus * r_minus * roundtrip)
 
 
-def _g(view: InterspaceView, z, xi, q, modes):
-    """Mode function g at z, columns (s, p); ``modes`` from ``_modes``."""
-    bulk, surf, r_minus, r_plus, denom = _g_terms(view, xi, q, modes)
-    kappa = modes[0][1]  # the gap's kappa with a unit (s, p) axis
+def _g(view: InterspaceView, z, xi, q, wave):
+    """Mode function g at z, shape (2, A, m), for the gap's ``wave``."""
+    bulk, surf, r_minus, r_plus, denom = _g_terms(view, xi, q, wave)
+    kappa = wave[1]
     return (bulk + surf * (r_minus * np.exp(-2.0 * kappa * z) + r_plus
                            * np.exp(-2.0 * kappa * (view.width - z)))) / denom
 
@@ -271,13 +266,16 @@ def stress_zz(
                            view.has_drude_like)
     spread = (1,) * heights.ndim  # the height axis, if there is one
 
+    @_integrand
     def integrand(xi, q):
-        modes = _modes(view.medium, xi, q)
-        bulk, surf, r_minus, r_plus, denom = _g_terms(view, xi, q, modes)
+        wave = _wave(view.medium, xi, q)
+        bulk, surf, r_minus, r_plus, denom = _g_terms(view, xi, q, wave)
+        (mu, _), kappa = wave
         # Sum s and p before the heights come in: only the two surface
         # exponentials depend on z, and their kappa is the gap's for both.
-        terms = [q * (-modes[1] / modes[3]), modes[3]] + [
-            (term / denom).sum(axis=-1)
+        inv = 1.0 / denom
+        terms = [q * (-mu / kappa), kappa] + [
+            (term * inv).sum(axis=0)
             for term in (bulk, surf * r_minus, surf * r_plus)]
         weight, kappa, bulk, near, far = (
             term.reshape(term.shape + spread) for term in terms)
@@ -311,12 +309,13 @@ def minkowski_stress_zz(
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
                            view.has_drude_like)
 
+    @_integrand
     def integrand(xi, q):
-        wave, _, _, kappa = _modes(view.medium, xi, q)
+        wave = _wave(view.medium, xi, q)
         rr = (_wall_refl(view.right, wave, xi, q)
               * _wall_refl(view.left, wave, xi, q)
               * np.exp(-2.0 * wave[1] * view.width))
-        return q * kappa * (rr / (1.0 - rr)).sum(axis=-1)
+        return q * wave[1] * (rr / (1.0 - rr)).sum(axis=0)
 
     return double_semi_infinite(integrand, spec, view.width,
                                 _MINKOWSKI_PREFACTOR, temperature, *zero_term)
@@ -347,20 +346,20 @@ def stress_profile(
 
 
 def _plate_terms(cavity: CavityConfig, xi, q):
-    """(modes, r, t, A, B, N) of the single-plate form, columns (s, p).
+    """(wave, r, t, A, B, N) of the single-plate form, rows (s, p), with
+    ``wave`` the gap medium's, its one evaluation per integrand call.
 
     With the plate's (r, t) and the bare walls' reflections r_1- and r_3+,
     all seen from the gap medium, A = r_1- e^{-2 kappa d1},
     B = r_3+ e^{-2 kappa d3} and N = (1 - r A)(1 - r B) - t^2 A B.
     """
-    modes = _modes(cavity.medium, xi, q)
-    wave = modes[0]
+    wave = _wave(cavity.medium, xi, q)
     r, t = _plate_rt(cavity.plate, wave, xi, q)
     a = _wall_refl(cavity.left_wall, wave, xi, q) * np.exp(
         -2.0 * wave[1] * cavity.d1)
     b = _wall_refl(cavity.right_wall, wave, xi, q) * np.exp(
         -2.0 * wave[1] * cavity.d3)
-    return modes, r, t, a, b, (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
+    return wave, r, t, a, b, (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
 
 
 def _exact_difference_integrand(cavity: CavityConfig, pol: str | None = None):
@@ -374,29 +373,32 @@ def _exact_difference_integrand(cavity: CavityConfig, pol: str | None = None):
 
     which is manifestly exponentially convergent in q (every term carries A
     or B). The integrand returns both polarization columns (s, p); ``pol``
-    "s" or "p" selects one, as a float for scalar q.
+    "s" or "p" selects one at a float xi, as a float for scalar q.
     """
+    @_integrand
     def integrand(xi, q):
-        (_, mu, n_sq, kappa), r, t, a, b, n_den = _plate_terms(cavity, xi, q)
-        pair, surf = _mode_coefficients(n_sq, xi, kappa, q)
+        wave, r, t, a, b, n_den = _plate_terms(cavity, xi, q)
+        (mu, _), kappa = wave
+        pair, surf = _mode_coefficients(wave, xi, q)
         curly = pair * r + surf * (1.0 + r * r - t * t)
-        return _axis(q * (-mu / kappa))[0] * curly * (b - a) / n_den
+        return np.moveaxis(q * (-mu / kappa) * curly * (b - a) / n_den, 0, -1)
 
     if pol is None:
         return integrand
-    return lambda xi, q: _column(integrand(xi, q), pol, q)
+    return lambda xi, q: integrand(xi, q)[..., POLARIZATIONS.index(pol)]
 
 
 def _direct_difference_integrand(cavity: CavityConfig):
     """g_3(0) - g_1(d1) evaluated literally at the plate faces, columns (s, p)."""
     view1, view3 = cavity_interspaces(cavity)
 
+    @_integrand
     def integrand(xi, q):
-        modes = _modes(cavity.medium, xi, q)
-        _, mu, _, kappa = modes
-        g3 = _g(view3, 0.0, xi, q, modes)
-        g1 = _g(view1, cavity.d1, xi, q, modes)
-        return _axis(q * (-mu / kappa))[0] * (g3 - g1)
+        wave = _wave(cavity.medium, xi, q)
+        (mu, _), kappa = wave
+        g3 = _g(view3, 0.0, xi, q, wave)
+        g1 = _g(view1, cavity.d1, xi, q, wave)
+        return np.moveaxis(q * (-mu / kappa) * (g3 - g1), 0, -1)
 
     return integrand
 
@@ -498,10 +500,10 @@ def minkowski_plate_force(
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
                            cavity.has_drude_like, per_polarization=True)
 
+    @_integrand
     def integrand(xi, q):
-        (_, _, _, kappa), r, _, a, b, n_den = _plate_terms(cavity, xi, q)
-        kappa, qc = _axis(kappa, q)
-        return qc * kappa * r * (b - a) / n_den
+        wave, r, _, a, b, n_den = _plate_terms(cavity, xi, q)
+        return np.moveaxis(q * wave[1] * r * (b - a) / n_den, 0, -1)
 
     res = double_semi_infinite(integrand, spec, min(cavity.d1, cavity.d3),
                                _MINKOWSKI_PREFACTOR, temperature, *zero_term)

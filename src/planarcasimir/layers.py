@@ -20,18 +20,17 @@ r = (r_front + e^{-2 kappa d} r_back) / (1 + r_front e^{-2 kappa d} r_back);
 an independent transfer-matrix product in the test suite cross-checks every
 code path of that recursion.
 
-Polarization is an array axis: internal reflection and transmission arrays
-have shape ``np.shape(q) + (2,)`` with the trailing axis ordered (s, p), as
-is ``DELTA``. The s and p coefficients are one expression whose kappa
-contrast is weighted by (mu, eps). ``_wave`` is the one place a material is
-evaluated, for both polarizations, through one call into ``materials``. The
-internal reflections take the wave of the medium they are seen from, so a
-caller evaluates that medium once per integrand call for every wall and
-plate. The public ``wall_reflection`` selects one polarization's column.
-
-The internal functions also take xi as a column of shape (A, 1), one
-frequency per row, broadcast against q of shape (A, m): a medium's response
-is then shaped like xi and gains the (s, p) axis in ``_wave``.
+Polarization is the leading array axis: internal reflection and
+transmission arrays have shape (2, A, m), ordered (s, p), for xi a column of
+shape (A, 1), one frequency per row, broadcast against q of shape (A, m).
+A perfect mirror is ``DELTA``, a (2, 1, 1) constant that broadcasts. The s
+and p coefficients are one expression whose kappa contrast is weighted by
+(mu, eps). ``_wave`` is the one place a material is evaluated, for both
+polarizations, through one call into ``materials``. The internal
+reflections take the wave of the medium they are seen from, so a caller
+evaluates that medium once per integrand call for every wall and plate.
+The public ``wall_reflection`` runs its float xi and float or 1-D q as one
+row of that layout and returns one polarization's row, shaped like q.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from .constants import c
 from .materials import DispersionModel, MaterialKind, _response, is_drude_like
 
 POLARIZATIONS = ("s", "p")
-# Perfect-reflector limits of the interface coefficients, axis (s, p).
-DELTA = np.array([-1.0, +1.0])
+# Perfect-reflector limits of the interface coefficients, leading axis (s, p).
+DELTA = np.array([-1.0, +1.0]).reshape(2, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -165,46 +164,40 @@ def beta_imag(n_sq, xi, q: float | np.ndarray):
     return kappa if np.ndim(q) else float(kappa)
 
 
-def _column(pair, pol: str, q):
-    """The ``pol`` column of an (s, p) array; a float for scalar q."""
-    out = pair[..., POLARIZATIONS.index(pol)]
-    return out if np.ndim(q) else float(out)
-
-
 def _wave(model: DispersionModel, xi, q):
     """A material's Fresnel weights (mu, eps) and kappa at omega = i*xi.
 
-    xi is a float or a column of shape (A, 1) broadcast against q. The
-    weights are shaped like xi plus the (s, p) axis; kappa is shaped like
-    the broadcast (xi, q) plus a unit axis.
+    xi is a column of shape (A, 1) broadcast against q of shape (A, m). The
+    weights have shape (2, A, 1), rows (s, p); kappa has shape (A, m).
     """
     eps, mu = _response(model, xi)
-    kappa = np.asarray(beta_imag(eps * mu, xi, q))
-    return np.stack(np.broadcast_arrays(mu, eps), axis=-1), kappa[..., None]
+    return np.stack((mu, eps)), beta_imag(eps * mu, xi, q)
 
 
 def _fresnel(a, b):
-    """Interface coefficients from medium a into medium b, axis (s, p).
+    """Interface coefficients from medium a into medium b, shape (2, A, m).
 
     s weights the kappa contrast by permeability, p by permittivity
     (magnetic-field amplitude convention, conductor limit +1).
     """
     (w_a, kappa_a), (w_b, kappa_b) = a, b
-    return (w_b * kappa_a - w_a * kappa_b) / (w_b * kappa_a + w_a * kappa_b)
+    x, y = w_b * kappa_a, w_a * kappa_b
+    return (x - y) / (x + y)
 
 
 def _wall_refl(wall: Wall, ambient, xi, q):
     """Reflection of ``wall`` seen from the medium of wave ``ambient``.
 
-    The result has the (s, p) axis last. The fold runs from the terminator
-    outward and keeps only the two media of the current interface, so
-    memory does not grow with the slab count.
+    The result has shape (2, A, m), rows (s, p); a bare mirror is ``DELTA``,
+    which broadcasts to it. The fold runs from the terminator outward and
+    keeps only the two media of the current interface, so memory does not
+    grow with the slab count.
     """
     layers = wall.layers
     # Innermost reflection: from the deepest finite medium into the terminator.
     inner = _wave(layers[-1].material, xi, q) if layers else ambient
     if wall.is_mirror_terminated:
-        r = DELTA * np.ones_like(inner[1])
+        r = DELTA
     else:
         r = _fresnel(inner, _wave(wall.terminator, xi, q))
 
@@ -212,8 +205,8 @@ def _wall_refl(wall: Wall, ambient, xi, q):
     for i in range(len(layers) - 1, -1, -1):
         outer = _wave(layers[i - 1].material, xi, q) if i else ambient
         rf = _fresnel(outer, inner)
-        phase = np.exp(-2.0 * inner[1] * layers[i].thickness)
-        r = (rf + phase * r) / (1.0 + rf * phase * r)
+        back = np.exp(-2.0 * inner[1] * layers[i].thickness) * r
+        r = (rf + back) / (1.0 + rf * back)
         inner = outer
     return r
 
@@ -234,20 +227,21 @@ def wall_reflection(wall: Wall, ambient: DispersionModel, mode: TransverseMode):
         Real reflection coefficient(s) at omega = i*xi, |r| <= 1 for passive
         structures.
     """
-    r = _wall_refl(wall, _wave(ambient, mode.xi, mode.q), mode.xi, mode.q)
-    return _column(r, mode.pol, mode.q)
+    xi, q = np.reshape(mode.xi, (1, 1)), np.reshape(mode.q, (1, -1))
+    r = _wall_refl(wall, _wave(ambient, xi, q), xi, q)
+    r = r[POLARIZATIONS.index(mode.pol)] * np.ones(q.shape)
+    return r.reshape(np.shape(mode.q)) if np.ndim(mode.q) else float(r[0, 0])
 
 
 def _plate_rt(plate, ambient, xi, q):
     """(r, t) of the plate with the medium of wave ``ambient`` on both faces,
-    axis (s, p) last; t is the face-to-face amplitude."""
+    each of shape (2, A, m), rows (s, p); t is the face-to-face amplitude.
+    A mirror plate is (``DELTA``, 0.0), which broadcasts."""
     if isinstance(plate, PerfectMirrorPlate):
-        r = DELTA * np.ones_like(ambient[1])
-        return r, np.zeros_like(r)
+        return DELTA, 0.0
     inside = _wave(plate.material, xi, q)
     r12 = _fresnel(ambient, inside)
     decay = np.exp(-inside[1] * plate.thickness)
-    den = 1.0 - r12 * r12 * decay * decay
-    r = r12 * (1.0 - decay * decay) / den
-    t = (1.0 - r12 * r12) * decay / den
-    return r, t
+    r12_sq, decay_sq = r12 * r12, decay * decay
+    den = 1.0 - r12_sq * decay_sq
+    return r12 * (1.0 - decay_sq) / den, (1.0 - r12_sq) * decay / den

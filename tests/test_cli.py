@@ -232,6 +232,20 @@ def test_truncated_thermal_sum_exits_3(tmp_path, capsys):
     assert _rows(out)[0]["converged"] == "false"
 
 
+def test_unconverged_cold_thermal_force_names_the_pole_cap(tmp_path, capsys):
+    # At 0.4 K the largest Pade order, 512, does not resolve the 1 um / 50 um
+    # sum; a larger --matsubara-terms cannot help, and the warning says so.
+    cfg = _write(tmp_path, VACUUM_CAVITY)
+    for cap in ("512", "50000"):
+        code, out, err = _run(capsys, ["force", "--config", cfg, "--format",
+                                       "csv", "--temperature", "0.4",
+                                       "--matsubara-terms", cap])
+        assert code == 3
+        assert _rows(out)[0]["converged"] == "false"
+        assert ("thermal sums stop at min(--matsubara-terms, 512) Pade poles,"
+                " so raising the cap past 512 does not help") in err
+
+
 def test_high_temperature_force_converges(tmp_path, capsys):
     # At 3000 K the m = 1 and 2 terms are about 1e-139 of the m = 0 one;
     # judged on their own size, their q rules miss through the upper end

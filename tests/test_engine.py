@@ -63,9 +63,14 @@ def _mirror_gap(medium=VACUUM, width=1e-6):
 
 
 def _g(view, z, xi, q, pol=None):
-    """The mode function g at z: the ``pol`` column, or s and p summed."""
-    g = engine._g(view, z, xi, q, engine._modes(view.medium, xi, q))
-    return g.sum(axis=-1) if pol is None else g[..., "sp".index(pol)]
+    """The mode function g at z: the ``pol`` row, or s and p summed; shaped
+    like q, a float for scalar q. A float xi and a float or 1-D q run as
+    one row of the (s, p)-leading layout."""
+    xi_col, q_row = np.reshape(xi, (1, 1)), np.reshape(q, (1, -1))
+    g = engine._g(view, z, xi_col, q_row,
+                  layers._wave(view.medium, xi_col, q_row))
+    g = g.sum(axis=0) if pol is None else g["sp".index(pol)]
+    return g.reshape(np.shape(q)) if np.ndim(q) else float(g[0, 0])
 
 
 def _ideal_stress(width, eps=1.0, mu=1.0):
@@ -118,6 +123,14 @@ def test_mode_function_sums_polarizations():
     view = _mirror_gap(constant(eps=3.0), 5e-7)
     parts = [_g(view, 2e-7, 1e15, 2e6, p) for p in ("s", "p")]
     assert _g(view, 2e-7, 1e15, 2e6) == pytest.approx(sum(parts), rel=1e-15)
+    # An array of q gives the same sums, element by element.
+    q = np.geomspace(1e5, 1e8, 7)
+    rows = [_g(view, 2e-7, 1e15, q, p) for p in ("s", "p")]
+    np.testing.assert_allclose(_g(view, 2e-7, 1e15, q), rows[0] + rows[1],
+                               rtol=1e-15)
+    for i, one in enumerate(q):
+        assert [row[i] for row in rows] == [_g(view, 2e-7, 1e15, one, p)
+                                           for p in ("s", "p")]
 
 
 def test_mode_function_z_independent_in_empty_interspace():
@@ -583,8 +596,10 @@ def test_cavity_interspaces_widths_and_media():
     # plate reflection (transmission through to the mirror matters).
     xi, q = 5e14, 1e6
     mode = TransverseMode(xi=xi, q=q, pol="p")
-    r_bare = layers._plate_rt(cavity.plate, layers._wave(cavity.medium, xi, q),
-                              xi, q)[0][1]
+    xi_col, q_row = np.full((1, 1), xi), np.full((1, 1), q)
+    r_bare = layers._plate_rt(cavity.plate,
+                              layers._wave(cavity.medium, xi_col, q_row),
+                              xi_col, q_row)[0][1, 0, 0]
     r_composite = wall_reflection(view1.right, view1.medium, mode)
     assert abs(r_composite - r_bare) > 1e-6
 

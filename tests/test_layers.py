@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.constants import c
 
-from planarcasimir import layers
+from planarcasimir import engine, layers
 from planarcasimir.engine import cavity_interspaces
 from planarcasimir.layers import (
     DELTA,
@@ -28,11 +28,16 @@ from oracles import interface_r, kappa_of, slab_rt, stack_reflection
 
 
 def _plate_column(plate, ambient, mode):
-    """(r, t) of ``plate`` in ``ambient`` for ``mode``, from ``_plate_rt``."""
-    r, t = layers._plate_rt(plate, layers._wave(ambient, mode.xi, mode.q),
-                            mode.xi, mode.q)
-    return (layers._column(r, mode.pol, mode.q),
-            layers._column(t, mode.pol, mode.q))
+    """(r, t) of ``plate`` in ``ambient`` for ``mode``, from ``_plate_rt``:
+    each shaped like q, floats for scalar q. The float xi and the float or
+    1-D q run as one row of the (s, p)-leading layout."""
+    xi, q = np.reshape(mode.xi, (1, 1)), np.reshape(mode.q, (1, -1))
+    row = layers.POLARIZATIONS.index(mode.pol)
+    wave = layers._wave(ambient, xi, q)
+    pair = [np.broadcast_to(x, (2,) + q.shape)[row]
+            for x in layers._plate_rt(plate, wave, xi, q)]
+    return tuple(x.reshape(np.shape(mode.q)) if np.ndim(mode.q)
+                 else float(x[0, 0]) for x in pair)
 
 
 def test_beta_imag_hand_values():
@@ -329,6 +334,70 @@ def test_vectorized_momentum_matches_scalars():
     for i, q in enumerate(qs):
         r1, t1 = _plate_column(plate, VACUUM, TransverseMode(xi=xi, q=float(q), pol="s"))
         assert rb[i] == r1 and tb[i] == t1
+
+
+def test_polarization_leads_the_internal_layout(monkeypatch):
+    # xi is a column of shape (A, 1) against q of shape (A, m); every
+    # reflection array is (2, A, m) with rows (s, p), mirrors broadcast to
+    # it, and the rows equal the public scalar reflections.
+    drude = drude_lorentz(1.37e16, 0.0, 5.3e13)
+    lorentz = drude_lorentz(1.5e16, 1.2e16, 2e14)
+    magnetic = drude_lorentz(9e15, 1.1e16, 1e14, mu_model=(3e15, 5e15, 1e13))
+    slabs = [Layer(drude, 2e-8), Layer(lorentz, 5e-8), Layer(magnetic, 3e-8)]
+    ambient = drude_lorentz(1.2e16, 2.0e16, 1e14)
+    xi = np.geomspace(1e12, 3e16, 5)[:, None]
+    q = np.geomspace(1e4, 3e8, 7) * np.linspace(1.0, 2.0, xi.size)[:, None]
+    shape = (2,) + q.shape
+    wave = layers._wave(ambient, xi, q)
+    assert wave[0].shape == (2, xi.size, 1) and wave[1].shape == q.shape
+    walls = [Wall.stack(slabs, MIRROR), Wall.stack(slabs, drude),
+             Wall.semi_infinite(drude), Wall.perfect_mirror()]
+    for wall in walls:
+        r = layers._wall_refl(wall, wave, xi, q)
+        assert np.broadcast_shapes(np.shape(r), shape) == shape
+        if wall.layers or not wall.is_mirror_terminated:
+            assert r.shape == shape
+        r = np.broadcast_to(r, shape)
+        for (a, b), _ in np.ndenumerate(q):
+            for row, pol in enumerate("sp"):
+                mode = TransverseMode(xi=float(xi[a, 0]), q=float(q[a, b]),
+                                      pol=pol)
+                assert r[row, a, b] == pytest.approx(
+                    wall_reflection(wall, ambient, mode), rel=1e-15, abs=0.0)
+    for plate in (Layer(magnetic, 1e-7), PerfectMirrorPlate()):
+        pair = layers._plate_rt(plate, wave, xi, q)
+        if isinstance(plate, Layer):
+            assert [x.shape for x in pair] == [shape, shape]
+        for x in pair:
+            assert np.broadcast_shapes(np.shape(x), shape) == shape
+        rows = [np.broadcast_to(x, shape) for x in pair]
+        for (a, b), _ in np.ndenumerate(q):
+            for row, pol in enumerate("sp"):
+                mode = TransverseMode(xi=float(xi[a, 0]), q=float(q[a, b]),
+                                      pol=pol)
+                want = _plate_column(plate, ambient, mode)
+                got = [float(x[row, a, b]) for x in rows]
+                assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+    # Only the integrands turn the layout round: (s, p) columns come last.
+    seen = []
+
+    def capture(integrand, *args, **kwargs):
+        seen.append(integrand)
+        return engine.IntegralResult(np.zeros(2), np.zeros(2), 0, True)
+
+    monkeypatch.setattr(engine, "double_semi_infinite", capture)
+    cavity = CavityConfig(Wall.stack(slabs, drude), ambient, 4e-7,
+                          Layer(magnetic, 1e-7), 9e-7,
+                          Wall.stack(slabs, MIRROR))
+    view = cavity_interspaces(cavity)[0]
+    for method in engine.METHODS:
+        engine.plate_force(cavity, method=method)
+    engine.minkowski_plate_force(cavity)
+    engine.stress_zz(view, 1.3e-7)
+    engine.stress_zz(view, np.array([1e-7, 2e-7, 3e-7]))
+    engine.minkowski_stress_zz(view)
+    shapes = [integrand(xi, q).shape for integrand in seen]
+    assert shapes == [q.shape + (2,)] * 3 + [q.shape, q.shape + (3,), q.shape]
 
 
 def test_geometry_validation():

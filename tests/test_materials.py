@@ -94,7 +94,7 @@ def test_imaginary_axis_fast_path_matches_complex_path():
 _RATE = st.floats(11.0, 17.0).map(lambda e: 10.0 ** e)
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(_RATE, _RATE, _RATE, _RATE, _RATE, _RATE, _RATE, _RATE)
 def test_imaginary_axis_response_matches_complex_reference(
         strength, resonance, damping, mu_strength, mu_resonance, mu_damping,
