@@ -68,8 +68,6 @@ _COMMON = (
     ("--temperature", "temperature", "K", "temperature in kelvin (default 0)"),
     ("--rel-tol", "rel_tol", "TOL", "relative tolerance of all integrals"),
     ("--q-cutoff", "q_cutoff", "RAD_PER_M", "sharp transverse-momentum cutoff"),
-    ("--matsubara-terms", "matsubara_max_terms", "N",
-     "cap on nonzero thermal frequencies (Pade poles, 512 at most)"),
     ("--zero-term-policy", "zero_term_policy", ZERO_TERM_POLICIES,
      "handling of the zero-frequency thermal term"),
     ("--method", "method", METHODS, "force evaluation route"),
@@ -160,7 +158,6 @@ def _meta(rc: RunConfig) -> dict:
         "rel_tol": q.rel_tol,
         "abs_floor": q.abs_floor,
         "q_cutoff_rad_per_m": q.q_cutoff,
-        "matsubara_max_terms": q.matsubara_max_terms,
     }
 
 
@@ -526,9 +523,7 @@ def main(argv=None) -> int:
     if n_bad:
         print(f"warning: {args.command}: {n_bad} of {len(rows)} result(s) did"
               " not reach the requested tolerance (raise --rel-tol; thermal"
-              " sums stop at min(--matsubara-terms, 512) Pade poles, so"
-              " raising the cap past 512 does not help); error estimates"
-              " stay honest",
+              " sums stop at 512 Pade poles); error estimates stay honest",
               file=sys.stderr)
         return 3
     return 0

@@ -144,7 +144,6 @@ _QUAD_KEYS = {
     "q_cutoff": lambda text, where: (
         None if text.strip().lower() in ("", "none")
         else _to_float(text.strip(), where)),
-    "matsubara_max_terms": _to_int,
 }
 
 # The keys of every fixed section, in canonical order.

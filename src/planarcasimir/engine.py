@@ -32,9 +32,11 @@ mirrors) the in-gap T_zz is positive. The net force per area on the central
 plate of a cavity is F = T_zz(gap 3) - T_zz(gap 1) evaluated at the plate
 faces; F > 0 pushes the plate toward +z (toward gap 3's far wall).
 
-At temperature T > 0 the xi integral becomes the standard weighted sum over
-bosonic frequencies xi_m = 2 pi m k_B T/hbar; media whose response diverges
-at xi -> 0 require an explicit zero-term policy.
+At temperature T > 0 the xi integral becomes the weighted sum over bosonic
+frequencies xi_m = 2 pi m k_B T/hbar, evaluated as the Pade pole sum of
+``quadrature._pade_sum`` (``quadrature.matsubara_sum`` sums the xi_m
+themselves and is its reference); media whose response diverges at
+xi -> 0 require an explicit zero-term policy.
 """
 
 from __future__ import annotations
@@ -198,9 +200,9 @@ def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
 
     The one reader of ``zero_term_policy``/``zero_term_value``, run by every
     observable at every T before its first integral. The rule is one that
-    ``matsubara_sum`` knows; ``custom-value`` drops m = 0 and, at T > 0
-    only, adds a finite number (stresses) or (s, p) array from a dict with
-    both keys (forces).
+    ``double_semi_infinite`` knows; ``custom-value`` drops m = 0 and, at
+    T > 0 only, adds a finite number (stresses) or (s, p) array from a dict
+    with both keys (forces).
     """
     policy = policy or "half-weight"
     if policy not in ZERO_TERM_POLICIES:
@@ -338,6 +340,9 @@ def stress_profile(
     """
     if n_samples < 2:
         raise ValueError("a profile needs at least 2 interior samples")
+    if not np.isfinite(view.width):
+        raise ValueError("a profile needs a finite interspace width, got"
+                         f" {view.width}")
     z_grid = np.linspace(0.0, view.width, n_samples + 2)[1:-1]
     res = stress_zz(view, z_grid, temperature, spec, zero_term_policy,
                     zero_term_value)

@@ -41,34 +41,26 @@ class QuadratureSpec:
         Relative tolerance target, 0 < rel_tol < 1. Every nested rule stops
         at its target or at its fixed last level; no knob sets the effort.
     abs_floor : float
-        Absolute error floor; convergence means
+        Finite absolute error floor, >= 0; convergence means
         ``error <= max(rel_tol*|value|, abs_floor)``.
     q_cutoff : float or None
         Sharp, finite upper truncation of transverse-momentum integrals
         (rad/m). ``None`` integrates to infinity.
-    matsubara_max_terms : int
-        Hard cap on the number of nonzero thermal frequencies of a sum: the
-        poles of the Pade table of a double integral at T > 0 (whose order
-        also stops at 512), or the Matsubara terms of ``matsubara_sum``. A
-        sum stopped by it books its last change or tail bound as error and
-        is not converged.
     """
 
     rel_tol: float = 1e-8
     abs_floor: float = 0.0
     q_cutoff: float | None = None
-    matsubara_max_terms: int = 20000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if not self.abs_floor >= 0.0:
-            raise ValueError(f"abs_floor must be >= 0, got {self.abs_floor}")
+        if not 0.0 <= self.abs_floor < np.inf:
+            raise ValueError("abs_floor must be finite and >= 0, got"
+                             f" {self.abs_floor}")
         if self.q_cutoff is not None and not 0.0 < self.q_cutoff < np.inf:
             raise ValueError("q_cutoff must be positive and finite when"
                              f" given, got {self.q_cutoff}")
-        if self.matsubara_max_terms < 1:
-            raise ValueError("matsubara_max_terms must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -107,13 +99,15 @@ _LINE_LEVELS = (3, 12)
 # Point-columns per integrand call (3,600 points of an (s, p) pair), and at
 # least one row: larger calls add to the peak memory of every run.
 _CHUNK = 7200
-# Nonzero Matsubara terms in the first block of ``matsubara_sum``; every
-# later block is twice the one before, so a sum of n terms takes about
-# log2(n/4) blocks, and a cap of 10 terms still leaves two blocks to compare.
-_FIRST_BLOCK = 4
+# Nonzero Matsubara terms in the first and the last block of
+# ``matsubara_sum``; every later block is twice the one before, so a sum of
+# n terms takes about log2(n/4) blocks, and it stops at 16,380 terms.
+_BLOCKS = (4, 8192)
 # Smallest and largest order of the Pade tables of the thermal sums of
-# ``double_semi_infinite``. The largest keeps the build of a table well under
-# a second (0.13 s on a 2-core Xeon; order 1,024 takes 1.2 s).
+# ``double_semi_infinite``; the largest must be the smallest times a power
+# of 2, which the doubling orders then meet exactly. The largest keeps the
+# build of a table well under a second (0.13 s on a 2-core Xeon; order
+# 1,024 takes 1.2 s).
 _PADE_ORDERS = (8, 512)
 
 
@@ -435,22 +429,19 @@ def _pade_sum(f: Callable, inner, temperature: float, zero_term_policy: str,
     times the sum of |weight * f| must fit in what the q errors leave of
     the target, or meet it alone once they leave nothing. The error is
     that change plus the q errors. The orders stop there, or, not
-    converged, at the smaller of ``spec.matsubara_max_terms`` and
-    ``_PADE_ORDERS[1]``.
+    converged, at ``_PADE_ORDERS[1]``.
     """
     _check_policy(zero_term_policy)
     spacing = float(matsubara_frequency(1, temperature))
     head = int(zero_term_policy == "half-weight")
-    last = min(spec.matsubara_max_terms, _PADE_ORDERS[1])
     # The decay scale in units of k_B T/hbar, which a table of order N
     # spans if N**2/4 reaches it.
     span = 2.0 * np.pi * decay / spacing
-    order = _PADE_ORDERS[0]
+    order, last = _PADE_ORDERS
     while order < last and order**2 < 4.0 * span:
         order *= 2
     before, points = 0.0, 0
     while True:
-        order = min(order, last)
         poles, residues, rounding = _pade(order)
         x = np.concatenate([np.zeros(head), poles / (2.0 * np.pi)])
         w = np.concatenate([np.full(head, 0.5), residues])
@@ -472,26 +463,25 @@ def _thermal(f: Callable, temperature: float, zero_term_policy: str,
              spec: QuadratureSpec):
     """(value, error, points, converged) of the weighted Matsubara sum of f.
 
-    Blocks of ``_FIRST_BLOCK`` nonzero frequencies, then of twice the
-    block before, are each the fixed outer axis of one ``_nested`` rule of
-    a single inner node: nodes xi_m, weights 2 pi k_B T/hbar, 1/2 on m = 0
+    Blocks of ``_BLOCKS[0]`` nonzero frequencies, then of twice the block
+    before, are each the fixed outer axis of one ``_nested`` rule of a
+    single inner node: nodes xi_m, weights 2 pi k_B T/hbar, 1/2 on m = 0
     under ``half-weight`` (``drop`` never evaluates it). With S the block's
     sum of |weight * f| and rho its ratio to the block before (0.999 at
-    most, and for the first block or one the cap cut shorter than the block
-    before), the tail bound is S rho/(1 - rho) per column. The error is the
-    tail bound plus the blocks' rounding. The sum stops when the error meets
-    the target (the tail bound alone, if the rounding exceeds it), or, not
-    converged, at ``spec.matsubara_max_terms`` nonzero terms.
+    most, and for the first block), the tail bound is S rho/(1 - rho) per
+    column. The error is the tail bound plus the blocks' rounding. The sum
+    stops when the error meets the target (the tail bound alone, if the
+    rounding exceeds it), or, not converged, after the block of
+    ``_BLOCKS[1]`` terms.
     """
     _check_policy(zero_term_policy)
     spacing = float(matsubara_frequency(1, temperature))
     total = error = mass = 0.0
     # done: the last nonzero m summed; head: m = 0 joins the first block.
-    points, done, size = 0, 0, _FIRST_BLOCK
+    points, done, size = 0, 0, _BLOCKS[0]
     head = int(zero_term_policy == "half-weight")
     while True:
-        m = np.arange(done + 1 - head,
-                      min(done + size, spec.matsubara_max_terms) + 1)
+        m = np.arange(done + 1 - head, done + size + 1)
         block = _fixed(matsubara_frequency(m, temperature),
                        np.where(m == 0, 0.5 * spacing, spacing))
         target = np.maximum(0.1 * spec.rel_tol * np.abs(total),
@@ -499,21 +489,18 @@ def _thermal(f: Callable, temperature: float, zero_term_policy: str,
         value, block_error, n, _, _, block_mass = _nested(
             f, block, _POINT, (0, 0), 0.1 * spec.rel_tol, target)
         total, error, points = total + value, error + block_error, points + n
-        # For geometric terms the ratio bounds the tail only if the block is
-        # no shorter than the one before, which a cut by the cap can break.
         # No quotient above 0.999 is formed, so none can overflow.
         ratio = np.divide(block_mass, mass,
                           out=np.full(np.shape(block_mass), 0.999),
-                          where=(m[-1] - done >= size // 2)
-                          & (block_mass < 0.999 * mass))
+                          where=block_mass < 0.999 * mass)
         tail = block_mass * ratio / (1.0 - ratio)
         # The tail must fit in what the blocks' errors leave of the target,
         # or meet the target alone once they leave nothing.
         goal = np.maximum(spec.rel_tol * np.abs(total), spec.abs_floor)
         met = bool(np.all(tail <= np.where(error < goal, goal - error, goal)))
-        if met or m[-1] == spec.matsubara_max_terms:
+        if met or size == _BLOCKS[1]:
             break
-        mass, done, size, head = block_mass, int(m[-1]), 2 * size, 0
+        mass, done, size, head = block_mass, done + size, 2 * size, 0
     error = error + tail
     return total, error, points, met and bool(np.all(error <= goal))
 
@@ -539,9 +526,9 @@ def matsubara_sum(
         frequencies (columns). It is called once per frequency and must
         decay.
     temperature : float
-        Temperature in kelvin, > 0.
+        Temperature in kelvin, finite and > 0.
     spec : QuadratureSpec
-        Uses rel_tol, abs_floor and matsubara_max_terms.
+        Uses rel_tol and abs_floor.
     zero_term_policy : str
         ``"half-weight"`` uses g(0)/2 (the trapezoid endpoint weight);
         ``"drop"`` omits the m = 0 term without evaluating g(0).
@@ -552,12 +539,13 @@ def matsubara_sum(
         ``value`` includes the 2 pi k_B T/hbar prefactor; ``error_estimate``
         is the tail bound plus the rounding of the sum (eps times the sum of
         |terms|). Floats for a scalar g, ndarrays of shape (k,) otherwise;
-        ``converged`` covers every column and is false if the term cap
+        ``converged`` covers every column and is false if the last block
         stopped the sum. ``evaluations`` counts the frequencies g received.
     """
-    if temperature <= 0.0:
-        raise ValueError("matsubara_sum needs temperature > 0; use the"
-                         " zero-temperature integral instead")
+    if not 0.0 < temperature < np.inf:
+        raise ValueError("matsubara_sum needs a finite temperature > 0, got"
+                         f" {temperature}; use the zero-temperature integral"
+                         " at 0 K")
 
     def rows(xi, _):
         """g at each row's frequency, one call per frequency."""

@@ -94,6 +94,7 @@ def test_unknown_command_is_a_usage_error(capsys):
     (["compare", "--d1", "1e-6"], "both"),
     (["compare", "--eps", "2,apple"], "not a number"),
     (["compare", "--mode", "quadrature"], "distances"),
+    (["stress-profile", "--samples", "many"], "not an integer"),
 ])
 def test_config_errors_exit_2(capsys, argv_tail, needle):
     code, out, err = _run(capsys, argv_tail)
@@ -223,27 +224,25 @@ def test_force_method_override(tmp_path, capsys):
 
 
 def test_truncated_thermal_sum_exits_3(tmp_path, capsys):
+    # At 0.4 K the largest Pade order, 512, does not resolve the 1 um / 50 um
+    # sum.
     cfg = _write(tmp_path, VACUUM_CAVITY)
     code, out, err = _run(capsys, ["force", "--config", cfg, "--format", "csv",
-                                   "--temperature", "300",
-                                   "--matsubara-terms", "2"])
+                                   "--temperature", "0.4"])
     assert code == 3
     assert "did not reach" in err
-    assert _rows(out)[0]["converged"] == "false"
-
-
-def test_unconverged_cold_thermal_force_names_the_pole_cap(tmp_path, capsys):
-    # At 0.4 K the largest Pade order, 512, does not resolve the 1 um / 50 um
-    # sum; a larger --matsubara-terms cannot help, and the warning says so.
-    cfg = _write(tmp_path, VACUUM_CAVITY)
-    for cap in ("512", "50000"):
-        code, out, err = _run(capsys, ["force", "--config", cfg, "--format",
-                                       "csv", "--temperature", "0.4",
-                                       "--matsubara-terms", cap])
-        assert code == 3
-        assert _rows(out)[0]["converged"] == "false"
-        assert ("thermal sums stop at min(--matsubara-terms, 512) Pade poles,"
-                " so raising the cap past 512 does not help") in err
+    row = _rows(out)[0]
+    assert row["converged"] == "false"
+    assert float(row["error_estimate_N_per_m2"]) > 0.0
+    assert "matsubara_max_terms" not in row
+    # No knob raises the 512 poles, so the warning names none.
+    assert ("(raise --rel-tol; thermal sums stop at 512 Pade poles); error"
+            " estimates stay honest") in err
+    assert "matsubara" not in err
+    # The thermal term cap is gone: its flag is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["force", "--config", cfg, "--matsubara-terms", "2"])
+    assert exc.value.code == 2
 
 
 def test_high_temperature_force_converges(tmp_path, capsys):
@@ -532,6 +531,21 @@ def test_json_output_and_round_trip(tmp_path, capsys):
     assert open(out_path).read() == first
 
 
+def test_removed_term_cap_in_a_replayed_json_exits_2(tmp_path, capsys):
+    # An emission from a version with the thermal term cap stored it under
+    # [quadrature]; the key is refused by name rather than ignored.
+    cfg = _write(tmp_path, SYMMETRIC_CAVITY)
+    path = tmp_path / "old.json"
+    code, _, _ = _run(capsys, ["force", "--config", cfg, "--out", str(path)])
+    assert code == 0
+    doc = json.loads(path.read_text())
+    doc["config"]["quadrature"] = {"matsubara_max_terms": "20000"}
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["force", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert "[quadrature]: unknown key(s): matsubara_max_terms" in err
+
+
 def test_format_inferred_from_suffix(tmp_path, capsys):
     cfg = _write(tmp_path, SYMMETRIC_CAVITY)
     json_path = str(tmp_path / "f.json")
@@ -688,6 +702,9 @@ def test_closed_forms_refuse_a_nonzero_temperature(capsys, argv):
     (["force", "--q-cutoff", "inf"], VACUUM_CAVITY, "q_cutoff"),
     (["force"], VACUUM_CAVITY + "\n[quadrature]\nabs_floor = nan\n",
      "[quadrature] abs_floor"),
+    (["force", "--temperature", "0.4"],
+     VACUUM_CAVITY + "\n[quadrature]\nabs_floor = inf\n",
+     "[quadrature]: abs_floor must be finite"),
     (["force"], VACUUM_CAVITY.replace("constant", "constant\neps_static = nan"),
      "[material.vac] eps_static"),
     (["force"], VACUUM_CAVITY.replace("gap:vac:1e-6", "gap:vac:nan"),
@@ -697,9 +714,11 @@ def test_closed_forms_refuse_a_nonzero_temperature(capsys, argv):
      "\nzero_term_value_p = 0\n", "[run] zero_term_value_s"),
     (["sweep", "--parameter", "T", "--start", "1", "--stop", "inf"],
      VACUUM_CAVITY, "finite range"),
+    (["stress-profile"], TWO_WALL.replace("gap:vac:1e-6", "gap:vac:inf"),
+     "a profile needs a finite interspace width, got inf"),
 ], ids=["limits-d1", "compare-eps", "temperature-nan", "temperature-inf",
-        "q-cutoff-inf", "abs-floor", "eps-static", "gap-width",
-        "zero-term-value-inf", "sweep-stop-inf"])
+        "q-cutoff-inf", "abs-floor", "abs-floor-inf", "eps-static", "gap-width",
+        "zero-term-value-inf", "sweep-stop-inf", "profile-gap-inf"])
 def test_non_finite_inputs_exit_2_before_integrating(
         tmp_path, capsys, monkeypatch, argv, config, needle):
     calls = []

@@ -239,9 +239,11 @@ regions = wall:mirror, gap:vac:1e-6, plate:mirror, gap:oil:2e-6, wall:mirror
     ("[run]\nspeed = fast", "unknown key"),
     ("[quadrature]\nrel_tol = 2.0", "rel_tol"),
     ("[quadrature]\nnodes = 7", "unknown key"),
-    ("[quadrature]\nmatsubara_max_terms = many", "not an integer"),
+    ("[quadrature]\nabs_floor = inf", "abs_floor must be finite"),
     ("[quadrature]\nmax_subdivisions = 8",
      r"\[quadrature\]: unknown key\(s\): max_subdivisions"),
+    ("[quadrature]\nmatsubara_max_terms = 20000",
+     r"\[quadrature\]: unknown key\(s\): matsubara_max_terms"),
     ("[quadrature]\nmatsubara_tail = integral-tail-estimate",
      r"\[quadrature\]: unknown key\(s\): matsubara_tail"),
     ("[output]\nformat = yaml", "csv or json"),
@@ -269,13 +271,11 @@ def test_quadrature_options_parse(tmp_path):
 rel_tol = 1e-6
 abs_floor = 1e-20
 q_cutoff = 3e7
-matsubara_max_terms = 123
 """))
     q = rc.quadrature
     assert q.rel_tol == 1e-6
     assert q.abs_floor == 1e-20
     assert q.q_cutoff == 3e7
-    assert q.matsubara_max_terms == 123
 
 
 def test_command_section_is_kept(tmp_path):

@@ -677,21 +677,35 @@ def test_one_kappa_evaluation_per_integrand_call(monkeypatch):
         assert len(calls) == 1
 
 
-def test_absolute_floor_applies_to_thermal_sums():
-    # abs_floor is in N/m^2, so the Matsubara rule must see it scaled by the
-    # prefactor as the zero-temperature rule does.
+def test_absolute_floor_applies_to_thermal_sums(monkeypatch):
+    # abs_floor is in N/m^2, so the thermal sum must see it scaled by the
+    # prefactor as the zero-temperature rule does. At 0.4 K the last Pade
+    # order leaves about 4e-10 N/m^2 of error: a floor above it is met, one
+    # below it is not.
     cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, 1e-6,
                           PerfectMirrorPlate(), 5e-6, Wall.perfect_mirror())
+    integrals = []
+    real = engine.double_semi_infinite
+
+    def recording(*args, **kwargs):
+        integrals.append(real(*args, **kwargs))
+        return integrals[-1]
+
+    monkeypatch.setattr(engine, "double_semi_infinite", recording)
+
     def force(temperature, floor):
-        spec = QuadratureSpec(rel_tol=1e-13, abs_floor=floor,
-                              matsubara_max_terms=10)
+        spec = QuadratureSpec(rel_tol=1e-13, abs_floor=floor)
         return plate_force(cavity, temperature, spec)
 
     for temperature in (0.0, 300.0):
         res = force(temperature, 1e-6)
         assert res.converged
         assert res.error_estimate < 1e-6
-    tight = force(300.0, 1e-12)
+    # The floor is judged per polarization: at 0.4 K the s and p columns
+    # each meet it.
+    assert force(0.4, 1e-6).converged
+    assert np.all(integrals[-1].error_estimate < 1e-6)
+    tight = force(0.4, 1e-12)
     assert tight.error_estimate > 1e-12
     assert not tight.converged
 
@@ -797,7 +811,7 @@ _BAD_VALUE = st.sampled_from([None, np.nan, np.inf, {"s": 1.0},
 def test_random_structures_give_finite_results_or_value_errors(
         left, right, plate, d1, d3, eps, temperature, policy, stress_value,
         force_value):
-    spec = QuadratureSpec(rel_tol=1e-4, matsubara_max_terms=30)
+    spec = QuadratureSpec(rel_tol=1e-4)
     medium = constant(eps=eps)
     cavity = CavityConfig(left, medium, d1, plate, d3, right)
     request = dict(temperature=temperature, spec=spec,
