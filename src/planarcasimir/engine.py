@@ -414,15 +414,19 @@ _INTEGRANDS = {"exact-difference": _exact_difference_integrand,
 METHODS = tuple(_INTEGRANDS)
 
 
-def _force_result(res: IntegralResult, method: str) -> ForceResult:
-    """ForceResult from a two-column (s, p) integral."""
+def _force_result(res: IntegralResult, method: str,
+                  spec: QuadratureSpec) -> ForceResult:
+    """ForceResult from a two-column (s, p) integral whose columns each met
+    their own target if ``res.converged``; their sum must meet its own."""
     per_pol = dict(zip(POLARIZATIONS, map(float, res.value)))
+    force, error = per_pol["s"] + per_pol["p"], float(res.error_estimate.sum())
     return ForceResult(
-        force_per_area=per_pol["s"] + per_pol["p"],
-        error_estimate=float(res.error_estimate.sum()),
+        force_per_area=force,
+        error_estimate=error,
         per_polarization=per_pol,
         method=method,
-        converged=res.converged,
+        converged=res.converged and error <= max(spec.rel_tol * abs(force),
+                                                 spec.abs_floor),
         evaluations=res.evaluations,
     )
 
@@ -478,7 +482,7 @@ def plate_force(
     res = double_semi_infinite(_INTEGRANDS[method](cavity), spec, d_min,
                                _STRESS_PREFACTOR, temperature, *zero_term,
                                index=_index(cavity.medium))
-    return _force_result(res, method)
+    return _force_result(res, method, spec)
 
 
 def minkowski_plate_force(
@@ -512,4 +516,4 @@ def minkowski_plate_force(
 
     res = double_semi_infinite(integrand, spec, min(cavity.d1, cavity.d3),
                                _MINKOWSKI_PREFACTOR, temperature, *zero_term)
-    return _force_result(res, "minkowski")
+    return _force_result(res, "minkowski", spec)

@@ -7,17 +7,18 @@ trapezoid rule of step 2**-k in t under the exp-sinh map
 x = exp((pi/2) sinh t) on a fixed range of t: each level halves the step and
 evaluates only the nodes it adds. A fixed axis has the same nodes and
 weights at every level: the single node of a 1-D integral, or a set of
-thermal frequencies. A level's error is its difference from the level
-before plus the end terms, and at least eps times the sum of |weight * f|;
-the rule stops at the tolerance or at its last level. Results replay bit
-for bit. ``integrate_semi_infinite`` is the 1-D rule, and
+thermal frequencies. A level's error is, per integrated axis, its change
+from the level before, squared where the axis was seen to double its digits
+(``_booked``), plus the end terms, and at least a few ulps of the sum of
+|weight * f|; the rule stops at the tolerance or at its last level. Results
+replay bit for bit. ``integrate_semi_infinite`` is the 1-D rule, and
 ``double_semi_infinite`` the tensor product of the rule in frequency and in
 momentum at T = 0. At T > 0 its frequency axis is the set of poles of a
 Pade spectrum decomposition of the Bose function (``_pade``), a few hundred
 imaginary frequencies where the Matsubara sum needs thousands, and the
-order of the decomposition doubles until two orders agree
-(``_pade_sum``). ``matsubara_sum`` is the plain Matsubara sum, in blocks
-of terms with a geometric tail bound (``_thermal``).
+order of the decomposition doubles until its change, booked the same way,
+meets the target (``_pade_sum``). ``matsubara_sum`` is the plain Matsubara
+sum, in blocks of terms with a geometric tail bound (``_thermal``).
 """
 
 from __future__ import annotations
@@ -90,10 +91,11 @@ _FREQUENCY = (-4.0, 1.6875, None)
 # Top of the q range under a cutoff, where v = V x/(1 + x) is V to 2e-17.
 _CUTOFF_TOP = 3.875
 # First and last level of the 0 K tensor rule and of the q rule of each
-# block of thermal terms. At rel_tol 1e-8 the first block needs level 5,
-# which one call reaches at less cost than two calls from level 4.
+# Pade order of a thermal sum. On a vacuum mirror cavity the q rule
+# changes by about 3e-9 from level 3 to level 4; squared, that change meets
+# a tenth of rel_tol 1e-8, where the plain change needed level 5.
 _TENSOR_LEVELS = (4, 6)
-_TERM_LEVELS = (5, 6)
+_TERM_LEVELS = (4, 6)
 _LINE = (-4.5, 3.875, None)
 _LINE_LEVELS = (3, 12)
 # Point-columns per integrand call (3,600 points of an (s, p) pair), and at
@@ -109,6 +111,13 @@ _BLOCKS = (4, 8192)
 # build of a table well under a second (0.13 s on a 2-core Xeon; order
 # 1,024 takes 1.2 s).
 _PADE_ORDERS = (8, 512)
+# The factor on a squared change and the ratio that shows digit doubling
+# (``_booked``), and the error floor in ulps of the sum of |weight * f|:
+# the least that bound the errors of the known 1-D integrals, of 0 K
+# stresses against level 7 and of thermal mirror forces at targets 1e-4 to
+# 1e-12 (a factor of 16 and a floor of 16 ulps each miss a 1-D integral).
+_SQUARE, _DOUBLING, _ULPS = 32.0, 2.0, 32
+_TINY = np.finfo(float).tiny
 
 
 @lru_cache(maxsize=64)
@@ -118,9 +127,9 @@ def _axis(axis, level: int):
     ``axis`` is a range (lo, hi, None) of the exp-sinh map onto [0, inf), or
     (lo, hi, V) for its composition with v = V x/(1 + x), tanh-sinh on
     [0, V]. The read-only weight rows are the trapezoid weights, those of
-    the level before (zero on the odd nodes), and dx/dt at the first and at
-    the last node. ``odd`` and ``even`` index the nodes the level adds and
-    keeps.
+    the level before (zero on the odd nodes) and of the level before that
+    (zero off every fourth node), and dx/dt at the first and at the last
+    node. ``odd`` and ``even`` index the nodes the level adds and keeps.
     """
     lo, hi, top = axis
     j = np.arange(round(lo * 2**level), round(hi * 2**level) + 1)
@@ -130,10 +139,11 @@ def _axis(axis, level: int):
     if top is not None:
         shrink = 1.0 / (1.0 + x)
         x, jac = top * x * shrink, top * jac * shrink * shrink
-    weights = np.zeros((4, j.size))
+    weights = np.zeros((5, j.size))
     weights[0] = np.ldexp(jac, -level)
     weights[1, j % 2 == 0] = 2.0 * weights[0, j % 2 == 0]
-    weights[2, 0], weights[3, -1] = jac[0], jac[-1]
+    weights[2, j % 4 == 0] = 4.0 * weights[0, j % 4 == 0]
+    weights[3, 0], weights[4, -1] = jac[0], jac[-1]
     x.setflags(write=False)
     weights.setflags(write=False)
     # Node i has j = j[0] + i, so the odd and the even nodes alternate.
@@ -144,11 +154,11 @@ def _axis(axis, level: int):
 def _fixed(x: np.ndarray, w: np.ndarray):
     """A fixed axis in the form of ``_axis``: nodes x with weights w.
 
-    The weights are those of every level, it adds no nodes and has no end
-    terms.
+    The weights are those of every level: it adds no nodes, has no end
+    terms and no change from one level to the next.
     """
-    weights = np.zeros((4, x.size))
-    weights[:2] = w
+    weights = np.zeros((5, x.size))
+    weights[0] = w
     return x, weights, range(0), range(x.size)
 
 
@@ -216,6 +226,23 @@ def _pade(order: int):
     return poles, residues, float(rounding)
 
 
+def _booked(change, before, total):
+    """The error booked for a step of ``change`` after one of ``before``.
+
+    A double-exponential rule roughly doubles its correct digits per step,
+    so its error after the step is about change**2/|total|. That is booked,
+    times ``_SQUARE`` and never above the change itself, only where the two
+    steps showed the doubling: K*before <= |total|, the step before gained
+    digits, and change*|total| <= K*before**2, K = ``_DOUBLING``. Elsewhere
+    the change itself is booked.
+    """
+    size = np.abs(total)
+    doubled = ((change * size <= _DOUBLING * before * before)
+               & (_DOUBLING * before <= size))
+    return np.where(doubled, np.minimum(change, _SQUARE * change * change
+                                        / np.maximum(size, _TINY)), change)
+
+
 def _nested(f: Callable, outer, inner, levels: tuple[int, int],
             rel_tol: float, abs_floor: float | np.ndarray):
     """Nested trapezoid rule over the tensor product of two axes.
@@ -223,21 +250,32 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
     Each axis is a range of ``_axis`` or a fixed axis of ``_fixed``.
     ``f(a, b)`` gets outer abscissas a of shape (A, 1) and inner ones b of
     shape (A, m) and returns shape (A, m), or (A, m, k) for k columns. The
-    first of ``levels`` evaluates every node and reads the level before from
-    the even nodes, so one pass yields an error; each later level evaluates
-    the nodes it adds, in calls of at most ``_CHUNK`` point-columns. The
-    end terms are the integrals along the end lines of each integrated axis
-    per unit t. Every column must meet ``max(rel_tol*|S_k|, abs_floor)``.
-    Returns (value, error, points evaluated, converged, upper end term of
-    the inner axis, sum of |weight * f|).
+    first of ``levels`` evaluates every node and reads the two levels
+    before from every second and every fourth node, so one pass yields an
+    error; each later level evaluates the nodes it adds, in calls of at
+    most ``_CHUNK`` point-columns. Each integrated axis books (``_booked``)
+    the change of S_k as it alone drops to level k-1, after its change from
+    k-2 to k-1; the end terms, integrals along the end lines of each such
+    axis per unit t, are added, and ``_ULPS`` ulps of the sum of
+    |weight * f| are the least error. Every column must meet
+    ``max(rel_tol*|S_k|, abs_floor)``. Returns (value, error, points
+    evaluated, converged, upper end term of the inner axis, sum of
+    |weight * f|).
     """
     first, last = levels
-    # From one level to the next a sum over an integrated axis halves,
-    # one with dx/dt at an end node keeps its size; a fixed axis keeps all.
-    keep = [np.array([0.5, 0.5, 1.0, 1.0]) if len(axis) == 3 else np.ones(4)
-            for axis in (outer, inner)]
-    scale = np.outer(*keep)[..., None]
-    n_cols, evals, before = None, 0, 0.0
+    # At a new level an integrated axis halves the sums of its old level,
+    # which become those of the level before, as those become the level
+    # before that; the end rows stay, and a fixed axis keeps all.
+    shifts = [([0, 0, 1, 3, 4], np.array([0.5, 1.0, 1.0, 1.0, 1.0]))
+              if len(axis) == 3 else (range(5), np.ones(5))
+              for axis in (outer, inner)]
+    scale = np.outer(shifts[0][1], shifts[1][1])[..., None]
+    # Per integrated axis, the (row, column) of S with it alone at levels
+    # k, k-1 and k-2.
+    lines = np.array([((0, 1, 2), (0, 0, 0)), ((0, 0, 0), (0, 1, 2))])[
+        [len(axis) == 3 for axis in (outer, inner)]]
+    floor = _ULPS * np.finfo(float).eps
+    n_cols, evals = None, 0
     for level in range(first, last + 1):
         (u, w_u, odd_u, even_u), (v, w_v, odd_v, _) = (
             axis if len(axis) == 4 else _axis(axis, level)
@@ -248,8 +286,8 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
             blocks = [(range(1), every), (range(1, u.size), every)]
         else:
             blocks = [(odd_u, every), (even_u, odd_v)]
-            prev = sums[0, 0]
-            sums, size = sums * scale, size * scale[0, 0]
+            sums = sums[shifts[0][0]][:, shifts[1][0]] * scale
+            size = size * scale[0, 0]
         for rows, columns in blocks:
             cols = slice(columns.start, columns.stop, columns.step)
             step = max(1, _CHUNK // (len(columns) * (n_cols or 1)))
@@ -273,30 +311,29 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
                                      f" at x = {v[columns[j]]}{where}")
                 if n_cols is None:
                     n_cols = y.shape[2]
-                    sums, size = np.zeros((4, 4, n_cols)), np.zeros(n_cols)
-                wu, wv = w_u[:, r], w_v[:, cols]
-                sums = sums + np.einsum("ta,ask->tsk", wu,
-                                        np.einsum("sm,amk->ask", wv, y))
-                size = size + wu[0] @ np.einsum("m,amk->ak", wv[0],
-                                                np.abs(y))
-        total = sums[0, 0]
-        if level == first:
-            prev = sums[1, 1]
+                    sums, size = np.zeros((5, 5, n_cols)), np.zeros(n_cols)
+                # Matrix products per column; the engine's columns lead in
+                # memory, so this view of them copies nothing.
+                wu, wv, y = w_u[:, r], w_v[:, cols], y.transpose(2, 0, 1)
+                sums = sums + (wu @ y @ wv.T).transpose(1, 2, 0)
+                size = size + wu[0] @ np.abs(y) @ wv[0]
+        total, line = sums[0, 0], sums[lines[:, 0], lines[:, 1]]
+        change, before = np.abs(line[:, :2] - line[:, 1:]).transpose(1, 0, 2)
         # The end lines: u at its two ends, then v at its two ends.
-        bound = np.abs(sums[[2, 3, 0, 0], [0, 0, 2, 3]]).sum(axis=0)
-        change = np.abs(total - prev)
-        error = np.maximum(change + bound, np.finfo(float).eps * size)
+        bound = np.abs(sums[[3, 4, 0, 0], [0, 0, 3, 4]]).sum(axis=0)
+        error = np.maximum(_booked(change, before, total).sum(axis=0) + bound,
+                           floor * size)
         converged = bool(np.all(error <= np.maximum(rel_tol * np.abs(total),
                                                     abs_floor)))
         if converged or level == last:
             break
-        before = change
     if not converged:
         # The levels have not settled (rounding noise need not shrink from
         # one level to the next), so book the larger of the last two changes.
-        error = np.maximum(error, before + bound)
+        error = np.maximum(error, np.maximum(change, before).sum(axis=0)
+                           + bound)
     return (total.reshape(column_shape), error.reshape(column_shape), evals,
-            converged, np.abs(sums[0, 3]).reshape(column_shape),
+            converged, np.abs(sums[0, 4]).reshape(column_shape),
             size.reshape(column_shape))
 
 
@@ -420,16 +457,18 @@ def _pade_sum(f: Callable, inner, temperature: float, zero_term_policy: str,
     One ``_nested`` rule per order N of ``_pade`` over a fixed outer axis:
     the m = 0 node with weight 1/2 of 2 pi k_B T/hbar under
     ``half-weight`` (none under ``drop``) and the N nodes xi_j k_B T/hbar
-    with weights eta_j 2 pi k_B T/hbar; the q rule ``inner`` of levels 5
-    and 6 is judged against a tenth of the sum's target. The first order is
+    with weights eta_j 2 pi k_B T/hbar; the q rule ``inner`` of levels 4
+    to 6 is judged against a tenth of the sum's target. The first order is
     ``_PADE_ORDERS[0]`` doubled until its table spans the decay scale
     ``decay`` (rad/s) of f, N**2/4 >= hbar decay/(k_B T); each later order
     is twice the one before. With S_N the sum of order N (and S_N/2 = 0
-    for the first), its change |S_N - S_N/2| plus the table's rounding
-    times the sum of |weight * f| must fit in what the q errors leave of
-    the target, or meet it alone once they leave nothing. The error is
-    that change plus the q errors. The orders stop there, or, not
-    converged, at ``_PADE_ORDERS[1]``.
+    for the first), the ``_booked`` error of the step |S_N - S_N/2| after
+    the step before, plus the table's rounding times the sum of
+    |weight * f|, must fit in what the q errors leave of the target, or
+    meet it alone once they leave nothing. The first order's step is the
+    sum itself, so the second books its plain step. The error is that
+    change plus the q errors. The orders stop there, or, not converged, at
+    ``_PADE_ORDERS[1]``.
     """
     _check_policy(zero_term_policy)
     spacing = float(matsubara_frequency(1, temperature))
@@ -440,7 +479,7 @@ def _pade_sum(f: Callable, inner, temperature: float, zero_term_policy: str,
     order, last = _PADE_ORDERS
     while order < last and order**2 < 4.0 * span:
         order *= 2
-    before, points = 0.0, 0
+    before, drift, points = 0.0, 0.0, 0
     while True:
         poles, residues, rounding = _pade(order)
         x = np.concatenate([np.zeros(head), poles / (2.0 * np.pi)])
@@ -449,12 +488,13 @@ def _pade_sum(f: Callable, inner, temperature: float, zero_term_policy: str,
             f, _fixed(x * spacing, w * spacing), inner, _TERM_LEVELS,
             0.1 * spec.rel_tol, floor)
         points += n
-        change = np.abs(value - before) + rounding * mass
+        step = np.abs(value - before)
+        change = _booked(step, drift, value) + rounding * mass
         goal = np.maximum(spec.rel_tol * np.abs(value), floor)
         if (np.all(change <= np.where(q_error < goal, goal - q_error, goal))
                 or order == last):
             break
-        before, order = value, 2 * order
+        before, drift, order = value, step, 2 * order
     error = change + q_error
     return value, error, points, bool(np.all(error <= goal))
 
@@ -537,10 +577,11 @@ def matsubara_sum(
     -------
     IntegralResult
         ``value`` includes the 2 pi k_B T/hbar prefactor; ``error_estimate``
-        is the tail bound plus the rounding of the sum (eps times the sum of
-        |terms|). Floats for a scalar g, ndarrays of shape (k,) otherwise;
-        ``converged`` covers every column and is false if the last block
-        stopped the sum. ``evaluations`` counts the frequencies g received.
+        is the tail bound plus the rounding of the sum (``_ULPS`` ulps of
+        the sum of |terms|). Floats for a scalar g, ndarrays of shape (k,)
+        otherwise; ``converged`` covers every column and is false if the
+        last block stopped the sum. ``evaluations`` counts the frequencies g
+        received.
     """
     if not 0.0 < temperature < np.inf:
         raise ValueError("matsubara_sum needs a finite temperature > 0, got"

@@ -224,11 +224,11 @@ def test_force_method_override(tmp_path, capsys):
 
 
 def test_truncated_thermal_sum_exits_3(tmp_path, capsys):
-    # At 0.4 K the largest Pade order, 512, does not resolve the 1 um / 50 um
+    # At 0.1 K the largest Pade order, 512, does not resolve the 1 um / 50 um
     # sum.
     cfg = _write(tmp_path, VACUUM_CAVITY)
     code, out, err = _run(capsys, ["force", "--config", cfg, "--format", "csv",
-                                   "--temperature", "0.4"])
+                                   "--temperature", "0.1"])
     assert code == 3
     assert "did not reach" in err
     row = _rows(out)[0]

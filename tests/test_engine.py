@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c, hbar
 
-from planarcasimir import engine, layers
+from planarcasimir import engine, layers, quadrature
 from planarcasimir.engine import (
     ForceResult,
     cavity_interspaces,
@@ -498,9 +498,7 @@ def test_thermal_force_continuity_and_trend():
     assert 1.00003 < ratio < 1.005
 
 
-@pytest.mark.parametrize("temperature", [1.0, 30.0, 300.0])
-def test_thermal_mirror_force_meets_the_geometric_series(temperature):
-    d1, d3 = 1e-6, 5e-5
+def _meets_the_geometric_series(temperature, d1, d3):
     cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, d1,
                           PerfectMirrorPlate(), d3, Wall.perfect_mirror())
     res = plate_force(cavity, temperature=temperature, spec=SPEC)
@@ -508,6 +506,69 @@ def test_thermal_mirror_force_meets_the_geometric_series(temperature):
              - ideal_mirror_pressure(temperature, d1))
     assert res.converged
     assert abs(res.force_per_area - exact) <= res.error_estimate
+
+
+@pytest.mark.parametrize("temperature", [0.3, 0.4, 0.5, 1.0, 30.0, 300.0])
+def test_thermal_mirror_force_meets_the_geometric_series(temperature):
+    # Down to 0.3 K the 1 um / 50 um cavity converges within 512 poles.
+    _meets_the_geometric_series(temperature, 1e-6, 5e-5)
+
+
+def test_zero_temperature_mirror_force_takes_the_first_level():
+    # Level 4 of the tensor rule already meets 1e-8 and 1e-4 alike.
+    cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, 1e-6,
+                          PerfectMirrorPlate(), 5e-5, Wall.perfect_mirror())
+    for rel_tol in (1e-8, 1e-4):
+        res = plate_force(cavity, spec=QuadratureSpec(rel_tol=rel_tol))
+        assert res.converged
+        assert res.evaluations == 8188
+
+
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-8])
+def test_pade_sum_started_below_its_span_keeps_the_plain_change(
+        monkeypatch, rel_tol):
+    # At 10 K the 1 um / 50 um sum starts at order 32, the first whose table
+    # spans the decay scale; a decay scale a quarter of the true one starts
+    # it at 16. The steps to orders 32 and 64 then change the force by
+    # 1.1e-3 and 3.2e-4, and order 32 still errs by 3.2e-4: neither step
+    # shows the digit doubling a squared change needs, so both book the
+    # plain change.
+    pade_sum, booked = quadrature._pade_sum, quadrature._booked
+    steps = []
+
+    def forced(*args):
+        return pade_sum(*args[:-1], 0.25 * args[-1])
+
+    def spy(change, before, total):
+        out = booked(change, before, total)
+        if np.ndim(change) == 1:  # a Pade step; the nested rules book a row
+            steps.append((change, out))  # per integrated axis
+        return out
+
+    monkeypatch.setattr(quadrature, "_pade_sum", forced)
+    monkeypatch.setattr(quadrature, "_booked", spy)
+    temperature, d1, d3 = 10.0, 1e-6, 5e-5
+    cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, d1,
+                          PerfectMirrorPlate(), d3, Wall.perfect_mirror())
+    res = plate_force(cavity, temperature, QuadratureSpec(rel_tol=rel_tol))
+    exact = (ideal_mirror_pressure(temperature, d3)
+             - ideal_mirror_pressure(temperature, d1))
+    assert res.converged
+    assert abs(res.force_per_area - exact) <= res.error_estimate
+    assert len(steps) >= 3
+    for change, out in steps[:3]:
+        np.testing.assert_array_equal(out, change)
+
+
+def test_near_face_stress_meets_a_finer_rule(monkeypatch):
+    # z = d/50 from a gold face: the u and v errors of the coarse levels
+    # cancel in the tensor rule, so each axis books its own change.
+    view, z = _gold_gap(), 2e-8
+    res = stress_zz(view, z, spec=SPEC)
+    monkeypatch.setattr(quadrature, "_TENSOR_LEVELS", (7, 7))
+    ref = stress_zz(view, z, spec=QuadratureSpec(rel_tol=1e-15))
+    assert res.converged
+    assert abs(res.value - ref.value) <= res.error_estimate
 
 
 def _brute_thermal_force(cavity, temperature, spec):
@@ -677,37 +738,56 @@ def test_one_kappa_evaluation_per_integrand_call(monkeypatch):
         assert len(calls) == 1
 
 
-def test_absolute_floor_applies_to_thermal_sums(monkeypatch):
+def test_absolute_floor_applies_to_thermal_sums():
     # abs_floor is in N/m^2, so the thermal sum must see it scaled by the
-    # prefactor as the zero-temperature rule does. At 0.4 K the last Pade
-    # order leaves about 4e-10 N/m^2 of error: a floor above it is met, one
+    # prefactor as the zero-temperature rule does. At 0.2 K the last Pade
+    # order leaves about 3e-7 N/m^2 of error: a floor above it is met, one
     # below it is not.
     cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, 1e-6,
                           PerfectMirrorPlate(), 5e-6, Wall.perfect_mirror())
-    integrals = []
-    real = engine.double_semi_infinite
-
-    def recording(*args, **kwargs):
-        integrals.append(real(*args, **kwargs))
-        return integrals[-1]
-
-    monkeypatch.setattr(engine, "double_semi_infinite", recording)
 
     def force(temperature, floor):
         spec = QuadratureSpec(rel_tol=1e-13, abs_floor=floor)
         return plate_force(cavity, temperature, spec)
 
-    for temperature in (0.0, 300.0):
+    for temperature in (0.0, 300.0, 0.2):
         res = force(temperature, 1e-6)
         assert res.converged
         assert res.error_estimate < 1e-6
-    # The floor is judged per polarization: at 0.4 K the s and p columns
-    # each meet it.
-    assert force(0.4, 1e-6).converged
-    assert np.all(integrals[-1].error_estimate < 1e-6)
-    tight = force(0.4, 1e-12)
+    tight = force(0.2, 1e-12)
     assert tight.error_estimate > 1e-12
     assert not tight.converged
+
+
+@pytest.mark.parametrize("values,errors,spec", [
+    # s and p of opposite signs: each meets 1e-8 of itself, the sum misses
+    # 1e-8 of the force.
+    ((1.0, -0.5), (0.9e-8, 0.4e-8), QuadratureSpec(rel_tol=1e-8)),
+    # Each error meets the floor, their sum does not.
+    ((1.0, 1.0), (0.9e-6, 0.9e-6), QuadratureSpec(rel_tol=1e-13,
+                                                   abs_floor=1e-6)),
+], ids=["rel-tol", "abs-floor"])
+def test_force_converges_only_if_the_summed_error_meets_its_target(
+        monkeypatch, values, errors, spec):
+    cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, 1e-6,
+                          PerfectMirrorPlate(), 5e-6, Wall.perfect_mirror())
+
+    def columns(converged):
+        """The two columns, each judged by the quadrature as ``converged``."""
+        monkeypatch.setattr(engine, "double_semi_infinite", lambda *_, **__:
+                            IntegralResult(np.array(values),
+                                           np.array(errors), 1, converged))
+
+    columns(True)
+    for force in (plate_force, minkowski_plate_force):
+        res = force(cavity, spec=spec)
+        assert res.error_estimate == sum(errors)
+        assert not res.converged
+    # Against a target the sum meets, the columns' own verdict decides.
+    for converged in (True, False):
+        columns(converged)
+        loose = replace(spec, rel_tol=0.5)
+        assert plate_force(cavity, spec=loose).converged is converged
 
 
 def _gold_gap():
@@ -775,6 +855,16 @@ def test_rescaling_every_length_scales_stress_as_inverse_fourth_power(scale):
 
 def _log_uniform(low, high):
     return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(t_d1=_log_uniform(np.log10(5e-6), np.log10(1.1e-3)),
+       d1=_log_uniform(np.log10(3e-7), np.log10(3e-6)),
+       ratio=_log_uniform(np.log10(1.5), np.log10(8.0)))
+def test_thermal_mirror_forces_meet_the_geometric_series(t_d1, d1, ratio):
+    # T d1 from 5e-6 to 1.1e-3 K m spans about 600 down to 3 Matsubara
+    # terms per polarization.
+    _meets_the_geometric_series(t_d1 / d1, d1, d1 * ratio)
 
 
 _RATE = _log_uniform(12.0, 17.0)

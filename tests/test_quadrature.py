@@ -56,6 +56,16 @@ def test_known_integrals(name, f, exact):
     assert abs(res.value - exact) <= 3.0 * res.error_estimate + 1e-15 * abs(exact)
 
 
+@pytest.mark.parametrize("rel_tol", [1e-4, 1e-6, 1e-8, 1e-12])
+@pytest.mark.parametrize("name,f,exact", INTEGRAND_SUITE,
+                         ids=[row[0] for row in INTEGRAND_SUITE])
+def test_error_bars_hold_at_every_target(name, f, exact, rel_tol):
+    # Squared level changes are booked only where the digits were seen to
+    # double; at a loose target the first levels are far from that regime.
+    res = integrate_semi_infinite(f, QuadratureSpec(rel_tol=rel_tol))
+    assert abs(res.value - exact) <= res.error_estimate, name
+
+
 def test_results_are_deterministic():
     def f(x):
         with np.errstate(over="ignore"):
@@ -106,6 +116,27 @@ def test_budget_exhaustion_flags_not_converged():
     res = integrate_semi_infinite(lambda x: np.exp(-x) / np.sqrt(x), tight)
     assert not res.converged
     assert abs(res.value - np.sqrt(np.pi)) <= 10.0 * res.error_estimate
+
+
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-6, 1e-8])
+def test_kinked_integrand_keeps_the_plain_change(monkeypatch, rel_tol):
+    # The kink at x = 1 leaves the trapezoid error algebraic in the step:
+    # no level doubles the digits of the one before, so every level books
+    # its plain change, which bounds the true error. At 1e-8 the last level
+    # stops the rule unconverged.
+    booked, steps = quadrature._booked, []
+
+    def spy(change, before, total):
+        steps.append((change, booked(change, before, total)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(quadrature, "_booked", spy)
+    res = integrate_semi_infinite(lambda x: np.abs(x - 1.0) * np.exp(-x),
+                                  QuadratureSpec(rel_tol=rel_tol))
+    assert res.converged is (rel_tol > 1e-8)
+    assert abs(res.value - 2.0 / np.e) <= res.error_estimate
+    for change, out in steps:
+        np.testing.assert_array_equal(out, change)
 
 
 def test_two_column_integrand_meets_each_relative_target():
