@@ -176,8 +176,7 @@ def load_sections(path: str) -> dict[str, dict[str, str]]:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: top-level JSON value must be an object")
+        # Text that starts with "{" parses to an object or not at all.
         doc = doc.get("config", doc)
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: 'config' must be an object")
@@ -369,12 +368,9 @@ def _build_structure(body: dict[str, str], materials):
             "structure: both gaps must use the same material"
             f" (got {name1!r} and {name3!r})"
         )
-    try:
-        cavity = CavityConfig(left_wall=left_wall, medium=medium1, d1=d1,
-                              plate=plate, d3=d3, right_wall=right_wall)
-    except ValueError as exc:
-        raise ConfigError(f"structure: {exc}") from None
-    return cavity, None
+    # The checks above leave CavityConfig nothing to refuse.
+    return CavityConfig(left_wall=left_wall, medium=medium1, d1=d1,
+                        plate=plate, d3=d3, right_wall=right_wall), None
 
 
 def _build_quadrature(body: dict[str, str]) -> QuadratureSpec:

@@ -177,9 +177,9 @@ def _g_terms(view: InterspaceView, xi, q, wave):
     r_plus = _wall_refl(view.right, wave, xi, q)
     r_minus = _wall_refl(view.left, wave, xi, q)
     pair, surf = _mode_coefficients(wave, xi, q)
-    roundtrip = np.exp(-2.0 * wave[1] * view.width)
-    return (pair * r_plus * r_minus * roundtrip, surf, r_minus, r_plus,
-            1.0 - r_plus * r_minus * roundtrip)
+    # r_+ r_- e^{-2 kappa d} once, so that mirror-image walls round alike.
+    rr = r_plus * r_minus * np.exp(-2.0 * wave[1] * view.width)
+    return pair * rr, surf, r_minus, r_plus, 1.0 - rr
 
 
 def _g(view: InterspaceView, z, xi, q, wave):

@@ -1,8 +1,8 @@
 """Deterministic quadrature on [0, inf) and bosonic frequency sums.
 
-Every integral and sum is one nested double-exponential rule (Takahasi &
-Mori, Publ. RIMS 9, 721 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127,
-287 (2001)) over the tensor product of two axes. An integrated axis is the
+Every integral is one nested double-exponential rule (Takahasi & Mori,
+Publ. RIMS 9, 721 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127, 287
+(2001)) over the tensor product of two axes. An integrated axis is the
 trapezoid rule of step 2**-k in t under the exp-sinh map
 x = exp((pi/2) sinh t) on a fixed range of t: each level halves the step and
 evaluates only the nodes it adds. A fixed axis has the same nodes and
@@ -17,8 +17,8 @@ momentum at T = 0. At T > 0 its frequency axis is the set of poles of a
 Pade spectrum decomposition of the Bose function (``_pade``), a few hundred
 imaginary frequencies where the Matsubara sum needs thousands, and the
 order of the decomposition doubles until its change, booked the same way,
-meets the target (``_pade_sum``). ``matsubara_sum`` is the plain Matsubara
-sum, in blocks of terms with a geometric tail bound (``_thermal``).
+meets the target (``_pade_sum``). ``matsubara_sum``, their reference, is
+the plain Matsubara sum in blocks with a geometric tail bound.
 """
 
 from __future__ import annotations
@@ -399,15 +399,16 @@ def double_semi_infinite(
     [0, q_cutoff*d_ref]. ``index`` is a lower bound on the medium's
     refractive index n(i xi): the integrand decays like
     exp(-2 n xi d_ref/c), so ``d_ref`` and ``index`` set the frequency
-    scale both rules must resolve. Both must be finite and positive, and
-    ``prefactor`` finite.
+    scale both rules must resolve. Both must be finite and positive,
+    ``prefactor`` finite, ``temperature`` finite and >= 0 and
+    ``zero_term_policy`` ``half-weight`` or ``drop``, or they are refused.
 
     At T = 0 the rule is the tensor product of the q rule with the rule in
     u = index*xi*d_ref/c from 2.4e-19 to 60. Levels 4 to 6 (8,188 to 128,845
     points without a cutoff) are judged as one rule. At T > 0 the xi
     integral is the thermal sum of ``_pade_sum`` under the endpoint rule
     ``zero_term_policy``. A given ``zero_term_value`` (per column, only at
-    T > 0) is added as it is; the caller has checked both
+    T > 0) is added as it is; the caller has checked it
     (``engine._zero_term``). ``evaluations`` counts integrand points;
     ``converged`` requires the whole error's target.
     """
@@ -418,6 +419,7 @@ def double_semi_infinite(
         raise ValueError(f"prefactor must be finite: {prefactor}")
     if not 0.0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0: {temperature}")
+    _check_policy(zero_term_policy)
     # The rules see values without the prefactor; so must the floor.
     floor = 0.0 if spec.abs_floor == 0.0 else spec.abs_floor / abs(prefactor)
     v_axis = _MOMENTUM if spec.q_cutoff is None else (
@@ -470,7 +472,6 @@ def _pade_sum(f: Callable, inner, temperature: float, zero_term_policy: str,
     change plus the q errors. The orders stop there, or, not converged, at
     ``_PADE_ORDERS[1]``.
     """
-    _check_policy(zero_term_policy)
     spacing = float(matsubara_frequency(1, temperature))
     head = int(zero_term_policy == "half-weight")
     # The decay scale in units of k_B T/hbar, which a table of order N
@@ -499,52 +500,6 @@ def _pade_sum(f: Callable, inner, temperature: float, zero_term_policy: str,
     return value, error, points, bool(np.all(error <= goal))
 
 
-def _thermal(f: Callable, temperature: float, zero_term_policy: str,
-             spec: QuadratureSpec):
-    """(value, error, points, converged) of the weighted Matsubara sum of f.
-
-    Blocks of ``_BLOCKS[0]`` nonzero frequencies, then of twice the block
-    before, are each the fixed outer axis of one ``_nested`` rule of a
-    single inner node: nodes xi_m, weights 2 pi k_B T/hbar, 1/2 on m = 0
-    under ``half-weight`` (``drop`` never evaluates it). With S the block's
-    sum of |weight * f| and rho its ratio to the block before (0.999 at
-    most, and for the first block), the tail bound is S rho/(1 - rho) per
-    column. The error is the tail bound plus the blocks' rounding. The sum
-    stops when the error meets the target (the tail bound alone, if the
-    rounding exceeds it), or, not converged, after the block of
-    ``_BLOCKS[1]`` terms.
-    """
-    _check_policy(zero_term_policy)
-    spacing = float(matsubara_frequency(1, temperature))
-    total = error = mass = 0.0
-    # done: the last nonzero m summed; head: m = 0 joins the first block.
-    points, done, size = 0, 0, _BLOCKS[0]
-    head = int(zero_term_policy == "half-weight")
-    while True:
-        m = np.arange(done + 1 - head, done + size + 1)
-        block = _fixed(matsubara_frequency(m, temperature),
-                       np.where(m == 0, 0.5 * spacing, spacing))
-        target = np.maximum(0.1 * spec.rel_tol * np.abs(total),
-                            spec.abs_floor)
-        value, block_error, n, _, _, block_mass = _nested(
-            f, block, _POINT, (0, 0), 0.1 * spec.rel_tol, target)
-        total, error, points = total + value, error + block_error, points + n
-        # No quotient above 0.999 is formed, so none can overflow.
-        ratio = np.divide(block_mass, mass,
-                          out=np.full(np.shape(block_mass), 0.999),
-                          where=block_mass < 0.999 * mass)
-        tail = block_mass * ratio / (1.0 - ratio)
-        # The tail must fit in what the blocks' errors leave of the target,
-        # or meet the target alone once they leave nothing.
-        goal = np.maximum(spec.rel_tol * np.abs(total), spec.abs_floor)
-        met = bool(np.all(tail <= np.where(error < goal, goal - error, goal)))
-        if met or size == _BLOCKS[1]:
-            break
-        mass, done, size, head = block_mass, done + size, 2 * size, 0
-    error = error + tail
-    return total, error, points, met and bool(np.all(error <= goal))
-
-
 def matsubara_sum(
     g: Callable,
     temperature: float,
@@ -555,8 +510,14 @@ def matsubara_sum(
 
     The weighted sum is a trapezoid rule with node spacing 2 pi k_B T/hbar,
     so it converges to ``integral_0^inf g(xi) dxi`` as T -> 0. It sums the
-    Matsubara terms themselves, in the blocks of ``_thermal``, and is the
-    reference for the Pade sums of ``double_semi_infinite``.
+    Matsubara terms themselves, sharing no code with the rule of
+    ``double_semi_infinite``, whose Pade sums it checks. Blocks of
+    ``_BLOCKS[0]`` nonzero terms, then of twice the block before, each book
+    ``_ULPS`` ulps of their sum S of |weight * g| as rounding; with rho the
+    ratio of S to the block before (0.999 at most, and for the first block),
+    the tail bound is S rho/(1 - rho) per column. The sum stops when the
+    tail fits in what the rounding leaves of the target (or meets the target
+    alone), or, not converged, after the block of ``_BLOCKS[1]`` terms.
 
     Parameters
     ----------
@@ -570,37 +531,59 @@ def matsubara_sum(
     spec : QuadratureSpec
         Uses rel_tol and abs_floor.
     zero_term_policy : str
-        ``"half-weight"`` uses g(0)/2 (the trapezoid endpoint weight);
-        ``"drop"`` omits the m = 0 term without evaluating g(0).
+        ``"half-weight"`` adds g(0)/2 (the trapezoid endpoint weight) to the
+        first block; ``"drop"`` omits the m = 0 term without evaluating g(0).
 
     Returns
     -------
     IntegralResult
         ``value`` includes the 2 pi k_B T/hbar prefactor; ``error_estimate``
-        is the tail bound plus the rounding of the sum (``_ULPS`` ulps of
-        the sum of |terms|). Floats for a scalar g, ndarrays of shape (k,)
-        otherwise; ``converged`` covers every column and is false if the
-        last block stopped the sum. ``evaluations`` counts the frequencies g
-        received.
+        is the tail bound plus the rounding of the blocks. Floats for a
+        scalar g, ndarrays of shape (k,) otherwise; ``converged`` covers
+        every column and is false if the last block stopped the sum.
+        ``evaluations`` counts the frequencies g received.
     """
     if not 0.0 < temperature < np.inf:
         raise ValueError("matsubara_sum needs a finite temperature > 0, got"
                          f" {temperature}; use the zero-temperature integral"
                          " at 0 K")
-
-    def rows(xi, _):
-        """g at each row's frequency, one call per frequency."""
-        y = np.array([g(x) for x in xi[:, 0].tolist()], dtype=float)
+    _check_policy(zero_term_policy)
+    spacing = float(matsubara_frequency(1, temperature))
+    total = error = mass = 0.0
+    # done: the last nonzero m summed; head: m = 0 joins the first block.
+    points, done, size = 0, 0, _BLOCKS[0]
+    head = int(zero_term_policy == "half-weight")
+    while True:
+        m = np.arange(done + 1 - head, done + size + 1)
+        xi = matsubara_frequency(m, temperature)
+        y = np.array([g(x) for x in xi.tolist()], dtype=float)
         bad = ~np.isfinite(y.reshape(len(y), -1)).all(axis=1)
         if bad.any():
-            x = xi[bad.argmax(), 0]
+            x = xi[bad.argmax()]
             raise ValueError(
                 f"thermal term at xi = {x} rad/s is not finite" if x else
                 "g(0) is not finite; choose zero_term_policy 'drop' for"
                 " zero-frequency-divergent media")
-        return y[:, None]
-
-    value, error, evaluations, converged = _thermal(
-        rows, temperature, zero_term_policy, spec)
-    return IntegralResult(_plain(value), _plain(error), evaluations,
-                          converged)
+        # Each column's terms contiguous, so that its sums are the same
+        # whatever the number of columns.
+        y = np.ascontiguousarray(y.T)
+        w = np.where(m == 0, 0.5 * spacing, spacing)
+        points += m.size
+        block_mass = (w * np.abs(y)).sum(axis=-1)
+        total = total + (w * y).sum(axis=-1)
+        error = error + _ULPS * np.finfo(float).eps * block_mass
+        # No quotient above 0.999 is formed, so none can overflow.
+        ratio = np.divide(block_mass, mass,
+                          out=np.full(np.shape(block_mass), 0.999),
+                          where=block_mass < 0.999 * mass)
+        tail = block_mass * ratio / (1.0 - ratio)
+        # The tail must fit in what the blocks' rounding leaves of the
+        # target, or meet the target alone once it leaves nothing.
+        goal = np.maximum(spec.rel_tol * np.abs(total), spec.abs_floor)
+        met = bool(np.all(tail <= np.where(error < goal, goal - error, goal)))
+        if met or size == _BLOCKS[1]:
+            break
+        mass, done, size, head = block_mass, done + size, 2 * size, 0
+    error = error + tail
+    return IntegralResult(_plain(total), _plain(error), points,
+                          met and bool(np.all(error <= goal)))

@@ -95,6 +95,8 @@ def test_unknown_command_is_a_usage_error(capsys):
     (["compare", "--eps", "2,apple"], "not a number"),
     (["compare", "--mode", "quadrature"], "distances"),
     (["stress-profile", "--samples", "many"], "not an integer"),
+    (["compare", "--eps", ","], "--eps: empty permittivity list"),
+    (["compare", "--eps", "0.5"], "--eps: static eps must be >= 1"),
 ])
 def test_config_errors_exit_2(capsys, argv_tail, needle):
     code, out, err = _run(capsys, argv_tail)
@@ -417,6 +419,41 @@ def test_compare_zero_force_has_no_ratio(tmp_path, capsys):
     assert [r["force_per_area_N_per_m2"] for r in rows] == [0.0, 0.0]
 
 
+def test_compare_on_a_drude_gap_has_no_static_eps(tmp_path, capsys):
+    # A Drude gap has no static permittivity: eps and n are null, the two
+    # tensors' forces are still compared.
+    cfg = _write(tmp_path, """
+[material.gas]
+kind = plasma
+plasma_freq = 1e15
+
+[structure]
+regions = wall:mirror, gap:gas:1e-6, plate:mirror, gap:gas:2e-6, wall:mirror
+""")
+    code, out, err = _run(capsys, ["compare", "--config", cfg,
+                                   "--format", "json"])
+    assert code == 0, err
+    row = json.loads(out)["results"][0]
+    assert row["eps"] is None and row["n"] is None
+    assert row["force_converged"] and row["minkowski_converged"]
+    assert row["ratio_minkowski_over_force"] == (
+        row["minkowski_force_N_per_m2"] / row["force_per_area_N_per_m2"])
+
+
+def test_multi_row_human_output_is_a_table(capsys):
+    # Several rows print as one table of the non-metadata columns.
+    code, out, _ = _run(capsys, ["compare", "--eps", "1,4"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["eps", "n", "ratio_minkowski_over_force",
+                                "mode"]
+    assert [line.split()[0] for line in lines[1:3]] == [
+        "1.000000000e+00", "4.000000000e+00"]
+    assert lines[3] == ("(--format csv or json for full reproducibility"
+                        " metadata)")
+    assert len({len(line) for line in lines[:3]}) == 1
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -440,6 +477,18 @@ regions = wall:mirror, gap:vac:5e-7, plate:mirror, gap:vac:1.5e-6, wall:mirror
     slope = np.polyfit(np.log(d), np.log(-f), 1)[0]
     assert slope == pytest.approx(-4.0, abs=0.01)
     assert rows[0]["unit"] == "m"
+
+
+def test_far_gap_sweep_moves_only_d3(tmp_path, capsys):
+    cfg = _write(tmp_path, VACUUM_CAVITY)
+    code, out, _ = _run(capsys, ["sweep", "--config", cfg, "--format", "csv",
+                                 "--parameter", "d3", "--start", "2e-6",
+                                 "--stop", "8e-6", "--points", "2"])
+    assert code == 0
+    for row, d3 in zip(_rows(out), (2e-6, 8e-6)):
+        assert float(row["value"]) == d3
+        assert float(row["force_per_area_N_per_m2"]) == pytest.approx(
+            COEF * (d3 ** -4 - (1e-6) ** -4), rel=1e-7)
 
 
 def test_temperature_sweep_rows(tmp_path, capsys):
@@ -564,13 +613,16 @@ def test_format_inferred_from_suffix(tmp_path, capsys):
      {"eps": "2.0,4.0", "mode": "closed", "d1": "7e-07", "d3": "2.1e-06"}),
     (None, ["compare", "--eps", "2", "--mode", "quadrature", "--d1", "1e-6",
             "--d3", "3e-6"], {"eps": "2.0", "mode": "quadrature"}),
+    # --eps on a configured cavity takes the distances from it.
+    (VACUUM_CAVITY, ["compare", "--eps", "2"],
+     {"eps": "2.0", "mode": "closed", "d1": "1e-06", "d3": "5e-05"}),
     (VACUUM_CAVITY, ["sweep", "--parameter", "d1", "--start", "8e-7",
                      "--stop", "2e-6", "--points", "3"],
      {"parameter": "d1", "start": "8e-07", "points": "3", "spacing": "log"}),
     (None, ["limits", "--eps", "2", "--mu", "1.5"],
      {"eps": "2.0", "mu": "1.5", "d1": "1e-06", "d3": "inf"}),
 ], ids=["force", "stress-profile", "compare-closed", "compare-quadrature",
-        "sweep", "limits"])
+        "compare-configured-eps", "sweep", "limits"])
 def test_command_args_replay_from_json(tmp_path, capsys, structure, argv,
                                        stored):
     config = [] if structure is None else ["--config",
@@ -762,6 +814,59 @@ damping = 5.3e13
 [structure]
 regions = wall:mirror, gap:oil:1e-6, plate:gold:2e-7, gap:oil:5e-6, wall:mirror
 """
+
+
+# Drude-gold half-spaces around a 1 um vacuum gap.
+GOLD_TWO_WALL = """
+[material.vac]
+kind = constant
+
+[material.gold]
+kind = drude-lorentz
+plasma_freq = 1.4e16
+damping = 5.3e13
+
+[structure]
+regions = wall:gold:semi-infinite, gap:vac:1e-6, wall:gold:semi-infinite
+"""
+
+
+@pytest.mark.parametrize("command,config,values", [
+    ("force", GOLD_PLATE_CAVITY,
+     {"force_s_N_per_m2": ("zero_term_value_s", -2.5e-4),
+      "force_p_N_per_m2": ("zero_term_value_p", 1.25e-4)}),
+    ("stress-profile", GOLD_TWO_WALL,
+     {"t_zz_N_per_m2": ("zero_term_value", 3e-4)}),
+], ids=["force", "stress-profile"])
+def test_configured_zero_term_values_add_to_the_drop_result(
+        tmp_path, capsys, command, config, values):
+    # custom-value at T > 0 is the drop sum plus the configured m = 0
+    # contribution, per polarization for a force, and a replay of its JSON
+    # emission reproduces it.
+    run = "\n[run]\ntemperature = 300\nzero_term_policy = {}\n"
+    drop = _write(tmp_path, config + run.format("drop"), "drop.ini")
+    custom = _write(tmp_path, config + run.format("custom-value") + "".join(
+        f"{key} = {value!r}\n" for key, value in values.values()),
+        "custom.ini")
+    code, out, err = _run(capsys, [command, "--config", drop,
+                                   "--format", "json"])
+    assert code == 0, err
+    base = json.loads(out)["results"]
+    out_path = str(tmp_path / "custom.json")
+    code, _, err = _run(capsys, [command, "--config", custom,
+                                 "--out", out_path])
+    assert code == 0, err
+    first = open(out_path).read()
+    rows = json.loads(first)["results"]
+    assert len(rows) == len(base)
+    for row, ref in zip(rows, base):
+        assert row["converged"] and row["zero_term_policy"] == "custom-value"
+        for column, (_, value) in values.items():
+            assert row[column] - ref[column] == pytest.approx(value,
+                                                              rel=1e-12)
+    code, _, err = _run(capsys, [command, "--config", out_path])
+    assert code == 0, err
+    assert open(out_path).read() == first
 
 
 def test_sweep_refuses_a_zero_term_request_before_integrating(

@@ -180,6 +180,7 @@ def test_ini_syntax_error_carries_line_number(tmp_path):
     ("[material.x]\nkind = drude-lorentz\ndamping = 1e13", "plasma_freq"),
     ("[material.]\nkind = constant", "needs a name"),
     ("[mystery]\nkey = 1", "unknown section"),
+    ("[structure]", "missing 'regions'"),
 ])
 def test_material_and_section_errors(tmp_path, snippet, match):
     with pytest.raises(ConfigError, match=match):
@@ -211,6 +212,9 @@ _VAC = "[material.vac]\nkind = constant\n"
      "thickness"),
     ("wall:mirror, plate:mirror, gap:vac:1e-6, wall:mirror",
      "only wall entries"),
+    ("wall:mirror, gap:vac:1e-6, plate:vac, gap:vac:2e-6, wall:mirror",
+     "plate:NAME:THICKNESS or plate:mirror"),
+    (" , ", "empty region list"),
 ])
 def test_structure_errors(tmp_path, regions, match):
     text = _VAC + f"[structure]\nregions = {regions}\n"

@@ -971,18 +971,18 @@ def test_low_index_gap_meets_the_closed_form(mu):
     assert abs(res.force_per_area - exact) <= res.error_estimate
 
 
-def test_symmetric_direct_difference_noise_returns_unconverged():
+def test_symmetric_direct_difference_is_exactly_zero():
     # Coated-gold walls, eps = 2 gaps of 2 um and a 200 nm gold plate: the
-    # direct difference is rounding noise around a true 0. The rule must
-    # return within its level cap (the level-6 tensor under the noise-guard
-    # cutoff, 365 x 493 points) and book the noise as error.
+    # two faces of the plate are mirror images, so g3(0) - g1(d1) cancels
+    # exactly and the direct difference is the true 0, as the exact one is.
     gold = Wall.semi_infinite(_GOLD)
     cavity = CavityConfig(gold, constant(eps=2.0), 2e-6, Layer(_GOLD, 2e-7),
                           2e-6, gold)
     res = plate_force(cavity, method="direct-difference")
-    assert not res.converged
-    assert abs(res.force_per_area) <= res.error_estimate
-    assert res.evaluations <= 365 * 493
+    exact = plate_force(cavity, method="exact-difference")
+    assert res.converged and exact.converged
+    assert res.force_per_area == 0.0 and res.error_estimate == 0.0
+    assert res.per_polarization == exact.per_polarization
 
 
 _PLASMA_FREQ = 1.37e16

@@ -101,6 +101,13 @@ def test_non_finite_evaluation_is_reported_with_abscissa():
         integrate_semi_infinite(bad, SPEC)
 
 
+@pytest.mark.parametrize("shape", [lambda n: (n + 1,), lambda n: (n, 2, 2)],
+                         ids=["length", "rank"])
+def test_integrand_of_the_wrong_shape_is_refused(shape):
+    with pytest.raises(ValueError, match="one row per abscissa"):
+        integrate_semi_infinite(lambda x: np.ones(shape(x.size)), SPEC)
+
+
 def test_pathological_scale_is_reported():
     # Decay scale 1e15 exhausts double precision near the transformed upper
     # limit; the integrator must say "rescale", not return garbage.
@@ -301,6 +308,8 @@ _BAD_ARGUMENTS = [
     ("d_ref", 0.0), ("d_ref", -1e-6), ("d_ref", np.nan), ("d_ref", np.inf),
     ("index", 0.0), ("index", -1.0), ("index", np.nan), ("index", np.inf),
     ("prefactor", np.nan), ("prefactor", np.inf), ("prefactor", -np.inf),
+    ("temperature", -1.0), ("temperature", np.inf), ("temperature", np.nan),
+    ("zero_term_policy", "skip"),
 ]
 
 
@@ -309,16 +318,18 @@ _BAD_ARGUMENTS = [
                          ids=[f"{n}={v}" for n, v in _BAD_ARGUMENTS])
 def test_bad_double_integral_arguments_are_refused(name, bad, temperature):
     # Each is refused by name before the integrand runs: a NaN must not
-    # pass as a length, nor reach the integrand as a NaN abscissa.
+    # pass as a length, nor reach the integrand as a NaN abscissa. A bad
+    # temperature replaces the given one.
     calls = []
 
     def integrand(xi, q):
         calls.append(xi)
         return np.exp(-xi * 1e-6 / c - q * 1e-6)
 
-    args = {"d_ref": 1e-6, "prefactor": 1.0, "index": 1.0, name: bad}
+    args = {"d_ref": 1e-6, "prefactor": 1.0, "index": 1.0,
+            "temperature": temperature, name: bad}
     with pytest.raises(ValueError, match=name):
-        double_semi_infinite(integrand, SPEC, temperature=temperature, **args)
+        double_semi_infinite(integrand, SPEC, **args)
     assert not calls
 
 
