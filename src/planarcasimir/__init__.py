@@ -38,7 +38,6 @@ from .engine import (
     ForceResult,
     InterspaceView,
     StressProfile,
-    cavity_interspaces,
     interspace,
     minkowski_plate_force,
     minkowski_stress_zz,
@@ -52,7 +51,7 @@ from .limits import (
     force_ratio,
     minkowski_generalized,
 )
-from .config import ConfigError, RunConfig, build_config, load_config, load_sections
+from .config import ConfigError, RunConfig, build_config, load_sections
 
 __version__ = "0.1.0"
 
@@ -64,11 +63,10 @@ __all__ = [
     "Wall", "beta_imag", "wall_reflection",
     "IntegralResult", "QuadratureSpec", "integrate_semi_infinite",
     "matsubara_sum",
-    "ForceResult", "InterspaceView", "StressProfile",
-    "cavity_interspaces", "interspace", "minkowski_plate_force",
-    "minkowski_stress_zz", "plate_force", "stress_profile", "stress_zz",
+    "ForceResult", "InterspaceView", "StressProfile", "interspace",
+    "minkowski_plate_force", "minkowski_stress_zz", "plate_force",
+    "stress_profile", "stress_zz",
     "StaticMedium", "casimir_generalized", "force_ratio",
     "minkowski_generalized",
-    "ConfigError", "RunConfig", "build_config", "load_config",
-    "load_sections",
+    "ConfigError", "RunConfig", "build_config", "load_sections",
 ]

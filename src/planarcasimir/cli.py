@@ -38,7 +38,6 @@ from .config import (
     load_sections,
 )
 from .engine import (
-    METHODS,
     ZERO_TERM_POLICIES,
     _zero_term,
     interspace,
@@ -70,7 +69,6 @@ _COMMON = (
     ("--q-cutoff", "q_cutoff", "RAD_PER_M", "sharp transverse-momentum cutoff"),
     ("--zero-term-policy", "zero_term_policy", ZERO_TERM_POLICIES,
      "handling of the zero-frequency thermal term"),
-    ("--method", "method", METHODS, "force evaluation route"),
 )
 
 
@@ -153,7 +151,6 @@ def _meta(rc: RunConfig) -> dict:
     q = rc.quadrature
     return {
         "temperature_K": rc.temperature,
-        "method": rc.method,
         "zero_term_policy": rc.zero_term_policy,
         "rel_tol": q.rel_tol,
         "abs_floor": q.abs_floor,
@@ -252,7 +249,7 @@ def _force(rc: RunConfig, cavity: CavityConfig, minkowski: bool = False):
         zero_term_value={"s": rc.zero_term_value_s, "p": rc.zero_term_value_p})
     if minkowski:
         return minkowski_plate_force(cavity, **kwargs)
-    return plate_force(cavity, method=rc.method, **kwargs)
+    return plate_force(cavity, **kwargs)
 
 
 def _force_row(result, rc: RunConfig) -> dict:

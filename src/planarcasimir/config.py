@@ -18,7 +18,6 @@ The format is INI-style key-value text. A complete example:
 
     [run]
     temperature = 300
-    method = exact-difference
 
     [quadrature]
     rel_tol = 1e-8
@@ -69,7 +68,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .engine import METHODS, ZERO_TERM_POLICIES
+from .engine import ZERO_TERM_POLICIES
 from .layers import CavityConfig, Layer, PerfectMirrorPlate, Wall
 from .materials import (
     MIRROR,
@@ -80,8 +79,7 @@ from .materials import (
 )
 from .quadrature import QuadratureSpec
 
-__all__ = ["ConfigError", "RunConfig", "load_sections", "build_config",
-           "load_config"]
+__all__ = ["ConfigError", "RunConfig", "load_sections", "build_config"]
 
 
 class ConfigError(Exception):
@@ -100,7 +98,6 @@ class RunConfig:
     cavity: CavityConfig | None
     pair: tuple[Wall, DispersionModel, float, Wall] | None
     temperature: float
-    method: str
     zero_term_policy: str | None
     zero_term_value: float | None
     zero_term_value_s: float | None
@@ -149,7 +146,7 @@ _QUAD_KEYS = {
 # The keys of every fixed section, in canonical order.
 SECTION_KEYS = {
     "structure": ("regions",),
-    "run": ("temperature", "method", "zero_term_policy", "zero_term_value",
+    "run": ("temperature", "zero_term_policy", "zero_term_value",
             "zero_term_value_s", "zero_term_value_p"),
     "quadrature": tuple(_QUAD_KEYS),
     "output": ("format", "path"),
@@ -404,8 +401,6 @@ def build_config(sections: dict[str, dict[str, str]]) -> RunConfig:
     temperature = _to_float(run.get("temperature", "0"), "[run] temperature")
     if not 0.0 <= temperature < math.inf:
         raise ConfigError("[run] temperature: must be finite and >= 0 kelvin")
-    method = _choice(run.get("method", "exact-difference"), METHODS,
-                     "[run] method")
     policy = _choice(run.get("zero_term_policy"), ZERO_TERM_POLICIES,
                      "[run] zero_term_policy")
 
@@ -430,7 +425,6 @@ def build_config(sections: dict[str, dict[str, str]]) -> RunConfig:
         cavity=cavity,
         pair=pair,
         temperature=temperature,
-        method=method,
         zero_term_policy=policy,
         zero_term_value=opt_float("zero_term_value"),
         zero_term_value_s=opt_float("zero_term_value_s"),
@@ -440,8 +434,3 @@ def build_config(sections: dict[str, dict[str, str]]) -> RunConfig:
         output_path=output.get("path"),
         command_args=dict(sections.get("command", {})),
     )
-
-
-def load_config(path: str) -> RunConfig:
-    """Parse and resolve a config file (INI or emitted JSON)."""
-    return build_config(load_sections(path))

@@ -108,7 +108,6 @@ class ForceResult:
     force_per_area: float
     error_estimate: float
     per_polarization: dict[str, float]
-    method: str
     converged: bool
     evaluations: int
 
@@ -408,14 +407,13 @@ def _direct_difference_integrand(cavity: CavityConfig):
     return integrand
 
 
-# The plate-force routes in --help order, each with its integrand builder.
+# The plate-force routes by the name ``plate_force`` takes, each with its
+# integrand builder; the direct route is the tests' reference.
 _INTEGRANDS = {"exact-difference": _exact_difference_integrand,
                "direct-difference": _direct_difference_integrand}
-METHODS = tuple(_INTEGRANDS)
 
 
-def _force_result(res: IntegralResult, method: str,
-                  spec: QuadratureSpec) -> ForceResult:
+def _force_result(res: IntegralResult, spec: QuadratureSpec) -> ForceResult:
     """ForceResult from a two-column (s, p) integral whose columns each met
     their own target if ``res.converged``; their sum must meet its own."""
     per_pol = dict(zip(POLARIZATIONS, map(float, res.value)))
@@ -424,7 +422,6 @@ def _force_result(res: IntegralResult, method: str,
         force_per_area=force,
         error_estimate=error,
         per_polarization=per_pol,
-        method=method,
         converged=res.converged and error <= max(spec.rel_tol * abs(force),
                                                  spec.abs_floor),
         evaluations=res.evaluations,
@@ -451,8 +448,9 @@ def plate_force(
         ``"exact-difference"`` uses the single-plate (r, t) closed form of
         the stress difference (one exponentially convergent integrand);
         ``"direct-difference"`` subtracts the two face evaluations of g.
-        Both converge to the same value; the direct route exercises more of
-        the machinery and loses some precision to cancellation.
+        Both converge to the same value; the direct route is slower, loses
+        some precision to cancellation and is kept as the tests' reference
+        for the closed form, reachable only through this keyword.
     zero_term_policy, zero_term_value
         Checked by ``_zero_term`` before the first integral; ``custom-value``
         takes a dict {'s': ..., 'p': ...} of finite m = 0 terms in N/m^2.
@@ -465,7 +463,7 @@ def plate_force(
     """
     spec = spec or DEFAULT_SPEC
     d_min = min(cavity.d1, cavity.d3)
-    if method not in METHODS:
+    if method not in _INTEGRANDS:
         raise ValueError(f"unknown method {method!r}")
     if method == "direct-difference":
         # The face evaluations subtracted here agree to within
@@ -482,7 +480,7 @@ def plate_force(
     res = double_semi_infinite(_INTEGRANDS[method](cavity), spec, d_min,
                                _STRESS_PREFACTOR, temperature, *zero_term,
                                index=_index(cavity.medium))
-    return _force_result(res, method, spec)
+    return _force_result(res, spec)
 
 
 def minkowski_plate_force(
@@ -516,4 +514,4 @@ def minkowski_plate_force(
 
     res = double_semi_infinite(integrand, spec, min(cavity.d1, cavity.d3),
                                _MINKOWSKI_PREFACTOR, temperature, *zero_term)
-    return _force_result(res, "minkowski", spec)
+    return _force_result(res, spec)

@@ -37,8 +37,8 @@ class StaticMedium:
     def __post_init__(self) -> None:
         if not self.eps >= 1.0:
             raise ValueError(f"static eps must be >= 1, got {self.eps}")
-        if not self.mu > 0.0:
-            raise ValueError(f"static mu must be > 0, got {self.mu}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"static mu must be finite and > 0, got {self.mu}")
 
     @property
     def n(self) -> float:

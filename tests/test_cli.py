@@ -192,7 +192,6 @@ def test_vacuum_cavity_force_value(tmp_path, capsys):
     assert force == pytest.approx(expected, rel=1e-7)
     assert row["converged"] == "true"
     assert float(row["error_estimate_N_per_m2"]) < 1e-9
-    assert row["method"] == "exact-difference"
     assert float(row["force_s_N_per_m2"]) + float(row["force_p_N_per_m2"]) \
         == pytest.approx(force, rel=1e-12)
 
@@ -210,19 +209,6 @@ def test_force_human_output(tmp_path, capsys):
     assert code == 0
     assert "force_per_area_N_per_m2" in out
     assert "=" in out
-
-
-def test_force_method_override(tmp_path, capsys):
-    cfg = _write(tmp_path, VACUUM_CAVITY)
-    code, out, _ = _run(capsys, ["force", "--config", cfg, "--format", "csv",
-                                 "--method", "direct-difference",
-                                 "--rel-tol", "1e-7"])
-    assert code == 0
-    row = _rows(out)[0]
-    assert row["method"] == "direct-difference"
-    expected = COEF * ((50e-6) ** -4 - (1e-6) ** -4)
-    assert float(row["force_per_area_N_per_m2"]) == pytest.approx(
-        expected, rel=1e-6)
 
 
 def test_truncated_thermal_sum_exits_3(tmp_path, capsys):
@@ -595,6 +581,67 @@ def test_removed_term_cap_in_a_replayed_json_exits_2(tmp_path, capsys):
     assert "[quadrature]: unknown key(s): matsubara_max_terms" in err
 
 
+def test_removed_method_choice_exits_2(tmp_path, capsys):
+    # The plate force has one route; the flag and key that chose it are gone
+    # and refused, from an INI file and from a replayed emission alike.
+    cfg = _write(tmp_path, SYMMETRIC_CAVITY)
+    with pytest.raises(SystemExit) as exc:
+        main(["force", "--config", cfg, "--method", "exact-difference"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
+    old_ini = _write(tmp_path, SYMMETRIC_CAVITY
+                     + "\n[run]\nmethod = exact-difference\n", "old.ini")
+    path = tmp_path / "old.json"
+    code, _, _ = _run(capsys, ["force", "--config", cfg, "--out", str(path)])
+    assert code == 0
+    doc = json.loads(path.read_text())
+    doc["config"]["run"] = {"method": "exact-difference"}
+    path.write_text(json.dumps(doc))
+    for old in (old_ini, str(path)):
+        code, out, err = _run(capsys, ["force", "--config", old])
+        assert code == 2 and out == ""
+        assert "[run]: unknown key(s): method" in err
+
+
+_META_KEYS = ["temperature_K", "zero_term_policy", "rel_tol", "abs_floor",
+              "q_cutoff_rad_per_m"]
+_FORCE_KEYS = ["force_per_area_N_per_m2", "error_estimate_N_per_m2",
+               "force_s_N_per_m2", "force_p_N_per_m2", "converged",
+               "evaluations"] + _META_KEYS
+
+
+@pytest.mark.parametrize("structure,argv,keys", [
+    (VACUUM_CAVITY, ["force"], _FORCE_KEYS),
+    (VACUUM_CAVITY, ["sweep", "--parameter", "d", "--start", "1e-6",
+                     "--stop", "2e-6", "--points", "2"],
+     ["parameter", "value", "unit"] + _FORCE_KEYS),
+    (TWO_WALL, ["stress-profile", "--samples", "2"],
+     ["z_m", "t_zz_N_per_m2", "error_estimate_N_per_m2", "converged"]
+     + _META_KEYS),
+    (None, ["compare", "--eps", "2", "--d1", "1e-6", "--d3", "5e-6"],
+     ["eps", "n", "force_per_area_N_per_m2", "minkowski_force_N_per_m2",
+      "d1_m", "d3_m", "ratio_minkowski_over_force", "mode"] + _META_KEYS),
+    (None, ["compare", "--eps", "2", "--mode", "quadrature", "--d1", "1e-6",
+            "--d3", "5e-6"],
+     ["eps", "n", "force_per_area_N_per_m2", "minkowski_force_N_per_m2",
+      "ratio_minkowski_over_force", "d1_m", "d3_m", "force_converged",
+      "minkowski_converged", "mode"] + _META_KEYS),
+    (None, ["limits"],
+     ["eps", "mu", "n", "d1_m", "d3_m", "force_per_area_N_per_m2",
+      "minkowski_force_N_per_m2", "ratio_minkowski_over_force"]
+     + _META_KEYS),
+], ids=["force", "sweep", "stress-profile", "compare-closed",
+        "compare-quadrature", "limits"])
+def test_json_row_schema(tmp_path, capsys, structure, argv, keys):
+    # Every row of an emission carries exactly these columns, in this order.
+    if structure is not None:
+        argv = argv + ["--config", _write(tmp_path, structure)]
+    code, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert rows and [list(row) for row in rows] == [keys] * len(rows)
+
+
 def test_format_inferred_from_suffix(tmp_path, capsys):
     cfg = _write(tmp_path, SYMMETRIC_CAVITY)
     json_path = str(tmp_path / "f.json")
@@ -768,9 +815,12 @@ def test_closed_forms_refuse_a_nonzero_temperature(capsys, argv):
      VACUUM_CAVITY, "finite range"),
     (["stress-profile"], TWO_WALL.replace("gap:vac:1e-6", "gap:vac:inf"),
      "a profile needs a finite interspace width, got inf"),
+    (["limits", "--eps", "inf", "--mu", "inf"], None,
+     "static mu must be finite and > 0, got inf"),
 ], ids=["limits-d1", "compare-eps", "temperature-nan", "temperature-inf",
         "q-cutoff-inf", "abs-floor", "abs-floor-inf", "eps-static", "gap-width",
-        "zero-term-value-inf", "sweep-stop-inf", "profile-gap-inf"])
+        "zero-term-value-inf", "sweep-stop-inf", "profile-gap-inf",
+        "limits-mu-inf"])
 def test_non_finite_inputs_exit_2_before_integrating(
         tmp_path, capsys, monkeypatch, argv, config, needle):
     calls = []

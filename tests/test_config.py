@@ -2,12 +2,7 @@ import json
 
 import pytest
 
-from planarcasimir.config import (
-    ConfigError,
-    build_config,
-    load_config,
-    load_sections,
-)
+from planarcasimir.config import ConfigError, build_config, load_sections
 from planarcasimir.layers import PerfectMirrorPlate, Wall
 from planarcasimir.materials import MaterialKind, constant
 
@@ -28,7 +23,6 @@ regions = wall:mirror, gap:med:1e-6, plate:gold:0.2e-6,
 
 [run]
 temperature = 300
-method = exact-difference
 zero_term_policy = drop
 
 [quadrature]
@@ -46,8 +40,12 @@ def _write(tmp_path, text, name="run.ini"):
     return str(path)
 
 
+def _load(path):
+    return build_config(load_sections(path))
+
+
 def test_full_cavity_config(tmp_path):
-    rc = load_config(_write(tmp_path, FULL_INI))
+    rc = _load(_write(tmp_path, FULL_INI))
     assert rc.pair is None
     cavity = rc.cavity
     assert cavity.d1 == 1e-6 and cavity.d3 == 2e-6
@@ -56,7 +54,6 @@ def test_full_cavity_config(tmp_path):
     assert cavity.plate.thickness == 0.2e-6
     assert cavity.left_wall == Wall.perfect_mirror()
     assert rc.temperature == 300.0
-    assert rc.method == "exact-difference"
     assert rc.zero_term_policy == "drop"
     assert rc.quadrature.rel_tol == 1e-8
     assert rc.quadrature.q_cutoff is None
@@ -65,7 +62,7 @@ def test_full_cavity_config(tmp_path):
 
 
 def test_two_wall_config(tmp_path):
-    rc = load_config(_write(tmp_path, """
+    rc = _load(_write(tmp_path, """
 [material.vac]
 kind = constant
 
@@ -87,7 +84,7 @@ regions = wall:glass:semi-infinite, gap:vac:5e-7, wall:mirror
 def test_wall_slab_ordering(tmp_path):
     # Regions read left to right; Wall stores layers nearest the gap first,
     # so the left wall's list is reversed and the right wall's is not.
-    rc = load_config(_write(tmp_path, """
+    rc = _load(_write(tmp_path, """
 [material.vac]
 kind = constant
 
@@ -113,7 +110,7 @@ regions = wall:mirror, wall:a:2e-8, wall:b:1e-8,
 
 
 def test_mirror_plate_and_magnetic_material(tmp_path):
-    rc = load_config(_write(tmp_path, """
+    rc = _load(_write(tmp_path, """
 [material.vac]
 kind = constant
 
@@ -184,7 +181,7 @@ def test_ini_syntax_error_carries_line_number(tmp_path):
 ])
 def test_material_and_section_errors(tmp_path, snippet, match):
     with pytest.raises(ConfigError, match=match):
-        load_config(_write(tmp_path, snippet))
+        _load(_write(tmp_path, snippet))
 
 
 _VAC = "[material.vac]\nkind = constant\n"
@@ -219,7 +216,7 @@ _VAC = "[material.vac]\nkind = constant\n"
 def test_structure_errors(tmp_path, regions, match):
     text = _VAC + f"[structure]\nregions = {regions}\n"
     with pytest.raises(ConfigError, match=match):
-        load_config(_write(tmp_path, text))
+        _load(_write(tmp_path, text))
 
 
 def test_gap_materials_must_match(tmp_path):
@@ -232,13 +229,14 @@ eps_static = 2.0
 regions = wall:mirror, gap:vac:1e-6, plate:mirror, gap:oil:2e-6, wall:mirror
 """
     with pytest.raises(ConfigError, match="same material"):
-        load_config(_write(tmp_path, text))
+        _load(_write(tmp_path, text))
 
 
 @pytest.mark.parametrize("section,match", [
     ("[run]\ntemperature = -4", "kelvin"),
     ("[run]\ntemperature = cold", "not a number"),
-    ("[run]\nmethod = magic", "method"),
+    ("[run]\nmethod = exact-difference",
+     r"\[run\]: unknown key\(s\): method"),
     ("[run]\nzero_term_policy = skip", "zero_term_policy"),
     ("[run]\nspeed = fast", "unknown key"),
     ("[quadrature]\nrel_tol = 2.0", "rel_tol"),
@@ -255,14 +253,13 @@ regions = wall:mirror, gap:vac:1e-6, plate:mirror, gap:oil:2e-6, wall:mirror
 ])
 def test_run_quadrature_output_errors(tmp_path, section, match):
     with pytest.raises(ConfigError, match=match):
-        load_config(_write(tmp_path, _VAC + section + "\n"))
+        _load(_write(tmp_path, _VAC + section + "\n"))
 
 
 def test_defaults_without_sections(tmp_path):
-    rc = load_config(_write(tmp_path, _VAC))
+    rc = _load(_write(tmp_path, _VAC))
     assert rc.cavity is None and rc.pair is None
     assert rc.temperature == 0.0
-    assert rc.method == "exact-difference"
     assert rc.zero_term_policy is None
     assert rc.quadrature.rel_tol == 1e-8
     assert rc.output_format is None
@@ -270,7 +267,7 @@ def test_defaults_without_sections(tmp_path):
 
 
 def test_quadrature_options_parse(tmp_path):
-    rc = load_config(_write(tmp_path, _VAC + """
+    rc = _load(_write(tmp_path, _VAC + """
 [quadrature]
 rel_tol = 1e-6
 abs_floor = 1e-20
@@ -283,7 +280,7 @@ q_cutoff = 3e7
 
 
 def test_command_section_is_kept(tmp_path):
-    rc = load_config(_write(tmp_path, _VAC + """
+    rc = _load(_write(tmp_path, _VAC + """
 [command]
 name = sweep
 parameter = d

@@ -390,7 +390,7 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
                           Layer(magnetic, 1e-7), 9e-7,
                           Wall.stack(slabs, MIRROR))
     view = cavity_interspaces(cavity)[0]
-    for method in engine.METHODS:
+    for method in ("exact-difference", "direct-difference"):
         engine.plate_force(cavity, method=method)
     engine.minkowski_plate_force(cavity)
     engine.stress_zz(view, 1.3e-7)

@@ -24,6 +24,10 @@ def test_static_medium_validation():
         StaticMedium(eps=0.9)
     with pytest.raises(ValueError):
         StaticMedium(eps=2.0, mu=0.0)
+    # As constant(mu=inf) is; eps = inf alone is the screened limit.
+    for eps in (1.0, math.inf):
+        with pytest.raises(ValueError, match="static mu must be finite"):
+            StaticMedium(eps=eps, mu=math.inf)
     assert StaticMedium(eps=4.0, mu=2.25).n == 3.0
 
 
