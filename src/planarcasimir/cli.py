@@ -147,15 +147,18 @@ def _stored(value) -> str:
 # ---------------------------------------------------------------------------
 # emission
 
-def _meta(rc: RunConfig) -> dict:
+def _meta(rc: RunConfig, quadrature: bool = True) -> dict:
+    """The run's settings on every row; a closed-form row runs no quadrature
+    and no thermal sum, so it carries their settings as None."""
     q = rc.quadrature
-    return {
-        "temperature_K": rc.temperature,
+    settings = {
         "zero_term_policy": rc.zero_term_policy,
         "rel_tol": q.rel_tol,
         "abs_floor": q.abs_floor,
         "q_cutoff_rad_per_m": q.q_cutoff,
     }
+    return {"temperature_K": rc.temperature,
+            **(settings if quadrature else dict.fromkeys(settings))}
 
 
 def _cell(value) -> str:
@@ -181,7 +184,9 @@ def _render_human(rows: list[dict], meta: dict) -> str:
         width = max(len(k) for k in rows[0])
         return "\n".join(f"{k:<{width}} = {_hcell(v)}"
                          for k, v in rows[0].items()) + "\n"
-    columns = [k for k in rows[0] if k not in meta]
+    # The table leaves out the settings and the columns null in every row.
+    columns = [k for k in rows[0] if k not in meta
+               and any(row[k] is not None for row in rows)]
     table = [[_hcell(row[k]) for k in columns] for row in rows]
     widths = [max(len(name), *(len(line[i]) for line in table))
               for i, name in enumerate(columns)]
@@ -332,8 +337,23 @@ def _cmd_compare(rc: RunConfig, values: dict):
         if mode == "closed":
             _at_zero_kelvin(rc)
         rows = [_contrast_row(rc, eps, mode, d1, d3) for eps in eps_values]
-    return rows, sum(False in (row.get("force_converged"),
-                               row.get("minkowski_converged")) for row in rows)
+    return rows, sum(False in (row["force_converged"],
+                               row["minkowski_converged"]) for row in rows)
+
+
+# The columns of every compare row, in order, for every mode and flag: a
+# closed form has no converged flags, and no forces or distances without
+# --d1/--d3, so those are None.
+_COMPARE_COLUMNS = ("eps", "n", "force_per_area_N_per_m2",
+                    "minkowski_force_N_per_m2", "ratio_minkowski_over_force",
+                    "d1_m", "d3_m", "force_converged", "minkowski_converged",
+                    "mode")
+
+
+def _compare_row(rc: RunConfig, values: dict) -> dict:
+    """``values`` in the compare columns, None where absent, and the run."""
+    return {**dict.fromkeys(_COMPARE_COLUMNS), **values,
+            **_meta(rc, quadrature=values["mode"] == "quadrature")}
 
 
 def _contrast_row(rc: RunConfig, eps: float, mode: str, d1, d3) -> dict:
@@ -345,13 +365,13 @@ def _contrast_row(rc: RunConfig, eps: float, mode: str, d1, d3) -> dict:
         mirror = Wall.perfect_mirror()
         return _quadrature_compare_row(rc, CavityConfig(
             mirror, constant(eps=eps), d1, PerfectMirrorPlate(), d3, mirror))
-    row = {"eps": eps, "n": medium.n}
+    row = {"eps": eps, "n": medium.n,
+           "ratio_minkowski_over_force": force_ratio(eps), "mode": mode}
     if d1 is not None:
         row.update(force_per_area_N_per_m2=casimir_generalized(medium, d1, d3),
                    minkowski_force_N_per_m2=minkowski_generalized(eps, d1, d3),
                    d1_m=d1, d3_m=d3)
-    return {**row, "ratio_minkowski_over_force": force_ratio(eps),
-            "mode": mode, **_meta(rc)}
+    return _compare_row(rc, row)
 
 
 def _quadrature_compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
@@ -362,7 +382,7 @@ def _quadrature_compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
     ratio = None
     if force.force_per_area != 0.0:
         ratio = mink.force_per_area / force.force_per_area
-    return {
+    return _compare_row(rc, {
         "eps": eps,
         "n": None if eps is None else eps ** 0.5,
         "force_per_area_N_per_m2": force.force_per_area,
@@ -373,8 +393,7 @@ def _quadrature_compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
         "force_converged": force.converged,
         "minkowski_converged": mink.converged,
         "mode": "quadrature",
-        **_meta(rc),
-    }
+    })
 
 
 def _cmd_sweep(rc: RunConfig, values: dict):
@@ -453,7 +472,7 @@ def _cmd_limits(rc: RunConfig, values: dict):
         "minkowski_force_N_per_m2":
             minkowski_generalized(eps, d1, d3) if dielectric else None,
         "ratio_minkowski_over_force": force_ratio(eps) if dielectric else None,
-        **_meta(rc),
+        **_meta(rc, quadrature=False),
     }
     return [row], 0
 

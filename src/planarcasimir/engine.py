@@ -56,7 +56,7 @@ from .layers import (
     _has_drude_like,
     _plate_rt,
     _wall_refl,
-    _wave,
+    _Waves,
 )
 from .materials import DispersionModel, MaterialKind, is_nonmagnetic
 from .quadrature import IntegralResult, QuadratureSpec, double_semi_infinite
@@ -74,7 +74,7 @@ class InterspaceView:
     """An interspace: ``medium`` of ``width`` between ``left`` and ``right``.
 
     The stress integrands see the walls only through their reflections from
-    the medium, evaluated once per integrand call for both walls.
+    the medium, from one memo of materials per integrand call.
     """
 
     medium: DispersionModel
@@ -170,21 +170,22 @@ def _mode_coefficients(wave, xi, q):
             DELTA * ((xi * xi / c**2) * (1.0 - n_sq)))
 
 
-def _g_terms(view: InterspaceView, xi, q, wave):
-    """(bulk, surf, r_-, r_+, D) of g for the gap's ``wave``, rows (s, p):
+def _g_terms(view: InterspaceView, waves: _Waves):
+    """(bulk, surf, r_-, r_+, D) of g from the call's ``waves``, rows (s, p):
     g(z) = (bulk + surf [r_- e^{-2 kappa z} + r_+ e^{-2 kappa (d-z)}]) / D."""
-    r_plus = _wall_refl(view.right, wave, xi, q)
-    r_minus = _wall_refl(view.left, wave, xi, q)
-    pair, surf = _mode_coefficients(wave, xi, q)
+    wave = waves[view.medium]
+    r_plus = _wall_refl(view.right, view.medium, waves)
+    r_minus = _wall_refl(view.left, view.medium, waves)
+    pair, surf = _mode_coefficients(wave, waves.xi, waves.q)
     # r_+ r_- e^{-2 kappa d} once, so that mirror-image walls round alike.
     rr = r_plus * r_minus * np.exp(-2.0 * wave[1] * view.width)
     return pair * rr, surf, r_minus, r_plus, 1.0 - rr
 
 
-def _g(view: InterspaceView, z, xi, q, wave):
-    """Mode function g at z, shape (2, A, m), for the gap's ``wave``."""
-    bulk, surf, r_minus, r_plus, denom = _g_terms(view, xi, q, wave)
-    kappa = wave[1]
+def _g(view: InterspaceView, z, waves: _Waves):
+    """Mode function g at z, shape (2, A, m), from the call's ``waves``."""
+    bulk, surf, r_minus, r_plus, denom = _g_terms(view, waves)
+    kappa = waves[view.medium][1]
     return (bulk + surf * (r_minus * np.exp(-2.0 * kappa * z) + r_plus
                            * np.exp(-2.0 * kappa * (view.width - z)))) / denom
 
@@ -269,9 +270,9 @@ def stress_zz(
 
     @_integrand
     def integrand(xi, q):
-        wave = _wave(view.medium, xi, q)
-        bulk, surf, r_minus, r_plus, denom = _g_terms(view, xi, q, wave)
-        (mu, _), kappa = wave
+        waves = _Waves(xi, q)
+        bulk, surf, r_minus, r_plus, denom = _g_terms(view, waves)
+        (mu, _), kappa = waves[view.medium]
         # Sum s and p before the heights come in: only the two surface
         # exponentials depend on z, and their kappa is the gap's for both.
         inv = 1.0 / denom
@@ -312,11 +313,12 @@ def minkowski_stress_zz(
 
     @_integrand
     def integrand(xi, q):
-        wave = _wave(view.medium, xi, q)
-        rr = (_wall_refl(view.right, wave, xi, q)
-              * _wall_refl(view.left, wave, xi, q)
-              * np.exp(-2.0 * wave[1] * view.width))
-        return q * wave[1] * (rr / (1.0 - rr)).sum(axis=0)
+        waves = _Waves(xi, q)
+        kappa = waves[view.medium][1]
+        rr = (_wall_refl(view.right, view.medium, waves)
+              * _wall_refl(view.left, view.medium, waves)
+              * np.exp(-2.0 * kappa * view.width))
+        return q * kappa * (rr / (1.0 - rr)).sum(axis=0)
 
     return double_semi_infinite(integrand, spec, view.width,
                                 _MINKOWSKI_PREFACTOR, temperature, *zero_term)
@@ -351,17 +353,18 @@ def stress_profile(
 
 def _plate_terms(cavity: CavityConfig, xi, q):
     """(wave, r, t, A, B, N) of the single-plate form, rows (s, p), with
-    ``wave`` the gap medium's, its one evaluation per integrand call.
+    ``wave`` the gap medium's, from the call's one memo of materials.
 
     With the plate's (r, t) and the bare walls' reflections r_1- and r_3+,
     all seen from the gap medium, A = r_1- e^{-2 kappa d1},
     B = r_3+ e^{-2 kappa d3} and N = (1 - r A)(1 - r B) - t^2 A B.
     """
-    wave = _wave(cavity.medium, xi, q)
-    r, t = _plate_rt(cavity.plate, wave, xi, q)
-    a = _wall_refl(cavity.left_wall, wave, xi, q) * np.exp(
+    waves, medium = _Waves(xi, q), cavity.medium
+    wave = waves[medium]
+    r, t = _plate_rt(cavity.plate, medium, waves)
+    a = _wall_refl(cavity.left_wall, medium, waves) * np.exp(
         -2.0 * wave[1] * cavity.d1)
-    b = _wall_refl(cavity.right_wall, wave, xi, q) * np.exp(
+    b = _wall_refl(cavity.right_wall, medium, waves) * np.exp(
         -2.0 * wave[1] * cavity.d3)
     return wave, r, t, a, b, (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
 
@@ -398,10 +401,10 @@ def _direct_difference_integrand(cavity: CavityConfig):
 
     @_integrand
     def integrand(xi, q):
-        wave = _wave(cavity.medium, xi, q)
-        (mu, _), kappa = wave
-        g3 = _g(view3, 0.0, xi, q, wave)
-        g1 = _g(view1, cavity.d1, xi, q, wave)
+        waves = _Waves(xi, q)
+        (mu, _), kappa = waves[cavity.medium]
+        g3 = _g(view3, 0.0, waves)
+        g1 = _g(view1, cavity.d1, waves)
         return np.moveaxis(q * (-mu / kappa) * (g3 - g1), 0, -1)
 
     return integrand

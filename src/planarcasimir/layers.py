@@ -26,11 +26,16 @@ shape (A, 1), one frequency per row, broadcast against q of shape (A, m).
 A perfect mirror is ``DELTA``, a (2, 1, 1) constant that broadcasts. The s
 and p coefficients are one expression whose kappa contrast is weighted by
 (mu, eps). ``_wave`` is the one place a material is evaluated, for both
-polarizations, through one call into ``materials``. The internal
-reflections take the wave of the medium they are seen from, so a caller
-evaluates that medium once per integrand call for every wall and plate.
-The public ``wall_reflection`` runs its float xi and float or 1-D q as one
-row of that layout and returns one polarization's row, shaped like q.
+polarizations, through one call into ``materials``.
+
+Every integrand call holds one ``_Waves`` memo at its (xi, q): each distinct
+material is evaluated once, however many slabs, terminators and gaps it
+fills, and each interface coefficient is formed once per pair of materials.
+The internal reflections take the medium they are seen from and that memo,
+so its memory grows with the number of distinct materials and interfaces,
+not with the slab count. The public ``wall_reflection`` runs its float xi
+and float or 1-D q as one row of that layout and returns one polarization's
+row, shaped like q.
 """
 
 from __future__ import annotations
@@ -185,27 +190,48 @@ def _fresnel(a, b):
     return (x - y) / (x + y)
 
 
-def _wall_refl(wall: Wall, ambient, xi, q):
-    """Reflection of ``wall`` seen from the medium of wave ``ambient``.
+class _Waves(dict):
+    """The memo of one integrand call at xi (A, 1) and q (A, m).
+
+    ``waves[model]`` is the ``_wave`` of a material and ``waves[a, b]`` the
+    interface coefficient from material a into material b, each formed on
+    first use. Swapping x and y in (x - y)/(x + y) negates it bit for bit,
+    so ``waves[b, a]`` is read as the negation of a stored ``waves[a, b]``.
+    """
+
+    def __init__(self, xi, q):
+        super().__init__()
+        self.xi, self.q = xi, q
+
+    def __missing__(self, key):
+        if isinstance(key, DispersionModel):
+            value = _wave(key, self.xi, self.q)
+        else:
+            a, b = key
+            value = (-self[b, a] if (b, a) in self
+                     else _fresnel(self[a], self[b]))
+        self[key] = value
+        return value
+
+
+def _wall_refl(wall: Wall, ambient: DispersionModel, waves: _Waves):
+    """Reflection of ``wall`` seen from the ``ambient`` material.
 
     The result has shape (2, A, m), rows (s, p); a bare mirror is ``DELTA``,
-    which broadcasts to it. The fold runs from the terminator outward and
-    keeps only the two media of the current interface, so memory does not
-    grow with the slab count.
+    which broadcasts to it. The fold runs from the terminator outward; the
+    materials and interfaces come from ``waves``, so its memory grows with
+    the number of distinct materials, not with the slab count. Only the
+    round trip e^{-2 kappa d} and the recursion step are per slab.
     """
     layers = wall.layers
-    # Innermost reflection: from the deepest finite medium into the terminator.
-    inner = _wave(layers[-1].material, xi, q) if layers else ambient
-    if wall.is_mirror_terminated:
-        r = DELTA
-    else:
-        r = _fresnel(inner, _wave(wall.terminator, xi, q))
-
+    # Innermost reflection: from the deepest medium into the terminator.
+    inner = layers[-1].material if layers else ambient
+    r = DELTA if wall.is_mirror_terminated else waves[inner, wall.terminator]
     # Fold outward: each finite layer adds one interface and one round trip.
     for i in range(len(layers) - 1, -1, -1):
-        outer = _wave(layers[i - 1].material, xi, q) if i else ambient
-        rf = _fresnel(outer, inner)
-        back = np.exp(-2.0 * inner[1] * layers[i].thickness) * r
+        outer = layers[i - 1].material if i else ambient
+        rf = waves[outer, inner]
+        back = np.exp(-2.0 * waves[inner][1] * layers[i].thickness) * r
         r = (rf + back) / (1.0 + rf * back)
         inner = outer
     return r
@@ -228,20 +254,19 @@ def wall_reflection(wall: Wall, ambient: DispersionModel, mode: TransverseMode):
         structures.
     """
     xi, q = np.reshape(mode.xi, (1, 1)), np.reshape(mode.q, (1, -1))
-    r = _wall_refl(wall, _wave(ambient, xi, q), xi, q)
+    r = _wall_refl(wall, ambient, _Waves(xi, q))
     r = r[POLARIZATIONS.index(mode.pol)] * np.ones(q.shape)
     return r.reshape(np.shape(mode.q)) if np.ndim(mode.q) else float(r[0, 0])
 
 
-def _plate_rt(plate, ambient, xi, q):
-    """(r, t) of the plate with the medium of wave ``ambient`` on both faces,
-    each of shape (2, A, m), rows (s, p); t is the face-to-face amplitude.
-    A mirror plate is (``DELTA``, 0.0), which broadcasts."""
+def _plate_rt(plate, ambient: DispersionModel, waves: _Waves):
+    """(r, t) of the plate with the ``ambient`` material on both faces, each
+    of shape (2, A, m), rows (s, p); t is the face-to-face amplitude. A
+    mirror plate is (``DELTA``, 0.0), which broadcasts."""
     if isinstance(plate, PerfectMirrorPlate):
         return DELTA, 0.0
-    inside = _wave(plate.material, xi, q)
-    r12 = _fresnel(ambient, inside)
-    decay = np.exp(-inside[1] * plate.thickness)
+    r12 = waves[ambient, plate.material]
+    decay = np.exp(-waves[plate.material][1] * plate.thickness)
     r12_sq, decay_sq = r12 * r12, decay * decay
     den = 1.0 - r12_sq * decay_sq
     return r12 * (1.0 - decay_sq) / den, (1.0 - r12_sq) * decay / den

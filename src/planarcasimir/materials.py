@@ -48,7 +48,8 @@ class DispersionModel:
         damping gamma (rad/s). Zero strength means no oscillator.
     mu_model : tuple of float, optional
         The permeability's oscillator ``(plasma_freq, resonance_freq,
-        damping)``; ``None`` means none.
+        damping)``; ``None`` means none. Any sequence of three numbers is
+        stored as a tuple of floats, so that equal models hash alike.
 
     Every parameter must be finite and every oscillator parameter >= 0.
     """
@@ -62,8 +63,15 @@ class DispersionModel:
     mu_model: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
+        if self.mu_model is not None:
+            mu_model = tuple(map(float, self.mu_model))
+            if len(mu_model) != 3:
+                raise ValueError("mu_model must be (plasma_freq,"
+                                 " resonance_freq, damping), got"
+                                 f" {self.mu_model!r}")
+            object.__setattr__(self, "mu_model", mu_model)
         eps_osc = (self.plasma_freq, self.resonance_freq, self.damping)
-        mu_osc = tuple(self.mu_model or ())
+        mu_osc = self.mu_model or ()
         named = zip(("eps_static", "mu_static", "plasma_freq",
                      "resonance_freq", "damping", "mu_plasma_freq",
                      "mu_resonance_freq", "mu_damping"),

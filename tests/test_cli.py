@@ -608,6 +608,11 @@ _META_KEYS = ["temperature_K", "zero_term_policy", "rel_tol", "abs_floor",
 _FORCE_KEYS = ["force_per_area_N_per_m2", "error_estimate_N_per_m2",
                "force_s_N_per_m2", "force_p_N_per_m2", "converged",
                "evaluations"] + _META_KEYS
+# Every compare row, closed or quadrature, with or without distances.
+_COMPARE_KEYS = ["eps", "n", "force_per_area_N_per_m2",
+                 "minkowski_force_N_per_m2", "ratio_minkowski_over_force",
+                 "d1_m", "d3_m", "force_converged", "minkowski_converged",
+                 "mode"] + _META_KEYS
 
 
 @pytest.mark.parametrize("structure,argv,keys", [
@@ -619,19 +624,18 @@ _FORCE_KEYS = ["force_per_area_N_per_m2", "error_estimate_N_per_m2",
      ["z_m", "t_zz_N_per_m2", "error_estimate_N_per_m2", "converged"]
      + _META_KEYS),
     (None, ["compare", "--eps", "2", "--d1", "1e-6", "--d3", "5e-6"],
-     ["eps", "n", "force_per_area_N_per_m2", "minkowski_force_N_per_m2",
-      "d1_m", "d3_m", "ratio_minkowski_over_force", "mode"] + _META_KEYS),
+     _COMPARE_KEYS),
+    (None, ["compare", "--eps", "1,2"], _COMPARE_KEYS),
     (None, ["compare", "--eps", "2", "--mode", "quadrature", "--d1", "1e-6",
-            "--d3", "5e-6"],
-     ["eps", "n", "force_per_area_N_per_m2", "minkowski_force_N_per_m2",
-      "ratio_minkowski_over_force", "d1_m", "d3_m", "force_converged",
-      "minkowski_converged", "mode"] + _META_KEYS),
+            "--d3", "5e-6"], _COMPARE_KEYS),
+    (VACUUM_CAVITY, ["compare"], _COMPARE_KEYS),
     (None, ["limits"],
      ["eps", "mu", "n", "d1_m", "d3_m", "force_per_area_N_per_m2",
       "minkowski_force_N_per_m2", "ratio_minkowski_over_force"]
      + _META_KEYS),
 ], ids=["force", "sweep", "stress-profile", "compare-closed",
-        "compare-quadrature", "limits"])
+        "compare-closed-no-distances", "compare-quadrature",
+        "compare-configured", "limits"])
 def test_json_row_schema(tmp_path, capsys, structure, argv, keys):
     # Every row of an emission carries exactly these columns, in this order.
     if structure is not None:
@@ -640,6 +644,37 @@ def test_json_row_schema(tmp_path, capsys, structure, argv, keys):
     assert code == 0
     rows = json.loads(out)["results"]
     assert rows and [list(row) for row in rows] == [keys] * len(rows)
+
+
+@pytest.mark.parametrize("argv,quadrature", [
+    (["limits", "--eps", "2"], False),
+    (["compare", "--eps", "2"], False),
+    (["compare", "--eps", "2", "--d1", "1e-6", "--d3", "5e-6"], False),
+    (["compare", "--eps", "2", "--mode", "quadrature", "--d1", "1e-6",
+      "--d3", "5e-6"], True),
+], ids=["limits", "compare-closed-no-distances", "compare-closed",
+        "compare-quadrature"])
+def test_closed_form_rows_null_the_quadrature_settings(capsys, argv,
+                                                       quadrature):
+    # No quadrature or thermal sum runs for a closed form, so its rows carry
+    # none of their settings, even those given; the temperature (0 K) stays.
+    argv = argv + ["--zero-term-policy", "drop", "--rel-tol", "1e-6"]
+    code, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    row = json.loads(out)["results"][0]
+    settings = [row[key] for key in _META_KEYS[1:]]
+    assert row["temperature_K"] == 0.0
+    if quadrature:
+        assert settings == ["drop", 1e-6, 0.0, None]
+    else:
+        assert settings == [None] * 4
+    converged = [row.get(key) for key in ("force_converged",
+                                          "minkowski_converged")]
+    assert converged == ([True, True] if quadrature else [None, None])
+    # A CSV header is the same for every mode and flag of a command.
+    code, out, _ = _run(capsys, argv + ["--format", "csv"])
+    header = out.splitlines()[0].split(",")
+    assert header == (_COMPARE_KEYS if argv[0] == "compare" else list(row))
 
 
 def test_format_inferred_from_suffix(tmp_path, capsys):

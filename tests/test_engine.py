@@ -67,8 +67,7 @@ def _g(view, z, xi, q, pol=None):
     like q, a float for scalar q. A float xi and a float or 1-D q run as
     one row of the (s, p)-leading layout."""
     xi_col, q_row = np.reshape(xi, (1, 1)), np.reshape(q, (1, -1))
-    g = engine._g(view, z, xi_col, q_row,
-                  layers._wave(view.medium, xi_col, q_row))
+    g = engine._g(view, z, layers._Waves(xi_col, q_row))
     g = g.sum(axis=0) if pol is None else g["sp".index(pol)]
     return g.reshape(np.shape(q)) if np.ndim(q) else float(g[0, 0])
 
@@ -656,9 +655,8 @@ def test_cavity_interspaces_widths_and_media():
     xi, q = 5e14, 1e6
     mode = TransverseMode(xi=xi, q=q, pol="p")
     xi_col, q_row = np.full((1, 1), xi), np.full((1, 1), q)
-    r_bare = layers._plate_rt(cavity.plate,
-                              layers._wave(cavity.medium, xi_col, q_row),
-                              xi_col, q_row)[0][1, 0, 0]
+    r_bare = layers._plate_rt(cavity.plate, cavity.medium,
+                              layers._Waves(xi_col, q_row))[0][1, 0, 0]
     r_composite = wall_reflection(view1.right, view1.medium, mode)
     assert abs(r_composite - r_bare) > 1e-6
 

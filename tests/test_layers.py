@@ -33,9 +33,8 @@ def _plate_column(plate, ambient, mode):
     1-D q run as one row of the (s, p)-leading layout."""
     xi, q = np.reshape(mode.xi, (1, 1)), np.reshape(mode.q, (1, -1))
     row = layers.POLARIZATIONS.index(mode.pol)
-    wave = layers._wave(ambient, xi, q)
     pair = [np.broadcast_to(x, (2,) + q.shape)[row]
-            for x in layers._plate_rt(plate, wave, xi, q)]
+            for x in layers._plate_rt(plate, ambient, layers._Waves(xi, q))]
     return tuple(x.reshape(np.shape(mode.q)) if np.ndim(mode.q)
                  else float(x[0, 0]) for x in pair)
 
@@ -348,12 +347,13 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
     xi = np.geomspace(1e12, 3e16, 5)[:, None]
     q = np.geomspace(1e4, 3e8, 7) * np.linspace(1.0, 2.0, xi.size)[:, None]
     shape = (2,) + q.shape
-    wave = layers._wave(ambient, xi, q)
+    waves = layers._Waves(xi, q)
+    wave = waves[ambient]
     assert wave[0].shape == (2, xi.size, 1) and wave[1].shape == q.shape
     walls = [Wall.stack(slabs, MIRROR), Wall.stack(slabs, drude),
              Wall.semi_infinite(drude), Wall.perfect_mirror()]
     for wall in walls:
-        r = layers._wall_refl(wall, wave, xi, q)
+        r = layers._wall_refl(wall, ambient, waves)
         assert np.broadcast_shapes(np.shape(r), shape) == shape
         if wall.layers or not wall.is_mirror_terminated:
             assert r.shape == shape
@@ -365,7 +365,7 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
                 assert r[row, a, b] == pytest.approx(
                     wall_reflection(wall, ambient, mode), rel=1e-15, abs=0.0)
     for plate in (Layer(magnetic, 1e-7), PerfectMirrorPlate()):
-        pair = layers._plate_rt(plate, wave, xi, q)
+        pair = layers._plate_rt(plate, ambient, waves)
         if isinstance(plate, Layer):
             assert [x.shape for x in pair] == [shape, shape]
         for x in pair:
@@ -398,6 +398,95 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
     engine.minkowski_stress_zz(view)
     shapes = [integrand(xi, q).shape for integrand in seen]
     assert shapes == [q.shape + (2,)] * 3 + [q.shape, q.shape + (3,), q.shape]
+
+
+def _alternating_wall(a, b, slabs=20):
+    """``slabs`` slabs alternating a, b from the gap side, backed by a."""
+    return Wall.stack([Layer((a, b)[i % 2], 3e-8 + 1e-9 * i)
+                       for i in range(slabs)], a)
+
+
+def test_each_material_is_evaluated_once_per_integrand_call(monkeypatch):
+    # A 20-slab wall of two alternating materials over a third gap medium:
+    # every integrand call evaluates the three materials once each, and
+    # forms each interface once per pair of materials.
+    drude = drude_lorentz(1.37e16, 0.0, 5.3e13)
+    lorentz = drude_lorentz(1.5e16, 1.2e16, 2e14)
+    gap = drude_lorentz(1.2e16, 2.0e16, 1e14)
+    wall = _alternating_wall(drude, lorentz)
+    view = engine.interspace(wall, gap, 1e-6, Wall.semi_infinite(lorentz))
+    cavity = CavityConfig(wall, gap, 4e-7, Layer(lorentz, 1e-7), 9e-7,
+                          Wall.semi_infinite(drude))
+    seen = []
+
+    def capture(integrand, *args, **kwargs):
+        seen.append(integrand)
+        return engine.IntegralResult(np.zeros(2), np.zeros(2), 0, True)
+
+    monkeypatch.setattr(engine, "double_semi_infinite", capture)
+    engine.stress_zz(view, np.array([2e-7, 5e-7]))
+    engine.minkowski_stress_zz(view)
+    for method in ("exact-difference", "direct-difference"):
+        engine.plate_force(cavity, method=method)
+    engine.minkowski_plate_force(cavity)
+    evaluated, interfaces = [], []
+    response, fresnel = layers._response, layers._fresnel
+    monkeypatch.setattr(layers, "_response", lambda model, xi: (
+        evaluated.append(model) or response(model, xi)))
+    monkeypatch.setattr(layers, "_fresnel", lambda a, b: (
+        interfaces.append(None) or fresnel(a, b)))
+    xi = np.geomspace(1e13, 1e16, 3)[:, None]
+    q = np.geomspace(1e5, 1e8, 4) * np.ones_like(xi)
+
+    def count(call):
+        evaluated.clear()
+        interfaces.clear()
+        call()
+        return sorted(map(id, evaluated)), len(interfaces)
+
+    once = sorted(map(id, (drude, lorentz, gap)))
+    assert len(seen) == 5
+    for integrand in seen:
+        # gap | drude, drude | lorentz (lorentz | drude is its negation),
+        # and gap | lorentz for the other wall or the plate.
+        assert count(lambda: integrand(xi, q)) == (once, 3)
+    mode = TransverseMode(1e15, q[0], "p")
+    assert count(lambda: wall_reflection(wall, gap, mode)) == (once, 2)
+
+
+def test_reversed_interface_is_the_exact_negation():
+    # The memo reads b | a as the negation of a | b; forming b | a afresh
+    # gives the same bits, as x and y swap in (x - y)/(x + y).
+    xi = np.geomspace(1e13, 1e16, 3)[:, None]
+    q = np.geomspace(1e5, 1e9, 5) * np.ones_like(xi)
+    a = drude_lorentz(1.37e16, 0.0, 5.3e13)
+    b = drude_lorentz(9e15, 1.1e16, 1e14, mu_model=(3e15, 5e15, 1e13))
+    waves = layers._Waves(xi, q)
+    forward = waves[a, b]
+    direct = layers._fresnel(waves[b], waves[a])
+    assert np.all(forward != 0.0)
+    assert (-forward).tobytes() == direct.tobytes() == waves[b, a].tobytes()
+
+
+def test_equal_materials_reflect_as_one_shared_object():
+    # Distinct but equal-valued model objects share one memo entry, and the
+    # wall reflects exactly as when one object fills every slab.
+    def drude():
+        return drude_lorentz(1.37e16, 0.0, 5.3e13)
+
+    def lorentz():
+        return drude_lorentz(1.5e16, 1.2e16, 2e14)
+
+    shared = _alternating_wall(drude(), lorentz(), slabs=6)
+    distinct = Wall.stack([Layer((drude, lorentz)[i % 2](), ly.thickness)
+                           for i, ly in enumerate(shared.layers)], drude())
+    assert shared == distinct
+    assert distinct.layers[0].material is not distinct.layers[2].material
+    q = np.geomspace(1e5, 1e9, 9)
+    for pol in ("s", "p"):
+        mode = TransverseMode(xi=3e14, q=q, pol=pol)
+        assert np.array_equal(wall_reflection(shared, VACUUM, mode),
+                              wall_reflection(distinct, VACUUM, mode))
 
 
 def test_geometry_validation():

@@ -38,6 +38,30 @@ def test_constructor_validation():
         drude_lorentz(1e15, 0.0, 0.0, mu_model=(-1e15, 0.0, 0.0))
 
 
+def test_sequence_mu_model_is_a_hashable_tuple():
+    # Any sequence of three numbers is stored as a tuple of floats, so the
+    # frozen model is hashable and equal to its tuple twin, and runs through
+    # a wall like it.
+    from planarcasimir.layers import Layer, TransverseMode, Wall, wall_reflection
+
+    twin = drude_lorentz(9e15, 1.1e16, 1e14, mu_model=(3e15, 5e15, 1e13))
+    for mu_model in ([3e15, 5e15, 1e13], np.array([3e15, 5e15, 1e13])):
+        model = drude_lorentz(9e15, 1.1e16, 1e14, mu_model=mu_model)
+        assert model == twin and hash(model) == hash(twin)
+        assert model.mu_model == (3e15, 5e15, 1e13)
+        assert [type(v) for v in model.mu_model] == [float] * 3
+        for pol in ("s", "p"):
+            mode = TransverseMode(xi=4e14, q=np.geomspace(1e5, 1e8, 4), pol=pol)
+            got = wall_reflection(Wall.stack([Layer(model, 5e-8)], model),
+                                  VACUUM, mode)
+            want = wall_reflection(Wall.stack([Layer(twin, 5e-8)], twin),
+                                   VACUUM, mode)
+            assert np.isfinite(got).all() and np.array_equal(got, want)
+    for short in ((), (3e15, 5e15)):
+        with pytest.raises(ValueError, match="mu_model"):
+            drude_lorentz(9e15, 1.1e16, 1e14, mu_model=short)
+
+
 def test_singletons():
     assert VACUUM == constant()
     assert MIRROR == perfect_mirror()
