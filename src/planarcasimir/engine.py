@@ -148,8 +148,8 @@ def cavity_interspaces(cavity: CavityConfig) -> tuple[InterspaceView, Interspace
 
 
 def _integrand(rows):
-    """The integrand of ``rows``, a function of xi (A, 1) and q (A, m); a
-    float xi against a float or 1-D q runs as one row, shaped like q."""
+    """The integrand of ``rows``, a function of xi (A, 1) and q (A, m) or
+    (1, m); a float xi and a float or 1-D q run as one row, shaped like q."""
     def integrand(xi, q):
         if np.ndim(q) == 2:
             return rows(xi, q)
@@ -287,7 +287,8 @@ def stress_zz(
     d_ref = min(heights.min(), view.width - heights.max())
     return double_semi_infinite(integrand, spec, d_ref, _STRESS_PREFACTOR,
                                 temperature, *zero_term,
-                                index=_index(view.medium))
+                                index=_index(view.medium),
+                                columns=heights.size)
 
 
 def minkowski_stress_zz(
@@ -388,7 +389,7 @@ def _exact_difference_integrand(cavity: CavityConfig, pol: str | None = None):
         (mu, _), kappa = wave
         pair, surf = _mode_coefficients(wave, xi, q)
         curly = pair * r + surf * (1.0 + r * r - t * t)
-        return np.moveaxis(q * (-mu / kappa) * curly * (b - a) / n_den, 0, -1)
+        return (q * (-mu / kappa) * curly * (b - a) / n_den).transpose(1, 2, 0)
 
     if pol is None:
         return integrand
@@ -405,7 +406,7 @@ def _direct_difference_integrand(cavity: CavityConfig):
         (mu, _), kappa = waves[cavity.medium]
         g3 = _g(view3, 0.0, waves)
         g1 = _g(view1, cavity.d1, waves)
-        return np.moveaxis(q * (-mu / kappa) * (g3 - g1), 0, -1)
+        return (q * (-mu / kappa) * (g3 - g1)).transpose(1, 2, 0)
 
     return integrand
 
@@ -482,7 +483,7 @@ def plate_force(
                            cavity.has_drude_like, per_polarization=True)
     res = double_semi_infinite(_INTEGRANDS[method](cavity), spec, d_min,
                                _STRESS_PREFACTOR, temperature, *zero_term,
-                               index=_index(cavity.medium))
+                               index=_index(cavity.medium), columns=2)
     return _force_result(res, spec)
 
 
@@ -513,8 +514,9 @@ def minkowski_plate_force(
     @_integrand
     def integrand(xi, q):
         wave, r, _, a, b, n_den = _plate_terms(cavity, xi, q)
-        return np.moveaxis(q * wave[1] * r * (b - a) / n_den, 0, -1)
+        return (q * wave[1] * r * (b - a) / n_den).transpose(1, 2, 0)
 
     res = double_semi_infinite(integrand, spec, min(cavity.d1, cavity.d3),
-                               _MINKOWSKI_PREFACTOR, temperature, *zero_term)
+                               _MINKOWSKI_PREFACTOR, temperature, *zero_term,
+                               columns=2)
     return _force_result(res, spec)

@@ -22,9 +22,9 @@ code path of that recursion.
 
 Polarization is the leading array axis: internal reflection and
 transmission arrays have shape (2, A, m), ordered (s, p), for xi a column of
-shape (A, 1), one frequency per row, broadcast against q of shape (A, m).
-A perfect mirror is ``DELTA``, a (2, 1, 1) constant that broadcasts. The s
-and p coefficients are one expression whose kappa contrast is weighted by
+shape (A, 1), one frequency per row, against q of shape (A, m) or (1, m). A
+perfect mirror is ``DELTA``, a (2, 1, 1) constant that broadcasts. The s and
+p coefficients are one expression whose kappa contrast is weighted by
 (mu, eps). ``_wave`` is the one place a material is evaluated, for both
 polarizations, through one call into ``materials``.
 
@@ -164,7 +164,7 @@ def beta_imag(n_sq, xi, q: float | np.ndarray):
     mode (xi, q) = (0, 0) has no propagation direction and is rejected.
     """
     kappa = np.sqrt(np.asarray(q, dtype=float) ** 2 + xi * xi * n_sq / c**2)
-    if np.any(kappa == 0.0):
+    if not kappa.all():
         raise ValueError("kappa vanishes: xi = 0 and q = 0 is a degenerate mode")
     return kappa if np.ndim(q) else float(kappa)
 
@@ -172,11 +172,11 @@ def beta_imag(n_sq, xi, q: float | np.ndarray):
 def _wave(model: DispersionModel, xi, q):
     """A material's Fresnel weights (mu, eps) and kappa at omega = i*xi.
 
-    xi is a column of shape (A, 1) broadcast against q of shape (A, m). The
+    xi is a column (A, 1) broadcast against q of shape (A, m) or (1, m). The
     weights have shape (2, A, 1), rows (s, p); kappa has shape (A, m).
     """
-    eps, mu = _response(model, xi)
-    return np.stack((mu, eps)), beta_imag(eps * mu, xi, q)
+    response = _response(model, xi)
+    return response[::-1], beta_imag(response[0] * response[1], xi, q)
 
 
 def _fresnel(a, b):
@@ -191,7 +191,7 @@ def _fresnel(a, b):
 
 
 class _Waves(dict):
-    """The memo of one integrand call at xi (A, 1) and q (A, m).
+    """The memo of one integrand call at xi (A, 1) and q (A, m) or (1, m).
 
     ``waves[model]`` is the ``_wave`` of a material and ``waves[a, b]`` the
     interface coefficient from material a into material b, each formed on

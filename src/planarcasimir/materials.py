@@ -103,6 +103,16 @@ class DispersionModel:
         if self.kind in (MaterialKind.CONSTANT, MaterialKind.PERFECT_MIRROR
                          ) and any(eps_osc + mu_osc):
             raise ValueError(f"the {self.kind.value} kind has no oscillator")
+        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt on copy or unpickling: kind hashes as a str, per process.
+        return type(self), (self.kind, self.eps_static, self.mu_static,
+                            self.plasma_freq, self.resonance_freq,
+                            self.damping, self.mu_model)
 
 
 def constant(eps: float = 1.0, mu: float = 1.0) -> DispersionModel:
@@ -158,32 +168,40 @@ def _records(model: DispersionModel):
             (model.mu_static, mu_osc if mu_osc[0] else None))
 
 
-def _evaluate(record, xi):
-    """static + Omega^2/(omega_0^2 + xi^2 + gamma*xi); a float for scalar xi."""
+def _evaluate(record, x, out):
+    """Writes static + Omega^2/(omega_0^2 + x^2 + gamma*x) at x into out."""
     static, oscillator = record
-    x = np.asarray(xi, dtype=float)
     if oscillator is None:
-        out = np.full_like(x, static)
-    else:
-        strength, resonance, damping = oscillator
-        with np.errstate(divide="ignore"):
-            out = static + strength**2 / (resonance**2 + x**2 + damping * x)
-    return out if np.ndim(xi) else float(out)
+        out[...] = static
+        return out
+    strength, resonance, damping = oscillator
+    with np.errstate(divide="ignore"):
+        np.divide(strength**2, resonance**2 + x**2 + damping * x, out=out)
+    out += static
+    return out
 
 
 def _response(model: DispersionModel, xi):
-    """[eps(i*xi), mu(i*xi)], the one evaluation of a material's record."""
-    return [_evaluate(record, xi) for record in _records(model)]
+    """Rows eps(i*xi) and mu(i*xi): the one evaluation of a material."""
+    x = np.asarray(xi, dtype=float)
+    out = np.empty((2,) + x.shape)
+    for i, record in enumerate(_records(model)):
+        _evaluate(record, x, out[i, ...])
+    return out
 
 
 def eps_imag_axis(model: DispersionModel, xi: float | np.ndarray) -> float | np.ndarray:
     """eps(i*xi) as a real number; a float for scalar xi."""
-    return _evaluate(_records(model)[0], xi)
+    x = np.asarray(xi, dtype=float)
+    eps = _evaluate(_records(model)[0], x, np.empty(x.shape))
+    return eps if x.ndim else float(eps)
 
 
 def mu_imag_axis(model: DispersionModel, xi: float | np.ndarray) -> float | np.ndarray:
     """mu(i*xi) as a real number; a float for scalar xi."""
-    return _evaluate(_records(model)[1], xi)
+    x = np.asarray(xi, dtype=float)
+    mu = _evaluate(_records(model)[1], x, np.empty(x.shape))
+    return mu if x.ndim else float(mu)
 
 
 def is_drude_like(model: DispersionModel) -> bool:

@@ -99,7 +99,8 @@ _TERM_LEVELS = (4, 6)
 _LINE = (-4.5, 3.875, None)
 _LINE_LEVELS = (3, 12)
 # Point-columns per integrand call (3,600 points of an (s, p) pair), and at
-# least one row: larger calls add to the peak memory of every run.
+# least one row: larger calls add to the peak memory of every run. Callers
+# of ``_nested`` state their column count; no call is made to learn it.
 _CHUNK = 7200
 # Nonzero Matsubara terms in the first and the last block of
 # ``matsubara_sum``; every later block is twice the one before, so a sum of
@@ -152,18 +153,17 @@ def _axis(axis, level: int):
 
 
 def _fixed(x: np.ndarray, w: np.ndarray):
-    """A fixed axis in the form of ``_axis``: nodes x with weights w.
-
-    The weights are those of every level: it adds no nodes, has no end
-    terms and no change from one level to the next.
-    """
-    weights = np.zeros((5, x.size))
-    weights[0] = w
-    return x, weights, range(0), range(x.size)
+    """A fixed outer axis in the form of ``_axis``: nodes x, and weights w
+    for every level, as one row; it adds no nodes and has no end terms."""
+    return x, w[None], range(0), range(x.size)
 
 
 # The single node x = 0 of an axis not integrated.
 _POINT = _fixed(np.zeros(1), np.ones(1))
+# A new level halves S_k into S_k-1 as S_k-1 becomes S_k-2; end rows stay.
+_KEEP, _HALVE = [0, 0, 1, 3, 4], np.array([0.5, 1.0, 1.0, 1.0, 1.0])
+# Of the sums of two integrated axes, the inner line and the outer line.
+_LINES = (np.array([[0] * 5, range(5)]), np.array([range(5), [0] * 5]))
 
 
 def _singular_values(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -244,83 +244,73 @@ def _booked(change, before, total):
 
 
 def _nested(f: Callable, outer, inner, levels: tuple[int, int],
-            rel_tol: float, abs_floor: float | np.ndarray):
+            rel_tol: float, abs_floor: float | np.ndarray, columns: int):
     """Nested trapezoid rule over the tensor product of two axes.
 
-    Each axis is a range of ``_axis`` or a fixed axis of ``_fixed``.
-    ``f(a, b)`` gets outer abscissas a of shape (A, 1) and inner ones b of
-    shape (A, m) and returns shape (A, m), or (A, m, k) for k columns. The
-    first of ``levels`` evaluates every node and reads the two levels
-    before from every second and every fourth node, so one pass yields an
-    error; each later level evaluates the nodes it adds, in calls of at
-    most ``_CHUNK`` point-columns. Each integrated axis books (``_booked``)
-    the change of S_k as it alone drops to level k-1, after its change from
-    k-2 to k-1; the end terms, integrals along the end lines of each such
-    axis per unit t, are added, and ``_ULPS`` ulps of the sum of
+    The inner axis is a range of ``_axis``; the outer one is a range too or
+    a fixed axis of ``_fixed``. ``f(a, b)`` gets outer abscissas a of shape
+    (A, 1) and inner ones b of shape (1, m) and returns shape (A, m), or
+    (A, m, k) for k columns. The first of ``levels`` evaluates every node
+    and reads the two levels before from every second and every fourth
+    node, so one pass yields an error; each later level evaluates the nodes
+    it adds. Calls hold at most ``_CHUNK`` point-columns, counted with the
+    caller's ``columns``, or one row. Each integrated axis books
+    (``_booked``) the change of S_k as it alone drops to level k-1, after
+    its change from k-2 to k-1, plus the end terms, integrals along the end
+    lines of each such axis per unit t; ``_ULPS`` ulps of the sum of
     |weight * f| are the least error. Every column must meet
-    ``max(rel_tol*|S_k|, abs_floor)``. Returns (value, error, points
-    evaluated, converged, upper end term of the inner axis, sum of
-    |weight * f|).
+    ``max(rel_tol*|S_k|, abs_floor)``. Returns (value, error, points,
+    converged, upper end term of the inner axis, sum of |weight * f|).
     """
     first, last = levels
-    # At a new level an integrated axis halves the sums of its old level,
-    # which become those of the level before, as those become the level
-    # before that; the end rows stay, and a fixed axis keeps all.
-    shifts = [([0, 0, 1, 3, 4], np.array([0.5, 1.0, 1.0, 1.0, 1.0]))
-              if len(axis) == 3 else (range(5), np.ones(5))
-              for axis in (outer, inner)]
-    scale = np.outer(shifts[0][1], shifts[1][1])[..., None]
-    # Per integrated axis, the (row, column) of S with it alone at levels
-    # k, k-1 and k-2.
-    lines = np.array([((0, 1, 2), (0, 0, 0)), ((0, 0, 0), (0, 1, 2))])[
-        [len(axis) == 3 for axis in (outer, inner)]]
     floor = _ULPS * np.finfo(float).eps
-    n_cols, evals = None, 0
+    sums, size, evals = 0.0, 0.0, 0
     for level in range(first, last + 1):
         (u, w_u, odd_u, even_u), (v, w_v, odd_v, _) = (
-            axis if len(axis) == 4 else _axis(axis, level)
+            _axis(axis, level) if len(axis) == 3 else axis
             for axis in (outer, inner))
-        every = range(v.size)
         if level == first:
-            # A first call of one row tells the column count.
-            blocks = [(range(1), every), (range(1, u.size), every)]
+            blocks = [(range(u.size), range(v.size))]
         else:
-            blocks = [(odd_u, every), (even_u, odd_v)]
-            sums = sums[shifts[0][0]][:, shifts[1][0]] * scale
-            size = size * scale[0, 0]
-        for rows, columns in blocks:
-            cols = slice(columns.start, columns.stop, columns.step)
-            step = max(1, _CHUNK // (len(columns) * (n_cols or 1)))
+            blocks = [(odd_u, range(v.size)), (even_u, odd_v)]
+            sums, size = sums[:, _KEEP] * _HALVE[:, None], 0.5 * size
+            if len(outer) == 3:
+                sums, size = sums[_KEEP] * _HALVE[:, None, None], 0.5 * size
+        for rows, nodes in blocks:
+            cols = slice(nodes.start, nodes.stop, nodes.step)
+            step = max(1, _CHUNK // (len(nodes) * columns))
             for at in range(0, len(rows), step):
                 chunk = rows[at:at + step]
                 r = slice(chunk.start, chunk.stop, chunk.step)
-                y = np.asarray(f(u[r, None], v[None, cols].repeat(
-                    len(chunk), axis=0)), dtype=float)
-                if (y.shape[:2] != (len(chunk), len(columns))
+                y = np.asarray(f(u[r, None], v[None, cols]), dtype=float)
+                if (y.shape[:2] != (len(chunk), len(nodes))
                         or y.ndim not in (2, 3)):
                     raise ValueError("integrand must return one value or one"
                                      " row per abscissa")
                 evals += y.shape[0] * y.shape[1]
                 column_shape = y.shape[2:]
-                y = y.reshape(y.shape[:2] + (-1,))
-                if not np.isfinite(y).all():
-                    i, j = np.argwhere(~np.isfinite(y).all(axis=-1))[0]
-                    where = ("" if outer is _POINT
-                             else f" (outer {u[chunk[i]]})")
-                    raise ValueError("integrand returned a non-finite value"
-                                     f" at x = {v[columns[j]]}{where}")
-                if n_cols is None:
-                    n_cols = y.shape[2]
-                    sums, size = np.zeros((5, 5, n_cols)), np.zeros(n_cols)
                 # Matrix products per column; the engine's columns lead in
                 # memory, so this view of them copies nothing.
-                wu, wv, y = w_u[:, r], w_v[:, cols], y.transpose(2, 0, 1)
+                y = y.reshape(y.shape[:2] + (-1,)).transpose(2, 0, 1)
+                wu, wv = w_u[:, r], w_v[:, cols]
+                mass = wu[0] @ np.abs(y) @ wv[0]
+                # A non-finite value leaves its column's sum of |w * f|
+                # non-finite; so may an overflow, which is let through.
+                if not np.isfinite(mass).all():
+                    for i, j in np.argwhere(~np.isfinite(y).all(axis=0))[:1]:
+                        where = ("" if outer is _POINT
+                                 else f" (outer {u[chunk[i]]})")
+                        raise ValueError("integrand returned a non-finite"
+                                         f" value at x = {v[nodes[j]]}{where}")
                 sums = sums + (wu @ y @ wv.T).transpose(1, 2, 0)
-                size = size + wu[0] @ np.abs(y) @ wv[0]
-        total, line = sums[0, 0], sums[lines[:, 0], lines[:, 1]]
-        change, before = np.abs(line[:, :2] - line[:, 1:]).transpose(1, 0, 2)
-        # The end lines: u at its two ends, then v at its two ends.
-        bound = np.abs(sums[[3, 4, 0, 0], [0, 0, 3, 4]]).sum(axis=0)
+                size = size + mass
+        total = sums[0, 0]
+        # Per integrated axis, the inner and then an integrated outer one:
+        # S with it alone at levels k, k-1 and k-2, then its two end lines.
+        lines = sums[_LINES] if len(outer) == 3 else sums
+        change = np.abs(lines[:, 0] - lines[:, 1])
+        before = np.abs(lines[:, 1] - lines[:, 2])
+        bound = np.abs(lines[:, 3:]).sum(axis=(0, 1))
         error = np.maximum(_booked(change, before, total).sum(axis=0) + bound,
                            floor * size)
         converged = bool(np.all(error <= np.maximum(rel_tol * np.abs(total),
@@ -371,7 +361,7 @@ def integrate_semi_infinite(
     """
     value, error, evaluations, converged, top, _ = _nested(
         lambda _, x: np.asarray(f(x[0]))[None], _POINT, _LINE, _LINE_LEVELS,
-        spec.rel_tol, spec.abs_floor)
+        spec.rel_tol, spec.abs_floor, 1)
     if np.any(top > np.maximum(spec.rel_tol * np.abs(value), spec.abs_floor)):
         raise ValueError(
             "the integrand has not decayed by x = 2.7e16; rescale the"
@@ -388,16 +378,18 @@ def double_semi_infinite(
     zero_term_policy: str = "half-weight",
     zero_term_value: float | np.ndarray | None = None,
     index: float = 1.0,
+    columns: int = 1,
 ) -> IntegralResult:
     """prefactor * Int_0^inf dxi Int_0^inf dq integrand_si(xi, q).
 
     ``integrand_si(xi, q)`` is called with xi of shape (A, 1), one
-    frequency per row, and q of shape (A, m); it returns shape (A, m), or
-    (A, m, k) for k columns (the engine's s and p) that share one pass. The
-    q rule runs in v = q*d_ref from 3.7e-16 to 60, so decay scales of order
-    d_ref become O(1); ``spec.q_cutoff`` composes it with tanh-sinh on
-    [0, q_cutoff*d_ref]. ``index`` is a lower bound on the medium's
-    refractive index n(i xi): the integrand decays like
+    frequency per row, and a row q of shape (1, m) that broadcasts against
+    it; it returns shape (A, m), or (A, m, k) for k = ``columns`` columns
+    (the engine's s and p, or its heights) that share one pass and size its
+    calls (``_nested``). The q rule runs in v = q*d_ref from 3.7e-16 to 60,
+    so decay scales of order d_ref become O(1); ``spec.q_cutoff`` composes
+    it with tanh-sinh on [0, q_cutoff*d_ref]. ``index`` is a lower bound on
+    the medium's refractive index n(i xi): the integrand decays like
     exp(-2 n xi d_ref/c), so ``d_ref`` and ``index`` set the frequency
     scale both rules must resolve. Both must be finite and positive,
     ``prefactor`` finite, ``temperature`` finite and >= 0 and
@@ -420,24 +412,26 @@ def double_semi_infinite(
     if not 0.0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0: {temperature}")
     _check_policy(zero_term_policy)
-    # The rules see values without the prefactor; so must the floor.
-    floor = 0.0 if spec.abs_floor == 0.0 else spec.abs_floor / abs(prefactor)
+    # The rules sum in v, and at T = 0 in u, without the prefactor and the
+    # Jacobians of those variables, which scale the result; so must the floor.
+    jac = c / (index * d_ref) if temperature == 0.0 else 1.0
+    scale = prefactor * jac / d_ref
+    floor = 0.0 if spec.abs_floor == 0.0 else spec.abs_floor / abs(scale)
     v_axis = _MOMENTUM if spec.q_cutoff is None else (
         _MOMENTUM[0], _CUTOFF_TOP, spec.q_cutoff * d_ref)
     if temperature == 0.0:
-        jac = c / (index * d_ref)
         value, error, evaluations, converged, _, _ = _nested(
-            lambda u, v: integrand_si(u * jac, v / d_ref) * (jac / d_ref),
-            _FREQUENCY, v_axis, _TENSOR_LEVELS, spec.rel_tol, floor)
+            lambda u, v: integrand_si(u * jac, v / d_ref), _FREQUENCY, v_axis,
+            _TENSOR_LEVELS, spec.rel_tol, floor, columns)
     else:
         value, error, evaluations, converged = _pade_sum(
-            lambda xi, v: integrand_si(xi, v / d_ref) / d_ref, v_axis,
+            lambda xi, v: integrand_si(xi, v / d_ref), columns, v_axis,
             temperature, zero_term_policy, spec, floor,
             c / (2.0 * index * d_ref))
-    value, error = prefactor * np.asarray(value), np.asarray(error)
+    value = scale * np.asarray(value)
     if zero_term_value is not None:
         value = value + zero_term_value
-    return IntegralResult(_plain(value), _plain(abs(prefactor) * error),
+    return IntegralResult(_plain(value), _plain(abs(scale) * error),
                           evaluations, converged)
 
 
@@ -452,8 +446,9 @@ def _check_policy(zero_term_policy: str) -> None:
         raise ValueError(f"unknown zero_term_policy {zero_term_policy!r}")
 
 
-def _pade_sum(f: Callable, inner, temperature: float, zero_term_policy: str,
-              spec: QuadratureSpec, floor: float, decay: float):
+def _pade_sum(f: Callable, columns: int, inner, temperature: float,
+              zero_term_policy: str, spec: QuadratureSpec, floor: float,
+              decay: float):
     """(value, error, points, converged) of the thermal sum of f by Pade.
 
     One ``_nested`` rule per order N of ``_pade`` over a fixed outer axis:
@@ -487,7 +482,7 @@ def _pade_sum(f: Callable, inner, temperature: float, zero_term_policy: str,
         w = np.concatenate([np.full(head, 0.5), residues])
         value, q_error, n, _, _, mass = _nested(
             f, _fixed(x * spacing, w * spacing), inner, _TERM_LEVELS,
-            0.1 * spec.rel_tol, floor)
+            0.1 * spec.rel_tol, floor, columns)
         points += n
         step = np.abs(value - before)
         change = _booked(step, drift, value) + rounding * mass

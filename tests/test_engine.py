@@ -394,6 +394,24 @@ def test_bad_zero_term_request_is_refused_before_integrating(
     assert calls == []
 
 
+def _call_shapes(monkeypatch, observable):
+    """(result, the (rows, columns) of every integrand call) of
+    ``observable()``."""
+    shapes = []
+    double = engine.double_semi_infinite
+
+    def recorded(integrand, *args, **kwargs):
+        def f(xi, q):
+            shapes.append(np.broadcast(xi, q).shape)
+            return integrand(xi, q)
+
+        return double(f, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "double_semi_infinite", recorded)
+        return observable(), shapes
+
+
 @pytest.mark.parametrize("temperature", [0.0, 300.0])
 @pytest.mark.parametrize("name", [name for name in _OBSERVABLES
                                   if name != "stress_profile"])
@@ -401,20 +419,61 @@ def test_evaluations_count_the_points_the_integrand_received(
         monkeypatch, name, temperature):
     # The thermal sum adds nothing per term: evaluations are integrand
     # points at every T.
-    points = []
-    double = engine.double_semi_infinite
-
-    def counted(integrand, *args, **kwargs):
-        def f(xi, q):
-            points.append(np.size(q))
-            return integrand(xi, q)
-
-        return double(f, *args, **kwargs)
-
-    monkeypatch.setattr(engine, "double_semi_infinite", counted)
-    res = _OBSERVABLES[name][1](temperature)
+    res, shapes = _call_shapes(monkeypatch,
+                               lambda: _OBSERVABLES[name][1](temperature))
     assert res.converged
-    assert res.evaluations == sum(points) > 0
+    assert res.evaluations == sum(rows * cols for rows, cols in shapes) > 0
+
+
+_ONE_BY_FIFTY = CavityConfig(Wall.perfect_mirror(), VACUUM, 1e-6,
+                             PerfectMirrorPlate(), 5e-5, Wall.perfect_mirror())
+# q nodes of the first level of the rule, and rows of an (s, p) call.
+_Q_NODES = quadrature._axis(quadrature._MOMENTUM, 4)[0].size
+_FORCE_ROWS = quadrature._CHUNK // (2 * _Q_NODES)
+
+
+def test_zero_temperature_force_calls_are_whole_chunks(monkeypatch):
+    # The first level's 8,188 points of (s, p) in ceil(8188 * 2 / _CHUNK)
+    # calls, and no call of one row to learn the column count.
+    res, shapes = _call_shapes(monkeypatch,
+                               lambda: plate_force(_ONE_BY_FIFTY, spec=SPEC))
+    assert res.converged and res.evaluations == 8188
+    assert len(shapes) == -(-8188 * 2 // quadrature._CHUNK) == 3
+    assert shapes == [(_FORCE_ROWS, _Q_NODES)] * 2 + [(12, _Q_NODES)]
+    assert sum(rows * cols for rows, cols in shapes) == res.evaluations
+
+
+@pytest.mark.parametrize("temperature,orders", [(300.0, (8, 16, 32)),
+                                                (10.0, (32, 64, 128))])
+def test_each_pade_order_takes_the_calls_its_rows_need(
+        monkeypatch, temperature, orders):
+    # Under half-weight an order N rule has N + 1 frequency rows, all met at
+    # the first q level: ceil(rows * nodes * 2 / _CHUNK) calls, each of at
+    # most _FORCE_ROWS rows.
+    res, shapes = _call_shapes(monkeypatch, lambda: plate_force(
+        _ONE_BY_FIFTY, temperature, SPEC))
+    assert res.converged
+    want = []
+    for order in orders:
+        rows = order + 1
+        calls = [(min(_FORCE_ROWS, rows - at), _Q_NODES)
+                 for at in range(0, rows, _FORCE_ROWS)]
+        assert len(calls) == -(-rows * _Q_NODES * 2 // quadrature._CHUNK)
+        want += calls
+    assert shapes == want
+    assert sum(rows * cols for rows, cols in shapes) == res.evaluations
+
+
+def test_profile_calls_hold_at_most_a_chunk_or_one_row(monkeypatch):
+    # 41 heights are 41 columns: a call of more than one row holds at most
+    # _CHUNK point-columns, however many q nodes a level adds.
+    heights = 41
+    res, shapes = _call_shapes(monkeypatch, lambda: stress_profile(
+        _mirror_gap(), heights, spec=SPEC))
+    assert np.all(res.converged)
+    assert shapes and all(rows == 1 or rows * cols * heights
+                          <= quadrature._CHUNK for rows, cols in shapes)
+    assert max(rows for rows, _ in shapes) == 1
 
 
 def _numbers(result):

@@ -62,6 +62,29 @@ def test_sequence_mu_model_is_a_hashable_tuple():
             drude_lorentz(9e15, 1.1e16, 1e14, mu_model=short)
 
 
+def test_equal_models_hash_alike():
+    # The hash is taken once, at construction: models equal field by field
+    # (a list or a tuple mu_model, int or float statics) still compare and
+    # hash alike, and so do copies and unpickled models, which are built
+    # anew.
+    import copy
+    import pickle
+
+    base = DispersionModel(MaterialKind.DRUDE_LORENTZ, eps_static=2.0,
+                           mu_static=1.0, plasma_freq=9e15,
+                           mu_model=(3e15, 5e15, 1e13))
+    twins = [DispersionModel(MaterialKind.DRUDE_LORENTZ, eps_static=2,
+                             mu_static=1, plasma_freq=9e15,
+                             mu_model=[3e15, 5e15, 1e13]),
+             copy.deepcopy(base), pickle.loads(pickle.dumps(base))]
+    for twin in twins:
+        assert twin is not base
+        assert twin == base and hash(twin) == hash(base)
+        assert {twin: 1}[base] == 1
+    assert constant(eps=4) == constant(eps=4.0)
+    assert hash(constant(eps=4)) == hash(constant(eps=4.0))
+
+
 def test_singletons():
     assert VACUUM == constant()
     assert MIRROR == perfect_mirror()

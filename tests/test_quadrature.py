@@ -376,8 +376,9 @@ def _captured_integrands(monkeypatch):
 
 
 def test_integrands_broadcast_frequency_rows(monkeypatch):
-    # The row core calls integrands with xi of shape (A, 1) against q of
-    # shape (A, m); each row must equal the scalar-xi evaluation.
+    # The row core calls integrands with xi of shape (A, 1) against a q row
+    # (1, m); given q of shape (A, m), each row must equal the scalar-xi
+    # evaluation.
     integrands = _captured_integrands(monkeypatch)
     assert len(integrands) == 5
     rng = np.random.default_rng(5)
