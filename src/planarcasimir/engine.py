@@ -41,7 +41,7 @@ xi -> 0 require an explicit zero-term policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +50,6 @@ from .layers import (
     DELTA,
     POLARIZATIONS,
     CavityConfig,
-    Layer,
-    PerfectMirrorPlate,
     Wall,
     _has_drude_like,
     _plate_rt,
@@ -127,38 +125,6 @@ def interspace(
                           right=right_wall)
 
 
-def cavity_interspaces(cavity: CavityConfig) -> tuple[InterspaceView, InterspaceView]:
-    """Views of gaps 1 and 3; each sees the plate side as a composite wall."""
-    med = cavity.medium
-    if isinstance(cavity.plate, PerfectMirrorPlate):
-        right_of_1 = Wall.perfect_mirror()
-        left_of_3 = Wall.perfect_mirror()
-    else:
-        right_of_1 = Wall(
-            layers=(cavity.plate, Layer(med, cavity.d3)) + cavity.right_wall.layers,
-            terminator=cavity.right_wall.terminator,
-        )
-        left_of_3 = Wall(
-            layers=(cavity.plate, Layer(med, cavity.d1)) + cavity.left_wall.layers,
-            terminator=cavity.left_wall.terminator,
-        )
-    view1 = interspace(cavity.left_wall, med, cavity.d1, right_of_1)
-    view3 = interspace(left_of_3, med, cavity.d3, cavity.right_wall)
-    return view1, view3
-
-
-def _integrand(rows):
-    """The integrand of ``rows``, a function of xi (A, 1) and q (A, m) or
-    (1, m); a float xi and a float or 1-D q run as one row, shaped like q."""
-    def integrand(xi, q):
-        if np.ndim(q) == 2:
-            return rows(xi, q)
-        y = rows(np.reshape(xi, (1, 1)), np.reshape(q, (1, -1)))
-        return y.reshape(np.shape(q) + y.shape[2:])
-
-    return integrand
-
-
 def _mode_coefficients(wave, xi, q):
     """(pair, surf) = (2 [ -kappa^2 (1 + 1/n^2) + Delta q^2 (1 - 1/n^2) ],
     -Delta (xi^2/c^2)(n^2 - 1)) of the gap's ``wave``, the coefficients of
@@ -180,14 +146,6 @@ def _g_terms(view: InterspaceView, waves: _Waves):
     # r_+ r_- e^{-2 kappa d} once, so that mirror-image walls round alike.
     rr = r_plus * r_minus * np.exp(-2.0 * wave[1] * view.width)
     return pair * rr, surf, r_minus, r_plus, 1.0 - rr
-
-
-def _g(view: InterspaceView, z, waves: _Waves):
-    """Mode function g at z, shape (2, A, m), from the call's ``waves``."""
-    bulk, surf, r_minus, r_plus, denom = _g_terms(view, waves)
-    kappa = waves[view.medium][1]
-    return (bulk + surf * (r_minus * np.exp(-2.0 * kappa * z) + r_plus
-                           * np.exp(-2.0 * kappa * (view.width - z)))) / denom
 
 
 def _index(medium: DispersionModel) -> float:
@@ -249,15 +207,19 @@ def stress_zz(
     last level, which is reported through ``converged`` rather than raised.
 
     K heights are the K columns of one double integral, with values and
-    errors of shape (K,) (floats for a scalar z). They share one mesh,
-    scaled by the least distance from a height to a face, and so one
-    ``converged`` flag; the integrand's memory grows in proportion to K.
+    errors of shape (K,) (floats for a scalar z); any other shape of z is
+    refused. They share one mesh, scaled by the least distance from a
+    height to a face, and so one ``converged`` flag; the integrand's memory
+    grows in proportion to K.
 
     ``_zero_term`` checks ``zero_term_policy`` and ``zero_term_value`` (under
     ``custom-value`` a finite m = 0 term in N/m^2) first, at any T.
     """
     spec = spec or DEFAULT_SPEC
     heights = np.asarray(z, dtype=float)
+    if heights.ndim > 1 or not heights.size:
+        raise ValueError("z must be one height or a non-empty 1-D array of"
+                         f" heights, got shape {heights.shape}")
     outside = heights[~((0.0 < heights) & (heights < view.width))]
     if outside.size:
         raise ValueError(
@@ -268,7 +230,6 @@ def stress_zz(
                            view.has_drude_like)
     spread = (1,) * heights.ndim  # the height axis, if there is one
 
-    @_integrand
     def integrand(xi, q):
         waves = _Waves(xi, q)
         bulk, surf, r_minus, r_plus, denom = _g_terms(view, waves)
@@ -312,7 +273,6 @@ def minkowski_stress_zz(
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
                            view.has_drude_like)
 
-    @_integrand
     def integrand(xi, q):
         waves = _Waves(xi, q)
         kappa = waves[view.medium][1]
@@ -370,7 +330,7 @@ def _plate_terms(cavity: CavityConfig, xi, q):
     return wave, r, t, a, b, (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
 
 
-def _exact_difference_integrand(cavity: CavityConfig, pol: str | None = None):
+def _exact_difference_integrand(cavity: CavityConfig):
     """Single-plate (r, t) form of the stress difference across the plate.
 
     With A, B and N of ``_plate_terms`` and (pair, surf) of
@@ -380,10 +340,9 @@ def _exact_difference_integrand(cavity: CavityConfig, pol: str | None = None):
         g_3(0) - g_1(d1) = [ pair r + surf (1 + r^2 - t^2) ] (B - A) / N ,
 
     which is manifestly exponentially convergent in q (every term carries A
-    or B). The integrand returns both polarization columns (s, p); ``pol``
-    "s" or "p" selects one at a float xi, as a float for scalar q.
+    or B). The integrand takes xi (A, 1) and q (1, m) or (A, m) and returns
+    shape (A, m, 2), the polarization columns (s, p).
     """
-    @_integrand
     def integrand(xi, q):
         wave, r, t, a, b, n_den = _plate_terms(cavity, xi, q)
         (mu, _), kappa = wave
@@ -391,30 +350,7 @@ def _exact_difference_integrand(cavity: CavityConfig, pol: str | None = None):
         curly = pair * r + surf * (1.0 + r * r - t * t)
         return (q * (-mu / kappa) * curly * (b - a) / n_den).transpose(1, 2, 0)
 
-    if pol is None:
-        return integrand
-    return lambda xi, q: integrand(xi, q)[..., POLARIZATIONS.index(pol)]
-
-
-def _direct_difference_integrand(cavity: CavityConfig):
-    """g_3(0) - g_1(d1) evaluated literally at the plate faces, columns (s, p)."""
-    view1, view3 = cavity_interspaces(cavity)
-
-    @_integrand
-    def integrand(xi, q):
-        waves = _Waves(xi, q)
-        (mu, _), kappa = waves[cavity.medium]
-        g3 = _g(view3, 0.0, waves)
-        g1 = _g(view1, cavity.d1, waves)
-        return (q * (-mu / kappa) * (g3 - g1)).transpose(1, 2, 0)
-
     return integrand
-
-
-# The plate-force routes by the name ``plate_force`` takes, each with its
-# integrand builder; the direct route is the tests' reference.
-_INTEGRANDS = {"exact-difference": _exact_difference_integrand,
-               "direct-difference": _direct_difference_integrand}
 
 
 def _force_result(res: IntegralResult, spec: QuadratureSpec) -> ForceResult:
@@ -436,7 +372,6 @@ def plate_force(
     cavity: CavityConfig,
     temperature: float = 0.0,
     spec: QuadratureSpec | None = None,
-    method: str = "exact-difference",
     zero_term_policy: str | None = None,
     zero_term_value: dict[str, float] | None = None,
 ) -> ForceResult:
@@ -448,13 +383,6 @@ def plate_force(
     temperature : float
         Kelvin; 0 integrates over xi, > 0 sums over thermal frequencies.
     spec : QuadratureSpec, optional
-    method : str
-        ``"exact-difference"`` uses the single-plate (r, t) closed form of
-        the stress difference (one exponentially convergent integrand);
-        ``"direct-difference"`` subtracts the two face evaluations of g.
-        Both converge to the same value; the direct route is slower, loses
-        some precision to cancellation and is kept as the tests' reference
-        for the closed form, reachable only through this keyword.
     zero_term_policy, zero_term_value
         Checked by ``_zero_term`` before the first integral; ``custom-value``
         takes a dict {'s': ..., 'p': ...} of finite m = 0 terms in N/m^2.
@@ -466,23 +394,11 @@ def plate_force(
         integrated in one pass.
     """
     spec = spec or DEFAULT_SPEC
-    d_min = min(cavity.d1, cavity.d3)
-    if method not in _INTEGRANDS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "direct-difference":
-        # The face evaluations subtracted here agree to within
-        # C * e^{-2 kappa min(d1, d3)} (every term of the analytic difference
-        # carries a gap round trip), so beyond kappa*d_min ~ 45 the true
-        # contribution is below 1e-39 of the bulk while the float difference
-        # is pure rounding noise amplified by the half-line transform. Cap
-        # the momentum domain there; a tighter user q_cutoff still wins.
-        noise_guard = 45.0 / d_min
-        if spec.q_cutoff is None or spec.q_cutoff > noise_guard:
-            spec = replace(spec, q_cutoff=noise_guard)
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
                            cavity.has_drude_like, per_polarization=True)
-    res = double_semi_infinite(_INTEGRANDS[method](cavity), spec, d_min,
-                               _STRESS_PREFACTOR, temperature, *zero_term,
+    res = double_semi_infinite(_exact_difference_integrand(cavity), spec,
+                               min(cavity.d1, cavity.d3), _STRESS_PREFACTOR,
+                               temperature, *zero_term,
                                index=_index(cavity.medium), columns=2)
     return _force_result(res, spec)
 
@@ -511,7 +427,6 @@ def minkowski_plate_force(
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
                            cavity.has_drude_like, per_polarization=True)
 
-    @_integrand
     def integrand(xi, q):
         wave, r, _, a, b, n_den = _plate_terms(cavity, xi, q)
         return (q * wave[1] * r * (b - a) / n_den).transpose(1, 2, 0)

@@ -197,13 +197,6 @@ def eps_imag_axis(model: DispersionModel, xi: float | np.ndarray) -> float | np.
     return eps if x.ndim else float(eps)
 
 
-def mu_imag_axis(model: DispersionModel, xi: float | np.ndarray) -> float | np.ndarray:
-    """mu(i*xi) as a real number; a float for scalar xi."""
-    x = np.asarray(xi, dtype=float)
-    mu = _evaluate(_records(model)[1], x, np.empty(x.shape))
-    return mu if x.ndim else float(mu)
-
-
 def is_drude_like(model: DispersionModel) -> bool:
     """True when eps or mu has an oscillator of zero resonance (Drude or
     plasma), so that it diverges as xi -> 0 on the imaginary axis.

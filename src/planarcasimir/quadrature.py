@@ -392,7 +392,7 @@ def double_semi_infinite(
     the medium's refractive index n(i xi): the integrand decays like
     exp(-2 n xi d_ref/c), so ``d_ref`` and ``index`` set the frequency
     scale both rules must resolve. Both must be finite and positive,
-    ``prefactor`` finite, ``temperature`` finite and >= 0 and
+    ``prefactor`` finite and nonzero, ``temperature`` finite and >= 0 and
     ``zero_term_policy`` ``half-weight`` or ``drop``, or they are refused.
 
     At T = 0 the rule is the tensor product of the q rule with the rule in
@@ -407,8 +407,8 @@ def double_semi_infinite(
     for name, bound in (("d_ref", d_ref), ("index", index)):
         if not 0.0 < bound < np.inf:
             raise ValueError(f"{name} must be finite and positive: {bound}")
-    if not np.isfinite(prefactor):
-        raise ValueError(f"prefactor must be finite: {prefactor}")
+    if not (np.isfinite(prefactor) and prefactor != 0.0):
+        raise ValueError(f"prefactor must be finite and nonzero: {prefactor}")
     if not 0.0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0: {temperature}")
     _check_policy(zero_term_policy)

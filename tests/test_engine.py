@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c, hbar
 
-from planarcasimir import engine, layers, quadrature
+from planarcasimir import engine, layers, materials, quadrature
 from planarcasimir.engine import (
     ForceResult,
-    cavity_interspaces,
     interspace,
     minkowski_plate_force,
     minkowski_stress_zz,
@@ -35,7 +34,6 @@ from planarcasimir.materials import (
     constant,
     drude_lorentz,
     eps_imag_axis,
-    mu_imag_axis,
     plasma,
 )
 from planarcasimir.limits import StaticMedium, casimir_generalized
@@ -47,6 +45,8 @@ from planarcasimir.quadrature import (
     matsubara_sum,
 )
 
+import direct_difference
+from direct_difference import cavity_interspaces
 from oracles import (
     classical_minkowski_plate_force,
     classical_plate_force,
@@ -67,7 +67,7 @@ def _g(view, z, xi, q, pol=None):
     like q, a float for scalar q. A float xi and a float or 1-D q run as
     one row of the (s, p)-leading layout."""
     xi_col, q_row = np.reshape(xi, (1, 1)), np.reshape(q, (1, -1))
-    g = engine._g(view, z, layers._Waves(xi_col, q_row))
+    g = direct_difference.mode_function(view, z, layers._Waves(xi_col, q_row))
     g = g.sum(axis=0) if pol is None else g["sp".index(pol)]
     return g.reshape(np.shape(q)) if np.ndim(q) else float(g[0, 0])
 
@@ -93,7 +93,7 @@ def test_mode_function_matches_complex_phase_assembly():
         Wall.stack([Layer(constant(eps=3.0), 5e-8)], MIRROR),
     )
     eps = eps_imag_axis(view.medium, 0.0)
-    mu = mu_imag_axis(view.medium, 0.0)
+    mu = materials._response(view.medium, 0.0)[1]
     n_sq = eps * mu
     d = view.width
     for xi in (2e14, 3e15):
@@ -235,6 +235,22 @@ def test_stress_domain_and_temperature_validation():
         stress_zz(view, 5e-7, temperature=-1.0, spec=SPEC)
 
 
+@pytest.mark.parametrize("z", [np.full((2, 2), 5e-7), np.full((1, 1), 5e-7),
+                               np.array([]), []],
+                         ids=["2x2", "1x1", "empty", "empty-list"])
+def test_stress_refuses_heights_of_another_shape_by_name(monkeypatch, z):
+    # One height or a non-empty 1-D array of them: anything else is refused
+    # by name before any integral, not by the quadrature's shape check or
+    # numpy's reduction over nothing.
+    calls = []
+    monkeypatch.setattr(engine, "double_semi_infinite",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=r"^z must be one height or a"
+                                         r" non-empty 1-D array"):
+        stress_zz(_mirror_gap(), z, spec=SPEC)
+    assert calls == []
+
+
 def _asymmetric_cavity():
     return CavityConfig(
         left_wall=Wall.perfect_mirror(),
@@ -248,15 +264,16 @@ def _asymmetric_cavity():
 
 def test_force_methods_agree():
     cavity = _asymmetric_cavity()
-    exact = plate_force(cavity, spec=SPEC, method="exact-difference")
-    direct = plate_force(cavity, spec=SPEC, method="direct-difference")
+    exact = plate_force(cavity, spec=SPEC)
+    direct = direct_difference.plate_force(cavity, spec=SPEC)
     assert exact.converged and direct.converged
     combined = exact.error_estimate + direct.error_estimate
     assert abs(exact.force_per_area - direct.force_per_area) <= 3.0 * combined
     # The nearer mirror wins the tug of war: the plate is pulled toward -z.
     assert exact.force_per_area < 0.0
-    with pytest.raises(ValueError, match="method"):
-        plate_force(cavity, spec=SPEC, method="midpoint")
+    # The closed form is the one route: there is no method to choose.
+    with pytest.raises(TypeError, match="method"):
+        plate_force(cavity, spec=SPEC, method="direct-difference")
 
 
 def test_force_per_polarization_sums_exactly():
@@ -269,11 +286,11 @@ def test_force_per_polarization_sums_exactly():
 
 
 def test_symmetric_cavity_force_is_exactly_zero():
-    for method in ("exact-difference", "direct-difference"):
+    for force in (plate_force, direct_difference.plate_force):
         for plate in (PerfectMirrorPlate(), Layer(constant(eps=5.0), 1e-7)):
             cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, 6e-7,
                                   plate, 6e-7, Wall.perfect_mirror())
-            res = plate_force(cavity, spec=SPEC, method=method)
+            res = force(cavity, spec=SPEC)
             assert res.force_per_area == 0.0
             assert res.per_polarization == {"s": 0.0, "p": 0.0}
 
@@ -357,8 +374,8 @@ _OBSERVABLES = {
         _mirror_gap(), 3, t, SPEC, **kw)),
     "plate_force": (True, lambda t, **kw: plate_force(
         _MIRROR_CAVITY, t, SPEC, **kw)),
-    "plate_force-direct": (True, lambda t, **kw: plate_force(
-        _MIRROR_CAVITY, t, SPEC, "direct-difference", **kw)),
+    "plate_force-direct": (True, lambda t, **kw: direct_difference.plate_force(
+        _MIRROR_CAVITY, t, SPEC, **kw)),
     "minkowski_plate_force": (True, lambda t, **kw: minkowski_plate_force(
         _MIRROR_CAVITY, t, SPEC, **kw)),
 }
@@ -524,19 +541,18 @@ def test_force_scales_as_inverse_fourth_power():
 def test_direct_difference_respects_user_momentum_cutoff():
     cavity = _asymmetric_cavity()
     tight = QuadratureSpec(rel_tol=1e-8, q_cutoff=2e6)
-    res = plate_force(cavity, spec=tight, method="direct-difference")
-    ref = plate_force(cavity, spec=tight, method="exact-difference")
+    res = direct_difference.plate_force(cavity, spec=tight)
+    ref = plate_force(cavity, spec=tight)
     assert res.force_per_area == pytest.approx(ref.force_per_area, rel=1e-6)
 
 
 def test_exact_difference_integrand_finite_at_extreme_momentum():
-    cavity = _asymmetric_cavity()
-    for pol in ("s", "p"):
-        f = _exact_difference_integrand(cavity, pol)
-        for q in (1e9, 1e11, 1e13):
-            val = f(2e15, q)
-            assert np.isfinite(val)
-        assert f(2e15, 1e13) == 0.0  # round trips underflow cleanly
+    f = _exact_difference_integrand(_asymmetric_cavity())
+    # One row: xi (1, 1) against q (1, 3); columns (s, p) last.
+    val = f(np.full((1, 1), 2e15), np.array([[1e9, 1e11, 1e13]]))
+    assert val.shape == (1, 3, 2)
+    assert np.isfinite(val).all()
+    assert (val[0, -1] == 0.0).all()  # round trips underflow cleanly
 
 
 def test_thermal_force_continuity_and_trend():
@@ -634,13 +650,14 @@ def _brute_thermal_force(cavity, temperature, spec):
     under ``drop`` with each q integral from ``integrate_semi_infinite``;
     the bar is the sum's error plus the q errors at the sum's weights.
     """
-    integrand = engine._INTEGRANDS["exact-difference"](cavity)
+    integrand = engine._exact_difference_integrand(cavity)
     d = min(cavity.d1, cavity.d3)
     q_errors = []
 
     def term(xi):
-        res = integrate_semi_infinite(lambda v: integrand(xi, v / d) / d,
-                                      spec)
+        # One row of (s, p) columns: xi (1, 1) against q (1, m).
+        res = integrate_semi_infinite(lambda v: integrand(
+            np.full((1, 1), xi), v[None] / d)[0] / d, spec)
         q_errors.append(res.error_estimate)
         return res.value
 
@@ -750,7 +767,7 @@ def test_minkowski_force_equals_the_two_interspace_form(monkeypatch):
             monkeypatch, lambda: minkowski_plate_force(cavity, spec=SPEC))
         view1, view3 = cavity_interspaces(cavity)
         for xi in (3e13, 8e14, 1e16):
-            got = integrand(xi, q)
+            got = integrand(np.full((1, 1), xi), q[None])[0]
             kappa = beta_imag(eps_imag_axis(medium, xi), xi, q)
             for col, pol in enumerate(("s", "p")):
                 mode = TransverseMode(xi=xi, q=q, pol=pol)
@@ -1033,8 +1050,8 @@ def test_symmetric_direct_difference_is_exactly_zero():
     gold = Wall.semi_infinite(_GOLD)
     cavity = CavityConfig(gold, constant(eps=2.0), 2e-6, Layer(_GOLD, 2e-7),
                           2e-6, gold)
-    res = plate_force(cavity, method="direct-difference")
-    exact = plate_force(cavity, method="exact-difference")
+    res = direct_difference.plate_force(cavity)
+    exact = plate_force(cavity)
     assert res.converged and exact.converged
     assert res.force_per_area == 0.0 and res.error_estimate == 0.0
     assert res.per_polarization == exact.per_polarization

@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +21,15 @@ def test_package_exports_exactly_its_public_names():
     public = {name for name, value in vars(planarcasimir).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == set(planarcasimir.__all__)
+
+
+def test_oracles_import_nothing_from_the_package():
+    # The oracles are independent references: what imports the package,
+    # such as the direct-difference reference, lives in another module.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported and not [name for name in imported
+                             if name.split(".")[0] == "planarcasimir"]

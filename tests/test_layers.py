@@ -3,7 +3,6 @@ import pytest
 from scipy.constants import c
 
 from planarcasimir import engine, layers
-from planarcasimir.engine import cavity_interspaces
 from planarcasimir.layers import (
     DELTA,
     CavityConfig,
@@ -17,13 +16,15 @@ from planarcasimir.layers import (
 from planarcasimir.materials import (
     MIRROR,
     VACUUM,
+    _response,
     constant,
     drude_lorentz,
     eps_imag_axis,
-    mu_imag_axis,
     plasma,
 )
 
+import direct_difference
+from direct_difference import cavity_interspaces
 from oracles import interface_r, kappa_of, slab_rt, stack_reflection
 
 
@@ -141,7 +142,7 @@ def test_single_layer_wall_hand_fold():
 
 
 def _imag_pair(model, xi):
-    return eps_imag_axis(model, xi), mu_imag_axis(model, xi)
+    return eps_imag_axis(model, xi), _response(model, xi)[1]
 
 
 def _random_material(rng):
@@ -274,7 +275,7 @@ def test_buried_structure_fades_at_high_momentum():
 def _denominator_parts(cavity, xi, q, pol):
     view1, view3 = cavity_interspaces(cavity)
     eps = eps_imag_axis(cavity.medium, xi)
-    mu = mu_imag_axis(cavity.medium, xi)
+    mu = _response(cavity.medium, xi)[1]
     kappa = beta_imag(eps * mu, xi, q)
     mode = TransverseMode(xi=xi, q=q, pol=pol)
     r, t = _plate_column(cavity.plate, cavity.medium, mode)
@@ -390,8 +391,8 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
                           Layer(magnetic, 1e-7), 9e-7,
                           Wall.stack(slabs, MIRROR))
     view = cavity_interspaces(cavity)[0]
-    for method in ("exact-difference", "direct-difference"):
-        engine.plate_force(cavity, method=method)
+    engine.plate_force(cavity)
+    direct_difference.plate_force(cavity)
     engine.minkowski_plate_force(cavity)
     engine.stress_zz(view, 1.3e-7)
     engine.stress_zz(view, np.array([1e-7, 2e-7, 3e-7]))
@@ -426,8 +427,8 @@ def test_each_material_is_evaluated_once_per_integrand_call(monkeypatch):
     monkeypatch.setattr(engine, "double_semi_infinite", capture)
     engine.stress_zz(view, np.array([2e-7, 5e-7]))
     engine.minkowski_stress_zz(view)
-    for method in ("exact-difference", "direct-difference"):
-        engine.plate_force(cavity, method=method)
+    engine.plate_force(cavity)
+    direct_difference.plate_force(cavity)
     engine.minkowski_plate_force(cavity)
     evaluated, interfaces = [], []
     response, fresnel = layers._response, layers._fresnel

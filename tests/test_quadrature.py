@@ -17,6 +17,7 @@ from planarcasimir.quadrature import (
     matsubara_sum,
 )
 
+import direct_difference
 from oracles import INTEGRAND_SUITE
 
 SPEC = QuadratureSpec(rel_tol=1e-10)
@@ -350,6 +351,26 @@ def test_double_integral_replays_bit_for_bit():
         assert a.evaluations == b.evaluations
 
 
+@pytest.mark.parametrize("temperature", [0.0, 300.0])
+@pytest.mark.parametrize("abs_floor", [1e-3, 0.0])
+@pytest.mark.parametrize("prefactor", [0.0, -0.0])
+def test_zero_prefactor_is_refused_by_name(prefactor, abs_floor, temperature):
+    # A zero prefactor scales every result to 0: with a floor it would
+    # divide the floor by it, without one spend the whole budget on a 0.
+    calls = []
+
+    def integrand(xi, q):
+        calls.append(xi)
+        return np.exp(-xi * 1e-6 / c - q * 1e-6)
+
+    spec = QuadratureSpec(abs_floor=abs_floor)
+    with pytest.raises(ValueError, match="prefactor must be finite and"
+                                         " nonzero"):
+        double_semi_infinite(integrand, spec, 1e-6, prefactor,
+                             temperature)
+    assert not calls
+
+
 def _captured_integrands(monkeypatch):
     """Every integrand the public observables hand to the double integral."""
     seen = []
@@ -366,19 +387,19 @@ def _captured_integrands(monkeypatch):
         left_wall=Wall.stack([Layer(glass, 3e-8), Layer(gold, 5e-8)], gold),
         medium=medium, d1=4e-7, plate=Layer(gold, 1e-7), d3=9e-7,
         right_wall=Wall.stack([Layer(glass, 2e-8)], MIRROR))
-    view = engine.cavity_interspaces(cavity)[0]
+    view = direct_difference.cavity_interspaces(cavity)[0]
     engine.stress_zz(view, 1.3e-7)
     engine.minkowski_stress_zz(view)
-    for method in ("exact-difference", "direct-difference"):
-        engine.plate_force(cavity, method=method)
+    engine.plate_force(cavity)
+    direct_difference.plate_force(cavity)
     engine.minkowski_plate_force(cavity)
     return seen
 
 
 def test_integrands_broadcast_frequency_rows(monkeypatch):
     # The row core calls integrands with xi of shape (A, 1) against a q row
-    # (1, m); given q of shape (A, m), each row must equal the scalar-xi
-    # evaluation.
+    # (1, m); given q of shape (A, m), each row must equal that row
+    # evaluated alone, xi (1, 1) against q (1, m).
     integrands = _captured_integrands(monkeypatch)
     assert len(integrands) == 5
     rng = np.random.default_rng(5)
@@ -389,7 +410,7 @@ def test_integrands_broadcast_frequency_rows(monkeypatch):
         assert rows.shape[:2] == q.shape
         assert np.all(np.isfinite(rows))
         for i, x in enumerate(xi):
-            one = integrand(float(x), q[i])
+            one = integrand(np.full((1, 1), x), q[i][None])[0]
             np.testing.assert_allclose(rows[i], one, rtol=1e-14,
                                        atol=1e-14 * np.abs(one).max())
 
