@@ -518,10 +518,12 @@ def main(argv=None) -> int:
         sections, rc = _prepare(args)
         values = _command_values(args, rc)
         path = rc.output_path
-        if path is not None and (os.path.isdir(path) or not os.access(
-                os.path.dirname(path) or ".", os.W_OK)):
-            raise ConfigError(f"[output] path: cannot write a file at {path!r}"
-                              " (a directory, or no writable directory)")
+        parent = os.path.dirname(path or "") or "."
+        if path is not None and (not path or os.path.isdir(path) or not (
+                os.path.isdir(parent) and os.access(parent, os.W_OK))):
+            raise ConfigError(
+                f"[output] path: cannot write a file at {path!r}"
+                " (empty, a directory, or no writable directory)")
         rows, n_bad = _COMMANDS[args.command][0](rc, values)
         sections["command"] = {"name": args.command}
         sections["command"].update((key, _stored(value))

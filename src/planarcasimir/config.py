@@ -18,6 +18,7 @@ The format is INI-style key-value text. A complete example:
 
     [run]
     temperature = 300
+    zero_term_policy = drop
 
     [quadrature]
     rel_tol = 1e-8
@@ -30,7 +31,8 @@ Material kinds are ``constant`` (keys eps_static, mu_static),
 ``drude-lorentz`` (plasma_freq, resonance_freq, damping, optionally the
 magnetic triple mu_plasma_freq, mu_resonance_freq, mu_damping) and
 ``plasma`` (plasma_freq). All values are SI; scientific notation is
-accepted everywhere.
+accepted everywhere. A Drude metal at T > 0 needs a zero_term_policy other
+than the default half-weight; the example uses drop.
 
 Regions are listed in physical order from left to right:
 
@@ -41,11 +43,11 @@ Regions are listed in physical order from left to right:
     plate:NAME:THICKNESS     central plate (meters)
     plate:mirror             idealized opaque mirror plate
 
-A wall group begins (left side) or ends (right side) with its terminating
-entry, mirror or semi-infinite half-space, so slab entries read in the
-same order the physical layers are encountered. Two topologies are
-accepted: wall/gap/wall and wall/gap/plate/gap/wall. The cavity form
-requires the same gap material on both sides of the plate.
+Each wall is read from its terminator toward the gap: its one terminating
+entry, mirror or semi-infinite half-space, opens the left wall's group and
+closes the right wall's. Two topologies are accepted: wall/gap/wall and
+wall/gap/plate/gap/wall. The cavity form requires the same gap material on
+both sides of the plate.
 
 JSON files emitted by the command line (--format json) are accepted
 wherever an INI file is; the resolved configuration embedded under their
@@ -237,136 +239,108 @@ def _build_material(name: str, body: dict[str, str]) -> DispersionModel:
     return model
 
 
-@dataclass(frozen=True)
-class _Entry:
-    role: str
-    fields: tuple[str, ...]
-    raw: str
+# Each role's entry forms, as a malformed entry's message names them.
+_FORMS = {
+    "wall": "wall:mirror, wall:NAME:semi-infinite or wall:NAME:THICKNESS",
+    "gap": "gap:NAME:WIDTH",
+    "plate": "plate:NAME:THICKNESS or plate:mirror",
+}
 
 
-def _parse_entry(raw: str) -> _Entry:
-    fields = tuple(f.strip() for f in raw.split(":"))
-    if fields[0] not in ("wall", "gap", "plate"):
-        raise ConfigError(
-            f"region {raw!r}: unknown role {fields[0]!r}"
-            " (expected wall, gap or plate)"
-        )
-    return _Entry(fields[0], fields[1:], raw)
+def _region(raw: str, materials) -> tuple:
+    """One region entry as (raw, role, name, material, size).
 
-
-def _lookup(materials: dict[str, DispersionModel], name: str,
-            raw: str) -> DispersionModel:
+    ``size`` is None for a terminator: wall:mirror, wall:NAME:semi-infinite
+    or plate:mirror.
+    """
+    role, *fields = (f.strip() for f in raw.split(":"))
+    if role not in _FORMS:
+        raise ConfigError(f"region {raw!r}: unknown role {role!r}"
+                          " (expected wall, gap or plate)")
+    if fields == ["mirror"] and role != "gap":
+        return raw, role, "mirror", MIRROR, None
+    if len(fields) != 2:
+        raise ConfigError(f"region {raw!r}: expected {_FORMS[role]}")
+    name, size = fields
     if name not in materials:
         raise ConfigError(
-            f"region {raw!r}: no [material.{name}] section defines {name!r}"
-        )
-    return materials[name]
+            f"region {raw!r}: no [material.{name}] section defines {name!r}")
+    if role == "wall" and size == "semi-infinite":
+        return raw, role, name, materials[name], None
+    size = _to_float(size, f"region {raw!r}")
+    if role == "gap" and size <= 0.0:
+        raise ConfigError(f"region {raw!r}: width must be positive")
+    return raw, role, name, materials[name], size
 
 
-def _terminator(entry: _Entry, materials) -> DispersionModel | None:
-    # wall:mirror or wall:NAME:semi-infinite, else None (a finite slab).
-    if entry.fields == ("mirror",):
-        return MIRROR
-    if len(entry.fields) == 2 and entry.fields[1] == "semi-infinite":
-        return _lookup(materials, entry.fields[0], entry.raw)
-    return None
-
-
-def _layer(entry: _Entry, materials, expected: str) -> Layer:
-    # NAME:THICKNESS, a finite wall slab or plate.
-    if len(entry.fields) != 2:
-        raise ConfigError(f"region {entry.raw!r}: expected {expected}")
-    material = _lookup(materials, entry.fields[0], entry.raw)
-    thickness = _to_float(entry.fields[1], f"region {entry.raw!r}")
+def _layer(raw: str, material: DispersionModel, thickness: float) -> Layer:
     try:
         return Layer(material, thickness)
     except ValueError as exc:
-        raise ConfigError(f"region {entry.raw!r}: {exc}") from None
+        raise ConfigError(f"region {raw!r}: {exc}") from None
 
 
-def _build_wall(group: list[_Entry], side: str, materials) -> Wall:
+def _build_wall(group: list[tuple], side: str) -> Wall:
+    # ``group`` lists the wall from its terminator toward the gap.
     if not group:
         raise ConfigError(f"structure: missing {side} wall")
-    term_entry = group[0] if side == "left" else group[-1]
-    slab_entries = group[1:] if side == "left" else group[:-1]
-    terminator = _terminator(term_entry, materials)
-    if terminator is None:
+    (raw, _, _, terminator, size), *slabs = group
+    if size is not None:
         position = "first" if side == "left" else "last"
         raise ConfigError(
-            f"region {term_entry.raw!r}: the {position} entry of the {side}"
-            " wall must terminate it (wall:mirror or wall:NAME:semi-infinite)"
-        )
-    layers = []
-    for entry in slab_entries:
-        if _terminator(entry, materials) is not None:
+            f"region {raw!r}: the {position} entry of the {side} wall must"
+            " terminate it (wall:mirror or wall:NAME:semi-infinite)")
+    for raw, _, _, _, size in slabs:
+        if size is None:
             raise ConfigError(
-                f"region {entry.raw!r}: a wall has exactly one terminating entry"
-            )
-        layers.append(_layer(
-            entry, materials, "wall:mirror, wall:NAME:semi-infinite or"
-            " wall:NAME:THICKNESS"))
-    if side == "left":
-        # Reading order lists the left wall outermost-first; Wall stores
-        # layers nearest to the interspace first.
-        layers.reverse()
-    return Wall(layers=tuple(layers), terminator=terminator)
-
-
-def _gap_parts(entry: _Entry, materials) -> tuple[str, DispersionModel, float]:
-    if len(entry.fields) != 2:
-        raise ConfigError(f"region {entry.raw!r}: expected gap:NAME:WIDTH")
-    name = entry.fields[0]
-    material = _lookup(materials, name, entry.raw)
-    width = _to_float(entry.fields[1], f"region {entry.raw!r}")
-    if width <= 0.0:
-        raise ConfigError(f"region {entry.raw!r}: width must be positive")
-    return name, material, width
+                f"region {raw!r}: a wall has exactly one terminating entry")
+    # Wall stores its layers nearest to the gap first.
+    layers = [_layer(raw, material, size)
+              for raw, _, _, material, size in slabs]
+    return Wall(layers=tuple(reversed(layers)), terminator=terminator)
 
 
 def _build_structure(body: dict[str, str], materials):
     _check_keys("structure", body)
     if "regions" not in body:
         raise ConfigError("[structure]: missing 'regions'")
-    raw_entries = [e.strip() for e in re.split(r"[,\n]+", body["regions"])]
-    entries = [_parse_entry(e) for e in raw_entries if e]
+    raw_entries = (e.strip() for e in re.split(r"[,\n]+", body["regions"]))
+    entries = [_region(raw, materials) for raw in raw_entries if raw]
     if not entries:
         raise ConfigError("[structure]: empty region list")
 
-    gap_idx = [i for i, e in enumerate(entries) if e.role == "gap"]
-    if len(gap_idx) not in (1, 2):
+    gaps = [i for i, entry in enumerate(entries) if entry[1] == "gap"]
+    if len(gaps) not in (1, 2):
         raise ConfigError(
             "structure: expected one gap (wall/gap/wall) or two gaps around"
-            f" a plate, found {len(gap_idx)}"
+            f" a plate, found {len(gaps)}"
         )
-    for entry in entries[:gap_idx[0]] + entries[gap_idx[-1] + 1:]:
-        if entry.role != "wall":
+    left, right = entries[:gaps[0]], entries[gaps[-1] + 1:]
+    for raw, role, *_ in left + right:
+        if role != "wall":
             raise ConfigError(
-                f"region {entry.raw!r}: only wall entries may flank the gaps"
-            )
-    left_wall = _build_wall(entries[:gap_idx[0]], "left", materials)
-    right_wall = _build_wall(entries[gap_idx[-1] + 1:], "right", materials)
+                f"region {raw!r}: only wall entries may flank the gaps")
+    left_wall = _build_wall(left, "left")
+    right_wall = _build_wall(right[::-1], "right")
+    _, _, name1, medium, d1 = entries[gaps[0]]
+    if len(gaps) == 1:
+        return None, (left_wall, medium, d1, right_wall)
 
-    if len(gap_idx) == 1:
-        _, medium, width = _gap_parts(entries[gap_idx[0]], materials)
-        return None, (left_wall, medium, width, right_wall)
-
-    middle = entries[gap_idx[0] + 1:gap_idx[1]]
-    if len(middle) != 1 or middle[0].role != "plate":
+    middle = entries[gaps[0] + 1:gaps[1]]
+    if len(middle) != 1 or middle[0][1] != "plate":
         raise ConfigError(
             "structure: exactly one plate entry must sit between the two gaps"
         )
-    plate = (PerfectMirrorPlate() if middle[0].fields == ("mirror",) else
-             _layer(middle[0], materials,
-                    "plate:NAME:THICKNESS or plate:mirror"))
-    name1, medium1, d1 = _gap_parts(entries[gap_idx[0]], materials)
-    name3, _, d3 = _gap_parts(entries[gap_idx[1]], materials)
+    raw, _, _, material, size = middle[0]
+    plate = PerfectMirrorPlate() if size is None else _layer(raw, material, size)
+    _, _, name3, _, d3 = entries[gaps[1]]
     if name1 != name3:
         raise ConfigError(
             "structure: both gaps must use the same material"
             f" (got {name1!r} and {name3!r})"
         )
     # The checks above leave CavityConfig nothing to refuse.
-    return CavityConfig(left_wall=left_wall, medium=medium1, d1=d1,
+    return CavityConfig(left_wall=left_wall, medium=medium, d1=d1,
                         plate=plate, d3=d3, right_wall=right_wall), None
 
 

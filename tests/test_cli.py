@@ -783,19 +783,46 @@ def test_stored_number_is_checked_before_integrating(tmp_path, capsys,
     assert calls == []
 
 
-@pytest.mark.parametrize("target", ["nodir/x.json", "adir"])
+# Output paths that cannot take a file: under a missing directory, a
+# directory, under a regular file, and empty.
+_UNWRITABLE = pytest.mark.parametrize(
+    "target", ["nodir/x.json", "adir", "plain.txt/out.csv", ""],
+    ids=["nodir/x.json", "adir", "under-a-file", "empty"])
+
+
+def _unwritable_path(tmp_path, target):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "plain.txt").write_text("a regular file\n")
+    return str(tmp_path / target) if target else ""
+
+
+@_UNWRITABLE
 def test_unwritable_output_exits_2_before_integrating(tmp_path, capsys,
                                                       monkeypatch, target):
     calls = []
     monkeypatch.setattr("planarcasimir.cli.plate_force",
                         lambda *args, **kwargs: calls.append(args))
     cfg = _write(tmp_path, VACUUM_CAVITY)
-    (tmp_path / "adir").mkdir()
-    out_path = str(tmp_path / target)
+    out_path = _unwritable_path(tmp_path, target)
     code, _, err = _run(capsys, ["force", "--config", cfg, "--out", out_path])
     assert code == 2
     assert f"[output] path: cannot write a file at {out_path!r}" in err
     assert calls == []
+
+
+@_UNWRITABLE
+def test_unwritable_config_output_path_exits_2_before_integrating(
+        tmp_path, capsys, monkeypatch, target):
+    calls = []
+    monkeypatch.setattr("planarcasimir.cli.plate_force",
+                        lambda *args, **kwargs: calls.append(args))
+    out_path = _unwritable_path(tmp_path, target)
+    cfg = _write(tmp_path,
+                 VACUUM_CAVITY + f"\n[output]\npath = {out_path}\n")
+    code, out, err = _run(capsys, ["force", "--config", cfg])
+    assert code == 2
+    assert f"[output] path: cannot write a file at {out_path!r}" in err
+    assert calls == [] and out == ""
 
 
 @pytest.mark.parametrize("flags,named", [

@@ -1,6 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planarcasimir.config import ConfigError, build_config, load_sections
 from planarcasimir.layers import PerfectMirrorPlate, Wall
@@ -217,6 +220,59 @@ def test_structure_errors(tmp_path, regions, match):
     text = _VAC + f"[structure]\nregions = {regions}\n"
     with pytest.raises(ConfigError, match=match):
         _load(_write(tmp_path, text))
+
+
+_PROPERTY_MATERIALS = {
+    "material.vac": {"kind": "constant"},
+    "material.glass": {"kind": "constant", "eps_static": "2.25"},
+    "material.gold": {"kind": "drude-lorentz", "plasma_freq": "1.37e16",
+                      "damping": "5.3e13"},
+}
+_names = st.sampled_from(["vac", "glass", "gold"])
+_sizes = st.floats(1e-9, 1e-5).map(repr)
+# A wall group from its terminator toward the gap.
+_walls = st.builds(
+    lambda terminator, slabs: [terminator, *slabs],
+    st.just("wall:mirror") | _names.map("wall:{}:semi-infinite".format),
+    st.lists(st.builds("wall:{}:{}".format, _names, _sizes), max_size=3))
+_plates = st.just("plate:mirror") | st.builds("plate:{}:{}".format,
+                                              _names, _sizes)
+
+
+@st.composite
+def _region_lists(draw):
+    left, right, medium = draw(_walls), draw(_walls), draw(_names)
+    gaps = [f"gap:{medium}:{draw(_sizes)}"
+            for _ in range(draw(st.integers(1, 2)))]
+    if len(gaps) == 2:
+        gaps.insert(1, draw(_plates))
+    return left + gaps + right[::-1]
+
+
+def _structure(regions):
+    return build_config({**_PROPERTY_MATERIALS,
+                         "structure": {"regions": ", ".join(regions)}})
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(regions=_region_lists())
+def test_reversed_regions_parse_to_the_mirror_image(regions):
+    # Both walls are read from their terminator toward the gap, so reading
+    # the list backwards swaps the walls and the gaps and keeps the plate.
+    rc, mirrored = _structure(regions), _structure(regions[::-1])
+    first_gap = next(i for i, e in enumerate(regions) if e.startswith("gap"))
+    nearest_first = [float(e.split(":")[2])
+                     for e in regions[first_gap - 1:0:-1]]
+    if rc.pair is not None:
+        left, medium, width, right = rc.pair
+        assert mirrored.pair == (right, medium, width, left)
+    else:
+        cavity = rc.cavity
+        left = cavity.left_wall
+        assert mirrored.cavity == replace(
+            cavity, left_wall=cavity.right_wall, right_wall=left,
+            d1=cavity.d3, d3=cavity.d1)
+    assert [layer.thickness for layer in left.layers] == nearest_first
 
 
 def test_gap_materials_must_match(tmp_path):

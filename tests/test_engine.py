@@ -51,6 +51,8 @@ from oracles import (
     classical_minkowski_plate_force,
     classical_plate_force,
     ideal_mirror_pressure,
+    lifshitz_pressure_0k,
+    lifshitz_pressure_classical,
     plasma_nonretarded_pressure,
     plasma_retarded_ratio,
 )
@@ -1109,3 +1111,85 @@ def test_mirror_cavity_meets_the_classical_limit(eps, mu):
                 <= res.error_estimate + 1e-15 * abs(exact))
         for pol, share in shares.items():
             assert res.per_polarization[pol] == pytest.approx(share, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Nondispersive (eps, mu) half-spaces and mirrors across a vacuum gap against
+# the Lifshitz polylogarithm series: Li_4 at 0 K, Li_3 in the classical
+# limit. A side is an (eps, mu) pair, or None for an ideal mirror.
+
+_ORACLE_SPEC = QuadratureSpec(rel_tol=1e-10)
+
+
+def _half_space(side):
+    return (Wall.perfect_mirror() if side is None
+            else Wall.semi_infinite(constant(eps=side[0], mu=side[1])))
+
+
+def _vacuum_gap_stress(left, right, d, temperature=0.0):
+    view = interspace(_half_space(left), VACUUM, d, _half_space(right))
+    return stress_zz(view, 0.5 * d, temperature, _ORACLE_SPEC)
+
+
+def _meets_the_series(res, pressure, series_error=0.0):
+    # T_zz = -P. The series round at about 1e-15 and the 0 K one carries
+    # the error bound of its p integral.
+    assert res.converged
+    assert (abs(res.value + pressure)
+            <= res.error_estimate + series_error + 1e-15 * abs(pressure))
+
+
+@pytest.mark.parametrize("left,right,repels", [
+    ((4.0, 3.0), None, False), ((4.0, 1.0), (4.0, 1.0), False),
+    (None, (1.0, 50.0), True), ((10.0, 1.0), (1.0, 10.0), True)])
+def test_magnetodielectric_half_spaces_meet_the_li4_series(left, right,
+                                                           repels):
+    # An electric wall facing a magnetic one repels.
+    d = 1e-6
+    pressure, error = lifshitz_pressure_0k(left, right, d)
+    res = _vacuum_gap_stress(left, right, d)
+    _meets_the_series(res, pressure, error)
+    assert res.value == pytest.approx(-pressure, rel=1e-13)
+    assert (res.value < 0.0) == repels
+
+
+@pytest.mark.parametrize("left,right", [((4.0, 3.0), None),
+                                        ((4.0, 1.0), (4.0, 1.0))])
+def test_magnetodielectric_half_spaces_meet_the_li3_series(left, right):
+    # At 3000 K across 20 um the m >= 1 terms are about e^-329 of the m = 0
+    # one, so the stress is its classical limit.
+    pressure = lifshitz_pressure_classical(left, right, 3000.0, 20e-6)
+    res = _vacuum_gap_stress(left, right, 20e-6, 3000.0)
+    _meets_the_series(res, pressure)
+    assert res.value == pytest.approx(-pressure, rel=1e-13)
+
+
+_SIDE = st.one_of(st.none(), st.tuples(_log_uniform(0.0, 1.3),
+                                       _log_uniform(0.0, 1.3)))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(left=_SIDE, right=_SIDE, d=_log_uniform(-7.0, -5.0))
+def test_random_magnetodielectric_pairs_meet_the_li4_series(left, right, d):
+    pressure, error = lifshitz_pressure_0k(left, right, d)
+    _meets_the_series(_vacuum_gap_stress(left, right, d), pressure, error)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(left=_SIDE, right=_SIDE, d=_log_uniform(np.log10(2e-5), -4.0))
+def test_random_magnetodielectric_pairs_meet_the_li3_series(left, right, d):
+    pressure = lifshitz_pressure_classical(left, right, 3000.0, d)
+    _meets_the_series(_vacuum_gap_stress(left, right, d, 3000.0), pressure)
+
+
+def test_mirror_and_magnetic_wall_approach_boyer_repulsion():
+    # Mirror | (1, mu): as mu grows the s reflections tend to -1 and +1 and
+    # the p ones to +1 and -1, so the stress falls toward -7/8 of the mirror
+    # attraction (Boyer, Phys. Rev. A 9, 2078 (1974)).
+    d = 1e-6
+    mirror = _vacuum_gap_stress(None, None, d).value
+    ratios = [_vacuum_gap_stress(None, (1.0, mu), d).value / mirror
+              for mu in (2.0, 10.0, 1e2, 1e3, 1e4)]
+    assert all(a > b for a, b in zip(ratios, ratios[1:]))
+    # Measured -0.834 at mu = 1e4; the approach goes roughly like mu^-0.4.
+    assert -7.0 / 8.0 < ratios[-1] < -0.8
