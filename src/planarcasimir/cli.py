@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,6 +78,7 @@ def _add(parser, flag: str, shape, help_text: str, **kwargs) -> None:
     parser.add_argument(flag, help=help_text, **{kind: shape}, **kwargs)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",

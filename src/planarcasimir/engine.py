@@ -50,6 +50,7 @@ from .layers import (
     DELTA,
     POLARIZATIONS,
     CavityConfig,
+    PerfectMirrorPlate,
     Wall,
     _has_drude_like,
     _plate_rt,
@@ -318,7 +319,8 @@ def _plate_terms(cavity: CavityConfig, xi, q):
 
     With the plate's (r, t) and the bare walls' reflections r_1- and r_3+,
     all seen from the gap medium, A = r_1- e^{-2 kappa d1},
-    B = r_3+ e^{-2 kappa d3} and N = (1 - r A)(1 - r B) - t^2 A B.
+    B = r_3+ e^{-2 kappa d3} and N = (1 - r A)(1 - r B) - t^2 A B. A mirror
+    plate (t = 0) skips the t^2 A B term.
     """
     waves, medium = _Waves(xi, q), cavity.medium
     wave = waves[medium]
@@ -327,7 +329,10 @@ def _plate_terms(cavity: CavityConfig, xi, q):
         -2.0 * wave[1] * cavity.d1)
     b = _wall_refl(cavity.right_wall, medium, waves) * np.exp(
         -2.0 * wave[1] * cavity.d3)
-    return wave, r, t, a, b, (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
+    n_den = (1.0 - r * a) * (1.0 - r * b)
+    if not isinstance(cavity.plate, PerfectMirrorPlate):
+        n_den -= t * t * a * b
+    return wave, r, t, a, b, n_den
 
 
 def _exact_difference_integrand(cavity: CavityConfig):

@@ -81,21 +81,25 @@ class IntegralResult:
     converged: bool
 
 
-# Ranges of t, (lo, hi, None), with both ends multiples of 2**-start so that
-# they are nodes of every level. The engine's q rule: v = q d_ref from 3.7e-16
-# to 60.3. Below it, 1 - r_+ r_- exp(-2 kappa d) can round to 0 at small xi,
-# but kappa >= q keeps it from 0 for the xi rule, which reaches further
-# down, to u = 2.4e-19: a gap much thinner than c/omega_p needs it.
-_MOMENTUM = (-3.8125, 1.6875, None)
-_FREQUENCY = (-4.0, 1.6875, None)
+# Ranges of t, (lo, hi, None), with both ends multiples of 1/8: nodes of
+# every level from 3 on. The engine's q rule: v = q d_ref from 3.2e-15 to
+# 46, never from below 3.7e-16, where 1 - r_+ r_- exp(-2 kappa d) can round
+# to 0 at small xi; kappa >= q keeps it from 0 for the xi rule, which reaches
+# further down, to u = 2.4e-19: a gap much thinner than c/omega_p needs it.
+_MOMENTUM = (-3.75, 1.625, None)
+_FREQUENCY = (-4.0, 1.625, None)
 # Top of the q range under a cutoff, where v = V x/(1 + x) is V to 2e-17.
 _CUTOFF_TOP = 3.875
 # First and last level of the 0 K tensor rule and of the q rule of each
 # Pade order of a thermal sum. On a vacuum mirror cavity the q rule
 # changes by about 3e-9 from level 3 to level 4; squared, that change meets
-# a tenth of rel_tol 1e-8, where the plain change needed level 5.
+# a tenth of rel_tol 1e-8, where the plain change needed level 5. From
+# rel_tol _LOOSE up a tensor rule starts at level 3 (2,024 points), where
+# it books 9.3e-5 of the force on vacuum mirrors: a lower _LOOSE sends them
+# on to level 4, one call more than starting there.
 _TENSOR_LEVELS = (4, 6)
 _TERM_LEVELS = (4, 6)
+_LOOSE = 1e-4
 _LINE = (-4.5, 3.875, None)
 _LINE_LEVELS = (3, 12)
 # Point-columns per integrand call (3,600 points of an (s, p) pair), and at
@@ -311,8 +315,10 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
         change = np.abs(lines[:, 0] - lines[:, 1])
         before = np.abs(lines[:, 1] - lines[:, 2])
         bound = np.abs(lines[:, 3:]).sum(axis=(0, 1))
-        error = np.maximum(_booked(change, before, total).sum(axis=0) + bound,
-                           floor * size)
+        # A tensor rule's levels 1 and 2 are too coarse to show doubling.
+        booked = (_booked(change, before, total)
+                  if level > 3 or len(outer) != 3 else change)
+        error = np.maximum(booked.sum(axis=0) + bound, floor * size)
         converged = bool(np.all(error <= np.maximum(rel_tol * np.abs(total),
                                                     abs_floor)))
         if converged or level == last:
@@ -386,7 +392,7 @@ def double_semi_infinite(
     frequency per row, and a row q of shape (1, m) that broadcasts against
     it; it returns shape (A, m), or (A, m, k) for k = ``columns`` columns
     (the engine's s and p, or its heights) that share one pass and size its
-    calls (``_nested``). The q rule runs in v = q*d_ref from 3.7e-16 to 60,
+    calls (``_nested``). The q rule runs in v = q*d_ref from 3.2e-15 to 46,
     so decay scales of order d_ref become O(1); ``spec.q_cutoff`` composes
     it with tanh-sinh on [0, q_cutoff*d_ref]. ``index`` is a lower bound on
     the medium's refractive index n(i xi): the integrand decays like
@@ -396,8 +402,9 @@ def double_semi_infinite(
     ``zero_term_policy`` ``half-weight`` or ``drop``, or they are refused.
 
     At T = 0 the rule is the tensor product of the q rule with the rule in
-    u = index*xi*d_ref/c from 2.4e-19 to 60. Levels 4 to 6 (8,188 to 128,845
-    points without a cutoff) are judged as one rule. At T > 0 the xi
+    u = index*xi*d_ref/c from 2.4e-19 to 46. Levels 4 to 6 (7,917 to
+    124,545 points without a cutoff), or 3 to 6 from 2,024 points where
+    ``spec.rel_tol`` is at least 1e-4, are judged as one rule. At T > 0 the xi
     integral is the thermal sum of ``_pade_sum`` under the endpoint rule
     ``zero_term_policy``. A given ``zero_term_value`` (per column, only at
     T > 0) is added as it is; the caller has checked it
@@ -422,7 +429,8 @@ def double_semi_infinite(
     if temperature == 0.0:
         value, error, evaluations, converged, _, _ = _nested(
             lambda u, v: integrand_si(u * jac, v / d_ref), _FREQUENCY, v_axis,
-            _TENSOR_LEVELS, spec.rel_tol, floor, columns)
+            (3 if spec.rel_tol >= _LOOSE else _TENSOR_LEVELS[0],
+             _TENSOR_LEVELS[1]), spec.rel_tol, floor, columns)
     else:
         value, error, evaluations, converged = _pade_sum(
             lambda xi, v: integrand_si(xi, v / d_ref), columns, v_axis,

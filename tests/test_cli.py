@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.constants import c, hbar
 
+from planarcasimir import cli
 from planarcasimir.cli import main
 
 COEF = hbar * c * math.pi ** 2 / 240.0
@@ -84,6 +85,22 @@ def test_unknown_command_is_a_usage_error(capsys):
         main(["annihilate"])
     assert err.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_one_parser_serves_calls_without_carrying_flags(tmp_path, capsys):
+    # The parser is built once per process; a flag of one call does not
+    # reach the next, and a usage error still exits 2.
+    cfg = _write(tmp_path, TWO_WALL)
+    argv = ["stress-profile", "--config", cfg, "--format", "csv"]
+    code, out, _ = _run(capsys, argv + ["--samples", "5"])
+    assert code == 0 and len(_rows(out)) == 5
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and len(_rows(out)) == 9
+    with pytest.raises(SystemExit) as err:
+        main(["stress-profile", "--samples"])
+    assert err.value.code == 2
+    assert "usage" in capsys.readouterr().err
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("argv_tail,needle", [

@@ -216,6 +216,20 @@ def _assert_inner_budget_miss(exact, temperature):
     assert abs(tight.value - exact) <= tight.error_estimate
 
 
+@pytest.mark.parametrize("axis", [
+    quadrature._MOMENTUM, quadrature._FREQUENCY, quadrature._LINE,
+    (quadrature._MOMENTUM[0], quadrature._CUTOFF_TOP, 2.0)],
+    ids=["momentum", "frequency", "line", "cutoff"])
+def test_every_level_from_3_nests_in_the_next(axis):
+    # A rule started at level 3 reads its nodes again at level 4 and adds
+    # only the odd ones: the ends of every range are multiples of 1/8.
+    for level in range(3, 7):
+        coarse = quadrature._axis(axis, level)[0]
+        fine, _, odd, even = quadrature._axis(axis, level + 1)
+        np.testing.assert_array_equal(fine[even], coarse)
+        assert len(odd) + len(even) == fine.size == 2 * coarse.size - 1
+
+
 def test_double_integral_reports_an_inner_budget_miss():
     # The outer integrand exp(-u) (1 + u sqrt(pi)) is smooth, but every q
     # integral has a 1/sqrt(q) endpoint singularity; a target below double
