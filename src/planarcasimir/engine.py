@@ -50,7 +50,6 @@ from .layers import (
     DELTA,
     POLARIZATIONS,
     CavityConfig,
-    PerfectMirrorPlate,
     Wall,
     _has_drude_like,
     _plate_rt,
@@ -319,8 +318,7 @@ def _plate_terms(cavity: CavityConfig, xi, q):
 
     With the plate's (r, t) and the bare walls' reflections r_1- and r_3+,
     all seen from the gap medium, A = r_1- e^{-2 kappa d1},
-    B = r_3+ e^{-2 kappa d3} and N = (1 - r A)(1 - r B) - t^2 A B. A mirror
-    plate (t = 0) skips the t^2 A B term.
+    B = r_3+ e^{-2 kappa d3} and N = (1 - r A)(1 - r B) - t^2 A B.
     """
     waves, medium = _Waves(xi, q), cavity.medium
     wave = waves[medium]
@@ -329,10 +327,7 @@ def _plate_terms(cavity: CavityConfig, xi, q):
         -2.0 * wave[1] * cavity.d1)
     b = _wall_refl(cavity.right_wall, medium, waves) * np.exp(
         -2.0 * wave[1] * cavity.d3)
-    n_den = (1.0 - r * a) * (1.0 - r * b)
-    if not isinstance(cavity.plate, PerfectMirrorPlate):
-        n_den -= t * t * a * b
-    return wave, r, t, a, b, n_den
+    return wave, r, t, a, b, (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
 
 
 def _exact_difference_integrand(cavity: CavityConfig):
@@ -404,7 +399,8 @@ def plate_force(
     res = double_semi_infinite(_exact_difference_integrand(cavity), spec,
                                min(cavity.d1, cavity.d3), _STRESS_PREFACTOR,
                                temperature, *zero_term,
-                               index=_index(cavity.medium), columns=2)
+                               index=_index(cavity.medium), columns=2,
+                               summed=True)
     return _force_result(res, spec)
 
 
@@ -438,5 +434,5 @@ def minkowski_plate_force(
 
     res = double_semi_infinite(integrand, spec, min(cavity.d1, cavity.d3),
                                _MINKOWSKI_PREFACTOR, temperature, *zero_term,
-                               columns=2)
+                               columns=2, summed=True)
     return _force_result(res, spec)

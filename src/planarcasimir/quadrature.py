@@ -94,9 +94,8 @@ _CUTOFF_TOP = 3.875
 # Pade order of a thermal sum. On a vacuum mirror cavity the q rule
 # changes by about 3e-9 from level 3 to level 4; squared, that change meets
 # a tenth of rel_tol 1e-8, where the plain change needed level 5. From
-# rel_tol _LOOSE up a tensor rule starts at level 3 (2,024 points), where
-# it books 9.3e-5 of the force on vacuum mirrors: a lower _LOOSE sends them
-# on to level 4, one call more than starting there.
+# rel_tol _LOOSE up a tensor rule starts at level 3 (2,024 points): 9.3e-5
+# on vacuum mirrors, which below it would go on to level 4, one call more.
 _TENSOR_LEVELS = (4, 6)
 _TERM_LEVELS = (4, 6)
 _LOOSE = 1e-4
@@ -248,7 +247,8 @@ def _booked(change, before, total):
 
 
 def _nested(f: Callable, outer, inner, levels: tuple[int, int],
-            rel_tol: float, abs_floor: float | np.ndarray, columns: int):
+            rel_tol: float, abs_floor: float | np.ndarray, columns: int,
+            summed: bool = False):
     """Nested trapezoid rule over the tensor product of two axes.
 
     The inner axis is a range of ``_axis``; the outer one is a range too or
@@ -263,7 +263,8 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
     its change from k-2 to k-1, plus the end terms, integrals along the end
     lines of each such axis per unit t; ``_ULPS`` ulps of the sum of
     |weight * f| are the least error. Every column must meet
-    ``max(rel_tol*|S_k|, abs_floor)``. Returns (value, error, points,
+    ``max(rel_tol*|S_k|, abs_floor)``, and if ``summed`` so must the sum of
+    the columns with the sum of their errors. Returns (value, error, points,
     converged, upper end term of the inner axis, sum of |weight * f|).
     """
     first, last = levels
@@ -319,8 +320,9 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
         booked = (_booked(change, before, total)
                   if level > 3 or len(outer) != 3 else change)
         error = np.maximum(booked.sum(axis=0) + bound, floor * size)
-        converged = bool(np.all(error <= np.maximum(rel_tol * np.abs(total),
-                                                    abs_floor)))
+        goal = np.maximum(rel_tol * np.abs(total), abs_floor)
+        converged = bool(np.all(error <= goal) and (not summed or error.sum()
+                         <= max(rel_tol * abs(total.sum()), abs_floor)))
         if converged or level == last:
             break
     if not converged:
@@ -385,6 +387,7 @@ def double_semi_infinite(
     zero_term_value: float | np.ndarray | None = None,
     index: float = 1.0,
     columns: int = 1,
+    summed: bool = False,
 ) -> IntegralResult:
     """prefactor * Int_0^inf dxi Int_0^inf dq integrand_si(xi, q).
 
@@ -404,10 +407,11 @@ def double_semi_infinite(
     At T = 0 the rule is the tensor product of the q rule with the rule in
     u = index*xi*d_ref/c from 2.4e-19 to 46. Levels 4 to 6 (7,917 to
     124,545 points without a cutoff), or 3 to 6 from 2,024 points where
-    ``spec.rel_tol`` is at least 1e-4, are judged as one rule. At T > 0 the xi
-    integral is the thermal sum of ``_pade_sum`` under the endpoint rule
-    ``zero_term_policy``. A given ``zero_term_value`` (per column, only at
-    T > 0) is added as it is; the caller has checked it
+    ``spec.rel_tol`` is at least 1e-4, are judged as one rule, and if
+    ``summed`` (s and p of one force) on the sum of the columns too. At
+    T > 0 the xi integral is the thermal sum of ``_pade_sum`` under the
+    endpoint rule ``zero_term_policy``. A given ``zero_term_value`` (per
+    column, only at T > 0) is added as it is; the caller has checked it
     (``engine._zero_term``). ``evaluations`` counts integrand points;
     ``converged`` requires the whole error's target.
     """
@@ -430,7 +434,7 @@ def double_semi_infinite(
         value, error, evaluations, converged, _, _ = _nested(
             lambda u, v: integrand_si(u * jac, v / d_ref), _FREQUENCY, v_axis,
             (3 if spec.rel_tol >= _LOOSE else _TENSOR_LEVELS[0],
-             _TENSOR_LEVELS[1]), spec.rel_tol, floor, columns)
+             _TENSOR_LEVELS[1]), spec.rel_tol, floor, columns, summed)
     else:
         value, error, evaluations, converged = _pade_sum(
             lambda xi, v: integrand_si(xi, v / d_ref), columns, v_axis,
