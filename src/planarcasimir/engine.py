@@ -131,8 +131,8 @@ def _mode_coefficients(wave, xi, q):
     g, of shapes (2, A, m) and (2, A, 1), rows (s, p)."""
     (mu, eps), kappa = wave
     n_sq = eps * mu
-    inv = 1.0 / n_sq
-    return ((-2.0 - 2.0 * inv) * kappa**2 + DELTA * ((2.0 - 2.0 * inv) * q**2),
+    twice_inv = 2.0 / n_sq
+    return ((-2.0 - twice_inv) * kappa**2 + DELTA * ((2.0 - twice_inv) * q**2),
             DELTA * ((xi * xi / c**2) * (1.0 - n_sq)))
 
 
@@ -144,7 +144,7 @@ def _g_terms(view: InterspaceView, waves: _Waves):
     r_minus = _wall_refl(view.left, view.medium, waves)
     pair, surf = _mode_coefficients(wave, waves.xi, waves.q)
     # r_+ r_- e^{-2 kappa d} once, so that mirror-image walls round alike.
-    rr = r_plus * r_minus * np.exp(-2.0 * wave[1] * view.width)
+    rr = r_plus * r_minus * np.exp(wave[1] * (-2.0 * view.width))
     return pair * rr, surf, r_minus, r_plus, 1.0 - rr
 
 
@@ -242,8 +242,8 @@ def stress_zz(
             for term in (bulk, surf * r_minus, surf * r_plus)]
         weight, kappa, bulk, near, far = (
             term.reshape(term.shape + spread) for term in terms)
-        return weight * (bulk + near * np.exp(-2.0 * kappa * heights)
-                         + far * np.exp(-2.0 * kappa * (view.width - heights)))
+        return weight * (bulk + near * np.exp(kappa * (-2.0 * heights)) + far
+                         * np.exp(kappa * (-2.0 * (view.width - heights))))
 
     d_ref = min(heights.min(), view.width - heights.max())
     return double_semi_infinite(integrand, spec, d_ref, _STRESS_PREFACTOR,
@@ -278,7 +278,7 @@ def minkowski_stress_zz(
         kappa = waves[view.medium][1]
         rr = (_wall_refl(view.right, view.medium, waves)
               * _wall_refl(view.left, view.medium, waves)
-              * np.exp(-2.0 * kappa * view.width))
+              * np.exp(kappa * (-2.0 * view.width)))
         return q * kappa * (rr / (1.0 - rr)).sum(axis=0)
 
     return double_semi_infinite(integrand, spec, view.width,
@@ -324,9 +324,9 @@ def _plate_terms(cavity: CavityConfig, xi, q):
     wave = waves[medium]
     r, t = _plate_rt(cavity.plate, medium, waves)
     a = _wall_refl(cavity.left_wall, medium, waves) * np.exp(
-        -2.0 * wave[1] * cavity.d1)
+        wave[1] * (-2.0 * cavity.d1))
     b = _wall_refl(cavity.right_wall, medium, waves) * np.exp(
-        -2.0 * wave[1] * cavity.d3)
+        wave[1] * (-2.0 * cavity.d3))
     return wave, r, t, a, b, (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
 
 

@@ -41,6 +41,7 @@ row, shaped like q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,7 +142,7 @@ class CavityConfig:
         if not isinstance(self.plate, (Layer, PerfectMirrorPlate)):
             raise ValueError("plate must be a Layer or PerfectMirrorPlate")
 
-    @property
+    @cached_property
     def has_drude_like(self) -> bool:
         return _has_drude_like(self.medium, self.left_wall, self.right_wall,
                                plate=self.plate)
@@ -231,7 +232,7 @@ def _wall_refl(wall: Wall, ambient: DispersionModel, waves: _Waves):
     for i in range(len(layers) - 1, -1, -1):
         outer = layers[i - 1].material if i else ambient
         rf = waves[outer, inner]
-        back = np.exp(-2.0 * waves[inner][1] * layers[i].thickness) * r
+        back = np.exp(waves[inner][1] * (-2.0 * layers[i].thickness)) * r
         r = (rf + back) / (1.0 + rf * back)
         inner = outer
     return r
@@ -266,7 +267,7 @@ def _plate_rt(plate, ambient: DispersionModel, waves: _Waves):
     if isinstance(plate, PerfectMirrorPlate):
         return DELTA, 0.0
     r12 = waves[ambient, plate.material]
-    decay = np.exp(-waves[plate.material][1] * plate.thickness)
+    decay = np.exp(waves[plate.material][1] * -plate.thickness)
     r12_sq, decay_sq = r12 * r12, decay * decay
     den = 1.0 - r12_sq * decay_sq
     return r12 * (1.0 - decay_sq) / den, (1.0 - r12_sq) * decay / den

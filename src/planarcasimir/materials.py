@@ -87,15 +87,16 @@ class DispersionModel:
                 f"static permeability must be > 0, got {self.mu_static}")
         if not all(p >= 0.0 for p in eps_osc + mu_osc):
             raise ValueError("oscillator parameters must be non-negative")
-        # The evaluation forms Omega^2, omega_0^2 and, at xi = 0, their ratio.
+        # The evaluation forms Omega^2, omega_0^2 and, at xi = 0, their
+        # ratio; as in numpy, x * x overflows to inf (x**2 raises), 0/0 is nan.
         for prefix, osc in (("", eps_osc), ("mu_", mu_osc or (0.0, 0.0))):
-            with np.errstate(over="ignore", divide="ignore"):
-                strength, resonance = np.array(osc[:2], dtype=float) ** 2
-                ratio = strength / resonance if osc[0] and osc[1] else 0.0
+            strength, resonance = (float(x) * float(x) for x in osc[:2])
+            ratio = 0.0 if not (osc[0] and osc[1]) else (strength / resonance
+                     if resonance else math.inf if strength else math.nan)
             for name, square in (("plasma_freq", strength),
                                  ("resonance_freq", resonance),
                                  ("plasma_freq over resonance_freq", ratio)):
-                if not np.isfinite(square):
+                if not math.isfinite(square):
                     raise ValueError(f"{prefix}{name} squared must be finite,"
                                      f" got {square}")
         if self.kind is MaterialKind.PLASMA and any(eps_osc[1:]):

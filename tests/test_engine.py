@@ -466,15 +466,15 @@ def test_zero_temperature_force_calls_are_whole_chunks(monkeypatch):
                                                 (10.0, (32, 64, 128))])
 def test_each_pade_order_takes_the_calls_its_rows_need(
         monkeypatch, temperature, orders):
-    # Under half-weight an order N rule has N + 1 frequency rows, all met at
-    # the first q level: ceil(rows * nodes * 2 / _CHUNK) calls, each of at
-    # most _FORCE_ROWS rows.
+    # Under half-weight the first two orders N and 2N are one rule of
+    # 1 + N + 2N frequency rows, m = 0 once, and each later order a rule of
+    # N + 1 rows, all met at the first q level: ceil(rows * nodes * 2 /
+    # _CHUNK) calls per rule, each of at most _FORCE_ROWS rows.
     res, shapes = _call_shapes(monkeypatch, lambda: plate_force(
         _ONE_BY_FIFTY, temperature, SPEC))
     assert res.converged
     want = []
-    for order in orders:
-        rows = order + 1
+    for rows in [1 + orders[0] + orders[1]] + [n + 1 for n in orders[2:]]:
         calls = [(min(_FORCE_ROWS, rows - at), _Q_NODES)
                  for at in range(0, rows, _FORCE_ROWS)]
         assert len(calls) == -(-rows * _Q_NODES * 2 // quadrature._CHUNK)
@@ -589,6 +589,31 @@ def test_thermal_mirror_force_meets_the_geometric_series(temperature):
     _meets_the_geometric_series(temperature, 1e-6, 5e-5)
 
 
+# Vacuum mirror cavities (T in K, d1 and d3 in m) where the Pade stop rule
+# has no slack to give. Squaring the second order's step once the first
+# order spans the decay scale books 1/30 of the true error on the first and
+# 1/7.3 on the other two (1/7.3 on those two where the first order spans it
+# three times over), and so does starting the sum one order lower; the rule
+# holds each within 0.09 of its bar.
+_PADE_TRAPS = [(168.19782374241206, 0.9043108667287712e-6,
+                3.8290935518332326e-6),
+               (64.72873352694713, 1e-6, 12e-6),
+               (64.72873352694713, 1e-6, 3.7947331922020546e-6)]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("temperature,d1,d3", _PADE_TRAPS)
+def test_pade_stop_rule_bounds_the_force_where_its_shortcuts_do_not(
+        temperature, d1, d3, rel_tol):
+    cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, d1,
+                          PerfectMirrorPlate(), d3, Wall.perfect_mirror())
+    res = plate_force(cavity, temperature, QuadratureSpec(rel_tol=rel_tol))
+    exact = (ideal_mirror_pressure(temperature, d3)
+             - ideal_mirror_pressure(temperature, d1))
+    assert res.converged
+    assert abs(res.force_per_area - exact) <= res.error_estimate
+
+
 def test_zero_temperature_mirror_force_takes_the_first_level():
     # The first level of the tensor rule meets the target: level 4 at
     # 1e-8, level 3 at 1e-4.
@@ -617,8 +642,8 @@ def test_pade_sum_started_below_its_span_keeps_the_plain_change(
 
     def spy(change, before, total):
         out = booked(change, before, total)
-        if np.ndim(change) == 1:  # a Pade step; the nested rules book a row
-            steps.append((change, out))  # per integrated axis
+        if np.ndim(change) == 1:  # a Pade step; the nested rules book an
+            steps.append((change, out))  # array per axis, sum and column
         return out
 
     monkeypatch.setattr(quadrature, "_pade_sum", forced)

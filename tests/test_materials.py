@@ -285,6 +285,37 @@ def test_non_finite_parameters_are_refused_by_name(make, field, value):
         make(value)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: drude_lorentz(1e160, 0.0, 0.0), "plasma_freq squared must be"
+     " finite, got inf"),
+    (lambda: drude_lorentz(np.float64(1e160), 0, 0), "plasma_freq squared"
+     " must be finite, got inf"),
+    (lambda: drude_lorentz(1e15, 0.0, 0.0, mu_model=(1e10, 1e200, 0.0)),
+     "mu_resonance_freq squared must be finite, got inf"),
+    (lambda: drude_lorentz(1e100, 1e-200, 1e13), "plasma_freq over"
+     " resonance_freq squared must be finite, got inf"),
+    (lambda: drude_lorentz(1e15, 0.0, 0.0, mu_model=(1e100, 1e-200, 0.0)),
+     "mu_plasma_freq over resonance_freq squared must be finite, got inf"),
+    # Both squares underflow to 0: their ratio is 0/0.
+    (lambda: drude_lorentz(1e-170, 1e-170, 0.0), "plasma_freq over"
+     " resonance_freq squared must be finite, got nan"),
+])
+def test_squares_that_leave_the_floats_are_refused_with_their_value(
+        make, message):
+    # Float products overflow to inf, where x**2 would raise OverflowError,
+    # and no numpy warning is raised on the way to the refusal.
+    with pytest.raises(ValueError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
+def test_squares_that_stay_finite_are_accepted():
+    # A strength whose square underflows to 0 over a finite resonance square
+    # gives a ratio of 0, and integer parameters square as floats.
+    assert drude_lorentz(1e-170, 1.0, 0.0).plasma_freq == 1e-170
+    assert drude_lorentz(1e15, 2, 0.0).resonance_freq == 2
+
+
 def test_constant_kind_has_no_oscillator():
     with pytest.raises(ValueError, match="constant kind has no oscillator"):
         DispersionModel(MaterialKind.CONSTANT, eps_static=2.0,

@@ -2,11 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma
 from scipy.constants import Boltzmann, c, hbar
 
 from planarcasimir import engine, quadrature
-from planarcasimir.layers import CavityConfig, Layer, Wall
+from planarcasimir.layers import CavityConfig, Layer, PerfectMirrorPlate, Wall
 from planarcasimir.materials import MIRROR, constant, drude_lorentz
 from planarcasimir.quadrature import (
     IntegralResult,
@@ -478,9 +480,9 @@ def test_thermal_sum_at_an_unreachable_target_stops_at_the_largest_order(
     # the closed form spacing/d (1/2 + r/(1 - r)), r = exp(-spacing d/c).
     d, temperature = 1e-6, 1.0
     built = []
-    pade = quadrature._pade
-    monkeypatch.setattr(quadrature, "_pade",
-                        lambda order: built.append(order) or pade(order))
+    rule = quadrature._pade_rule
+    monkeypatch.setattr(quadrature, "_pade_rule", lambda orders, head: (
+        built.extend(orders) or rule(orders, head)))
     res = double_semi_infinite(lambda xi, q: np.exp(-xi * d / c - q * d),
                                QuadratureSpec(rel_tol=1e-17), d,
                                temperature=temperature)
@@ -489,11 +491,54 @@ def test_thermal_sum_at_an_unreachable_target_stops_at_the_largest_order(
     assert not res.converged
     assert abs(res.value - exact) <= res.error_estimate
     assert max(built) == quadrature._PADE_ORDERS[1]
-    # Every order up to the largest, one row more for m = 0, at most at
-    # the last level of the q rule.
+    # Every order up to the largest, one row more for m = 0 per rule (the
+    # first two orders share one), at most at the last level of the q rule.
     q_nodes = quadrature._axis(quadrature._MOMENTUM,
                                quadrature._TERM_LEVELS[1])[0].size
-    assert res.evaluations <= sum(n + 1 for n in _DOUBLING) * q_nodes
+    assert built == [n for n in _DOUBLING if n >= built[0]]
+    assert res.evaluations <= (sum(_DOUBLING) + len(_DOUBLING) - 1) * q_nodes
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(t_d=st.floats(-6.0, np.log10(3e-3)).map(lambda e: 10.0 ** e),
+       policy=st.sampled_from(["half-weight", "drop"]),
+       rel_tol=st.sampled_from([1e-4, 1e-8, 1e-12]))
+def test_a_rule_of_two_weight_rows_is_two_rules(t_d, policy, rel_tol):
+    # The first two Pade orders N and 2N of a thermal sum are one rule over
+    # the union of their nodes, one weight row each. Each row is the rule
+    # of its order alone, to rounding: the same sum and error within 32
+    # ulps of its sum of |weight * f|, at the same q level, with the same
+    # flag. T d from 1e-6 to 3e-3 K m starts the sum at orders 8 to 128.
+    d = 1e-6
+    cavity = CavityConfig(Wall.perfect_mirror(), constant(), d,
+                          PerfectMirrorPlate(), 3.0 * d, Wall.perfect_mirror())
+    integrand = engine._exact_difference_integrand(cavity)
+    temperature = t_d / d
+    spacing = float(matsubara_frequency(1, temperature))
+    head = int(policy == "half-weight")
+    order = quadrature._PADE_ORDERS[0]
+    while order**2 < 2.0 * hbar * c / (d * Boltzmann * temperature):
+        order *= 2
+
+    def rule(x, w):
+        return quadrature._nested(
+            lambda xi, v: integrand(xi, v / d),
+            quadrature._fixed(x * spacing, w * spacing), quadrature._MOMENTUM,
+            quadrature._TERM_LEVELS, 0.1 * rel_tol, 0.0, 2)
+
+    value, error, points, converged, _, mass = rule(
+        *quadrature._pade_rule((order, 2 * order), head)[:2])
+    assert value.shape == error.shape == mass.shape == (2, 2)
+    ulps = quadrature._ULPS * np.finfo(float).eps * mass
+    for row, n in enumerate((order, 2 * order)):
+        # The order alone: m = 0 with weight 1/2, then its poles.
+        poles, residues, _ = quadrature._pade(n)
+        alone = rule(np.concatenate([np.zeros(head), poles / (2.0 * np.pi)]),
+                     np.concatenate([np.full(head, 0.5), residues])[None])
+        assert np.all(np.abs(value[row] - alone[0][0]) <= ulps[row])
+        assert np.all(np.abs(error[row] - alone[1][0]) <= ulps[row])
+        assert alone[2] * (head + 3 * order) == points * (head + n)
+        assert alone[3] is converged
 
 
 # ---------------------------------------------------------------------------
