@@ -298,6 +298,7 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
                 # memory, so this view of them copies nothing.
                 y = y.reshape(y.shape[:2] + (-1,)).transpose(2, 0, 1)
                 wu, wv, magnitude = w_u[:, r], w_v[:, cols], np.abs(y)
+                # One sum's vector product rounds as it always has.
                 mass = ((wu[0] @ magnitude @ wv[0])[None] if len(wu) == 1
                         or integrated else (wu @ magnitude @ wv[0]).T)
                 # A non-finite value leaves its column's sum of |w * f|
@@ -471,8 +472,7 @@ def _pade_rule(orders: tuple[int, ...], head: int):
     for row, at, table in zip(w, np.cumsum((head,) + orders), tables):
         row[at:at + table[1].size] = table[1]
     rounding = np.array([table[2] for table in tables])
-    for array in (x, w, rounding):
-        array.setflags(write=False)
+    x.flags.writeable = w.flags.writeable = rounding.flags.writeable = False
     return x, w, rounding
 
 

@@ -465,12 +465,16 @@ def test_pade_table_rebuilds_coth(order):
 
 
 def test_pade_tables_are_read_only_and_cached():
-    for order in (_ORDERS[0], _ORDERS[-1]):
-        first, again = quadrature._pade(order), quadrature._pade(order)
+    # So are the nodes, weights and roundings of a rule over two tables.
+    for build, args in [(quadrature._pade, (_ORDERS[0],)),
+                        (quadrature._pade, (_ORDERS[-1],)),
+                        (quadrature._pade_rule, ((8, 16), 1))]:
+        first, again = build(*args), build(*args)
         assert all(a is b for a, b in zip(first, again))
-        for array in first[:2]:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1.0
+        for array in first:
+            if isinstance(array, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
 
 
 def test_thermal_sum_at_an_unreachable_target_stops_at_the_largest_order(
