@@ -280,11 +280,8 @@ def _cmd_stress_profile(rc: RunConfig, values: dict):
     if rc.pair is None:
         raise ConfigError(
             "stress-profile needs a wall/gap/wall [structure] in --config")
-    samples = values["samples"]
-    if samples < 2:
-        raise ConfigError("--samples: a profile needs at least 2 samples")
     profile = stress_profile(
-        interspace(*rc.pair), samples, temperature=rc.temperature,
+        interspace(*rc.pair), values["samples"], temperature=rc.temperature,
         spec=rc.quadrature, zero_term_policy=rc.zero_term_policy,
         zero_term_value=rc.zero_term_value)
     rows = [{"z_m": float(z), "t_zz_N_per_m2": float(t),

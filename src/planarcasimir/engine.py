@@ -101,6 +101,8 @@ class ForceResult:
 
     ``per_polarization`` maps "s" and "p" to their contributions; they sum to
     ``force_per_area`` exactly. Positive force pushes the plate toward +z.
+    ``converged`` is the verdict of the rule that produced it, at every T:
+    s, p and their sum each met ``max(rel_tol*|value|, abs_floor)``.
     """
 
     force_per_area: float
@@ -154,13 +156,13 @@ def _index(medium: DispersionModel) -> float:
 
 
 def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
-    """(endpoint rule, m = 0 contribution) of a zero-term request.
+    """(head, amount) for ``double_semi_infinite``: whether m = 0 joins the
+    thermal sum at half weight, and an m = 0 amount to add, or None.
 
     The one reader of ``zero_term_policy``/``zero_term_value``, run by every
-    observable at every T before its first integral. The rule is one that
-    ``double_semi_infinite`` knows; ``custom-value`` drops m = 0 and, at
-    T > 0 only, adds a finite number (stresses) or (s, p) array from a dict
-    with both keys (forces).
+    observable at every T before its first integral. Only ``half-weight``
+    has the head; ``custom-value`` adds a finite number (stresses) or (s, p)
+    array from a dict with both keys (forces), which 0 K has no term for.
     """
     policy = policy or "half-weight"
     if policy not in ZERO_TERM_POLICIES:
@@ -173,7 +175,7 @@ def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
             " 'drop' or 'custom-value' explicitly"
         )
     if policy != "custom-value":
-        return policy, None
+        return policy == "half-weight", None
     try:
         value = np.array([value["s"], value["p"]] if per_polarization
                          else value, dtype=float)
@@ -187,7 +189,7 @@ def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
             " zero_term_value_s and zero_term_value_p)" if per_polarization
             else "custom-value on a stress needs zero_term_value, a finite"
             " m = 0 contribution in N/m^2 (in a config, [run] zero_term_value)")
-    return "drop", value if temperature > 0.0 else None
+    return False, value
 
 
 def stress_zz(
@@ -270,6 +272,9 @@ def minkowski_stress_zz(
             "the Minkowski form used here requires a nonmagnetic interspace"
             f" medium, got mu != 1 for kind {view.medium.kind.value!r}"
         )
+    if not np.isfinite(view.width):
+        raise ValueError("the Minkowski stress needs a finite interspace"
+                         f" width, got {view.width}")
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
                            view.has_drude_like)
 
@@ -353,19 +358,13 @@ def _exact_difference_integrand(cavity: CavityConfig):
     return integrand
 
 
-def _force_result(res: IntegralResult, spec: QuadratureSpec) -> ForceResult:
-    """ForceResult from a two-column (s, p) integral whose columns each met
-    their own target if ``res.converged``; their sum must meet its own."""
+def _force_result(res: IntegralResult) -> ForceResult:
+    """ForceResult of a two-column (s, p) integral, its verdict as the
+    ``summed`` rule gave it."""
     per_pol = dict(zip(POLARIZATIONS, map(float, res.value)))
-    force, error = per_pol["s"] + per_pol["p"], float(res.error_estimate.sum())
-    return ForceResult(
-        force_per_area=force,
-        error_estimate=error,
-        per_polarization=per_pol,
-        converged=res.converged and error <= max(spec.rel_tol * abs(force),
-                                                 spec.abs_floor),
-        evaluations=res.evaluations,
-    )
+    return ForceResult(per_pol["s"] + per_pol["p"],
+                       float(res.error_estimate.sum()), per_pol,
+                       res.converged, res.evaluations)
 
 
 def plate_force(
@@ -401,7 +400,7 @@ def plate_force(
                                temperature, *zero_term,
                                index=_index(cavity.medium), columns=2,
                                summed=True)
-    return _force_result(res, spec)
+    return _force_result(res)
 
 
 def minkowski_plate_force(
@@ -435,4 +434,4 @@ def minkowski_plate_force(
     res = double_semi_infinite(integrand, spec, min(cavity.d1, cavity.d3),
                                _MINKOWSKI_PREFACTOR, temperature, *zero_term,
                                columns=2, summed=True)
-    return _force_result(res, spec)
+    return _force_result(res)

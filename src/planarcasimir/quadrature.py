@@ -68,11 +68,11 @@ class QuadratureSpec:
 class IntegralResult:
     """Value, error bookkeeping, and effort of one integral or sum.
 
-    ``converged`` is true iff
-    ``error_estimate <= max(rel_tol*|value|, abs_floor)`` for the spec the
-    result was produced with, for every column. ``value`` and
-    ``error_estimate`` are floats for a one-column integrand or sum and
-    ndarrays of shape (k,) for k columns.
+    ``converged`` is the verdict of the rule that produced the result:
+    ``error_estimate <= max(rel_tol*|value|, abs_floor)`` for its spec, for
+    every column and, if the rule was ``summed`` (a force's s and p), for
+    their sum with the sum of their errors. ``value`` and ``error_estimate``
+    are floats for one column and ndarrays of shape (k,) for k columns.
     """
 
     value: float | np.ndarray
@@ -385,8 +385,8 @@ def double_semi_infinite(
     d_ref: float,
     prefactor: float = 1.0,
     temperature: float = 0.0,
-    zero_term_policy: str = "half-weight",
-    zero_term_value: float | np.ndarray | None = None,
+    head: bool = True,
+    amount: float | np.ndarray | None = None,
     index: float = 1.0,
     columns: int = 1,
     summed: bool = False,
@@ -403,19 +403,19 @@ def double_semi_infinite(
     the medium's refractive index n(i xi): the integrand decays like
     exp(-2 n xi d_ref/c), so ``d_ref`` and ``index`` set the frequency
     scale both rules must resolve. Both must be finite and positive,
-    ``prefactor`` finite and nonzero, ``temperature`` finite and >= 0 and
-    ``zero_term_policy`` ``half-weight`` or ``drop``, or they are refused.
+    ``prefactor`` finite and nonzero and ``temperature`` finite and >= 0,
+    or they are refused.
 
     At T = 0 the rule is the tensor product of the q rule with the rule in
-    u = index*xi*d_ref/c from 2.4e-19 to 46. Levels 4 to 6 (7,917 to
+    u = index*xi*d_ref/c from 2.4e-19 to 46, levels 4 to 6 (7,917 to
     124,545 points without a cutoff), or 3 to 6 from 2,024 points where
-    ``spec.rel_tol`` is at least 1e-4, are judged as one rule, and if
-    ``summed`` (s and p of one force) on the sum of the columns too. At
-    T > 0 the xi integral is the thermal sum of ``_pade_sum`` under the
-    endpoint rule ``zero_term_policy``. A given ``zero_term_value`` (per
-    column, only at T > 0) is added as it is; the caller has checked it
-    (``engine._zero_term``). ``evaluations`` counts integrand points;
-    ``converged`` requires the whole error's target.
+    ``spec.rel_tol`` is at least 1e-4. At T > 0 the xi integral is the
+    thermal sum of ``_pade_sum``, with m = 0 at half weight if ``head``,
+    and a given m = 0 ``amount`` (per column, checked by
+    ``engine._zero_term``) is added to it; 0 K has no m = 0 term to add.
+    Either rule judges the value it returns, at every temperature: each
+    column and, if ``summed`` (s and p of one force), their sum.
+    ``evaluations`` counts integrand points.
     """
     for name, bound in (("d_ref", d_ref), ("index", index)):
         if not 0.0 < bound < np.inf:
@@ -424,7 +424,6 @@ def double_semi_infinite(
         raise ValueError(f"prefactor must be finite and nonzero: {prefactor}")
     if not 0.0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0: {temperature}")
-    _check_policy(zero_term_policy)
     # The rules sum in v, and at T = 0 in u, without the prefactor and the
     # Jacobians of those variables, which scale the result; so must the floor.
     jac = c / (index * d_ref) if temperature == 0.0 else 1.0
@@ -437,14 +436,16 @@ def double_semi_infinite(
             lambda u, v: integrand_si(u * jac, v / d_ref), _FREQUENCY, v_axis,
             (3 if spec.rel_tol >= _LOOSE else _TENSOR_LEVELS[0],
              _TENSOR_LEVELS[1]), spec.rel_tol, floor, columns, summed)
+        amount = None  # 0 K has no m = 0 term to add
     else:
         value, error, evaluations, converged = _pade_sum(
             lambda xi, v: integrand_si(xi, v / d_ref), columns, v_axis,
-            temperature, zero_term_policy, spec, floor,
+            temperature, head, spec, floor,
+            0.0 if amount is None else amount / scale, summed,
             c / (2.0 * index * d_ref))
     value = scale * np.asarray(value)
-    if zero_term_value is not None:
-        value = value + zero_term_value
+    if amount is not None:
+        value = value + amount
     return IntegralResult(_plain(value), _plain(abs(scale) * error),
                           evaluations, converged)
 
@@ -452,12 +453,6 @@ def double_semi_infinite(
 def matsubara_frequency(m: int | np.ndarray, temperature: float):
     """m-th bosonic imaginary frequency xi_m = 2 pi m k_B T / hbar (rad/s)."""
     return 2.0 * np.pi * Boltzmann * temperature * m / hbar
-
-
-def _check_policy(zero_term_policy: str) -> None:
-    """Refuse an endpoint rule other than ``half-weight`` and ``drop``."""
-    if zero_term_policy not in ("half-weight", "drop"):
-        raise ValueError(f"unknown zero_term_policy {zero_term_policy!r}")
 
 
 @lru_cache(maxsize=None)
@@ -477,28 +472,28 @@ def _pade_rule(orders: tuple[int, ...], head: int):
 
 
 def _pade_sum(f: Callable, columns: int, inner, temperature: float,
-              zero_term_policy: str, spec: QuadratureSpec, floor: float,
-              decay: float):
+              head: bool, spec: QuadratureSpec, floor: float, amount,
+              summed: bool, decay: float):
     """(value, error, points, converged) of the thermal sum of f by Pade.
 
     Order N of ``_pade`` sums over a fixed outer axis of ``_nested``: the
-    m = 0 node with weight 1/2 of 2 pi k_B T/hbar under ``half-weight``
-    (none under ``drop``) and the N nodes xi_j k_B T/hbar with weights
-    eta_j 2 pi k_B T/hbar; the q rule ``inner`` of levels 4 to 6 is judged
-    against a tenth of the sum's target. The first order is
-    ``_PADE_ORDERS[0]`` doubled until its table spans the decay scale
-    ``decay`` (rad/s) of f, N**2/4 >= hbar decay/(k_B T); each later order
-    is twice the one before. With S_N the sum of order N (and S_N/2 = 0
-    for the first), the ``_booked`` error of the step |S_N - S_N/2| after
-    the step before, plus the table's rounding times the sum of
-    |weight * f|, must fit in what the q errors leave of the target, or
-    meet it alone once they leave nothing. The first order's step is the
-    sum itself, so the second books its plain step; the two are one rule of
-    two sums over their poles and one m = 0 node. The error is that change
-    plus the q errors; the orders stop there or, unconverged, at 512.
+    m = 0 node with weight 1/2 of 2 pi k_B T/hbar if ``head`` and the N
+    nodes xi_j k_B T/hbar with weights eta_j 2 pi k_B T/hbar; the q rule
+    ``inner`` of levels 4 to 6 is judged against a tenth of the sum's
+    target. The first order is ``_PADE_ORDERS[0]`` doubled until its table
+    spans the decay scale ``decay`` (rad/s) of f, N**2/4 >= hbar
+    decay/(k_B T); each later order is twice the one before. With S_N the
+    sum of order N (and S_N/2 = 0 for the first), the ``_booked`` error of
+    the step |S_N - S_N/2| after the step before, plus the table's rounding
+    times the sum of |weight * f|, must fit in what the q errors leave of
+    max(rel_tol*|S_N + amount|, floor), ``amount`` the m = 0 term to add,
+    or meet it alone once they leave nothing; so must the columns' sum if
+    ``summed``. The first order's step is the sum itself, so the second
+    books its plain step; the two are one rule of two sums over their poles
+    and one m = 0 node. The error is that change plus the q errors; the
+    orders stop there or, unconverged, at 512, judged on every target.
     """
     spacing = float(matsubara_frequency(1, temperature))
-    head = int(zero_term_policy == "half-weight")
     # The decay scale in units of k_B T/hbar, which a table of order N
     # spans if N**2/4 reaches it.
     span = 2.0 * np.pi * decay / spacing
@@ -508,7 +503,7 @@ def _pade_sum(f: Callable, columns: int, inner, temperature: float,
     orders = [order << i for i in range((last // order).bit_length())]
     before, drift, points = 0.0, 0.0, 0
     for rule in [tuple(orders[:2])] + [(n,) for n in orders[2:]]:
-        x, w, roundings = _pade_rule(rule, head)
+        x, w, roundings = _pade_rule(rule, int(head))
         values, q_errors, n, _, _, masses = _nested(
             f, _fixed(x * spacing, w * spacing), inner, _TERM_LEVELS,
             0.1 * spec.rel_tol, floor, columns)
@@ -517,11 +512,15 @@ def _pade_sum(f: Callable, columns: int, inner, temperature: float,
                 rule, values, q_errors, masses, roundings):
             step = np.abs(value - before)
             change = _booked(step, drift, value) + rounding * mass
-            goal = np.maximum(spec.rel_tol * np.abs(value), floor)
-            room = np.where(q_error < goal, goal - q_error, goal)
-            if (change <= room).all() or order == last:
-                error = change + q_error
-                return value, error, points, bool((error <= goal).all())
+            judged = np.array((change, q_error, value + amount))
+            if summed:  # their sum, judged as one more column
+                judged = np.column_stack((judged, judged.sum(axis=1)))
+            moved, q_part, target = judged
+            goal = np.maximum(spec.rel_tol * np.abs(target), floor)
+            room = np.where(q_part < goal, goal - q_part, goal)
+            if (moved <= room).all() or order == last:
+                return (value, change + q_error, points,
+                        bool((moved + q_part <= goal).all()))
             before, drift = value, step
 
 
@@ -572,7 +571,8 @@ def matsubara_sum(
         raise ValueError("matsubara_sum needs a finite temperature > 0, got"
                          f" {temperature}; use the zero-temperature integral"
                          " at 0 K")
-    _check_policy(zero_term_policy)
+    if zero_term_policy not in ("half-weight", "drop"):
+        raise ValueError(f"unknown zero_term_policy {zero_term_policy!r}")
     spacing = float(matsubara_frequency(1, temperature))
     total = error = mass = 0.0
     # done: the last nonzero m summed; head: m = 0 joins the first block.

@@ -92,5 +92,5 @@ def plate_force(cavity, temperature=0.0, spec=None, zero_term_policy=None,
     res = engine.double_semi_infinite(
         direct_difference_integrand(cavity), spec, d_min,
         engine._STRESS_PREFACTOR, temperature, *zero_term,
-        index=engine._index(cavity.medium), columns=2)
-    return engine._force_result(res, spec)
+        index=engine._index(cavity.medium), columns=2, summed=True)
+    return engine._force_result(res)

@@ -228,6 +228,46 @@ def test_force_human_output(tmp_path, capsys):
     assert "=" in out
 
 
+MAGNETODIELECTRIC_CAVITY = """
+[material.vac]
+kind = constant
+
+[material.magnet]
+kind = constant
+mu_static = 100
+
+[material.slab]
+kind = constant
+eps_static = 2
+mu_static = 2
+
+[material.glass]
+kind = constant
+eps_static = 10
+
+[structure]
+regions = wall:magnet:semi-infinite, gap:vac:1e-6, plate:slab:1e-6,
+    gap:vac:1e-6, wall:glass:semi-infinite
+
+[run]
+temperature = 30
+"""
+
+
+@pytest.mark.parametrize("rel_tol", ["1e-3", "1e-4"])
+def test_thermal_force_of_opposed_polarizations_exits_0(tmp_path, capsys,
+                                                        rel_tol):
+    # s and p pull apart at 30 K: the thermal sum goes on until their sum
+    # meets the target, where it used to stop on each alone and exit 3.
+    cfg = _write(tmp_path, MAGNETODIELECTRIC_CAVITY)
+    code, out, err = _run(capsys, ["force", "--config", cfg, "--format",
+                                   "json", "--rel-tol", rel_tol])
+    assert code == 0 and not err
+    row = json.loads(out)["results"][0]
+    assert row["converged"] and row["error_estimate_N_per_m2"] <= float(
+        rel_tol) * abs(row["force_per_area_N_per_m2"])
+
+
 def test_truncated_thermal_sum_exits_3(tmp_path, capsys):
     # At 0.1 K the largest Pade order, 512, does not resolve the 1 um / 50 um
     # sum.

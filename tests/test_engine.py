@@ -221,6 +221,16 @@ def test_minkowski_requires_nonmagnetic_medium():
         minkowski_plate_force(cavity, spec=SPEC)
 
 
+def test_minkowski_stress_refuses_an_unbounded_interspace_by_name():
+    # A single wall facing an unbounded medium: the field stress integrates
+    # it, the Minkowski stress of the gap's width refuses it by name.
+    view = interspace(Wall.semi_infinite(constant(eps=4.0)), VACUUM, np.inf,
+                      Wall.perfect_mirror())
+    assert stress_zz(view, 1e-6, spec=SPEC).converged
+    with pytest.raises(ValueError, match="finite interspace width, got inf"):
+        minkowski_stress_zz(view, spec=SPEC)
+
+
 def test_interspace_validation():
     with pytest.raises(ValueError, match="finite response"):
         interspace(Wall.perfect_mirror(), MIRROR, 1e-6, Wall.perfect_mirror())
@@ -860,35 +870,150 @@ def test_absolute_floor_applies_to_thermal_sums():
     assert not tight.converged
 
 
-@pytest.mark.parametrize("values,errors,spec", [
+@pytest.mark.parametrize("scales,spec", [
     # s and p of opposite signs: each meets 1e-8 of itself, the sum misses
     # 1e-8 of the force.
-    ((1.0, -0.5), (0.9e-8, 0.4e-8), QuadratureSpec(rel_tol=1e-8)),
+    ((1.0, -(1.0 - 1e-6)), QuadratureSpec(rel_tol=1e-8)),
     # Each error meets the floor, their sum does not.
-    ((1.0, 1.0), (0.9e-6, 0.9e-6), QuadratureSpec(rel_tol=1e-13,
-                                                   abs_floor=1e-6)),
+    ((1.0, 1.0), QuadratureSpec(rel_tol=1e-15, abs_floor=6e-14)),
 ], ids=["rel-tol", "abs-floor"])
 def test_force_converges_only_if_the_summed_error_meets_its_target(
-        monkeypatch, values, errors, spec):
-    cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, 1e-6,
-                          PerfectMirrorPlate(), 5e-6, Wall.perfect_mirror())
+        monkeypatch, scales, spec):
+    # Through the core at 0 K and 300 K: unsummed, the columns meet their
+    # targets and the sum misses its own; a summed rule must not then claim
+    # convergence. Against a loose target it converges, and where the sum
+    # met it unsummed too, summed or not is the same result. Both forces
+    # ask for a summed rule and keep its verdict and summed error.
+    d = 1e-6
+    rules = []
 
-    def columns(converged):
-        """The two columns, each judged by the quadrature as ``converged``."""
-        monkeypatch.setattr(engine, "double_semi_infinite", lambda *_, **__:
-                            IntegralResult(np.array(values),
-                                           np.array(errors), 1, converged))
+    def recorded(*args, **kwargs):
+        rules.append((kwargs["summed"], double(*args, **kwargs)))
+        return rules[-1][1]
 
-    columns(True)
+    double = engine.double_semi_infinite
+    monkeypatch.setattr(engine, "double_semi_infinite", recorded)
+    loose = replace(spec, rel_tol=1e-4)
     for force in (plate_force, minkowski_plate_force):
-        res = force(cavity, spec=spec)
-        assert res.error_estimate == sum(errors)
-        assert not res.converged
-    # Against a target the sum meets, the columns' own verdict decides.
-    for converged in (True, False):
-        columns(converged)
-        loose = replace(spec, rel_tol=0.5)
-        assert plate_force(cavity, spec=loose).converged is converged
+        for temperature in (0.0, 300.0):
+            res = force(_MIRROR_CAVITY, temperature, loose)
+            summed, rule = rules[-1]
+            assert summed and res.converged is rule.converged
+            assert res.error_estimate == rule.error_estimate.sum()
+
+    def integrand(xi, q):
+        f = np.exp(-xi * d / c - q * d) * (1.0 + np.sqrt(q * d))
+        return f[..., None] * np.array(scales)
+
+    def sum_met(res, spec):
+        return res.error_estimate.sum() <= max(
+            spec.rel_tol * abs(res.value.sum()), spec.abs_floor)
+
+    for temperature in (0.0, 300.0):
+        alone, summed = (quadrature.double_semi_infinite(
+            integrand, spec, d, 1e-21, temperature, columns=2, summed=flag)
+            for flag in (False, True))
+        assert alone.converged and not sum_met(alone, spec)
+        assert not summed.converged
+        looser = replace(spec, rel_tol=0.5)
+        alone, summed = (quadrature.double_semi_infinite(
+            integrand, looser, d, 1e-21, temperature, columns=2, summed=flag)
+            for flag in (False, True))
+        assert summed.converged and sum_met(summed, looser)
+        if sum_met(alone, looser):
+            assert summed.evaluations == alone.evaluations
+            np.testing.assert_array_equal(summed.value, alone.value)
+            np.testing.assert_array_equal(summed.error_estimate,
+                                          alone.error_estimate)
+
+
+# Mu = 100 half-space | vacuum | 1 um (eps, mu) = (2, 2) plate | vacuum |
+# eps half-space: s and p pull apart, and each met its own target while
+# their sum missed it, where only the 0 K rule judged the sum.
+_OPPOSED_RUNS = [
+    (10.0, 1e-6, 1e-6, 30.0, 1e-3), (2.0, 1e-6, 1e-6, 30.0, 1e-3),
+    (10.0, 1e-6, 2e-6, 30.0, 1e-3), (2.0, 1e-6, 2e-6, 30.0, 1e-3),
+    (10.0, 1e-6, 1e-6, 300.0, 1e-4)]
+
+
+def _opposed_cavity(eps, d1, d3):
+    return CavityConfig(Wall.semi_infinite(constant(eps=1.0, mu=100.0)),
+                        VACUUM, d1, Layer(constant(eps=2.0, mu=2.0), 1e-6), d3,
+                        Wall.semi_infinite(constant(eps=eps)))
+
+
+@pytest.mark.parametrize("eps,d1,d3,temperature,rel_tol", _OPPOSED_RUNS)
+def test_opposed_polarizations_converge_on_their_sum(eps, d1, d3, temperature,
+                                                     rel_tol):
+    cavity = _opposed_cavity(eps, d1, d3)
+    results = [plate_force(cavity, temperature, QuadratureSpec(rel_tol=tol))
+               for tol in (rel_tol, 0.1 * rel_tol, 1e-10)]
+    s, p = results[0].per_polarization.values()
+    assert s * p < 0.0
+    reference = results[-1]
+    for res, tol in zip(results, (rel_tol, 0.1 * rel_tol, 1e-10)):
+        assert res.converged
+        assert res.error_estimate <= tol * abs(res.force_per_area)
+        assert abs(res.force_per_area - reference.force_per_area) <= (
+            res.error_estimate + reference.error_estimate)
+
+
+# Constant, magnetodielectric and Drude media, for walls and plates.
+_CONTRACT_MEDIA = st.sampled_from([
+    constant(eps=10.0), constant(eps=1.0, mu=100.0),
+    constant(eps=2.0, mu=2.0), _GOLD])
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(left=_CONTRACT_MEDIA, plate=_CONTRACT_MEDIA, right=_CONTRACT_MEDIA,
+       gap=st.sampled_from([VACUUM, constant(eps=2.0)]),
+       force=st.booleans(), d1=st.sampled_from([5e-7, 1e-6, 2e-6]),
+       d3=st.sampled_from([1e-6, 3e-6]),
+       temperature=st.sampled_from([0.0, 30.0, 300.0]),
+       rel_tol=st.sampled_from([1e-3, 1e-4, 1e-8]),
+       abs_floor=st.sampled_from([0.0, 1e-12]),
+       policy=st.sampled_from(engine.ZERO_TERM_POLICIES),
+       near=st.sampled_from([-1e-9, 1e-6, -1e-3, 0.1]))
+def test_a_converged_result_meets_its_target(
+        left, plate, right, gap, force, d1, d3, temperature, rel_tol,
+        abs_floor, policy, near):
+    # Whatever produced it, a result that claims convergence has an error
+    # within max(rel_tol |value|, abs_floor) of the value it returns: each
+    # stress column, and a force's s + p. A custom-value m = 0 term near
+    # minus the drop value leaves a near cancellation to be judged.
+    spec = QuadratureSpec(rel_tol=rel_tol, abs_floor=abs_floor)
+    if force:
+        cavity = CavityConfig(Wall.semi_infinite(left), gap, d1,
+                              Layer(plate, 1e-6), d3,
+                              Wall.semi_infinite(right))
+        drude = cavity.has_drude_like
+
+        def run(policy, value=None):
+            res = plate_force(cavity, temperature, spec, policy, value)
+            return res.force_per_area, res.error_estimate, res.converged
+    else:
+        view = interspace(Wall.semi_infinite(left), gap, d1,
+                          Wall.semi_infinite(right))
+        drude = view.has_drude_like
+
+        def run(policy, value=None):
+            res = stress_zz(view, d1 * np.array([0.25, 0.5]), temperature,
+                            spec, policy, value)
+            return res.value, res.error_estimate, res.converged
+
+    if policy == "half-weight" and drude and temperature > 0.0:
+        policy = "drop"
+    value = None
+    if policy == "custom-value":
+        if force:
+            drop = plate_force(cavity, temperature, spec, "drop")
+            value = {pol: -(1.0 + near) * term
+                     for pol, term in drop.per_polarization.items()}
+        else:
+            value = -(1.0 + near) * float(run("drop")[0][0])
+    total, error, converged = run(policy, value)
+    if converged:
+        assert np.all(error <= np.maximum(rel_tol * np.abs(total), abs_floor))
 
 
 def _gold_gap():

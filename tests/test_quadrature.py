@@ -272,7 +272,7 @@ def test_thermal_terms_are_judged_against_the_sum(policy, n_cols):
 
     res = double_semi_infinite(integrand, QuadratureSpec(rel_tol=1e-10), d,
                                temperature=temperature,
-                               zero_term_policy=policy)
+                               head=policy == "half-weight")
     m = np.arange(0 if policy == "half-weight" else 1, 40)
     weights = np.where(m == 0, 0.5, 1.0)
     inner = np.where(m >= 2, 1.0 + gamma(0.1), 1.0)
@@ -282,8 +282,8 @@ def test_thermal_terms_are_judged_against_the_sum(policy, n_cols):
 
 
 def test_thermal_double_integral_zero_term_policies():
-    # Under "drop" the m = 0 row is never evaluated, so a NaN there is
-    # harmless; "half-weight" adds it with weight 1/2.
+    # Without the head ("drop") the m = 0 row is never evaluated, so a NaN
+    # there is harmless; with it ("half-weight") m = 0 joins at weight 1/2.
     d, temperature, xi_c = 1e-6, 300.0, 5e14
     spacing = float(matsubara_frequency(1, temperature))
     spec = QuadratureSpec(rel_tol=1e-10)
@@ -295,7 +295,7 @@ def test_thermal_double_integral_zero_term_policies():
         return np.where(xi == 0.0, np.nan, integrand(xi, q))
 
     drop = double_semi_infinite(poisoned, spec, d, temperature=temperature,
-                                zero_term_policy="drop")
+                                head=False)
     assert drop.converged
     expected = spacing / d / np.expm1(spacing / xi_c)
     assert abs(drop.value - expected) <= drop.error_estimate
@@ -326,7 +326,6 @@ _BAD_ARGUMENTS = [
     ("index", 0.0), ("index", -1.0), ("index", np.nan), ("index", np.inf),
     ("prefactor", np.nan), ("prefactor", np.inf), ("prefactor", -np.inf),
     ("temperature", -1.0), ("temperature", np.inf), ("temperature", np.nan),
-    ("zero_term_policy", "skip"),
 ]
 
 
@@ -614,7 +613,8 @@ def test_matsubara_policy_validation():
     g = lambda xi: np.exp(-xi / 5e14)
     with pytest.raises(ValueError):
         matsubara_sum(g, 300.0, SPEC, zero_term_policy="skip")
-    # custom-value belongs to double_semi_infinite, which sums under "drop".
+    # custom-value is the engine's: the core sums without m = 0 and adds
+    # the engine's amount.
     with pytest.raises(ValueError, match="unknown"):
         matsubara_sum(g, 300.0, SPEC, zero_term_policy="custom-value")
     for bad in (0.0, -1.0, np.inf, np.nan):
