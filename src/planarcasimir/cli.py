@@ -355,6 +355,16 @@ def _compare_row(rc: RunConfig, values: dict) -> dict:
             **_meta(rc, quadrature=values["mode"] == "quadrature")}
 
 
+def _closed_forms(medium: StaticMedium, d1, d3) -> tuple:
+    """(n, F, F^M, F^M/F) of the ideal-mirror closed forms: the forces are
+    None without distances, and the Minkowski pair None for mu != 1."""
+    force = None if d1 is None else casimir_generalized(medium, d1, d3)
+    if medium.mu != 1.0:  # the Minkowski closed forms take mu = 1
+        return medium.n, force, None, None
+    mink = None if d1 is None else minkowski_generalized(medium.eps, d1, d3)
+    return medium.n, force, mink, force_ratio(medium.eps)
+
+
 def _contrast_row(rc: RunConfig, eps: float, mode: str, d1, d3) -> dict:
     try:
         medium = StaticMedium(eps=eps)
@@ -364,13 +374,11 @@ def _contrast_row(rc: RunConfig, eps: float, mode: str, d1, d3) -> dict:
         mirror = Wall.perfect_mirror()
         return _quadrature_compare_row(rc, CavityConfig(
             mirror, constant(eps=eps), d1, PerfectMirrorPlate(), d3, mirror))
-    row = {"eps": eps, "n": medium.n,
-           "ratio_minkowski_over_force": force_ratio(eps), "mode": mode}
-    if d1 is not None:
-        row.update(force_per_area_N_per_m2=casimir_generalized(medium, d1, d3),
-                   minkowski_force_N_per_m2=minkowski_generalized(eps, d1, d3),
-                   d1_m=d1, d3_m=d3)
-    return _compare_row(rc, row)
+    n, force, mink, ratio = _closed_forms(medium, d1, d3)
+    return _compare_row(rc, {
+        "eps": eps, "n": n, "force_per_area_N_per_m2": force,
+        "minkowski_force_N_per_m2": mink, "ratio_minkowski_over_force": ratio,
+        "d1_m": d1, "d3_m": d3, "mode": mode})
 
 
 def _quadrature_compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
@@ -455,25 +463,15 @@ def _cmd_limits(rc: RunConfig, values: dict):
     _at_zero_kelvin(rc)
     eps, mu, d1, d3 = (values[k] for k in ("eps", "mu", "d1", "d3"))
     try:
-        medium = StaticMedium(eps=eps, mu=mu)
-        force = casimir_generalized(medium, d1, d3)
+        n, force, mink, ratio = _closed_forms(StaticMedium(eps=eps, mu=mu),
+                                              d1, d3)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    # The Minkowski closed forms take mu = 1.
-    dielectric = mu == 1.0
-    row = {
-        "eps": eps,
-        "mu": mu,
-        "n": medium.n,
-        "d1_m": d1,
-        "d3_m": d3,
-        "force_per_area_N_per_m2": force,
-        "minkowski_force_N_per_m2":
-            minkowski_generalized(eps, d1, d3) if dielectric else None,
-        "ratio_minkowski_over_force": force_ratio(eps) if dielectric else None,
-        **_meta(rc, quadrature=False),
-    }
-    return [row], 0
+    return [{"eps": eps, "mu": mu, "n": n, "d1_m": d1, "d3_m": d3,
+             "force_per_area_N_per_m2": force,
+             "minkowski_force_N_per_m2": mink,
+             "ratio_minkowski_over_force": ratio,
+             **_meta(rc, quadrature=False)}], 0
 
 
 # Each command: its handler, its help line and its flags. A flag is (name,

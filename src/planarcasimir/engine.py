@@ -71,14 +71,21 @@ _MINKOWSKI_PREFACTOR = hbar / (2.0 * np.pi**2)
 class InterspaceView:
     """An interspace: ``medium`` of ``width`` between ``left`` and ``right``.
 
-    The stress integrands see the walls only through their reflections from
-    the medium, from one memo of materials per integrand call.
+    However it is built, its medium must have a finite response and its
+    width be positive. The stress integrands see the walls only through their
+    reflections from the medium, from one memo of materials per integrand call.
     """
 
     medium: DispersionModel
     width: float
     left: Wall
     right: Wall
+
+    def __post_init__(self) -> None:
+        if self.medium.kind is MaterialKind.PERFECT_MIRROR:
+            raise ValueError("the interspace medium must have a finite response")
+        if not self.width > 0.0:
+            raise ValueError("interspace width must be positive")
 
     @property
     def has_drude_like(self) -> bool:
@@ -119,12 +126,7 @@ def interspace(
     right_wall: Wall,
 ) -> InterspaceView:
     """Build the stress-ready view of a wall | medium | wall interspace."""
-    if medium.kind is MaterialKind.PERFECT_MIRROR:
-        raise ValueError("the interspace medium must have a finite response")
-    if not width > 0.0:
-        raise ValueError("interspace width must be positive")
-    return InterspaceView(medium=medium, width=width, left=left_wall,
-                          right=right_wall)
+    return InterspaceView(medium, width, left_wall, right_wall)
 
 
 def _mode_coefficients(wave, xi, q):
@@ -153,6 +155,14 @@ def _g_terms(view: InterspaceView, waves: _Waves):
 def _index(medium: DispersionModel) -> float:
     """A lower bound on the medium's n(i xi): eps >= 1 and mu >= mu_static."""
     return np.sqrt(min(1.0, medium.mu_static))
+
+
+def _minkowski_medium(medium: DispersionModel) -> None:
+    """Refuse a magnetic gap: the Minkowski stress and force need mu = 1."""
+    if not is_nonmagnetic(medium):
+        raise ValueError(
+            "the Minkowski form used here requires a nonmagnetic interspace"
+            f" medium, got mu != 1 for kind {medium.kind.value!r}")
 
 
 def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
@@ -267,11 +277,7 @@ def minkowski_stress_zz(
     interspaces it coincides with :func:`stress_zz` identically.
     """
     spec = spec or DEFAULT_SPEC
-    if not is_nonmagnetic(view.medium):
-        raise ValueError(
-            "the Minkowski form used here requires a nonmagnetic interspace"
-            f" medium, got mu != 1 for kind {view.medium.kind.value!r}"
-        )
+    _minkowski_medium(view.medium)
     if not np.isfinite(view.width):
         raise ValueError("the Minkowski stress needs a finite interspace"
                          f" width, got {view.width}")
@@ -358,9 +364,17 @@ def _exact_difference_integrand(cavity: CavityConfig):
     return integrand
 
 
-def _force_result(res: IntegralResult) -> ForceResult:
-    """ForceResult of a two-column (s, p) integral, its verdict as the
-    ``summed`` rule gave it."""
+def _plate_force(cavity, integrand, prefactor, index, temperature, spec,
+                 policy, value) -> ForceResult:
+    """The plate force of one cavity's (s, p) ``integrand``: the m = 0
+    request checked by ``_zero_term``, then one two-column ``summed`` rule
+    on the smaller gap, its verdict kept as the rule gave it."""
+    zero_term = _zero_term(temperature, policy, value, cavity.has_drude_like,
+                           per_polarization=True)
+    res = double_semi_infinite(integrand, spec or DEFAULT_SPEC,
+                               min(cavity.d1, cavity.d3), prefactor,
+                               temperature, *zero_term, index=index,
+                               columns=2, summed=True)
     per_pol = dict(zip(POLARIZATIONS, map(float, res.value)))
     return ForceResult(per_pol["s"] + per_pol["p"],
                        float(res.error_estimate.sum()), per_pol,
@@ -392,15 +406,9 @@ def plate_force(
         Positive force pushes the plate toward +z. Both polarizations are
         integrated in one pass.
     """
-    spec = spec or DEFAULT_SPEC
-    zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
-                           cavity.has_drude_like, per_polarization=True)
-    res = double_semi_infinite(_exact_difference_integrand(cavity), spec,
-                               min(cavity.d1, cavity.d3), _STRESS_PREFACTOR,
-                               temperature, *zero_term,
-                               index=_index(cavity.medium), columns=2,
-                               summed=True)
-    return _force_result(res)
+    return _plate_force(cavity, _exact_difference_integrand(cavity),
+                        _STRESS_PREFACTOR, _index(cavity.medium), temperature,
+                        spec, zero_term_policy, zero_term_value)
 
 
 def minkowski_plate_force(
@@ -418,20 +426,11 @@ def minkowski_plate_force(
     With A, B and N of ``_plate_terms``, the composite-wall gap difference
     r r_3/(1 - r r_3) - r r_1/(1 - r r_1) reduces exactly to r (B - A) / N.
     """
-    spec = spec or DEFAULT_SPEC
-    if not is_nonmagnetic(cavity.medium):
-        raise ValueError(
-            "the Minkowski force is defined here for nonmagnetic interspace"
-            " media only"
-        )
-    zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
-                           cavity.has_drude_like, per_polarization=True)
+    _minkowski_medium(cavity.medium)
 
     def integrand(xi, q):
         wave, r, _, a, b, n_den = _plate_terms(cavity, xi, q)
         return (q * wave[1] * r * (b - a) / n_den).transpose(1, 2, 0)
 
-    res = double_semi_infinite(integrand, spec, min(cavity.d1, cavity.d3),
-                               _MINKOWSKI_PREFACTOR, temperature, *zero_term,
-                               columns=2, summed=True)
-    return _force_result(res)
+    return _plate_force(cavity, integrand, _MINKOWSKI_PREFACTOR, 1.0,
+                        temperature, spec, zero_term_policy, zero_term_value)

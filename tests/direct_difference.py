@@ -5,11 +5,13 @@ g_3(0) - g_1(d1). This module subtracts the two face evaluations of g
 literally instead, each gap seeing the plate side as a composite wall: a
 slower route that shares no algebra with the closed form beyond the mode
 coefficients, and so the tests' reference for it. Unlike ``oracles``, it is
-built from the package's own pieces: ``engine._g_terms`` over one
-``layers._Waves`` memo per call, ``engine._zero_term`` and
-``engine._force_result``. It calls ``engine.double_semi_infinite`` through
-the module attribute, so a test that replaces that attribute sees its
-integrand too.
+built from the package's own pieces: ``engine.interspace`` views, whose
+``InterspaceView`` checks its own medium and width, ``engine._g_terms`` over
+one ``layers._Waves`` memo per call, and ``engine._plate_force``, the entry
+that ``engine.plate_force`` and ``engine.minkowski_plate_force`` share: it
+checks the m = 0 request, runs the two-column ``summed`` rule through the
+module attribute ``engine.double_semi_infinite`` (so a test that replaces
+that attribute sees this integrand too) and builds the ``ForceResult``.
 
 Its error bar does not cover the rounding of the g_3 - g_1 cancellation.
 The quadrature's 32-ulp floor is taken on the sum of |w (g_3 - g_1)|, not on
@@ -86,11 +88,7 @@ def plate_force(cavity, temperature=0.0, spec=None, zero_term_policy=None,
     noise_guard = 45.0 / d_min
     if spec.q_cutoff is None or spec.q_cutoff > noise_guard:
         spec = replace(spec, q_cutoff=noise_guard)
-    zero_term = engine._zero_term(temperature, zero_term_policy,
-                                  zero_term_value, cavity.has_drude_like,
-                                  per_polarization=True)
-    res = engine.double_semi_infinite(
-        direct_difference_integrand(cavity), spec, d_min,
-        engine._STRESS_PREFACTOR, temperature, *zero_term,
-        index=engine._index(cavity.medium), columns=2, summed=True)
-    return engine._force_result(res)
+    return engine._plate_force(
+        cavity, direct_difference_integrand(cavity), engine._STRESS_PREFACTOR,
+        engine._index(cavity.medium), temperature, spec, zero_term_policy,
+        zero_term_value)

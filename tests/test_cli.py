@@ -603,6 +603,22 @@ def test_limits_dielectric_and_magnetic(capsys):
     assert row["ratio_minkowski_over_force"] == ""
 
 
+@pytest.mark.parametrize("eps", ["1", "2", "10", "1e6"])
+def test_limits_and_closed_compare_agree(capsys, eps):
+    # The two commands place one set of closed-form columns.
+    gaps = ["--d1", "7e-7", "--d3", "2.1e-6", "--format", "json"]
+    rows = []
+    for command in ("limits", "compare"):
+        code, out, _ = _run(capsys, [command, "--eps", eps, *gaps])
+        assert code == 0
+        rows.append(json.loads(out)["results"][0])
+    keys = ("n", "force_per_area_N_per_m2", "minkowski_force_N_per_m2",
+            "ratio_minkowski_over_force")
+    limits, compare = ({key: row[key] for key in keys} for row in rows)
+    assert limits == compare
+    assert None not in limits.values()
+
+
 # ---------------------------------------------------------------------------
 # emission formats
 

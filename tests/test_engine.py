@@ -9,6 +9,7 @@ from scipy.constants import c, hbar
 from planarcasimir import engine, layers, materials, quadrature
 from planarcasimir.engine import (
     ForceResult,
+    InterspaceView,
     interspace,
     minkowski_plate_force,
     minkowski_stress_zz,
@@ -236,6 +237,20 @@ def test_interspace_validation():
         interspace(Wall.perfect_mirror(), MIRROR, 1e-6, Wall.perfect_mirror())
     with pytest.raises(ValueError, match="positive"):
         interspace(Wall.perfect_mirror(), VACUUM, 0.0, Wall.perfect_mirror())
+
+
+def test_interspace_view_checks_itself():
+    # However a view is built, it carries interspace()'s two checks.
+    mirror = Wall.perfect_mirror()
+    with pytest.raises(ValueError,
+                       match="the interspace medium must have a finite"):
+        InterspaceView(MIRROR, 1e-6, mirror, mirror)
+    for width in (0.0, -1e-6):
+        with pytest.raises(ValueError, match="interspace width must be positive"):
+            InterspaceView(VACUUM, width, mirror, mirror)
+    view = interspace(mirror, VACUUM, 1e-6, mirror)
+    with pytest.raises(ValueError, match="interspace width must be positive"):
+        replace(view, width=-1e-6)
 
 
 def test_stress_domain_and_temperature_validation():

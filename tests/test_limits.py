@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.constants import c, hbar
 
-from planarcasimir.engine import plate_force
+from planarcasimir.engine import minkowski_plate_force, plate_force
 from planarcasimir.layers import CavityConfig, Layer, PerfectMirrorPlate, Wall
 from planarcasimir.limits import (
     StaticMedium,
@@ -106,20 +108,35 @@ def test_validation_errors():
 D1, D3 = 6e-7, 2.4e-6
 
 
-def _mirror_cavity(plate, eps=1.0, mu=1.0):
+def _mirror_cavity(plate, eps=1.0, mu=1.0, d3=D3):
     return CavityConfig(Wall.perfect_mirror(), constant(eps=eps, mu=mu), D1,
-                        plate, D3, Wall.perfect_mirror())
+                        plate, d3, Wall.perfect_mirror())
 
 
-@pytest.mark.parametrize("eps,mu", [(1.0, 1.0), (2.0, 1.0), (4.0, 1.0),
-                                    (1.0, 2.0), (3.0, 1.5)])
-def test_constant_reflection_quadrature_matches_closed_form(eps, mu):
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(eps=st.floats(1.0, 50.0),
+       mu=st.one_of(st.just(1.0), st.floats(0.5, 10.0)),
+       ratio=st.floats(1.5, 20.0))
+@example(1.0, 1.0, D3 / D1)
+@example(2.0, 1.0, D3 / D1)
+@example(4.0, 1.0, D3 / D1)
+@example(1.0, 2.0, D3 / D1)
+@example(3.0, 1.5, D3 / D1)
+def test_constant_reflection_quadrature_matches_closed_form(eps, mu, ratio):
     # Mirror walls, mirror plate, static (eps, mu) filling: every reflection
-    # is constant, and the engine's quadrature must land on the closed form.
-    res = plate_force(_mirror_cavity(PerfectMirrorPlate(), eps, mu), spec=SPEC)
-    assert res.converged
-    assert res.force_per_area == pytest.approx(
-        casimir_generalized(StaticMedium(eps, mu), D1, D3), rel=1e-7)
+    # is constant, and the engine's quadrature must land on the closed form
+    # within its own error estimate (plus the closed form's rounding).
+    d3 = ratio * D1
+    cavity = _mirror_cavity(PerfectMirrorPlate(), eps, mu, d3)
+    pairs = [(plate_force(cavity, spec=SPEC),
+              casimir_generalized(StaticMedium(eps, mu), D1, d3))]
+    if mu == 1.0:
+        pairs.append((minkowski_plate_force(cavity, spec=SPEC),
+                      minkowski_generalized(eps, D1, d3)))
+    for res, closed in pairs:
+        assert res.converged
+        assert abs(res.force_per_area - closed) <= (
+            res.error_estimate + 1e-15 * abs(closed))
 
 
 def test_full_engine_agrees_with_closed_form_when_filled():
