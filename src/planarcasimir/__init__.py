@@ -16,7 +16,6 @@ from .materials import (
     drude_lorentz,
     is_drude_like,
     is_nonmagnetic,
-    perfect_mirror,
     plasma,
 )
 from .layers import (
@@ -57,8 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MIRROR", "VACUUM", "DispersionModel", "MaterialKind", "constant",
-    "drude_lorentz", "is_drude_like", "is_nonmagnetic", "perfect_mirror",
-    "plasma",
+    "drude_lorentz", "is_drude_like", "is_nonmagnetic", "plasma",
     "CavityConfig", "Layer", "PerfectMirrorPlate", "TransverseMode",
     "Wall", "beta_imag", "wall_reflection",
     "IntegralResult", "QuadratureSpec", "integrate_semi_infinite",

@@ -39,7 +39,6 @@ from .config import (
     load_sections,
 )
 from .engine import (
-    ZERO_TERM_POLICIES,
     _zero_term,
     interspace,
     minkowski_plate_force,
@@ -60,15 +59,16 @@ __all__ = ["main"]
 _SWEEP_UNITS = {"d1": "m", "d3": "m", "d": "m", "eps": "", "T": "K"}
 
 # The flags every command takes: flag, the config key it overrides, its
-# metavar (a string) or choices (a tuple), help.
+# metavar (a string) or choices (a tuple, the key's own), help.
 _COMMON = (
-    ("--format", "format", ("csv", "json"),
+    ("--format", "format", SECTION_KEYS["output"]["format"],
      "machine-readable output (default: human summary)"),
     ("--out", "path", "PATH", "write output to PATH instead of stdout"),
     ("--temperature", "temperature", "K", "temperature in kelvin (default 0)"),
     ("--rel-tol", "rel_tol", "TOL", "relative tolerance of all integrals"),
     ("--q-cutoff", "q_cutoff", "RAD_PER_M", "sharp transverse-momentum cutoff"),
-    ("--zero-term-policy", "zero_term_policy", ZERO_TERM_POLICIES,
+    ("--zero-term-policy", "zero_term_policy",
+     SECTION_KEYS["run"]["zero_term_policy"],
      "handling of the zero-frequency thermal term"),
 )
 
@@ -163,13 +163,16 @@ def _meta(rc: RunConfig, quadrature: bool = True) -> dict:
             **(settings if quadrature else dict.fromkeys(settings))}
 
 
-def _cell(value) -> str:
+def _cell(value, human: bool) -> str:
+    """A csv cell in full precision, or a human summary's shorter one."""
+    blank, yes, no, digits = (("-", "yes", "no", ".9e") if human
+                              else ("", "true", "false", ".16e"))
     if value is None:
-        return ""
+        return blank
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return yes if value else no
     if isinstance(value, float):
-        return format(value, ".16e")
+        return format(value, digits)
     return str(value)
 
 
@@ -177,19 +180,19 @@ def _render_csv(rows: list[dict]) -> str:
     header = list(rows[0].keys())
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_cell(row[key]) for key in header))
+        lines.append(",".join(_cell(row[key], False) for key in header))
     return "\n".join(lines) + "\n"
 
 
 def _render_human(rows: list[dict], meta: dict) -> str:
     if len(rows) == 1:
         width = max(len(k) for k in rows[0])
-        return "\n".join(f"{k:<{width}} = {_hcell(v)}"
+        return "\n".join(f"{k:<{width}} = {_cell(v, True)}"
                          for k, v in rows[0].items()) + "\n"
     # The table leaves out the settings and the columns null in every row.
     columns = [k for k in rows[0] if k not in meta
                and any(row[k] is not None for row in rows)]
-    table = [[_hcell(row[k]) for k in columns] for row in rows]
+    table = [[_cell(row[k], True) for k in columns] for row in rows]
     widths = [max(len(name), *(len(line[i]) for line in table))
               for i, name in enumerate(columns)]
     out = ["  ".join(f"{name:>{w}}" for name, w in zip(columns, widths))]
@@ -197,16 +200,6 @@ def _render_human(rows: list[dict], meta: dict) -> str:
         out.append("  ".join(f"{cell:>{w}}" for cell, w in zip(line, widths)))
     out.append("(--format csv or json for full reproducibility metadata)")
     return "\n".join(out) + "\n"
-
-
-def _hcell(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return format(value, ".9e")
-    return str(value)
 
 
 def _emit(command: str, sections: dict, rc: RunConfig, rows: list[dict]) -> None:
@@ -248,15 +241,19 @@ def _at_zero_kelvin(rc: RunConfig) -> None:
             " force at finite temperature")
 
 
+def _request(rc: RunConfig, force: bool = True) -> dict:
+    """The run's engine keywords: temperature, spec and m = 0 request, whose
+    value is an {s, p} dict for a force and a number for a stress."""
+    value = ({"s": rc.zero_term_value_s, "p": rc.zero_term_value_p} if force
+             else rc.zero_term_value)
+    return dict(temperature=rc.temperature, spec=rc.quadrature,
+                zero_term_policy=rc.zero_term_policy, zero_term_value=value)
+
+
 def _force(rc: RunConfig, cavity: CavityConfig, minkowski: bool = False):
     """The run's field-only (or Minkowski) plate force on ``cavity``."""
-    kwargs = dict(
-        temperature=rc.temperature, spec=rc.quadrature,
-        zero_term_policy=rc.zero_term_policy,
-        zero_term_value={"s": rc.zero_term_value_s, "p": rc.zero_term_value_p})
-    if minkowski:
-        return minkowski_plate_force(cavity, **kwargs)
-    return plate_force(cavity, **kwargs)
+    force = minkowski_plate_force if minkowski else plate_force
+    return force(cavity, **_request(rc))
 
 
 def _force_row(result, rc: RunConfig) -> dict:
@@ -280,10 +277,8 @@ def _cmd_stress_profile(rc: RunConfig, values: dict):
     if rc.pair is None:
         raise ConfigError(
             "stress-profile needs a wall/gap/wall [structure] in --config")
-    profile = stress_profile(
-        interspace(*rc.pair), values["samples"], temperature=rc.temperature,
-        spec=rc.quadrature, zero_term_policy=rc.zero_term_policy,
-        zero_term_value=rc.zero_term_value)
+    profile = stress_profile(interspace(*rc.pair), values["samples"],
+                             **_request(rc, force=False))
     rows = [{"z_m": float(z), "t_zz_N_per_m2": float(t),
              "error_estimate_N_per_m2": float(err), "converged": bool(ok),
              **_meta(rc)}
@@ -444,9 +439,10 @@ def _cmd_sweep(rc: RunConfig, values: dict):
             else:
                 run = replace(rc, temperature=value)
             # The zero-term request of every point, as _force will pass it.
-            _zero_term(run.temperature, run.zero_term_policy,
-                       {"s": run.zero_term_value_s, "p": run.zero_term_value_p},
-                       case.has_drude_like, per_polarization=True)
+            request = _request(run)
+            _zero_term(request["temperature"], request["zero_term_policy"],
+                       request["zero_term_value"], case.has_drude_like,
+                       per_polarization=True)
         except ValueError as exc:
             raise ConfigError(f"sweep value {value!r}: {exc}") from None
         cases.append((value, run, case))

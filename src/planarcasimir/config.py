@@ -32,7 +32,9 @@ Material kinds are ``constant`` (keys eps_static, mu_static),
 magnetic triple mu_plasma_freq, mu_resonance_freq, mu_damping) and
 ``plasma`` (plasma_freq). All values are SI; scientific notation is
 accepted everywhere. A Drude metal at T > 0 needs a zero_term_policy other
-than the default half-weight; the example uses drop.
+than the default half-weight; the example uses drop. The fixed sections
+[structure], [run], [quadrature] and [output] take only the keys listed in
+``SECTION_KEYS``, each with its converter or its choices.
 
 Regions are listed in physical order from left to right:
 
@@ -135,31 +137,56 @@ def _choice(text: str | None, choices: tuple[str, ...], where: str):
     return text
 
 
-# [quadrature] keys with their converters, in the order they are checked;
-# an empty or "none" q_cutoff means no cutoff.
-_QUAD_KEYS = {
-    "rel_tol": _to_float,
-    "abs_floor": _to_float,
-    "q_cutoff": lambda text, where: (
-        None if text.strip().lower() in ("", "none")
-        else _to_float(text.strip(), where)),
-}
+def _temperature(text: str, where: str) -> float:
+    value = _to_float(text, where)
+    if not 0.0 <= value < math.inf:
+        raise ConfigError(f"{where}: must be finite and >= 0 kelvin")
+    return value
 
-# The keys of every fixed section, in canonical order.
+
+def _finite(text: str, where: str) -> float:
+    # An m = 0 contribution is added to the result, so it must be finite.
+    value = _to_float(text, where)
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: must be finite")
+    return value
+
+
+def _cutoff(text: str, where: str) -> float | None:
+    # An empty or "none" q_cutoff means no cutoff.
+    text = text.strip()
+    return None if text.lower() in ("", "none") else _to_float(text, where)
+
+
+# The keys of every fixed section, in canonical order. Each maps to its
+# converter, its tuple of choices, or None for plain text. The [run] keys
+# are also the names of their RunConfig fields.
 SECTION_KEYS = {
-    "structure": ("regions",),
-    "run": ("temperature", "zero_term_policy", "zero_term_value",
-            "zero_term_value_s", "zero_term_value_p"),
-    "quadrature": tuple(_QUAD_KEYS),
-    "output": ("format", "path"),
+    "structure": {"regions": None},
+    "run": {"temperature": _temperature,
+            "zero_term_policy": ZERO_TERM_POLICIES,
+            "zero_term_value": _finite,
+            "zero_term_value_s": _finite,
+            "zero_term_value_p": _finite},
+    "quadrature": {"rel_tol": _to_float, "abs_floor": _to_float,
+                   "q_cutoff": _cutoff},
+    "output": {"format": ("csv", "json"), "path": None},
 }
 
 
-def _check_keys(section: str, body: dict[str, str]) -> None:
-    extra = set(body) - set(SECTION_KEYS[section])
-    if extra:
+def _read(sections: dict[str, dict[str, str]], section: str) -> dict:
+    """The keys ``section`` sets, converted; it refuses an unknown key."""
+    body, rules = sections.get(section, {}), SECTION_KEYS[section]
+    if extra := set(body) - set(rules):
         raise ConfigError(
             f"[{section}]: unknown key(s): {', '.join(sorted(extra))}")
+    values = {}
+    for key, rule in rules.items():
+        if key in body:
+            text, where = body[key], f"[{section}] {key}"
+            values[key] = (text if rule is None else rule(text, where)
+                           if callable(rule) else _choice(text, rule, where))
+    return values
 
 
 def load_sections(path: str) -> dict[str, dict[str, str]]:
@@ -301,7 +328,6 @@ def _build_wall(group: list[tuple], side: str) -> Wall:
 
 
 def _build_structure(body: dict[str, str], materials):
-    _check_keys("structure", body)
     if "regions" not in body:
         raise ConfigError("[structure]: missing 'regions'")
     raw_entries = (e.strip() for e in re.split(r"[,\n]+", body["regions"]))
@@ -344,16 +370,6 @@ def _build_structure(body: dict[str, str], materials):
                         plate=plate, d3=d3, right_wall=right_wall), None
 
 
-def _build_quadrature(body: dict[str, str]) -> QuadratureSpec:
-    _check_keys("quadrature", body)
-    kwargs = {key: convert(body[key], f"[quadrature] {key}")
-              for key, convert in _QUAD_KEYS.items() if key in body}
-    try:
-        return QuadratureSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[quadrature]: {exc}") from None
-
-
 def build_config(sections: dict[str, dict[str, str]]) -> RunConfig:
     """Resolve a section map into a RunConfig, validating everything."""
     materials: dict[str, DispersionModel] = {}
@@ -366,45 +382,17 @@ def build_config(sections: dict[str, dict[str, str]]) -> RunConfig:
         elif name not in SECTION_KEYS and name != "command":
             raise ConfigError(f"unknown section [{name}]")
 
-    cavity = pair = None
-    if "structure" in sections:
-        cavity, pair = _build_structure(sections["structure"], materials)
-
-    run = sections.get("run", {})
-    _check_keys("run", run)
-    temperature = _to_float(run.get("temperature", "0"), "[run] temperature")
-    if not 0.0 <= temperature < math.inf:
-        raise ConfigError("[run] temperature: must be finite and >= 0 kelvin")
-    policy = _choice(run.get("zero_term_policy"), ZERO_TERM_POLICIES,
-                     "[run] zero_term_policy")
-
-    def opt_float(key: str) -> float | None:
-        # An m = 0 contribution is added to the result, so it must be finite.
-        if key not in run:
-            return None
-        value = _to_float(run[key], f"[run] {key}")
-        if not math.isfinite(value):
-            raise ConfigError(f"[run] {key}: must be finite")
-        return value
-
-    quadrature = _build_quadrature(sections.get("quadrature", {}))
-
-    output = sections.get("output", {})
-    _check_keys("output", output)
-    output_format = output.get("format")
-    if output_format is not None and output_format not in ("csv", "json"):
-        raise ConfigError(f"[output] format: {output_format!r} is not csv or json")
-
-    return RunConfig(
-        cavity=cavity,
-        pair=pair,
-        temperature=temperature,
-        zero_term_policy=policy,
-        zero_term_value=opt_float("zero_term_value"),
-        zero_term_value_s=opt_float("zero_term_value_s"),
-        zero_term_value_p=opt_float("zero_term_value_p"),
-        quadrature=quadrature,
-        output_format=output_format,
-        output_path=output.get("path"),
-        command_args=dict(sections.get("command", {})),
-    )
+    structure = _read(sections, "structure")
+    cavity, pair = (_build_structure(structure, materials)
+                    if "structure" in sections else (None, None))
+    run = {**dict.fromkeys(SECTION_KEYS["run"]), "temperature": 0.0,
+           **_read(sections, "run")}
+    try:
+        quadrature = QuadratureSpec(**_read(sections, "quadrature"))
+    except ValueError as exc:
+        raise ConfigError(f"[quadrature]: {exc}") from None
+    output = _read(sections, "output")
+    return RunConfig(cavity, pair, **run, quadrature=quadrature,
+                     output_format=output.get("format"),
+                     output_path=output.get("path"),
+                     command_args=dict(sections.get("command", {})))

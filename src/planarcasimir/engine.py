@@ -366,9 +366,12 @@ def _exact_difference_integrand(cavity: CavityConfig):
 
 def _plate_force(cavity, integrand, prefactor, index, temperature, spec,
                  policy, value) -> ForceResult:
-    """The plate force of one cavity's (s, p) ``integrand``: the m = 0
-    request checked by ``_zero_term``, then one two-column ``summed`` rule
-    on the smaller gap, its verdict kept as the rule gave it."""
+    """The plate force of one cavity's (s, p) ``integrand``: a finite gap and
+    the m = 0 request (``_zero_term``) are checked, then one two-column
+    ``summed`` rule on the smaller gap runs, its verdict kept as it gave it."""
+    if not np.isfinite(min(cavity.d1, cavity.d3)):
+        raise ValueError("a plate force needs at least one finite gap, got"
+                         f" d1 = {cavity.d1} and d3 = {cavity.d3}")
     zero_term = _zero_term(temperature, policy, value, cavity.has_drude_like,
                            per_polarization=True)
     res = double_semi_infinite(integrand, spec or DEFAULT_SPEC,
@@ -393,6 +396,7 @@ def plate_force(
     Parameters
     ----------
     cavity : CavityConfig
+        With at least one of d1 and d3 finite.
     temperature : float
         Kelvin; 0 integrates over xi, > 0 sums over thermal frequencies.
     spec : QuadratureSpec, optional

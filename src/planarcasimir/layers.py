@@ -46,7 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from .constants import c
-from .materials import DispersionModel, MaterialKind, _response, is_drude_like
+from .materials import (MIRROR, DispersionModel, MaterialKind, _response,
+                        is_drude_like)
 
 POLARIZATIONS = ("s", "p")
 # Perfect-reflector limits of the interface coefficients, leading axis (s, p).
@@ -77,7 +78,7 @@ class Wall:
     """
 
     layers: tuple[Layer, ...] = ()
-    terminator: DispersionModel = DispersionModel(MaterialKind.PERFECT_MIRROR)
+    terminator: DispersionModel = MIRROR
 
     @staticmethod
     def perfect_mirror() -> "Wall":

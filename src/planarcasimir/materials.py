@@ -146,13 +146,9 @@ def plasma(plasma_freq: float) -> DispersionModel:
     return DispersionModel(MaterialKind.PLASMA, plasma_freq=plasma_freq)
 
 
-def perfect_mirror() -> DispersionModel:
-    """Idealized perfectly reflecting boundary (no finite eps or mu exists)."""
-    return DispersionModel(MaterialKind.PERFECT_MIRROR)
-
-
 VACUUM = constant()
-MIRROR = perfect_mirror()
+# The idealized perfectly reflecting boundary: no finite eps or mu exists.
+MIRROR = DispersionModel(MaterialKind.PERFECT_MIRROR)
 
 
 def _records(model: DispersionModel):

@@ -969,6 +969,24 @@ def test_non_finite_inputs_exit_2_before_integrating(
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["force"], ["compare"],
+    ["sweep", "--parameter", "T", "--start", "1", "--stop", "10"],
+], ids=["force", "compare", "sweep"])
+def test_two_infinite_gaps_exit_2_before_integrating(tmp_path, capsys,
+                                                     monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr("planarcasimir.engine.double_semi_infinite",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = _write(tmp_path, VACUUM_CAVITY.replace("1e-6", "inf")
+                 .replace("50e-6", "inf"))
+    code, out, err = _run(capsys, argv + ["--config", cfg])
+    assert code == 2
+    assert err == ("error: a plate force needs at least one finite gap, got"
+                   " d1 = inf and d3 = inf\n")
+    assert out == "" and calls == []
+
+
 def test_overflowing_oscillator_exits_2_before_integrating(
         tmp_path, capsys, monkeypatch):
     # plasma_freq**2 overflows a float; it used to crash the integral.

@@ -1,11 +1,17 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planarcasimir.config import ConfigError, build_config, load_sections
+from planarcasimir.config import (
+    SECTION_KEYS,
+    ConfigError,
+    build_config,
+    load_sections,
+)
 from planarcasimir.layers import PerfectMirrorPlate, Wall
 from planarcasimir.materials import MaterialKind, constant
 
@@ -304,12 +310,35 @@ regions = wall:mirror, gap:vac:1e-6, plate:mirror, gap:oil:2e-6, wall:mirror
      r"\[quadrature\]: unknown key\(s\): matsubara_max_terms"),
     ("[quadrature]\nmatsubara_tail = integral-tail-estimate",
      r"\[quadrature\]: unknown key\(s\): matsubara_tail"),
-    ("[output]\nformat = yaml", "csv or json"),
+    ("[output]\nformat = yaml", "'yaml' is not one of csv, json"),
     ("[output]\ncompress = yes", "unknown key"),
 ])
 def test_run_quadrature_output_errors(tmp_path, section, match):
     with pytest.raises(ConfigError, match=match):
         _load(_write(tmp_path, _VAC + section + "\n"))
+
+
+@pytest.mark.parametrize("section", list(SECTION_KEYS))
+def test_every_fixed_section_refuses_an_unknown_key_by_name(tmp_path, section):
+    with pytest.raises(ConfigError,
+                       match=rf"^\[{section}\]: unknown key\(s\): bogus$"):
+        _load(_write(tmp_path, f"{_VAC}[{section}]\nbogus = 1\n"))
+
+
+_CHOICE_KEYS = [(section, key, rule) for section, rules in SECTION_KEYS.items()
+                for key, rule in rules.items() if isinstance(rule, tuple)]
+
+
+@pytest.mark.parametrize("section,key,choices", _CHOICE_KEYS,
+                         ids=[key for _, key, _ in _CHOICE_KEYS])
+def test_every_choice_key_takes_its_choices_only(tmp_path, section, key,
+                                                  choices):
+    for choice in choices:
+        _load(_write(tmp_path, f"{_VAC}[{section}]\n{key} = {choice}\n"))
+    message = (f"[{section}] {key}: 'bogus' is not one of"
+               f" {', '.join(choices)}")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        _load(_write(tmp_path, f"{_VAC}[{section}]\n{key} = bogus\n"))
 
 
 def test_defaults_without_sections(tmp_path):

@@ -232,6 +232,26 @@ def test_minkowski_stress_refuses_an_unbounded_interspace_by_name():
         minkowski_stress_zz(view, spec=SPEC)
 
 
+@pytest.mark.parametrize("force", [plate_force, minkowski_plate_force],
+                         ids=["plate_force", "minkowski_plate_force"])
+def test_plate_forces_refuse_two_infinite_gaps_by_name(monkeypatch, force):
+    # One infinite gap is a plate facing a single wall; with both infinite
+    # no finite gap is left to scale the integral, so it is refused by name.
+    cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, np.inf,
+                          PerfectMirrorPlate(), np.inf, Wall.perfect_mirror())
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "double_semi_infinite",
+                      lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="d1 = inf and d3 = inf"):
+            force(cavity, spec=SPEC)
+    assert calls == []
+    res = force(replace(cavity, d1=1e-6), spec=SPEC)
+    assert res.converged
+    ideal = -hbar * c * np.pi ** 2 / 240.0 / 1e-6 ** 4
+    assert abs(res.force_per_area - ideal) <= res.error_estimate
+
+
 def test_interspace_validation():
     with pytest.raises(ValueError, match="finite response"):
         interspace(Wall.perfect_mirror(), MIRROR, 1e-6, Wall.perfect_mirror())

@@ -14,7 +14,6 @@ from planarcasimir.materials import (
     eps_imag_axis,
     is_drude_like,
     is_nonmagnetic,
-    perfect_mirror,
     plasma,
 )
 
@@ -87,7 +86,7 @@ def test_equal_models_hash_alike():
 
 def test_singletons():
     assert VACUUM == constant()
-    assert MIRROR == perfect_mirror()
+    assert MIRROR.kind is MaterialKind.PERFECT_MIRROR
     assert eps_imag_axis(VACUUM, 3e14) == 1.0
     assert _response(VACUUM, 3e14)[1] == 1.0
 
