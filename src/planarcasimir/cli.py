@@ -413,6 +413,10 @@ def _cmd_sweep(rc: RunConfig, values: dict):
     if spacing == "log" and (start <= 0.0 or stop <= 0.0):
         raise ConfigError("log spacing needs positive --start and --stop"
                           " (use --spacing linear)")
+    if parameter == "d" and cavity.d1 == np.inf:
+        raise ConfigError("the structure's d1 is infinite, and a d sweep"
+                          " scales both gaps by d3/d1; sweep --parameter d1"
+                          " or d3 instead")
     if parameter == "eps" and cavity.medium.kind is not MaterialKind.CONSTANT:
         raise ConfigError(
             "an eps sweep needs a constant-kind gap medium in the structure"

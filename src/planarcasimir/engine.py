@@ -46,16 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import c, hbar
-from .layers import (
-    DELTA,
-    POLARIZATIONS,
-    CavityConfig,
-    Wall,
-    _has_drude_like,
-    _plate_rt,
-    _wall_refl,
-    _Waves,
-)
+from .layers import (DELTA, POLARIZATIONS, CavityConfig, PerfectMirrorPlate,
+                     Plan, Wall)
 from .materials import DispersionModel, MaterialKind, is_nonmagnetic
 from .quadrature import IntegralResult, QuadratureSpec, double_semi_infinite
 
@@ -73,7 +65,8 @@ class InterspaceView:
 
     However it is built, its medium must have a finite response and its
     width be positive. The stress integrands see the walls only through their
-    reflections from the medium, from one memo of materials per integrand call.
+    reflections from the medium, from one ``Plan`` of the view compiled when
+    the observable starts.
     """
 
     medium: DispersionModel
@@ -89,7 +82,7 @@ class InterspaceView:
 
     @property
     def has_drude_like(self) -> bool:
-        return _has_drude_like(self.medium, self.left, self.right)
+        return Plan(self.medium, (self.left, self.right)).has_drude_like
 
 
 @dataclass(frozen=True)
@@ -129,27 +122,29 @@ def interspace(
     return InterspaceView(medium, width, left_wall, right_wall)
 
 
-def _mode_coefficients(wave, xi, q):
+def _mode_coefficients(plan, call):
     """(pair, surf) = (2 [ -kappa^2 (1 + 1/n^2) + Delta q^2 (1 - 1/n^2) ],
-    -Delta (xi^2/c^2)(n^2 - 1)) of the gap's ``wave``, the coefficients of
-    g, of shapes (2, A, m) and (2, A, 1), rows (s, p)."""
-    (mu, eps), kappa = wave
-    n_sq = eps * mu
+    -Delta (xi^2/c^2)(n^2 - 1)) of the gap in ``call = plan(xi, q)``, the
+    coefficients of g, of shapes (2, A, m) and (2, A, 1), rows (s, p). In
+    an ``empty`` plan's gap they are -4 kappa^2, shape (A, m), and None."""
+    xi_sq, q_sq, (_, kappa, n_sq), _ = call
+    if plan.empty:
+        return -4.0 * (kappa * kappa), None
     twice_inv = 2.0 / n_sq
-    return ((-2.0 - twice_inv) * kappa**2 + DELTA * ((2.0 - twice_inv) * q**2),
-            DELTA * ((xi * xi / c**2) * (1.0 - n_sq)))
+    return ((-2.0 - twice_inv) * (kappa * kappa)
+            + DELTA * ((2.0 - twice_inv) * q_sq),
+            DELTA * ((xi_sq / c**2) * (1.0 - n_sq)))
 
 
-def _g_terms(view: InterspaceView, waves: _Waves):
-    """(bulk, surf, r_-, r_+, D) of g from the call's ``waves``, rows (s, p):
-    g(z) = (bulk + surf [r_- e^{-2 kappa z} + r_+ e^{-2 kappa (d-z)}]) / D."""
-    wave = waves[view.medium]
-    r_plus = _wall_refl(view.right, view.medium, waves)
-    r_minus = _wall_refl(view.left, view.medium, waves)
-    pair, surf = _mode_coefficients(wave, waves.xi, waves.q)
+def _g_terms(plan, call, width):
+    """(bulk, surf, D) of g in ``call = plan(xi, q)`` for a gap of ``width``
+    between its two reflections r_- and r_+, rows (s, p): g(z) =
+    (bulk + surf [r_- e^{-2 kappa z} + r_+ e^{-2 kappa (d-z)}]) / D."""
+    pair, surf = _mode_coefficients(plan, call)
+    r_minus, r_plus = call[3]
     # r_+ r_- e^{-2 kappa d} once, so that mirror-image walls round alike.
-    rr = r_plus * r_minus * np.exp(wave[1] * (-2.0 * view.width))
-    return pair * rr, surf, r_minus, r_plus, 1.0 - rr
+    rr = r_plus * r_minus * np.exp(call[2][1] * (-2.0 * width))
+    return pair * rr, surf, 1.0 - rr
 
 
 def _index(medium: DispersionModel) -> float:
@@ -238,18 +233,24 @@ def stress_zz(
             f"z = {outside[0]} is on or beyond an interface of"
             f" (0, {view.width}); the stress diverges at the surfaces (set"
             " q_cutoff to study the near-surface region at finite resolution)")
+    plan = Plan(view.medium, (view.left, view.right))
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
-                           view.has_drude_like)
+                           plan.has_drude_like)
     spread = (1,) * heights.ndim  # the height axis, if there is one
 
     def integrand(xi, q):
-        waves = _Waves(xi, q)
-        bulk, surf, r_minus, r_plus, denom = _g_terms(view, waves)
-        (mu, _), kappa = waves[view.medium]
+        call = plan(xi, q)
+        bulk, surf, denom = _g_terms(plan, call, view.width)
+        _, _, (weights, kappa, _), (r_minus, r_plus) = call
         # Sum s and p before the heights come in: only the two surface
         # exponentials depend on z, and their kappa is the gap's for both.
         inv = 1.0 / denom
-        terms = [q * (-mu / kappa), kappa] + [
+        weight = q * (-weights[0] / kappa)
+        if surf is None:  # an empty gap's g is the same at every height
+            g = weight * (bulk * inv).sum(axis=0)
+            return np.broadcast_to(g.reshape(g.shape + spread),
+                                   g.shape + heights.shape)
+        terms = [weight, kappa] + [
             (term * inv).sum(axis=0)
             for term in (bulk, surf * r_minus, surf * r_plus)]
         weight, kappa, bulk, near, far = (
@@ -281,15 +282,13 @@ def minkowski_stress_zz(
     if not np.isfinite(view.width):
         raise ValueError("the Minkowski stress needs a finite interspace"
                          f" width, got {view.width}")
+    plan = Plan(view.medium, (view.left, view.right))
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
-                           view.has_drude_like)
+                           plan.has_drude_like)
 
     def integrand(xi, q):
-        waves = _Waves(xi, q)
-        kappa = waves[view.medium][1]
-        rr = (_wall_refl(view.right, view.medium, waves)
-              * _wall_refl(view.left, view.medium, waves)
-              * np.exp(kappa * (-2.0 * view.width)))
+        _, _, (_, kappa, _), (r_minus, r_plus) = plan(xi, q)
+        rr = r_plus * r_minus * np.exp(kappa * (-2.0 * view.width))
         return q * kappa * (rr / (1.0 - rr)).sum(axis=0)
 
     return double_semi_infinite(integrand, spec, view.width,
@@ -323,43 +322,42 @@ def stress_profile(
                          np.full(n_samples, res.converged))
 
 
-def _plate_terms(cavity: CavityConfig, xi, q):
-    """(wave, r, t, A, B, N) of the single-plate form, rows (s, p), with
-    ``wave`` the gap medium's, from the call's one memo of materials.
+def _exact_difference_integrand(cavity: CavityConfig, minkowski=False):
+    """Single-plate (r, t) form of the stress difference across the plate.
 
     With the plate's (r, t) and the bare walls' reflections r_1- and r_3+,
     all seen from the gap medium, A = r_1- e^{-2 kappa d1},
-    B = r_3+ e^{-2 kappa d3} and N = (1 - r A)(1 - r B) - t^2 A B.
-    """
-    waves, medium = _Waves(xi, q), cavity.medium
-    wave = waves[medium]
-    r, t = _plate_rt(cavity.plate, medium, waves)
-    a = _wall_refl(cavity.left_wall, medium, waves) * np.exp(
-        wave[1] * (-2.0 * cavity.d1))
-    b = _wall_refl(cavity.right_wall, medium, waves) * np.exp(
-        wave[1] * (-2.0 * cavity.d3))
-    return wave, r, t, a, b, (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
-
-
-def _exact_difference_integrand(cavity: CavityConfig):
-    """Single-plate (r, t) form of the stress difference across the plate.
-
-    With A, B and N of ``_plate_terms`` and (pair, surf) of
-    ``_mode_coefficients``, the difference of the mode functions at the
+    B = r_3+ e^{-2 kappa d3} and N = (1 - r A)(1 - r B) - t^2 A B (a mirror
+    plate, t = 0, goes without the last term). With (pair, surf) of
+    ``_mode_coefficients`` the difference of the mode functions at the
     plate faces collapses to
 
         g_3(0) - g_1(d1) = [ pair r + surf (1 + r^2 - t^2) ] (B - A) / N ,
 
     which is manifestly exponentially convergent in q (every term carries A
-    or B). The integrand takes xi (A, 1) and q (1, m) or (A, m) and returns
-    shape (A, m, 2), the polarization columns (s, p).
+    or B); the ``minkowski`` integrand is q kappa r (B - A) / N. The
+    integrand takes xi (A, 1) and q (1, m) or (A, m) and returns shape
+    (A, m, 2), the polarization columns (s, p), from one ``Plan``.
     """
+    plan = Plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
+                cavity.plate)
+    opaque = isinstance(cavity.plate, PerfectMirrorPlate)
+    d1, d3 = -2.0 * cavity.d1, -2.0 * cavity.d3
+
     def integrand(xi, q):
-        wave, r, t, a, b, n_den = _plate_terms(cavity, xi, q)
-        (mu, _), kappa = wave
-        pair, surf = _mode_coefficients(wave, xi, q)
-        curly = pair * r + surf * (1.0 + r * r - t * t)
-        return (q * (-mu / kappa) * curly * (b - a) / n_den).transpose(1, 2, 0)
+        call = plan(xi, q)
+        (weights, kappa, _), (r_minus, r_plus, (r, t)) = call[2:]
+        a, b = r_minus * np.exp(kappa * d1), r_plus * np.exp(kappa * d3)
+        n_den = (1.0 - r * a) * (1.0 - r * b)
+        if not opaque:
+            n_den = n_den - t * t * a * b
+        if minkowski:
+            return (q * kappa * r * (b - a) / n_den).transpose(1, 2, 0)
+        pair, surf = _mode_coefficients(plan, call)
+        curly = pair * r if surf is None else (
+            pair * r + surf * (1.0 + r * r - t * t))
+        return (q * (-weights[0] / kappa) * curly * (b - a)
+                / n_den).transpose(1, 2, 0)
 
     return integrand
 
@@ -427,14 +425,11 @@ def minkowski_plate_force(
     F^M = T^M(gap 3) - T^M(gap 1) with the z-independent Minkowski stress;
     requires a nonmagnetic interspace medium. For idealized mirror walls and
     a static medium this reproduces the eps^{-1/2}-screened closed form.
-    With A, B and N of ``_plate_terms``, the composite-wall gap difference
-    r r_3/(1 - r r_3) - r r_1/(1 - r r_1) reduces exactly to r (B - A) / N.
+    With A, B and N of ``_exact_difference_integrand``, the composite-wall
+    gap difference r r_3/(1 - r r_3) - r r_1/(1 - r r_1) reduces exactly to
+    r (B - A) / N.
     """
     _minkowski_medium(cavity.medium)
-
-    def integrand(xi, q):
-        wave, r, _, a, b, n_den = _plate_terms(cavity, xi, q)
-        return (q * wave[1] * r * (b - a) / n_den).transpose(1, 2, 0)
-
-    return _plate_force(cavity, integrand, _MINKOWSKI_PREFACTOR, 1.0,
-                        temperature, spec, zero_term_policy, zero_term_value)
+    return _plate_force(cavity, _exact_difference_integrand(cavity, True),
+                        _MINKOWSKI_PREFACTOR, 1.0, temperature, spec,
+                        zero_term_policy, zero_term_value)

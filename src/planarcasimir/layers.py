@@ -25,17 +25,17 @@ transmission arrays have shape (2, A, m), ordered (s, p), for xi a column of
 shape (A, 1), one frequency per row, against q of shape (A, m) or (1, m). A
 perfect mirror is ``DELTA``, a (2, 1, 1) constant that broadcasts. The s and
 p coefficients are one expression whose kappa contrast is weighted by
-(mu, eps). ``_wave`` is the one place a material is evaluated, for both
-polarizations, through one call into ``materials``.
+(mu, eps).
 
-Every integrand call holds one ``_Waves`` memo at its (xi, q): each distinct
-material is evaluated once, however many slabs, terminators and gaps it
-fills, and each interface coefficient is formed once per pair of materials.
-The internal reflections take the medium they are seen from and that memo,
-so its memory grows with the number of distinct materials and interfaces,
-not with the slab count. The public ``wall_reflection`` runs its float xi
-and float or 1-D q as one row of that layout and returns one polarization's
-row, shaped like q.
+An observable compiles its structure once into a ``Plan``: its distinct
+materials, constant ones with weights and n^2 fixed, the others with their
+oscillator constants squared; its interfaces by the materials they join, a
+reversed one the exact negation of its twin; each wall's fold by those
+numbers. An integrand call is then straight-line numpy: xi^2 and q^2 once,
+each dispersive material evaluated once under one ``np.errstate``, kappa
+once per material, so memory grows with the distinct materials and
+interfaces, not with the slab count. ``wall_reflection`` plans its one wall
+and runs its float xi and float or 1-D q as one row of that layout.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from .constants import c
-from .materials import (MIRROR, DispersionModel, MaterialKind, _response,
-                        is_drude_like)
+from .materials import (MIRROR, DispersionModel, MaterialKind, _evaluate,
+                        _records, is_drude_like)
 
 POLARIZATIONS = ("s", "p")
 # Perfect-reflector limits of the interface coefficients, leading axis (s, p).
@@ -115,6 +115,8 @@ class TransverseMode:
             raise ValueError("imaginary frequency xi must be >= 0")
         if not np.all(np.asarray(self.q) >= 0.0):
             raise ValueError("transverse momentum q must be >= 0")
+        if not (self.xi or np.all(self.q)):
+            raise ValueError("kappa vanishes: xi = q = 0 is a degenerate mode")
         if self.pol not in POLARIZATIONS:
             raise ValueError("a mode needs a definite polarization, 's' or"
                              f" 'p', got {self.pol!r}")
@@ -145,17 +147,8 @@ class CavityConfig:
 
     @cached_property
     def has_drude_like(self) -> bool:
-        return _has_drude_like(self.medium, self.left_wall, self.right_wall,
-                               plate=self.plate)
-
-
-def _has_drude_like(medium: DispersionModel, *walls: Wall, plate=None) -> bool:
-    """Whether the medium, a wall or a Layer plate diverges as xi -> 0."""
-    slabs = [ly for wall in walls for ly in wall.layers]
-    slabs += [plate] if isinstance(plate, Layer) else []
-    models = [medium, *(wall.terminator for wall in walls),
-              *(ly.material for ly in slabs)]
-    return any(map(is_drude_like, models))
+        return Plan(self.medium, (self.left_wall, self.right_wall),
+                    self.plate).has_drude_like
 
 
 def beta_imag(n_sq, xi, q: float | np.ndarray):
@@ -171,72 +164,96 @@ def beta_imag(n_sq, xi, q: float | np.ndarray):
     return kappa if np.ndim(q) else float(kappa)
 
 
-def _wave(model: DispersionModel, xi, q):
-    """A material's Fresnel weights (mu, eps) and kappa at omega = i*xi.
-
-    xi is a column (A, 1) broadcast against q of shape (A, m) or (1, m). The
-    weights have shape (2, A, 1), rows (s, p); kappa has shape (A, m).
-    """
-    response = _response(model, xi)
-    return response[::-1], beta_imag(response[0] * response[1], xi, q)
-
-
 def _fresnel(a, b):
-    """Interface coefficients from medium a into medium b, shape (2, A, m).
-
-    s weights the kappa contrast by permeability, p by permittivity
-    (magnetic-field amplitude convention, conductor limit +1).
-    """
-    (w_a, kappa_a), (w_b, kappa_b) = a, b
+    """Interface coefficients from wave a (weights, kappa, n^2) into wave b,
+    shape (2, A, m): s weights the kappa contrast by permeability, p by
+    permittivity (magnetic-field amplitude convention, conductor limit +1)."""
+    (w_a, kappa_a, _), (w_b, kappa_b, _) = a, b
     x, y = w_b * kappa_a, w_a * kappa_b
     return (x - y) / (x + y)
 
 
-class _Waves(dict):
-    """The memo of one integrand call at xi (A, 1) and q (A, m) or (1, m).
+class Plan:
+    """A gap ``medium``, its ``walls`` and a ``plate`` in it, compiled once.
 
-    ``waves[model]`` is the ``_wave`` of a material and ``waves[a, b]`` the
-    interface coefficient from material a into material b, each formed on
-    first use. Swapping x and y in (x - y)/(x + y) negates it bit for bit,
-    so ``waves[b, a]`` is read as the negation of a stored ``waves[a, b]``.
+    ``models`` are the distinct materials, the gap medium first, and
+    ``empty`` says that the gap's n^2 is a static 1. ``plan(xi, q)`` returns
+    (xi^2, q^2, wave, reflections): the gap's wave (weights (mu, eps), kappa,
+    n^2), each wall's reflection seen from the gap, then the plate's (r, t),
+    (``DELTA``, 0.0) for a ``PerfectMirrorPlate``.
     """
 
-    def __init__(self, xi, q):
-        super().__init__()
-        self.xi, self.q = xi, q
+    def __init__(self, medium: DispersionModel, walls=(), plate=None):
+        self.models, faces, self.walls = [medium], [], []
 
-    def __missing__(self, key):
-        if isinstance(key, DispersionModel):
-            value = _wave(key, self.xi, self.q)
-        else:
-            a, b = key
-            value = (-self[b, a] if (b, a) in self
-                     else _fresnel(self[a], self[b]))
-        self[key] = value
-        return value
+        def number(model):
+            if model not in self.models:
+                self.models.append(model)
+            return self.models.index(model)
 
+        def face(a, b):
+            if (a, b) not in faces:
+                faces.append((a, b))
+            return faces.index((a, b))
 
-def _wall_refl(wall: Wall, ambient: DispersionModel, waves: _Waves):
-    """Reflection of ``wall`` seen from the ``ambient`` material.
+        for wall in walls:  # folded from the terminator outward
+            slabs = wall.layers
+            outer = [0] + [number(slab.material) for slab in slabs]
+            self.walls.append((
+                None if wall.is_mirror_terminated
+                else face(outer[-1], number(wall.terminator)),
+                [(face(outer[i], outer[i + 1]), outer[i + 1],
+                  -2.0 * slabs[i].thickness)
+                 for i in range(len(slabs) - 1, -1, -1)]))
+        self.plate = plate if not isinstance(plate, Layer) else (
+            face(0, number(plate.material)), number(plate.material),
+            -plate.thickness)
+        self.faces = [(a, b, faces.index((b, a)) if (b, a) in faces[:n]
+                       else None) for n, (a, b) in enumerate(faces)]
+        self.media, self.records = [], ()
+        for model in self.models:
+            (mu, mu_osc), (eps, eps_osc) = records = _records(model)[::-1]
+            if mu_osc or eps_osc:  # evaluated per call, from this row on
+                self.media.append((len(self.records), None, None))
+                self.records += records
+            else:  # fixed weights and n^2
+                self.media.append((None, np.array([[[mu]], [[eps]]], float),
+                                   float(eps) * float(mu)))
+        self.empty = self.media[0][2] == 1.0
+        self.has_drude_like = any(map(is_drude_like, self.models))
 
-    The result has shape (2, A, m), rows (s, p); a bare mirror is ``DELTA``,
-    which broadcasts to it. The fold runs from the terminator outward; the
-    materials and interfaces come from ``waves``, so its memory grows with
-    the number of distinct materials, not with the slab count. Only the
-    round trip e^{-2 kappa d} and the recursion step are per slab.
-    """
-    layers = wall.layers
-    # Innermost reflection: from the deepest medium into the terminator.
-    inner = layers[-1].material if layers else ambient
-    r = DELTA if wall.is_mirror_terminated else waves[inner, wall.terminator]
-    # Fold outward: each finite layer adds one interface and one round trip.
-    for i in range(len(layers) - 1, -1, -1):
-        outer = layers[i - 1].material if i else ambient
-        rf = waves[outer, inner]
-        back = np.exp(waves[inner][1] * (-2.0 * layers[i].thickness)) * r
-        r = (rf + back) / (1.0 + rf * back)
-        inner = outer
-    return r
+    def __call__(self, xi, q):
+        xi_sq, q_sq = xi * xi, q * q
+        if self.records:
+            with np.errstate(divide="ignore"):
+                rows = _evaluate(self.records, xi, xi_sq)
+        waves = []
+        for row, weights, n_sq in self.media:
+            if row is not None:
+                weights = rows[row:row + 2]
+                n_sq = weights[0] * weights[1]
+            waves.append((weights, np.sqrt(q_sq + xi_sq * n_sq / c**2), n_sq))
+        rs = []
+        for a, b, twin in self.faces:
+            rs.append(_fresnel(waves[a], waves[b]) if twin is None
+                      else -rs[twin])
+        out = []
+        for term, steps in self.walls:
+            r = DELTA if term is None else rs[term]
+            for face, inner, round_trip in steps:
+                back = np.exp(waves[inner][1] * round_trip) * r
+                r = (rs[face] + back) / (1.0 + rs[face] * back)
+            out.append(r)
+        if isinstance(self.plate, tuple):
+            face, inner, minus_d = self.plate
+            r12, decay = rs[face], np.exp(waves[inner][1] * minus_d)
+            r12_sq, decay_sq = r12 * r12, decay * decay
+            den = 1.0 - r12_sq * decay_sq
+            out.append((r12 * (1.0 - decay_sq) / den,
+                        (1.0 - r12_sq) * decay / den))
+        elif self.plate is not None:
+            out.append((DELTA, 0.0))
+        return xi_sq, q_sq, waves[0], out
 
 
 def wall_reflection(wall: Wall, ambient: DispersionModel, mode: TransverseMode):
@@ -256,19 +273,6 @@ def wall_reflection(wall: Wall, ambient: DispersionModel, mode: TransverseMode):
         structures.
     """
     xi, q = np.reshape(mode.xi, (1, 1)), np.reshape(mode.q, (1, -1))
-    r = _wall_refl(wall, ambient, _Waves(xi, q))
+    r = Plan(ambient, (wall,))(xi, q)[3][0]
     r = r[POLARIZATIONS.index(mode.pol)] * np.ones(q.shape)
     return r.reshape(np.shape(mode.q)) if np.ndim(mode.q) else float(r[0, 0])
-
-
-def _plate_rt(plate, ambient: DispersionModel, waves: _Waves):
-    """(r, t) of the plate with the ``ambient`` material on both faces, each
-    of shape (2, A, m), rows (s, p); t is the face-to-face amplitude. A
-    mirror plate is (``DELTA``, 0.0), which broadcasts."""
-    if isinstance(plate, PerfectMirrorPlate):
-        return DELTA, 0.0
-    r12 = waves[ambient, plate.material]
-    decay = np.exp(waves[plate.material][1] * -plate.thickness)
-    r12_sq, decay_sq = r12 * r12, decay * decay
-    den = 1.0 - r12_sq * decay_sq
-    return r12 * (1.0 - decay_sq) / den, (1.0 - r12_sq) * decay / den

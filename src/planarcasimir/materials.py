@@ -152,46 +152,42 @@ MIRROR = DispersionModel(MaterialKind.PERFECT_MIRROR)
 
 
 def _records(model: DispersionModel):
-    """The (static, oscillator) records of eps and of mu, in that order.
-
-    An oscillator is (Omega, omega_0, gamma), or None when there is none or
-    its strength is zero.
-    """
+    """The (static, oscillator) records of eps and of mu, in that order: an
+    oscillator is (Omega^2, omega_0^2, gamma), squared once, or None where
+    there is none or its strength is zero."""
     if model.kind is MaterialKind.PERFECT_MIRROR:
         raise ValueError("a perfect mirror has no finite response function")
     eps_osc = (model.plasma_freq, model.resonance_freq, model.damping)
     mu_osc = model.mu_model or (0.0,)
-    return ((model.eps_static, eps_osc if eps_osc[0] else None),
-            (model.mu_static, mu_osc if mu_osc[0] else None))
+    return tuple((static, (osc[0]**2, osc[1]**2, osc[2]) if osc[0] else None)
+                 for static, osc in ((model.eps_static, eps_osc),
+                                     (model.mu_static, mu_osc)))
 
 
-def _evaluate(record, x, out):
-    """Writes static + Omega^2/(omega_0^2 + x^2 + gamma*x) at x into out."""
-    static, oscillator = record
-    if oscillator is None:
-        out[...] = static
-        return out
-    strength, resonance, damping = oscillator
-    with np.errstate(divide="ignore"):
-        np.divide(strength**2, resonance**2 + x**2 + damping * x, out=out)
-    out += static
+def _evaluate(records, x, x_sq):
+    """Rows static + Omega^2/(omega_0^2 + x^2 + gamma*x) of ``records`` at
+    x, given x_sq = x*x, under the caller's np.errstate(divide="ignore")."""
+    out = np.empty((len(records),) + x.shape)
+    for i, (static, oscillator) in enumerate(records):
+        if oscillator is None:
+            out[i] = static
+        else:
+            strength, resonance, damping = oscillator
+            out[i] = strength / (resonance + x_sq + damping * x) + static
     return out
 
 
 def _response(model: DispersionModel, xi):
-    """Rows eps(i*xi) and mu(i*xi): the one evaluation of a material."""
+    """Rows eps(i*xi) and mu(i*xi) of one material."""
     x = np.asarray(xi, dtype=float)
-    out = np.empty((2,) + x.shape)
-    for i, record in enumerate(_records(model)):
-        _evaluate(record, x, out[i, ...])
-    return out
+    with np.errstate(divide="ignore"):
+        return _evaluate(_records(model), x, x * x)
 
 
 def eps_imag_axis(model: DispersionModel, xi: float | np.ndarray) -> float | np.ndarray:
     """eps(i*xi) as a real number; a float for scalar xi."""
-    x = np.asarray(xi, dtype=float)
-    eps = _evaluate(_records(model)[0], x, np.empty(x.shape))
-    return eps if x.ndim else float(eps)
+    eps = _response(model, xi)[0]
+    return eps if eps.ndim else float(eps)
 
 
 def is_drude_like(model: DispersionModel) -> bool:

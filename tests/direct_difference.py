@@ -6,12 +6,15 @@ literally instead, each gap seeing the plate side as a composite wall: a
 slower route that shares no algebra with the closed form beyond the mode
 coefficients, and so the tests' reference for it. Unlike ``oracles``, it is
 built from the package's own pieces: ``engine.interspace`` views, whose
-``InterspaceView`` checks its own medium and width, ``engine._g_terms`` over
-one ``layers._Waves`` memo per call, and ``engine._plate_force``, the entry
-that ``engine.plate_force`` and ``engine.minkowski_plate_force`` share: it
-checks the m = 0 request, runs the two-column ``summed`` rule through the
-module attribute ``engine.double_semi_infinite`` (so a test that replaces
-that attribute sees this integrand too) and builds the ``ForceResult``.
+``InterspaceView`` checks its own medium and width; one ``layers.Plan`` of
+the gap medium and the four walls of the two views, compiled once per force
+and called once per integrand call, so that each material is evaluated once
+for both faces; ``engine._g_terms`` on that call; and ``engine._plate_force``,
+the entry that ``engine.plate_force`` and ``engine.minkowski_plate_force``
+share: it checks the m = 0 request, runs the two-column ``summed`` rule
+through the module attribute ``engine.double_semi_infinite`` (so a test that
+replaces that attribute sees this integrand too) and builds the
+``ForceResult``.
 
 Its error bar does not cover the rounding of the g_3 - g_1 cancellation.
 The quadrature's 32-ulp floor is taken on the sum of |w (g_3 - g_1)|, not on
@@ -51,24 +54,44 @@ def cavity_interspaces(cavity: CavityConfig):
     return view1, view3
 
 
-def mode_function(view, z, waves):
-    """Mode function g at z, shape (2, A, m), rows (s, p), from ``waves``."""
-    bulk, surf, r_minus, r_plus, denom = engine._g_terms(view, waves)
-    kappa = waves[view.medium][1]
+def _plan(*views):
+    """The ``layers.Plan`` of the views' common medium and their walls, the
+    left and right wall of each view in turn."""
+    return layers.Plan(views[0].medium, [wall for view in views
+                                         for wall in (view.left, view.right)])
+
+
+def _g(plan, call, view, z, left=0):
+    """Mode function g at z, shape (2, A, m), rows (s, p), of ``view``,
+    whose walls are reflections ``left`` and ``left + 1`` of ``call``."""
+    r_minus, r_plus = call[3][left:left + 2]
+    bulk, surf, denom = engine._g_terms(plan, call[:3] + ((r_minus, r_plus),),
+                                        view.width)
+    if surf is None:  # an empty gap
+        return bulk / denom
+    kappa = call[2][1]
     return (bulk + surf * (r_minus * np.exp(-2.0 * kappa * z) + r_plus
                            * np.exp(-2.0 * kappa * (view.width - z)))) / denom
+
+
+def mode_function(view, z, xi, q):
+    """Mode function g at z, shape (2, A, m), rows (s, p), for xi (A, 1)
+    and q (A, m) or (1, m), from a plan of the one view."""
+    plan = _plan(view)
+    return _g(plan, plan(xi, q), view, z)
 
 
 def direct_difference_integrand(cavity: CavityConfig):
     """g_3(0) - g_1(d1) evaluated literally at the plate faces, columns (s, p)."""
     view1, view3 = cavity_interspaces(cavity)
+    plan = _plan(view1, view3)
 
     def integrand(xi, q):
-        waves = layers._Waves(xi, q)
-        (mu, _), kappa = waves[cavity.medium]
-        g3 = mode_function(view3, 0.0, waves)
-        g1 = mode_function(view1, cavity.d1, waves)
-        return (q * (-mu / kappa) * (g3 - g1)).transpose(1, 2, 0)
+        call = plan(xi, q)
+        weights, kappa, _ = call[2]
+        g3 = _g(plan, call, view3, 0.0, left=2)
+        g1 = _g(plan, call, view1, cavity.d1)
+        return (q * (-weights[0] / kappa) * (g3 - g1)).transpose(1, 2, 0)
 
     return integrand
 

@@ -1108,6 +1108,44 @@ def test_sweep_checks_every_point_before_integrating(tmp_path, capsys,
     assert calls == []
 
 
+# A d sweep scales d1 and keeps d3/d1; here one gap is infinite.
+HALF_OPEN_CAVITY = """
+[material.vac]
+kind = constant
+
+[structure]
+regions = wall:mirror, gap:vac:{d1}, plate:mirror, gap:vac:{d3}, wall:mirror
+"""
+
+
+def test_distance_sweep_refuses_an_infinite_d1(tmp_path, capsys,
+                                               monkeypatch):
+    # d3/d1 = 0 would make every point's d3 zero: refused before any point.
+    calls = []
+    monkeypatch.setattr("planarcasimir.cli.plate_force",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = _write(tmp_path, HALF_OPEN_CAVITY.format(d1="inf", d3="1e-6"))
+    code, out, err = _run(capsys, ["sweep", "--config", cfg, "--parameter",
+                                   "d", "--start", "1e-6", "--stop", "2e-6",
+                                   "--points", "2"])
+    assert code == 2 and out == "" and calls == []
+    assert "d1 is infinite" in err and "scales both gaps by d3/d1" in err
+    assert "--parameter d1 or d3" in err
+
+
+def test_distance_sweep_keeps_an_infinite_d3(tmp_path, capsys):
+    # d3 = inf stays infinite: each point is the lone d1 gap's force.
+    cfg = _write(tmp_path, HALF_OPEN_CAVITY.format(d1="1e-6", d3="inf"))
+    code, out, err = _run(capsys, ["sweep", "--config", cfg, "--format",
+                                   "csv", "--parameter", "d", "--start",
+                                   "1e-6", "--stop", "2e-6", "--points", "2"])
+    assert code == 0, err
+    for row, d1 in zip(_rows(out), (1e-6, 2e-6), strict=True):
+        assert float(row["value"]) == d1
+        assert float(row["force_per_area_N_per_m2"]) == pytest.approx(
+            -COEF / d1 ** 4, rel=1e-7)
+
+
 # A half-space wall of material "hard" opposite a mirror plate and wall.
 HARD_WALL_CAVITY = """
 [material.vac]

@@ -70,7 +70,7 @@ def _g(view, z, xi, q, pol=None):
     like q, a float for scalar q. A float xi and a float or 1-D q run as
     one row of the (s, p)-leading layout."""
     xi_col, q_row = np.reshape(xi, (1, 1)), np.reshape(q, (1, -1))
-    g = direct_difference.mode_function(view, z, layers._Waves(xi_col, q_row))
+    g = direct_difference.mode_function(view, z, xi_col, q_row)
     g = g.sum(axis=0) if pol is None else g["sp".index(pol)]
     return g.reshape(np.shape(q)) if np.ndim(q) else float(g[0, 0])
 
@@ -805,8 +805,8 @@ def test_cavity_interspaces_widths_and_media():
     xi, q = 5e14, 1e6
     mode = TransverseMode(xi=xi, q=q, pol="p")
     xi_col, q_row = np.full((1, 1), xi), np.full((1, 1), q)
-    r_bare = layers._plate_rt(cavity.plate, cavity.medium,
-                              layers._Waves(xi_col, q_row))[0][1, 0, 0]
+    plan = layers.Plan(cavity.medium, (), cavity.plate)
+    r_bare = plan(xi_col, q_row)[3][0][0][1, 0, 0]
     r_composite = wall_reflection(view1.right, view1.medium, mode)
     assert abs(r_composite - r_bare) > 1e-6
 
@@ -856,32 +856,72 @@ def test_minkowski_force_equals_the_two_interspace_form(monkeypatch):
                                            atol=1e-13 * np.abs(want).max())
 
 
-def test_one_kappa_evaluation_per_integrand_call(monkeypatch):
-    # The gap medium is evaluated once per call; mirror walls and a mirror
-    # plate reflect without evaluating any material.
-    cavity = CavityConfig(Wall.perfect_mirror(), constant(eps=2.0), 4e-7,
+class _CountingNumpy:
+    """numpy, with a count of ``sqrt`` calls: one per kappa formed."""
+
+    def __init__(self):
+        self.sqrt_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sqrt(self, *args, **kwargs):
+        self.sqrt_calls += 1
+        return np.sqrt(*args, **kwargs)
+
+
+@pytest.mark.parametrize("medium", [VACUUM, constant(eps=2.0)],
+                         ids=["vacuum", "eps2"])
+def test_one_kappa_evaluation_per_integrand_call(monkeypatch, medium):
+    # A constant gap medium between mirror walls and a mirror plate: every
+    # integrand call forms the gap's kappa once and evaluates no material,
+    # since the plan fixes a constant medium's weights and n^2 and mirrors
+    # reflect as the constant DELTA.
+    cavity = CavityConfig(Wall.perfect_mirror(), medium, 4e-7,
                           PerfectMirrorPlate(), 9e-7, Wall.perfect_mirror())
-    view = _mirror_gap(constant(eps=2.0))
+    view = _mirror_gap(medium)
     integrands = [_integrand_of(monkeypatch, observable) for observable in (
         lambda: plate_force(cavity, spec=SPEC),
         lambda: minkowski_plate_force(cavity, spec=SPEC),
         lambda: stress_zz(view, 3e-7, spec=SPEC),
+        lambda: stress_zz(view, np.array([1e-7, 3e-7]), spec=SPEC),
+        lambda: minkowski_stress_zz(view, spec=SPEC),
+        lambda: direct_difference.plate_force(cavity, spec=SPEC),
     )]
-    calls = []
-    real = layers.beta_imag
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
+    counting = _CountingNumpy()
+    evaluated = []
     for module in (layers, engine):
-        monkeypatch.setattr(module, "beta_imag", counting, raising=False)
+        monkeypatch.setattr(module, "np", counting)
+    for module, name in ((materials, "_response"), (layers, "_evaluate")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real: (
+            evaluated.append(args) or real(*args)))
     xi = np.geomspace(1e13, 1e16, 4)[:, None]
     q = np.geomspace(1e5, 1e8, 12) * np.ones_like(xi)
     for integrand in integrands:
-        calls.clear()
+        counting.sqrt_calls = 0
         assert np.all(np.isfinite(integrand(xi, q)))
-        assert len(calls) == 1
+        assert counting.sqrt_calls == 1
+    assert evaluated == []
+
+
+def test_vacuum_mirror_integrand_is_the_closed_form():
+    # Vacuum between mirrors, a mirror plate: with e_i = e^{-2 kappa d_i},
+    # both columns of the field integrand are
+    # 4 q kappa (e_3 - e_1) / ((1 - e_1)(1 - e_3)).
+    d1, d3 = 4e-7, 9e-7
+    cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, d1,
+                          PerfectMirrorPlate(), d3, Wall.perfect_mirror())
+    integrand = _exact_difference_integrand(cavity)
+    xi = np.geomspace(1e12, 3e16, 9)[:, None]
+    q = np.geomspace(1e3, 3e8, 13)[None]
+    kappa = np.sqrt(q**2 + xi**2 / c**2)
+    e1, e3 = np.exp(-2.0 * kappa * d1), np.exp(-2.0 * kappa * d3)
+    want = 4.0 * q * kappa * (e3 - e1) / ((1.0 - e1) * (1.0 - e3))
+    got = integrand(xi, q)
+    assert got.shape == want.shape + (2,)
+    for col in range(2):
+        np.testing.assert_allclose(got[..., col], want, rtol=1e-14, atol=0.0)
 
 
 def test_absolute_floor_applies_to_thermal_sums():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.constants import c
 
-from planarcasimir import engine, layers
+from planarcasimir import engine, layers, materials
 from planarcasimir.layers import (
     DELTA,
     CavityConfig,
@@ -29,13 +29,13 @@ from oracles import interface_r, kappa_of, slab_rt, stack_reflection
 
 
 def _plate_column(plate, ambient, mode):
-    """(r, t) of ``plate`` in ``ambient`` for ``mode``, from ``_plate_rt``:
-    each shaped like q, floats for scalar q. The float xi and the float or
-    1-D q run as one row of the (s, p)-leading layout."""
+    """(r, t) of ``plate`` in ``ambient`` for ``mode``, from a ``Plan`` of
+    the plate: each shaped like q, floats for scalar q. The float xi and the
+    float or 1-D q run as one row of the (s, p)-leading layout."""
     xi, q = np.reshape(mode.xi, (1, 1)), np.reshape(mode.q, (1, -1))
     row = layers.POLARIZATIONS.index(mode.pol)
     pair = [np.broadcast_to(x, (2,) + q.shape)[row]
-            for x in layers._plate_rt(plate, ambient, layers._Waves(xi, q))]
+            for x in layers.Plan(ambient, (), plate)(xi, q)[3][0]]
     return tuple(x.reshape(np.shape(mode.q)) if np.ndim(mode.q)
                  else float(x[0, 0]) for x in pair)
 
@@ -348,13 +348,11 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
     xi = np.geomspace(1e12, 3e16, 5)[:, None]
     q = np.geomspace(1e4, 3e8, 7) * np.linspace(1.0, 2.0, xi.size)[:, None]
     shape = (2,) + q.shape
-    waves = layers._Waves(xi, q)
-    wave = waves[ambient]
-    assert wave[0].shape == (2, xi.size, 1) and wave[1].shape == q.shape
     walls = [Wall.stack(slabs, MIRROR), Wall.stack(slabs, drude),
              Wall.semi_infinite(drude), Wall.perfect_mirror()]
-    for wall in walls:
-        r = layers._wall_refl(wall, ambient, waves)
+    _, _, wave, reflections = layers.Plan(ambient, walls)(xi, q)
+    assert wave[0].shape == (2, xi.size, 1) and wave[1].shape == q.shape
+    for wall, r in zip(walls, reflections, strict=True):
         assert np.broadcast_shapes(np.shape(r), shape) == shape
         if wall.layers or not wall.is_mirror_terminated:
             assert r.shape == shape
@@ -366,7 +364,7 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
                 assert r[row, a, b] == pytest.approx(
                     wall_reflection(wall, ambient, mode), rel=1e-15, abs=0.0)
     for plate in (Layer(magnetic, 1e-7), PerfectMirrorPlate()):
-        pair = layers._plate_rt(plate, ambient, waves)
+        pair = layers.Plan(ambient, (), plate)(xi, q)[3][0]
         if isinstance(plate, Layer):
             assert [x.shape for x in pair] == [shape, shape]
         for x in pair:
@@ -409,8 +407,9 @@ def _alternating_wall(a, b, slabs=20):
 
 def test_each_material_is_evaluated_once_per_integrand_call(monkeypatch):
     # A 20-slab wall of two alternating materials over a third gap medium:
-    # every integrand call evaluates the three materials once each, and
-    # forms each interface once per pair of materials.
+    # every integrand call evaluates the three materials once each, in one
+    # call, and forms each interface once per pair of materials, from the
+    # one plan its observable compiled.
     drude = drude_lorentz(1.37e16, 0.0, 5.3e13)
     lorentz = drude_lorentz(1.5e16, 1.2e16, 2e14)
     gap = drude_lorentz(1.2e16, 2.0e16, 1e14)
@@ -431,47 +430,57 @@ def test_each_material_is_evaluated_once_per_integrand_call(monkeypatch):
     direct_difference.plate_force(cavity)
     engine.minkowski_plate_force(cavity)
     evaluated, interfaces = [], []
-    response, fresnel = layers._response, layers._fresnel
-    monkeypatch.setattr(layers, "_response", lambda model, xi: (
-        evaluated.append(model) or response(model, xi)))
+    evaluate, fresnel = layers._evaluate, layers._fresnel
+    monkeypatch.setattr(layers, "_evaluate", lambda records, *args: (
+        evaluated.append(records) or evaluate(records, *args)))
     monkeypatch.setattr(layers, "_fresnel", lambda a, b: (
         interfaces.append(None) or fresnel(a, b)))
     xi = np.geomspace(1e13, 1e16, 3)[:, None]
     q = np.geomspace(1e5, 1e8, 4) * np.ones_like(xi)
 
     def count(call):
+        # The records of every _evaluate call, a (mu, eps) pair a material.
         evaluated.clear()
         interfaces.clear()
         call()
-        return sorted(map(id, evaluated)), len(interfaces)
+        pairs = [records[i:i + 2] for records in evaluated
+                 for i in range(0, len(records), 2)]
+        return len(evaluated), sorted(map(repr, pairs)), len(interfaces)
 
-    once = sorted(map(id, (drude, lorentz, gap)))
+    once = 1, sorted(repr(materials._records(model)[::-1])
+                     for model in (drude, lorentz, gap))
     assert len(seen) == 5
     for integrand in seen:
         # gap | drude, drude | lorentz (lorentz | drude is its negation),
         # and gap | lorentz for the other wall or the plate.
-        assert count(lambda: integrand(xi, q)) == (once, 3)
+        assert count(lambda: integrand(xi, q)) == (*once, 3)
     mode = TransverseMode(1e15, q[0], "p")
-    assert count(lambda: wall_reflection(wall, gap, mode)) == (once, 2)
+    assert count(lambda: wall_reflection(wall, gap, mode)) == (*once, 2)
 
 
 def test_reversed_interface_is_the_exact_negation():
-    # The memo reads b | a as the negation of a | b; forming b | a afresh
-    # gives the same bits, as x and y swap in (x - y)/(x + y).
+    # The plan forms a | b once and reads b | a as its negation; forming
+    # b | a afresh gives the same bits, as x and y swap in (x - y)/(x + y).
     xi = np.geomspace(1e13, 1e16, 3)[:, None]
     q = np.geomspace(1e5, 1e9, 5) * np.ones_like(xi)
     a = drude_lorentz(1.37e16, 0.0, 5.3e13)
     b = drude_lorentz(9e15, 1.1e16, 1e14, mu_model=(3e15, 5e15, 1e13))
-    waves = layers._Waves(xi, q)
-    forward = waves[a, b]
-    direct = layers._fresnel(waves[b], waves[a])
+    # From a: the half-space b, then a b slab on a (b | a, then a | b).
+    plan = layers.Plan(a, (Wall.semi_infinite(b),
+                           Wall.stack([Layer(b, 1e-8)], a)))
+    assert plan.faces == [(0, 1, None), (1, 0, 0)]
+    forward = plan(xi, q)[3][0]
+    wave_b = layers.Plan(b)(xi, q)[2]
+    direct = layers._fresnel(wave_b, plan(xi, q)[2])
     assert np.all(forward != 0.0)
-    assert (-forward).tobytes() == direct.tobytes() == waves[b, a].tobytes()
+    assert (-forward).tobytes() == direct.tobytes()
+    reverse = layers.Plan(b, (Wall.semi_infinite(a),))(xi, q)[3][0]
+    assert reverse.tobytes() == direct.tobytes()
 
 
 def test_equal_materials_reflect_as_one_shared_object():
-    # Distinct but equal-valued model objects share one memo entry, and the
-    # wall reflects exactly as when one object fills every slab.
+    # Distinct but equal-valued model objects are one material of the plan,
+    # and the wall reflects exactly as when one object fills every slab.
     def drude():
         return drude_lorentz(1.37e16, 0.0, 5.3e13)
 
@@ -483,6 +492,7 @@ def test_equal_materials_reflect_as_one_shared_object():
                            for i, ly in enumerate(shared.layers)], drude())
     assert shared == distinct
     assert distinct.layers[0].material is not distinct.layers[2].material
+    assert len(layers.Plan(VACUUM, (distinct,)).models) == 3
     q = np.geomspace(1e5, 1e9, 9)
     for pol in ("s", "p"):
         mode = TransverseMode(xi=3e14, q=q, pol=pol)
@@ -503,6 +513,10 @@ def test_geometry_validation():
         TransverseMode(xi=1e15, q=-1e5, pol="s")
     with pytest.raises(ValueError):
         TransverseMode(xi=1e15, q=1e5, pol="both")
+    # At xi = 0 a zero q has kappa = 0 in every medium: no direction.
+    with pytest.raises(ValueError, match="degenerate"):
+        TransverseMode(xi=0.0, q=np.array([0.0, 1e6]), pol="s")
+    assert TransverseMode(xi=0.0, q=1e6, pol="p").q == 1e6
     # Every consumer takes one polarization, so the mode refuses None itself.
     with pytest.raises(ValueError, match="polarization"):
         TransverseMode(xi=1e15, q=1e5, pol=None)
