@@ -46,8 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import c, hbar
-from .layers import (DELTA, POLARIZATIONS, CavityConfig, PerfectMirrorPlate,
-                     Plan, Wall)
+from .layers import DELTA, POLARIZATIONS, CavityConfig, Plan, Wall
 from .materials import DispersionModel, MaterialKind, is_nonmagnetic
 from .quadrature import IntegralResult, QuadratureSpec, double_semi_infinite
 
@@ -79,10 +78,6 @@ class InterspaceView:
             raise ValueError("the interspace medium must have a finite response")
         if not self.width > 0.0:
             raise ValueError("interspace width must be positive")
-
-    @property
-    def has_drude_like(self) -> bool:
-        return Plan(self.medium, (self.left, self.right)).has_drude_like
 
 
 @dataclass(frozen=True)
@@ -122,28 +117,24 @@ def interspace(
     return InterspaceView(medium, width, left_wall, right_wall)
 
 
-def _mode_coefficients(plan, call):
+def _mode_coefficients(call):
     """(pair, surf) = (2 [ -kappa^2 (1 + 1/n^2) + Delta q^2 (1 - 1/n^2) ],
-    -Delta (xi^2/c^2)(n^2 - 1)) of the gap in ``call = plan(xi, q)``, the
-    coefficients of g, of shapes (2, A, m) and (2, A, 1), rows (s, p). In
-    an ``empty`` plan's gap they are -4 kappa^2, shape (A, m), and None."""
-    xi_sq, q_sq, (_, kappa, n_sq), _ = call
-    if plan.empty:
-        return -4.0 * (kappa * kappa), None
+    -Delta (xi^2/c^2)(n^2 - 1)) of the gap in a ``Plan``'s ``call``, the
+    coefficients of g, of shapes (2, A, m) and (2, A, 1), rows (s, p)."""
+    _, kappa, n_sq = call.gap
     twice_inv = 2.0 / n_sq
     return ((-2.0 - twice_inv) * (kappa * kappa)
-            + DELTA * ((2.0 - twice_inv) * q_sq),
-            DELTA * ((xi_sq / c**2) * (1.0 - n_sq)))
+            + DELTA * ((2.0 - twice_inv) * call.q_sq),
+            DELTA * ((call.xi_sq / c**2) * (1.0 - n_sq)))
 
 
-def _g_terms(plan, call, width):
-    """(bulk, surf, D) of g in ``call = plan(xi, q)`` for a gap of ``width``
-    between its two reflections r_- and r_+, rows (s, p): g(z) =
+def _g_terms(call, r_minus, r_plus, width):
+    """(bulk, surf, D) of g in a ``Plan``'s ``call`` for a gap of ``width``
+    between reflections r_- and r_+, rows (s, p): g(z) =
     (bulk + surf [r_- e^{-2 kappa z} + r_+ e^{-2 kappa (d-z)}]) / D."""
-    pair, surf = _mode_coefficients(plan, call)
-    r_minus, r_plus = call[3]
+    pair, surf = _mode_coefficients(call)
     # r_+ r_- e^{-2 kappa d} once, so that mirror-image walls round alike.
-    rr = r_plus * r_minus * np.exp(call[2][1] * (-2.0 * width))
+    rr = r_plus * r_minus * np.exp(call.gap.kappa * (-2.0 * width))
     return pair * rr, surf, 1.0 - rr
 
 
@@ -240,17 +231,13 @@ def stress_zz(
 
     def integrand(xi, q):
         call = plan(xi, q)
-        bulk, surf, denom = _g_terms(plan, call, view.width)
-        _, _, (weights, kappa, _), (r_minus, r_plus) = call
+        r_minus, r_plus = call.walls
+        bulk, surf, denom = _g_terms(call, r_minus, r_plus, view.width)
+        (mu, _), kappa, _ = call.gap
         # Sum s and p before the heights come in: only the two surface
         # exponentials depend on z, and their kappa is the gap's for both.
         inv = 1.0 / denom
-        weight = q * (-weights[0] / kappa)
-        if surf is None:  # an empty gap's g is the same at every height
-            g = weight * (bulk * inv).sum(axis=0)
-            return np.broadcast_to(g.reshape(g.shape + spread),
-                                   g.shape + heights.shape)
-        terms = [weight, kappa] + [
+        terms = [q * (-mu / kappa), kappa] + [
             (term * inv).sum(axis=0)
             for term in (bulk, surf * r_minus, surf * r_plus)]
         weight, kappa, bulk, near, far = (
@@ -287,7 +274,8 @@ def minkowski_stress_zz(
                            plan.has_drude_like)
 
     def integrand(xi, q):
-        _, _, (_, kappa, _), (r_minus, r_plus) = plan(xi, q)
+        call = plan(xi, q)
+        kappa, (r_minus, r_plus) = call.gap.kappa, call.walls
         rr = r_plus * r_minus * np.exp(kappa * (-2.0 * view.width))
         return q * kappa * (rr / (1.0 - rr)).sum(axis=0)
 
@@ -327,37 +315,37 @@ def _exact_difference_integrand(cavity: CavityConfig, minkowski=False):
 
     With the plate's (r, t) and the bare walls' reflections r_1- and r_3+,
     all seen from the gap medium, A = r_1- e^{-2 kappa d1},
-    B = r_3+ e^{-2 kappa d3} and N = (1 - r A)(1 - r B) - t^2 A B (a mirror
-    plate, t = 0, goes without the last term). With (pair, surf) of
-    ``_mode_coefficients`` the difference of the mode functions at the
-    plate faces collapses to
+    B = r_3+ e^{-2 kappa d3} and N = (1 - r A)(1 - r B) - t^2 A B. With
+    (pair, surf) of ``_mode_coefficients`` the difference of the mode
+    functions at the plate faces collapses to
 
         g_3(0) - g_1(d1) = [ pair r + surf (1 + r^2 - t^2) ] (B - A) / N ,
 
     which is manifestly exponentially convergent in q (every term carries A
-    or B); the ``minkowski`` integrand is q kappa r (B - A) / N. The
-    integrand takes xi (A, 1) and q (1, m) or (A, m) and returns shape
-    (A, m, 2), the polarization columns (s, p), from one ``Plan``.
+    or B). Where the gap's n^2 is a static 1 (``Plan.empty``), pair is
+    -4 kappa^2 and surf is 0, so the bracket is -4 kappa^2 r exactly. The
+    ``minkowski`` integrand is q kappa r (B - A) / N. The integrand takes
+    xi (A, 1) and q (1, m) or (A, m) and returns shape (A, m, 2), the
+    polarization columns (s, p), from one ``Plan``.
     """
     plan = Plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
                 cavity.plate)
-    opaque = isinstance(cavity.plate, PerfectMirrorPlate)
     d1, d3 = -2.0 * cavity.d1, -2.0 * cavity.d3
 
     def integrand(xi, q):
         call = plan(xi, q)
-        (weights, kappa, _), (r_minus, r_plus, (r, t)) = call[2:]
+        (mu, _), kappa, _ = call.gap
+        (r_minus, r_plus), (r, t) = call.walls, call.plate
         a, b = r_minus * np.exp(kappa * d1), r_plus * np.exp(kappa * d3)
-        n_den = (1.0 - r * a) * (1.0 - r * b)
-        if not opaque:
-            n_den = n_den - t * t * a * b
+        n_den = (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
         if minkowski:
             return (q * kappa * r * (b - a) / n_den).transpose(1, 2, 0)
-        pair, surf = _mode_coefficients(plan, call)
-        curly = pair * r if surf is None else (
-            pair * r + surf * (1.0 + r * r - t * t))
-        return (q * (-weights[0] / kappa) * curly * (b - a)
-                / n_den).transpose(1, 2, 0)
+        if plan.empty:  # pair is -4 kappa^2 and surf is 0
+            curly = -4.0 * (kappa * kappa) * r
+        else:
+            pair, surf = _mode_coefficients(call)
+            curly = pair * r + surf * (1.0 + r * r - t * t)
+        return (q * (-mu / kappa) * curly * (b - a) / n_den).transpose(1, 2, 0)
 
     return integrand
 

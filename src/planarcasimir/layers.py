@@ -40,6 +40,7 @@ and runs its float xi and float or 1-D q as one row of that layout.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,8 +148,11 @@ class CavityConfig:
 
     @cached_property
     def has_drude_like(self) -> bool:
-        return Plan(self.medium, (self.left_wall, self.right_wall),
-                    self.plate).has_drude_like
+        walls = (self.left_wall, self.right_wall)
+        plate = (self.plate,) if isinstance(self.plate, Layer) else ()
+        slabs = plate + walls[0].layers + walls[1].layers
+        models = [self.medium, *(wall.terminator for wall in walls)]
+        return any(map(is_drude_like, models + [ly.material for ly in slabs]))
 
 
 def beta_imag(n_sq, xi, q: float | np.ndarray):
@@ -164,12 +168,20 @@ def beta_imag(n_sq, xi, q: float | np.ndarray):
     return kappa if np.ndim(q) else float(kappa)
 
 
+# A material at one call: Fresnel weights (mu, eps) of shape (2, A, 1) or
+# (2, 1, 1), kappa of shape (A, m) and n^2.
+Wave = namedtuple("Wave", "weights kappa n_sq")
+# What ``plan(xi, q)`` returns: xi^2, q^2, the gap's ``Wave``, each wall's
+# reflection (2, A, m) seen from the gap, in the plan's order, and the
+# plate's (r, t), (``DELTA``, 0.0) for a ``PerfectMirrorPlate``, or None.
+Call = namedtuple("Call", "xi_sq q_sq gap walls plate")
+
+
 def _fresnel(a, b):
-    """Interface coefficients from wave a (weights, kappa, n^2) into wave b,
-    shape (2, A, m): s weights the kappa contrast by permeability, p by
-    permittivity (magnetic-field amplitude convention, conductor limit +1)."""
-    (w_a, kappa_a, _), (w_b, kappa_b, _) = a, b
-    x, y = w_b * kappa_a, w_a * kappa_b
+    """Interface coefficients from wave a into wave b, shape (2, A, m): s
+    weights the kappa contrast by permeability, p by permittivity
+    (magnetic-field amplitude convention, conductor limit +1)."""
+    x, y = b.weights * a.kappa, a.weights * b.kappa
     return (x - y) / (x + y)
 
 
@@ -178,23 +190,17 @@ class Plan:
 
     ``models`` are the distinct materials, the gap medium first, and
     ``empty`` says that the gap's n^2 is a static 1. ``plan(xi, q)`` returns
-    (xi^2, q^2, wave, reflections): the gap's wave (weights (mu, eps), kappa,
-    n^2), each wall's reflection seen from the gap, then the plate's (r, t),
-    (``DELTA``, 0.0) for a ``PerfectMirrorPlate``.
+    their ``Call`` at xi (A, 1) and q (A, m) or (1, m).
     """
 
     def __init__(self, medium: DispersionModel, walls=(), plate=None):
-        self.models, faces, self.walls = [medium], [], []
+        numbers, faces, self.walls = {medium: 0}, {}, []
 
         def number(model):
-            if model not in self.models:
-                self.models.append(model)
-            return self.models.index(model)
+            return numbers.setdefault(model, len(numbers))
 
         def face(a, b):
-            if (a, b) not in faces:
-                faces.append((a, b))
-            return faces.index((a, b))
+            return faces.setdefault((a, b), len(faces))
 
         for wall in walls:  # folded from the terminator outward
             slabs = wall.layers
@@ -208,8 +214,9 @@ class Plan:
         self.plate = plate if not isinstance(plate, Layer) else (
             face(0, number(plate.material)), number(plate.material),
             -plate.thickness)
-        self.faces = [(a, b, faces.index((b, a)) if (b, a) in faces[:n]
-                       else None) for n, (a, b) in enumerate(faces)]
+        self.models = list(numbers)
+        self.faces = [(a, b, faces[b, a] if faces.get((b, a), n) < n
+                       else None) for (a, b), n in faces.items()]
         self.media, self.records = [], ()
         for model in self.models:
             (mu, mu_osc), (eps, eps_osc) = records = _records(model)[::-1]
@@ -232,28 +239,28 @@ class Plan:
             if row is not None:
                 weights = rows[row:row + 2]
                 n_sq = weights[0] * weights[1]
-            waves.append((weights, np.sqrt(q_sq + xi_sq * n_sq / c**2), n_sq))
+            waves.append(Wave(weights, np.sqrt(q_sq + xi_sq * n_sq / c**2),
+                              n_sq))
         rs = []
         for a, b, twin in self.faces:
             rs.append(_fresnel(waves[a], waves[b]) if twin is None
                       else -rs[twin])
-        out = []
+        walls = []
         for term, steps in self.walls:
             r = DELTA if term is None else rs[term]
             for face, inner, round_trip in steps:
-                back = np.exp(waves[inner][1] * round_trip) * r
+                back = np.exp(waves[inner].kappa * round_trip) * r
                 r = (rs[face] + back) / (1.0 + rs[face] * back)
-            out.append(r)
+            walls.append(r)
+        plate = None if self.plate is None else (DELTA, 0.0)
         if isinstance(self.plate, tuple):
             face, inner, minus_d = self.plate
-            r12, decay = rs[face], np.exp(waves[inner][1] * minus_d)
+            r12, decay = rs[face], np.exp(waves[inner].kappa * minus_d)
             r12_sq, decay_sq = r12 * r12, decay * decay
             den = 1.0 - r12_sq * decay_sq
-            out.append((r12 * (1.0 - decay_sq) / den,
-                        (1.0 - r12_sq) * decay / den))
-        elif self.plate is not None:
-            out.append((DELTA, 0.0))
-        return xi_sq, q_sq, waves[0], out
+            plate = (r12 * (1.0 - decay_sq) / den,
+                     (1.0 - r12_sq) * decay / den)
+        return Call(xi_sq, q_sq, waves[0], walls, plate)
 
 
 def wall_reflection(wall: Wall, ambient: DispersionModel, mode: TransverseMode):
@@ -273,6 +280,6 @@ def wall_reflection(wall: Wall, ambient: DispersionModel, mode: TransverseMode):
         structures.
     """
     xi, q = np.reshape(mode.xi, (1, 1)), np.reshape(mode.q, (1, -1))
-    r = Plan(ambient, (wall,))(xi, q)[3][0]
+    r = Plan(ambient, (wall,))(xi, q).walls[0]
     r = r[POLARIZATIONS.index(mode.pol)] * np.ones(q.shape)
     return r.reshape(np.shape(mode.q)) if np.ndim(mode.q) else float(r[0, 0])

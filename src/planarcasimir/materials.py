@@ -157,11 +157,13 @@ def _records(model: DispersionModel):
     there is none or its strength is zero."""
     if model.kind is MaterialKind.PERFECT_MIRROR:
         raise ValueError("a perfect mirror has no finite response function")
-    eps_osc = (model.plasma_freq, model.resonance_freq, model.damping)
-    mu_osc = model.mu_model or (0.0,)
-    return tuple((static, (osc[0]**2, osc[1]**2, osc[2]) if osc[0] else None)
-                 for static, osc in ((model.eps_static, eps_osc),
-                                     (model.mu_static, mu_osc)))
+    strength, resonance, damping = (model.plasma_freq, model.resonance_freq,
+                                    model.damping)
+    eps = model.eps_static, ((strength**2, resonance**2, damping)
+                             if strength else None)
+    strength, resonance, damping = model.mu_model or (0.0, 0.0, 0.0)
+    return eps, (model.mu_static, (strength**2, resonance**2, damping)
+                 if strength else None)
 
 
 def _evaluate(records, x, x_sq):
@@ -169,11 +171,13 @@ def _evaluate(records, x, x_sq):
     x, given x_sq = x*x, under the caller's np.errstate(divide="ignore")."""
     out = np.empty((len(records),) + x.shape)
     for i, (static, oscillator) in enumerate(records):
+        row = out[i, ...]
         if oscillator is None:
-            out[i] = static
+            row.fill(static)
         else:
             strength, resonance, damping = oscillator
-            out[i] = strength / (resonance + x_sq + damping * x) + static
+            np.divide(strength, resonance + x_sq + damping * x, out=row)
+            row += static
     return out
 
 
@@ -186,8 +190,10 @@ def _response(model: DispersionModel, xi):
 
 def eps_imag_axis(model: DispersionModel, xi: float | np.ndarray) -> float | np.ndarray:
     """eps(i*xi) as a real number; a float for scalar xi."""
-    eps = _response(model, xi)[0]
-    return eps if eps.ndim else float(eps)
+    x = np.asarray(xi, dtype=float)
+    with np.errstate(divide="ignore"):
+        eps = _evaluate(_records(model)[:1], x, x * x)[0]
+    return eps if x.ndim else float(eps)
 
 
 def is_drude_like(model: DispersionModel) -> bool:

@@ -61,15 +61,12 @@ def _plan(*views):
                                          for wall in (view.left, view.right)])
 
 
-def _g(plan, call, view, z, left=0):
-    """Mode function g at z, shape (2, A, m), rows (s, p), of ``view``,
-    whose walls are reflections ``left`` and ``left + 1`` of ``call``."""
-    r_minus, r_plus = call[3][left:left + 2]
-    bulk, surf, denom = engine._g_terms(plan, call[:3] + ((r_minus, r_plus),),
-                                        view.width)
-    if surf is None:  # an empty gap
-        return bulk / denom
-    kappa = call[2][1]
+def _g(call, view, z, left=0):
+    """Mode function g at z, shape (2, A, m), rows (s, p), of ``view`` in a
+    ``layers.Plan``'s ``call``, whose walls are ``left`` and ``left + 1``."""
+    r_minus, r_plus = call.walls[left:left + 2]
+    bulk, surf, denom = engine._g_terms(call, r_minus, r_plus, view.width)
+    kappa = call.gap.kappa
     return (bulk + surf * (r_minus * np.exp(-2.0 * kappa * z) + r_plus
                            * np.exp(-2.0 * kappa * (view.width - z)))) / denom
 
@@ -77,8 +74,7 @@ def _g(plan, call, view, z, left=0):
 def mode_function(view, z, xi, q):
     """Mode function g at z, shape (2, A, m), rows (s, p), for xi (A, 1)
     and q (A, m) or (1, m), from a plan of the one view."""
-    plan = _plan(view)
-    return _g(plan, plan(xi, q), view, z)
+    return _g(_plan(view)(xi, q), view, z)
 
 
 def direct_difference_integrand(cavity: CavityConfig):
@@ -88,10 +84,10 @@ def direct_difference_integrand(cavity: CavityConfig):
 
     def integrand(xi, q):
         call = plan(xi, q)
-        weights, kappa, _ = call[2]
-        g3 = _g(plan, call, view3, 0.0, left=2)
-        g1 = _g(plan, call, view1, cavity.d1)
-        return (q * (-weights[0] / kappa) * (g3 - g1)).transpose(1, 2, 0)
+        (mu, _), kappa, _ = call.gap
+        g3 = _g(call, view3, 0.0, left=2)
+        g1 = _g(call, view1, cavity.d1)
+        return (q * (-mu / kappa) * (g3 - g1)).transpose(1, 2, 0)
 
     return integrand
 

@@ -806,7 +806,7 @@ def test_cavity_interspaces_widths_and_media():
     mode = TransverseMode(xi=xi, q=q, pol="p")
     xi_col, q_row = np.full((1, 1), xi), np.full((1, 1), q)
     plan = layers.Plan(cavity.medium, (), cavity.plate)
-    r_bare = plan(xi_col, q_row)[3][0][0][1, 0, 0]
+    r_bare = plan(xi_col, q_row).plate[0][1, 0, 0]
     r_composite = wall_reflection(view1.right, view1.medium, mode)
     assert abs(r_composite - r_bare) > 1e-6
 
@@ -922,6 +922,40 @@ def test_vacuum_mirror_integrand_is_the_closed_form():
     assert got.shape == want.shape + (2,)
     for col in range(2):
         np.testing.assert_allclose(got[..., col], want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("walls,plate", [
+    ((Wall.perfect_mirror(), Wall.perfect_mirror()), PerfectMirrorPlate()),
+    ((Wall.semi_infinite(constant(eps=4.0)),
+      Wall.stack([Layer(constant(eps=2.0, mu=3.0), 5e-8)], MIRROR)),
+     Layer(drude_lorentz(1.4e16, 0.0, 4e13), 1e-7)),
+], ids=["mirrors", "slabs"])
+def test_empty_gap_bracket_is_the_general_one_bit_for_bit(
+        monkeypatch, walls, plate):
+    # A gap whose n^2 is a static 1 takes the bracket -4 kappa^2 r of the
+    # field integrand without forming (pair, surf); with the plan made to
+    # say otherwise, the general bracket gives the same bits.
+    cavity = CavityConfig(walls[0], VACUUM, 4e-7, plate, 9e-7, walls[1])
+    xi = np.geomspace(1e12, 3e16, 7)[:, None]
+    q = np.geomspace(1e3, 3e8, 11)[None]
+    folded = _exact_difference_integrand(cavity)
+
+    class Unfolded(layers.Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            assert self.empty
+            self.empty = False
+
+    monkeypatch.setattr(engine, "Plan", Unfolded)
+    general = _exact_difference_integrand(cavity)
+    formed = []
+    real = engine._mode_coefficients
+    monkeypatch.setattr(engine, "_mode_coefficients",
+                        lambda call: formed.append(1) or real(call))
+    got = folded(xi, q)
+    assert formed == []
+    assert got.tobytes() == general(xi, q).tobytes()
+    assert formed == [1]
 
 
 def test_absolute_floor_applies_to_thermal_sums():
@@ -1069,7 +1103,7 @@ def test_a_converged_result_meets_its_target(
     else:
         view = interspace(Wall.semi_infinite(left), gap, d1,
                           Wall.semi_infinite(right))
-        drude = view.has_drude_like
+        drude = layers.Plan(gap, (view.left, view.right)).has_drude_like
 
         def run(policy, value=None):
             res = stress_zz(view, d1 * np.array([0.25, 0.5]), temperature,

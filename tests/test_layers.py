@@ -35,7 +35,7 @@ def _plate_column(plate, ambient, mode):
     xi, q = np.reshape(mode.xi, (1, 1)), np.reshape(mode.q, (1, -1))
     row = layers.POLARIZATIONS.index(mode.pol)
     pair = [np.broadcast_to(x, (2,) + q.shape)[row]
-            for x in layers.Plan(ambient, (), plate)(xi, q)[3][0]]
+            for x in layers.Plan(ambient, (), plate)(xi, q).plate]
     return tuple(x.reshape(np.shape(mode.q)) if np.ndim(mode.q)
                  else float(x[0, 0]) for x in pair)
 
@@ -350,8 +350,10 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
     shape = (2,) + q.shape
     walls = [Wall.stack(slabs, MIRROR), Wall.stack(slabs, drude),
              Wall.semi_infinite(drude), Wall.perfect_mirror()]
-    _, _, wave, reflections = layers.Plan(ambient, walls)(xi, q)
-    assert wave[0].shape == (2, xi.size, 1) and wave[1].shape == q.shape
+    call = layers.Plan(ambient, walls)(xi, q)
+    wave, reflections = call.gap, call.walls
+    assert wave.weights.shape == (2, xi.size, 1)
+    assert wave.kappa.shape == q.shape
     for wall, r in zip(walls, reflections, strict=True):
         assert np.broadcast_shapes(np.shape(r), shape) == shape
         if wall.layers or not wall.is_mirror_terminated:
@@ -364,7 +366,7 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
                 assert r[row, a, b] == pytest.approx(
                     wall_reflection(wall, ambient, mode), rel=1e-15, abs=0.0)
     for plate in (Layer(magnetic, 1e-7), PerfectMirrorPlate()):
-        pair = layers.Plan(ambient, (), plate)(xi, q)[3][0]
+        pair = layers.Plan(ambient, (), plate)(xi, q).plate
         if isinstance(plate, Layer):
             assert [x.shape for x in pair] == [shape, shape]
         for x in pair:
@@ -469,12 +471,12 @@ def test_reversed_interface_is_the_exact_negation():
     plan = layers.Plan(a, (Wall.semi_infinite(b),
                            Wall.stack([Layer(b, 1e-8)], a)))
     assert plan.faces == [(0, 1, None), (1, 0, 0)]
-    forward = plan(xi, q)[3][0]
-    wave_b = layers.Plan(b)(xi, q)[2]
-    direct = layers._fresnel(wave_b, plan(xi, q)[2])
+    forward = plan(xi, q).walls[0]
+    wave_b = layers.Plan(b)(xi, q).gap
+    direct = layers._fresnel(wave_b, plan(xi, q).gap)
     assert np.all(forward != 0.0)
     assert (-forward).tobytes() == direct.tobytes()
-    reverse = layers.Plan(b, (Wall.semi_infinite(a),))(xi, q)[3][0]
+    reverse = layers.Plan(b, (Wall.semi_infinite(a),))(xi, q).walls[0]
     assert reverse.tobytes() == direct.tobytes()
 
 
