@@ -24,7 +24,6 @@ from .layers import (
     PerfectMirrorPlate,
     TransverseMode,
     Wall,
-    beta_imag,
     wall_reflection,
 )
 from .quadrature import (
@@ -58,7 +57,7 @@ __all__ = [
     "MIRROR", "VACUUM", "DispersionModel", "MaterialKind", "constant",
     "drude_lorentz", "is_drude_like", "is_nonmagnetic", "plasma",
     "CavityConfig", "Layer", "PerfectMirrorPlate", "TransverseMode",
-    "Wall", "beta_imag", "wall_reflection",
+    "Wall", "wall_reflection",
     "IntegralResult", "QuadratureSpec", "integrate_semi_infinite",
     "matsubara_sum",
     "ForceResult", "InterspaceView", "StressProfile", "interspace",

@@ -377,9 +377,10 @@ def _contrast_row(rc: RunConfig, eps: float, mode: str, d1, d3) -> dict:
 
 
 def _quadrature_compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
-    """Both tensors' plate forces on one cavity; the ratio is None at F = 0."""
-    force = _force(rc, cavity)
+    """Both tensors' plate forces on one cavity; the ratio is None at F = 0.
+    Minkowski runs first, so a magnetic gap is refused before any integral."""
     mink = _force(rc, cavity, minkowski=True)
+    force = _force(rc, cavity)
     eps = _static_eps(cavity.medium)
     ratio = None
     if force.force_per_area != 0.0:

@@ -156,11 +156,12 @@ def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
     thermal sum at half weight, and an m = 0 amount to add, or None.
 
     The one reader of ``zero_term_policy``/``zero_term_value``, run by every
-    observable at every T before its first integral. Only ``half-weight``
-    has the head; ``custom-value`` adds a finite number (stresses) or (s, p)
-    array from a dict with both keys (forces), which 0 K has no term for.
+    observable at every T before its first integral. Only None means the
+    default, ``half-weight``, the one policy with the head; ``custom-value``
+    adds a finite number (stresses) or (s, p) array from a dict with both
+    keys (forces), which 0 K has no term for.
     """
-    policy = policy or "half-weight"
+    policy = "half-weight" if policy is None else policy
     if policy not in ZERO_TERM_POLICIES:
         raise ValueError(f"unknown zero_term_policy {policy!r}, choose one"
                          f" of {', '.join(ZERO_TERM_POLICIES)}")
@@ -350,11 +351,12 @@ def _exact_difference_integrand(cavity: CavityConfig, minkowski=False):
     return integrand
 
 
-def _plate_force(cavity, integrand, prefactor, index, temperature, spec,
-                 policy, value) -> ForceResult:
+def _plate_force(cavity, integrand, prefactor, temperature, spec, policy,
+                 value) -> ForceResult:
     """The plate force of one cavity's (s, p) ``integrand``: a finite gap and
     the m = 0 request (``_zero_term``) are checked, then one two-column
-    ``summed`` rule on the smaller gap runs, its verdict kept as it gave it."""
+    ``summed`` rule on the smaller gap and the gap medium's ``_index`` runs,
+    its verdict kept as it gave it."""
     if not np.isfinite(min(cavity.d1, cavity.d3)):
         raise ValueError("a plate force needs at least one finite gap, got"
                          f" d1 = {cavity.d1} and d3 = {cavity.d3}")
@@ -362,8 +364,8 @@ def _plate_force(cavity, integrand, prefactor, index, temperature, spec,
                            per_polarization=True)
     res = double_semi_infinite(integrand, spec or DEFAULT_SPEC,
                                min(cavity.d1, cavity.d3), prefactor,
-                               temperature, *zero_term, index=index,
-                               columns=2, summed=True)
+                               temperature, *zero_term, columns=2,
+                               index=_index(cavity.medium), summed=True)
     per_pol = dict(zip(POLARIZATIONS, map(float, res.value)))
     return ForceResult(per_pol["s"] + per_pol["p"],
                        float(res.error_estimate.sum()), per_pol,
@@ -397,8 +399,8 @@ def plate_force(
         integrated in one pass.
     """
     return _plate_force(cavity, _exact_difference_integrand(cavity),
-                        _STRESS_PREFACTOR, _index(cavity.medium), temperature,
-                        spec, zero_term_policy, zero_term_value)
+                        _STRESS_PREFACTOR, temperature, spec, zero_term_policy,
+                        zero_term_value)
 
 
 def minkowski_plate_force(
@@ -419,5 +421,5 @@ def minkowski_plate_force(
     """
     _minkowski_medium(cavity.medium)
     return _plate_force(cavity, _exact_difference_integrand(cavity, True),
-                        _MINKOWSKI_PREFACTOR, 1.0, temperature, spec,
+                        _MINKOWSKI_PREFACTOR, temperature, spec,
                         zero_term_policy, zero_term_value)

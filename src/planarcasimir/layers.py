@@ -155,19 +155,6 @@ class CavityConfig:
         return any(map(is_drude_like, models + [ly.material for ly in slabs]))
 
 
-def beta_imag(n_sq, xi, q: float | np.ndarray):
-    """Normal decay constant kappa = sqrt(q^2 + xi^2 n^2 / c^2).
-
-    This is beta evaluated at omega = i*xi, written as beta = i*kappa. n_sq
-    and xi may be frequency columns of shape (A, 1) broadcast against q. The
-    mode (xi, q) = (0, 0) has no propagation direction and is rejected.
-    """
-    kappa = np.sqrt(np.asarray(q, dtype=float) ** 2 + xi * xi * n_sq / c**2)
-    if not kappa.all():
-        raise ValueError("kappa vanishes: xi = 0 and q = 0 is a degenerate mode")
-    return kappa if np.ndim(q) else float(kappa)
-
-
 # A material at one call: Fresnel weights (mu, eps) of shape (2, A, 1) or
 # (2, 1, 1), kappa of shape (A, m) and n^2.
 Wave = namedtuple("Wave", "weights kappa n_sq")

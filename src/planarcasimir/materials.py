@@ -71,7 +71,7 @@ class DispersionModel:
                                  f" {self.mu_model!r}")
             object.__setattr__(self, "mu_model", mu_model)
         eps_osc = (self.plasma_freq, self.resonance_freq, self.damping)
-        mu_osc = self.mu_model or ()
+        mu_osc = self.mu_model or (0.0, 0.0, 0.0)
         named = zip(("eps_static", "mu_static", "plasma_freq",
                      "resonance_freq", "damping", "mu_plasma_freq",
                      "mu_resonance_freq", "mu_damping"),
@@ -89,7 +89,7 @@ class DispersionModel:
             raise ValueError("oscillator parameters must be non-negative")
         # The evaluation forms Omega^2, omega_0^2 and, at xi = 0, their
         # ratio; as in numpy, x * x overflows to inf (x**2 raises), 0/0 is nan.
-        for prefix, osc in (("", eps_osc), ("mu_", mu_osc or (0.0, 0.0))):
+        for prefix, osc in (("", eps_osc), ("mu_", mu_osc)):
             strength, resonance = (float(x) * float(x) for x in osc[:2])
             ratio = 0.0 if not (osc[0] and osc[1]) else (strength / resonance
                      if resonance else math.inf if strength else math.nan)
@@ -104,6 +104,13 @@ class DispersionModel:
         if self.kind in (MaterialKind.CONSTANT, MaterialKind.PERFECT_MIRROR
                          ) and any(eps_osc + mu_osc):
             raise ValueError(f"the {self.kind.value} kind has no oscillator")
+        # Built once for ``_records``. They square with **, not with the
+        # x * x checked above: the two can differ in the last bit.
+        records = tuple((static, (s**2, r**2, g) if s else None)
+                        for static, (s, r, g) in ((self.eps_static, eps_osc),
+                                                  (self.mu_static, mu_osc)))
+        object.__setattr__(self, "_records", None if self.kind
+                           is MaterialKind.PERFECT_MIRROR else records)
         object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
 
     def __hash__(self) -> int:
@@ -152,18 +159,12 @@ MIRROR = DispersionModel(MaterialKind.PERFECT_MIRROR)
 
 
 def _records(model: DispersionModel):
-    """The (static, oscillator) records of eps and of mu, in that order: an
-    oscillator is (Omega^2, omega_0^2, gamma), squared once, or None where
-    there is none or its strength is zero."""
-    if model.kind is MaterialKind.PERFECT_MIRROR:
+    """The (static, oscillator) records of eps and of mu, in that order, as
+    the model built them once: an oscillator is (Omega^2, omega_0^2, gamma),
+    or None where there is none or its strength is zero."""
+    if model._records is None:
         raise ValueError("a perfect mirror has no finite response function")
-    strength, resonance, damping = (model.plasma_freq, model.resonance_freq,
-                                    model.damping)
-    eps = model.eps_static, ((strength**2, resonance**2, damping)
-                             if strength else None)
-    strength, resonance, damping = model.mu_model or (0.0, 0.0, 0.0)
-    return eps, (model.mu_static, (strength**2, resonance**2, damping)
-                 if strength else None)
+    return model._records
 
 
 def _evaluate(records, x, x_sq):
@@ -203,11 +204,11 @@ def is_drude_like(model: DispersionModel) -> bool:
     Such models make the zero-frequency term of thermal sums ambiguous, so
     callers must pick an explicit policy. A perfect mirror is not one.
     """
-    return model.kind is not MaterialKind.PERFECT_MIRROR and any(
-        osc is not None and osc[1] == 0.0 for _, osc in _records(model))
+    records = model._records
+    return records is not None and any(
+        osc is not None and osc[1] == 0.0 for _, osc in records)
 
 
 def is_nonmagnetic(model: DispersionModel) -> bool:
     """True when mu(omega) is identically 1: static 1, no oscillator."""
-    return (model.kind is not MaterialKind.PERFECT_MIRROR
-            and _records(model)[1] == (1.0, None))
+    return model._records is not None and model._records[1] == (1.0, None)

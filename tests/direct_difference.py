@@ -11,10 +11,10 @@ the gap medium and the four walls of the two views, compiled once per force
 and called once per integrand call, so that each material is evaluated once
 for both faces; ``engine._g_terms`` on that call; and ``engine._plate_force``,
 the entry that ``engine.plate_force`` and ``engine.minkowski_plate_force``
-share: it checks the m = 0 request, runs the two-column ``summed`` rule
-through the module attribute ``engine.double_semi_infinite`` (so a test that
-replaces that attribute sees this integrand too) and builds the
-``ForceResult``.
+share: it checks the m = 0 request, takes the gap index from the cavity,
+runs the two-column ``summed`` rule through the module attribute
+``engine.double_semi_infinite`` (so a test that replaces that attribute sees
+this integrand too) and builds the ``ForceResult``.
 
 Its error bar does not cover the rounding of the g_3 - g_1 cancellation.
 The quadrature's 32-ulp floor is taken on the sum of |w (g_3 - g_1)|, not on
@@ -109,5 +109,4 @@ def plate_force(cavity, temperature=0.0, spec=None, zero_term_policy=None,
         spec = replace(spec, q_cutoff=noise_guard)
     return engine._plate_force(
         cavity, direct_difference_integrand(cavity), engine._STRESS_PREFACTOR,
-        engine._index(cavity.medium), temperature, spec, zero_term_policy,
-        zero_term_value)
+        temperature, spec, zero_term_policy, zero_term_value)

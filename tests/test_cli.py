@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.constants import c, hbar
 
-from planarcasimir import cli
+from planarcasimir import cli, engine
 from planarcasimir.cli import main
 
 COEF = hbar * c * math.pi ** 2 / 240.0
@@ -984,6 +984,35 @@ def test_two_infinite_gaps_exit_2_before_integrating(tmp_path, capsys,
     assert code == 2
     assert err == ("error: a plate force needs at least one finite gap, got"
                    " d1 = inf and d3 = inf\n")
+    assert out == "" and calls == []
+
+
+def test_compare_refuses_a_magnetic_gap_before_integrating(
+        tmp_path, capsys, monkeypatch):
+    # The Minkowski force's mu = 1 check runs before the field force's
+    # integral, so nothing is integrated for a run that is refused.
+    calls = []
+    integrate = engine.double_semi_infinite
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr("planarcasimir.engine.double_semi_infinite", counted)
+    cfg = _write(tmp_path, """
+[material.mag]
+kind = constant
+eps_static = 2
+mu_static = 3
+
+[structure]
+regions = wall:mirror, gap:mag:1e-6, plate:mirror, gap:mag:3e-6, wall:mirror
+""")
+    code, out, err = _run(capsys, ["compare", "--config", cfg])
+    assert code == 2
+    assert err == ("error: the Minkowski form used here requires a"
+                   " nonmagnetic interspace medium, got mu != 1 for kind"
+                   " 'constant'\n")
     assert out == "" and calls == []
 
 

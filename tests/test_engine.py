@@ -24,7 +24,6 @@ from planarcasimir.layers import (
     PerfectMirrorPlate,
     TransverseMode,
     Wall,
-    beta_imag,
     wall_reflection,
 )
 from planarcasimir.materials import (
@@ -52,6 +51,7 @@ from oracles import (
     classical_minkowski_plate_force,
     classical_plate_force,
     ideal_mirror_pressure,
+    kappa_of,
     lifshitz_pressure_0k,
     lifshitz_pressure_classical,
     plasma_nonretarded_pressure,
@@ -101,7 +101,7 @@ def test_mode_function_matches_complex_phase_assembly():
     d = view.width
     for xi in (2e14, 3e15):
         for q in (1e5, 2e6, 3e7):
-            kappa = beta_imag(n_sq, xi, q)
+            kappa = kappa_of(eps, mu, xi, q)
             beta = 1j * kappa
             for pol, delta in (("s", -1.0), ("p", 1.0)):
                 mode = TransverseMode(xi=xi, q=q, pol=pol)
@@ -426,8 +426,10 @@ _OBSERVABLES = {
     "minkowski_plate_force": (True, lambda t, **kw: minkowski_plate_force(
         _MIRROR_CAVITY, t, SPEC, **kw)),
 }
-_BAD_ANYWHERE = {"bogus-policy": ("bogus", None), "none": None,
-                 "nan": np.nan, "inf": np.inf}
+# A falsy policy other than None is refused too, not read as the default.
+_BAD_ANYWHERE = {"bogus-policy": ("bogus", None), "empty-policy": ("", None),
+                 "zero-policy": (0, None), "false-policy": (False, None),
+                 "none": None, "nan": np.nan, "inf": np.inf}
 _BAD_FOR_FORCES = {"s-only": {"s": 1.0}, "s-none": {"s": None, "p": 0.0},
                    "s-nan": {"s": np.nan, "p": 0.0},
                    "p-inf": {"s": 0.0, "p": np.inf}, "bare-number": 1.0}
@@ -842,7 +844,7 @@ def test_minkowski_force_equals_the_two_interspace_form(monkeypatch):
         view1, view3 = cavity_interspaces(cavity)
         for xi in (3e13, 8e14, 1e16):
             got = integrand(np.full((1, 1), xi), q[None])[0]
-            kappa = beta_imag(eps_imag_axis(medium, xi), xi, q)
+            kappa = kappa_of(eps_imag_axis(medium, xi), 1.0, xi, q)
             for col, pol in enumerate(("s", "p")):
                 mode = TransverseMode(xi=xi, q=q, pol=pol)
                 rr1, rr3 = (

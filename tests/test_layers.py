@@ -10,7 +10,6 @@ from planarcasimir.layers import (
     PerfectMirrorPlate,
     TransverseMode,
     Wall,
-    beta_imag,
     wall_reflection,
 )
 from planarcasimir.materials import (
@@ -40,19 +39,23 @@ def _plate_column(plate, ambient, mode):
                  else float(x[0, 0]) for x in pair)
 
 
-def test_beta_imag_hand_values():
+def _plan_kappa(n_sq, xi, q):
+    """kappa of a constant gap medium of index^2 ``n_sq``, as a plan forms it."""
+    return layers.Plan(constant(eps=n_sq))(xi, q).gap.kappa
+
+
+def test_plan_kappa_hand_values():
     # 3-4-5 triangle: q = 4, xi*n/c = 3.
-    assert beta_imag(1.0, 3.0 * c, 4.0) == pytest.approx(5.0, rel=1e-15)
+    assert _plan_kappa(1.0, 3.0 * c, 4.0) == pytest.approx(5.0, rel=1e-15)
     # q^2 + (xi n/c)^2 = 36 + 16 = 52.
-    assert beta_imag(1.0, 4.0 * c, 6.0) == pytest.approx(np.sqrt(52.0), rel=1e-15)
+    assert _plan_kappa(1.0, 4.0 * c, 6.0) == pytest.approx(np.sqrt(52.0),
+                                                          rel=1e-15)
     # Pure frequency part with n = 2.
-    assert beta_imag(4.0, 0.5 * c, 0.0) == pytest.approx(1.0, rel=1e-15)
+    assert _plan_kappa(4.0, 0.5 * c, 0.0) == pytest.approx(1.0, rel=1e-15)
     # Pure momentum part.
-    assert beta_imag(9.0, 0.0, 7.25) == 7.25
-    with pytest.raises(ValueError, match="degenerate"):
-        beta_imag(4.0, 0.0, 0.0)
+    assert _plan_kappa(9.0, 0.0, 7.25) == 7.25
     q = np.array([0.0, 3.0, 4.0])
-    np.testing.assert_allclose(beta_imag(1.0, 3.0 * c, q),
+    np.testing.assert_allclose(_plan_kappa(1.0, 3.0 * c, q),
                                [3.0, np.sqrt(18.0), 5.0], rtol=1e-15)
 
 
@@ -276,7 +279,7 @@ def _denominator_parts(cavity, xi, q, pol):
     view1, view3 = cavity_interspaces(cavity)
     eps = eps_imag_axis(cavity.medium, xi)
     mu = _response(cavity.medium, xi)[1]
-    kappa = beta_imag(eps * mu, xi, q)
+    kappa = kappa_of(eps, mu, xi, q)
     mode = TransverseMode(xi=xi, q=q, pol=pol)
     r, t = _plate_column(cavity.plate, cavity.medium, mode)
     a = wall_reflection(cavity.left_wall, cavity.medium, mode) * np.exp(

@@ -8,6 +8,7 @@ from planarcasimir.materials import (
     VACUUM,
     DispersionModel,
     MaterialKind,
+    _records,
     _response,
     constant,
     drude_lorentz,
@@ -231,6 +232,32 @@ def test_drude_like_exactly_when_a_response_diverges_at_zero(
     eps, mu = _response(model, xi)
     assert not np.isnan(eps).any() and not np.isnan(mu).any()
     assert is_drude_like(model) == bool(np.isinf(eps[0]) or np.isinf(mu[0]))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([MaterialKind.CONSTANT, MaterialKind.PLASMA,
+                        MaterialKind.DRUDE_LORENTZ]),
+       st.floats(1.0, 10.0), st.floats(0.1, 10.0),
+       _PARAMETER, _PARAMETER, _PARAMETER,
+       st.none() | st.tuples(_PARAMETER, _PARAMETER, _PARAMETER))
+def test_records_are_built_once_at_construction(
+        kind, eps_static, mu_static, strength, resonance, damping, mu_model):
+    if kind is MaterialKind.CONSTANT:
+        strength = resonance = damping = 0.0
+        mu_model = None
+    elif kind is MaterialKind.PLASMA:
+        resonance = damping = 0.0
+    model = DispersionModel(kind, eps_static, mu_static, strength, resonance,
+                            damping, mu_model)
+
+    def record(static, oscillator):
+        omega, omega_0, gamma = oscillator
+        return static, (omega**2, omega_0**2, gamma) if omega else None
+
+    assert _records(model) == (
+        record(eps_static, (strength, resonance, damping)),
+        record(mu_static, mu_model or (0.0, 0.0, 0.0)))
+    assert _records(model) is _records(model)
 
 
 def test_plasma_is_the_undamped_zero_resonance_oscillator():
