@@ -210,6 +210,9 @@ def _emit(command: str, sections: dict, rc: RunConfig, rows: list[dict]) -> None
     if fmt == "csv":
         text = _render_csv(rows)
     elif fmt == "json":
+        # JSON has no infinity: a non-finite float is its csv cell, "inf".
+        rows = [{k: v if not isinstance(v, float) or np.isfinite(v)
+                 else _cell(v, False) for k, v in row.items()} for row in rows]
         doc = {"command": command, "config": sections, "results": rows}
         text = json.dumps(doc, indent=2) + "\n"
     else:

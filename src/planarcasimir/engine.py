@@ -325,9 +325,11 @@ def _exact_difference_integrand(cavity: CavityConfig, minkowski=False):
     which is manifestly exponentially convergent in q (every term carries A
     or B). Where the gap's n^2 is a static 1 (``Plan.empty``), pair is
     -4 kappa^2 and surf is 0, so the bracket is -4 kappa^2 r exactly. The
-    ``minkowski`` integrand is q kappa r (B - A) / N. The integrand takes
-    xi (A, 1) and q (1, m) or (A, m) and returns shape (A, m, 2), the
-    polarization columns (s, p), from one ``Plan``.
+    ``minkowski`` integrand is q kappa r (B - A) / N. Under ``Plan.mirrors``
+    r A = e_1 = e^{-2 kappa d1}, r B = e_3 = e^{-2 kappa d3} and N = (1 -
+    e_1)(1 - e_3): q kappa (e_3 - e_1) / N and q (-mu/kappa)(pair + 2 Delta
+    surf)(e_3 - e_1) / N. Each takes xi (A, 1) and q (1, m) or (A, m) and
+    returns shape (A, m, 2), columns (s, p), from one ``Plan``.
     """
     plan = Plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
                 cavity.plate)
@@ -336,6 +338,16 @@ def _exact_difference_integrand(cavity: CavityConfig, minkowski=False):
     def integrand(xi, q):
         call = plan(xi, q)
         (mu, _), kappa, _ = call.gap
+        if plan.mirrors:  # r A = e_1, r B = e_3 and t = 0
+            e1, e3 = np.exp(kappa * d1), np.exp(kappa * d3)
+            fold = q * (e3 - e1) / ((1.0 - e1) * (1.0 - e3))
+            if minkowski or plan.empty:  # s and p alike
+                y = np.stack((kappa * fold if minkowski else (-mu / kappa)
+                              * fold * (-4.0 * (kappa * kappa)),) * 2)
+            else:
+                pair, surf = _mode_coefficients(call)
+                y = (-mu / kappa) * fold * (pair + 2.0 * DELTA * surf)
+            return y.transpose(1, 2, 0)
         (r_minus, r_plus), (r, t) = call.walls, call.plate
         a, b = r_minus * np.exp(kappa * d1), r_plus * np.exp(kappa * d3)
         n_den = (1.0 - r * a) * (1.0 - r * b) - t * t * a * b

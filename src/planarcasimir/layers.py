@@ -175,9 +175,10 @@ def _fresnel(a, b):
 class Plan:
     """A gap ``medium``, its ``walls`` and a ``plate`` in it, compiled once.
 
-    ``models`` are the distinct materials, the gap medium first, and
-    ``empty`` says that the gap's n^2 is a static 1. ``plan(xi, q)`` returns
-    their ``Call`` at xi (A, 1) and q (A, m) or (1, m).
+    ``models`` are the distinct materials, the gap medium first; ``empty``
+    says that the gap's n^2 is a static 1, ``mirrors`` that bare mirror
+    walls hold a ``PerfectMirrorPlate``. ``plan(xi, q)`` returns their
+    ``Call`` at xi (A, 1) and q (A, m) or (1, m).
     """
 
     def __init__(self, medium: DispersionModel, walls=(), plate=None):
@@ -214,6 +215,8 @@ class Plan:
                 self.media.append((None, np.array([[[mu]], [[eps]]], float),
                                    float(eps) * float(mu)))
         self.empty = self.media[0][2] == 1.0
+        self.mirrors = isinstance(plate, PerfectMirrorPlate) and all(
+            term is None and not steps for term, steps in self.walls)
         self.has_drude_like = any(map(is_drude_like, self.models))
 
     def __call__(self, xi, q):

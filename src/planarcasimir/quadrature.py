@@ -101,11 +101,12 @@ _TERM_LEVELS = (4, 6)
 _LOOSE = 1e-4
 _LINE = (-4.5, 3.875, None)
 _LINE_LEVELS = (3, 12)
-# Point-columns per integrand call (3,600 points of an (s, p) pair), and at
-# least one row: larger calls add peak memory, and a richer integrand leaves
-# L2 sooner. ns/point at 41, 60, 180 rows of 87 q nodes (best of 56, 2-core
-# Xeon): mirrors 46, 36, 88; mu = 100 | (2, 2) plate | eps = 10 135, 133, 163.
-_CHUNK = 7200
+# Point-columns per integrand call, or one row; ``_nested`` cuts a block
+# into the fewest such calls, one row apart in size. mirror-cavity-0K passes
+# took 4.3, 3.6 and 3.0 ms at 7,200, 8,192 and 16,384, a gold cavity's force
+# 1.17, 1.22 and 1.36 ms: a richer integrand leaves L2 sooner (in-process
+# medians, 2-core Xeon).
+_CHUNK = 8192
 # Nonzero Matsubara terms in the first and the last block of
 # ``matsubara_sum``; every later block is twice the one before, so a sum of
 # n terms takes about log2(n/4) blocks, and it stops at 16,380 terms.
@@ -257,16 +258,17 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
     (A, m), or (A, m, k) for k columns. The first of ``levels`` evaluates
     every node and reads the two levels before from every second and every
     fourth node, so one pass yields an error; each later level evaluates
-    the nodes it adds. Calls hold at most ``_CHUNK`` point-columns, counted
-    with the caller's ``columns``, or one row. Each integrated axis books
-    (``_booked``) the change of S_k as it alone drops to level k-1, after
-    its change from k-2 to k-1, plus the end terms, integrals along the end
-    lines of each such axis per unit t; ``_ULPS`` ulps of the sum of
-    |weight * f| are the least error. Every column of every sum must meet
-    ``max(rel_tol*|S_k|, abs_floor)``, and if ``summed`` so must the sum of
-    the columns with the sum of their errors. Returns (value, error, points,
-    converged, upper end term of the inner axis, sum of |weight * f|), each
-    array led by an axis of R sums for a fixed outer axis.
+    the nodes it adds. A block takes the fewest calls of at most ``_CHUNK``
+    point-columns, counted with the caller's ``columns``, or one row, one
+    row apart in size. Each integrated axis books (``_booked``) the change
+    of S_k as it alone drops to level k-1, after its change from k-2 to
+    k-1, plus the end terms, integrals along the end lines of each such axis
+    per unit t; ``_ULPS`` ulps of the sum of |weight * f| are the least
+    error. Every column of every sum must meet ``max(rel_tol*|S_k|,
+    abs_floor)``, and if ``summed`` so must the sum of the columns with the
+    sum of their errors. Returns (value, error, points, converged, upper end
+    term of the inner axis, sum of |weight * f|), each array led by an axis
+    of R sums for a fixed outer axis.
     """
     first, last = levels
     integrated = len(outer) == 3
@@ -283,9 +285,9 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
                 sums, size = sums[_KEEP] * _HALVE[:, None, None], 0.5 * size
         for rows, nodes in blocks:
             cols = slice(nodes.start, nodes.stop, nodes.step)
-            step = max(1, _CHUNK // (len(nodes) * columns))
-            for at in range(0, len(rows), step):
-                chunk = rows[at:at + step]
+            n = -(-len(rows) // max(1, _CHUNK // (len(nodes) * columns)))
+            for k in range(n):  # n calls, one row apart in size
+                chunk = rows[k * len(rows) // n:(k + 1) * len(rows) // n]
                 r = slice(chunk.start, chunk.stop, chunk.step)
                 y = np.asarray(f(u[r, None], v[None, cols]), dtype=float)
                 if (y.shape[:2] != (len(chunk), len(nodes))

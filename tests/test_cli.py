@@ -719,6 +719,30 @@ def test_json_row_schema(tmp_path, capsys, structure, argv, keys):
     assert rows and [list(row) for row in rows] == [keys] * len(rows)
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not a JSON value")
+
+
+@pytest.mark.parametrize("structure,argv", [
+    (None, ["limits"]),
+    (None, ["limits", "--eps", "2", "--d1", "1e-6"]),
+    (None, ["compare", "--eps", "2", "--d1", "1e-6", "--d3", "inf"]),
+    (SYMMETRIC_CAVITY.replace("8e-7, wall", "inf, wall"), ["force"]),
+], ids=["limits", "limits-eps", "compare-closed", "force"])
+def test_json_of_an_infinite_gap_is_strict_json(tmp_path, capsys, structure,
+                                                argv):
+    # JSON (RFC 8259) has no Infinity token: an infinite width is the string
+    # of its csv cell, as the stored [command] value is.
+    if structure is not None:
+        argv = argv + ["--config", _write(tmp_path, structure)]
+    code, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    doc = json.loads(out, parse_constant=_refuse)
+    for row in doc["results"]:
+        assert row.get("d3_m", "inf") == "inf"
+    assert "inf" in out
+
+
 @pytest.mark.parametrize("argv,quadrature", [
     (["limits", "--eps", "2"], False),
     (["compare", "--eps", "2"], False),

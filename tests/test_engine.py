@@ -493,19 +493,32 @@ def test_evaluations_count_the_points_the_integrand_received(
 
 _ONE_BY_FIFTY = CavityConfig(Wall.perfect_mirror(), VACUUM, 1e-6,
                              PerfectMirrorPlate(), 5e-5, Wall.perfect_mirror())
-# q nodes of the first level of the rule, and rows of an (s, p) call.
+# q nodes of the first level of the rule, and most rows of an (s, p) call.
 _Q_NODES = quadrature._axis(quadrature._MOMENTUM, 4)[0].size
 _FORCE_ROWS = quadrature._CHUNK // (2 * _Q_NODES)
 
 
+def _assert_balanced(shapes, rows, columns):
+    """``shapes`` are the calls of one block of ``rows`` rows of one node
+    count: the fewest that hold at most ``_CHUNK`` point-columns or one row,
+    their sizes one row apart."""
+    (nodes,) = {cols for _, cols in shapes}
+    sizes = [size for size, _ in shapes]
+    most = max(1, quadrature._CHUNK // (nodes * columns))
+    assert len(sizes) == -(-rows // most)
+    assert sum(sizes) == rows and max(sizes) - min(sizes) <= 1
+    assert all(size == 1 or size * nodes * columns <= quadrature._CHUNK
+               for size in sizes)
+
+
 def test_zero_temperature_force_calls_are_whole_chunks(monkeypatch):
-    # The first level's 7,917 points of (s, p) in ceil(7917 * 2 / _CHUNK)
-    # calls, and no call of one row to learn the column count.
+    # The first level's 7,917 points, 91 rows of (s, p), in two calls of
+    # 45 and 46 rows, and no call of one row to learn the column count.
     res, shapes = _call_shapes(monkeypatch,
                                lambda: plate_force(_ONE_BY_FIFTY, spec=SPEC))
     assert res.converged and res.evaluations == 7917
-    assert len(shapes) == -(-7917 * 2 // quadrature._CHUNK) == 3
-    assert shapes == [(_FORCE_ROWS, _Q_NODES)] * 2 + [(9, _Q_NODES)]
+    assert shapes == [(45, _Q_NODES), (46, _Q_NODES)]
+    _assert_balanced(shapes, 91, 2)
     assert sum(rows * cols for rows, cols in shapes) == res.evaluations
 
 
@@ -515,32 +528,33 @@ def test_each_pade_order_takes_the_calls_its_rows_need(
         monkeypatch, temperature, orders):
     # Under half-weight the first two orders N and 2N are one rule of
     # 1 + N + 2N frequency rows, m = 0 once, and each later order a rule of
-    # N + 1 rows, all met at the first q level: ceil(rows * nodes * 2 /
-    # _CHUNK) calls per rule, each of at most _FORCE_ROWS rows.
+    # N + 1 rows, all met at the first q level: each rule's rows in the
+    # fewest balanced calls, 97 rows in 32 + 32 + 33 and 129 in 3 x 43.
     res, shapes = _call_shapes(monkeypatch, lambda: plate_force(
         _ONE_BY_FIFTY, temperature, SPEC))
     assert res.converged
-    want = []
+    at = 0
     for rows in [1 + orders[0] + orders[1]] + [n + 1 for n in orders[2:]]:
-        calls = [(min(_FORCE_ROWS, rows - at), _Q_NODES)
-                 for at in range(0, rows, _FORCE_ROWS)]
-        assert len(calls) == -(-rows * _Q_NODES * 2 // quadrature._CHUNK)
-        want += calls
-    assert shapes == want
+        calls = shapes[at:at + -(-rows // _FORCE_ROWS)]
+        _assert_balanced(calls, rows, 2)
+        at += len(calls)
+    assert at == len(shapes)
+    if orders[-1] == 128:
+        assert shapes == [(32, _Q_NODES)] * 2 + [(33, _Q_NODES)] + [
+            (43, _Q_NODES)] * 3
     assert sum(rows * cols for rows, cols in shapes) == res.evaluations
 
 
 def test_profile_calls_hold_at_most_a_chunk_or_one_row(monkeypatch):
     # 42 heights are 42 columns: a call of more than one row holds at most
-    # _CHUNK point-columns, however many q nodes a level adds; two rows of
-    # the 87 or 86 q nodes a level evaluates would exceed it.
+    # _CHUNK point-columns. The first level's 91 rows of 87 q nodes take 46
+    # balanced calls, 45 of two rows and one of one; three would exceed it.
     heights = 42
     res, shapes = _call_shapes(monkeypatch, lambda: stress_profile(
         _mirror_gap(), heights, spec=SPEC))
     assert np.all(res.converged)
-    assert shapes and all(rows == 1 or rows * cols * heights
-                          <= quadrature._CHUNK for rows, cols in shapes)
-    assert max(rows for rows, _ in shapes) == 1
+    _assert_balanced(shapes, 91, heights)
+    assert sorted(shapes) == [(1, _Q_NODES)] + [(2, _Q_NODES)] * 45
 
 
 def _numbers(result):
@@ -958,6 +972,54 @@ def test_empty_gap_bracket_is_the_general_one_bit_for_bit(
     assert formed == []
     assert got.tobytes() == general(xi, q).tobytes()
     assert formed == [1]
+
+
+def _unfolded_mirror_integrand(cavity, minkowski):
+    """The general (r, t) form of ``_exact_difference_integrand``, bracket
+    and all, at r = r_1- = r_3+ = Delta and t = 0, for the mirror fold."""
+    plan, r, t = layers.Plan(cavity.medium), layers.DELTA, 0.0
+    d1, d3 = -2.0 * cavity.d1, -2.0 * cavity.d3
+
+    def integrand(xi, q):
+        call = plan(xi, q)
+        (mu, _), kappa, _ = call.gap
+        a, b = r * np.exp(kappa * d1), r * np.exp(kappa * d3)
+        n_den = (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
+        if minkowski:
+            return (q * kappa * r * (b - a) / n_den).transpose(1, 2, 0)
+        pair, surf = engine._mode_coefficients(call)
+        curly = pair * r + surf * (1.0 + r * r - t * t)
+        return (q * (-mu / kappa) * curly * (b - a) / n_den).transpose(1, 2, 0)
+
+    return integrand
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(eps=st.one_of(st.just(1.0), st.floats(1.0, 10.0)),
+       mu=st.one_of(st.just(1.0), st.floats(0.5, 10.0)),
+       d1=st.floats(-8.0, -4.0).map(lambda e: 10.0 ** e),
+       ratio=st.one_of(st.just(np.inf), st.floats(0.02, 50.0)),
+       xi_d=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+                     min_size=1, max_size=6),
+       q_d=st.lists(st.floats(-3.0, 0.3).map(lambda e: 10.0 ** e),
+                    min_size=1, max_size=6))
+def test_mirror_fold_is_the_general_form_to_a_few_ulps(eps, mu, d1, ratio,
+                                                        xi_d, q_d):
+    # Bare mirror walls around a mirror plate: with Delta Delta = 1 folded
+    # out, both integrands meet the general (r, t) form to 4 ulps. The draws
+    # keep kappa d1 < 3 and kappa d3 < 150, so nothing is subnormal.
+    cavity = CavityConfig(Wall.perfect_mirror(), constant(eps=eps, mu=mu),
+                          d1, PerfectMirrorPlate(), d1 * ratio,
+                          Wall.perfect_mirror())
+    n = np.sqrt(eps * mu)
+    xi = np.array(xi_d)[:, None] * c / (n * d1)
+    q = np.array(q_d)[None] / d1
+    for minkowski in (False, True):
+        got = _exact_difference_integrand(cavity, minkowski)(xi, q)
+        want = _unfolded_mirror_integrand(cavity, minkowski)(xi, q)
+        assert got.shape == want.shape == (len(xi_d), len(q_d), 2)
+        assert np.all(np.abs(got - want)
+                      <= 4.0 * np.finfo(float).eps * np.abs(want))
 
 
 def test_absolute_floor_applies_to_thermal_sums():
