@@ -250,7 +250,7 @@ def stress_zz(
     return double_semi_infinite(integrand, spec, d_ref, _STRESS_PREFACTOR,
                                 temperature, *zero_term,
                                 index=_index(view.medium),
-                                columns=heights.size)
+                                columns=heights.shape)
 
 
 def minkowski_stress_zz(
@@ -366,19 +366,19 @@ def _exact_difference_integrand(cavity: CavityConfig, minkowski=False):
 def _plate_force(cavity, integrand, prefactor, temperature, spec, policy,
                  value) -> ForceResult:
     """The plate force of one cavity's (s, p) ``integrand``: a finite gap and
-    the m = 0 request (``_zero_term``) are checked, then one two-column
-    ``summed`` rule on the smaller gap and the gap medium's ``_index`` runs,
-    its verdict kept as it gave it."""
+    the m = 0 request (``_zero_term``) are checked, then one rule on the
+    smaller gap and the gap medium's ``_index`` runs, its (s, p) columns one
+    group (1, 2) judged on s, p and s + p, its verdict kept as it gave it."""
     if not np.isfinite(min(cavity.d1, cavity.d3)):
         raise ValueError("a plate force needs at least one finite gap, got"
                          f" d1 = {cavity.d1} and d3 = {cavity.d3}")
     zero_term = _zero_term(temperature, policy, value, cavity.has_drude_like,
                            per_polarization=True)
-    res = double_semi_infinite(integrand, spec or DEFAULT_SPEC,
-                               min(cavity.d1, cavity.d3), prefactor,
-                               temperature, *zero_term, columns=2,
-                               index=_index(cavity.medium), summed=True)
-    per_pol = dict(zip(POLARIZATIONS, map(float, res.value)))
+    res = double_semi_infinite(
+        lambda xi, q: integrand(xi, q)[:, :, None], spec or DEFAULT_SPEC,
+        min(cavity.d1, cavity.d3), prefactor, temperature, *zero_term,
+        columns=(1, 2), index=_index(cavity.medium))
+    per_pol = dict(zip(POLARIZATIONS, map(float, res.value[0])))
     return ForceResult(per_pol["s"] + per_pol["p"],
                        float(res.error_estimate.sum()), per_pol,
                        res.converged, res.evaluations)

@@ -190,11 +190,10 @@ def _response(model: DispersionModel, xi):
 
 
 def eps_imag_axis(model: DispersionModel, xi: float | np.ndarray) -> float | np.ndarray:
-    """eps(i*xi) as a real number; a float for scalar xi."""
-    x = np.asarray(xi, dtype=float)
-    with np.errstate(divide="ignore"):
-        eps = _evaluate(_records(model)[:1], x, x * x)[0]
-    return eps if x.ndim else float(eps)
+    """eps(i*xi) as a real number, row 0 of ``_response``; a float for
+    scalar xi."""
+    eps = _response(model, xi)[0]
+    return eps if eps.ndim else float(eps)
 
 
 def is_drude_like(model: DispersionModel) -> bool:

@@ -23,6 +23,7 @@ meets the target (``_pade_sum``, the first two orders in one rule).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -70,9 +71,9 @@ class IntegralResult:
 
     ``converged`` is the verdict of the rule that produced the result:
     ``error_estimate <= max(rel_tol*|value|, abs_floor)`` for its spec, for
-    every column and, if the rule was ``summed`` (a force's s and p), for
-    their sum with the sum of their errors. ``value`` and ``error_estimate``
-    are floats for one column and ndarrays of shape (k,) for k columns.
+    every column and, for columns in G groups of k (G, k), each group's sum
+    with the sum of its errors. ``value`` and ``error_estimate`` are floats
+    for one column and ndarrays of the columns' shape otherwise.
     """
 
     value: float | np.ndarray
@@ -247,31 +248,42 @@ def _booked(change, before, total):
         change, _SQUARE * change * change / np.maximum(size, _TINY)), change)
 
 
+def _judged(x, shape):
+    """What a rule judges of x, its columns of ``shape`` along its last axis:
+    the columns, then, for G groups of k, (G, k), each group's sum (one
+    reduction: an index alone where the next is not larger, else its run)."""
+    if len(shape) < 2:
+        return x
+    n, k = math.prod(shape), shape[1]
+    return np.add.reduceat(x, [*range(n), *range(0, n, k)], axis=-1)
+
+
 def _nested(f: Callable, outer, inner, levels: tuple[int, int],
-            rel_tol: float, abs_floor: float | np.ndarray, columns: int,
-            summed: bool = False):
+            rel_tol: float, abs_floor: float, shape: tuple[int, ...] | None):
     """Nested trapezoid rule over the tensor product of two axes.
 
     The inner axis is a range of ``_axis``; the outer one is a range too or
     a fixed axis of ``_fixed``, of R sums. ``f(a, b)`` gets outer abscissas
     a of shape (A, 1) and inner ones b of shape (1, m) and returns shape
-    (A, m), or (A, m, k) for k columns. The first of ``levels`` evaluates
-    every node and reads the two levels before from every second and every
-    fourth node, so one pass yields an error; each later level evaluates
-    the nodes it adds. A block takes the fewest calls of at most ``_CHUNK``
-    point-columns, counted with the caller's ``columns``, or one row, one
-    row apart in size. Each integrated axis books (``_booked``) the change
-    of S_k as it alone drops to level k-1, after its change from k-2 to
-    k-1, plus the end terms, integrals along the end lines of each such axis
-    per unit t; ``_ULPS`` ulps of the sum of |weight * f| are the least
-    error. Every column of every sum must meet ``max(rel_tol*|S_k|,
-    abs_floor)``, and if ``summed`` so must the sum of the columns with the
-    sum of their errors. Returns (value, error, points, converged, upper end
-    term of the inner axis, sum of |weight * f|), each array led by an axis
-    of R sums for a fixed outer axis.
+    (A, m) + ``shape`` of columns, () or (K,) or G groups of k (G, k); None
+    takes () or (k,) from the first call (the 1-D rule). The first of
+    ``levels`` evaluates every node and reads the two levels before from
+    every second and every fourth node, so one pass yields an error; each
+    later level evaluates the nodes it adds. A block takes the fewest calls
+    of at most ``_CHUNK`` point-columns, or one row, one row apart in size.
+    Each integrated axis books (``_booked``) the change of S_k as it alone
+    drops to level k-1, after its change from k-2 to k-1, plus the end
+    terms, integrals along the end lines of each such axis per unit t;
+    ``_ULPS`` ulps of the sum of |weight * f| are the least error. Every
+    column of every sum meets ``max(rel_tol*|S_k|, abs_floor)``, and, with
+    an integrated outer axis, each group's sum with the sum of its errors
+    (``_judged``); a fixed axis's sums are terms the caller judges. Returns
+    (value, error, points, converged, upper end term of the inner axis, sum
+    of |weight * f|), of shape ``shape`` led by R sums for a fixed axis.
     """
     first, last = levels
     integrated = len(outer) == 3
+    columns = math.prod(shape or ())
     sums, size, evals = 0.0, 0.0, 0
     for level in range(first, last + 1):
         u, w_u, odd_u, even_u = _axis(outer, level) if integrated else outer
@@ -290,12 +302,12 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
                 chunk = rows[k * len(rows) // n:(k + 1) * len(rows) // n]
                 r = slice(chunk.start, chunk.stop, chunk.step)
                 y = np.asarray(f(u[r, None], v[None, cols]), dtype=float)
-                if (y.shape[:2] != (len(chunk), len(nodes))
-                        or y.ndim not in (2, 3)):
-                    raise ValueError("integrand must return one value or one"
-                                     " row per abscissa")
+                if shape is None:  # the 1-D rule: one value or k columns
+                    shape = y.shape[2:3]
+                if y.shape != (want := (len(chunk), len(nodes)) + shape):
+                    raise ValueError(f"integrand shape {y.shape}, not {want}:"
+                                     " one row per abscissa of its columns")
                 evals += y.shape[0] * y.shape[1]
-                column_shape = y.shape[2:]
                 # Matrix products per column; the engine's columns lead in
                 # memory, so this view of them copies nothing.
                 y = y.reshape(y.shape[:2] + (-1,)).transpose(2, 0, 1)
@@ -324,9 +336,9 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
         booked = (_booked(change, before, total)
                   if level > 3 or not integrated else change)
         error = np.maximum(booked.sum(axis=0) + bound, _FLOOR * size)
-        goal = np.maximum(rel_tol * np.abs(total), abs_floor)
-        converged = bool((error <= goal).all() and (not summed or error.sum()
-                         <= max(rel_tol * abs(total.sum()), abs_floor)))
+        groups = shape if integrated else ()
+        converged = bool((_judged(error, groups) <= np.maximum(
+            rel_tol * np.abs(_judged(total, groups)), abs_floor)).all())
         if converged or level == last:
             break
     if not converged:
@@ -334,7 +346,7 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
         # one level to the next), so book the larger of the last two changes.
         error = np.maximum(error, np.maximum(change, before).sum(axis=0)
                            + bound)
-    shape = (() if integrated else total.shape[:1]) + column_shape
+    shape = (() if integrated else total.shape[:1]) + shape
     return (total.reshape(shape), error.reshape(shape), evals, converged,
             np.abs(lines[0, :, 4]).reshape(shape), size.reshape(shape))
 
@@ -350,30 +362,20 @@ def integrate_semi_infinite(
 ) -> IntegralResult:
     """Integrate a decaying function over [0, inf).
 
-    The nested rule on t in [-4.5, 3.875], x from 2e-31 to 2.7e16, levels 3
-    to 12 (68 to 34,305 points). An upper end term above the target means
-    the integrand has not decayed by the top of the range: a request to
-    rescale it, raised as a ValueError.
-
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand: ndarray of n abscissas -> ndarray of shape (n,),
-        or (n, k) for k integrals over the same abscissas (columns).
-    spec : QuadratureSpec
-        Uses rel_tol and abs_floor.
-
-    Returns
-    -------
-    IntegralResult
-        Floats for a one-column integrand, ndarrays of shape (k,) for
-        ``value`` and ``error_estimate`` otherwise; ``converged`` requires
-        every column to meet its target, and a miss at level 12 is reported
-        through it, never silently. ``evaluations`` counts abscissas.
+    ``f`` maps an ndarray of n abscissas to shape (n,), or (n, k) for k
+    integrals over the same abscissas (columns); ``spec`` gives rel_tol and
+    abs_floor. The nested rule runs on t in [-4.5, 3.875], x from 2e-31 to
+    2.7e16, levels 3 to 12 (68 to 34,305 points). An upper end term above
+    the target means the integrand has not decayed by the top of the range:
+    a request to rescale it, raised as a ValueError. ``value`` and
+    ``error_estimate`` are floats for one column and ndarrays of shape (k,)
+    otherwise; ``converged`` requires every column to meet its target, and
+    a miss at level 12 is reported through it, never silently.
+    ``evaluations`` counts abscissas.
     """
     (value,), (error,), evaluations, converged, (top,), _ = _nested(
         lambda _, x: np.asarray(f(x[0]))[None], _POINT, _LINE, _LINE_LEVELS,
-        spec.rel_tol, spec.abs_floor, 1)
+        spec.rel_tol, spec.abs_floor, None)
     if np.any(top > np.maximum(spec.rel_tol * np.abs(value), spec.abs_floor)):
         raise ValueError(
             "the integrand has not decayed by x = 2.7e16; rescale the"
@@ -390,23 +392,23 @@ def double_semi_infinite(
     head: bool = True,
     amount: float | np.ndarray | None = None,
     index: float = 1.0,
-    columns: int = 1,
-    summed: bool = False,
+    columns: tuple[int, ...] = (),
 ) -> IntegralResult:
     """prefactor * Int_0^inf dxi Int_0^inf dq integrand_si(xi, q).
 
-    ``integrand_si(xi, q)`` is called with xi of shape (A, 1), one
-    frequency per row, and a row q of shape (1, m) that broadcasts against
-    it; it returns shape (A, m), or (A, m, k) for k = ``columns`` columns
-    (the engine's s and p, or its heights) that share one pass and size its
-    calls (``_nested``). The q rule runs in v = q*d_ref from 3.2e-15 to 46,
-    so decay scales of order d_ref become O(1); ``spec.q_cutoff`` composes
-    it with tanh-sinh on [0, q_cutoff*d_ref]. ``index`` is a lower bound on
-    the medium's refractive index n(i xi): the integrand decays like
-    exp(-2 n xi d_ref/c), so ``d_ref`` and ``index`` set the frequency
-    scale both rules must resolve. Both must be finite and positive,
-    ``prefactor`` finite and nonzero and ``temperature`` finite and >= 0,
-    or they are refused.
+    ``integrand_si(xi, q)`` is called with xi of shape (A, 1), one frequency
+    per row, and a row q of shape (1, m) that broadcasts against it; it
+    returns shape (A, m) + ``columns``, and any other is refused: () for one
+    column, (K,) for K (the engine's heights), or (G, k) for G groups of k
+    (one force's s and p are (1, 2)). The columns share one pass, and their
+    count sizes its calls (``_nested``). The q rule runs in v = q*d_ref from
+    3.2e-15 to 46, so decay scales of order d_ref become O(1);
+    ``spec.q_cutoff`` composes it with tanh-sinh on [0, q_cutoff*d_ref].
+    ``index`` is a lower bound on the medium's refractive index n(i xi): the
+    integrand decays like exp(-2 n xi d_ref/c), so ``d_ref`` and ``index``
+    set the frequency scale both rules must resolve. Both must be finite and
+    positive, ``prefactor`` finite and nonzero and ``temperature`` finite
+    and >= 0, or they are refused.
 
     At T = 0 the rule is the tensor product of the q rule with the rule in
     u = index*xi*d_ref/c from 2.4e-19 to 46, levels 4 to 6 (7,917 to
@@ -416,8 +418,8 @@ def double_semi_infinite(
     and a given m = 0 ``amount`` (per column, checked by
     ``engine._zero_term``) is added to it; 0 K has no m = 0 term to add.
     Either rule judges the value it returns, at every temperature: each
-    column and, if ``summed`` (s and p of one force), their sum.
-    ``evaluations`` counts integrand points.
+    column, and each group's sum with the sum of its errors, must meet
+    max(rel_tol*|.|, abs_floor). ``evaluations`` counts integrand points.
     """
     for name, bound in (("d_ref", d_ref), ("index", index)):
         if not 0.0 < bound < np.inf:
@@ -437,13 +439,13 @@ def double_semi_infinite(
         value, error, evaluations, converged, _, _ = _nested(
             lambda u, v: integrand_si(u * jac, v / d_ref), _FREQUENCY, v_axis,
             (3 if spec.rel_tol >= _LOOSE else _TENSOR_LEVELS[0],
-             _TENSOR_LEVELS[1]), spec.rel_tol, floor, columns, summed)
+             _TENSOR_LEVELS[1]), spec.rel_tol, floor, columns)
         amount = None  # 0 K has no m = 0 term to add
     else:
         value, error, evaluations, converged = _pade_sum(
             lambda xi, v: integrand_si(xi, v / d_ref), columns, v_axis,
             temperature, head, spec, floor,
-            0.0 if amount is None else amount / scale, summed,
+            0.0 if amount is None else amount / scale,
             c / (2.0 * index * d_ref))
     value = scale * np.asarray(value)
     if amount is not None:
@@ -473,27 +475,28 @@ def _pade_rule(orders: tuple[int, ...], head: int):
     return x, w, rounding
 
 
-def _pade_sum(f: Callable, columns: int, inner, temperature: float,
-              head: bool, spec: QuadratureSpec, floor: float, amount,
-              summed: bool, decay: float):
+def _pade_sum(f: Callable, shape: tuple[int, ...], inner,
+              temperature: float, head: bool, spec: QuadratureSpec,
+              floor: float, amount, decay: float):
     """(value, error, points, converged) of the thermal sum of f by Pade.
 
     Order N of ``_pade`` sums over a fixed outer axis of ``_nested``: the
     m = 0 node with weight 1/2 of 2 pi k_B T/hbar if ``head`` and the N
     nodes xi_j k_B T/hbar with weights eta_j 2 pi k_B T/hbar; the q rule
-    ``inner`` of levels 4 to 6 is judged against a tenth of the sum's
-    target. The first order is ``_PADE_ORDERS[0]`` doubled until its table
-    spans the decay scale ``decay`` (rad/s) of f, N**2/4 >= hbar
-    decay/(k_B T); each later order is twice the one before. With S_N the
-    sum of order N (and S_N/2 = 0 for the first), the ``_booked`` error of
-    the step |S_N - S_N/2| after the step before, plus the table's rounding
-    times the sum of |weight * f|, must fit in what the q errors leave of
-    max(rel_tol*|S_N + amount|, floor), ``amount`` the m = 0 term to add,
-    or meet it alone once they leave nothing; so must the columns' sum if
-    ``summed``. The first order's step is the sum itself, so the second
-    books its plain step; the two are one rule of two sums over their poles
-    and one m = 0 node. The error is that change plus the q errors; the
-    orders stop there or, unconverged, at 512, judged on every target.
+    ``inner`` of levels 4 to 6 judges each column of f, of trailing
+    ``shape``, against a tenth of the sum's target. The first order is
+    ``_PADE_ORDERS[0]`` doubled until its table spans the decay scale
+    ``decay`` (rad/s) of f, N**2/4 >= hbar decay/(k_B T); each later order
+    is twice the one before. With S_N the sum of order N (and S_N/2 = 0 for
+    the first), the ``_booked`` error of the step |S_N - S_N/2| after the
+    step before, plus the table's rounding times the sum of |weight * f|,
+    must fit in what the q errors leave of max(rel_tol*|S_N + amount|,
+    floor), ``amount`` the m = 0 term to add, or meet it alone once they
+    leave nothing, for each column and group sum of ``_judged``. The first
+    order's step is the sum itself, so the second books its plain step; the
+    two are one rule of two sums over their poles and one m = 0 node. The
+    error is that change plus the q errors; the orders stop there or,
+    unconverged, at 512, judged on every target.
     """
     spacing = float(matsubara_frequency(1, temperature))
     # The decay scale in units of k_B T/hbar, which a table of order N
@@ -508,16 +511,14 @@ def _pade_sum(f: Callable, columns: int, inner, temperature: float,
         x, w, roundings = _pade_rule(rule, int(head))
         values, q_errors, n, _, _, masses = _nested(
             f, _fixed(x * spacing, w * spacing), inner, _TERM_LEVELS,
-            0.1 * spec.rel_tol, floor, columns)
+            0.1 * spec.rel_tol, floor, shape)
         points += n
         for order, value, q_error, mass, rounding in zip(
                 rule, values, q_errors, masses, roundings):
             step = np.abs(value - before)
             change = _booked(step, drift, value) + rounding * mass
-            judged = np.array((change, q_error, value + amount))
-            if summed:  # their sum, judged as one more column
-                judged = np.column_stack((judged, judged.sum(axis=1)))
-            moved, q_part, target = judged
+            moved, q_part, target = _judged(np.array(
+                (change, q_error, value + amount)).reshape(3, -1), shape)
             goal = np.maximum(spec.rel_tol * np.abs(target), floor)
             room = np.where(q_part < goal, goal - q_part, goal)
             if (moved <= room).all() or order == last:

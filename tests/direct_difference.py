@@ -12,9 +12,10 @@ and called once per integrand call, so that each material is evaluated once
 for both faces; ``engine._g_terms`` on that call; and ``engine._plate_force``,
 the entry that ``engine.plate_force`` and ``engine.minkowski_plate_force``
 share: it checks the m = 0 request, takes the gap index from the cavity,
-runs the two-column ``summed`` rule through the module attribute
-``engine.double_semi_infinite`` (so a test that replaces that attribute sees
-this integrand too) and builds the ``ForceResult``.
+runs the rule of one group (1, 2) of s and p, judged on s, p and s + p,
+through the module attribute ``engine.double_semi_infinite`` (so a test
+that replaces that attribute sees this integrand too) and builds the
+``ForceResult``.
 
 Its error bar does not cover the rounding of the g_3 - g_1 cancellation.
 The quadrature's 32-ulp floor is taken on the sum of |w (g_3 - g_1)|, not on

@@ -703,7 +703,7 @@ def test_pade_sum_started_below_its_span_keeps_the_plain_change(
 
     def spy(change, before, total):
         out = booked(change, before, total)
-        if np.ndim(change) == 1:  # a Pade step; the nested rules book an
+        if np.ndim(change) == 2:  # a Pade step; the nested rules book an
             steps.append((change, out))  # array per axis, sum and column
         return out
 
@@ -833,7 +833,7 @@ def _integrand_of(monkeypatch, observable):
 
     def capture(integrand, *args, **kwargs):
         seen.append(integrand)
-        return IntegralResult(np.zeros(2), np.zeros(2), 0, True)
+        return IntegralResult(np.zeros((1, 2)), np.zeros((1, 2)), 0, True)
 
     with monkeypatch.context() as patch:
         patch.setattr(engine, "double_semi_infinite", capture)
@@ -857,7 +857,7 @@ def test_minkowski_force_equals_the_two_interspace_form(monkeypatch):
             monkeypatch, lambda: minkowski_plate_force(cavity, spec=SPEC))
         view1, view3 = cavity_interspaces(cavity)
         for xi in (3e13, 8e14, 1e16):
-            got = integrand(np.full((1, 1), xi), q[None])[0]
+            got = integrand(np.full((1, 1), xi), q[None])[0, :, 0]
             kappa = kappa_of(eps_imag_axis(medium, xi), 1.0, xi, q)
             for col, pol in enumerate(("s", "p")):
                 mode = TransverseMode(xi=xi, q=q, pol=pol)
@@ -1052,16 +1052,17 @@ def test_absolute_floor_applies_to_thermal_sums():
 ], ids=["rel-tol", "abs-floor"])
 def test_force_converges_only_if_the_summed_error_meets_its_target(
         monkeypatch, scales, spec):
-    # Through the core at 0 K and 300 K: unsummed, the columns meet their
-    # targets and the sum misses its own; a summed rule must not then claim
-    # convergence. Against a loose target it converges, and where the sum
-    # met it unsummed too, summed or not is the same result. Both forces
-    # ask for a summed rule and keep its verdict and summed error.
+    # Through the core at 0 K and 300 K: as two columns (2,), s and p meet
+    # their targets and the sum misses its own; as one group (1, 2) the rule
+    # must not then claim convergence. Against a loose target it converges,
+    # and where the sum met it as two columns too, both shapes give the same
+    # result. Both forces ask for one group and keep its verdict and summed
+    # error.
     d = 1e-6
     rules = []
 
     def recorded(*args, **kwargs):
-        rules.append((kwargs["summed"], double(*args, **kwargs)))
+        rules.append((kwargs["columns"], double(*args, **kwargs)))
         return rules[-1][1]
 
     double = engine.double_semi_infinite
@@ -1070,8 +1071,8 @@ def test_force_converges_only_if_the_summed_error_meets_its_target(
     for force in (plate_force, minkowski_plate_force):
         for temperature in (0.0, 300.0):
             res = force(_MIRROR_CAVITY, temperature, loose)
-            summed, rule = rules[-1]
-            assert summed and res.converged is rule.converged
+            columns, rule = rules[-1]
+            assert columns == (1, 2) and res.converged is rule.converged
             assert res.error_estimate == rule.error_estimate.sum()
 
     def integrand(xi, q):
@@ -1082,21 +1083,24 @@ def test_force_converges_only_if_the_summed_error_meets_its_target(
         return res.error_estimate.sum() <= max(
             spec.rel_tol * abs(res.value.sum()), spec.abs_floor)
 
+    def rules_of(spec, temperature):
+        """The rule of the two columns, then of the one group."""
+        return (quadrature.double_semi_infinite(
+            f, spec, d, 1e-21, temperature, columns=columns)
+            for f, columns in ((integrand, (2,)), (
+                lambda xi, q: integrand(xi, q)[:, :, None], (1, 2))))
+
     for temperature in (0.0, 300.0):
-        alone, summed = (quadrature.double_semi_infinite(
-            integrand, spec, d, 1e-21, temperature, columns=2, summed=flag)
-            for flag in (False, True))
+        alone, grouped = rules_of(spec, temperature)
         assert alone.converged and not sum_met(alone, spec)
-        assert not summed.converged
+        assert not grouped.converged
         looser = replace(spec, rel_tol=0.5)
-        alone, summed = (quadrature.double_semi_infinite(
-            integrand, looser, d, 1e-21, temperature, columns=2, summed=flag)
-            for flag in (False, True))
-        assert summed.converged and sum_met(summed, looser)
+        alone, grouped = rules_of(looser, temperature)
+        assert grouped.converged and sum_met(grouped, looser)
         if sum_met(alone, looser):
-            assert summed.evaluations == alone.evaluations
-            np.testing.assert_array_equal(summed.value, alone.value)
-            np.testing.assert_array_equal(summed.error_estimate,
+            assert grouped.evaluations == alone.evaluations
+            np.testing.assert_array_equal(grouped.value[0], alone.value)
+            np.testing.assert_array_equal(grouped.error_estimate[0],
                                           alone.error_estimate)
 
 

@@ -382,12 +382,14 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
                 want = _plate_column(plate, ambient, mode)
                 got = [float(x[row, a, b]) for x in rows]
                 assert got == pytest.approx(want, rel=1e-15, abs=0.0)
-    # Only the integrands turn the layout round: (s, p) columns come last.
+    # Only the integrands turn the layout round: (s, p) columns come last,
+    # one group (1, 2) for a force.
     seen = []
 
     def capture(integrand, *args, **kwargs):
         seen.append(integrand)
-        return engine.IntegralResult(np.zeros(2), np.zeros(2), 0, True)
+        return engine.IntegralResult(np.zeros((1, 2)), np.zeros((1, 2)), 0,
+                                     True)
 
     monkeypatch.setattr(engine, "double_semi_infinite", capture)
     cavity = CavityConfig(Wall.stack(slabs, drude), ambient, 4e-7,
@@ -401,7 +403,8 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
     engine.stress_zz(view, np.array([1e-7, 2e-7, 3e-7]))
     engine.minkowski_stress_zz(view)
     shapes = [integrand(xi, q).shape for integrand in seen]
-    assert shapes == [q.shape + (2,)] * 3 + [q.shape, q.shape + (3,), q.shape]
+    assert shapes == ([q.shape + (1, 2)] * 3
+                      + [q.shape, q.shape + (3,), q.shape])
 
 
 def _alternating_wall(a, b, slabs=20):
@@ -426,7 +429,8 @@ def test_each_material_is_evaluated_once_per_integrand_call(monkeypatch):
 
     def capture(integrand, *args, **kwargs):
         seen.append(integrand)
-        return engine.IntegralResult(np.zeros(2), np.zeros(2), 0, True)
+        return engine.IntegralResult(np.zeros((1, 2)), np.zeros((1, 2)), 0,
+                                     True)
 
     monkeypatch.setattr(engine, "double_semi_infinite", capture)
     engine.stress_zz(view, np.array([2e-7, 5e-7]))

@@ -272,7 +272,8 @@ def test_thermal_terms_are_judged_against_the_sum(policy, n_cols):
 
     res = double_semi_infinite(integrand, QuadratureSpec(rel_tol=1e-10), d,
                                temperature=temperature,
-                               head=policy == "half-weight")
+                               head=policy == "half-weight",
+                               columns=scales.shape if n_cols == 2 else ())
     m = np.arange(0 if policy == "half-weight" else 1, 40)
     weights = np.where(m == 0, 0.5, 1.0)
     inner = np.where(m >= 2, 1.0 + gamma(0.1), 1.0)
@@ -358,12 +359,102 @@ def test_double_integral_replays_bit_for_bit():
 
     spec = QuadratureSpec(rel_tol=1e-9)
     for temperature in (0.0, 300.0):
-        a = double_semi_infinite(integrand, spec, d, temperature=temperature)
-        b = double_semi_infinite(integrand, spec, d, temperature=temperature)
+        a = double_semi_infinite(integrand, spec, d, temperature=temperature,
+                                 columns=(2,))
+        b = double_semi_infinite(integrand, spec, d, temperature=temperature,
+                                 columns=(2,))
         assert a.converged and b.converged
         assert np.array_equal(a.value, b.value)
         assert np.array_equal(a.error_estimate, b.error_estimate)
         assert a.evaluations == b.evaluations
+
+
+def _grouped(scales, d=1e-6):
+    """An integrand of columns ``scales``, each a multiple of one function,
+    whose q integral has a square-root edge at q = 0."""
+    def integrand(xi, q):
+        f = np.exp(-xi * d / c - q * d) * (1.0 + np.sqrt(q * d))
+        return f.reshape(f.shape + (1,) * scales.ndim) * scales
+
+    return integrand
+
+
+@pytest.mark.parametrize("temperature", [0.0, 300.0])
+def test_a_group_whose_sum_cancels_leaves_a_joint_rule_unconverged(
+        temperature):
+    # Two groups (2, 2) in one rule. In the second, s and p nearly cancel:
+    # every column and the first group meet their targets, the second
+    # group's sum misses its own, and so the rule is not converged. The same
+    # four numbers as independent columns (4,) converge.
+    d, spec = 1e-6, QuadratureSpec(rel_tol=1e-8)
+    scales = np.array([[1.0, 1.0], [1.0, -(1.0 - 1e-6)]])
+    joint, columns = (
+        double_semi_infinite(_grouped(s), spec, d, 1e-21, temperature,
+                             columns=s.shape)
+        for s in (scales, scales.ravel()))
+    assert columns.converged and not joint.converged
+    first = double_semi_infinite(_grouped(scales[:1]), spec, d, 1e-21,
+                                 temperature, columns=(1, 2))
+    assert first.converged
+
+
+@pytest.mark.parametrize("temperature", [0.0, 300.0])
+def test_two_groups_that_stop_together_are_two_one_group_rules(
+        monkeypatch, temperature):
+    # Two groups of the same function stop at the same level (at 0 K the
+    # second), so the joint rule (2, 2) is, bit for bit, each group's own
+    # rule (1, 2). Every block takes one call, so that both rules add up the
+    # same partial sums.
+    monkeypatch.setattr(quadrature, "_CHUNK", 2**40)
+    d, spec = 1e-6, QuadratureSpec(rel_tol=1e-12)
+    scales = np.array([[1.0, 1.0], [1.0, 0.5]])
+    joint = double_semi_infinite(_grouped(scales), spec, d, 1e-21,
+                                 temperature, columns=(2, 2))
+    assert joint.converged
+    for g in range(2):
+        alone = double_semi_infinite(_grouped(scales[g:g + 1]), spec, d,
+                                     1e-21, temperature, columns=(1, 2))
+        assert alone.converged and alone.evaluations == joint.evaluations
+        assert alone.value.tobytes() == joint.value[g].tobytes()
+        assert (alone.error_estimate.tobytes()
+                == joint.error_estimate[g].tobytes())
+
+
+def test_the_q_rules_of_a_thermal_sum_judge_columns_alone():
+    # The sums of a fixed outer axis are the terms of a thermal sum, which
+    # judges each group itself (``_pade_sum``). So the q rule of a group
+    # whose s and p cancel stops where its two columns do, with their bits.
+    d, spacing = 1e-6, float(matsubara_frequency(1, 300.0))
+    x, w = quadrature._pade_rule((8, 16), 1)[:2]
+    scales = np.array([[1.0, -(1.0 - 1e-6)]])
+    grouped, alone = (quadrature._nested(
+        lambda xi, v: _grouped(s)(xi, v / d),
+        quadrature._fixed(x * spacing, w * spacing), quadrature._MOMENTUM,
+        quadrature._TERM_LEVELS, 1e-9, 0.0, s.shape)
+        for s in (scales, scales[0]))
+    assert alone[3] and grouped[2:4] == alone[2:4]
+    last = quadrature._axis(quadrature._MOMENTUM, quadrature._TERM_LEVELS[1])
+    assert alone[2] < len(x) * last[0].size  # it stops below the last level
+    for got, want in zip(grouped[:2] + grouped[4:], alone[:2] + alone[4:]):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("temperature", [0.0, 300.0])
+@pytest.mark.parametrize("declared,returned", [
+    ((1, 2), (2, 1)), ((1, 2), (2,)), ((2,), ()), ((), (1,))],
+    ids=["regrouped", "ungrouped", "fewer", "more"])
+def test_columns_of_another_shape_are_refused_by_name(
+        temperature, declared, returned):
+    # A (2, 1) output where (1, 2) was declared holds as many columns, but
+    # would silently regroup them; it is refused, naming both shapes.
+    def rows_of(columns):
+        return r"\(\d+, \d+" + "".join(f", {k}" for k in columns) + r"\)"
+
+    with pytest.raises(ValueError, match=(
+            rf"^integrand shape {rows_of(returned)}, not {rows_of(declared)}:"
+            " one row per abscissa")):
+        double_semi_infinite(_grouped(np.ones(returned)), SPEC, 1e-6,
+                             temperature=temperature, columns=declared)
 
 
 @pytest.mark.parametrize("temperature", [0.0, 300.0])
@@ -392,7 +483,7 @@ def _captured_integrands(monkeypatch):
 
     def capture(integrand, *args, **kwargs):
         seen.append(integrand)
-        return IntegralResult(np.zeros(2), np.zeros(2), 0, True)
+        return IntegralResult(np.zeros((1, 2)), np.zeros((1, 2)), 0, True)
 
     monkeypatch.setattr(engine, "double_semi_infinite", capture)
     gold = drude_lorentz(1.37e16, 0.0, 5.3e13)
@@ -527,7 +618,7 @@ def test_a_rule_of_two_weight_rows_is_two_rules(t_d, policy, rel_tol):
         return quadrature._nested(
             lambda xi, v: integrand(xi, v / d),
             quadrature._fixed(x * spacing, w * spacing), quadrature._MOMENTUM,
-            quadrature._TERM_LEVELS, 0.1 * rel_tol, 0.0, 2)
+            quadrature._TERM_LEVELS, 0.1 * rel_tol, 0.0, (2,))
 
     value, error, points, converged, _, mass = rule(
         *quadrature._pade_rule((order, 2 * order), head)[:2])
