@@ -97,7 +97,8 @@ class ForceResult:
     ``per_polarization`` maps "s" and "p" to their contributions; they sum to
     ``force_per_area`` exactly. Positive force pushes the plate toward +z.
     ``converged`` is the verdict of the rule that produced it, at every T:
-    s, p and their sum each met ``max(rel_tol*|value|, abs_floor)``.
+    s, p and s + p met ``max(rel_tol*|value|, abs_floor)``, or s + p alone
+    where s and p are one array (``_plate_force``).
     """
 
     force_per_area: float
@@ -311,8 +312,8 @@ def stress_profile(
                          np.full(n_samples, res.converged))
 
 
-def _exact_difference_integrand(cavity: CavityConfig, minkowski=False):
-    """Single-plate (r, t) form of the stress difference across the plate.
+def _difference_rule(cavity: CavityConfig, minkowski=False):
+    """(integrand, columns): the plate's single-plate (r, t) stress difference.
 
     With the plate's (r, t) and the bare walls' reflections r_1- and r_3+,
     all seen from the gap medium, A = r_1- e^{-2 kappa d1},
@@ -329,7 +330,8 @@ def _exact_difference_integrand(cavity: CavityConfig, minkowski=False):
     r A = e_1 = e^{-2 kappa d1}, r B = e_3 = e^{-2 kappa d3} and N = (1 -
     e_1)(1 - e_3): q kappa (e_3 - e_1) / N and q (-mu/kappa)(pair + 2 Delta
     surf)(e_3 - e_1) / N. Each takes xi (A, 1) and q (1, m) or (A, m) and
-    returns shape (A, m, 2), columns (s, p), from one ``Plan``.
+    returns shape (A, m) + ``columns`` from one ``Plan``: (2,), columns (s,
+    p), or (), one array for both, the mirror Minkowski and empty-gap ones.
     """
     plan = Plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
                 cavity.plate)
@@ -342,12 +344,11 @@ def _exact_difference_integrand(cavity: CavityConfig, minkowski=False):
             e1, e3 = np.exp(kappa * d1), np.exp(kappa * d3)
             fold = q * (e3 - e1) / ((1.0 - e1) * (1.0 - e3))
             if minkowski or plan.empty:  # s and p alike
-                y = np.stack((kappa * fold if minkowski else (-mu / kappa)
-                              * fold * (-4.0 * (kappa * kappa)),) * 2)
-            else:
-                pair, surf = _mode_coefficients(call)
-                y = (-mu / kappa) * fold * (pair + 2.0 * DELTA * surf)
-            return y.transpose(1, 2, 0)
+                return (kappa * fold if minkowski else (-mu / kappa) * fold
+                        * (-4.0 * (kappa * kappa)))
+            pair, surf = _mode_coefficients(call)
+            return ((-mu / kappa) * fold
+                    * (pair + 2.0 * DELTA * surf)).transpose(1, 2, 0)
         (r_minus, r_plus), (r, t) = call.walls, call.plate
         a, b = r_minus * np.exp(kappa * d1), r_plus * np.exp(kappa * d3)
         n_den = (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
@@ -360,27 +361,43 @@ def _exact_difference_integrand(cavity: CavityConfig, minkowski=False):
             curly = pair * r + surf * (1.0 + r * r - t * t)
         return (q * (-mu / kappa) * curly * (b - a) / n_den).transpose(1, 2, 0)
 
-    return integrand
+    alike = plan.mirrors and (minkowski or plan.empty)
+    return integrand, () if alike else (2,)
 
 
-def _plate_force(cavity, integrand, prefactor, temperature, spec, policy,
-                 value) -> ForceResult:
-    """The plate force of one cavity's (s, p) ``integrand``: a finite gap and
-    the m = 0 request (``_zero_term``) are checked, then one rule on the
-    smaller gap and the gap medium's ``_index`` runs, its (s, p) columns one
-    group (1, 2) judged on s, p and s + p, its verdict kept as it gave it."""
+def _exact_difference_integrand(cavity: CavityConfig, minkowski=False):
+    """``_difference_rule``'s integrand, which acceptance check 6 reads."""
+    return _difference_rule(cavity, minkowski)[0]
+
+
+def _plate_force(cavity, integrand, columns, prefactor, temperature, spec,
+                 policy, value) -> ForceResult:
+    """The plate force of one cavity's ``integrand`` of ``columns``: a finite
+    gap and the m = 0 request (``_zero_term``) are checked, then one rule on
+    the smaller gap and the gap medium's ``_index`` runs, its verdict kept.
+    (s, p) is one group (1, 2), judged on s, p and s + p. One array y for
+    both runs at twice the prefactor, its column s + p judged on the goal
+    that implies the others, and s = p is half of it. At T > 0 the q rules
+    judge each column against the floor, and a custom m = 0 amount gives s
+    and p their own targets: with either, y runs as the group (y, y)."""
     if not np.isfinite(min(cavity.d1, cavity.d3)):
         raise ValueError("a plate force needs at least one finite gap, got"
                          f" d1 = {cavity.d1} and d3 = {cavity.d3}")
-    zero_term = _zero_term(temperature, policy, value, cavity.has_drude_like,
-                           per_polarization=True)
+    head, amount = _zero_term(temperature, policy, value,
+                              cavity.has_drude_like, per_polarization=True)
+    spec = spec or DEFAULT_SPEC
+    if not columns and temperature > 0.0 and (spec.abs_floor
+                                              or amount is not None):
+        f, columns = integrand, (2,)
+        integrand = lambda xi, q: np.stack((f(xi, q),) * 2).transpose(1, 2, 0)
     res = double_semi_infinite(
-        lambda xi, q: integrand(xi, q)[:, :, None], spec or DEFAULT_SPEC,
-        min(cavity.d1, cavity.d3), prefactor, temperature, *zero_term,
-        columns=(1, 2), index=_index(cavity.medium))
-    per_pol = dict(zip(POLARIZATIONS, map(float, res.value[0])))
-    return ForceResult(per_pol["s"] + per_pol["p"],
-                       float(res.error_estimate.sum()), per_pol,
+        (lambda xi, q: integrand(xi, q)[:, :, None]) if columns else integrand,
+        spec, min(cavity.d1, cavity.d3), prefactor * (1.0 if columns else 2.0),
+        temperature, head, amount, columns=(1, 2) if columns else (),
+        index=_index(cavity.medium))
+    s, p = map(float, res.value[0]) if columns else (0.5 * res.value,) * 2
+    error = float(res.error_estimate.sum()) if columns else res.error_estimate
+    return ForceResult(s + p, error, dict(zip(POLARIZATIONS, (s, p))),
                        res.converged, res.evaluations)
 
 
@@ -410,7 +427,7 @@ def plate_force(
         Positive force pushes the plate toward +z. Both polarizations are
         integrated in one pass.
     """
-    return _plate_force(cavity, _exact_difference_integrand(cavity),
+    return _plate_force(cavity, *_difference_rule(cavity),
                         _STRESS_PREFACTOR, temperature, spec, zero_term_policy,
                         zero_term_value)
 
@@ -427,11 +444,11 @@ def minkowski_plate_force(
     F^M = T^M(gap 3) - T^M(gap 1) with the z-independent Minkowski stress;
     requires a nonmagnetic interspace medium. For idealized mirror walls and
     a static medium this reproduces the eps^{-1/2}-screened closed form.
-    With A, B and N of ``_exact_difference_integrand``, the composite-wall
+    With A, B and N of ``_difference_rule``, the composite-wall
     gap difference r r_3/(1 - r r_3) - r r_1/(1 - r r_1) reduces exactly to
     r (B - A) / N.
     """
     _minkowski_medium(cavity.medium)
-    return _plate_force(cavity, _exact_difference_integrand(cavity, True),
+    return _plate_force(cavity, *_difference_rule(cavity, True),
                         _MINKOWSKI_PREFACTOR, temperature, spec,
                         zero_term_policy, zero_term_value)

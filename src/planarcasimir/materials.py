@@ -182,17 +182,17 @@ def _evaluate(records, x, x_sq):
     return out
 
 
-def _response(model: DispersionModel, xi):
-    """Rows eps(i*xi) and mu(i*xi) of one material."""
+def _response(model: DispersionModel, xi, rows=2):
+    """Rows eps(i*xi) and mu(i*xi) of one material, or its first ``rows``."""
     x = np.asarray(xi, dtype=float)
     with np.errstate(divide="ignore"):
-        return _evaluate(_records(model), x, x * x)
+        return _evaluate(_records(model)[:rows], x, x * x)
 
 
 def eps_imag_axis(model: DispersionModel, xi: float | np.ndarray) -> float | np.ndarray:
-    """eps(i*xi) as a real number, row 0 of ``_response``; a float for
-    scalar xi."""
-    eps = _response(model, xi)[0]
+    """eps(i*xi) as a real number, row 0 of ``_response``, which alone is
+    evaluated; a float for scalar xi."""
+    eps = _response(model, xi, 1)[0]
     return eps if eps.ndim else float(eps)
 
 

@@ -397,18 +397,18 @@ def double_semi_infinite(
     """prefactor * Int_0^inf dxi Int_0^inf dq integrand_si(xi, q).
 
     ``integrand_si(xi, q)`` is called with xi of shape (A, 1), one frequency
-    per row, and a row q of shape (1, m) that broadcasts against it; it
-    returns shape (A, m) + ``columns``, and any other is refused: () for one
-    column, (K,) for K (the engine's heights), or (G, k) for G groups of k
-    (one force's s and p are (1, 2)). The columns share one pass, and their
-    count sizes its calls (``_nested``). The q rule runs in v = q*d_ref from
-    3.2e-15 to 46, so decay scales of order d_ref become O(1);
+    per row, and a row q of shape (1, m) that broadcasts against it; it returns
+    shape (A, m) + ``columns``, and any other is refused: () for one column,
+    (K,) for K (the engine's heights), or (G, k) for G groups of k (one force's
+    s and p are (1, 2), or () where they are one array). The columns share one
+    pass, and their count sizes its calls (``_nested``). The q rule runs in v =
+    q*d_ref from 3.2e-15 to 46, so decay scales of order d_ref become O(1);
     ``spec.q_cutoff`` composes it with tanh-sinh on [0, q_cutoff*d_ref].
     ``index`` is a lower bound on the medium's refractive index n(i xi): the
-    integrand decays like exp(-2 n xi d_ref/c), so ``d_ref`` and ``index``
-    set the frequency scale both rules must resolve. Both must be finite and
-    positive, ``prefactor`` finite and nonzero and ``temperature`` finite
-    and >= 0, or they are refused.
+    integrand decays like exp(-2 n xi d_ref/c), so ``d_ref`` and ``index`` set
+    the frequency scale both rules must resolve. Both must be finite and
+    positive, ``prefactor`` finite and nonzero and ``temperature`` finite and
+    >= 0, or they are refused.
 
     At T = 0 the rule is the tensor product of the q rule with the rule in
     u = index*xi*d_ref/c from 2.4e-19 to 46, levels 4 to 6 (7,917 to

@@ -12,8 +12,8 @@ and called once per integrand call, so that each material is evaluated once
 for both faces; ``engine._g_terms`` on that call; and ``engine._plate_force``,
 the entry that ``engine.plate_force`` and ``engine.minkowski_plate_force``
 share: it checks the m = 0 request, takes the gap index from the cavity,
-runs the rule of one group (1, 2) of s and p, judged on s, p and s + p,
-through the module attribute ``engine.double_semi_infinite`` (so a test
+runs the rule of the two columns (s, p) given here as one group (1, 2),
+judged on s, p and s + p, through the module attribute ``engine.double_semi_infinite`` (so a test
 that replaces that attribute sees this integrand too) and builds the
 ``ForceResult``.
 
@@ -109,5 +109,6 @@ def plate_force(cavity, temperature=0.0, spec=None, zero_term_policy=None,
     if spec.q_cutoff is None or spec.q_cutoff > noise_guard:
         spec = replace(spec, q_cutoff=noise_guard)
     return engine._plate_force(
-        cavity, direct_difference_integrand(cavity), engine._STRESS_PREFACTOR,
-        temperature, spec, zero_term_policy, zero_term_value)
+        cavity, direct_difference_integrand(cavity), (2,),
+        engine._STRESS_PREFACTOR, temperature, spec, zero_term_policy,
+        zero_term_value)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import c, hbar
 
@@ -16,6 +16,7 @@ from planarcasimir.engine import (
     plate_force,
     stress_profile,
     stress_zz,
+    _difference_rule,
     _exact_difference_integrand,
 )
 from planarcasimir.layers import (
@@ -493,9 +494,10 @@ def test_evaluations_count_the_points_the_integrand_received(
 
 _ONE_BY_FIFTY = CavityConfig(Wall.perfect_mirror(), VACUUM, 1e-6,
                              PerfectMirrorPlate(), 5e-5, Wall.perfect_mirror())
-# q nodes of the first level of the rule, and most rows of an (s, p) call.
+# q nodes of the first level of the rule, and most rows of a call of the
+# vacuum-mirror force, whose s and p are one column.
 _Q_NODES = quadrature._axis(quadrature._MOMENTUM, 4)[0].size
-_FORCE_ROWS = quadrature._CHUNK // (2 * _Q_NODES)
+_FORCE_ROWS = quadrature._CHUNK // _Q_NODES
 
 
 def _assert_balanced(shapes, rows, columns):
@@ -512,13 +514,13 @@ def _assert_balanced(shapes, rows, columns):
 
 
 def test_zero_temperature_force_calls_are_whole_chunks(monkeypatch):
-    # The first level's 7,917 points, 91 rows of (s, p), in two calls of
-    # 45 and 46 rows, and no call of one row to learn the column count.
+    # The first level's 7,917 points, 91 rows of the one column s + p, in
+    # one call, and no call of one row to learn the column count.
     res, shapes = _call_shapes(monkeypatch,
                                lambda: plate_force(_ONE_BY_FIFTY, spec=SPEC))
     assert res.converged and res.evaluations == 7917
-    assert shapes == [(45, _Q_NODES), (46, _Q_NODES)]
-    _assert_balanced(shapes, 91, 2)
+    assert shapes == [(91, _Q_NODES)]
+    _assert_balanced(shapes, 91, 1)
     assert sum(rows * cols for rows, cols in shapes) == res.evaluations
 
 
@@ -528,20 +530,21 @@ def test_each_pade_order_takes_the_calls_its_rows_need(
         monkeypatch, temperature, orders):
     # Under half-weight the first two orders N and 2N are one rule of
     # 1 + N + 2N frequency rows, m = 0 once, and each later order a rule of
-    # N + 1 rows, all met at the first q level: each rule's rows in the
-    # fewest balanced calls, 97 rows in 32 + 32 + 33 and 129 in 3 x 43.
+    # N + 1 rows, all met at the first q level: each rule's rows of the one
+    # column s + p in the fewest balanced calls, 97 rows in 48 + 49 and 129
+    # in 64 + 65.
     res, shapes = _call_shapes(monkeypatch, lambda: plate_force(
         _ONE_BY_FIFTY, temperature, SPEC))
     assert res.converged
     at = 0
     for rows in [1 + orders[0] + orders[1]] + [n + 1 for n in orders[2:]]:
         calls = shapes[at:at + -(-rows // _FORCE_ROWS)]
-        _assert_balanced(calls, rows, 2)
+        _assert_balanced(calls, rows, 1)
         at += len(calls)
     assert at == len(shapes)
     if orders[-1] == 128:
-        assert shapes == [(32, _Q_NODES)] * 2 + [(33, _Q_NODES)] + [
-            (43, _Q_NODES)] * 3
+        assert shapes == [(48, _Q_NODES), (49, _Q_NODES), (64, _Q_NODES),
+                          (65, _Q_NODES)]
     assert sum(rows * cols for rows, cols in shapes) == res.evaluations
 
 
@@ -703,8 +706,10 @@ def test_pade_sum_started_below_its_span_keeps_the_plain_change(
 
     def spy(change, before, total):
         out = booked(change, before, total)
-        if np.ndim(change) == 2:  # a Pade step; the nested rules book an
-            steps.append((change, out))  # array per axis, sum and column
+        # A Pade step has the shape of the columns, () for the one column
+        # s + p; the nested rules book an array per axis, sum and column.
+        if np.ndim(change) < 3:
+            steps.append((change, out))
         return out
 
     monkeypatch.setattr(quadrature, "_pade_sum", forced)
@@ -923,21 +928,21 @@ def test_one_kappa_evaluation_per_integrand_call(monkeypatch, medium):
 
 def test_vacuum_mirror_integrand_is_the_closed_form():
     # Vacuum between mirrors, a mirror plate: with e_i = e^{-2 kappa d_i},
-    # both columns of the field integrand are
+    # s and p of the field integrand are one array, its one column,
     # 4 q kappa (e_3 - e_1) / ((1 - e_1)(1 - e_3)).
     d1, d3 = 4e-7, 9e-7
     cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, d1,
                           PerfectMirrorPlate(), d3, Wall.perfect_mirror())
-    integrand = _exact_difference_integrand(cavity)
+    integrand, columns = _difference_rule(cavity)
+    assert columns == ()
     xi = np.geomspace(1e12, 3e16, 9)[:, None]
     q = np.geomspace(1e3, 3e8, 13)[None]
     kappa = np.sqrt(q**2 + xi**2 / c**2)
     e1, e3 = np.exp(-2.0 * kappa * d1), np.exp(-2.0 * kappa * d3)
     want = 4.0 * q * kappa * (e3 - e1) / ((1.0 - e1) * (1.0 - e3))
     got = integrand(xi, q)
-    assert got.shape == want.shape + (2,)
-    for col in range(2):
-        np.testing.assert_allclose(got[..., col], want, rtol=1e-14, atol=0.0)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("walls,plate", [
@@ -950,7 +955,9 @@ def test_empty_gap_bracket_is_the_general_one_bit_for_bit(
         monkeypatch, walls, plate):
     # A gap whose n^2 is a static 1 takes the bracket -4 kappa^2 r of the
     # field integrand without forming (pair, surf); with the plan made to
-    # say otherwise, the general bracket gives the same bits.
+    # say otherwise, the general bracket gives the same bits. Between
+    # mirrors the folded form is one array for s and p, and the general
+    # form gives it in each of its two columns.
     cavity = CavityConfig(walls[0], VACUUM, 4e-7, plate, 9e-7, walls[1])
     xi = np.geomspace(1e12, 3e16, 7)[:, None]
     q = np.geomspace(1e3, 3e8, 11)[None]
@@ -970,8 +977,11 @@ def test_empty_gap_bracket_is_the_general_one_bit_for_bit(
                         lambda call: formed.append(1) or real(call))
     got = folded(xi, q)
     assert formed == []
-    assert got.tobytes() == general(xi, q).tobytes()
+    want = general(xi, q)
     assert formed == [1]
+    if isinstance(plate, PerfectMirrorPlate):
+        got = np.stack((got,) * 2, axis=-1)
+    assert got.tobytes() == want.tobytes()
 
 
 def _unfolded_mirror_integrand(cavity, minkowski):
@@ -1006,8 +1016,10 @@ def _unfolded_mirror_integrand(cavity, minkowski):
 def test_mirror_fold_is_the_general_form_to_a_few_ulps(eps, mu, d1, ratio,
                                                         xi_d, q_d):
     # Bare mirror walls around a mirror plate: with Delta Delta = 1 folded
-    # out, both integrands meet the general (r, t) form to 4 ulps. The draws
-    # keep kappa d1 < 3 and kappa d3 < 150, so nothing is subnormal.
+    # out, both integrands meet the general (r, t) form to 4 ulps. The
+    # Minkowski one, and the field one of a gap whose n^2 is a static 1,
+    # are one array for s and p. The draws keep kappa d1 < 3 and
+    # kappa d3 < 150, so nothing is subnormal.
     cavity = CavityConfig(Wall.perfect_mirror(), constant(eps=eps, mu=mu),
                           d1, PerfectMirrorPlate(), d1 * ratio,
                           Wall.perfect_mirror())
@@ -1015,9 +1027,13 @@ def test_mirror_fold_is_the_general_form_to_a_few_ulps(eps, mu, d1, ratio,
     xi = np.array(xi_d)[:, None] * c / (n * d1)
     q = np.array(q_d)[None] / d1
     for minkowski in (False, True):
-        got = _exact_difference_integrand(cavity, minkowski)(xi, q)
+        integrand, columns = _difference_rule(cavity, minkowski)
+        assert columns == (() if minkowski or eps * mu == 1.0 else (2,))
+        got = integrand(xi, q)
         want = _unfolded_mirror_integrand(cavity, minkowski)(xi, q)
-        assert got.shape == want.shape == (len(xi_d), len(q_d), 2)
+        assert want.shape == (len(xi_d), len(q_d), 2)
+        assert got.shape == want.shape[:2] + columns
+        got = got if columns else got[..., None]
         assert np.all(np.abs(got - want)
                       <= 4.0 * np.finfo(float).eps * np.abs(want))
 
@@ -1056,8 +1072,10 @@ def test_force_converges_only_if_the_summed_error_meets_its_target(
     # their targets and the sum misses its own; as one group (1, 2) the rule
     # must not then claim convergence. Against a loose target it converges,
     # and where the sum met it as two columns too, both shapes give the same
-    # result. Both forces ask for one group and keep its verdict and summed
-    # error.
+    # result. Both forces keep the verdict and the summed error of their
+    # rule: one group (1, 2) for the asymmetric cavity; for vacuum mirrors,
+    # whose s and p are one array, its one column s + p, except at T > 0
+    # under a floor, which the q rules judge each column against.
     d = 1e-6
     rules = []
 
@@ -1070,10 +1088,13 @@ def test_force_converges_only_if_the_summed_error_meets_its_target(
     loose = replace(spec, rel_tol=1e-4)
     for force in (plate_force, minkowski_plate_force):
         for temperature in (0.0, 300.0):
-            res = force(_MIRROR_CAVITY, temperature, loose)
-            columns, rule = rules[-1]
-            assert columns == (1, 2) and res.converged is rule.converged
-            assert res.error_estimate == rule.error_estimate.sum()
+            pair = temperature > 0.0 and loose.abs_floor > 0.0
+            for cavity, want in ((_asymmetric_cavity(), (1, 2)),
+                                 (_MIRROR_CAVITY, (1, 2) if pair else ())):
+                res = force(cavity, temperature, loose)
+                columns, rule = rules[-1]
+                assert columns == want and res.converged is rule.converged
+                assert res.error_estimate == np.sum(rule.error_estimate)
 
     def integrand(xi, q):
         f = np.exp(-xi * d / c - q * d) * (1.0 + np.sqrt(q * d))
@@ -1102,6 +1123,63 @@ def test_force_converges_only_if_the_summed_error_meets_its_target(
             np.testing.assert_array_equal(grouped.value[0], alone.value)
             np.testing.assert_array_equal(grouped.error_estimate[0],
                                           alone.error_estimate)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(eps=st.one_of(st.just(1.0), st.floats(1.0, 10.0)),
+       d1=st.floats(-7.0, -5.0).map(lambda e: 10.0 ** e),
+       # d3/d1 away from 1, where the force is 0 and no target is met.
+       ratio=st.floats(0.05, 1.5).map(lambda e: 10.0 ** e),
+       wider=st.booleans(),
+       temperature=st.one_of(st.just(0.0), st.floats(
+           -2.0, np.log10(3000.0)).map(lambda e: 10.0 ** e)),
+       rel_tol=st.sampled_from([1e-4, 1e-8, 1e-12]),
+       floor=st.one_of(st.just(0.0), st.floats(-20.0, -4.0).map(
+           lambda e: 10.0 ** e)),
+       custom=st.sampled_from([None, (1.0, -2.0), (-1e-9, 2.5e-9)]))
+# Under a floor between the q rules' targets for one column and for two:
+# the one column would take four times the points of the pair.
+@example(eps=1.0, d1=1e-6, ratio=2.0, wider=True, temperature=300.0,
+         rel_tol=1e-15, floor=4.641588833612754e-18, custom=None)
+def test_one_column_mirror_force_is_the_group_of_its_two(
+        eps, d1, ratio, wider, temperature, rel_tol, floor, custom):
+    # Between ideal mirrors the Minkowski integrand, and the field integrand
+    # of an empty gap, are one array for s and p. The force integrates it as
+    # one column, s + p, halved into s = p; the same array stacked as the
+    # group (1, 2) must give the same verdict and effort, and values within
+    # both error bars. At T > 0 a custom m = 0 value gives s and p targets
+    # of their own, and the force then runs that group itself.
+    cavity = CavityConfig(Wall.perfect_mirror(), constant(eps=eps), d1,
+                          PerfectMirrorPlate(),
+                          d1 * ratio if wider else d1 / ratio,
+                          Wall.perfect_mirror())
+    spec = QuadratureSpec(rel_tol=rel_tol, abs_floor=floor)
+    policy, value = ((None, None) if custom is None else
+                     ("custom-value", dict(zip(("s", "p"), custom))))
+    for force, minkowski, prefactor in (
+            (plate_force, False, engine._STRESS_PREFACTOR),
+            (minkowski_plate_force, True, engine._MINKOWSKI_PREFACTOR)):
+        integrand, columns = _difference_rule(cavity, minkowski)
+        if not (minkowski or eps == 1.0):
+            assert columns == (2,)
+            continue
+        assert columns == ()
+        res = force(cavity, temperature, spec, policy, value)
+        pair = quadrature.double_semi_infinite(
+            lambda xi, q: np.stack((integrand(xi, q),) * 2, axis=-1)[
+                :, :, None], spec, min(cavity.d1, cavity.d3), prefactor,
+            temperature, *engine._zero_term(temperature, policy, value, False,
+                                            per_polarization=True),
+            index=engine._index(cavity.medium), columns=(1, 2))
+        s, p = res.per_polarization["s"], res.per_polarization["p"]
+        assert s + p == res.force_per_area
+        assert s == p or custom and temperature > 0.0
+        assert res.converged is pair.converged
+        assert res.evaluations == pair.evaluations
+        bar = min(res.error_estimate, float(pair.error_estimate.sum()))
+        for got, want in ((res.force_per_area, pair.value.sum()),
+                          *zip((s, p), pair.value[0])):
+            assert abs(got - want) <= bar
 
 
 # Mu = 100 half-space | vacuum | 1 um (eps, mu) = (2, 2) plate | vacuum |

@@ -193,6 +193,23 @@ def test_magnetic_oscillator_on_imag_axis():
     assert _response(model, xi)[1] == pytest.approx(expected, rel=1e-15)
 
 
+def test_eps_imag_axis_evaluates_eps_alone(monkeypatch):
+    # Row 0 of the full response, bit for bit, from eps's record alone: the
+    # magnetic oscillator is never evaluated.
+    from planarcasimir import materials
+
+    model = drude_lorentz(2e15, 3e15, 1e13, mu_model=(4e14, 0.0, 1e13))
+    xi = np.concatenate([[0.0], np.geomspace(1e8, 1e18, 21)])
+    full = _response(model, xi)[0]
+    evaluated = []
+    real = materials._evaluate
+    monkeypatch.setattr(materials, "_evaluate", lambda records, *args: (
+        evaluated.append(len(records)) or real(records, *args)))
+    assert eps_imag_axis(model, xi).tobytes() == full.tobytes()
+    assert eps_imag_axis(model, 5e14) == _response(model, 5e14)[0]
+    assert evaluated == [1, 1, 2]
+
+
 def test_is_drude_like():
     assert is_drude_like(plasma(1e15))
     assert is_drude_like(drude_lorentz(1e16, 0.0, 3e13))

@@ -603,6 +603,7 @@ def test_a_rule_of_two_weight_rows_is_two_rules(t_d, policy, rel_tol):
     # of its order alone, to rounding: the same sum and error within 32
     # ulps of its sum of |weight * f|, at the same q level, with the same
     # flag. T d from 1e-6 to 3e-3 K m starts the sum at orders 8 to 128.
+    # The vacuum-mirror force's s and p are one array, one column.
     d = 1e-6
     cavity = CavityConfig(Wall.perfect_mirror(), constant(), d,
                           PerfectMirrorPlate(), 3.0 * d, Wall.perfect_mirror())
@@ -618,11 +619,11 @@ def test_a_rule_of_two_weight_rows_is_two_rules(t_d, policy, rel_tol):
         return quadrature._nested(
             lambda xi, v: integrand(xi, v / d),
             quadrature._fixed(x * spacing, w * spacing), quadrature._MOMENTUM,
-            quadrature._TERM_LEVELS, 0.1 * rel_tol, 0.0, (2,))
+            quadrature._TERM_LEVELS, 0.1 * rel_tol, 0.0, ())
 
     value, error, points, converged, _, mass = rule(
         *quadrature._pade_rule((order, 2 * order), head)[:2])
-    assert value.shape == error.shape == mass.shape == (2, 2)
+    assert value.shape == error.shape == mass.shape == (2,)
     ulps = quadrature._ULPS * np.finfo(float).eps * mass
     for row, n in enumerate((order, 2 * order)):
         # The order alone: m = 0 with weight 1/2, then its poles.
