@@ -209,8 +209,8 @@ def stress_zz(
     K heights are the K columns of one double integral, with values and
     errors of shape (K,) (floats for a scalar z); any other shape of z is
     refused. They share one mesh, scaled by the least distance from a
-    height to a face, and so one ``converged`` flag; the integrand's memory
-    grows in proportion to K.
+    height to a face, and so one ``converged`` flag; an integrand call,
+    (K, A, m), holds at most ``quadrature._CHUNK`` point-columns or one row.
 
     ``_zero_term`` checks ``zero_term_policy`` and ``zero_term_value`` (under
     ``custom-value`` a finite m = 0 term in N/m^2) first, at any T.
@@ -229,7 +229,7 @@ def stress_zz(
     plan = Plan(view.medium, (view.left, view.right))
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
                            plan.has_drude_like)
-    spread = (1,) * heights.ndim  # the height axis, if there is one
+    h = heights[..., None, None]  # the heights lead, if there are any
 
     def integrand(xi, q):
         call = plan(xi, q)
@@ -239,13 +239,11 @@ def stress_zz(
         # Sum s and p before the heights come in: only the two surface
         # exponentials depend on z, and their kappa is the gap's for both.
         inv = 1.0 / denom
-        terms = [q * (-mu / kappa), kappa] + [
-            (term * inv).sum(axis=0)
-            for term in (bulk, surf * r_minus, surf * r_plus)]
-        weight, kappa, bulk, near, far = (
-            term.reshape(term.shape + spread) for term in terms)
-        return weight * (bulk + near * np.exp(kappa * (-2.0 * heights)) + far
-                         * np.exp(kappa * (-2.0 * (view.width - heights))))
+        bulk, near, far = ((term * inv).sum(axis=0)
+                           for term in (bulk, surf * r_minus, surf * r_plus))
+        return q * (-mu / kappa) * (
+            bulk + near * np.exp(kappa * (-2.0 * h))
+            + far * np.exp(kappa * (-2.0 * (view.width - h))))
 
     d_ref = min(heights.min(), view.width - heights.max())
     return double_semi_infinite(integrand, spec, d_ref, _STRESS_PREFACTOR,
@@ -297,8 +295,8 @@ def stress_profile(
 
     One ``stress_zz`` call, the samples its columns, so the walls and gap
     are evaluated once per node for all of them. Its one flag is repeated in
-    ``converged``: a miss anywhere marks every sample. The integrand's
-    memory grows in proportion to ``n_samples``.
+    ``converged``: a miss anywhere marks every sample. An integrand call
+    holds at most ``quadrature._CHUNK`` point-columns, or one row.
     """
     if n_samples < 2:
         raise ValueError("a profile needs at least 2 interior samples")
@@ -330,8 +328,8 @@ def _difference_rule(cavity: CavityConfig, minkowski=False):
     r A = e_1 = e^{-2 kappa d1}, r B = e_3 = e^{-2 kappa d3} and N = (1 -
     e_1)(1 - e_3): q kappa (e_3 - e_1) / N and q (-mu/kappa)(pair + 2 Delta
     surf)(e_3 - e_1) / N. Each takes xi (A, 1) and q (1, m) or (A, m) and
-    returns shape (A, m) + ``columns`` from one ``Plan``: (2,), columns (s,
-    p), or (), one array for both, the mirror Minkowski and empty-gap ones.
+    returns ``columns`` + (A, m) from one ``Plan``: (2,), columns (s, p),
+    or (), one array for both, the mirror Minkowski and empty-gap ones.
     """
     plan = Plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
                 cavity.plate)
@@ -347,27 +345,28 @@ def _difference_rule(cavity: CavityConfig, minkowski=False):
                 return (kappa * fold if minkowski else (-mu / kappa) * fold
                         * (-4.0 * (kappa * kappa)))
             pair, surf = _mode_coefficients(call)
-            return ((-mu / kappa) * fold
-                    * (pair + 2.0 * DELTA * surf)).transpose(1, 2, 0)
+            return (-mu / kappa) * fold * (pair + 2.0 * DELTA * surf)
         (r_minus, r_plus), (r, t) = call.walls, call.plate
         a, b = r_minus * np.exp(kappa * d1), r_plus * np.exp(kappa * d3)
         n_den = (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
         if minkowski:
-            return (q * kappa * r * (b - a) / n_den).transpose(1, 2, 0)
+            return q * kappa * r * (b - a) / n_den
         if plan.empty:  # pair is -4 kappa^2 and surf is 0
             curly = -4.0 * (kappa * kappa) * r
         else:
             pair, surf = _mode_coefficients(call)
             curly = pair * r + surf * (1.0 + r * r - t * t)
-        return (q * (-mu / kappa) * curly * (b - a) / n_den).transpose(1, 2, 0)
+        return q * (-mu / kappa) * curly * (b - a) / n_den
 
     alike = plan.mirrors and (minkowski or plan.empty)
     return integrand, () if alike else (2,)
 
 
-def _exact_difference_integrand(cavity: CavityConfig, minkowski=False):
-    """``_difference_rule``'s integrand, which acceptance check 6 reads."""
-    return _difference_rule(cavity, minkowski)[0]
+def _exact_difference_integrand(cavity: CavityConfig):
+    """``_difference_rule``'s field integrand, (A, m, 2) for columns (s, p):
+    the layout of acceptance check 6, its one caller."""
+    f, columns = _difference_rule(cavity)
+    return (lambda xi, q: np.moveaxis(f(xi, q), 0, -1)) if columns else f
 
 
 def _plate_force(cavity, integrand, columns, prefactor, temperature, spec,
@@ -389,9 +388,9 @@ def _plate_force(cavity, integrand, columns, prefactor, temperature, spec,
     if not columns and temperature > 0.0 and (spec.abs_floor
                                               or amount is not None):
         f, columns = integrand, (2,)
-        integrand = lambda xi, q: np.stack((f(xi, q),) * 2).transpose(1, 2, 0)
+        integrand = lambda xi, q: np.stack((f(xi, q),) * 2)
     res = double_semi_infinite(
-        (lambda xi, q: integrand(xi, q)[:, :, None]) if columns else integrand,
+        (lambda xi, q: integrand(xi, q)[None]) if columns else integrand,
         spec, min(cavity.d1, cavity.d3), prefactor * (1.0 if columns else 2.0),
         temperature, head, amount, columns=(1, 2) if columns else (),
         index=_index(cavity.medium))

@@ -22,10 +22,11 @@ code path of that recursion.
 
 Polarization is the leading array axis: internal reflection and
 transmission arrays have shape (2, A, m), ordered (s, p), for xi a column of
-shape (A, 1), one frequency per row, against q of shape (A, m) or (1, m). A
-perfect mirror is ``DELTA``, a (2, 1, 1) constant that broadcasts. The s and
-p coefficients are one expression whose kappa contrast is weighted by
-(mu, eps).
+shape (A, 1), one frequency per row, against q of shape (A, m) or (1, m).
+It is the one layout from here through the quadrature core: an integrand
+returns its columns, (s, p) or heights, first, then (A, m). A perfect mirror
+is ``DELTA``, a (2, 1, 1) constant that broadcasts; the s and p coefficients
+are one expression whose kappa contrast is weighted by (mu, eps).
 
 An observable compiles its structure once into a ``Plan``: its distinct
 materials, constant ones with weights and n^2 fixed, the others with their

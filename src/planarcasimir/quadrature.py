@@ -168,8 +168,9 @@ def _fixed(x: np.ndarray, w: np.ndarray):
 _POINT = _fixed(np.zeros(1), np.ones((1, 1)))
 # A new level halves S_k into S_k-1 as S_k-1 becomes S_k-2; end rows stay.
 _KEEP, _HALVE = [0, 0, 1, 3, 4], np.array([0.5, 1.0, 1.0, 1.0, 1.0])
-# Of the sums of two integrated axes, the inner line and the outer line.
-_LINES = (np.array([[0] * 5, range(5)]), np.array([range(5), [0] * 5]))
+# Of each column's sums of two integrated axes, the inner and the outer line.
+_LINES = (slice(None), None, np.array([[0] * 5, range(5)]),
+          np.array([range(5), [0] * 5]))
 
 
 def _singular_values(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -249,13 +250,13 @@ def _booked(change, before, total):
 
 
 def _judged(x, shape):
-    """What a rule judges of x, its columns of ``shape`` along its last axis:
-    the columns, then, for G groups of k, (G, k), each group's sum (one
+    """What a rule judges of x, its columns of ``shape`` leading: the
+    columns, then, for G groups of k, (G, k), each group's sum (one
     reduction: an index alone where the next is not larger, else its run)."""
     if len(shape) < 2:
         return x
     n, k = math.prod(shape), shape[1]
-    return np.add.reduceat(x, [*range(n), *range(0, n, k)], axis=-1)
+    return np.add.reduceat(x.reshape(n, -1), [*range(n), *range(0, n, k)])
 
 
 def _nested(f: Callable, outer, inner, levels: tuple[int, int],
@@ -265,8 +266,8 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
     The inner axis is a range of ``_axis``; the outer one is a range too or
     a fixed axis of ``_fixed``, of R sums. ``f(a, b)`` gets outer abscissas
     a of shape (A, 1) and inner ones b of shape (1, m) and returns shape
-    (A, m) + ``shape`` of columns, () or (K,) or G groups of k (G, k); None
-    takes () or (k,) from the first call (the 1-D rule). The first of
+    ``shape`` + (A, m), columns first, () or (K,) or G groups of k (G, k);
+    None takes () or (k,) from the first call (the 1-D rule). The first of
     ``levels`` evaluates every node and reads the two levels before from
     every second and every fourth node, so one pass yields an error; each
     later level evaluates the nodes it adds. A block takes the fewest calls
@@ -292,9 +293,9 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
             blocks = [(range(u.size), range(v.size))]
         else:
             blocks = [(odd_u, range(v.size)), (even_u, odd_v)]
-            sums, size = sums[:, _KEEP] * _HALVE[:, None], 0.5 * size
+            sums, size = sums[..., _KEEP] * _HALVE, 0.5 * size
             if integrated:
-                sums, size = sums[_KEEP] * _HALVE[:, None, None], 0.5 * size
+                sums, size = sums[:, _KEEP] * _HALVE[:, None], 0.5 * size
         for rows, nodes in blocks:
             cols = slice(nodes.start, nodes.stop, nodes.step)
             n = -(-len(rows) // max(1, _CHUNK // (len(nodes) * columns)))
@@ -303,18 +304,16 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
                 r = slice(chunk.start, chunk.stop, chunk.step)
                 y = np.asarray(f(u[r, None], v[None, cols]), dtype=float)
                 if shape is None:  # the 1-D rule: one value or k columns
-                    shape = y.shape[2:3]
-                if y.shape != (want := (len(chunk), len(nodes)) + shape):
+                    shape = y.shape[:-2][-1:]
+                if y.shape != (want := shape + (len(chunk), len(nodes))):
                     raise ValueError(f"integrand shape {y.shape}, not {want}:"
                                      " one row per abscissa of its columns")
-                evals += y.shape[0] * y.shape[1]
-                # Matrix products per column; the engine's columns lead in
-                # memory, so this view of them copies nothing.
-                y = y.reshape(y.shape[:2] + (-1,)).transpose(2, 0, 1)
+                y = y.reshape(-1, len(chunk), len(nodes))
+                evals += len(chunk) * len(nodes)
                 wu, wv, magnitude = w_u[:, r], w_v[:, cols], np.abs(y)
                 # One sum's vector product rounds as it always has.
-                mass = ((wu[0] @ magnitude @ wv[0])[None] if len(wu) == 1
-                        or integrated else (wu @ magnitude @ wv[0]).T)
+                mass = ((wu[0] @ magnitude @ wv[0])[:, None] if len(wu) == 1
+                        or integrated else wu @ magnitude @ wv[0])
                 # A non-finite value leaves its column's sum of |w * f|
                 # non-finite; so may an overflow, which is let through.
                 if not np.isfinite(mass).all():
@@ -323,19 +322,19 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
                                  else f" (outer {u[chunk[i]]})")
                         raise ValueError("integrand returned a non-finite"
                                          f" value at x = {v[nodes[j]]}{where}")
-                sums = sums + (wu @ y @ wv.T).transpose(1, 2, 0)
+                sums = sums + wu @ y @ wv.T
                 size = size + mass
-        # Per integrated axis, the inner and then an integrated outer one, per
-        # sum: S with it alone at levels k, k-1 and k-2, then its end lines.
-        lines = sums[_LINES][:, None] if integrated else sums[None]
-        total = lines[0, :, 0]
-        steps = np.abs(lines[:, :, :2] - lines[:, :, 1:3])
-        change, before = steps[:, :, 0], steps[:, :, 1]
-        bound = np.abs(lines[:, :, 3:]).sum(axis=(0, 2))
+        # Per column, sum and integrated axis, inner and then outer: S with it
+        # alone at levels k, k-1 and k-2, then its end lines.
+        lines = sums[_LINES] if integrated else sums[..., None, :]
+        total = lines[:, :, 0, 0]
+        steps = np.abs(lines[..., :2] - lines[..., 1:3])
+        change, before = steps[..., 0], steps[..., 1]
+        bound = np.abs(lines[..., 3:]).sum(axis=(2, 3))
         # A tensor rule's levels 1 and 2 are too coarse to show doubling.
-        booked = (_booked(change, before, total)
+        booked = (_booked(change, before, total[..., None])
                   if level > 3 or not integrated else change)
-        error = np.maximum(booked.sum(axis=0) + bound, _FLOOR * size)
+        error = np.maximum(booked.sum(axis=-1) + bound, _FLOOR * size)
         groups = shape if integrated else ()
         converged = bool((_judged(error, groups) <= np.maximum(
             rel_tol * np.abs(_judged(total, groups)), abs_floor)).all())
@@ -344,11 +343,11 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
     if not converged:
         # The levels have not settled (rounding noise need not shrink from
         # one level to the next), so book the larger of the last two changes.
-        error = np.maximum(error, np.maximum(change, before).sum(axis=0)
+        error = np.maximum(error, np.maximum(change, before).sum(axis=-1)
                            + bound)
-    shape = (() if integrated else total.shape[:1]) + shape
-    return (total.reshape(shape), error.reshape(shape), evals, converged,
-            np.abs(lines[0, :, 4]).reshape(shape), size.reshape(shape))
+    shape = (() if integrated else total.shape[1:]) + shape  # R sums lead
+    return (total.T.reshape(shape), error.T.reshape(shape), evals, converged,
+            np.abs(lines[:, :, 0, 4]).T.reshape(shape), size.T.reshape(shape))
 
 
 def _plain(x):
@@ -374,8 +373,8 @@ def integrate_semi_infinite(
     ``evaluations`` counts abscissas.
     """
     (value,), (error,), evaluations, converged, (top,), _ = _nested(
-        lambda _, x: np.asarray(f(x[0]))[None], _POINT, _LINE, _LINE_LEVELS,
-        spec.rel_tol, spec.abs_floor, None)
+        lambda _, x: np.atleast_1d(f(x[0])).T[..., None, :], _POINT, _LINE,
+        _LINE_LEVELS, spec.rel_tol, spec.abs_floor, None)
     if np.any(top > np.maximum(spec.rel_tol * np.abs(value), spec.abs_floor)):
         raise ValueError(
             "the integrand has not decayed by x = 2.7e16; rescale the"
@@ -398,11 +397,12 @@ def double_semi_infinite(
 
     ``integrand_si(xi, q)`` is called with xi of shape (A, 1), one frequency
     per row, and a row q of shape (1, m) that broadcasts against it; it returns
-    shape (A, m) + ``columns``, and any other is refused: () for one column,
-    (K,) for K (the engine's heights), or (G, k) for G groups of k (one force's
-    s and p are (1, 2), or () where they are one array). The columns share one
-    pass, and their count sizes its calls (``_nested``). The q rule runs in v =
-    q*d_ref from 3.2e-15 to 46, so decay scales of order d_ref become O(1);
+    shape ``columns`` + (A, m), the columns first as in ``layers.Plan``, and
+    any other is refused: () for one column, (K,) for K (the engine's
+    heights), or (G, k) for G groups of k (one force's s and p are (1, 2), or
+    () where they are one array). The columns share one pass, and their count
+    sizes its calls (``_nested``). The q rule runs in v = q*d_ref from
+    3.2e-15 to 46, so decay scales of order d_ref become O(1);
     ``spec.q_cutoff`` composes it with tanh-sinh on [0, q_cutoff*d_ref].
     ``index`` is a lower bound on the medium's refractive index n(i xi): the
     integrand decays like exp(-2 n xi d_ref/c), so ``d_ref`` and ``index`` set
@@ -483,7 +483,7 @@ def _pade_sum(f: Callable, shape: tuple[int, ...], inner,
     Order N of ``_pade`` sums over a fixed outer axis of ``_nested``: the
     m = 0 node with weight 1/2 of 2 pi k_B T/hbar if ``head`` and the N
     nodes xi_j k_B T/hbar with weights eta_j 2 pi k_B T/hbar; the q rule
-    ``inner`` of levels 4 to 6 judges each column of f, of trailing
+    ``inner`` of levels 4 to 6 judges each column of f, of leading
     ``shape``, against a tenth of the sum's target. The first order is
     ``_PADE_ORDERS[0]`` doubled until its table spans the decay scale
     ``decay`` (rad/s) of f, N**2/4 >= hbar decay/(k_B T); each later order
@@ -517,8 +517,8 @@ def _pade_sum(f: Callable, shape: tuple[int, ...], inner,
                 rule, values, q_errors, masses, roundings):
             step = np.abs(value - before)
             change = _booked(step, drift, value) + rounding * mass
-            moved, q_part, target = _judged(np.array(
-                (change, q_error, value + amount)).reshape(3, -1), shape)
+            moved, q_part, target = (_judged(x, shape) for x in (
+                change, q_error, value + amount))
             goal = np.maximum(spec.rel_tol * np.abs(target), floor)
             room = np.where(q_part < goal, goal - q_part, goal)
             if (moved <= room).all() or order == last:

@@ -88,7 +88,7 @@ def direct_difference_integrand(cavity: CavityConfig):
         (mu, _), kappa, _ = call.gap
         g3 = _g(call, view3, 0.0, left=2)
         g1 = _g(call, view1, cavity.d1)
-        return (q * (-mu / kappa) * (g3 - g1)).transpose(1, 2, 0)
+        return q * (-mu / kappa) * (g3 - g1)
 
     return integrand
 

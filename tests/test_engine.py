@@ -17,7 +17,6 @@ from planarcasimir.engine import (
     stress_profile,
     stress_zz,
     _difference_rule,
-    _exact_difference_integrand,
 )
 from planarcasimir.layers import (
     CavityConfig,
@@ -614,12 +613,12 @@ def test_direct_difference_respects_user_momentum_cutoff():
 
 
 def test_exact_difference_integrand_finite_at_extreme_momentum():
-    f = _exact_difference_integrand(_asymmetric_cavity())
-    # One row: xi (1, 1) against q (1, 3); columns (s, p) last.
+    f = _difference_rule(_asymmetric_cavity())[0]
+    # One row: xi (1, 1) against q (1, 3); columns (s, p) first.
     val = f(np.full((1, 1), 2e15), np.array([[1e9, 1e11, 1e13]]))
-    assert val.shape == (1, 3, 2)
+    assert val.shape == (2, 1, 3)
     assert np.isfinite(val).all()
-    assert (val[0, -1] == 0.0).all()  # round trips underflow cleanly
+    assert (val[:, 0, -1] == 0.0).all()  # round trips underflow cleanly
 
 
 def test_thermal_force_continuity_and_trend():
@@ -745,14 +744,15 @@ def _brute_thermal_force(cavity, temperature, spec):
     under ``drop`` with each q integral from ``integrate_semi_infinite``;
     the bar is the sum's error plus the q errors at the sum's weights.
     """
-    integrand = engine._exact_difference_integrand(cavity)
+    integrand = _difference_rule(cavity)[0]
     d = min(cavity.d1, cavity.d3)
     q_errors = []
 
     def term(xi):
-        # One row of (s, p) columns: xi (1, 1) against q (1, m).
+        # One row of the columns (s, p): xi (1, 1) against q (1, m), read
+        # as the 1-D rule's (m, 2).
         res = integrate_semi_infinite(lambda v: integrand(
-            np.full((1, 1), xi), v[None] / d)[0] / d, spec)
+            np.full((1, 1), xi), v[None] / d)[:, 0].T / d, spec)
         q_errors.append(res.error_estimate)
         return res.value
 
@@ -873,7 +873,7 @@ def test_minkowski_force_equals_the_two_interspace_form(monkeypatch):
                     for view in (view1, view3)
                 )
                 want = q * kappa * (rr3 / (1.0 - rr3) - rr1 / (1.0 - rr1))
-                np.testing.assert_allclose(got[:, col], want, rtol=1e-13,
+                np.testing.assert_allclose(got[col], want, rtol=1e-13,
                                            atol=1e-13 * np.abs(want).max())
 
 
@@ -961,7 +961,7 @@ def test_empty_gap_bracket_is_the_general_one_bit_for_bit(
     cavity = CavityConfig(walls[0], VACUUM, 4e-7, plate, 9e-7, walls[1])
     xi = np.geomspace(1e12, 3e16, 7)[:, None]
     q = np.geomspace(1e3, 3e8, 11)[None]
-    folded = _exact_difference_integrand(cavity)
+    folded = _difference_rule(cavity)[0]
 
     class Unfolded(layers.Plan):
         def __init__(self, *args):
@@ -970,7 +970,7 @@ def test_empty_gap_bracket_is_the_general_one_bit_for_bit(
             self.empty = False
 
     monkeypatch.setattr(engine, "Plan", Unfolded)
-    general = _exact_difference_integrand(cavity)
+    general = _difference_rule(cavity)[0]
     formed = []
     real = engine._mode_coefficients
     monkeypatch.setattr(engine, "_mode_coefficients",
@@ -980,12 +980,12 @@ def test_empty_gap_bracket_is_the_general_one_bit_for_bit(
     want = general(xi, q)
     assert formed == [1]
     if isinstance(plate, PerfectMirrorPlate):
-        got = np.stack((got,) * 2, axis=-1)
+        got = np.stack((got,) * 2)
     assert got.tobytes() == want.tobytes()
 
 
 def _unfolded_mirror_integrand(cavity, minkowski):
-    """The general (r, t) form of ``_exact_difference_integrand``, bracket
+    """The general (r, t) form of ``_difference_rule``'s integrand, bracket
     and all, at r = r_1- = r_3+ = Delta and t = 0, for the mirror fold."""
     plan, r, t = layers.Plan(cavity.medium), layers.DELTA, 0.0
     d1, d3 = -2.0 * cavity.d1, -2.0 * cavity.d3
@@ -996,10 +996,10 @@ def _unfolded_mirror_integrand(cavity, minkowski):
         a, b = r * np.exp(kappa * d1), r * np.exp(kappa * d3)
         n_den = (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
         if minkowski:
-            return (q * kappa * r * (b - a) / n_den).transpose(1, 2, 0)
+            return q * kappa * r * (b - a) / n_den
         pair, surf = engine._mode_coefficients(call)
         curly = pair * r + surf * (1.0 + r * r - t * t)
-        return (q * (-mu / kappa) * curly * (b - a) / n_den).transpose(1, 2, 0)
+        return q * (-mu / kappa) * curly * (b - a) / n_den
 
     return integrand
 
@@ -1031,9 +1031,9 @@ def test_mirror_fold_is_the_general_form_to_a_few_ulps(eps, mu, d1, ratio,
         assert columns == (() if minkowski or eps * mu == 1.0 else (2,))
         got = integrand(xi, q)
         want = _unfolded_mirror_integrand(cavity, minkowski)(xi, q)
-        assert want.shape == (len(xi_d), len(q_d), 2)
-        assert got.shape == want.shape[:2] + columns
-        got = got if columns else got[..., None]
+        assert want.shape == (2, len(xi_d), len(q_d))
+        assert got.shape == columns + want.shape[1:]
+        got = got if columns else got[None]
         assert np.all(np.abs(got - want)
                       <= 4.0 * np.finfo(float).eps * np.abs(want))
 
@@ -1098,7 +1098,7 @@ def test_force_converges_only_if_the_summed_error_meets_its_target(
 
     def integrand(xi, q):
         f = np.exp(-xi * d / c - q * d) * (1.0 + np.sqrt(q * d))
-        return f[..., None] * np.array(scales)
+        return np.array(scales)[:, None, None] * f
 
     def sum_met(res, spec):
         return res.error_estimate.sum() <= max(
@@ -1109,7 +1109,7 @@ def test_force_converges_only_if_the_summed_error_meets_its_target(
         return (quadrature.double_semi_infinite(
             f, spec, d, 1e-21, temperature, columns=columns)
             for f, columns in ((integrand, (2,)), (
-                lambda xi, q: integrand(xi, q)[:, :, None], (1, 2))))
+                lambda xi, q: integrand(xi, q)[None], (1, 2))))
 
     for temperature in (0.0, 300.0):
         alone, grouped = rules_of(spec, temperature)
@@ -1166,8 +1166,8 @@ def test_one_column_mirror_force_is_the_group_of_its_two(
         assert columns == ()
         res = force(cavity, temperature, spec, policy, value)
         pair = quadrature.double_semi_infinite(
-            lambda xi, q: np.stack((integrand(xi, q),) * 2, axis=-1)[
-                :, :, None], spec, min(cavity.d1, cavity.d3), prefactor,
+            lambda xi, q: np.stack((integrand(xi, q),) * 2)[None], spec,
+            min(cavity.d1, cavity.d3), prefactor,
             temperature, *engine._zero_term(temperature, policy, value, False,
                                             per_polarization=True),
             index=engine._index(cavity.medium), columns=(1, 2))

@@ -21,6 +21,7 @@ from planarcasimir.materials import (
     eps_imag_axis,
     plasma,
 )
+from planarcasimir.quadrature import QuadratureSpec
 
 import direct_difference
 from direct_difference import cavity_interspaces
@@ -382,12 +383,14 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
                 want = _plate_column(plate, ambient, mode)
                 got = [float(x[row, a, b]) for x in rows]
                 assert got == pytest.approx(want, rel=1e-15, abs=0.0)
-    # Only the integrands turn the layout round: (s, p) columns come last,
-    # one group (1, 2) for a force.
+    # The integrands keep that layout: each one the engine hands to the core
+    # returns its columns, then the rows of xi and the nodes of q, in one
+    # C-contiguous array. A force's (s, p) are one group (1, 2), or one
+    # column where they are one array, and a profile's K heights K columns.
     seen = []
 
-    def capture(integrand, *args, **kwargs):
-        seen.append(integrand)
+    def capture(integrand, *args, columns=(), **kwargs):
+        seen.append((integrand, columns))
         return engine.IntegralResult(np.zeros((1, 2)), np.zeros((1, 2)), 0,
                                      True)
 
@@ -395,16 +398,28 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
     cavity = CavityConfig(Wall.stack(slabs, drude), ambient, 4e-7,
                           Layer(magnetic, 1e-7), 9e-7,
                           Wall.stack(slabs, MIRROR))
+    mirrors = [CavityConfig(Wall.perfect_mirror(), medium, 4e-7,
+                            PerfectMirrorPlate(), 9e-7, Wall.perfect_mirror())
+               for medium in (ambient, VACUUM)]
     view = cavity_interspaces(cavity)[0]
     engine.plate_force(cavity)
     direct_difference.plate_force(cavity)
     engine.minkowski_plate_force(cavity)
+    for mirror in mirrors:  # both mirror folds: (s, p), then one array
+        engine.plate_force(mirror)
+        engine.minkowski_plate_force(mirror)
+    # One array at T > 0 under a floor runs as the group of its two copies.
+    engine.minkowski_plate_force(mirrors[0], 300.0,
+                                 QuadratureSpec(abs_floor=1e-9))
     engine.stress_zz(view, 1.3e-7)
-    engine.stress_zz(view, np.array([1e-7, 2e-7, 3e-7]))
+    engine.stress_profile(view, 3)
     engine.minkowski_stress_zz(view)
-    shapes = [integrand(xi, q).shape for integrand in seen]
-    assert shapes == ([q.shape + (1, 2)] * 3
-                      + [q.shape, q.shape + (3,), q.shape])
+    assert [columns for _, columns in seen] == (
+        [(1, 2)] * 4 + [()] * 3 + [(1, 2), (), (3,), ()])
+    for integrand, columns in seen:
+        y = integrand(xi, q)
+        assert y.shape == columns + q.shape
+        assert y.flags.c_contiguous
 
 
 def _alternating_wall(a, b, slabs=20):

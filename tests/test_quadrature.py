@@ -268,7 +268,7 @@ def test_thermal_terms_are_judged_against_the_sum(policy, n_cols):
         m, v = xi / spacing, q * d
         hard = np.where(m > 1.5, v ** -0.9, 0.0)
         f = np.exp(-50.0 * m ** 2 - v) * (1.0 + hard)
-        return f[..., None] * scales if n_cols == 2 else f
+        return scales[:, None, None] * f if n_cols == 2 else f
 
     res = double_semi_infinite(integrand, QuadratureSpec(rel_tol=1e-10), d,
                                temperature=temperature,
@@ -355,7 +355,7 @@ def test_double_integral_replays_bit_for_bit():
 
     def integrand(xi, q):
         u, v = xi * d / c, q * d
-        return np.stack([np.exp(-u - v), np.exp(-2.0 * u - v) * v], axis=-1)
+        return np.stack([np.exp(-u - v), np.exp(-2.0 * u - v) * v])
 
     spec = QuadratureSpec(rel_tol=1e-9)
     for temperature in (0.0, 300.0):
@@ -374,7 +374,7 @@ def _grouped(scales, d=1e-6):
     whose q integral has a square-root edge at q = 0."""
     def integrand(xi, q):
         f = np.exp(-xi * d / c - q * d) * (1.0 + np.sqrt(q * d))
-        return f.reshape(f.shape + (1,) * scales.ndim) * scales
+        return scales.reshape(scales.shape + (1, 1)) * f
 
     return integrand
 
@@ -445,10 +445,11 @@ def test_the_q_rules_of_a_thermal_sum_judge_columns_alone():
     ids=["regrouped", "ungrouped", "fewer", "more"])
 def test_columns_of_another_shape_are_refused_by_name(
         temperature, declared, returned):
-    # A (2, 1) output where (1, 2) was declared holds as many columns, but
-    # would silently regroup them; it is refused, naming both shapes.
+    # The columns lead the rows and abscissas. A (2, 1) output where (1, 2)
+    # was declared holds as many columns, but would silently regroup them;
+    # it is refused, naming both shapes.
     def rows_of(columns):
-        return r"\(\d+, \d+" + "".join(f", {k}" for k in columns) + r"\)"
+        return r"\(" + "".join(f"{k}, " for k in columns) + r"\d+, \d+\)"
 
     with pytest.raises(ValueError, match=(
             rf"^integrand shape {rows_of(returned)}, not {rows_of(declared)}:"
@@ -513,11 +514,11 @@ def test_integrands_broadcast_frequency_rows(monkeypatch):
     q = rng.uniform(1e4, 3e7, size=(xi.size, 11))
     for integrand in integrands:
         rows = integrand(xi[:, None], q)
-        assert rows.shape[:2] == q.shape
+        assert rows.shape[-2:] == q.shape
         assert np.all(np.isfinite(rows))
         for i, x in enumerate(xi):
-            one = integrand(np.full((1, 1), x), q[i][None])[0]
-            np.testing.assert_allclose(rows[i], one, rtol=1e-14,
+            one = integrand(np.full((1, 1), x), q[i][None])[..., 0, :]
+            np.testing.assert_allclose(rows[..., i, :], one, rtol=1e-14,
                                        atol=1e-14 * np.abs(one).max())
 
 
@@ -607,7 +608,7 @@ def test_a_rule_of_two_weight_rows_is_two_rules(t_d, policy, rel_tol):
     d = 1e-6
     cavity = CavityConfig(Wall.perfect_mirror(), constant(), d,
                           PerfectMirrorPlate(), 3.0 * d, Wall.perfect_mirror())
-    integrand = engine._exact_difference_integrand(cavity)
+    integrand = engine._difference_rule(cavity)[0]
     temperature = t_d / d
     spacing = float(matsubara_frequency(1, temperature))
     head = int(policy == "half-weight")
