@@ -384,22 +384,15 @@ def _quadrature_compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
     Minkowski runs first, so a magnetic gap is refused before any integral."""
     mink = _force(rc, cavity, minkowski=True)
     force = _force(rc, cavity)
-    eps = _static_eps(cavity.medium)
-    ratio = None
-    if force.force_per_area != 0.0:
-        ratio = mink.force_per_area / force.force_per_area
+    eps, f, f_m = (_static_eps(cavity.medium), force.force_per_area,
+                   mink.force_per_area)
     return _compare_row(rc, {
-        "eps": eps,
-        "n": None if eps is None else eps ** 0.5,
-        "force_per_area_N_per_m2": force.force_per_area,
-        "minkowski_force_N_per_m2": mink.force_per_area,
-        "ratio_minkowski_over_force": ratio,
-        "d1_m": cavity.d1,
-        "d3_m": cavity.d3,
+        "eps": eps, "n": None if eps is None else eps ** 0.5,
+        "force_per_area_N_per_m2": f, "minkowski_force_N_per_m2": f_m,
+        "ratio_minkowski_over_force": None if f == 0.0 else f_m / f,
+        "d1_m": cavity.d1, "d3_m": cavity.d3,
         "force_converged": force.converged,
-        "minkowski_converged": mink.converged,
-        "mode": "quadrature",
-    })
+        "minkowski_converged": mink.converged, "mode": "quadrature"})
 
 
 def _cmd_sweep(rc: RunConfig, values: dict):

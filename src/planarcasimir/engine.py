@@ -41,7 +41,9 @@ xi -> 0 require an explicit zero-term policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,8 +66,8 @@ class InterspaceView:
 
     However it is built, its medium must have a finite response and its
     width be positive. The stress integrands see the walls only through their
-    reflections from the medium, from one ``Plan`` of the view compiled when
-    the observable starts.
+    reflections from the medium, from the one ``Plan`` of its structure in
+    the process (``_plan``).
     """
 
     medium: DispersionModel
@@ -137,6 +139,11 @@ def _g_terms(call, r_minus, r_plus, width):
     # r_+ r_- e^{-2 kappa d} once, so that mirror-image walls round alike.
     rr = r_plus * r_minus * np.exp(call.gap.kappa * (-2.0 * width))
     return pair * rr, surf, 1.0 - rr
+
+
+# The ``Plan`` of a (medium, walls, plate), compiled once per process: they
+# are frozen, so equal ones are one key, and an integrand call only reads it.
+_plan = lru_cache(maxsize=16)(Plan)
 
 
 def _index(medium: DispersionModel) -> float:
@@ -226,7 +233,7 @@ def stress_zz(
             f"z = {outside[0]} is on or beyond an interface of"
             f" (0, {view.width}); the stress diverges at the surfaces (set"
             " q_cutoff to study the near-surface region at finite resolution)")
-    plan = Plan(view.medium, (view.left, view.right))
+    plan = _plan(view.medium, (view.left, view.right))
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
                            plan.has_drude_like)
     h = heights[..., None, None]  # the heights lead, if there are any
@@ -269,7 +276,7 @@ def minkowski_stress_zz(
     if not np.isfinite(view.width):
         raise ValueError("the Minkowski stress needs a finite interspace"
                          f" width, got {view.width}")
-    plan = Plan(view.medium, (view.left, view.right))
+    plan = _plan(view.medium, (view.left, view.right))
     zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
                            plan.has_drude_like)
 
@@ -331,21 +338,27 @@ def _difference_rule(cavity: CavityConfig, minkowski=False):
     returns ``columns`` + (A, m) from one ``Plan``: (2,), columns (s, p),
     or (), one array for both, the mirror Minkowski and empty-gap ones.
     """
-    plan = Plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
-                cavity.plate)
+    plan = _plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
+                 cavity.plate)
     d1, d3 = -2.0 * cavity.d1, -2.0 * cavity.d3
 
     def integrand(xi, q):
         call = plan(xi, q)
         (mu, _), kappa, _ = call.gap
-        if plan.mirrors:  # r A = e_1, r B = e_3 and t = 0
+        if plan.mirrors:  # r A = e_1, r B = e_3, t = 0; in place, in order
             e1, e3 = np.exp(kappa * d1), np.exp(kappa * d3)
-            fold = q * (e3 - e1) / ((1.0 - e1) * (1.0 - e3))
+            fold = e3 - e1
+            fold *= q
+            fold /= np.multiply(np.subtract(1.0, e1, out=e1),
+                                np.subtract(1.0, e3, out=e3), out=e1)
+            fold *= kappa if minkowski else np.divide(-mu, kappa)
             if minkowski or plan.empty:  # s and p alike
-                return (kappa * fold if minkowski else (-mu / kappa) * fold
-                        * (-4.0 * (kappa * kappa)))
+                if not minkowski:
+                    fold *= np.multiply(kappa * kappa, -4.0, out=e3)
+                return fold
             pair, surf = _mode_coefficients(call)
-            return (-mu / kappa) * fold * (pair + 2.0 * DELTA * surf)
+            return np.multiply(np.add(pair, 2.0 * DELTA * surf, out=pair),
+                               fold, out=pair)
         (r_minus, r_plus), (r, t) = call.walls, call.plate
         a, b = r_minus * np.exp(kappa * d1), r_plus * np.exp(kappa * d3)
         n_den = (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
@@ -379,7 +392,7 @@ def _plate_force(cavity, integrand, columns, prefactor, temperature, spec,
     that implies the others, and s = p is half of it. At T > 0 the q rules
     judge each column against the floor, and a custom m = 0 amount gives s
     and p their own targets: with either, y runs as the group (y, y)."""
-    if not np.isfinite(min(cavity.d1, cavity.d3)):
+    if not math.isfinite(min(cavity.d1, cavity.d3)):
         raise ValueError("a plate force needs at least one finite gap, got"
                          f" d1 = {cavity.d1} and d3 = {cavity.d3}")
     head, amount = _zero_term(temperature, policy, value,

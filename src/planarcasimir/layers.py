@@ -28,7 +28,7 @@ returns its columns, (s, p) or heights, first, then (A, m). A perfect mirror
 is ``DELTA``, a (2, 1, 1) constant that broadcasts; the s and p coefficients
 are one expression whose kappa contrast is weighted by (mu, eps).
 
-An observable compiles its structure once into a ``Plan``: its distinct
+A structure is compiled once into a ``Plan`` (``engine._plan``): its distinct
 materials, constant ones with weights and n^2 fixed, the others with their
 oscillator constants squared; its interfaces by the materials they join, a
 reversed one the exact negation of its twin; each wall's fold by those

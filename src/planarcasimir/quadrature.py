@@ -10,7 +10,8 @@ weights at every level: the single node of a 1-D integral, or a set of
 thermal frequencies. A level's error is, per integrated axis, its change
 from the level before, squared where the axis was seen to double its digits
 (``_booked``), plus the end terms, and at least a few ulps of the sum of
-|weight * f|; the rule stops at the tolerance or at its last level. Results
+|weight * f|; the rule stops at the tolerance or at its last level. The
+verdict runs on floats, with numpy's NaNs and order of addition; results
 replay bit for bit. ``integrate_semi_infinite`` is the 1-D rule, and
 ``double_semi_infinite`` the tensor product of the rule in frequency and in
 momentum at T = 0. At T > 0 its frequency axis is the set of poles of a
@@ -103,10 +104,12 @@ _LOOSE = 1e-4
 _LINE = (-4.5, 3.875, None)
 _LINE_LEVELS = (3, 12)
 # Point-columns per integrand call, or one row; ``_nested`` cuts a block
-# into the fewest such calls, one row apart in size. mirror-cavity-0K passes
-# took 4.3, 3.6 and 3.0 ms at 7,200, 8,192 and 16,384, a gold cavity's force
-# 1.17, 1.22 and 1.36 ms: a richer integrand leaves L2 sooner (in-process
-# medians, 2-core Xeon).
+# into the fewest such calls, one row apart in size. A richer integrand
+# leaves L2 sooner: warm, 16,000 took 12-43% longer than 8,192 on gold and
+# mu = 100 cavity forces, the same on a stress and 14-22% less on mirror
+# forces. Temporaries past malloc's 128 KiB mmap threshold can take fresh
+# pages on every call: exp, mul and add took 69-95 us with 23 minor faults
+# a loop on 20,000 doubles, 32-48 us with none on 16,384 (2-core Xeon).
 _CHUNK = 8192
 # Nonzero Matsubara terms in the first and the last block of
 # ``matsubara_sum``; every later block is twice the one before, so a sum of
@@ -167,10 +170,7 @@ def _fixed(x: np.ndarray, w: np.ndarray):
 # The single node x = 0 of an axis not integrated.
 _POINT = _fixed(np.zeros(1), np.ones((1, 1)))
 # A new level halves S_k into S_k-1 as S_k-1 becomes S_k-2; end rows stay.
-_KEEP, _HALVE = [0, 0, 1, 3, 4], np.array([0.5, 1.0, 1.0, 1.0, 1.0])
-# Of each column's sums of two integrated axes, the inner and the outer line.
-_LINES = (slice(None), None, np.array([[0] * 5, range(5)]),
-          np.array([range(5), [0] * 5]))
+_KEEP, _HALVE = np.array([0, 0, 1, 3, 4]), np.array([0.5, 1, 1, 1, 1.0])
 
 
 def _singular_values(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -233,6 +233,11 @@ def _pade(order: int):
     return poles, residues, float(rounding)
 
 
+def _max(a, b):
+    """np.maximum of floats a and b: NaN if either is, b if they are equal."""
+    return a if a > b or a != a else b
+
+
 def _booked(change, before, total):
     """The error booked for a step of ``change`` after one of ``before``.
 
@@ -240,23 +245,40 @@ def _booked(change, before, total):
     so its error after the step is about change**2/|total|. That is booked,
     times ``_SQUARE`` and never above the change itself, only where the two
     steps showed the doubling: K*before <= |total|, the step before gained
-    digits, and change*|total| <= K*before**2, K = ``_DOUBLING``. Elsewhere
-    the change itself is booked.
+    digits, and change*|total| <= K*before**2, K = ``_DOUBLING``. Elsewhere,
+    and wherever a NaN is, the change itself is booked. Floats in and out.
     """
-    size, twice = np.abs(total), _DOUBLING * before
-    doubled = (change * size <= twice * before) & (twice <= size)
-    return change if not doubled.any() else np.where(doubled, np.minimum(
-        change, _SQUARE * change * change / np.maximum(size, _TINY)), change)
+    size, twice = abs(total), _DOUBLING * before
+    if change * size <= twice * before and twice <= size:
+        square = _SQUARE * change * change / max(size, _TINY)
+        return change if change < square else square  # as np.minimum
+    return change
 
 
-def _judged(x, shape):
-    """What a rule judges of x, its columns of ``shape`` leading: the
-    columns, then, for G groups of k, (G, k), each group's sum (one
-    reduction: an index alone where the next is not larger, else its run)."""
+def _sum(xs):
+    """The floats xs summed in numpy's pairwise order, bit for bit."""
+    n, total = len(xs), -0.0
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(xs[:half]) + _sum(xs[half:])
+    if n >= 8:  # eight running sums, then the rest in turn
+        r = xs[:8]
+        for i in range(8, n - n % 8, 8):
+            r = [a + b for a, b in zip(r, xs[i:i + 8])]
+        xs, total = xs[n - n % 8:], (((r[0] + r[1]) + (r[2] + r[3]))
+                                     + ((r[4] + r[5]) + (r[6] + r[7])))
+    for x in xs:
+        total += x
+    return total
+
+
+def _judged(xs, shape):
+    """The floats xs of the columns of ``shape``, then, for G groups of k,
+    (G, k), each group's sum: its first plus ``_sum`` of the rest."""
     if len(shape) < 2:
-        return x
-    n, k = math.prod(shape), shape[1]
-    return np.add.reduceat(x.reshape(n, -1), [*range(n), *range(0, n, k)])
+        return xs
+    k = shape[1]
+    return xs + [xs[i] + _sum(xs[i + 1:i + k]) for i in range(0, len(xs), k)]
 
 
 def _nested(f: Callable, outer, inner, levels: tuple[int, int],
@@ -272,15 +294,16 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
     every second and every fourth node, so one pass yields an error; each
     later level evaluates the nodes it adds. A block takes the fewest calls
     of at most ``_CHUNK`` point-columns, or one row, one row apart in size.
-    Each integrated axis books (``_booked``) the change of S_k as it alone
-    drops to level k-1, after its change from k-2 to k-1, plus the end
-    terms, integrals along the end lines of each such axis per unit t;
-    ``_ULPS`` ulps of the sum of |weight * f| are the least error. Every
-    column of every sum meets ``max(rel_tol*|S_k|, abs_floor)``, and, with
-    an integrated outer axis, each group's sum with the sum of its errors
-    (``_judged``); a fixed axis's sums are terms the caller judges. Returns
-    (value, error, points, converged, upper end term of the inner axis, sum
-    of |weight * f|), of shape ``shape`` led by R sums for a fixed axis.
+    The level's verdict runs on its sums as floats: each integrated axis
+    books (``_booked``) the change of S_k as it alone drops to level k-1,
+    after its change from k-2 to k-1, plus the end terms, integrals along
+    the end lines of each such axis per unit t; ``_ULPS`` ulps of the sum of
+    |weight * f| are the least error. Every column of every sum meets
+    ``max(rel_tol*|S_k|, abs_floor)``, and, with an integrated outer axis,
+    each group's sum with the sum of its errors (``_judged``); a fixed
+    axis's sums are terms the caller judges. Returns (value, error, points,
+    converged, upper end term of the inner axis, sum of |weight * f|), of
+    shape ``shape`` led by R sums for a fixed axis.
     """
     first, last = levels
     integrated = len(outer) == 3
@@ -293,9 +316,9 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
             blocks = [(range(u.size), range(v.size))]
         else:
             blocks = [(odd_u, range(v.size)), (even_u, odd_v)]
-            sums, size = sums[..., _KEEP] * _HALVE, 0.5 * size
+            sums, size = sums.take(_KEEP, -1) * _HALVE, 0.5 * size
             if integrated:
-                sums, size = sums[:, _KEEP] * _HALVE[:, None], 0.5 * size
+                sums, size = sums.take(_KEEP, 1) * _HALVE[:, None], 0.5 * size
         for rows, nodes in blocks:
             cols = slice(nodes.start, nodes.stop, nodes.step)
             n = -(-len(rows) // max(1, _CHUNK // (len(nodes) * columns)))
@@ -324,35 +347,40 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
                                          f" value at x = {v[nodes[j]]}{where}")
                 sums = sums + wu @ y @ wv.T
                 size = size + mass
-        # Per column, sum and integrated axis, inner and then outer: S with it
-        # alone at levels k, k-1 and k-2, then its end lines.
-        lines = sums[_LINES] if integrated else sums[..., None, :]
-        total = lines[:, :, 0, 0]
-        steps = np.abs(lines[..., :2] - lines[..., 1:3])
-        change, before = steps[..., 0], steps[..., 1]
-        bound = np.abs(lines[..., 3:]).sum(axis=(2, 3))
-        # A tensor rule's levels 1 and 2 are too coarse to show doubling.
-        booked = (_booked(change, before, total[..., None])
-                  if level > 3 or not integrated else change)
-        error = np.maximum(booked.sum(axis=-1) + bound, _FLOOR * size)
+        # Per column and sum, on floats: S of each integrated axis, inner and
+        # then outer, alone at levels k, k-1 and k-2, then its end lines. A
+        # tensor rule's levels 1 and 2 are too coarse to show doubling.
+        judge, verdict = level > 3 or not integrated, []
+        for column, masses in zip(sums.tolist(), size.tolist()):
+            for lines, mass in zip([(column[0], [s[0] for s in column])]
+                                   if integrated else zip(column), masses):
+                total, booked, worst, bound = lines[0][0], 0.0, 0.0, 0.0
+                for s in lines:
+                    step, prior = abs(s[0] - s[1]), abs(s[1] - s[2])
+                    booked += _booked(step, prior, total) if judge else step
+                    worst += _max(step, prior)
+                    bound = bound + abs(s[3]) + abs(s[4])
+                verdict.append((total, _max(booked + bound, _FLOOR * mass),
+                                abs(lines[0][4]), mass, worst + bound))
         groups = shape if integrated else ()
-        converged = bool((_judged(error, groups) <= np.maximum(
-            rel_tol * np.abs(_judged(total, groups)), abs_floor)).all())
+        converged = all(e <= _max(rel_tol * abs(t), abs_floor) for e, t in zip(
+            *(_judged([row[i] for row in verdict], groups) for i in (1, 0))))
         if converged or level == last:
             break
+    # Columns, sums, then (value, error, top, mass, unsettled): R sums lead.
+    out = np.array(verdict).reshape(sums.shape[0], -1, 5).T.copy()
     if not converged:
         # The levels have not settled (rounding noise need not shrink from
         # one level to the next), so book the larger of the last two changes.
-        error = np.maximum(error, np.maximum(change, before).sum(axis=-1)
-                           + bound)
-    shape = (() if integrated else total.shape[1:]) + shape  # R sums lead
-    return (total.T.reshape(shape), error.T.reshape(shape), evals, converged,
-            np.abs(lines[:, :, 0, 4]).T.reshape(shape), size.T.reshape(shape))
+        np.maximum(out[1], out[4], out=out[1])
+    shape = (() if integrated else out.shape[1:2]) + shape
+    value, error, top, mass = (x.reshape(shape) for x in out[:4])
+    return value, error, evals, converged, top, mass
 
 
 def _plain(x):
     """A float for one column, the ndarray for several."""
-    return float(x) if np.ndim(x) == 0 else x
+    return float(x) if getattr(x, "ndim", 0) == 0 else x
 
 
 def integrate_semi_infinite(
@@ -424,7 +452,7 @@ def double_semi_infinite(
     for name, bound in (("d_ref", d_ref), ("index", index)):
         if not 0.0 < bound < np.inf:
             raise ValueError(f"{name} must be finite and positive: {bound}")
-    if not (np.isfinite(prefactor) and prefactor != 0.0):
+    if not (math.isfinite(prefactor) and prefactor != 0.0):
         raise ValueError(f"prefactor must be finite and nonzero: {prefactor}")
     if not 0.0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0: {temperature}")
@@ -492,11 +520,11 @@ def _pade_sum(f: Callable, shape: tuple[int, ...], inner,
     step before, plus the table's rounding times the sum of |weight * f|,
     must fit in what the q errors leave of max(rel_tol*|S_N + amount|,
     floor), ``amount`` the m = 0 term to add, or meet it alone once they
-    leave nothing, for each column and group sum of ``_judged``. The first
-    order's step is the sum itself, so the second books its plain step; the
-    two are one rule of two sums over their poles and one m = 0 node. The
-    error is that change plus the q errors; the orders stop there or,
-    unconverged, at 512, judged on every target.
+    leave nothing, for each column and group sum of ``_judged``, on floats
+    as in ``_nested``. The first order's step is the sum itself, so the
+    second books its plain step; the two are one rule of two sums over their
+    poles and one m = 0 node. The error is that change plus the q errors;
+    the orders stop there or, unconverged, at 512, judged on every target.
     """
     spacing = float(matsubara_frequency(1, temperature))
     # The decay scale in units of k_B T/hbar, which a table of order N
@@ -506,24 +534,29 @@ def _pade_sum(f: Callable, shape: tuple[int, ...], inner,
     while order < last and order**2 < 4.0 * span:
         order *= 2
     orders = [order << i for i in range((last // order).bit_length())]
-    before, drift, points = 0.0, 0.0, 0
+    amounts = np.full(shape, amount).ravel().tolist()
+    before, drift, points = [0.0] * len(amounts), [0.0] * len(amounts), 0
     for rule in [tuple(orders[:2])] + [(n,) for n in orders[2:]]:
         x, w, roundings = _pade_rule(rule, int(head))
         values, q_errors, n, _, _, masses = _nested(
             f, _fixed(x * spacing, w * spacing), inner, _TERM_LEVELS,
             0.1 * spec.rel_tol, floor, shape)
         points += n
-        for order, value, q_error, mass, rounding in zip(
-                rule, values, q_errors, masses, roundings):
-            step = np.abs(value - before)
-            change = _booked(step, drift, value) + rounding * mass
+        for order, value, q_error, mass, rounding in zip(rule, *(
+                a.reshape(len(rule), -1).tolist()  # the verdict's floats
+                for a in (values, q_errors, masses)), roundings.tolist()):
+            step = [abs(v - b) for v, b in zip(value, before)]
+            change = [_booked(s, d, v) + rounding * m
+                      for s, d, v, m in zip(step, drift, value, mass)]
             moved, q_part, target = (_judged(x, shape) for x in (
-                change, q_error, value + amount))
-            goal = np.maximum(spec.rel_tol * np.abs(target), floor)
-            room = np.where(q_part < goal, goal - q_part, goal)
-            if (moved <= room).all() or order == last:
-                return (value, change + q_error, points,
-                        bool((moved + q_part <= goal).all()))
+                change, q_error, [v + a for v, a in zip(value, amounts)]))
+            goal = [_max(spec.rel_tol * abs(t), floor) for t in target]
+            if order == last or all(m <= (g - q if q < g else g)
+                                    for m, q, g in zip(moved, q_part, goal)):
+                value, error = (np.array(x).reshape(shape) for x in (
+                    value, [c + q for c, q in zip(change, q_error)]))
+                return value, error, points, all(
+                    m + q <= g for m, q, g in zip(moved, q_part, goal))
             before, drift = value, step
 
 

@@ -1,4 +1,6 @@
+import pickle
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -698,20 +700,28 @@ def test_pade_sum_started_below_its_span_keeps_the_plain_change(
     # shows the digit doubling a squared change needs, so both book the
     # plain change.
     pade_sum, booked = quadrature._pade_sum, quadrature._booked
-    steps = []
+    nested, inside, steps = quadrature._nested, [], []
 
     def forced(*args):
         return pade_sum(*args[:-1], 0.25 * args[-1])
 
+    def rule(*args):
+        inside.append(True)
+        try:
+            return nested(*args)
+        finally:
+            inside.pop()
+
     def spy(change, before, total):
         out = booked(change, before, total)
-        # A Pade step has the shape of the columns, () for the one column
-        # s + p; the nested rules book an array per axis, sum and column.
-        if np.ndim(change) < 3:
+        # A Pade step is booked outside the nested q rules, whose own steps
+        # are floats too.
+        if not inside:
             steps.append((change, out))
         return out
 
     monkeypatch.setattr(quadrature, "_pade_sum", forced)
+    monkeypatch.setattr(quadrature, "_nested", rule)
     monkeypatch.setattr(quadrature, "_booked", spy)
     temperature, d1, d3 = 10.0, 1e-6, 5e-5
     cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, d1,
@@ -969,7 +979,8 @@ def test_empty_gap_bracket_is_the_general_one_bit_for_bit(
             assert self.empty
             self.empty = False
 
-    monkeypatch.setattr(engine, "Plan", Unfolded)
+    # The engine's plans come from one cache; this one bypasses it.
+    monkeypatch.setattr(engine, "_plan", Unfolded)
     general = _difference_rule(cavity)[0]
     formed = []
     real = engine._mode_coefficients
@@ -982,6 +993,76 @@ def test_empty_gap_bracket_is_the_general_one_bit_for_bit(
     if isinstance(plate, PerfectMirrorPlate):
         got = np.stack((got,) * 2)
     assert got.tobytes() == want.tobytes()
+
+
+def _fresh_gold_cavity():
+    """A coated-gold cavity built of new objects, equal at every call."""
+    gold = drude_lorentz(1.37e16, 0.0, 5.3e13)
+    return CavityConfig(
+        Wall.stack([Layer(constant(eps=3.0), 5e-8)], gold), constant(eps=2.0),
+        1e-6, Layer(gold, 2e-7), 2e-6,
+        Wall.semi_infinite(drude_lorentz(1.37e16, 0.0, 5.3e13)))
+
+
+def _force_bits(res):
+    return [float(x).hex() for x in (res.force_per_area, res.error_estimate,
+                                     *res.per_polarization.values())] + [
+        res.converged, res.evaluations]
+
+
+@pytest.mark.parametrize("temperature", [0.0, 300.0])
+def test_the_plan_cache_cannot_change_a_result(monkeypatch, temperature):
+    # One structure's plan serves every force and stress on it. The same
+    # force, bit for bit: on an empty cache, after unrelated structures
+    # filled it, and from equal but distinct media, walls and plate, which
+    # find the first one's plan.
+    monkeypatch.setattr(engine, "_plan", lru_cache(maxsize=16)(layers.Plan))
+    policy = "drop" if temperature else None
+    cavity = _fresh_gold_cavity()
+    first = plate_force(cavity, temperature, zero_term_policy=policy)
+    for eps in (1.0, 3.0, 7.0):
+        mirrors = CavityConfig(Wall.perfect_mirror(), constant(eps=eps), 1e-6,
+                               PerfectMirrorPlate(), 3e-6, Wall.perfect_mirror())
+        plate_force(mirrors, temperature)
+        minkowski_plate_force(mirrors, temperature)
+    stress_zz(_gold_gap(), 3e-7, temperature, zero_term_policy=policy)
+    assert engine._plan.cache_info().currsize == 5
+    again = plate_force(cavity, temperature, zero_term_policy=policy)
+    hits = engine._plan.cache_info().hits
+    equal = plate_force(_fresh_gold_cavity(), temperature,
+                        zero_term_policy=policy)
+    assert engine._plan.cache_info().hits == hits + 1
+    assert _force_bits(first) == _force_bits(again) == _force_bits(equal)
+
+
+def test_integrand_calls_leave_their_cached_plan_as_it_was():
+    # The integrands read their cached plan and q and write neither, the
+    # in-place mirror folds (empty gap, filled gap, dispersive gap,
+    # Minkowski) included, at q of one row and of a row per frequency.
+    xi = np.geomspace(1e12, 3e16, 5)[:, None]
+    row = np.geomspace(1e3, 3e8, 9)[None]
+    gaps = (VACUUM, constant(eps=3.0), drude_lorentz(3e15, 5e15, 1e13))
+    cavities = [CavityConfig(Wall.perfect_mirror(), gap, 1e-6,
+                             PerfectMirrorPlate(), 3e-6, Wall.perfect_mirror())
+                for gap in gaps] + [_fresh_gold_cavity()]
+    delta = layers.DELTA.tobytes()
+    for cavity, minkowski in zip(cavities * 2, [False] * 4 + [True] * 4):
+        f = _difference_rule(cavity, minkowski)[0]
+        plan = engine._plan(cavity.medium, (cavity.left_wall,
+                                             cavity.right_wall), cavity.plate)
+        state = pickle.dumps(vars(plan))
+        for q in (row, np.repeat(row, len(xi), axis=0)):
+            before = q.tobytes()
+            assert np.isfinite(f(xi, q)).all()
+            assert q.tobytes() == before
+        assert pickle.dumps(vars(plan)) == state
+    view = _gold_gap()
+    plan = engine._plan(view.medium, (view.left, view.right))
+    state = pickle.dumps(vars(plan))
+    stress_zz(view, np.array([2e-7, 5e-7]))
+    minkowski_stress_zz(view)
+    assert pickle.dumps(vars(plan)) == state
+    assert layers.DELTA.tobytes() == delta
 
 
 def _unfolded_mirror_integrand(cavity, minkowski):

@@ -1,8 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 from scipy.constants import Boltzmann, c, hbar
@@ -145,8 +146,84 @@ def test_kinked_integrand_keeps_the_plain_change(monkeypatch, rel_tol):
                                   QuadratureSpec(rel_tol=rel_tol))
     assert res.converged is (rel_tol > 1e-8)
     assert abs(res.value - 2.0 / np.e) <= res.error_estimate
+    # One step per level, from the first, which reads the two before it, to
+    # the one whose nodes were the last evaluated.
+    first, _ = quadrature._LINE_LEVELS
+    last = next(level for level in range(first, 13) if quadrature._axis(
+        quadrature._LINE, level)[0].size == res.evaluations)
+    assert len(steps) == last - first + 1
     for change, out in steps:
         np.testing.assert_array_equal(out, change)
+
+
+def _booked_array(change, before, total):
+    """The array form of ``quadrature._booked`` that the float one replaced."""
+    size, twice = np.abs(total), quadrature._DOUBLING * before
+    doubled = (change * size <= twice * before) & (twice <= size)
+    return change if not doubled.any() else np.where(doubled, np.minimum(
+        change, quadrature._SQUARE * change * change
+        / np.maximum(size, quadrature._TINY)), change)
+
+
+def _judged_array(x, shape):
+    """The array form of ``quadrature._judged`` that the float one replaced."""
+    if len(shape) < 2:
+        return x
+    n, k = math.prod(shape), shape[1]
+    return np.add.reduceat(x.reshape(n, -1), [*range(n), *range(0, n, k)])
+
+
+_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                          1e-300, 1.0, 1e300, 1.7976931348623157e308, np.inf,
+                          -np.inf, np.nan])
+_SHAPES = st.one_of(st.just(()), st.tuples(st.integers(1, 5)),
+                    st.tuples(st.integers(1, 3), st.integers(1, 140)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).ravel().tobytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(pool=st.lists(st.one_of(_EDGES, st.floats()), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1), shape=_SHAPES)
+@example(pool=[1.0, -2.5e-3, 7.3e5, 3.1e-9], seed=1, shape=(2, 140))
+@example(pool=[1.0, -2.5e-3, 7.3e5, 3.1e-9], seed=2, shape=(1, 300))
+def test_float_verdict_is_the_array_one_bit_for_bit(pool, seed, shape):
+    # The float ``_booked``, ``_judged`` and ``_max`` against the array
+    # formulas they replaced, on zeros of either sign, subnormals, huge
+    # values, infinities and NaNs drawn into every column: the same bits,
+    # NaNs and equal zeros kept as np.minimum and np.maximum keep them, and
+    # group sums added in numpy's order (the first, then pairwise), for
+    # every column shape the core takes: (), (K,) and G groups of k, k past
+    # numpy's blocks of 8 and 128.
+    change, before, total = np.random.default_rng(seed).choice(
+        np.array(pool), size=(3, math.prod(shape)))
+    with np.errstate(all="ignore"):
+        want = _booked_array(change, before, total)
+        got = [quadrature._booked(*args) for args in zip(
+            change.tolist(), before.tolist(), total.tolist())]
+        assert _bits(got) == _bits(want)
+        assert _bits(quadrature._judged(change.tolist(), shape)) == _bits(
+            _judged_array(change, shape))
+    for a, b in ((change, before), (before, change)):
+        assert _bits([quadrature._max(*args) for args in zip(
+            a.tolist(), b.tolist())]) == _bits(np.maximum(a, b))
+
+
+@pytest.mark.parametrize("temperature, points", [(0.0, 124545), (300.0, 8625)])
+def test_sums_that_overflow_keep_the_nan_of_their_changes(temperature, points):
+    # Finite values whose weighted sums overflow: a level's change is then
+    # inf - inf, a NaN that the float verdict keeps as the array one did,
+    # so the error is NaN, not a number, and no level converges.
+    def f(xi, q):
+        return 1e307 * np.exp(-q * (1e-6 / 30.0) - xi * (1e-6 / (30.0 * c)))
+
+    with pytest.warns(RuntimeWarning):
+        res = double_semi_infinite(f, SPEC, 1e-6, 1.0, temperature)
+    assert res.value == np.inf and np.isnan(res.error_estimate)
+    assert not res.converged
+    assert res.evaluations == points
 
 
 def test_two_column_integrand_meets_each_relative_target():
