@@ -534,9 +534,9 @@ def main(argv=None) -> int:
         return 2
     if n_bad:
         print(f"warning: {args.command}: {n_bad} of {len(rows)} result(s) did"
-              " not reach the requested tolerance (raise --rel-tol; thermal"
-              " sums stop at 512 Pade poles); error estimates stay honest",
-              file=sys.stderr)
+              " not reach the requested tolerance (raise --rel-tol or"
+              " [quadrature] abs_floor; thermal sums stop once rounding or q"
+              " rules miss it); error estimates stay honest", file=sys.stderr)
         return 3
     return 0
 

@@ -33,10 +33,10 @@ plate of a cavity is F = T_zz(gap 3) - T_zz(gap 1) evaluated at the plate
 faces; F > 0 pushes the plate toward +z (toward gap 3's far wall).
 
 At temperature T > 0 the xi integral becomes the weighted sum over bosonic
-frequencies xi_m = 2 pi m k_B T/hbar, evaluated as the Pade pole sum of
-``quadrature._pade_sum`` (``quadrature.matsubara_sum`` sums the xi_m
-themselves and is its reference); media whose response diverges at
-xi -> 0 require an explicit zero-term policy.
+frequencies xi_m = 2 pi m k_B T/hbar: its terms, or the first of them plus
+the 0 K rule with Gregory's end correction (``quadrature._thermal_sum``;
+``quadrature.matsubara_sum`` is its reference). Media whose response
+diverges at xi -> 0 require an explicit zero-term policy.
 """
 
 from __future__ import annotations

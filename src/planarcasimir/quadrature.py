@@ -14,11 +14,10 @@ from the level before, squared where the axis was seen to double its digits
 verdict runs on floats, with numpy's NaNs and order of addition; results
 replay bit for bit. ``integrate_semi_infinite`` is the 1-D rule, and
 ``double_semi_infinite`` the tensor product of the rule in frequency and in
-momentum at T = 0. At T > 0 its frequency axis is the set of poles of a
-Pade spectrum decomposition of the Bose function (``_pade``), a few hundred
-imaginary frequencies where the Matsubara sum needs thousands, and the
-order of the decomposition doubles until its change, booked the same way,
-meets the target (``_pade_sum``, the first two orders in one rule).
+momentum at T = 0. At T > 0 its frequency axis is a fixed axis of Matsubara
+frequencies (``_thermal_sum``): all the terms the sum needs where they cost
+less than the 0 K rule, or else the first ones plus the 0 K rule above
+them, corrected by Gregory's formula, whose last differences book the rest.
 ``matsubara_sum``, their reference, sums Matsubara terms in blocks.
 """
 
@@ -93,7 +92,7 @@ _FREQUENCY = (-4.0, 1.625, None)
 # Top of the q range under a cutoff, where v = V x/(1 + x) is V to 2e-17.
 _CUTOFF_TOP = 3.875
 # First and last level of the 0 K tensor rule and of the q rule of each
-# Pade order of a thermal sum. On a vacuum mirror cavity the q rule
+# row of Matsubara terms. On a vacuum mirror cavity the q rule
 # changes by about 3e-9 from level 3 to level 4; squared, that change meets
 # a tenth of rel_tol 1e-8, where the plain change needed level 5. From
 # rel_tol _LOOSE up a tensor rule starts at level 3 (2,024 points): 9.3e-5
@@ -115,12 +114,19 @@ _CHUNK = 8192
 # ``matsubara_sum``; every later block is twice the one before, so a sum of
 # n terms takes about log2(n/4) blocks, and it stops at 16,380 terms.
 _BLOCKS = (4, 8192)
-# Smallest and largest order of the Pade tables of the thermal sums of
-# ``double_semi_infinite``; the largest must be the smallest times a power
-# of 2, which the doubling orders then meet exactly. The largest keeps the
-# build of a table well under a second (0.13 s on a 2-core Xeon; order
-# 1,024 takes 1.2 s).
-_PADE_ORDERS = (8, 512)
+# Gregory's coefficients c_k, of t/ln(1 + t) from t**2 on: h Sum'_{m>=M}
+# g(xi_m), xi_m = m h and m = M at half weight, is the integral of g over
+# xi >= xi_M plus h Sum_k c_k delta**k g(xi_M), delta the forward
+# difference. A thermal sum takes K = 10, books its rest with c_11 and sums
+# m < _HEAD itself: a part that falls within a few spacings (the wider gap
+# of a cavity) defeats the differences. Against the exact mirror force, 150
+# draws of T d1 in 3e-6..9e-5 K m and d3/d1 in 1.2..80, the rest booked
+# from M = 8 held every true one above 1e-12 but one, by 1.3x; from M = 0
+# it fell 10x short at d3/d1 = 50.
+_GREGORY = (-1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192,
+            -33953 / 3628800, 8183 / 1036800, -3250433 / 479001600,
+            4671 / 788480, -13695779093 / 2615348736000)
+_HEAD = 8
 # The factor on a squared change and the ratio that shows digit doubling
 # (``_booked``), and the error floor in ulps of the sum of |weight * f|:
 # the least that bound the errors of the known 1-D integrals, of 0 K
@@ -171,66 +177,6 @@ def _fixed(x: np.ndarray, w: np.ndarray):
 _POINT = _fixed(np.zeros(1), np.ones((1, 1)))
 # A new level halves S_k into S_k-1 as S_k-1 becomes S_k-2; end rows stay.
 _KEEP, _HALVE = np.array([0, 0, 1, 3, 4]), np.array([0.5, 1, 1, 1, 1.0])
-
-
-def _singular_values(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Descending singular values of a bidiagonal matrix.
-
-    The matrix has ``diagonal`` and the superdiagonal ``upper``, and one
-    column more than ``upper`` has entries.
-    """
-    matrix = np.zeros((diagonal.size, upper.size + 1))
-    matrix[np.arange(diagonal.size), np.arange(diagonal.size)] = diagonal
-    matrix[np.arange(upper.size), np.arange(1, upper.size + 1)] = upper
-    return np.linalg.svd(matrix, compute_uv=False)
-
-
-@lru_cache(maxsize=None)
-def _pade(order: int):
-    """(poles, residues, rounding) of the [N-1/N] Pade table, N = ``order``.
-
-    The Pade spectrum decomposition of the Bose function (Hu, Xu & Yan,
-    J. Chem. Phys. 133, 101106 (2010)) writes
-    coth(x/2) = 2/x + sum_j 4 eta_j x/(x**2 + xi_j**2), which rebuilds
-    coth(x/2) to rounding for x up to about N**2/4; a thermal sum over the
-    Matsubara frequencies 2 pi m k_B T/hbar becomes a sum over the N poles
-    xi_j k_B T/hbar with weights eta_j. With b_m = 2m + 1, the 2N x 2N
-    tridiagonal of zero diagonal and off-diagonal e_m = (b_m b_{m+1})**-1/2
-    has the eigenvalues +-s, s the singular values of the N x N bidiagonal
-    of diagonal e_1, e_3, ... and superdiagonal e_2, e_4, ... (its
-    Golub-Kahan form); the poles are xi_j = 2/s_j. The zeta_k = 2/s_k of the
-    (N-1) x N bidiagonal of e_2, e_3, ... give the residues
-    eta_j = (N b_{N+1}/2) prod_k (zeta_k**2 - xi_j**2)/(xi_k'**2 - xi_j**2)
-    over the poles k' != j in order, a product of ratios that interlace
-    and so neither overflows nor underflows. ``rounding`` is twice the
-    larger of two measures of the table's own rounding: the relative error
-    of the rebuilt coth(x/2) on a grid of x in (0, N], and the distance of
-    the first N/8 poles and residues from 2 pi j and 1, which the exact
-    table meets far below rounding from order 8 on. The arrays are
-    read-only.
-    """
-    b = 2.0 * np.arange(1, 2 * order + 1) + 1.0
-    e = 1.0 / np.sqrt(b[:-1] * b[1:])
-    poles = 2.0 / _singular_values(e[0::2], e[1::2])
-    zeta = 2.0 / _singular_values(e[1::2], e[2::2])
-    residues = np.empty(order)
-    for j, pole in enumerate(poles):
-        others = np.delete(poles, j)
-        residues[j] = 0.5 * order * b[order] * np.prod(
-            (zeta - pole) * (zeta + pole)
-            / ((others - pole) * (others + pole)))
-    x = np.linspace(0.0, order, 4 * order + 1)[1:]
-    rebuilt = 2.0 / x
-    for pole, residue in zip(poles, residues):
-        rebuilt += 4.0 * residue * x / (x * x + pole * pole)
-    first = np.arange(max(1, order // 8))
-    rounding = 2.0 * max(
-        np.abs(rebuilt * np.tanh(0.5 * x) - 1.0).max(),
-        np.abs(poles[first] / (2.0 * np.pi * (first + 1)) - 1.0).max(),
-        np.abs(residues[first] - 1.0).max())
-    poles.setflags(write=False)
-    residues.setflags(write=False)
-    return poles, residues, float(rounding)
 
 
 def _max(a, b):
@@ -362,9 +308,10 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
                     bound = bound + abs(s[3]) + abs(s[4])
                 verdict.append((total, _max(booked + bound, _FLOOR * mass),
                                 abs(lines[0][4]), mass, worst + bound))
-        groups = shape if integrated else ()
+        groups, judged = ((shape, verdict) if integrated
+                          else ((), verdict[::sums.shape[1]]))
         converged = all(e <= _max(rel_tol * abs(t), abs_floor) for e, t in zip(
-            *(_judged([row[i] for row in verdict], groups) for i in (1, 0))))
+            *(_judged([row[i] for row in judged], groups) for i in (1, 0))))
         if converged or level == last:
             break
     # Columns, sums, then (value, error, top, mass, unsettled): R sums lead.
@@ -441,13 +388,13 @@ def double_semi_infinite(
     At T = 0 the rule is the tensor product of the q rule with the rule in
     u = index*xi*d_ref/c from 2.4e-19 to 46, levels 4 to 6 (7,917 to
     124,545 points without a cutoff), or 3 to 6 from 2,024 points where
-    ``spec.rel_tol`` is at least 1e-4. At T > 0 the xi integral is the
-    thermal sum of ``_pade_sum``, with m = 0 at half weight if ``head``,
-    and a given m = 0 ``amount`` (per column, checked by
-    ``engine._zero_term``) is added to it; 0 K has no m = 0 term to add.
-    Either rule judges the value it returns, at every temperature: each
-    column, and each group's sum with the sum of its errors, must meet
-    max(rel_tol*|.|, abs_floor). ``evaluations`` counts integrand points.
+    ``spec.rel_tol`` is at least 1e-4. At T > 0 the xi integral is the sum
+    of ``_thermal_sum``, with m = 0 at half weight if ``head``, plus a given
+    m = 0 ``amount`` (per column, checked by ``engine._zero_term``); 0 K has
+    no m = 0 term to add. Either rule judges the value it returns, at every
+    temperature: each column, and each group's sum with the sum of its
+    errors, must meet max(rel_tol*|.|, abs_floor), and a result not finite
+    once scaled is not converged. ``evaluations`` counts integrand points.
     """
     for name, bound in (("d_ref", d_ref), ("index", index)):
         if not 0.0 < bound < np.inf:
@@ -456,30 +403,35 @@ def double_semi_infinite(
         raise ValueError(f"prefactor must be finite and nonzero: {prefactor}")
     if not 0.0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0: {temperature}")
-    # The rules sum in v, and at T = 0 in u, without the prefactor and the
-    # Jacobians of those variables, which scale the result; so must the floor.
-    jac = c / (index * d_ref) if temperature == 0.0 else 1.0
+    # The rules sum in u and v without the prefactor and the Jacobians of
+    # those variables, which scale the result; so must the floor.
+    jac = c / (index * d_ref)
     scale = prefactor * jac / d_ref
     floor = 0.0 if spec.abs_floor == 0.0 else spec.abs_floor / abs(scale)
     v_axis = _MOMENTUM if spec.q_cutoff is None else (
         _MOMENTUM[0], _CUTOFF_TOP, spec.q_cutoff * d_ref)
+    first = 3 if spec.rel_tol >= _LOOSE else _TENSOR_LEVELS[0]
+
+    def tensor(xi):  # the 0 K rule over frequencies from xi on
+        return _nested(lambda u, v: integrand_si(xi + u * jac, v / d_ref),
+                       _FREQUENCY, v_axis, (first, _TENSOR_LEVELS[1]),
+                       spec.rel_tol, floor, columns)
+
     if temperature == 0.0:
-        value, error, evaluations, converged, _, _ = _nested(
-            lambda u, v: integrand_si(u * jac, v / d_ref), _FREQUENCY, v_axis,
-            (3 if spec.rel_tol >= _LOOSE else _TENSOR_LEVELS[0],
-             _TENSOR_LEVELS[1]), spec.rel_tol, floor, columns)
+        value, error, evaluations, converged, _, _ = tensor(0.0)
         amount = None  # 0 K has no m = 0 term to add
     else:
-        value, error, evaluations, converged = _pade_sum(
-            lambda xi, v: integrand_si(xi, v / d_ref), columns, v_axis,
-            temperature, head, spec, floor,
-            0.0 if amount is None else amount / scale,
-            c / (2.0 * index * d_ref))
-    value = scale * np.asarray(value)
+        spacing = float(matsubara_frequency(1, temperature))
+        value, error, evaluations, converged = _thermal_sum(
+            tensor, lambda xi, v: integrand_si(xi, v / d_ref), columns,
+            v_axis, first, spacing, spacing / jac, head, spec, floor,
+            0.0 if amount is None else amount / scale)
+        value, error = (np.array(x).reshape(columns) for x in (value, error))
+    value, error = scale * np.asarray(value), abs(scale) * error
     if amount is not None:
         value = value + amount
-    return IntegralResult(_plain(value), _plain(abs(scale) * error),
-                          evaluations, converged)
+    return IntegralResult(_plain(value), _plain(error), evaluations, converged
+                          and bool(np.isfinite([value, error]).all()))
 
 
 def matsubara_frequency(m: int | np.ndarray, temperature: float):
@@ -488,76 +440,124 @@ def matsubara_frequency(m: int | np.ndarray, temperature: float):
 
 
 @lru_cache(maxsize=None)
-def _pade_rule(orders: tuple[int, ...], head: int):
-    """Read-only (x, w, rounding) of a rule over the ``orders``' tables: m = 0
-    if ``head`` and their poles over 2 pi; row i of w weights m = 0 by 1/2 and
-    table i's poles by their residues."""
-    tables = [_pade(order) for order in orders]
-    x = np.hstack([np.zeros(head)] + [t[0] / (2.0 * np.pi) for t in tables])
-    w = np.zeros((len(orders), x.size))
-    w[:, :head] = 0.5
-    for row, at, table in zip(w, np.cumsum((head,) + orders), tables):
-        row[at:at + table[1].size] = table[1]
-    rounding = np.array([table[2] for table in tables])
-    x.flags.writeable = w.flags.writeable = rounding.flags.writeable = False
-    return x, w, rounding
+def _rows(start: int, stop: int, tail: int | None):
+    """Read-only (m, w): Matsubara nodes m = start..stop-1 and three weight
+    rows in units of their spacing, m = 0 at half weight: the sum, the last
+    node and the one before; or, with a ``tail`` M, the sum of m < M plus
+    the trapezoid sum from M on less its integral, by ``_GREGORY`` but its
+    last coefficient, then delta**K and delta**K-1 at M."""
+    m = np.arange(start, stop)
+    w = np.zeros((3, m.size))
+    at = m.size if tail is None else tail - start
+    w[0, :at] = 1.0
+    if tail is None:
+        w[1, -1], w[2, -2:-1] = 1.0, 1.0
+    else:
+        w[0, at] = 0.5
+        diff = np.ones(1)  # delta**k: the powers of (E - 1), E the shift
+        for k, c_k in enumerate(_GREGORY[:-1], 1):
+            diff, w[2] = np.convolve(diff, [-1.0, 1.0]), w[1]
+            w[1, at:at + k + 1] = diff
+            w[0] += c_k * w[1]
+    w[0, 0] -= 0.5 if start == 0 else 0.0
+    m.flags.writeable = w.flags.writeable = False
+    return m, w
 
 
-def _pade_sum(f: Callable, shape: tuple[int, ...], inner,
-              temperature: float, head: bool, spec: QuadratureSpec,
-              floor: float, amount, decay: float):
-    """(value, error, points, converged) of the thermal sum of f by Pade.
+def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
+                 inner, first: int, spacing: float, h: float, head: bool,
+                 spec: QuadratureSpec, floor: float, amount):
+    """(value, error, points, converged) of the thermal sum of f, as lists.
 
-    Order N of ``_pade`` sums over a fixed outer axis of ``_nested``: the
-    m = 0 node with weight 1/2 of 2 pi k_B T/hbar if ``head`` and the N
-    nodes xi_j k_B T/hbar with weights eta_j 2 pi k_B T/hbar; the q rule
-    ``inner`` of levels 4 to 6 judges each column of f, of leading
-    ``shape``, against a tenth of the sum's target. The first order is
-    ``_PADE_ORDERS[0]`` doubled until its table spans the decay scale
-    ``decay`` (rad/s) of f, N**2/4 >= hbar decay/(k_B T); each later order
-    is twice the one before. With S_N the sum of order N (and S_N/2 = 0 for
-    the first), the ``_booked`` error of the step |S_N - S_N/2| after the
-    step before, plus the table's rounding times the sum of |weight * f|,
-    must fit in what the q errors leave of max(rel_tol*|S_N + amount|,
-    floor), ``amount`` the m = 0 term to add, or meet it alone once they
-    leave nothing, for each column and group sum of ``_judged``, on floats
-    as in ``_nested``. The first order's step is the sum itself, so the
-    second books its plain step; the two are one rule of two sums over their
-    poles and one m = 0 node. The error is that change plus the q errors;
-    the orders stop there or, unconverged, at 512, judged on every target.
+    The sum is h Sum_m g(xi_m), xi_m = m ``spacing`` (rad/s), h that spacing
+    in the units of ``tensor``, the 0 K rule (first level ``first``) from a
+    frequency on; m = 0 is at half weight if ``head``, else left out. g is
+    the q rule ``inner`` of f on a fixed axis of ``_nested`` (``_rows``),
+    judged on row 0 against a tenth of rel_tol. The terms fall like
+    exp(-2 m h), so n = 2 + 0.75 ln(1/rel_tol)/h meet the target. While n,
+    then twice as many, cost no more q rules than the 0 K rule has points
+    plus the first head, they are summed, the masses a, b of the last two
+    bounding the rest by a**2/(b - a) + a/(e^2h - 1): their ratio held, or
+    the slowest fall the integrand may have. Else m < M is summed, M =
+    ``_HEAD`` first, and m >= M is ``tensor(xi_M)`` plus Gregory's
+    correction, whose last differences a, b book its rest as max(a, b)
+    min(the coefficients left, |c_K+1|/(1 - a/b)). While that misses what
+    the q errors leave of the target, judged on the first tail, M doubles
+    within the same budget; the tail runs again at the M that fits. The
+    error is the q errors plus the booked rest. Each column and group sum
+    (``_judged``) of S + ``amount`` must meet max(rel_tol*|.|, floor); once
+    the q errors alone do not, the sum stops, not converged.
     """
-    spacing = float(matsubara_frequency(1, temperature))
-    # The decay scale in units of k_B T/hbar, which a table of order N
-    # spans if N**2/4 reaches it.
-    span = 2.0 * np.pi * decay / spacing
-    order, last = _PADE_ORDERS
-    while order < last and order**2 < 4.0 * span:
-        order *= 2
-    orders = [order << i for i in range((last // order).bit_length())]
+    tol, start, points = spec.rel_tol, int(not head), 0
     amounts = np.full(shape, amount).ravel().tolist()
-    before, drift, points = [0.0] * len(amounts), [0.0] * len(amounts), 0
-    for rule in [tuple(orders[:2])] + [(n,) for n in orders[2:]]:
-        x, w, roundings = _pade_rule(rule, int(head))
-        values, q_errors, n, _, _, masses = _nested(
-            f, _fixed(x * spacing, w * spacing), inner, _TERM_LEVELS,
-            0.1 * spec.rel_tol, floor, shape)
-        points += n
-        for order, value, q_error, mass, rounding in zip(rule, *(
-                a.reshape(len(rule), -1).tolist()  # the verdict's floats
-                for a in (values, q_errors, masses)), roundings.tolist()):
-            step = [abs(v - b) for v, b in zip(value, before)]
-            change = [_booked(s, d, v) + rounding * m
-                      for s, d, v, m in zip(step, drift, value, mass)]
-            moved, q_part, target = (_judged(x, shape) for x in (
-                change, q_error, [v + a for v, a in zip(value, amounts)]))
-            goal = [_max(spec.rel_tol * abs(t), floor) for t in target]
-            if order == last or all(m <= (g - q if q < g else g)
-                                    for m, q, g in zip(moved, q_part, goal)):
-                value, error = (np.array(x).reshape(shape) for x in (
-                    value, [c + q for c, q in zip(change, q_error)]))
-                return value, error, points, all(
-                    m + q <= g for m, q, g in zip(moved, q_part, goal))
-            before, drift = value, step
+    nodes = _axis(inner, _TERM_LEVELS[0])[0].size
+    budget = (_axis(_FREQUENCY, first)[0].size * _axis(inner, first)[0].size
+              // nodes + _HEAD + len(_GREGORY) - start)
+
+    def terms(lo, hi, cut, aim):  # lists of value, error and mass rows
+        nonlocal points
+        m, w = _rows(lo, hi, cut)
+        value, error, count, _, _, mass = _nested(
+            f, _fixed(m * spacing, w * h), inner, _TERM_LEVELS, 0.1 * tol,
+            _max(floor, aim), shape)
+        points += count
+        return [a.reshape(len(w), -1).tolist() for a in (value, error, mass)]
+
+    def tail(m):  # the 0 K rule from xi_m on, as lists
+        nonlocal points
+        value, error, count, *_ = tensor(m * spacing)
+        points += count
+        return value.ravel().tolist(), error.ravel().tolist()
+
+    def add(a, b):
+        return [x + y for x, y in zip(a, b)]
+
+    def judge(value, q_error, booked):  # (met, out of reach)
+        goal = [_max(tol * abs(t), floor) for t in _judged(add(value, amounts),
+                                                          shape)]
+        q, b = _judged(q_error, shape), _judged(booked, shape)
+        return (all(x + y <= g for x, y, g in zip(q, b, goal)),
+                not all(x < g for x, g in zip(q, goal)))
+
+    def aim(value):  # a tenth of the least column target, for later rules
+        return 0.1 * tol * min(map(abs, add(value, amounts)))
+
+    lo, hi = start, start + 2 + math.ceil(0.75 * math.log(1.0 / tol) / h)
+    slow = math.exp(-2.0 * h) / -math.expm1(-2.0 * h)
+    value = error = [0.0] * len(amounts)
+    while hi - start <= budget:
+        (v, *_), (e, *_), (_, a, b) = terms(lo, hi, None, aim(
+            value) if lo > start else 0.0)
+        value, error = add(value, v), add(error, e)
+        rest = [x * (x / (y - x) + slow) if x < y else math.inf if x else 0.0
+                for x, y in zip(a, b)]
+        met, out = judge(value, error, rest)
+        if met or out:
+            return value, add(error, rest), points, met
+        lo, hi = hi, 2 * hi - lo
+    left, last = 0.5 - sum(map(abs, _GREGORY[:-1])), abs(_GREGORY[-1])
+
+    def gregory(m, aim):  # value, q error and booked rest of the head
+        (value, a, b), (error, *_), _ = terms(start, m + len(_GREGORY), m,
+                                              aim)
+        return value, error, [
+            max(x, y) * (min(left, last / (1.0 - x / y)) if x < y else left)
+            for x, y in zip(map(abs, a), map(abs, b))]
+
+    m = _HEAD
+    t_value, t_error = tail(m)
+    g_value, g_error, booked = gregory(m, aim(t_value))
+    value, error = add(g_value, t_value), add(g_error, t_error)
+    met, out = judge(value, error, booked)
+    while not (met or out) and 2 * m + len(_GREGORY) - start <= budget:
+        m *= 2
+        g_value, g_error, rest = gregory(m, aim(t_value))
+        met, out = judge(value, add(g_error, t_error), rest)
+        if met:
+            t_value, t_error = tail(m)
+            value, error = add(g_value, t_value), add(g_error, t_error)
+            booked, met = rest, judge(value, error, rest)[0]
+    return value, add(error, booked), points, met
 
 
 def matsubara_sum(
@@ -571,7 +571,7 @@ def matsubara_sum(
     The weighted sum is a trapezoid rule with node spacing 2 pi k_B T/hbar,
     so it converges to ``integral_0^inf g(xi) dxi`` as T -> 0. It sums the
     Matsubara terms themselves, sharing no code with the rule of
-    ``double_semi_infinite``, whose Pade sums it checks. Blocks of
+    ``double_semi_infinite``, whose thermal sums it checks. Blocks of
     ``_BLOCKS[0]`` nonzero terms, then of twice the block before, each book
     ``_ULPS`` ulps of their sum S of |weight * g| as rounding; with rho the
     ratio of S to the block before (0.999 at most, and for the first block),

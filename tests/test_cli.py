@@ -268,21 +268,24 @@ def test_thermal_force_of_opposed_polarizations_exits_0(tmp_path, capsys,
         rel_tol) * abs(row["force_per_area_N_per_m2"])
 
 
-def test_truncated_thermal_sum_exits_3(tmp_path, capsys):
-    # At 0.1 K the largest Pade order, 512, does not resolve the 1 um / 50 um
-    # sum.
+@pytest.mark.parametrize("temperature", ["0.1", "300"])
+def test_truncated_thermal_sum_exits_3(tmp_path, capsys, temperature):
+    # At rel_tol 1e-17, below double rounding, the 1 um / 50 um sum misses at
+    # 0.1 K (its 0 K tail) and at 300 K (its terms), and stops.
     cfg = _write(tmp_path, VACUUM_CAVITY)
     code, out, err = _run(capsys, ["force", "--config", cfg, "--format", "csv",
-                                   "--temperature", "0.1"])
+                                   "--temperature", temperature,
+                                   "--rel-tol", "1e-17"])
     assert code == 3
     assert "did not reach" in err
     row = _rows(out)[0]
     assert row["converged"] == "false"
     assert float(row["error_estimate_N_per_m2"]) > 0.0
     assert "matsubara_max_terms" not in row
-    # No knob raises the 512 poles, so the warning names none.
-    assert ("(raise --rel-tol; thermal sums stop at 512 Pade poles); error"
-            " estimates stay honest") in err
+    # No knob sets the effort, so the warning names the target's only.
+    assert ("(raise --rel-tol or [quadrature] abs_floor; thermal sums stop"
+            " once rounding or q rules miss it); error estimates stay"
+            " honest") in err
     assert "matsubara" not in err
     # The thermal term cap is gone: its flag is a usage error.
     with pytest.raises(SystemExit) as exc:

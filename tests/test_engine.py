@@ -525,27 +525,24 @@ def test_zero_temperature_force_calls_are_whole_chunks(monkeypatch):
     assert sum(rows * cols for rows, cols in shapes) == res.evaluations
 
 
-@pytest.mark.parametrize("temperature,orders", [(300.0, (8, 16, 32)),
-                                                (10.0, (32, 64, 128))])
-def test_each_pade_order_takes_the_calls_its_rows_need(
-        monkeypatch, temperature, orders):
-    # Under half-weight the first two orders N and 2N are one rule of
-    # 1 + N + 2N frequency rows, m = 0 once, and each later order a rule of
-    # N + 1 rows, all met at the first q level: each rule's rows of the one
-    # column s + p in the fewest balanced calls, 97 rows in 48 + 49 and 129
-    # in 64 + 65.
+@pytest.mark.parametrize("temperature,rules", [
+    (300.0, [19]), (3.0, [91, 19]), (0.1, [91, 19])])
+def test_each_thermal_rule_takes_the_calls_its_rows_need(
+        monkeypatch, temperature, rules):
+    # At 300 K the 1 um / 50 um force sums its 19 terms (m = 0 to 18) in one
+    # rule; at 3 K and 0.1 K the 0 K rule from xi_8 on (91 frequency rows
+    # at its first level) and one head of m = 0 to 18 take it. All meet the
+    # target at the first q level, each rule's rows of the one column s + p
+    # in the fewest balanced calls.
     res, shapes = _call_shapes(monkeypatch, lambda: plate_force(
         _ONE_BY_FIFTY, temperature, SPEC))
     assert res.converged
     at = 0
-    for rows in [1 + orders[0] + orders[1]] + [n + 1 for n in orders[2:]]:
+    for rows in rules:
         calls = shapes[at:at + -(-rows // _FORCE_ROWS)]
         _assert_balanced(calls, rows, 1)
         at += len(calls)
     assert at == len(shapes)
-    if orders[-1] == 128:
-        assert shapes == [(48, _Q_NODES), (49, _Q_NODES), (64, _Q_NODES),
-                          (65, _Q_NODES)]
     assert sum(rows * cols for rows, cols in shapes) == res.evaluations
 
 
@@ -650,25 +647,22 @@ def _meets_the_geometric_series(temperature, d1, d3):
 
 @pytest.mark.parametrize("temperature", [0.3, 0.4, 0.5, 1.0, 30.0, 300.0])
 def test_thermal_mirror_force_meets_the_geometric_series(temperature):
-    # Down to 0.3 K the 1 um / 50 um cavity converges within 512 poles.
     _meets_the_geometric_series(temperature, 1e-6, 5e-5)
 
 
-# Vacuum mirror cavities (T in K, d1 and d3 in m) where the Pade stop rule
-# has no slack to give. Squaring the second order's step once the first
-# order spans the decay scale books 1/30 of the true error on the first and
-# 1/7.3 on the other two (1/7.3 on those two where the first order spans it
-# three times over), and so does starting the sum one order lower; the rule
-# holds each within 0.09 of its bar.
-_PADE_TRAPS = [(168.19782374241206, 0.9043108667287712e-6,
-                3.8290935518332326e-6),
-               (64.72873352694713, 1e-6, 12e-6),
-               (64.72873352694713, 1e-6, 3.7947331922020546e-6)]
+# Vacuum mirror cavities (T in K, d1 and d3 in m) where the Pade sums that
+# the thermal rule replaced had no slack to give: shortcuts of their stop
+# rule booked 1/30 of the true error on the first and 1/7.3 on the other
+# two. The thermal rule, which sums their terms, must bound them too.
+_THERMAL_TRAPS = [(168.19782374241206, 0.9043108667287712e-6,
+                   3.8290935518332326e-6),
+                  (64.72873352694713, 1e-6, 12e-6),
+                  (64.72873352694713, 1e-6, 3.7947331922020546e-6)]
 
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
-@pytest.mark.parametrize("temperature,d1,d3", _PADE_TRAPS)
-def test_pade_stop_rule_bounds_the_force_where_its_shortcuts_do_not(
+@pytest.mark.parametrize("temperature,d1,d3", _THERMAL_TRAPS)
+def test_thermal_rule_bounds_the_former_pade_traps(
         temperature, d1, d3, rel_tol):
     cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, d1,
                           PerfectMirrorPlate(), d3, Wall.perfect_mirror())
@@ -677,6 +671,21 @@ def test_pade_stop_rule_bounds_the_force_where_its_shortcuts_do_not(
              - ideal_mirror_pressure(temperature, d1))
     assert res.converged
     assert abs(res.force_per_area - exact) <= res.error_estimate
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.2, 0.1, 0.03, 0.01])
+def test_cold_mirror_forces_meet_the_oracle_within_three_zero_kelvin_rules(
+        temperature):
+    # Down to 10 mK the 1 um / 50 um force is its 0 K value plus the T**4
+    # law, which Gregory's correction takes from the first terms: it
+    # converges within its bar in at most three times the 0 K rule's points.
+    res = plate_force(_ONE_BY_FIFTY, temperature, SPEC)
+    exact = (ideal_mirror_pressure(temperature, 5e-5)
+             - ideal_mirror_pressure(temperature, 1e-6))
+    assert res.converged
+    assert abs(res.force_per_area - exact) <= res.error_estimate
+    assert res.evaluations <= 3 * plate_force(_ONE_BY_FIFTY,
+                                              spec=SPEC).evaluations
 
 
 def test_zero_temperature_mirror_force_takes_the_first_level():
@@ -688,52 +697,6 @@ def test_zero_temperature_mirror_force_takes_the_first_level():
         res = plate_force(cavity, spec=QuadratureSpec(rel_tol=rel_tol))
         assert res.converged
         assert res.evaluations == points
-
-
-@pytest.mark.parametrize("rel_tol", [1e-3, 1e-8])
-def test_pade_sum_started_below_its_span_keeps_the_plain_change(
-        monkeypatch, rel_tol):
-    # At 10 K the 1 um / 50 um sum starts at order 32, the first whose table
-    # spans the decay scale; a decay scale a quarter of the true one starts
-    # it at 16. The steps to orders 32 and 64 then change the force by
-    # 1.1e-3 and 3.2e-4, and order 32 still errs by 3.2e-4: neither step
-    # shows the digit doubling a squared change needs, so both book the
-    # plain change.
-    pade_sum, booked = quadrature._pade_sum, quadrature._booked
-    nested, inside, steps = quadrature._nested, [], []
-
-    def forced(*args):
-        return pade_sum(*args[:-1], 0.25 * args[-1])
-
-    def rule(*args):
-        inside.append(True)
-        try:
-            return nested(*args)
-        finally:
-            inside.pop()
-
-    def spy(change, before, total):
-        out = booked(change, before, total)
-        # A Pade step is booked outside the nested q rules, whose own steps
-        # are floats too.
-        if not inside:
-            steps.append((change, out))
-        return out
-
-    monkeypatch.setattr(quadrature, "_pade_sum", forced)
-    monkeypatch.setattr(quadrature, "_nested", rule)
-    monkeypatch.setattr(quadrature, "_booked", spy)
-    temperature, d1, d3 = 10.0, 1e-6, 5e-5
-    cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, d1,
-                          PerfectMirrorPlate(), d3, Wall.perfect_mirror())
-    res = plate_force(cavity, temperature, QuadratureSpec(rel_tol=rel_tol))
-    exact = (ideal_mirror_pressure(temperature, d3)
-             - ideal_mirror_pressure(temperature, d1))
-    assert res.converged
-    assert abs(res.force_per_area - exact) <= res.error_estimate
-    assert len(steps) >= 3
-    for change, out in steps[:3]:
-        np.testing.assert_array_equal(out, change)
 
 
 def test_near_face_stress_meets_a_finer_rule(monkeypatch):
@@ -1121,23 +1084,24 @@ def test_mirror_fold_is_the_general_form_to_a_few_ulps(eps, mu, d1, ratio,
 
 def test_absolute_floor_applies_to_thermal_sums():
     # abs_floor is in N/m^2, so the thermal sum must see it scaled by the
-    # prefactor as the zero-temperature rule does. At 0.2 K the last Pade
-    # order leaves about 3e-7 N/m^2 of error: a floor above it is met, one
-    # below it is not.
+    # prefactor as the zero-temperature rule does. At rel_tol 1e-16, below
+    # rounding, the force (1.3e-3 N/m^2) keeps about 1e-17 N/m^2 of error
+    # at every T: a floor above it is met, one below it is not.
     cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, 1e-6,
                           PerfectMirrorPlate(), 5e-6, Wall.perfect_mirror())
 
     def force(temperature, floor):
-        spec = QuadratureSpec(rel_tol=1e-13, abs_floor=floor)
+        spec = QuadratureSpec(rel_tol=1e-16, abs_floor=floor)
         return plate_force(cavity, temperature, spec)
 
     for temperature in (0.0, 300.0, 0.2):
-        res = force(temperature, 1e-6)
+        res = force(temperature, 1e-15)
         assert res.converged
-        assert res.error_estimate < 1e-6
-    tight = force(0.2, 1e-12)
-    assert tight.error_estimate > 1e-12
-    assert not tight.converged
+        assert res.error_estimate < 1e-15
+    for temperature in (300.0, 0.2):
+        tight = force(temperature, 1e-20)
+        assert tight.error_estimate > 1e-20
+        assert not tight.converged
 
 
 @pytest.mark.parametrize("scales,spec", [
@@ -1292,6 +1256,22 @@ def test_opposed_polarizations_converge_on_their_sum(eps, d1, d3, temperature,
         assert res.error_estimate <= tol * abs(res.force_per_area)
         assert abs(res.force_per_area - reference.force_per_area) <= (
             res.error_estimate + reference.error_estimate)
+
+
+def test_thermal_force_of_exactly_opposed_polarizations_stops_early():
+    # mu = 10 | 1 um | (eps, mu) = (2, 2) plate | 1 um | eps = 10: s = -p,
+    # so the force is 0 and no rule meets max(1e-8 |0|, 0). Once the q
+    # errors alone exceed that goal, the 300 K sum stops, flagged, with a
+    # bar that still holds 0.
+    cavity = CavityConfig(Wall.semi_infinite(constant(eps=1.0, mu=10.0)),
+                          VACUUM, 1e-6, Layer(constant(eps=2.0, mu=2.0), 1e-6),
+                          1e-6, Wall.semi_infinite(constant(eps=10.0)))
+    res = plate_force(cavity, 300.0, QuadratureSpec(rel_tol=1e-8))
+    s, p = res.per_polarization.values()
+    assert s == -p != 0.0
+    assert not res.converged
+    assert abs(res.force_per_area) <= res.error_estimate
+    assert res.evaluations <= 10100
 
 
 # Constant, magnetodielectric and Drude media, for walls and plates.

@@ -9,8 +9,8 @@ from scipy.special import gamma
 from scipy.constants import Boltzmann, c, hbar
 
 from planarcasimir import engine, quadrature
-from planarcasimir.layers import CavityConfig, Layer, PerfectMirrorPlate, Wall
-from planarcasimir.materials import MIRROR, constant, drude_lorentz
+from planarcasimir.layers import CavityConfig, Layer, Wall
+from planarcasimir.materials import MIRROR, drude_lorentz
 from planarcasimir.quadrature import (
     IntegralResult,
     QuadratureSpec,
@@ -211,7 +211,7 @@ def test_float_verdict_is_the_array_one_bit_for_bit(pool, seed, shape):
             a.tolist(), b.tolist())]) == _bits(np.maximum(a, b))
 
 
-@pytest.mark.parametrize("temperature, points", [(0.0, 124545), (300.0, 8625)])
+@pytest.mark.parametrize("temperature, points", [(0.0, 124545), (300.0, 7935)])
 def test_sums_that_overflow_keep_the_nan_of_their_changes(temperature, points):
     # Finite values whose weighted sums overflow: a level's change is then
     # inf - inf, a NaN that the float verdict keeps as the array one did,
@@ -224,6 +224,22 @@ def test_sums_that_overflow_keep_the_nan_of_their_changes(temperature, points):
     assert res.value == np.inf and np.isnan(res.error_estimate)
     assert not res.converged
     assert res.evaluations == points
+
+
+@pytest.mark.parametrize("temperature", [0.0, 300.0])
+def test_a_result_that_overflows_when_scaled_never_converges(temperature):
+    # The rules sum without the prefactor and the Jacobians, so 1e300
+    # e^{-q d} e^{-xi d/c} converges there; scaled by c/d**2 = 3e20 its value
+    # and error overflow, and an infinite result is not converged.
+    d = 1e-6
+
+    def f(xi, q):
+        return 1e300 * np.exp(-q * d) * np.exp(-xi * d / c)
+
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        res = double_semi_infinite(f, QuadratureSpec(), d, 1.0, temperature)
+    assert res.value == np.inf and res.error_estimate == np.inf
+    assert not res.converged
 
 
 def test_two_column_integrand_meets_each_relative_target():
@@ -499,14 +515,14 @@ def test_two_groups_that_stop_together_are_two_one_group_rules(
 
 def test_the_q_rules_of_a_thermal_sum_judge_columns_alone():
     # The sums of a fixed outer axis are the terms of a thermal sum, which
-    # judges each group itself (``_pade_sum``). So the q rule of a group
+    # judges each group itself (``_thermal_sum``). So the q rule of a group
     # whose s and p cancel stops where its two columns do, with their bits.
     d, spacing = 1e-6, float(matsubara_frequency(1, 300.0))
-    x, w = quadrature._pade_rule((8, 16), 1)[:2]
+    x, w = quadrature._rows(0, 19, None)
     scales = np.array([[1.0, -(1.0 - 1e-6)]])
     grouped, alone = (quadrature._nested(
         lambda xi, v: _grouped(s)(xi, v / d),
-        quadrature._fixed(x * spacing, w * spacing), quadrature._MOMENTUM,
+        quadrature._fixed(x * spacing, w), quadrature._MOMENTUM,
         quadrature._TERM_LEVELS, 1e-9, 0.0, s.shape)
         for s in (scales, scales[0]))
     assert alone[3] and grouped[2:4] == alone[2:4]
@@ -514,6 +530,25 @@ def test_the_q_rules_of_a_thermal_sum_judge_columns_alone():
     assert alone[2] < len(x) * last[0].size  # it stops below the last level
     for got, want in zip(grouped[:2] + grouped[4:], alone[:2] + alone[4:]):
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_fixed_axis_is_judged_on_its_first_row_alone():
+    # Rows after the first (a term, a difference) are read, not judged:
+    # a row of one term of a slowly converging q integral leaves the level
+    # where the sum alone stops.
+    d, spacing = 1e-6, float(matsubara_frequency(1, 300.0))
+    x, w = quadrature._rows(0, 19, None)
+
+    def integrand(xi, v):
+        return np.exp(-xi * d / c - v) * (1.0 + np.where(
+            xi > 17.5 * spacing, np.sqrt(v), 0.0))
+
+    rows, first = (quadrature._nested(
+        integrand, quadrature._fixed(x * spacing, weights),
+        quadrature._MOMENTUM, quadrature._TERM_LEVELS, 1e-9, 0.0, ())
+        for weights in (w, w[:1]))
+    assert rows[3] and first[3] and rows[2] == first[2]
+    assert rows[0].shape == (3,) and first[0].shape == (1,)
 
 
 @pytest.mark.parametrize("temperature", [0.0, 300.0])
@@ -599,62 +634,67 @@ def test_integrands_broadcast_frequency_rows(monkeypatch):
                                        atol=1e-14 * np.abs(one).max())
 
 
-# Every order a thermal sum doubles through, and the caps of 10 and 30
-# terms that engine tests set.
-_DOUBLING = [8, 16, 32, 64, 128, 256, 512]
-_ORDERS = sorted(_DOUBLING + [10, 30])
-
-
-def test_pade_orders_double_to_the_largest():
-    assert (_DOUBLING[0], _DOUBLING[-1]) == quadrature._PADE_ORDERS
-
-
-@pytest.mark.parametrize("order", _ORDERS)
-def test_pade_table_poles_and_residues(order):
-    poles, residues, rounding = quadrature._pade(order)
-    assert poles.shape == residues.shape == (order,)
-    assert poles[0] > 0.0 and np.all(np.diff(poles) > 0.0)
-    assert 0.0 < rounding < 1e-11
-    # The first poles are the Matsubara ones, 2 pi j with residue 1.
-    j = np.arange(1, max(1, order // 8) + 1)
-    np.testing.assert_array_less(
-        np.abs(poles[:j.size] / (2.0 * np.pi * j) - 1.0), rounding)
-    np.testing.assert_array_less(np.abs(residues[:j.size] - 1.0), rounding)
-
-
-@pytest.mark.parametrize("order", _ORDERS)
-def test_pade_table_rebuilds_coth(order):
-    poles, residues, rounding = quadrature._pade(order)
-    x = np.concatenate([np.random.default_rng(order).uniform(0.0, order, 999),
-                        [1e-9, 0.5, float(order)]])
-    rebuilt = 2.0 / x + (4.0 * residues * x[:, None]
-                         / (x[:, None] ** 2 + poles ** 2)).sum(axis=1)
-    assert np.all(np.abs(rebuilt * np.tanh(0.5 * x) - 1.0) <= rounding)
-
-
-def test_pade_tables_are_read_only_and_cached():
-    # So are the nodes, weights and roundings of a rule over two tables.
-    for build, args in [(quadrature._pade, (_ORDERS[0],)),
-                        (quadrature._pade, (_ORDERS[-1],)),
-                        (quadrature._pade_rule, ((8, 16), 1))]:
-        first, again = build(*args), build(*args)
+def test_rows_are_read_only_and_cached():
+    for args in [(0, 19, None), (1, 40, None), (0, 19, 8), (1, 27, 16)]:
+        first, again = quadrature._rows(*args), quadrature._rows(*args)
         assert all(a is b for a, b in zip(first, again))
         for array in first:
-            if isinstance(array, np.ndarray):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 1.0
 
 
-def test_thermal_sum_at_an_unreachable_target_stops_at_the_largest_order(
-        monkeypatch):
-    # Below double rounding no order can meet the target, so the sum runs
-    # to the largest table and stops, flagged, with a bar that still holds
-    # the closed form spacing/d (1/2 + r/(1 - r)), r = exp(-spacing d/c).
-    d, temperature = 1e-6, 1.0
-    built = []
-    rule = quadrature._pade_rule
-    monkeypatch.setattr(quadrature, "_pade_rule", lambda orders, head: (
-        built.extend(orders) or rule(orders, head)))
+def _exponential_sum(h, head, fast):
+    """(sum, integrand, 0 K rule) of h Sum_m g(m h), m = 0 at half weight
+    under ``head`` and left out otherwise, for g(x) = e^{-2x} + 0.01
+    e^{-2 fast x} (its second part, if ``fast``, falling within a few
+    spacings, as a wider gap does): the sum is h/2 coth(h b) per part of
+    rate 2b, less h/2 g(0) without the head. The q integral of the
+    integrand is g; the 0 K rule from x on gives the integral exactly."""
+    parts = [(1.0, 1.0)] + ([(0.01, fast)] if fast else [])
+
+    def integrand(x, v):
+        return sum(a * np.exp(-2.0 * b * x) for a, b in parts) * np.exp(-v)
+
+    def tensor(x):
+        rest = sum(a * math.exp(-2.0 * b * x) / (2.0 * b) for a, b in parts)
+        return np.array(rest), np.array(0.0), 0, True, None, None
+
+    exact = sum(a * (0.5 * h / math.tanh(h * b) - (0.0 if head else 0.5 * h))
+                for a, b in parts)
+    return exact, integrand, tensor
+
+
+@pytest.mark.parametrize("fast", [None, 10.0, 200.0])
+@pytest.mark.parametrize("head", [True, False])
+@pytest.mark.parametrize("h,tails", [(0.002, [8]), (0.01, [8]), (0.05, [8]),
+                                     (0.12, [8, 16]), (0.3, []), (1.0, []),
+                                     (3.0, [])])
+def test_thermal_rule_meets_the_exponential_sum(h, tails, head, fast):
+    # Terms that fall like e^{-2 m h} sum to h/2 coth(h). Below about 110
+    # terms (at rel_tol 1e-10) they are summed, beyond it the 0 K rule from
+    # xi_M on, with Gregory's correction, takes the rest, M = 8 first. At
+    # h = 0.12 the booked rest of the differences misses there, so M
+    # doubles and the 0 K rule runs again from xi_16. A part that falls
+    # within a few spacings is summed in the head, so that booked rest
+    # still holds the sum.
+    exact, integrand, tensor = _exponential_sum(h, head, fast)
+    starts = []
+    value, error, points, converged = quadrature._thermal_sum(
+        lambda x: starts.append(x) or tensor(x), integrand, (),
+        quadrature._MOMENTUM, 4, h, h, head, SPEC, 0.0, 0.0)
+    assert converged and error[0] <= SPEC.rel_tol * abs(value[0])
+    assert abs(value[0] - exact) <= error[0]
+    assert starts == [m * h for m in tails]
+
+
+@pytest.mark.parametrize("temperature", [1.0, 300.0])
+def test_thermal_sum_at_an_unreachable_target_stops_at_once(temperature):
+    # Below double rounding no rule can meet the target: once the q errors
+    # alone exceed it, the sum stops, flagged, after its first rule of terms
+    # (at 300 K, all of them) or its first 0 K tail and head (at 1 K), with
+    # a bar that still holds the closed form spacing/d (1/2 + r/(1 - r)),
+    # r = exp(-spacing d/c).
+    d = 1e-6
     res = double_semi_infinite(lambda xi, q: np.exp(-xi * d / c - q * d),
                                QuadratureSpec(rel_tol=1e-17), d,
                                temperature=temperature)
@@ -662,56 +702,38 @@ def test_thermal_sum_at_an_unreachable_target_stops_at_the_largest_order(
     exact = spacing / d * (0.5 + 1.0 / np.expm1(spacing * d / c))
     assert not res.converged
     assert abs(res.value - exact) <= res.error_estimate
-    assert max(built) == quadrature._PADE_ORDERS[1]
-    # Every order up to the largest, one row more for m = 0 per rule (the
-    # first two orders share one), at most at the last level of the q rule.
     q_nodes = quadrature._axis(quadrature._MOMENTUM,
                                quadrature._TERM_LEVELS[1])[0].size
-    assert built == [n for n in _DOUBLING if n >= built[0]]
-    assert res.evaluations <= (sum(_DOUBLING) + len(_DOUBLING) - 1) * q_nodes
+    tensor = (quadrature._axis(quadrature._FREQUENCY, 6)[0].size
+              * quadrature._axis(quadrature._MOMENTUM, 6)[0].size)
+    terms = 2 + math.ceil(0.75 * math.log(1e17) * c / (spacing * d))
+    assert res.evaluations <= (
+        tensor + (quadrature._HEAD + len(quadrature._GREGORY)) * q_nodes
+        if temperature < 300.0 else terms * q_nodes)
 
 
-@settings(max_examples=20, derandomize=True, deadline=None, database=None)
-@given(t_d=st.floats(-6.0, np.log10(3e-3)).map(lambda e: 10.0 ** e),
-       policy=st.sampled_from(["half-weight", "drop"]),
-       rel_tol=st.sampled_from([1e-4, 1e-8, 1e-12]))
-def test_a_rule_of_two_weight_rows_is_two_rules(t_d, policy, rel_tol):
-    # The first two Pade orders N and 2N of a thermal sum are one rule over
-    # the union of their nodes, one weight row each. Each row is the rule
-    # of its order alone, to rounding: the same sum and error within 32
-    # ulps of its sum of |weight * f|, at the same q level, with the same
-    # flag. T d from 1e-6 to 3e-3 K m starts the sum at orders 8 to 128.
-    # The vacuum-mirror force's s and p are one array, one column.
-    d = 1e-6
-    cavity = CavityConfig(Wall.perfect_mirror(), constant(), d,
-                          PerfectMirrorPlate(), 3.0 * d, Wall.perfect_mirror())
-    integrand = engine._difference_rule(cavity)[0]
-    temperature = t_d / d
-    spacing = float(matsubara_frequency(1, temperature))
-    head = int(policy == "half-weight")
-    order = quadrature._PADE_ORDERS[0]
-    while order**2 < 2.0 * hbar * c / (d * Boltzmann * temperature):
-        order *= 2
-
-    def rule(x, w):
-        return quadrature._nested(
-            lambda xi, v: integrand(xi, v / d),
-            quadrature._fixed(x * spacing, w * spacing), quadrature._MOMENTUM,
-            quadrature._TERM_LEVELS, 0.1 * rel_tol, 0.0, ())
-
-    value, error, points, converged, _, mass = rule(
-        *quadrature._pade_rule((order, 2 * order), head)[:2])
-    assert value.shape == error.shape == mass.shape == (2,)
-    ulps = quadrature._ULPS * np.finfo(float).eps * mass
-    for row, n in enumerate((order, 2 * order)):
-        # The order alone: m = 0 with weight 1/2, then its poles.
-        poles, residues, _ = quadrature._pade(n)
-        alone = rule(np.concatenate([np.zeros(head), poles / (2.0 * np.pi)]),
-                     np.concatenate([np.full(head, 0.5), residues])[None])
-        assert np.all(np.abs(value[row] - alone[0][0]) <= ulps[row])
-        assert np.all(np.abs(error[row] - alone[1][0]) <= ulps[row])
-        assert alone[2] * (head + 3 * order) == points * (head + n)
-        assert alone[3] is converged
+@pytest.mark.parametrize("M", [0, 1, 8, 16])
+@pytest.mark.parametrize("start", [0, 1])
+def test_gregory_rows_rebuild_the_trapezoid_sum(M, start):
+    # Row 0 of a head, plus the integral from xi_M on, is the trapezoid sum
+    # from m = start on (m = 0 at half weight), up to the rest of Gregory's
+    # series: on e^{-a m} that rest is below the booked c_11 times the
+    # last difference taken, over 1 - the ratio of the last two.
+    if start > M:
+        return
+    K = len(quadrature._GREGORY) - 1
+    m, w = quadrature._rows(start, M + K + 1, M)
+    assert m.tolist() == list(range(start, M + K + 1))
+    for a in (0.05, 0.2, 0.5):
+        g = np.exp(-a * m)
+        total = 0.5 / math.tanh(0.5 * a) - (0.5 if start else 0.0)
+        head = float(w[0] @ g) + math.exp(-a * M) / a
+        last, before = abs(float(w[1] @ g)), abs(float(w[2] @ g))
+        assert last == pytest.approx((-math.expm1(-a)) ** K * math.exp(-a * M),
+                                     rel=1e-5)
+        rest = (abs(quadrature._GREGORY[-1]) * max(last, before)
+                / (1.0 - last / before))
+        assert abs(head - total) <= rest + 1e-15 * total
 
 
 # ---------------------------------------------------------------------------
