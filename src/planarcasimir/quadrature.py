@@ -446,8 +446,7 @@ def _rows(start: int, stop: int, tail: int | None):
     node and the one before; or, with a ``tail`` M, the sum of m < M plus
     the trapezoid sum from M on less its integral, by ``_GREGORY`` but its
     last coefficient, then delta**K and delta**K-1 at M."""
-    m = np.arange(start, stop)
-    w = np.zeros((3, m.size))
+    m, w = np.arange(start, stop), np.zeros((3, stop - start))
     at = m.size if tail is None else tail - start
     w[0, :at] = 1.0
     if tail is None:
@@ -522,8 +521,9 @@ def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
     def aim(value):  # a tenth of the least column target, for later rules
         return 0.1 * tol * min(map(abs, add(value, amounts)))
 
-    lo, hi = start, start + 2 + math.ceil(0.75 * math.log(1.0 / tol) / h)
-    slow = math.exp(-2.0 * h) / -math.expm1(-2.0 * h)
+    n = min(0.75 * math.log(1.0 / tol) / h, budget) if h else budget
+    lo, hi = start, start + 2 + math.ceil(n)
+    slow = math.exp(-2.0 * h) / -math.expm1(-2.0 * h) if h else 0.0
     value = error = [0.0] * len(amounts)
     while hi - start <= budget:
         (v, *_), (e, *_), (_, a, b) = terms(lo, hi, None, aim(

@@ -1258,6 +1258,19 @@ def test_opposed_polarizations_converge_on_their_sum(eps, d1, d3, temperature,
             res.error_estimate + reference.error_estimate)
 
 
+@pytest.mark.parametrize("temperature", [1e-300, 1e-310, 5e-324])
+def test_a_vanishing_matsubara_spacing_gives_the_zero_kelvin_force(
+        temperature):
+    # 2 pi k_B T/hbar is subnormal or 0 here: the thermal rule neither
+    # divides by it nor sums a runaway number of terms, and its head and 0 K
+    # tail rebuild the 0 K force.
+    cold = plate_force(_ONE_BY_FIFTY, spec=SPEC)
+    res = plate_force(_ONE_BY_FIFTY, temperature, SPEC)
+    assert res.converged
+    assert abs(res.force_per_area - cold.force_per_area) <= (
+        res.error_estimate + cold.error_estimate)
+
+
 def test_thermal_force_of_exactly_opposed_polarizations_stops_early():
     # mu = 10 | 1 um | (eps, mu) = (2, 2) plate | 1 um | eps = 10: s = -p,
     # so the force is 0 and no rule meets max(1e-8 |0|, 0). Once the q
