@@ -9,9 +9,9 @@ sweep           force as one parameter varies
 limits          idealized-mirror closed forms
 
 Structure and materials come from --config (see the config module for the
-format). Command flags override the matching config keys, and the resolved
-configuration is embedded in every JSON emission, so a produced JSON file
-can itself be passed back as --config to reproduce the run bit for bit.
+format). Command flags override the matching config keys, and every JSON
+emission embeds the resolved configuration: passed back as --config, it
+replays the run bit for bit on the same numpy, BLAS build and CPU kernel.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 result did not
 converge to the requested tolerance.
@@ -39,6 +39,7 @@ from .config import (
     load_sections,
 )
 from .engine import (
+    _plan,
     _zero_term,
     interspace,
     minkowski_plate_force,
@@ -440,9 +441,10 @@ def _cmd_sweep(rc: RunConfig, values: dict):
             else:
                 run = replace(rc, temperature=value)
             # The zero-term request of every point, as _force will pass it.
-            request = _request(run)
+            request, walls = _request(run), (case.left_wall, case.right_wall)
             _zero_term(request["temperature"], request["zero_term_policy"],
-                       request["zero_term_value"], case.has_drude_like,
+                       request["zero_term_value"],
+                       _plan(case.medium, walls, case.plate).has_drude_like,
                        per_polarization=True)
         except ValueError as exc:
             raise ConfigError(f"sweep value {value!r}: {exc}") from None

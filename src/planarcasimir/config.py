@@ -53,8 +53,8 @@ both sides of the plate.
 
 JSON files emitted by the command line (--format json) are accepted
 wherever an INI file is; the resolved configuration embedded under their
-"config" key is re-ingested verbatim, which reproduces the original run
-bit for bit.
+"config" key is re-ingested verbatim, which reproduces the original run bit
+for bit on the same numpy, BLAS build and CPU kernel.
 
 A ``[command]`` section holds a run's command arguments: ``name`` (the
 command) and one key per command flag, named without its dashes, e.g.

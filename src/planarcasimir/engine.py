@@ -375,13 +375,6 @@ def _difference_rule(cavity: CavityConfig, minkowski=False):
     return integrand, () if alike else (2,)
 
 
-def _exact_difference_integrand(cavity: CavityConfig):
-    """``_difference_rule``'s field integrand, (A, m, 2) for columns (s, p):
-    the layout of acceptance check 6, its one caller."""
-    f, columns = _difference_rule(cavity)
-    return (lambda xi, q: np.moveaxis(f(xi, q), 0, -1)) if columns else f
-
-
 def _plate_force(cavity, integrand, columns, prefactor, temperature, spec,
                  policy, value) -> ForceResult:
     """The plate force of one cavity's ``integrand`` of ``columns``: a finite
@@ -395,8 +388,10 @@ def _plate_force(cavity, integrand, columns, prefactor, temperature, spec,
     if not math.isfinite(min(cavity.d1, cavity.d3)):
         raise ValueError("a plate force needs at least one finite gap, got"
                          f" d1 = {cavity.d1} and d3 = {cavity.d3}")
-    head, amount = _zero_term(temperature, policy, value,
-                              cavity.has_drude_like, per_polarization=True)
+    plan = _plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
+                 cavity.plate)
+    head, amount = _zero_term(temperature, policy, value, plan.has_drude_like,
+                              per_polarization=True)
     spec = spec or DEFAULT_SPEC
     if not columns and temperature > 0.0 and (spec.abs_floor
                                               or amount is not None):

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -146,14 +145,6 @@ class CavityConfig:
             raise ValueError("gap widths must be positive")
         if not isinstance(self.plate, (Layer, PerfectMirrorPlate)):
             raise ValueError("plate must be a Layer or PerfectMirrorPlate")
-
-    @cached_property
-    def has_drude_like(self) -> bool:
-        walls = (self.left_wall, self.right_wall)
-        plate = (self.plate,) if isinstance(self.plate, Layer) else ()
-        slabs = plate + walls[0].layers + walls[1].layers
-        models = [self.medium, *(wall.terminator for wall in walls)]
-        return any(map(is_drude_like, models + [ly.material for ly in slabs]))
 
 
 # A material at one call: Fresnel weights (mu, eps) of shape (2, A, 1) or

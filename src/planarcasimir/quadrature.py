@@ -10,15 +10,15 @@ weights at every level: the single node of a 1-D integral, or a set of
 thermal frequencies. A level's error is, per integrated axis, its change
 from the level before, squared where the axis was seen to double its digits
 (``_booked``), plus the end terms, and at least a few ulps of the sum of
-|weight * f|; the rule stops at the tolerance or at its last level. The
-verdict runs on floats, with numpy's NaNs and order of addition; results
-replay bit for bit. ``integrate_semi_infinite`` is the 1-D rule, and
-``double_semi_infinite`` the tensor product of the rule in frequency and in
-momentum at T = 0. At T > 0 its frequency axis is a fixed axis of Matsubara
-frequencies (``_thermal_sum``): all the terms the sum needs where they cost
-less than the 0 K rule, or else the first ones plus the 0 K rule above
-them, corrected by Gregory's formula, whose last differences book the rest.
-``matsubara_sum``, their reference, sums Matsubara terms in blocks.
+|weight * f|; the rule stops at the tolerance or at its last level. The verdict
+runs on floats, with numpy's NaNs and order of addition; results replay bit for
+bit on the same numpy, BLAS build and CPU kernel. ``integrate_semi_infinite``
+is the 1-D rule, and ``double_semi_infinite`` the tensor product of the rule in
+frequency and in momentum at T = 0. At T > 0 its frequency axis is a fixed axis
+of Matsubara frequencies (``_thermal_sum``): all the terms the sum needs where
+they cost less than the 0 K rule, or else the first ones plus the 0 K rule
+above them, corrected by Gregory's formula, whose last differences book the
+rest. ``matsubara_sum``, their reference, sums Matsubara terms in blocks.
 """
 
 from __future__ import annotations

@@ -650,10 +650,11 @@ def test_thermal_mirror_force_meets_the_geometric_series(temperature):
     _meets_the_geometric_series(temperature, 1e-6, 5e-5)
 
 
-# Vacuum mirror cavities (T in K, d1 and d3 in m) where the Pade sums that
-# the thermal rule replaced had no slack to give: shortcuts of their stop
-# rule booked 1/30 of the true error on the first and 1/7.3 on the other
-# two. The thermal rule, which sums their terms, must bound them too.
+# Vacuum mirror cavities (T in K, d1 and d3 in m) where the Pade-accelerated
+# sums that ``quadrature._thermal_sum`` replaced had no slack to give:
+# shortcuts of their stop rule booked 1/30 of the true error on the first and
+# 1/7.3 on the other two. ``_thermal_sum``, which sums their terms, must
+# bound them too.
 _THERMAL_TRAPS = [(168.19782374241206, 0.9043108667287712e-6,
                    3.8290935518332326e-6),
                   (64.72873352694713, 1e-6, 12e-6),
@@ -768,7 +769,8 @@ def test_drude_media_demand_explicit_zero_term_policy():
     metal = drude_lorentz(1.4e16, 0.0, 4e13)
     cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, 5e-7,
                           Layer(metal, 1e-7), 1.5e-6, Wall.perfect_mirror())
-    assert cavity.has_drude_like
+    assert layers.Plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
+                       cavity.plate).has_drude_like
     with pytest.raises(ValueError, match="zero_term_policy"):
         plate_force(cavity, temperature=300.0, spec=SPEC)
     dropped = plate_force(cavity, temperature=300.0, spec=SPEC,
@@ -991,10 +993,11 @@ def test_the_plan_cache_cannot_change_a_result(monkeypatch, temperature):
     stress_zz(_gold_gap(), 3e-7, temperature, zero_term_policy=policy)
     assert engine._plan.cache_info().currsize == 5
     again = plate_force(cavity, temperature, zero_term_policy=policy)
-    hits = engine._plan.cache_info().hits
+    info = engine._plan.cache_info()
     equal = plate_force(_fresh_gold_cavity(), temperature,
                         zero_term_policy=policy)
-    assert engine._plan.cache_info().hits == hits + 1
+    # Both lookups of a force, its rule's and its m = 0 check's, hit.
+    assert engine._plan.cache_info()[:2] == (info.hits + 2, info.misses)
     assert _force_bits(first) == _force_bits(again) == _force_bits(equal)
 
 
@@ -1315,7 +1318,8 @@ def test_a_converged_result_meets_its_target(
         cavity = CavityConfig(Wall.semi_infinite(left), gap, d1,
                               Layer(plate, 1e-6), d3,
                               Wall.semi_infinite(right))
-        drude = cavity.has_drude_like
+        drude = layers.Plan(gap, (cavity.left_wall, cavity.right_wall),
+                            cavity.plate).has_drude_like
 
         def run(policy, value=None):
             res = plate_force(cavity, temperature, spec, policy, value)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c
 
 from planarcasimir import engine, layers, materials
@@ -557,17 +559,43 @@ def test_geometry_validation():
 
 def test_drude_detection_walks_the_whole_structure():
     metal = drude_lorentz(1.4e16, 0.0, 4e13)
-    calm = CavityConfig(Wall.perfect_mirror(), VACUUM, 1e-6,
-                        Layer(constant(eps=4.0), 1e-7), 1e-6, Wall.perfect_mirror())
+    mirrors = (Wall.perfect_mirror(),) * 2
+    calm = layers.Plan(VACUUM, mirrors, Layer(constant(eps=4.0), 1e-7))
     assert not calm.has_drude_like
-    plated = CavityConfig(Wall.perfect_mirror(), VACUUM, 1e-6,
-                          Layer(metal, 1e-7), 1e-6, Wall.perfect_mirror())
+    plated = layers.Plan(VACUUM, mirrors, Layer(metal, 1e-7))
     assert plated.has_drude_like
-    walled = CavityConfig(Wall.stack([Layer(metal, 1e-8)], MIRROR), VACUUM, 1e-6,
-                          PerfectMirrorPlate(), 1e-6, Wall.perfect_mirror())
+    walled = layers.Plan(VACUUM, (Wall.stack([Layer(metal, 1e-8)], MIRROR),
+                                  Wall.perfect_mirror()), PerfectMirrorPlate())
     assert walled.has_drude_like
     assert Wall.perfect_mirror().is_mirror_terminated
     assert not Wall.semi_infinite(constant(eps=2.0)).is_mirror_terminated
+
+
+# Constant, Lorentz, Drude (in eps, or in mu alone) and plasma materials.
+_FLAG_MEDIA = [constant(eps=3.0), constant(eps=2.0, mu=5.0),
+               drude_lorentz(1e16, 2e15, 1e13), drude_lorentz(1.4e16, 0.0, 4e13),
+               drude_lorentz(1e15, 3e15, 1e13, mu_model=(1e14, 0.0, 1e12)),
+               plasma(2e16)]
+_FLAG_WALLS = st.builds(
+    Wall, st.lists(st.builds(Layer, st.sampled_from(_FLAG_MEDIA),
+                             st.just(1e-8)), max_size=3).map(tuple),
+    st.sampled_from(_FLAG_MEDIA + [MIRROR]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(medium=st.sampled_from(_FLAG_MEDIA), left=_FLAG_WALLS,
+       right=_FLAG_WALLS, plate=st.one_of(
+           st.just(PerfectMirrorPlate()),
+           st.builds(Layer, st.sampled_from(_FLAG_MEDIA), st.just(1e-7))))
+def test_plan_flags_a_drude_like_material_anywhere(medium, left, right, plate):
+    # The flag of every m = 0 check: some material of the structure, in any
+    # region, diverges at xi -> 0. The plan keeps each distinct one once.
+    slabs = left.layers + right.layers + (
+        (plate,) if isinstance(plate, Layer) else ())
+    models = [medium, left.terminator, right.terminator,
+              *(slab.material for slab in slabs)]
+    assert layers.Plan(medium, (left, right), plate).has_drude_like == any(
+        map(materials.is_drude_like, models))
 
 
 @pytest.mark.parametrize("build", [
