@@ -420,9 +420,11 @@ def _cmd_sweep(rc: RunConfig, values: dict):
             "an eps sweep needs a constant-kind gap medium in the structure"
         )
 
-    # Every point is built and checked before the first force is computed.
+    # Every point is built and checked before the first force is computed,
+    # against the m = 0 flag of the structure's plan, which no sweep changes.
     grid = np.geomspace if spacing == "log" else np.linspace
-    cases = []
+    cases, walls = [], (cavity.left_wall, cavity.right_wall)
+    has_drude = _plan(cavity.medium, walls, cavity.plate).has_drude_like
     for value in (float(v) for v in grid(start, stop, points)):
         run, case = rc, cavity
         try:
@@ -441,10 +443,9 @@ def _cmd_sweep(rc: RunConfig, values: dict):
             else:
                 run = replace(rc, temperature=value)
             # The zero-term request of every point, as _force will pass it.
-            request, walls = _request(run), (case.left_wall, case.right_wall)
+            request = _request(run)
             _zero_term(request["temperature"], request["zero_term_policy"],
-                       request["zero_term_value"],
-                       _plan(case.medium, walls, case.plate).has_drude_like,
+                       request["zero_term_value"], has_drude,
                        per_polarization=True)
         except ValueError as exc:
             raise ConfigError(f"sweep value {value!r}: {exc}") from None

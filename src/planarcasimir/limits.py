@@ -12,9 +12,9 @@ while the Minkowski stress tensor predicts the uniformly screened
     F^M = (hbar c pi^2 / 240) eps^{-1/2} (1/d3^4 - 1/d1^4)     (mu = 1).
 
 Their ratio F^M/F = 1/(2/3 + 1/(3 eps)) for mu = 1 grows monotonically from 1
-(vacuum) to 3/2 (dense media), so the field-only force is never larger in
-magnitude than the Minkowski one; the factor is the measurable discriminator
-between the two stress tensors.
+(vacuum) to 3/2 (dense media), so for mu = 1 the field-only force is never
+larger in magnitude than the Minkowski one; the factor is the measurable
+discriminator between the two stress tensors.
 """
 
 from __future__ import annotations

@@ -71,9 +71,9 @@ class IntegralResult:
 
     ``converged`` is the verdict of the rule that produced the result:
     ``error_estimate <= max(rel_tol*|value|, abs_floor)`` for its spec, for
-    every column and, for columns in G groups of k (G, k), each group's sum
-    with the sum of its errors. ``value`` and ``error_estimate`` are floats
-    for one column and ndarrays of the columns' shape otherwise.
+    every column and, for G (s, p) pairs (G, 2), each pair's sum with the
+    sum of its errors. ``value`` and ``error_estimate`` are floats for one
+    column and ndarrays of the columns' shape otherwise.
     """
 
     value: float | np.ndarray
@@ -201,30 +201,11 @@ def _booked(change, before, total):
     return change
 
 
-def _sum(xs):
-    """The floats xs summed in numpy's pairwise order, bit for bit."""
-    n, total = len(xs), -0.0
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum(xs[:half]) + _sum(xs[half:])
-    if n >= 8:  # eight running sums, then the rest in turn
-        r = xs[:8]
-        for i in range(8, n - n % 8, 8):
-            r = [a + b for a, b in zip(r, xs[i:i + 8])]
-        xs, total = xs[n - n % 8:], (((r[0] + r[1]) + (r[2] + r[3]))
-                                     + ((r[4] + r[5]) + (r[6] + r[7])))
-    for x in xs:
-        total += x
-    return total
-
-
 def _judged(xs, shape):
-    """The floats xs of the columns of ``shape``, then, for G groups of k,
-    (G, k), each group's sum: its first plus ``_sum`` of the rest."""
+    """The floats xs of ``shape``'s columns, then s + p of each pair (G, 2)."""
     if len(shape) < 2:
         return xs
-    k = shape[1]
-    return xs + [xs[i] + _sum(xs[i + 1:i + k]) for i in range(0, len(xs), k)]
+    return xs + [s + p for s, p in zip(xs[::2], xs[1::2])]
 
 
 def _nested(f: Callable, outer, inner, levels: tuple[int, int],
@@ -234,7 +215,7 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
     The inner axis is a range of ``_axis``; the outer one is a range too or
     a fixed axis of ``_fixed``, of R sums. ``f(a, b)`` gets outer abscissas
     a of shape (A, 1) and inner ones b of shape (1, m) and returns shape
-    ``shape`` + (A, m), columns first, () or (K,) or G groups of k (G, k);
+    ``shape`` + (A, m), columns first, () or (K,) or G (s, p) pairs (G, 2);
     None takes () or (k,) from the first call (the 1-D rule). The first of
     ``levels`` evaluates every node and reads the two levels before from
     every second and every fourth node, so one pass yields an error; each
@@ -246,7 +227,7 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
     the end lines of each such axis per unit t; ``_ULPS`` ulps of the sum of
     |weight * f| are the least error. Every column of every sum meets
     ``max(rel_tol*|S_k|, abs_floor)``, and, with an integrated outer axis,
-    each group's sum with the sum of its errors (``_judged``); a fixed
+    each pair's sum with the sum of its errors (``_judged``); a fixed
     axis's sums are terms the caller judges. Returns (value, error, points,
     converged, upper end term of the inner axis, sum of |weight * f|), of
     shape ``shape`` led by R sums for a fixed axis.
@@ -374,10 +355,11 @@ def double_semi_infinite(
     per row, and a row q of shape (1, m) that broadcasts against it; it returns
     shape ``columns`` + (A, m), the columns first as in ``layers.Plan``, and
     any other is refused: () for one column, (K,) for K (the engine's
-    heights), or (G, k) for G groups of k (one force's s and p are (1, 2), or
-    () where they are one array). The columns share one pass, and their count
-    sizes its calls (``_nested``). The q rule runs in v = q*d_ref from
-    3.2e-15 to 46, so decay scales of order d_ref become O(1);
+    heights), or (G, 2) pairs, G forces' s and p (one force is (1, 2), or ()
+    where they are one array); other ``columns`` are refused before the first
+    call. The columns share one pass, and their count sizes its calls
+    (``_nested``). The q rule runs in v = q*d_ref from 3.2e-15 to 46, so
+    decay scales of order d_ref become O(1);
     ``spec.q_cutoff`` composes it with tanh-sinh on [0, q_cutoff*d_ref].
     ``index`` is a lower bound on the medium's refractive index n(i xi): the
     integrand decays like exp(-2 n xi d_ref/c), so ``d_ref`` and ``index`` set
@@ -392,7 +374,7 @@ def double_semi_infinite(
     of ``_thermal_sum``, with m = 0 at half weight if ``head``, plus a given
     m = 0 ``amount`` (per column, checked by ``engine._zero_term``); 0 K has
     no m = 0 term to add. Either rule judges the value it returns, at every
-    temperature: each column, and each group's sum with the sum of its
+    temperature: each column, and each pair's sum with the sum of its
     errors, must meet max(rel_tol*|.|, abs_floor), and a result not finite
     once scaled is not converged. ``evaluations`` counts integrand points.
     """
@@ -403,6 +385,8 @@ def double_semi_infinite(
         raise ValueError(f"prefactor must be finite and nonzero: {prefactor}")
     if not 0.0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0: {temperature}")
+    if columns[1:] not in ((), (2,)):
+        raise ValueError(f"columns {columns} are not (), (K,) or (G, 2) pairs")
     # The rules sum in u and v without the prefactor and the Jacobians of
     # those variables, which scale the result; so must the floor.
     jac = c / (index * d_ref)

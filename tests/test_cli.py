@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -7,6 +8,7 @@ from scipy.constants import c, hbar
 
 from planarcasimir import cli, engine
 from planarcasimir.cli import main
+from planarcasimir.layers import Plan
 
 COEF = hbar * c * math.pi ** 2 / 240.0
 
@@ -1141,6 +1143,26 @@ def test_sweep_refuses_a_zero_term_request_before_integrating(
     assert code == 2 and out == ""
     assert "sweep value 150.0" in err and "m = 0 thermal term is ambiguous" in err
     assert calls == []
+
+
+def test_an_eps_sweep_compiles_one_plan_per_point(tmp_path, capsys,
+                                                 monkeypatch):
+    # The m = 0 pre-check reads the structure's plan once, so a sweep of
+    # more points than engine._plan holds compiles each point's plan once,
+    # plus the structure's; its rows are those of a cache that never evicts.
+    argv = ["sweep", "--config", _write(tmp_path, GOLD_PLATE_CAVITY),
+            "--parameter", "eps", "--start", "1.5", "--stop", "4",
+            "--points", "20", "--temperature", "300",
+            "--zero-term-policy", "drop", "--format", "csv"]
+    engine._plan.cache_clear()
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    assert engine._plan.cache_info().misses <= 21
+    keep = functools.lru_cache(maxsize=None)(Plan)
+    monkeypatch.setattr(engine, "_plan", keep)
+    monkeypatch.setattr(cli, "_plan", keep)
+    assert _run(capsys, argv) == (0, out, err)
+    assert keep.cache_info().misses == 21
 
 
 @pytest.mark.parametrize("argv,needle", [

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -177,7 +178,7 @@ _EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                           1e-300, 1.0, 1e300, 1.7976931348623157e308, np.inf,
                           -np.inf, np.nan])
 _SHAPES = st.one_of(st.just(()), st.tuples(st.integers(1, 5)),
-                    st.tuples(st.integers(1, 3), st.integers(1, 140)))
+                    st.tuples(st.integers(1, 140), st.just(2)))
 
 
 def _bits(x):
@@ -187,16 +188,15 @@ def _bits(x):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(pool=st.lists(st.one_of(_EDGES, st.floats()), min_size=1, max_size=12),
        seed=st.integers(0, 2**32 - 1), shape=_SHAPES)
-@example(pool=[1.0, -2.5e-3, 7.3e5, 3.1e-9], seed=1, shape=(2, 140))
-@example(pool=[1.0, -2.5e-3, 7.3e5, 3.1e-9], seed=2, shape=(1, 300))
+@example(pool=[1.0, -2.5e-3, 7.3e5, 3.1e-9], seed=1, shape=(140, 2))
+@example(pool=[1.0, -2.5e-3, 7.3e5, 3.1e-9], seed=2, shape=(300, 2))
 def test_float_verdict_is_the_array_one_bit_for_bit(pool, seed, shape):
     # The float ``_booked``, ``_judged`` and ``_max`` against the array
     # formulas they replaced, on zeros of either sign, subnormals, huge
     # values, infinities and NaNs drawn into every column: the same bits,
     # NaNs and equal zeros kept as np.minimum and np.maximum keep them, and
-    # group sums added in numpy's order (the first, then pairwise), for
-    # every column shape the core takes: (), (K,) and G groups of k, k past
-    # numpy's blocks of 8 and 128.
+    # pair sums added as numpy adds them, for every column shape the core
+    # takes: (), (K,) and G (s, p) pairs (G, 2), G up to 300.
     change, before, total = np.random.default_rng(seed).choice(
         np.array(pool), size=(3, math.prod(shape)))
     with np.errstate(all="ignore"):
@@ -568,6 +568,24 @@ def test_columns_of_another_shape_are_refused_by_name(
             " one row per abscissa")):
         double_semi_infinite(_grouped(np.ones(returned)), SPEC, 1e-6,
                              temperature=temperature, columns=declared)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 300.0])
+@pytest.mark.parametrize("columns", [(1, 3), (2, 1), (2, 2, 2)])
+def test_columns_other_than_pairs_are_refused_before_a_call(
+        temperature, columns):
+    # Column groups are a force's (s, p) pairs, (G, 2); any other group, or
+    # a third axis, is refused by its shape before the integrand runs.
+    calls = []
+
+    def integrand(xi, q):
+        calls.append(xi)
+        return np.ones(columns + np.broadcast_shapes(xi.shape, q.shape))
+
+    with pytest.raises(ValueError, match=re.escape(f"columns {columns} ")):
+        double_semi_infinite(integrand, SPEC, 1e-6, temperature=temperature,
+                             columns=columns)
+    assert not calls
 
 
 @pytest.mark.parametrize("temperature", [0.0, 300.0])
