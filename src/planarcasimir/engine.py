@@ -50,7 +50,8 @@ import numpy as np
 from .constants import c, hbar
 from .layers import DELTA, POLARIZATIONS, CavityConfig, Plan, Wall
 from .materials import DispersionModel, MaterialKind, is_nonmagnetic
-from .quadrature import IntegralResult, QuadratureSpec, double_semi_infinite
+from .quadrature import (IntegralResult, QuadratureSpec, _double,
+                         double_semi_infinite)
 
 DEFAULT_SPEC = QuadratureSpec()
 # The treatments of the m = 0 thermal term, read by ``_zero_term`` alone.
@@ -58,6 +59,7 @@ ZERO_TERM_POLICIES = ("half-weight", "drop", "custom-value")
 
 _STRESS_PREFACTOR = hbar / (8.0 * np.pi**2)
 _MINKOWSKI_PREFACTOR = hbar / (2.0 * np.pi**2)
+_LEAST_EXPONENT = -707.0  # of ``_decay``
 
 
 @dataclass(frozen=True)
@@ -131,13 +133,22 @@ def _mode_coefficients(call):
             DELTA * ((call.xi_sq / c**2) * (1.0 - n_sq)))
 
 
+def _decay(kappa, length):
+    """e^{-2 kappa length}, the exponent floored at ``_LEAST_EXPONENT`` where
+    ``length`` is finite (numpy's vector exp runs 15-150x slower below about
+    -707.7); an infinite length keeps its exact 0."""
+    x = kappa * (-2.0 * length)
+    np.maximum(x, _LEAST_EXPONENT, out=x, where=length < math.inf)
+    return np.exp(x, out=x)
+
+
 def _g_terms(call, r_minus, r_plus, width):
     """(bulk, surf, D) of g in a ``Plan``'s ``call`` for a gap of ``width``
     between reflections r_- and r_+, rows (s, p): g(z) =
     (bulk + surf [r_- e^{-2 kappa z} + r_+ e^{-2 kappa (d-z)}]) / D."""
     pair, surf = _mode_coefficients(call)
     # r_+ r_- e^{-2 kappa d} once, so that mirror-image walls round alike.
-    rr = r_plus * r_minus * np.exp(call.gap.kappa * (-2.0 * width))
+    rr = r_plus * r_minus * _decay(call.gap.kappa, width)
     return pair * rr, surf, 1.0 - rr
 
 
@@ -249,8 +260,8 @@ def stress_zz(
         bulk, near, far = ((term * inv).sum(axis=0)
                            for term in (bulk, surf * r_minus, surf * r_plus))
         return q * (-mu / kappa) * (
-            bulk + near * np.exp(kappa * (-2.0 * h))
-            + far * np.exp(kappa * (-2.0 * (view.width - h))))
+            bulk + near * _decay(kappa, h)
+            + far * _decay(kappa, view.width - h))
 
     d_ref = min(heights.min(), view.width - heights.max())
     return double_semi_infinite(integrand, spec, d_ref, _STRESS_PREFACTOR,
@@ -283,7 +294,7 @@ def minkowski_stress_zz(
     def integrand(xi, q):
         call = plan(xi, q)
         kappa, (r_minus, r_plus) = call.gap.kappa, call.walls
-        rr = r_plus * r_minus * np.exp(kappa * (-2.0 * view.width))
+        rr = r_plus * r_minus * _decay(kappa, view.width)
         return q * kappa * (rr / (1.0 - rr)).sum(axis=0)
 
     return double_semi_infinite(integrand, spec, view.width,
@@ -318,7 +329,7 @@ def stress_profile(
 
 
 def _difference_rule(cavity: CavityConfig, minkowski=False):
-    """(integrand, columns): the plate's single-plate (r, t) stress difference.
+    """(integrand, columns, plan) of the plate's (r, t) stress difference.
 
     With the plate's (r, t) and the bare walls' reflections r_1- and r_3+,
     all seen from the gap medium, A = r_1- e^{-2 kappa d1},
@@ -340,13 +351,13 @@ def _difference_rule(cavity: CavityConfig, minkowski=False):
     """
     plan = _plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
                  cavity.plate)
-    d1, d3 = -2.0 * cavity.d1, -2.0 * cavity.d3
+    d1, d3 = cavity.d1, cavity.d3
 
     def integrand(xi, q):
         call = plan(xi, q)
         (mu, _), kappa, _ = call.gap
         if plan.mirrors:  # r A = e_1, r B = e_3, t = 0; in place, in order
-            e1, e3 = np.exp(kappa * d1), np.exp(kappa * d3)
+            e1, e3 = _decay(kappa, d1), _decay(kappa, d3)
             fold = e3 - e1
             fold *= q
             fold /= np.multiply(np.subtract(1.0, e1, out=e1),
@@ -360,7 +371,7 @@ def _difference_rule(cavity: CavityConfig, minkowski=False):
             return np.multiply(np.add(pair, 2.0 * DELTA * surf, out=pair),
                                fold, out=pair)
         (r_minus, r_plus), (r, t) = call.walls, call.plate
-        a, b = r_minus * np.exp(kappa * d1), r_plus * np.exp(kappa * d3)
+        a, b = r_minus * _decay(kappa, d1), r_plus * _decay(kappa, d3)
         n_den = (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
         if minkowski:
             return q * kappa * r * (b - a) / n_den
@@ -372,24 +383,23 @@ def _difference_rule(cavity: CavityConfig, minkowski=False):
         return q * (-mu / kappa) * curly * (b - a) / n_den
 
     alike = plan.mirrors and (minkowski or plan.empty)
-    return integrand, () if alike else (2,)
+    return integrand, () if alike else (2,), plan
 
 
-def _plate_force(cavity, integrand, columns, prefactor, temperature, spec,
-                 policy, value) -> ForceResult:
-    """The plate force of one cavity's ``integrand`` of ``columns``: a finite
-    gap and the m = 0 request (``_zero_term``) are checked, then one rule on
-    the smaller gap and the gap medium's ``_index`` runs, its verdict kept.
-    (s, p) is one group (1, 2), judged on s, p and s + p. One array y for
-    both runs at twice the prefactor, its column s + p judged on the goal
-    that implies the others, and s = p is half of it. At T > 0 the q rules
-    judge each column against the floor, and a custom m = 0 amount gives s
-    and p their own targets: with either, y runs as the group (y, y)."""
+def _plate_force(cavity, integrand, columns, plan, prefactor, temperature,
+                 spec, policy, value) -> ForceResult:
+    """A cavity's plate force from its ``integrand`` of ``columns`` and its
+    ``plan``: a finite gap and the m = 0 request (``_zero_term``) are checked,
+    then one rule on the smaller gap and the gap index runs. (s, p) is one
+    group (1, 2), judged on s, p and s + p, counted once toward ``_CHUNK``
+    at 0 K under ``Plan.mirrors``. One array y for both runs at twice the
+    prefactor, judged on s + p, whose goal implies the others, and s = p is
+    half of it. At T > 0 the q rules judge each column against the floor,
+    and a custom m = 0 amount gives s and p their own targets: with either,
+    y runs as the group (y, y)."""
     if not math.isfinite(min(cavity.d1, cavity.d3)):
         raise ValueError("a plate force needs at least one finite gap, got"
                          f" d1 = {cavity.d1} and d3 = {cavity.d3}")
-    plan = _plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
-                 cavity.plate)
     head, amount = _zero_term(temperature, policy, value, plan.has_drude_like,
                               per_polarization=True)
     spec = spec or DEFAULT_SPEC
@@ -397,15 +407,15 @@ def _plate_force(cavity, integrand, columns, prefactor, temperature, spec,
                                               or amount is not None):
         f, columns = integrand, (2,)
         integrand = lambda xi, q: np.stack((f(xi, q),) * 2)
-    res = double_semi_infinite(
+    value, error, evaluations, converged = _double(
         (lambda xi, q: integrand(xi, q)[None]) if columns else integrand,
         spec, min(cavity.d1, cavity.d3), prefactor * (1.0 if columns else 2.0),
         temperature, head, amount, columns=(1, 2) if columns else (),
-        index=_index(cavity.medium))
-    s, p = map(float, res.value[0]) if columns else (0.5 * res.value,) * 2
-    error = float(res.error_estimate.sum()) if columns else res.error_estimate
-    return ForceResult(s + p, error, dict(zip(POLARIZATIONS, (s, p))),
-                       res.converged, res.evaluations)
+        index=_index(cavity.medium),
+        width=int(plan.mirrors and temperature == 0.0))
+    s, p = value if columns else (0.5 * value[0],) * 2
+    return ForceResult(s + p, sum(error), dict(zip(POLARIZATIONS, (s, p))),
+                       converged, evaluations)
 
 
 def plate_force(

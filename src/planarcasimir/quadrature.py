@@ -103,12 +103,12 @@ _LOOSE = 1e-4
 _LINE = (-4.5, 3.875, None)
 _LINE_LEVELS = (3, 12)
 # Point-columns per integrand call, or one row; ``_nested`` cuts a block
-# into the fewest such calls, one row apart in size. A richer integrand
-# leaves L2 sooner: warm, 16,000 took 12-43% longer than 8,192 on gold and
-# mu = 100 cavity forces, the same on a stress and 14-22% less on mirror
-# forces. Temporaries past malloc's 128 KiB mmap threshold can take fresh
-# pages on every call: exp, mul and add took 69-95 us with 23 minor faults
-# a loop on 20,000 doubles, 32-48 us with none on 16,384 (2-core Xeon).
+# into the fewest such calls, one row apart. A richer integrand leaves L2
+# sooner: a gold cavity's field force took 1.40 ms warm as one call of its
+# pair, 0.95 ms as two; a 0 K mirror pair, formed in its last product,
+# counts once, 197 us warm against 255 as two (eps = 3). Exp, mul and add on
+# 20,000 doubles, past malloc's mmap threshold, took 69-95 us with 23 minor
+# faults, on 16,384 32-48 us with none (2-core Xeon).
 _CHUNK = 8192
 # Nonzero Matsubara terms in the first and the last block of
 # ``matsubara_sum``; every later block is twice the one before, so a sum of
@@ -133,7 +133,7 @@ _HEAD = 8
 # stresses against level 7 and of thermal mirror forces at targets 1e-4 to
 # 1e-12 (a factor of 16 and a floor of 16 ulps each miss a 1-D integral).
 _SQUARE, _DOUBLING, _ULPS = 32.0, 2.0, 32
-_FLOOR, _TINY = _ULPS * np.finfo(float).eps, np.finfo(float).tiny
+_FLOOR, _TINY = _ULPS * float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
 @lru_cache(maxsize=64)
@@ -209,32 +209,31 @@ def _judged(xs, shape):
 
 
 def _nested(f: Callable, outer, inner, levels: tuple[int, int],
-            rel_tol: float, abs_floor: float, shape: tuple[int, ...] | None):
+            rel_tol: float, abs_floor: float, shape: tuple | None, width=0):
     """Nested trapezoid rule over the tensor product of two axes.
 
-    The inner axis is a range of ``_axis``; the outer one is a range too or
-    a fixed axis of ``_fixed``, of R sums. ``f(a, b)`` gets outer abscissas
-    a of shape (A, 1) and inner ones b of shape (1, m) and returns shape
-    ``shape`` + (A, m), columns first, () or (K,) or G (s, p) pairs (G, 2);
-    None takes () or (k,) from the first call (the 1-D rule). The first of
-    ``levels`` evaluates every node and reads the two levels before from
-    every second and every fourth node, so one pass yields an error; each
-    later level evaluates the nodes it adds. A block takes the fewest calls
-    of at most ``_CHUNK`` point-columns, or one row, one row apart in size.
-    The level's verdict runs on its sums as floats: each integrated axis
-    books (``_booked``) the change of S_k as it alone drops to level k-1,
-    after its change from k-2 to k-1, plus the end terms, integrals along
-    the end lines of each such axis per unit t; ``_ULPS`` ulps of the sum of
-    |weight * f| are the least error. Every column of every sum meets
-    ``max(rel_tol*|S_k|, abs_floor)``, and, with an integrated outer axis,
-    each pair's sum with the sum of its errors (``_judged``); a fixed
+    The inner axis is a range of ``_axis``; the outer one is a range too or a
+    fixed axis of ``_fixed``, of R sums. ``f(a, b)`` gets outer abscissas a of
+    shape (A, 1) and inner ones b of shape (1, m) and returns shape ``shape`` +
+    (A, m), columns first, () or (K,) or G (s, p) pairs (G, 2); None takes ()
+    or (k,) from the first call (the 1-D rule). The first of ``levels``
+    evaluates every node and reads the two levels before from every second and
+    every fourth node, so one pass yields an error; each later level evaluates
+    the nodes it adds. A block takes the fewest calls of at most ``_CHUNK``
+    point-columns (a point counts ``width``, or all its columns if 0), or one
+    row, one row apart in size. The level's verdict runs on its sums as floats:
+    each integrated axis books (``_booked``) the change of S_k as it alone
+    drops to level k-1, after its change from k-2 to k-1, plus the end terms,
+    integrals along the end lines of each such axis per unit t; ``_ULPS`` ulps
+    of the sum of |weight * f| are the least error. Every column of every sum
+    meets ``max(rel_tol*|S_k|, abs_floor)``, and, with an integrated outer
+    axis, each pair's sum with the sum of its errors (``_judged``); a fixed
     axis's sums are terms the caller judges. Returns (value, error, points,
-    converged, upper end term of the inner axis, sum of |weight * f|), of
-    shape ``shape`` led by R sums for a fixed axis.
-    """
+    converged, upper end term of the inner axis, sum of |weight * f|,
+    ``shape``), the sums as floats: per column, its R sums in turn."""
     first, last = levels
     integrated = len(outer) == 3
-    columns = math.prod(shape or ())
+    columns = width or math.prod(shape or ())
     sums, size, evals = 0.0, 0.0, 0
     for level in range(first, last + 1):
         u, w_u, odd_u, even_u = _axis(outer, level) if integrated else outer
@@ -295,20 +294,13 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
             *(_judged([row[i] for row in judged], groups) for i in (1, 0))))
         if converged or level == last:
             break
-    # Columns, sums, then (value, error, top, mass, unsettled): R sums lead.
-    out = np.array(verdict).reshape(sums.shape[0], -1, 5).T.copy()
+    # (value, error, top, mass, unsettled) per column, its sums in turn.
+    value, error, top, mass, unsettled = map(list, zip(*verdict))
     if not converged:
         # The levels have not settled (rounding noise need not shrink from
         # one level to the next), so book the larger of the last two changes.
-        np.maximum(out[1], out[4], out=out[1])
-    shape = (() if integrated else out.shape[1:2]) + shape
-    value, error, top, mass = (x.reshape(shape) for x in out[:4])
-    return value, error, evals, converged, top, mass
-
-
-def _plain(x):
-    """A float for one column, the ndarray for several."""
-    return float(x) if getattr(x, "ndim", 0) == 0 else x
+        error = list(map(_max, error, unsettled))
+    return value, error, evals, converged, top, mass, shape
 
 
 def integrate_semi_infinite(
@@ -328,14 +320,15 @@ def integrate_semi_infinite(
     a miss at level 12 is reported through it, never silently.
     ``evaluations`` counts abscissas.
     """
-    (value,), (error,), evaluations, converged, (top,), _ = _nested(
+    value, error, evaluations, converged, top, _, shape = _nested(
         lambda _, x: np.atleast_1d(f(x[0])).T[..., None, :], _POINT, _LINE,
         _LINE_LEVELS, spec.rel_tol, spec.abs_floor, None)
+    value, error = (np.array(x) if shape else x[0] for x in (value, error))
     if np.any(top > np.maximum(spec.rel_tol * np.abs(value), spec.abs_floor)):
         raise ValueError(
             "the integrand has not decayed by x = 2.7e16; rescale the"
             " integrand so its decay scale is of order one before integrating")
-    return IntegralResult(_plain(value), _plain(error), evaluations, converged)
+    return IntegralResult(value, error, evaluations, converged)
 
 
 def double_semi_infinite(
@@ -378,6 +371,16 @@ def double_semi_infinite(
     errors, must meet max(rel_tol*|.|, abs_floor), and a result not finite
     once scaled is not converged. ``evaluations`` counts integrand points.
     """
+    *sums, evaluations, converged = _double(
+        integrand_si, spec, d_ref, prefactor, temperature, head, amount,
+        index, columns)
+    return IntegralResult(*(np.reshape(x, columns) if columns else x[0]
+                            for x in sums), evaluations, converged)
+
+
+def _double(integrand_si, spec, d_ref, prefactor, temperature, head, amount,
+            index, columns, width=0):
+    """``double_semi_infinite`` in lists of floats; ``width`` is _nested's."""
     for name, bound in (("d_ref", d_ref), ("index", index)):
         if not 0.0 < bound < np.inf:
             raise ValueError(f"{name} must be finite and positive: {bound}")
@@ -385,12 +388,12 @@ def double_semi_infinite(
         raise ValueError(f"prefactor must be finite and nonzero: {prefactor}")
     if not 0.0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0: {temperature}")
-    if columns[1:] not in ((), (2,)):
+    if columns[1:] not in ((), (2,)) or 0 in columns:
         raise ValueError(f"columns {columns} are not (), (K,) or (G, 2) pairs")
     # The rules sum in u and v without the prefactor and the Jacobians of
     # those variables, which scale the result; so must the floor.
     jac = c / (index * d_ref)
-    scale = prefactor * jac / d_ref
+    scale = float(prefactor * jac / d_ref)
     floor = 0.0 if spec.abs_floor == 0.0 else spec.abs_floor / abs(scale)
     v_axis = _MOMENTUM if spec.q_cutoff is None else (
         _MOMENTUM[0], _CUTOFF_TOP, spec.q_cutoff * d_ref)
@@ -399,23 +402,24 @@ def double_semi_infinite(
     def tensor(xi):  # the 0 K rule over frequencies from xi on
         return _nested(lambda u, v: integrand_si(xi + u * jac, v / d_ref),
                        _FREQUENCY, v_axis, (first, _TENSOR_LEVELS[1]),
-                       spec.rel_tol, floor, columns)
+                       spec.rel_tol, floor, columns, width)
 
     if temperature == 0.0:
-        value, error, evaluations, converged, _, _ = tensor(0.0)
+        value, error, evaluations, converged, *_ = tensor(0.0)
         amount = None  # 0 K has no m = 0 term to add
     else:
         spacing = float(matsubara_frequency(1, temperature))
+        if amount is not None:  # per column
+            amount = np.broadcast_to(amount, columns).ravel().tolist()
         value, error, evaluations, converged = _thermal_sum(
             tensor, lambda xi, v: integrand_si(xi, v / d_ref), columns,
             v_axis, first, spacing, spacing / jac, head, spec, floor,
-            0.0 if amount is None else amount / scale)
-        value, error = (np.array(x).reshape(columns) for x in (value, error))
-    value, error = scale * np.asarray(value), abs(scale) * error
+            amount and [x / scale for x in amount])
+    value, error = [scale * x for x in value], [abs(scale) * x for x in error]
     if amount is not None:
-        value = value + amount
-    return IntegralResult(_plain(value), _plain(error), evaluations, converged
-                          and bool(np.isfinite([value, error]).all()))
+        value = [x + a for x, a in zip(value, amount)]
+    return value, error, evaluations, converged and all(
+        map(math.isfinite, value + error))
 
 
 def matsubara_frequency(m: int | np.ndarray, temperature: float):
@@ -449,7 +453,7 @@ def _rows(start: int, stop: int, tail: int | None):
 
 def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
                  inner, first: int, spacing: float, h: float, head: bool,
-                 spec: QuadratureSpec, floor: float, amount):
+                 spec: QuadratureSpec, floor: float, amount: list | None):
     """(value, error, points, converged) of the thermal sum of f, as lists.
 
     The sum is h Sum_m g(xi_m), xi_m = m ``spacing`` (rad/s), h that spacing
@@ -472,7 +476,7 @@ def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
     the q errors alone do not, the sum stops, not converged.
     """
     tol, start, points = spec.rel_tol, int(not head), 0
-    amounts = np.full(shape, amount).ravel().tolist()
+    amounts = amount or [0.0] * math.prod(shape)
     nodes = _axis(inner, _TERM_LEVELS[0])[0].size
     budget = (_axis(_FREQUENCY, first)[0].size * _axis(inner, first)[0].size
               // nodes + _HEAD + len(_GREGORY) - start)
@@ -480,17 +484,17 @@ def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
     def terms(lo, hi, cut, aim):  # lists of value, error and mass rows
         nonlocal points
         m, w = _rows(lo, hi, cut)
-        value, error, count, _, _, mass = _nested(
+        v, e, count, _, _, mass, _ = _nested(
             f, _fixed(m * spacing, w * h), inner, _TERM_LEVELS, 0.1 * tol,
             _max(floor, aim), shape)
-        points += count
-        return [a.reshape(len(w), -1).tolist() for a in (value, error, mass)]
+        points += count  # each column's R sums in turn, to R rows
+        return [[x[i::len(w)] for i in range(len(w))] for x in (v, e, mass)]
 
     def tail(m):  # the 0 K rule from xi_m on, as lists
         nonlocal points
         value, error, count, *_ = tensor(m * spacing)
         points += count
-        return value.ravel().tolist(), error.ravel().tolist()
+        return value, error
 
     def add(a, b):
         return [x + y for x, y in zip(a, b)]
@@ -630,5 +634,6 @@ def matsubara_sum(
             break
         mass, done, size, head = block_mass, done + size, 2 * size, 0
     error = error + tail
-    return IntegralResult(_plain(total), _plain(error), points,
-                          met and bool(np.all(error <= goal)))
+    met = met and bool(np.all(error <= goal))
+    total, error = (x if np.ndim(x) else float(x) for x in (total, error))
+    return IntegralResult(total, error, points, met)

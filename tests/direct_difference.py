@@ -13,9 +13,9 @@ for both faces; ``engine._g_terms`` on that call; and ``engine._plate_force``,
 the entry that ``engine.plate_force`` and ``engine.minkowski_plate_force``
 share: it checks the m = 0 request, takes the gap index from the cavity,
 runs the rule of the two columns (s, p) given here as one group (1, 2),
-judged on s, p and s + p, through the module attribute ``engine.double_semi_infinite`` (so a test
-that replaces that attribute sees this integrand too) and builds the
-``ForceResult``.
+judged on s, p and s + p, through the module attribute ``engine._double``
+(so a test that replaces that attribute sees this integrand too) and builds
+the ``ForceResult``.
 
 Its error bar does not cover the rounding of the g_3 - g_1 cancellation.
 The quadrature's 32-ulp floor is taken on the sum of |w (g_3 - g_1)|, not on
@@ -108,7 +108,9 @@ def plate_force(cavity, temperature=0.0, spec=None, zero_term_policy=None,
     noise_guard = 45.0 / d_min
     if spec.q_cutoff is None or spec.q_cutoff > noise_guard:
         spec = replace(spec, q_cutoff=noise_guard)
+    plan = engine._plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
+                        cavity.plate)
     return engine._plate_force(
-        cavity, direct_difference_integrand(cavity), (2,),
+        cavity, direct_difference_integrand(cavity), (2,), plan,
         engine._STRESS_PREFACTOR, temperature, spec, zero_term_policy,
         zero_term_value)

@@ -75,6 +75,15 @@ def _run(capsys, argv):
 # ---------------------------------------------------------------------------
 # usage and configuration failures all exit 2
 
+def _replace_the_core(monkeypatch, calls):
+    """Make the engine's two doors to the double integral, the stresses'
+    ``double_semi_infinite`` and the plate forces' ``_double``, record their
+    arguments in ``calls`` and run no rule."""
+    for name in ("double_semi_infinite", "_double"):
+        monkeypatch.setattr(engine, name,
+                            lambda *args, **kwargs: calls.append(args))
+
+
 def test_no_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main([])
@@ -315,8 +324,7 @@ regions = wall:mirror, gap:vac:20e-6, plate:mirror, gap:vac:40e-6, wall:mirror
 def test_force_custom_zero_term_without_values_exits_2(tmp_path, capsys,
                                                        monkeypatch):
     calls = []
-    monkeypatch.setattr("planarcasimir.engine.double_semi_infinite",
-                        lambda *args, **kwargs: calls.append(args))
+    _replace_the_core(monkeypatch, calls)
     cfg = _write(tmp_path, VACUUM_CAVITY)
     code, out, err = _run(capsys, ["force", "--config", cfg,
                                    "--temperature", "300",
@@ -1005,8 +1013,7 @@ def test_non_finite_inputs_exit_2_before_integrating(
 def test_two_infinite_gaps_exit_2_before_integrating(tmp_path, capsys,
                                                      monkeypatch, argv):
     calls = []
-    monkeypatch.setattr("planarcasimir.engine.double_semi_infinite",
-                        lambda *args, **kwargs: calls.append(args))
+    _replace_the_core(monkeypatch, calls)
     cfg = _write(tmp_path, VACUUM_CAVITY.replace("1e-6", "inf")
                  .replace("50e-6", "inf"))
     code, out, err = _run(capsys, argv + ["--config", cfg])
@@ -1021,13 +1028,7 @@ def test_compare_refuses_a_magnetic_gap_before_integrating(
     # The Minkowski force's mu = 1 check runs before the field force's
     # integral, so nothing is integrated for a run that is refused.
     calls = []
-    integrate = engine.double_semi_infinite
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr("planarcasimir.engine.double_semi_infinite", counted)
+    _replace_the_core(monkeypatch, calls)
     cfg = _write(tmp_path, """
 [material.mag]
 kind = constant
@@ -1134,8 +1135,7 @@ def test_sweep_refuses_a_zero_term_request_before_integrating(
         tmp_path, capsys, monkeypatch):
     # 0 K is valid, the default half-weight is not at 150 K and 300 K.
     calls = []
-    monkeypatch.setattr("planarcasimir.engine.double_semi_infinite",
-                        lambda *args, **kwargs: calls.append(args))
+    _replace_the_core(monkeypatch, calls)
     code, out, err = _run(capsys, [
         "sweep", "--config", _write(tmp_path, GOLD_PLATE_CAVITY),
         "--parameter", "T", "--start", "0", "--stop", "300", "--points", "3",

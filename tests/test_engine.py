@@ -243,8 +243,7 @@ def test_plate_forces_refuse_two_infinite_gaps_by_name(monkeypatch, force):
                           PerfectMirrorPlate(), np.inf, Wall.perfect_mirror())
     calls = []
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "double_semi_infinite",
-                      lambda *args, **kwargs: calls.append(args))
+        _replace_the_core(patch, _recorded(calls))
         with pytest.raises(ValueError, match="d1 = inf and d3 = inf"):
             force(cavity, spec=SPEC)
     assert calls == []
@@ -454,29 +453,56 @@ def _bad_requests():
 def test_bad_zero_term_request_is_refused_before_integrating(
         monkeypatch, name, temperature, policy, value):
     calls = []
-    monkeypatch.setattr(engine, "double_semi_infinite",
-                        lambda *args, **kwargs: calls.append(args))
+    _replace_the_core(monkeypatch, _recorded(calls))
     with pytest.raises(ValueError, match="zero_term"):
         _OBSERVABLES[name][1](temperature, zero_term_policy=policy,
                               zero_term_value=value)
     assert calls == []
 
 
+def _replace_the_core(patch, make):
+    """Replace the engine's two doors to the double integral, the public
+    ``double_semi_infinite`` its stresses call and the private ``_double``
+    of its plate forces, each by ``make(door)``."""
+    for name in ("double_semi_infinite", "_double"):
+        patch.setattr(engine, name, make(getattr(engine, name)))
+
+
+def _recorded(calls):
+    """A ``make`` for ``_replace_the_core`` whose doors record their
+    arguments in ``calls`` and run no rule."""
+    return lambda door: lambda *args, **kwargs: calls.append(args)
+
+
+def _capture(seen):
+    """A ``make`` for ``_replace_the_core`` whose doors record their
+    integrands in ``seen`` and return zeros in their own form."""
+    def make(door):
+        zero = (IntegralResult(np.zeros((1, 2)), np.zeros((1, 2)), 0, True)
+                if door is quadrature.double_semi_infinite
+                else ([0.0, 0.0], [0.0, 0.0], 0, True))
+        return lambda integrand, *args, **kwargs: seen.append(integrand) or zero
+
+    return make
+
+
 def _call_shapes(monkeypatch, observable):
     """(result, the (rows, columns) of every integrand call) of
     ``observable()``."""
     shapes = []
-    double = engine.double_semi_infinite
 
-    def recorded(integrand, *args, **kwargs):
-        def f(xi, q):
-            shapes.append(np.broadcast(xi, q).shape)
-            return integrand(xi, q)
+    def recorded(door):
+        def rule(integrand, *args, **kwargs):
+            def f(xi, q):
+                shapes.append(np.broadcast(xi, q).shape)
+                return integrand(xi, q)
 
-        return double(f, *args, **kwargs)
+            return door(f, *args, **kwargs)
+
+        return rule
 
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "double_semi_infinite", recorded)
+        _replace_the_core(patch, recorded)
         return observable(), shapes
 
 
@@ -523,6 +549,65 @@ def test_zero_temperature_force_calls_are_whole_chunks(monkeypatch):
     assert shapes == [(91, _Q_NODES)]
     _assert_balanced(shapes, 91, 1)
     assert sum(rows * cols for rows, cols in shapes) == res.evaluations
+
+
+# The gold of the ROADMAP's gold cavity: gold half-space walls, eps = 2
+# gaps of 1 and 5 um and a 200 nm gold plate.
+_ROADMAP_GOLD = drude_lorentz(1.37e16, 0.0, 5.32e13)
+
+
+def test_a_zero_temperature_mirror_pair_takes_one_call(monkeypatch):
+    # Between mirrors a filled gap's field force forms its s and p rows in
+    # its last product, so at 0 K its pair counts once toward _CHUNK: the
+    # first level's 91 rows are one call, as for one column.
+    cavity = CavityConfig(Wall.perfect_mirror(), constant(eps=3.0), 1e-6,
+                          PerfectMirrorPlate(), 5e-6, Wall.perfect_mirror())
+    res, shapes = _call_shapes(monkeypatch,
+                               lambda: plate_force(cavity, spec=SPEC))
+    assert res.converged and res.evaluations == 7917
+    assert res.per_polarization["s"] != res.per_polarization["p"]
+    assert shapes == [(91, _Q_NODES)]
+
+
+def test_a_dispersive_pair_keeps_its_two_calls(monkeypatch):
+    # A dispersive structure forms (s, p) arrays from its reflections on,
+    # so its pair counts twice: the first level's 91 rows take two
+    # balanced calls, of 45 and 46 rows.
+    cavity = CavityConfig(Wall.semi_infinite(_ROADMAP_GOLD), constant(eps=2.0),
+                          1e-6, Layer(_ROADMAP_GOLD, 2e-7), 5e-6,
+                          Wall.semi_infinite(_ROADMAP_GOLD))
+    res, shapes = _call_shapes(monkeypatch,
+                               lambda: plate_force(cavity, spec=SPEC))
+    assert res.converged and res.evaluations == 7917
+    _assert_balanced(shapes, 91, 2)
+    assert sorted(shapes) == [(45, _Q_NODES), (46, _Q_NODES)]
+
+
+def test_the_decay_floor_changes_no_result(monkeypatch):
+    # ``engine._decay`` floors each exponent at _LEAST_EXPONENT, where
+    # numpy's vector exp leaves its fast path. A d3/d1 = 50 mirror cavity
+    # and a stress 5 nm from a gold face reach far below it, and give the
+    # same value, error, flag and evaluations with plain np.exp.
+    cavity = CavityConfig(Wall.perfect_mirror(), constant(eps=2.0), 1e-6,
+                          PerfectMirrorPlate(), 5e-5, Wall.perfect_mirror())
+    view = interspace(Wall.semi_infinite(_ROADMAP_GOLD), constant(eps=2.0),
+                      1e-6, Wall.perfect_mirror())
+    observables = (lambda: plate_force(cavity, spec=SPEC),
+                   lambda: minkowski_plate_force(cavity, spec=SPEC),
+                   lambda: stress_zz(view, 5e-9, spec=SPEC))
+    floored = [_numbers(observable()) for observable in observables]
+    least = []
+
+    def plain(kappa, length):
+        exponent = kappa * (-2.0 * length)
+        least.append(exponent.min())
+        return np.exp(exponent)
+
+    monkeypatch.setattr(engine, "_decay", plain)
+    for observable, want in zip(observables, floored):
+        least.clear()
+        assert _numbers(observable()) == want
+        assert min(least) < 2.0 * engine._LEAST_EXPONENT
 
 
 @pytest.mark.parametrize("temperature,rules", [
@@ -617,7 +702,8 @@ def test_exact_difference_integrand_finite_at_extreme_momentum():
     val = f(np.full((1, 1), 2e15), np.array([[1e9, 1e11, 1e13]]))
     assert val.shape == (2, 1, 3)
     assert np.isfinite(val).all()
-    assert (val[:, 0, -1] == 0.0).all()  # round trips underflow cleanly
+    # Round trips end at their floor, e^-707, not in subnormals.
+    assert (np.abs(val[:, 0, -1]) < 1e-250).all()
 
 
 def test_thermal_force_continuity_and_trend():
@@ -810,13 +896,8 @@ def test_cavity_interspaces_widths_and_media():
 def _integrand_of(monkeypatch, observable):
     """The integrand ``observable()`` hands to the double integral."""
     seen = []
-
-    def capture(integrand, *args, **kwargs):
-        seen.append(integrand)
-        return IntegralResult(np.zeros((1, 2)), np.zeros((1, 2)), 0, True)
-
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "double_semi_infinite", capture)
+        _replace_the_core(patch, _capture(seen))
         observable()
     return seen[0]
 
@@ -908,7 +989,7 @@ def test_vacuum_mirror_integrand_is_the_closed_form():
     d1, d3 = 4e-7, 9e-7
     cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, d1,
                           PerfectMirrorPlate(), d3, Wall.perfect_mirror())
-    integrand, columns = _difference_rule(cavity)
+    integrand, columns, _ = _difference_rule(cavity)
     assert columns == ()
     xi = np.geomspace(1e12, 3e16, 9)[:, None]
     q = np.geomspace(1e3, 3e8, 13)[None]
@@ -996,8 +1077,8 @@ def test_the_plan_cache_cannot_change_a_result(monkeypatch, temperature):
     info = engine._plan.cache_info()
     equal = plate_force(_fresh_gold_cavity(), temperature,
                         zero_term_policy=policy)
-    # Both lookups of a force, its rule's and its m = 0 check's, hit.
-    assert engine._plan.cache_info()[:2] == (info.hits + 2, info.misses)
+    # A force looks its plan up once, for its rule and its m = 0 check.
+    assert engine._plan.cache_info()[:2] == (info.hits + 1, info.misses)
     assert _force_bits(first) == _force_bits(again) == _force_bits(equal)
 
 
@@ -1074,7 +1155,7 @@ def test_mirror_fold_is_the_general_form_to_a_few_ulps(eps, mu, d1, ratio,
     xi = np.array(xi_d)[:, None] * c / (n * d1)
     q = np.array(q_d)[None] / d1
     for minkowski in (False, True):
-        integrand, columns = _difference_rule(cavity, minkowski)
+        integrand, columns, _ = _difference_rule(cavity, minkowski)
         assert columns == (() if minkowski or eps * mu == 1.0 else (2,))
         got = integrand(xi, q)
         want = _unfolded_mirror_integrand(cavity, minkowski)(xi, q)
@@ -1131,8 +1212,8 @@ def test_force_converges_only_if_the_summed_error_meets_its_target(
         rules.append((kwargs["columns"], double(*args, **kwargs)))
         return rules[-1][1]
 
-    double = engine.double_semi_infinite
-    monkeypatch.setattr(engine, "double_semi_infinite", recorded)
+    double = engine._double
+    monkeypatch.setattr(engine, "_double", recorded)
     loose = replace(spec, rel_tol=1e-4)
     for force in (plate_force, minkowski_plate_force):
         for temperature in (0.0, 300.0):
@@ -1140,9 +1221,9 @@ def test_force_converges_only_if_the_summed_error_meets_its_target(
             for cavity, want in ((_asymmetric_cavity(), (1, 2)),
                                  (_MIRROR_CAVITY, (1, 2) if pair else ())):
                 res = force(cavity, temperature, loose)
-                columns, rule = rules[-1]
-                assert columns == want and res.converged is rule.converged
-                assert res.error_estimate == np.sum(rule.error_estimate)
+                columns, (_, error, _, converged) = rules[-1]
+                assert columns == want and res.converged is converged
+                assert res.error_estimate == sum(error)
 
     def integrand(xi, q):
         f = np.exp(-xi * d / c - q * d) * (1.0 + np.sqrt(q * d))
@@ -1207,7 +1288,7 @@ def test_one_column_mirror_force_is_the_group_of_its_two(
     for force, minkowski, prefactor in (
             (plate_force, False, engine._STRESS_PREFACTOR),
             (minkowski_plate_force, True, engine._MINKOWSKI_PREFACTOR)):
-        integrand, columns = _difference_rule(cavity, minkowski)
+        integrand, columns, _ = _difference_rule(cavity, minkowski)
         if not (minkowski or eps == 1.0):
             assert columns == (2,)
             continue
@@ -1502,8 +1583,7 @@ def test_zero_strength_wall_is_the_constant_wall(wall):
 def test_divergent_mu_is_refused_before_integrating(monkeypatch):
     wall = DispersionModel(MaterialKind.PLASMA, mu_model=(1e15, 0.0, 1e13))
     calls = []
-    monkeypatch.setattr(engine, "double_semi_infinite",
-                        lambda *args, **kwargs: calls.append(args))
+    _replace_the_core(monkeypatch, _recorded(calls))
     with pytest.raises(ValueError, match="zero_term_policy"):
         plate_force(_wall_cavity(wall), 300.0, SPEC,
                     zero_term_policy="half-weight")
