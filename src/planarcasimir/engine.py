@@ -50,8 +50,8 @@ import numpy as np
 from .constants import c, hbar
 from .layers import DELTA, POLARIZATIONS, CavityConfig, Plan, Wall
 from .materials import DispersionModel, MaterialKind, is_nonmagnetic
-from .quadrature import (IntegralResult, QuadratureSpec, _double,
-                         double_semi_infinite)
+from . import quadrature
+from .quadrature import IntegralResult, QuadratureSpec, double_semi_infinite
 
 DEFAULT_SPEC = QuadratureSpec()
 # The treatments of the m = 0 thermal term, read by ``_zero_term`` alone.
@@ -59,7 +59,7 @@ ZERO_TERM_POLICIES = ("half-weight", "drop", "custom-value")
 
 _STRESS_PREFACTOR = hbar / (8.0 * np.pi**2)
 _MINKOWSKI_PREFACTOR = hbar / (2.0 * np.pi**2)
-_LEAST_EXPONENT = -707.0  # of ``_decay``
+_LEAST_EXPONENT = -707.0  # numpy's vector exp is 15-150x slower below -708
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,7 @@ def _mode_coefficients(call):
 
 
 def _decay(kappa, length):
-    """e^{-2 kappa length}, the exponent floored at ``_LEAST_EXPONENT`` where
-    ``length`` is finite (numpy's vector exp runs 15-150x slower below about
-    -707.7); an infinite length keeps its exact 0."""
+    """e^{-2 kappa length}; for a finite length at least e^_LEAST_EXPONENT."""
     x = kappa * (-2.0 * length)
     np.maximum(x, _LEAST_EXPONENT, out=x, where=length < math.inf)
     return np.exp(x, out=x)
@@ -407,13 +405,13 @@ def _plate_force(cavity, integrand, columns, plan, prefactor, temperature,
                                               or amount is not None):
         f, columns = integrand, (2,)
         integrand = lambda xi, q: np.stack((f(xi, q),) * 2)
-    value, error, evaluations, converged = _double(
+    sums, error, evaluations, converged = quadrature._double(
         (lambda xi, q: integrand(xi, q)[None]) if columns else integrand,
         spec, min(cavity.d1, cavity.d3), prefactor * (1.0 if columns else 2.0),
-        temperature, head, amount, columns=(1, 2) if columns else (),
-        index=_index(cavity.medium),
-        width=int(plan.mirrors and temperature == 0.0))
-    s, p = value if columns else (0.5 * value[0],) * 2
+        temperature, head, amount, index=_index(cavity.medium),
+        columns=(1, 2) if columns else (),
+        once=plan.mirrors and temperature == 0.0)
+    s, p = sums if columns else (0.5 * sums[0],) * 2
     return ForceResult(s + p, sum(error), dict(zip(POLARIZATIONS, (s, p))),
                        converged, evaluations)
 

@@ -104,11 +104,11 @@ _LINE = (-4.5, 3.875, None)
 _LINE_LEVELS = (3, 12)
 # Point-columns per integrand call, or one row; ``_nested`` cuts a block
 # into the fewest such calls, one row apart. A richer integrand leaves L2
-# sooner: a gold cavity's field force took 1.40 ms warm as one call of its
-# pair, 0.95 ms as two; a 0 K mirror pair, formed in its last product,
-# counts once, 197 us warm against 255 as two (eps = 3). Exp, mul and add on
-# 20,000 doubles, past malloc's mmap threshold, took 69-95 us with 23 minor
-# faults, on 16,384 32-48 us with none (2-core Xeon).
+# sooner: a gold cavity's 0 K field force took 855 us warm as one call of
+# its pair, 732 as two; a mirror pair, formed in its last product, counts
+# once: 180 us against 237 (eps = 3; medians of 10 processes). Exp, mul and
+# add on 20,000 doubles took 69-95 us with 23 minor faults, 32-48 us with
+# none on 16,384 (past malloc's mmap threshold; 2-core Xeon).
 _CHUNK = 8192
 # Nonzero Matsubara terms in the first and the last block of
 # ``matsubara_sum``; every later block is twice the one before, so a sum of
@@ -209,7 +209,7 @@ def _judged(xs, shape):
 
 
 def _nested(f: Callable, outer, inner, levels: tuple[int, int],
-            rel_tol: float, abs_floor: float, shape: tuple | None, width=0):
+            rel_tol: float, abs_floor: float, shape: tuple | None, once=False):
     """Nested trapezoid rule over the tensor product of two axes.
 
     The inner axis is a range of ``_axis``; the outer one is a range too or a
@@ -220,20 +220,20 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
     evaluates every node and reads the two levels before from every second and
     every fourth node, so one pass yields an error; each later level evaluates
     the nodes it adds. A block takes the fewest calls of at most ``_CHUNK``
-    point-columns (a point counts ``width``, or all its columns if 0), or one
-    row, one row apart in size. The level's verdict runs on its sums as floats:
-    each integrated axis books (``_booked``) the change of S_k as it alone
-    drops to level k-1, after its change from k-2 to k-1, plus the end terms,
-    integrals along the end lines of each such axis per unit t; ``_ULPS`` ulps
-    of the sum of |weight * f| are the least error. Every column of every sum
-    meets ``max(rel_tol*|S_k|, abs_floor)``, and, with an integrated outer
-    axis, each pair's sum with the sum of its errors (``_judged``); a fixed
-    axis's sums are terms the caller judges. Returns (value, error, points,
-    converged, upper end term of the inner axis, sum of |weight * f|,
-    ``shape``), the sums as floats: per column, its R sums in turn."""
+    point-columns (one per point if ``once``) or one row, one row apart.
+    The level's verdict runs on its sums as floats: each integrated axis books
+    (``_booked``) the change of S_k as it alone drops to level k-1, after its
+    change from k-2 to k-1, plus the end terms, integrals along the end lines
+    of each such axis per unit t; ``_ULPS`` ulps of the sum of |weight * f| are
+    the least error. Every column of every sum meets
+    ``max(rel_tol*|S_k|, abs_floor)``, and, with an integrated outer axis, each
+    pair's sum with the sum of its errors (``_judged``); a fixed axis's sums
+    are terms the caller judges. Returns (value, error, points, converged,
+    upper end term of the inner axis, sum of |weight * f|, ``shape``), as
+    floats, each column's R sums in turn."""
     first, last = levels
     integrated = len(outer) == 3
-    columns = width or math.prod(shape or ())
+    columns = 1 if once else math.prod(shape or ())
     sums, size, evals = 0.0, 0.0, 0
     for level in range(first, last + 1):
         u, w_u, odd_u, even_u = _axis(outer, level) if integrated else outer
@@ -373,14 +373,14 @@ def double_semi_infinite(
     """
     *sums, evaluations, converged = _double(
         integrand_si, spec, d_ref, prefactor, temperature, head, amount,
-        index, columns)
+        index=index, columns=columns)
     return IntegralResult(*(np.reshape(x, columns) if columns else x[0]
                             for x in sums), evaluations, converged)
 
 
 def _double(integrand_si, spec, d_ref, prefactor, temperature, head, amount,
-            index, columns, width=0):
-    """``double_semi_infinite`` in lists of floats; ``width`` is _nested's."""
+            index, columns, once=False):
+    """``double_semi_infinite`` in lists of floats; ``once`` is _nested's."""
     for name, bound in (("d_ref", d_ref), ("index", index)):
         if not 0.0 < bound < np.inf:
             raise ValueError(f"{name} must be finite and positive: {bound}")
@@ -402,7 +402,7 @@ def _double(integrand_si, spec, d_ref, prefactor, temperature, head, amount,
     def tensor(xi):  # the 0 K rule over frequencies from xi on
         return _nested(lambda u, v: integrand_si(xi + u * jac, v / d_ref),
                        _FREQUENCY, v_axis, (first, _TENSOR_LEVELS[1]),
-                       spec.rel_tol, floor, columns, width)
+                       spec.rel_tol, floor, columns, once)
 
     if temperature == 0.0:
         value, error, evaluations, converged, *_ = tensor(0.0)
@@ -415,7 +415,9 @@ def _double(integrand_si, spec, d_ref, prefactor, temperature, head, amount,
             tensor, lambda xi, v: integrand_si(xi, v / d_ref), columns,
             v_axis, first, spacing, spacing / jac, head, spec, floor,
             amount and [x / scale for x in amount])
-    value, error = [scale * x for x in value], [abs(scale) * x for x in error]
+    k = np.float64(scale)  # numpy's scalars warn where a product overflows
+    value = [float(k * x) for x in value]
+    error = [float(abs(k) * x) for x in error]
     if amount is not None:
         value = [x + a for x, a in zip(value, amount)]
     return value, error, evaluations, converged and all(

@@ -13,7 +13,7 @@ for both faces; ``engine._g_terms`` on that call; and ``engine._plate_force``,
 the entry that ``engine.plate_force`` and ``engine.minkowski_plate_force``
 share: it checks the m = 0 request, takes the gap index from the cavity,
 runs the rule of the two columns (s, p) given here as one group (1, 2),
-judged on s, p and s + p, through the module attribute ``engine._double``
+judged on s, p and s + p, through the module attribute ``quadrature._double``
 (so a test that replaces that attribute sees this integrand too) and builds
 the ``ForceResult``.
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.constants import c, hbar
 
-from planarcasimir import cli, engine
+from planarcasimir import cli, engine, quadrature
 from planarcasimir.cli import main
 from planarcasimir.layers import Plan
 
@@ -76,12 +76,10 @@ def _run(capsys, argv):
 # usage and configuration failures all exit 2
 
 def _replace_the_core(monkeypatch, calls):
-    """Make the engine's two doors to the double integral, the stresses'
-    ``double_semi_infinite`` and the plate forces' ``_double``, record their
-    arguments in ``calls`` and run no rule."""
-    for name in ("double_semi_infinite", "_double"):
-        monkeypatch.setattr(engine, name,
-                            lambda *args, **kwargs: calls.append(args))
+    """Make ``quadrature._double``, the one door to the double integral,
+    record the arguments of each rule in ``calls`` and run none."""
+    monkeypatch.setattr(quadrature, "_double",
+                        lambda *args, **kwargs: calls.append(args))
 
 
 def test_no_command_is_a_usage_error(capsys):

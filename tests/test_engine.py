@@ -1,3 +1,4 @@
+import math
 import pickle
 from dataclasses import replace
 from functools import lru_cache
@@ -40,7 +41,6 @@ from planarcasimir.materials import (
 )
 from planarcasimir.limits import StaticMedium, casimir_generalized
 from planarcasimir.quadrature import (
-    IntegralResult,
     QuadratureSpec,
     integrate_semi_infinite,
     matsubara_frequency,
@@ -461,29 +461,27 @@ def test_bad_zero_term_request_is_refused_before_integrating(
 
 
 def _replace_the_core(patch, make):
-    """Replace the engine's two doors to the double integral, the public
-    ``double_semi_infinite`` its stresses call and the private ``_double``
-    of its plate forces, each by ``make(door)``."""
-    for name in ("double_semi_infinite", "_double"):
-        patch.setattr(engine, name, make(getattr(engine, name)))
+    """Replace ``quadrature._double``, the one door to the double integral
+    of every observable (``double_semi_infinite`` wraps it), by
+    ``make(_double)``."""
+    patch.setattr(quadrature, "_double", make(quadrature._double))
 
 
 def _recorded(calls):
-    """A ``make`` for ``_replace_the_core`` whose doors record their
-    arguments in ``calls`` and run no rule."""
+    """A ``make`` for ``_replace_the_core`` that records the arguments of
+    each rule in ``calls`` and runs none."""
     return lambda door: lambda *args, **kwargs: calls.append(args)
 
 
 def _capture(seen):
-    """A ``make`` for ``_replace_the_core`` whose doors record their
-    integrands in ``seen`` and return zeros in their own form."""
-    def make(door):
-        zero = (IntegralResult(np.zeros((1, 2)), np.zeros((1, 2)), 0, True)
-                if door is quadrature.double_semi_infinite
-                else ([0.0, 0.0], [0.0, 0.0], 0, True))
-        return lambda integrand, *args, **kwargs: seen.append(integrand) or zero
+    """A ``make`` for ``_replace_the_core`` that records the integrand of
+    each rule in ``seen`` and returns zeros for its columns."""
+    def rule(integrand, *args, columns=(), **kwargs):
+        seen.append(integrand)
+        zeros = [0.0] * math.prod(columns)
+        return zeros, zeros, 0, True
 
-    return make
+    return lambda door: rule
 
 
 def _call_shapes(monkeypatch, observable):
@@ -696,14 +694,18 @@ def test_direct_difference_respects_user_momentum_cutoff():
     assert res.force_per_area == pytest.approx(ref.force_per_area, rel=1e-6)
 
 
-def test_exact_difference_integrand_finite_at_extreme_momentum():
+def test_exact_difference_integrand_finite_at_extreme_momentum(monkeypatch):
     f = _difference_rule(_asymmetric_cavity())[0]
     # One row: xi (1, 1) against q (1, 3); columns (s, p) first.
     val = f(np.full((1, 1), 2e15), np.array([[1e9, 1e11, 1e13]]))
     assert val.shape == (2, 1, 3)
     assert np.isfinite(val).all()
-    # Round trips end at their floor, e^-707, not in subnormals.
-    assert (np.abs(val[:, 0, -1]) < 1e-250).all()
+    # At q = 1e13 both round trips end at their floor, exactly
+    # e^_LEAST_EXPONENT each, not in subnormals.
+    monkeypatch.setattr(engine, "_decay", lambda kappa, length: np.exp(
+        np.full_like(kappa, engine._LEAST_EXPONENT)))
+    at_floor = f(np.full((1, 1), 2e15), np.array([[1e9, 1e11, 1e13]]))
+    assert val[..., -1].tobytes() == at_floor[..., -1].tobytes()
 
 
 def test_thermal_force_continuity_and_trend():
@@ -1212,8 +1214,8 @@ def test_force_converges_only_if_the_summed_error_meets_its_target(
         rules.append((kwargs["columns"], double(*args, **kwargs)))
         return rules[-1][1]
 
-    double = engine._double
-    monkeypatch.setattr(engine, "_double", recorded)
+    double = quadrature._double
+    monkeypatch.setattr(quadrature, "_double", recorded)
     loose = replace(spec, rel_tol=1e-4)
     for force in (plate_force, minkowski_plate_force):
         for temperature in (0.0, 300.0):

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c
 
-from planarcasimir import engine, layers, materials
+from planarcasimir import engine, layers, materials, quadrature
 from planarcasimir.layers import (
     DELTA,
     CavityConfig,
@@ -393,13 +395,11 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
 
     def capture(integrand, *args, columns=(), **kwargs):
         seen.append((integrand, columns))
-        return engine.IntegralResult(np.zeros((1, 2)), np.zeros((1, 2)), 0,
-                                     True)
+        zeros = [0.0] * math.prod(columns)
+        return zeros, zeros, 0, True
 
-    # The stresses' door to the core, and the plate forces'.
-    monkeypatch.setattr(engine, "double_semi_infinite", capture)
-    monkeypatch.setattr(engine, "_double", lambda *args, **kwargs: (
-        capture(*args, **kwargs) and ([0.0, 0.0], [0.0, 0.0], 0, True)))
+    # The one door to the core of every observable.
+    monkeypatch.setattr(quadrature, "_double", capture)
     cavity = CavityConfig(Wall.stack(slabs, drude), ambient, 4e-7,
                           Layer(magnetic, 1e-7), 9e-7,
                           Wall.stack(slabs, MIRROR))
@@ -447,15 +447,13 @@ def test_each_material_is_evaluated_once_per_integrand_call(monkeypatch):
                           Wall.semi_infinite(drude))
     seen = []
 
-    def capture(integrand, *args, **kwargs):
+    def capture(integrand, *args, columns=(), **kwargs):
         seen.append(integrand)
-        return engine.IntegralResult(np.zeros((1, 2)), np.zeros((1, 2)), 0,
-                                     True)
+        zeros = [0.0] * math.prod(columns)
+        return zeros, zeros, 0, True
 
-    # The stresses' door to the core, and the plate forces'.
-    monkeypatch.setattr(engine, "double_semi_infinite", capture)
-    monkeypatch.setattr(engine, "_double", lambda *args, **kwargs: (
-        capture(*args, **kwargs) and ([0.0, 0.0], [0.0, 0.0], 0, True)))
+    # The one door to the core of every observable.
+    monkeypatch.setattr(quadrature, "_double", capture)
     engine.stress_zz(view, np.array([2e-7, 5e-7]))
     engine.minkowski_stress_zz(view)
     engine.plate_force(cavity)

@@ -230,14 +230,14 @@ def test_sums_that_overflow_keep_the_nan_of_their_changes(temperature, points):
 def test_a_result_that_overflows_when_scaled_never_converges(temperature):
     # The rules sum without the prefactor and the Jacobians, so 1e300
     # e^{-q d} e^{-xi d/c} converges there; scaled by c/d**2 = 3e20 its value
-    # and error overflow, as floats, to inf, and an infinite result is not
-    # converged.
+    # and error overflow, and an infinite result is not converged.
     d = 1e-6
 
     def f(xi, q):
         return 1e300 * np.exp(-q * d) * np.exp(-xi * d / c)
 
-    res = double_semi_infinite(f, QuadratureSpec(), d, 1.0, temperature)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        res = double_semi_infinite(f, QuadratureSpec(), d, 1.0, temperature)
     assert res.value == np.inf and res.error_estimate == np.inf
     assert not res.converged
 
@@ -614,14 +614,13 @@ def _captured_integrands(monkeypatch):
     """Every integrand the public observables hand to the double integral."""
     seen = []
 
-    def capture(integrand, *args, **kwargs):
+    def capture(integrand, *args, columns=(), **kwargs):
         seen.append(integrand)
-        return IntegralResult(np.zeros((1, 2)), np.zeros((1, 2)), 0, True)
+        zeros = [0.0] * math.prod(columns)
+        return zeros, zeros, 0, True
 
-    # The stresses' door to the core, and the plate forces'.
-    monkeypatch.setattr(engine, "double_semi_infinite", capture)
-    monkeypatch.setattr(engine, "_double", lambda *args, **kwargs: (
-        capture(*args, **kwargs) and ([0.0, 0.0], [0.0, 0.0], 0, True)))
+    # The one door to the core of every observable.
+    monkeypatch.setattr(quadrature, "_double", capture)
     gold = drude_lorentz(1.37e16, 0.0, 5.3e13)
     glass = drude_lorentz(1.5e16, 1.2e16, 2e14, mu_model=(3e15, 5e15, 1e13))
     medium = drude_lorentz(1.2e16, 2.0e16, 1e14)
