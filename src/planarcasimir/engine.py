@@ -36,7 +36,8 @@ At temperature T > 0 the xi integral becomes the weighted sum over bosonic
 frequencies xi_m = 2 pi m k_B T/hbar: its terms, or the first of them plus
 the 0 K rule with Gregory's end correction (``quadrature._thermal_sum``;
 ``quadrature.matsubara_sum`` is its reference). Media whose response
-diverges at xi -> 0 require an explicit zero-term policy.
+diverges at xi -> 0 require an explicit zero-term policy; ``_zero_term``
+turns the policy into the one m = 0 value the quadrature takes.
 """
 
 from __future__ import annotations
@@ -169,14 +170,13 @@ def _minkowski_medium(medium: DispersionModel) -> None:
 
 
 def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
-    """(head, amount) for ``double_semi_infinite``: whether m = 0 joins the
-    thermal sum at half weight, and an m = 0 amount to add, or None.
+    """The ``zero_term`` of ``double_semi_infinite`` for a policy and value.
 
     The one reader of ``zero_term_policy``/``zero_term_value``, run by every
-    observable at every T before its first integral. Only None means the
-    default, ``half-weight``, the one policy with the head; ``custom-value``
-    adds a finite number (stresses) or (s, p) array from a dict with both
-    keys (forces), which 0 K has no term for.
+    observable at every T before its first integral: None for the default,
+    ``half-weight``, 0.0 for ``drop`` and, for ``custom-value``, a finite
+    number (stresses) or (s, p) array from a dict with both keys (forces),
+    checked even at 0 K, which has no m = 0 term.
     """
     policy = "half-weight" if policy is None else policy
     if policy not in ZERO_TERM_POLICIES:
@@ -186,10 +186,9 @@ def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
         raise ValueError(
             "a material in this structure has a diverging response at xi -> 0,"
             " so the m = 0 thermal term is ambiguous: pass zero_term_policy"
-            " 'drop' or 'custom-value' explicitly"
-        )
+            " 'drop' or 'custom-value' explicitly")
     if policy != "custom-value":
-        return policy == "half-weight", None
+        return None if policy == "half-weight" else 0.0
     try:
         value = np.array([value["s"], value["p"]] if per_polarization
                          else value, dtype=float)
@@ -203,7 +202,7 @@ def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
             " zero_term_value_s and zero_term_value_p)" if per_polarization
             else "custom-value on a stress needs zero_term_value, a finite"
             " m = 0 contribution in N/m^2 (in a config, [run] zero_term_value)")
-    return False, value
+    return value
 
 
 def stress_zz(
@@ -263,7 +262,7 @@ def stress_zz(
 
     d_ref = min(heights.min(), view.width - heights.max())
     return double_semi_infinite(integrand, spec, d_ref, _STRESS_PREFACTOR,
-                                temperature, *zero_term,
+                                temperature, zero_term,
                                 index=_index(view.medium),
                                 columns=heights.shape)
 
@@ -296,7 +295,7 @@ def minkowski_stress_zz(
         return q * kappa * (rr / (1.0 - rr)).sum(axis=0)
 
     return double_semi_infinite(integrand, spec, view.width,
-                                _MINKOWSKI_PREFACTOR, temperature, *zero_term)
+                                _MINKOWSKI_PREFACTOR, temperature, zero_term)
 
 
 def stress_profile(
@@ -387,28 +386,28 @@ def _difference_rule(cavity: CavityConfig, minkowski=False):
 def _plate_force(cavity, integrand, columns, plan, prefactor, temperature,
                  spec, policy, value) -> ForceResult:
     """A cavity's plate force from its ``integrand`` of ``columns`` and its
-    ``plan``: a finite gap and the m = 0 request (``_zero_term``) are checked,
-    then one rule on the smaller gap and the gap index runs. (s, p) is one
-    group (1, 2), judged on s, p and s + p, counted once toward ``_CHUNK``
-    at 0 K under ``Plan.mirrors``. One array y for both runs at twice the
-    prefactor, judged on s + p, whose goal implies the others, and s = p is
-    half of it. At T > 0 the q rules judge each column against the floor,
-    and a custom m = 0 amount gives s and p their own targets: with either,
-    y runs as the group (y, y)."""
+    ``plan``: a finite gap and the m = 0 request are checked, then one rule
+    on the smaller gap and the gap index runs, with the ``zero_term`` of
+    ``_zero_term`` as it is. (s, p) is one group (1, 2), judged on s, p and
+    s + p, counted once toward ``_CHUNK`` at 0 K under ``Plan.mirrors``. One
+    array y for both runs at twice the prefactor, judged on s + p, whose
+    goal implies the others, and s = p is half of it. At T > 0 the q rules
+    judge each column against the floor, and an (s, p) m = 0 value gives s
+    and p their own targets: with either, y runs as the group (y, y)."""
     if not math.isfinite(min(cavity.d1, cavity.d3)):
         raise ValueError("a plate force needs at least one finite gap, got"
                          f" d1 = {cavity.d1} and d3 = {cavity.d3}")
-    head, amount = _zero_term(temperature, policy, value, plan.has_drude_like,
-                              per_polarization=True)
+    zero_term = _zero_term(temperature, policy, value, plan.has_drude_like,
+                           per_polarization=True)
     spec = spec or DEFAULT_SPEC
-    if not columns and temperature > 0.0 and (spec.abs_floor
-                                              or amount is not None):
+    if not columns and temperature > 0.0 and (
+            spec.abs_floor or isinstance(zero_term, np.ndarray)):
         f, columns = integrand, (2,)
         integrand = lambda xi, q: np.stack((f(xi, q),) * 2)
     sums, error, evaluations, converged = quadrature._double(
         (lambda xi, q: integrand(xi, q)[None]) if columns else integrand,
         spec, min(cavity.d1, cavity.d3), prefactor * (1.0 if columns else 2.0),
-        temperature, head, amount, index=_index(cavity.medium),
+        temperature, zero_term, index=_index(cavity.medium),
         columns=(1, 2) if columns else (),
         once=plan.mirrors and temperature == 0.0)
     s, p = sums if columns else (0.5 * sums[0],) * 2

@@ -337,8 +337,7 @@ def double_semi_infinite(
     d_ref: float,
     prefactor: float = 1.0,
     temperature: float = 0.0,
-    head: bool = True,
-    amount: float | np.ndarray | None = None,
+    zero_term: float | np.ndarray | None = None,
     index: float = 1.0,
     columns: tuple[int, ...] = (),
 ) -> IntegralResult:
@@ -364,21 +363,21 @@ def double_semi_infinite(
     u = index*xi*d_ref/c from 2.4e-19 to 46, levels 4 to 6 (7,917 to
     124,545 points without a cutoff), or 3 to 6 from 2,024 points where
     ``spec.rel_tol`` is at least 1e-4. At T > 0 the xi integral is the sum
-    of ``_thermal_sum``, with m = 0 at half weight if ``head``, plus a given
-    m = 0 ``amount`` (per column, checked by ``engine._zero_term``); 0 K has
-    no m = 0 term to add. Either rule judges the value it returns, at every
-    temperature: each column, and each pair's sum with the sum of its
-    errors, must meet max(rel_tol*|.|, abs_floor), and a result not finite
-    once scaled is not converged. ``evaluations`` counts integrand points.
+    of ``_thermal_sum``; its m = 0 term is ``zero_term``: None sums it at
+    half weight, a number or an array of the columns' shape is added in its
+    place (0.0 leaves it out), and 0 K ignores it. Either rule judges its
+    result at every temperature: each column, and each pair's sum with the
+    sum of its errors, must meet max(rel_tol*|.|, abs_floor), and a result
+    not finite once scaled is not converged. ``evaluations`` counts points.
     """
     *sums, evaluations, converged = _double(
-        integrand_si, spec, d_ref, prefactor, temperature, head, amount,
+        integrand_si, spec, d_ref, prefactor, temperature, zero_term,
         index=index, columns=columns)
     return IntegralResult(*(np.reshape(x, columns) if columns else x[0]
                             for x in sums), evaluations, converged)
 
 
-def _double(integrand_si, spec, d_ref, prefactor, temperature, head, amount,
+def _double(integrand_si, spec, d_ref, prefactor, temperature, zero_term,
             index, columns, once=False):
     """``double_semi_infinite`` in lists of floats; ``once`` is _nested's."""
     for name, bound in (("d_ref", d_ref), ("index", index)):
@@ -406,20 +405,20 @@ def _double(integrand_si, spec, d_ref, prefactor, temperature, head, amount,
 
     if temperature == 0.0:
         value, error, evaluations, converged, *_ = tensor(0.0)
-        amount = None  # 0 K has no m = 0 term to add
+        zero_term = None  # 0 K has no m = 0 term
     else:
         spacing = float(matsubara_frequency(1, temperature))
-        if amount is not None:  # per column
-            amount = np.broadcast_to(amount, columns).ravel().tolist()
+        if zero_term is not None:  # per column
+            zero_term = np.broadcast_to(zero_term, columns).ravel().tolist()
         value, error, evaluations, converged = _thermal_sum(
             tensor, lambda xi, v: integrand_si(xi, v / d_ref), columns,
-            v_axis, first, spacing, spacing / jac, head, spec, floor,
-            amount and [x / scale for x in amount])
+            v_axis, first, spacing, spacing / jac, spec, floor,
+            zero_term and [x / scale for x in zero_term])
     k = np.float64(scale)  # numpy's scalars warn where a product overflows
     value = [float(k * x) for x in value]
     error = [float(abs(k) * x) for x in error]
-    if amount is not None:
-        value = [x + a for x, a in zip(value, amount)]
+    if zero_term is not None:
+        value = [x + a for x, a in zip(value, zero_term)]
     return value, error, evaluations, converged and all(
         map(math.isfinite, value + error))
 
@@ -454,13 +453,13 @@ def _rows(start: int, stop: int, tail: int | None):
 
 
 def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
-                 inner, first: int, spacing: float, h: float, head: bool,
-                 spec: QuadratureSpec, floor: float, amount: list | None):
+                 inner, first: int, spacing: float, h: float,
+                 spec: QuadratureSpec, floor: float, zero_term: list | None):
     """(value, error, points, converged) of the thermal sum of f, as lists.
 
     The sum is h Sum_m g(xi_m), xi_m = m ``spacing`` (rad/s), h that spacing
     in the units of ``tensor``, the 0 K rule (first level ``first``) from a
-    frequency on; m = 0 is at half weight if ``head``, else left out. g is
+    frequency on; m = 0 is at half weight, or out given a ``zero_term``. g is
     the q rule ``inner`` of f on a fixed axis of ``_nested`` (``_rows``),
     judged on row 0 against a tenth of rel_tol. The terms fall like
     exp(-2 m h), so n = 2 + 0.75 ln(1/rel_tol)/h meet the target. While n,
@@ -474,11 +473,11 @@ def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
     the q errors leave of the target, judged on the first tail, M doubles
     within the same budget; the tail runs again at the M that fits. The
     error is the q errors plus the booked rest. Each column and group sum
-    (``_judged``) of S + ``amount`` must meet max(rel_tol*|.|, floor); once
-    the q errors alone do not, the sum stops, not converged.
+    (``_judged``) of S + ``zero_term`` must meet max(rel_tol*|.|, floor);
+    once the q errors alone do not, the sum stops, not converged.
     """
-    tol, start, points = spec.rel_tol, int(not head), 0
-    amounts = amount or [0.0] * math.prod(shape)
+    tol, start, points = spec.rel_tol, int(zero_term is not None), 0
+    zero = zero_term or [0.0] * math.prod(shape)
     nodes = _axis(inner, _TERM_LEVELS[0])[0].size
     budget = (_axis(_FREQUENCY, first)[0].size * _axis(inner, first)[0].size
               // nodes + _HEAD + len(_GREGORY) - start)
@@ -502,19 +501,19 @@ def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
         return [x + y for x, y in zip(a, b)]
 
     def judge(value, q_error, booked):  # (met, out of reach)
-        goal = [_max(tol * abs(t), floor) for t in _judged(add(value, amounts),
+        goal = [_max(tol * abs(t), floor) for t in _judged(add(value, zero),
                                                           shape)]
         q, b = _judged(q_error, shape), _judged(booked, shape)
         return (all(x + y <= g for x, y, g in zip(q, b, goal)),
                 not all(x < g for x, g in zip(q, goal)))
 
     def aim(value):  # a tenth of the least column target, for later rules
-        return 0.1 * tol * min(map(abs, add(value, amounts)))
+        return 0.1 * tol * min(map(abs, add(value, zero)))
 
     n = min(0.75 * math.log(1.0 / tol) / h, budget) if h else budget
     lo, hi = start, start + 2 + math.ceil(n)
     slow = math.exp(-2.0 * h) / -math.expm1(-2.0 * h) if h else 0.0
-    value = error = [0.0] * len(amounts)
+    value = error = [0.0] * len(zero)
     while hi - start <= budget:
         (v, *_), (e, *_), (_, a, b) = terms(lo, hi, None, aim(
             value) if lo > start else 0.0)
@@ -554,9 +553,9 @@ def matsubara_sum(
     g: Callable,
     temperature: float,
     spec: QuadratureSpec,
-    zero_term_policy: str = "half-weight",
+    zero_term: float | np.ndarray | None = None,
 ) -> IntegralResult:
-    """Weighted thermal sum (2 pi k_B T/hbar) * [w0*g(0) + sum_m g(xi_m)].
+    """Thermal sum (2 pi k_B T/hbar) [g(0)/2 + Sum_{m>=1} g(xi_m)].
 
     The weighted sum is a trapezoid rule with node spacing 2 pi k_B T/hbar,
     so it converges to ``integral_0^inf g(xi) dxi`` as T -> 0. It sums the
@@ -580,9 +579,10 @@ def matsubara_sum(
         Temperature in kelvin, finite and > 0.
     spec : QuadratureSpec
         Uses rel_tol and abs_floor.
-    zero_term_policy : str
-        ``"half-weight"`` adds g(0)/2 (the trapezoid endpoint weight) to the
-        first block; ``"drop"`` omits the m = 0 term without evaluating g(0).
+    zero_term : float or ndarray, optional
+        None adds g(0)/2 (the trapezoid endpoint weight) to the first block;
+        a value, of the result's shape and units, replaces the m = 0 term
+        without evaluating g(0) (0.0 drops it).
 
     Returns
     -------
@@ -597,13 +597,13 @@ def matsubara_sum(
         raise ValueError("matsubara_sum needs a finite temperature > 0, got"
                          f" {temperature}; use the zero-temperature integral"
                          " at 0 K")
-    if zero_term_policy not in ("half-weight", "drop"):
-        raise ValueError(f"unknown zero_term_policy {zero_term_policy!r}")
+    if zero_term is not None and not np.isfinite(zero_term).all():
+        raise ValueError(f"zero_term must be finite, got {zero_term}")
     spacing = float(matsubara_frequency(1, temperature))
-    total = error = mass = 0.0
+    error = mass = 0.0
     # done: the last nonzero m summed; head: m = 0 joins the first block.
     points, done, size = 0, 0, _BLOCKS[0]
-    head = int(zero_term_policy == "half-weight")
+    total, head = (0.0, 1) if zero_term is None else (zero_term, 0)
     while True:
         m = np.arange(done + 1 - head, done + size + 1)
         xi = matsubara_frequency(m, temperature)
@@ -613,8 +613,8 @@ def matsubara_sum(
             x = xi[bad.argmax()]
             raise ValueError(
                 f"thermal term at xi = {x} rad/s is not finite" if x else
-                "g(0) is not finite; choose zero_term_policy 'drop' for"
-                " zero-frequency-divergent media")
+                "g(0) is not finite; for zero-frequency-divergent media pass"
+                " zero_term, 0.0 to leave m = 0 out or a finite m = 0 value")
         # Each column's terms contiguous, so that its sums are the same
         # whatever the number of columns.
         y = np.ascontiguousarray(y.T)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.constants import c, hbar
 
-from planarcasimir import cli, engine, quadrature
+from planarcasimir import cli, engine
 from planarcasimir.cli import main
 from planarcasimir.layers import Plan
 
@@ -74,13 +74,6 @@ def _run(capsys, argv):
 
 # ---------------------------------------------------------------------------
 # usage and configuration failures all exit 2
-
-def _replace_the_core(monkeypatch, calls):
-    """Make ``quadrature._double``, the one door to the double integral,
-    record the arguments of each rule in ``calls`` and run none."""
-    monkeypatch.setattr(quadrature, "_double",
-                        lambda *args, **kwargs: calls.append(args))
-
 
 def test_no_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
@@ -320,9 +313,8 @@ regions = wall:mirror, gap:vac:20e-6, plate:mirror, gap:vac:40e-6, wall:mirror
 
 
 def test_force_custom_zero_term_without_values_exits_2(tmp_path, capsys,
-                                                       monkeypatch):
-    calls = []
-    _replace_the_core(monkeypatch, calls)
+                                                       replace_the_core):
+    calls = replace_the_core()
     cfg = _write(tmp_path, VACUUM_CAVITY)
     code, out, err = _run(capsys, ["force", "--config", cfg,
                                    "--temperature", "300",
@@ -1009,9 +1001,8 @@ def test_non_finite_inputs_exit_2_before_integrating(
     ["sweep", "--parameter", "T", "--start", "1", "--stop", "10"],
 ], ids=["force", "compare", "sweep"])
 def test_two_infinite_gaps_exit_2_before_integrating(tmp_path, capsys,
-                                                     monkeypatch, argv):
-    calls = []
-    _replace_the_core(monkeypatch, calls)
+                                                     replace_the_core, argv):
+    calls = replace_the_core()
     cfg = _write(tmp_path, VACUUM_CAVITY.replace("1e-6", "inf")
                  .replace("50e-6", "inf"))
     code, out, err = _run(capsys, argv + ["--config", cfg])
@@ -1022,11 +1013,10 @@ def test_two_infinite_gaps_exit_2_before_integrating(tmp_path, capsys,
 
 
 def test_compare_refuses_a_magnetic_gap_before_integrating(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, replace_the_core):
     # The Minkowski force's mu = 1 check runs before the field force's
     # integral, so nothing is integrated for a run that is refused.
-    calls = []
-    _replace_the_core(monkeypatch, calls)
+    calls = replace_the_core()
     cfg = _write(tmp_path, """
 [material.mag]
 kind = constant
@@ -1130,10 +1120,9 @@ def test_configured_zero_term_values_add_to_the_drop_result(
 
 
 def test_sweep_refuses_a_zero_term_request_before_integrating(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, replace_the_core):
     # 0 K is valid, the default half-weight is not at 150 K and 300 K.
-    calls = []
-    _replace_the_core(monkeypatch, calls)
+    calls = replace_the_core()
     code, out, err = _run(capsys, [
         "sweep", "--config", _write(tmp_path, GOLD_PLATE_CAVITY),
         "--parameter", "T", "--start", "0", "--stop", "300", "--points", "3",

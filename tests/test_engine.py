@@ -1,4 +1,3 @@
-import math
 import pickle
 from dataclasses import replace
 from functools import lru_cache
@@ -236,14 +235,14 @@ def test_minkowski_stress_refuses_an_unbounded_interspace_by_name():
 
 @pytest.mark.parametrize("force", [plate_force, minkowski_plate_force],
                          ids=["plate_force", "minkowski_plate_force"])
-def test_plate_forces_refuse_two_infinite_gaps_by_name(monkeypatch, force):
+def test_plate_forces_refuse_two_infinite_gaps_by_name(replace_the_core,
+                                                       force):
     # One infinite gap is a plate facing a single wall; with both infinite
     # no finite gap is left to scale the integral, so it is refused by name.
     cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, np.inf,
                           PerfectMirrorPlate(), np.inf, Wall.perfect_mirror())
-    calls = []
-    with monkeypatch.context() as patch:
-        _replace_the_core(patch, _recorded(calls))
+    with pytest.MonkeyPatch.context() as patch:
+        calls = replace_the_core(patch=patch)
         with pytest.raises(ValueError, match="d1 = inf and d3 = inf"):
             force(cavity, spec=SPEC)
     assert calls == []
@@ -451,40 +450,15 @@ def _bad_requests():
 
 @pytest.mark.parametrize("name,temperature,policy,value", _bad_requests())
 def test_bad_zero_term_request_is_refused_before_integrating(
-        monkeypatch, name, temperature, policy, value):
-    calls = []
-    _replace_the_core(monkeypatch, _recorded(calls))
+        replace_the_core, name, temperature, policy, value):
+    calls = replace_the_core()
     with pytest.raises(ValueError, match="zero_term"):
         _OBSERVABLES[name][1](temperature, zero_term_policy=policy,
                               zero_term_value=value)
     assert calls == []
 
 
-def _replace_the_core(patch, make):
-    """Replace ``quadrature._double``, the one door to the double integral
-    of every observable (``double_semi_infinite`` wraps it), by
-    ``make(_double)``."""
-    patch.setattr(quadrature, "_double", make(quadrature._double))
-
-
-def _recorded(calls):
-    """A ``make`` for ``_replace_the_core`` that records the arguments of
-    each rule in ``calls`` and runs none."""
-    return lambda door: lambda *args, **kwargs: calls.append(args)
-
-
-def _capture(seen):
-    """A ``make`` for ``_replace_the_core`` that records the integrand of
-    each rule in ``seen`` and returns zeros for its columns."""
-    def rule(integrand, *args, columns=(), **kwargs):
-        seen.append(integrand)
-        zeros = [0.0] * math.prod(columns)
-        return zeros, zeros, 0, True
-
-    return lambda door: rule
-
-
-def _call_shapes(monkeypatch, observable):
+def _call_shapes(replace_the_core, observable):
     """(result, the (rows, columns) of every integrand call) of
     ``observable()``."""
     shapes = []
@@ -499,8 +473,8 @@ def _call_shapes(monkeypatch, observable):
 
         return rule
 
-    with monkeypatch.context() as patch:
-        _replace_the_core(patch, recorded)
+    with pytest.MonkeyPatch.context() as patch:
+        replace_the_core(recorded, patch)
         return observable(), shapes
 
 
@@ -508,10 +482,10 @@ def _call_shapes(monkeypatch, observable):
 @pytest.mark.parametrize("name", [name for name in _OBSERVABLES
                                   if name != "stress_profile"])
 def test_evaluations_count_the_points_the_integrand_received(
-        monkeypatch, name, temperature):
+        replace_the_core, name, temperature):
     # The thermal sum adds nothing per term: evaluations are integrand
     # points at every T.
-    res, shapes = _call_shapes(monkeypatch,
+    res, shapes = _call_shapes(replace_the_core,
                                lambda: _OBSERVABLES[name][1](temperature))
     assert res.converged
     assert res.evaluations == sum(rows * cols for rows, cols in shapes) > 0
@@ -538,10 +512,10 @@ def _assert_balanced(shapes, rows, columns):
                for size in sizes)
 
 
-def test_zero_temperature_force_calls_are_whole_chunks(monkeypatch):
+def test_zero_temperature_force_calls_are_whole_chunks(replace_the_core):
     # The first level's 7,917 points, 91 rows of the one column s + p, in
     # one call, and no call of one row to learn the column count.
-    res, shapes = _call_shapes(monkeypatch,
+    res, shapes = _call_shapes(replace_the_core,
                                lambda: plate_force(_ONE_BY_FIFTY, spec=SPEC))
     assert res.converged and res.evaluations == 7917
     assert shapes == [(91, _Q_NODES)]
@@ -554,27 +528,27 @@ def test_zero_temperature_force_calls_are_whole_chunks(monkeypatch):
 _ROADMAP_GOLD = drude_lorentz(1.37e16, 0.0, 5.32e13)
 
 
-def test_a_zero_temperature_mirror_pair_takes_one_call(monkeypatch):
+def test_a_zero_temperature_mirror_pair_takes_one_call(replace_the_core):
     # Between mirrors a filled gap's field force forms its s and p rows in
     # its last product, so at 0 K its pair counts once toward _CHUNK: the
     # first level's 91 rows are one call, as for one column.
     cavity = CavityConfig(Wall.perfect_mirror(), constant(eps=3.0), 1e-6,
                           PerfectMirrorPlate(), 5e-6, Wall.perfect_mirror())
-    res, shapes = _call_shapes(monkeypatch,
+    res, shapes = _call_shapes(replace_the_core,
                                lambda: plate_force(cavity, spec=SPEC))
     assert res.converged and res.evaluations == 7917
     assert res.per_polarization["s"] != res.per_polarization["p"]
     assert shapes == [(91, _Q_NODES)]
 
 
-def test_a_dispersive_pair_keeps_its_two_calls(monkeypatch):
+def test_a_dispersive_pair_keeps_its_two_calls(replace_the_core):
     # A dispersive structure forms (s, p) arrays from its reflections on,
     # so its pair counts twice: the first level's 91 rows take two
     # balanced calls, of 45 and 46 rows.
     cavity = CavityConfig(Wall.semi_infinite(_ROADMAP_GOLD), constant(eps=2.0),
                           1e-6, Layer(_ROADMAP_GOLD, 2e-7), 5e-6,
                           Wall.semi_infinite(_ROADMAP_GOLD))
-    res, shapes = _call_shapes(monkeypatch,
+    res, shapes = _call_shapes(replace_the_core,
                                lambda: plate_force(cavity, spec=SPEC))
     assert res.converged and res.evaluations == 7917
     _assert_balanced(shapes, 91, 2)
@@ -611,13 +585,13 @@ def test_the_decay_floor_changes_no_result(monkeypatch):
 @pytest.mark.parametrize("temperature,rules", [
     (300.0, [19]), (3.0, [91, 19]), (0.1, [91, 19])])
 def test_each_thermal_rule_takes_the_calls_its_rows_need(
-        monkeypatch, temperature, rules):
+        replace_the_core, temperature, rules):
     # At 300 K the 1 um / 50 um force sums its 19 terms (m = 0 to 18) in one
     # rule; at 3 K and 0.1 K the 0 K rule from xi_8 on (91 frequency rows
     # at its first level) and one head of m = 0 to 18 take it. All meet the
     # target at the first q level, each rule's rows of the one column s + p
     # in the fewest balanced calls.
-    res, shapes = _call_shapes(monkeypatch, lambda: plate_force(
+    res, shapes = _call_shapes(replace_the_core, lambda: plate_force(
         _ONE_BY_FIFTY, temperature, SPEC))
     assert res.converged
     at = 0
@@ -629,12 +603,12 @@ def test_each_thermal_rule_takes_the_calls_its_rows_need(
     assert sum(rows * cols for rows, cols in shapes) == res.evaluations
 
 
-def test_profile_calls_hold_at_most_a_chunk_or_one_row(monkeypatch):
+def test_profile_calls_hold_at_most_a_chunk_or_one_row(replace_the_core):
     # 42 heights are 42 columns: a call of more than one row holds at most
     # _CHUNK point-columns. The first level's 91 rows of 87 q nodes take 46
     # balanced calls, 45 of two rows and one of one; three would exceed it.
     heights = 42
-    res, shapes = _call_shapes(monkeypatch, lambda: stress_profile(
+    res, shapes = _call_shapes(replace_the_core, lambda: stress_profile(
         _mirror_gap(), heights, spec=SPEC))
     assert np.all(res.converged)
     _assert_balanced(shapes, 91, heights)
@@ -818,7 +792,7 @@ def _brute_thermal_force(cavity, temperature, spec):
         q_errors.append(res.error_estimate)
         return res.value
 
-    total = matsubara_sum(term, temperature, spec, zero_term_policy="drop")
+    total = matsubara_sum(term, temperature, spec, zero_term=0.0)
     assert total.converged
     spacing = float(matsubara_frequency(1, temperature))
     prefactor = engine._STRESS_PREFACTOR
@@ -895,16 +869,15 @@ def test_cavity_interspaces_widths_and_media():
     assert abs(r_composite - r_bare) > 1e-6
 
 
-def _integrand_of(monkeypatch, observable):
+def _integrand_of(replace_the_core, observable):
     """The integrand ``observable()`` hands to the double integral."""
-    seen = []
-    with monkeypatch.context() as patch:
-        _replace_the_core(patch, _capture(seen))
+    with pytest.MonkeyPatch.context() as patch:
+        calls = replace_the_core(patch=patch)
         observable()
-    return seen[0]
+    return calls[0][0]
 
 
-def test_minkowski_force_equals_the_two_interspace_form(monkeypatch):
+def test_minkowski_force_equals_the_two_interspace_form(replace_the_core):
     # The single-plate form r (B - A) / N must equal the gap difference
     # r r3/(1 - r r3) - r r1/(1 - r r1) of the two composite-wall views.
     metal = drude_lorentz(1.37e16, 0.0, 5.3e13)
@@ -917,7 +890,7 @@ def test_minkowski_force_equals_the_two_interspace_form(monkeypatch):
     for plate in (Layer(metal, 1e-7), PerfectMirrorPlate()):
         cavity = CavityConfig(walls[0], medium, 4e-7, plate, 9e-7, walls[1])
         integrand = _integrand_of(
-            monkeypatch, lambda: minkowski_plate_force(cavity, spec=SPEC))
+            replace_the_core, lambda: minkowski_plate_force(cavity, spec=SPEC))
         view1, view3 = cavity_interspaces(cavity)
         for xi in (3e13, 8e14, 1e16):
             got = integrand(np.full((1, 1), xi), q[None])[0, :, 0]
@@ -951,7 +924,8 @@ class _CountingNumpy:
 
 @pytest.mark.parametrize("medium", [VACUUM, constant(eps=2.0)],
                          ids=["vacuum", "eps2"])
-def test_one_kappa_evaluation_per_integrand_call(monkeypatch, medium):
+def test_one_kappa_evaluation_per_integrand_call(monkeypatch, replace_the_core,
+                                                 medium):
     # A constant gap medium between mirror walls and a mirror plate: every
     # integrand call forms the gap's kappa once and evaluates no material,
     # since the plan fixes a constant medium's weights and n^2 and mirrors
@@ -959,7 +933,7 @@ def test_one_kappa_evaluation_per_integrand_call(monkeypatch, medium):
     cavity = CavityConfig(Wall.perfect_mirror(), medium, 4e-7,
                           PerfectMirrorPlate(), 9e-7, Wall.perfect_mirror())
     view = _mirror_gap(medium)
-    integrands = [_integrand_of(monkeypatch, observable) for observable in (
+    integrands = [_integrand_of(replace_the_core, f) for f in (
         lambda: plate_force(cavity, spec=SPEC),
         lambda: minkowski_plate_force(cavity, spec=SPEC),
         lambda: stress_zz(view, 3e-7, spec=SPEC),
@@ -1198,7 +1172,7 @@ def test_absolute_floor_applies_to_thermal_sums():
     ((1.0, 1.0), QuadratureSpec(rel_tol=1e-15, abs_floor=6e-14)),
 ], ids=["rel-tol", "abs-floor"])
 def test_force_converges_only_if_the_summed_error_meets_its_target(
-        monkeypatch, scales, spec):
+        replace_the_core, scales, spec):
     # Through the core at 0 K and 300 K: as two columns (2,), s and p meet
     # their targets and the sum misses its own; as one group (1, 2) the rule
     # must not then claim convergence. Against a loose target it converges,
@@ -1210,12 +1184,14 @@ def test_force_converges_only_if_the_summed_error_meets_its_target(
     d = 1e-6
     rules = []
 
-    def recorded(*args, **kwargs):
-        rules.append((kwargs["columns"], double(*args, **kwargs)))
-        return rules[-1][1]
+    def recorded(door):
+        def rule(*args, **kwargs):
+            rules.append((kwargs["columns"], door(*args, **kwargs)))
+            return rules[-1][1]
 
-    double = quadrature._double
-    monkeypatch.setattr(quadrature, "_double", recorded)
+        return rule
+
+    replace_the_core(recorded)
     loose = replace(spec, rel_tol=1e-4)
     for force in (plate_force, minkowski_plate_force):
         for temperature in (0.0, 300.0):
@@ -1299,8 +1275,8 @@ def test_one_column_mirror_force_is_the_group_of_its_two(
         pair = quadrature.double_semi_infinite(
             lambda xi, q: np.stack((integrand(xi, q),) * 2)[None], spec,
             min(cavity.d1, cavity.d3), prefactor,
-            temperature, *engine._zero_term(temperature, policy, value, False,
-                                            per_polarization=True),
+            temperature, engine._zero_term(temperature, policy, value, False,
+                                           per_polarization=True),
             index=engine._index(cavity.medium), columns=(1, 2))
         s, p = res.per_polarization["s"], res.per_polarization["p"]
         assert s + p == res.force_per_area
@@ -1566,6 +1542,124 @@ def test_random_structures_give_finite_results_or_value_errors(
         assert np.isfinite(value) and np.isfinite(error)
 
 
+def _slower(model, k):
+    """``model`` with every frequency of its eps and mu divided by k."""
+    return replace(model, plasma_freq=model.plasma_freq / k,
+                   resonance_freq=model.resonance_freq / k,
+                   damping=model.damping / k, mu_model=model.mu_model and
+                   tuple(x / k for x in model.mu_model))
+
+
+def _wider(wall, k):
+    """``wall`` with every thickness times k and every frequency over k."""
+    return Wall.stack([Layer(_slower(layer.material, k), layer.thickness * k)
+                       for layer in wall.layers], _slower(wall.terminator, k))
+
+
+def _outcome(call):
+    """The value, error and, for a force, s and p of ``call()`` as one
+    array, with its flag and its effort; or the message it was refused
+    with."""
+    try:
+        res = call()
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(res, ForceResult):
+        return (np.array([res.force_per_area, res.error_estimate,
+                          *res.per_polarization.values()]),
+                res.converged, res.evaluations)
+    value = res.t_zz if isinstance(res, engine.StressProfile) else res.value
+    return (np.hstack([value, res.error_estimate]), bool(np.all(res.converged)),
+            getattr(res, "evaluations", None))
+
+
+# Drude | Lorentz coating with a Lorentz mu, 50 nm | eps = 2, 1 um | plasma
+# plate, 200 nm | eps = 2, 3 um | Drude, under each m = 0 treatment.
+_COATED_DRUDE = dict(
+    left=Wall.stack([Layer(drude_lorentz(5e15, 4e15, 1e14, mu_model=(
+        1e15, 2e15, 1e13)), 5e-8)], _GOLD),
+    right=Wall.semi_infinite(_GOLD), plate=Layer(plasma(1e16), 2e-7),
+    medium=constant(eps=2.0), d1=1e-6, d3=3e-6, m0=(-1e-6, 2.5e-6, 1e-6))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@example(**_COATED_DRUDE, temperature=0.0, policy="half-weight", k=2.0,
+         floor=0.0, cutoff=None)
+@example(**_COATED_DRUDE, temperature=3.0, policy="drop", k=0.5,
+         floor=1e-9, cutoff=None)
+@example(**_COATED_DRUDE, temperature=300.0, policy="custom-value", k=4.0,
+         floor=0.0, cutoff=30.0)
+@given(left=_WALL, right=_WALL, plate=_PLATE, medium=_MATERIAL,
+       d1=_log_uniform(-8.0, -5.0), d3=_log_uniform(-8.0, -5.0),
+       temperature=st.sampled_from([0.0, 3.0, 300.0]),
+       policy=st.sampled_from(engine.ZERO_TERM_POLICIES),
+       m0=st.tuples(_M0, _M0, _M0), k=st.sampled_from([0.5, 2.0, 4.0]),
+       floor=st.sampled_from([0.0, 1e-9]), cutoff=st.sampled_from([None, 30.0]))
+def test_every_length_times_k_scales_each_result_by_k_to_the_minus_four(
+        left, right, plate, medium, d1, d3, temperature, policy, m0, k, floor,
+        cutoff):
+    # Lengths times a power of two k; frequencies, T and q_cutoff over k;
+    # the floor and the m = 0 values times k**-4: every node of both rules
+    # and every term scale exactly, so each result is k**-4 times the
+    # first, bit for bit, with the same flag and effort, or the same refusal.
+    def outcomes(k):
+        scale = k ** -4.0
+        spec = QuadratureSpec(1e-6, floor * scale,
+                              cutoff and cutoff / (d1 * k))
+        walls = _wider(left, k), _wider(right, k)
+        gap = _slower(medium, k)
+        cavity = CavityConfig(walls[0], gap, d1 * k, plate if isinstance(
+            plate, PerfectMirrorPlate) else Layer(_slower(plate.material, k),
+                                                  plate.thickness * k),
+                              d3 * k, walls[1])
+        view = interspace(walls[0], gap, d1 * k, walls[1])
+        custom = policy == "custom-value"
+        force = dict(zero_term_policy=policy, zero_term_value={
+            "s": m0[0] * scale, "p": m0[1] * scale} if custom else None)
+        stress = dict(zero_term_policy=policy,
+                      zero_term_value=m0[2] * scale if custom else None)
+        t = temperature / k
+        return [_outcome(call) for call in (
+            lambda: plate_force(cavity, t, spec, **force),
+            lambda: minkowski_plate_force(cavity, t, spec, **force),
+            lambda: stress_zz(view, 0.25 * d1 * k, t, spec, **stress),
+            lambda: stress_profile(view, 3, t, spec, **stress))]
+
+    for got, want in zip(outcomes(k), outcomes(1.0)):
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0].tobytes() == (want[0] * k ** -4.0).tobytes()
+            assert got[1:] == want[1:]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(left=_WALL, right=_WALL, medium=_MATERIAL,
+       d1=_log_uniform(-8.0, -5.5), w=_log_uniform(-8.0, -5.5),
+       d3=_log_uniform(-8.0, -5.5), temperature=st.sampled_from([0.0, 300.0]))
+def test_a_plate_of_the_gap_medium_takes_the_stress_difference_across_it(
+        left, right, medium, d1, w, d3, temperature):
+    # A plate of the gap medium leaves one interspace of width d1 + w + d3:
+    # the field force on it is the stress at its far face less the stress
+    # at its near face, the medium's own share of the force, from the
+    # stress integrand rather than the plate rule. The Minkowski force on
+    # it is exactly zero, since the plate does not reflect.
+    spec = QuadratureSpec(rel_tol=1e-10)
+    cavity = CavityConfig(left, medium, d1, Layer(medium, w), d3, right)
+    view = interspace(left, medium, d1 + w + d3, right)
+    drude = temperature and engine._plan(medium, (left, right)).has_drude_like
+    request = dict(zero_term_policy="drop" if drude else None)
+    force = plate_force(cavity, temperature, spec, **request)
+    faces = stress_zz(view, np.array([d1, d1 + w]), temperature, spec,
+                      **request)
+    assert abs(force.force_per_area - (faces.value[1] - faces.value[0])) <= (
+        force.error_estimate + faces.error_estimate.sum())
+    if materials.is_nonmagnetic(medium):
+        assert minkowski_plate_force(cavity, temperature, spec,
+                                     **request).force_per_area == 0.0
+
+
 def _wall_cavity(material):
     # A half-space wall opposite a mirror plate and a mirror far wall.
     return CavityConfig(Wall.semi_infinite(material), VACUUM, 1e-6,
@@ -1582,10 +1676,9 @@ def test_zero_strength_wall_is_the_constant_wall(wall):
     assert force(wall) == force(constant())
 
 
-def test_divergent_mu_is_refused_before_integrating(monkeypatch):
+def test_divergent_mu_is_refused_before_integrating(replace_the_core):
     wall = DispersionModel(MaterialKind.PLASMA, mu_model=(1e15, 0.0, 1e13))
-    calls = []
-    _replace_the_core(monkeypatch, _recorded(calls))
+    calls = replace_the_core()
     with pytest.raises(ValueError, match="zero_term_policy"):
         plate_force(_wall_cavity(wall), 300.0, SPEC,
                     zero_term_policy="half-weight")

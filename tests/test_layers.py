@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -6,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c
 
-from planarcasimir import engine, layers, materials, quadrature
+from planarcasimir import engine, layers, materials
 from planarcasimir.layers import (
     DELTA,
     CavityConfig,
@@ -344,7 +343,7 @@ def test_vectorized_momentum_matches_scalars():
         assert rb[i] == r1 and tb[i] == t1
 
 
-def test_polarization_leads_the_internal_layout(monkeypatch):
+def test_polarization_leads_the_internal_layout(replace_the_core):
     # xi is a column of shape (A, 1) against q of shape (A, m); every
     # reflection array is (2, A, m) with rows (s, p), mirrors broadcast to
     # it, and the rows equal the public scalar reflections.
@@ -391,15 +390,7 @@ def test_polarization_leads_the_internal_layout(monkeypatch):
     # returns its columns, then the rows of xi and the nodes of q, in one
     # C-contiguous array. A force's (s, p) are one group (1, 2), or one
     # column where they are one array, and a profile's K heights K columns.
-    seen = []
-
-    def capture(integrand, *args, columns=(), **kwargs):
-        seen.append((integrand, columns))
-        zeros = [0.0] * math.prod(columns)
-        return zeros, zeros, 0, True
-
-    # The one door to the core of every observable.
-    monkeypatch.setattr(quadrature, "_double", capture)
+    seen = replace_the_core()
     cavity = CavityConfig(Wall.stack(slabs, drude), ambient, 4e-7,
                           Layer(magnetic, 1e-7), 9e-7,
                           Wall.stack(slabs, MIRROR))
@@ -433,7 +424,8 @@ def _alternating_wall(a, b, slabs=20):
                        for i in range(slabs)], a)
 
 
-def test_each_material_is_evaluated_once_per_integrand_call(monkeypatch):
+def test_each_material_is_evaluated_once_per_integrand_call(monkeypatch,
+                                                           replace_the_core):
     # A 20-slab wall of two alternating materials over a third gap medium:
     # every integrand call evaluates the three materials once each, in one
     # call, and forms each interface once per pair of materials, from the
@@ -445,15 +437,7 @@ def test_each_material_is_evaluated_once_per_integrand_call(monkeypatch):
     view = engine.interspace(wall, gap, 1e-6, Wall.semi_infinite(lorentz))
     cavity = CavityConfig(wall, gap, 4e-7, Layer(lorentz, 1e-7), 9e-7,
                           Wall.semi_infinite(drude))
-    seen = []
-
-    def capture(integrand, *args, columns=(), **kwargs):
-        seen.append(integrand)
-        zeros = [0.0] * math.prod(columns)
-        return zeros, zeros, 0, True
-
-    # The one door to the core of every observable.
-    monkeypatch.setattr(quadrature, "_double", capture)
+    seen = replace_the_core()
     engine.stress_zz(view, np.array([2e-7, 5e-7]))
     engine.minkowski_stress_zz(view)
     engine.plate_force(cavity)
@@ -480,7 +464,7 @@ def test_each_material_is_evaluated_once_per_integrand_call(monkeypatch):
     once = 1, sorted(repr(materials._records(model)[::-1])
                      for model in (drude, lorentz, gap))
     assert len(seen) == 5
-    for integrand in seen:
+    for integrand, _ in seen:
         # gap | drude, drude | lorentz (lorentz | drude is its negation),
         # and gap | lorentz for the other wall or the plate.
         assert count(lambda: integrand(xi, q)) == (*once, 3)

@@ -365,7 +365,8 @@ def test_thermal_terms_are_judged_against_the_sum(policy, n_cols):
 
     res = double_semi_infinite(integrand, QuadratureSpec(rel_tol=1e-10), d,
                                temperature=temperature,
-                               head=policy == "half-weight",
+                               zero_term=(None if policy == "half-weight"
+                                          else 0.0),
                                columns=scales.shape if n_cols == 2 else ())
     m = np.arange(0 if policy == "half-weight" else 1, 40)
     weights = np.where(m == 0, 0.5, 1.0)
@@ -389,7 +390,7 @@ def test_thermal_double_integral_zero_term_policies():
         return np.where(xi == 0.0, np.nan, integrand(xi, q))
 
     drop = double_semi_infinite(poisoned, spec, d, temperature=temperature,
-                                head=False)
+                                zero_term=0.0)
     assert drop.converged
     expected = spacing / d / np.expm1(spacing / xi_c)
     assert abs(drop.value - expected) <= drop.error_estimate
@@ -399,6 +400,37 @@ def test_thermal_double_integral_zero_term_policies():
                                                     rel=1e-9)
     with pytest.raises(ValueError, match="non-finite"):
         double_semi_infinite(poisoned, spec, d, temperature=temperature)
+
+
+@pytest.mark.parametrize("columns,zero_term", [
+    ((), 1e12), ((3,), 1e12), ((3,), np.array([1e11, -2.5e12, 0.0])),
+    ((1, 2), np.array([[-1e11, 2.5e12]]))])
+def test_a_zero_term_value_is_added_to_the_dropped_sum(columns, zero_term):
+    # A value in place of m = 0 is the sum without it plus that value in
+    # each column, bit for bit, with the same effort and verdict: m = 0 is
+    # counted once, from the integrand or from the value. At 0 K, which has
+    # no m = 0 term, every zero_term gives the same result.
+    d = 1e-6
+    scales = np.array([1.0, 3.0, 0.5])[:math.prod(columns)].reshape(columns)
+
+    def integrand(xi, q):
+        f = np.exp(-xi * d / c - q * d)
+        return scales[..., None, None] * f if columns else f
+
+    def run(temperature, zero_term):
+        return double_semi_infinite(integrand, SPEC, d, 1.0, temperature,
+                                    zero_term, columns=columns)
+
+    drop, value = run(300.0, 0.0), run(300.0, zero_term)
+    assert np.array_equal(value.value, drop.value + zero_term)
+    assert np.array_equal(value.error_estimate, drop.error_estimate)
+    assert (value.evaluations, value.converged) == (drop.evaluations, True)
+    half = run(300.0, None)
+    assert np.all(half.value > drop.value)
+    cold = [run(0.0, z) for z in (None, 0.0, zero_term)]
+    assert all(np.array_equal(r.value, cold[0].value)
+               and np.array_equal(r.error_estimate, cold[0].error_estimate)
+               and r.evaluations == cold[0].evaluations for r in cold)
 
 
 def test_non_finite_value_names_the_abscissa_of_its_row():
@@ -610,17 +642,9 @@ def test_zero_prefactor_is_refused_by_name(prefactor, abs_floor, temperature):
     assert not calls
 
 
-def _captured_integrands(monkeypatch):
+def _captured_integrands(replace_the_core):
     """Every integrand the public observables hand to the double integral."""
-    seen = []
-
-    def capture(integrand, *args, columns=(), **kwargs):
-        seen.append(integrand)
-        zeros = [0.0] * math.prod(columns)
-        return zeros, zeros, 0, True
-
-    # The one door to the core of every observable.
-    monkeypatch.setattr(quadrature, "_double", capture)
+    seen = replace_the_core()
     gold = drude_lorentz(1.37e16, 0.0, 5.3e13)
     glass = drude_lorentz(1.5e16, 1.2e16, 2e14, mu_model=(3e15, 5e15, 1e13))
     medium = drude_lorentz(1.2e16, 2.0e16, 1e14)
@@ -634,14 +658,14 @@ def _captured_integrands(monkeypatch):
     engine.plate_force(cavity)
     direct_difference.plate_force(cavity)
     engine.minkowski_plate_force(cavity)
-    return seen
+    return [integrand for integrand, _ in seen]
 
 
-def test_integrands_broadcast_frequency_rows(monkeypatch):
+def test_integrands_broadcast_frequency_rows(replace_the_core):
     # The row core calls integrands with xi of shape (A, 1) against a q row
     # (1, m); given q of shape (A, m), each row must equal that row
     # evaluated alone, xi (1, 1) against q (1, m).
-    integrands = _captured_integrands(monkeypatch)
+    integrands = _captured_integrands(replace_the_core)
     assert len(integrands) == 5
     rng = np.random.default_rng(5)
     xi = np.geomspace(1e12, 3e16, 7)
@@ -703,7 +727,7 @@ def test_thermal_rule_meets_the_exponential_sum(h, tails, head, fast):
     starts = []
     value, error, points, converged = quadrature._thermal_sum(
         lambda x: starts.append(x) or tensor(x), integrand, (),
-        quadrature._MOMENTUM, 4, h, h, head, SPEC, 0.0, [0.0])
+        quadrature._MOMENTUM, 4, h, h, SPEC, 0.0, None if head else [0.0])
     assert converged and error[0] <= SPEC.rel_tol * abs(value[0])
     assert abs(value[0] - exact) <= error[0]
     assert starts == [m * h for m in tails]
@@ -795,12 +819,18 @@ def test_matsubara_zero_term_policies():
     xi_c = 5e14
     g = lambda xi: np.exp(-xi / xi_c)
     spec = QuadratureSpec(rel_tol=1e-10)
-    half = matsubara_sum(g, T, spec, zero_term_policy="half-weight")
-    drop = matsubara_sum(g, T, spec, zero_term_policy="drop")
+    half = matsubara_sum(g, T, spec)
+    drop = matsubara_sum(g, T, spec, zero_term=0.0)
     prefactor = 2.0 * np.pi * Boltzmann * T / hbar
     assert half.value - drop.value == pytest.approx(0.5 * prefactor, rel=1e-12)
     assert drop.value == pytest.approx(_geometric_expected(T, xi_c, "drop"),
                                        rel=1e-9)
+    # A value in place of m = 0 joins the sum, and g(0) is never asked for.
+    custom = matsubara_sum(lambda xi: np.nan if xi == 0.0 else g(xi), T,
+                           spec, zero_term=-2.0 * prefactor)
+    assert custom.converged
+    assert abs(custom.value - (drop.value - 2.0 * prefactor)) <= (
+        custom.error_estimate + drop.error_estimate)
 
 
 def test_matsubara_two_columns_equal_two_scalar_sums():
@@ -823,12 +853,9 @@ def test_matsubara_two_columns_equal_two_scalar_sums():
 
 def test_matsubara_policy_validation():
     g = lambda xi: np.exp(-xi / 5e14)
-    with pytest.raises(ValueError):
-        matsubara_sum(g, 300.0, SPEC, zero_term_policy="skip")
-    # custom-value is the engine's: the core sums without m = 0 and adds
-    # the engine's amount.
-    with pytest.raises(ValueError, match="unknown"):
-        matsubara_sum(g, 300.0, SPEC, zero_term_policy="custom-value")
+    for bad in (np.inf, np.nan, np.array([0.0, np.nan])):
+        with pytest.raises(ValueError, match="zero_term must be finite"):
+            matsubara_sum(g, 300.0, SPEC, zero_term=bad)
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="finite temperature > 0"):
             matsubara_sum(g, bad, SPEC)
@@ -838,7 +865,7 @@ def test_matsubara_divergent_zero_term_instructs():
     def g(xi):
         return 1.0 / xi if xi > 0.0 else np.inf
 
-    with pytest.raises(ValueError, match="drop"):
+    with pytest.raises(ValueError, match="pass zero_term"):
         matsubara_sum(g, 300.0, SPEC)
     # A later non-finite term names its frequency.
     xi1 = float(matsubara_frequency(1, 300.0))
