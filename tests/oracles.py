@@ -275,3 +275,66 @@ def lifshitz_pressure_classical(left, right, temperature, d):
     (s1, p1), (s2, p2) = deltas(left), deltas(right)
     return -(Boltzmann * temperature / (8.0 * math.pi * d ** 3)
              * (polylog(3, s1 * s2) + polylog(3, p1 * p2)))
+
+
+# ---------------------------------------------------------------------------
+# Ideal mirrors across a static (eps, mu) gap of width d, n^2 = eps mu: the
+# field-only stress at height z is a z-independent pair term plus a surface
+# term summed over the images z_k of the two faces, z + k d and d - z + k d
+# (k >= 0). The pair term is (mu/n)(1 + 1/n^2)/2 times the vacuum mirror
+# pressure at the temperature n T, since xi -> n xi turns the gap's
+# Matsubara sum into the vacuum one; at 0 K it is
+# (hbar c pi^2 mu/n)(1 + 1/n^2)/(480 d^4).
+
+def filled_mirror_gap_stress(eps, mu, z, d, temperature=0.0):
+    """T_zz at the height z of a gap of width d between ideal mirrors,
+    attraction positive.
+
+    At 0 K each image sum is a Hurwitz zeta:
+    surface = hbar c mu (n^2 - 1)/(32 pi^2 n^3 d^4)
+              [zeta(4, z/d) + zeta(4, 1 - z/d)],
+    which at mid-gap is pi^4/3 in the bracket. At T > 0 the m = 0 term of
+    the surface part vanishes (it carries xi^2), and each image's Matsubara
+    sum is geometric, sum_m m^2 x^m = x (1 + x)/(1 - x)^3:
+    surface = (k_B T/4 pi)(mu (n^2 - 1)/c^2) D^2
+              sum_k x_k (1 + x_k)/((1 - x_k)^3 z_k),
+    with D = 2 pi k_B T/hbar and x_k = e^{-2 n D z_k/c}. The images run
+    while x_k >= e^{-42}. Past the last one, K, the terms of each sequence
+    fall at least by r = e^{-2 n D d/c} per image, so the rest of both is
+    below 2 x_K (1 + x_K)/((1 - x_K)^3 z_K (1 - r)) with z_K >= K d; that
+    bound is asserted below 1e-17 of the surface sum. The far face's
+    distance is d - z, as the engine forms it, since near that face the
+    rounding of z / d alone would move the result by far more than an ulp.
+    """
+    n_sq = eps * mu
+    n = math.sqrt(n_sq)
+    if temperature == 0.0:
+        pair = (hbar * c * math.pi ** 2 * mu / n * (1.0 + 1.0 / n_sq)
+                / (480.0 * d ** 4))
+        return pair + (hbar * c * mu * (n_sq - 1.0)
+                       / (32.0 * math.pi ** 2 * n ** 3 * d ** 4)
+                       * (zeta(4.0, z / d) + zeta(4.0, (d - z) / d)))
+    pair = (mu / n * (1.0 + 1.0 / n_sq) / 2.0
+            * ideal_mirror_pressure(n * temperature, d))
+    spacing = 2.0 * math.pi * Boltzmann * temperature / hbar
+    rate = 2.0 * n * spacing / c  # per metre of image distance
+    count = math.ceil(42.0 / (rate * d)) + 1
+    k = np.arange(count)
+    images = np.concatenate([z + k * d, d - z + k * d])
+    x, rest = np.exp(-rate * images), -np.expm1(-rate * images)
+    terms = x * (1.0 + x) / (rest ** 3 * images)
+    total = math.fsum(terms.tolist())
+    x_k, z_k = math.exp(-rate * count * d), count * d
+    tail = 2.0 * x_k * (1.0 + x_k) / ((-math.expm1(-rate * z_k)) ** 3 * z_k
+                                      * -math.expm1(-rate * d))
+    assert tail <= 1e-17 * total
+    return pair + (Boltzmann * temperature / (4.0 * math.pi)
+                   * mu * (n_sq - 1.0) / c ** 2 * spacing ** 2 * total)
+
+
+def casimir_polder_plate_force(d1, w):
+    """Summed Casimir-Polder force per area and per unit delta on a dilute
+    plate, eps = 1 + delta, of thickness w at d1 from an ideal mirror:
+    -(3 hbar c/32 pi^2)(d1^-4 - (d1 + w)^-4), attraction negative (Casimir &
+    Polder, Phys. Rev. 73, 360 (1948))."""
+    return -3.0 * hbar * c / (32.0 * math.pi ** 2) * (d1 ** -4 - (d1 + w) ** -4)

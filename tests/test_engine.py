@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import c, hbar
 
@@ -49,8 +49,10 @@ from planarcasimir.quadrature import (
 import direct_difference
 from direct_difference import cavity_interspaces
 from oracles import (
+    casimir_polder_plate_force,
     classical_minkowski_plate_force,
     classical_plate_force,
+    filled_mirror_gap_stress,
     ideal_mirror_pressure,
     kappa_of,
     lifshitz_pressure_0k,
@@ -285,13 +287,12 @@ def test_stress_domain_and_temperature_validation():
 @pytest.mark.parametrize("z", [np.full((2, 2), 5e-7), np.full((1, 1), 5e-7),
                                np.array([]), []],
                          ids=["2x2", "1x1", "empty", "empty-list"])
-def test_stress_refuses_heights_of_another_shape_by_name(monkeypatch, z):
+def test_stress_refuses_heights_of_another_shape_by_name(replace_the_core,
+                                                        z):
     # One height or a non-empty 1-D array of them: anything else is refused
     # by name before any integral, not by the quadrature's shape check or
     # numpy's reduction over nothing.
-    calls = []
-    monkeypatch.setattr(engine, "double_semi_infinite",
-                        lambda *args, **kwargs: calls.append(args))
+    calls = replace_the_core()
     with pytest.raises(ValueError, match=r"^z must be one height or a"
                                          r" non-empty 1-D array"):
         stress_zz(_mirror_gap(), z, spec=SPEC)
@@ -389,19 +390,17 @@ def test_vacuum_mirror_cavity_polarizations_share_one_pass():
     assert abs(s - half) <= 0.5 * res.error_estimate
 
 
-def test_custom_zero_term_needs_a_value_before_integrating(monkeypatch):
+def test_custom_zero_term_needs_a_value_before_integrating(replace_the_core):
     view = _mirror_gap()
-    calls = []
-    monkeypatch.setattr(engine, "double_semi_infinite",
-                        lambda *args, **kwargs: calls.append(args))
-    for stress in (lambda: stress_zz(view, 5e-7, 300.0, SPEC,
-                                     "custom-value"),
-                   lambda: minkowski_stress_zz(view, 300.0, SPEC,
-                                               "custom-value")):
-        with pytest.raises(ValueError, match="zero_term_value"):
-            stress()
+    with pytest.MonkeyPatch.context() as patch:
+        calls = replace_the_core(patch=patch)
+        for stress in (lambda: stress_zz(view, 5e-7, 300.0, SPEC,
+                                         "custom-value"),
+                       lambda: minkowski_stress_zz(view, 300.0, SPEC,
+                                                   "custom-value")):
+            with pytest.raises(ValueError, match="zero_term_value"):
+                stress()
     assert calls == []
-    monkeypatch.undo()
     given = stress_zz(view, 5e-7, 300.0, SPEC, "custom-value", 0.0)
     dropped = stress_zz(view, 5e-7, 300.0, SPEC, "drop")
     assert given.value == dropped.value
@@ -1414,16 +1413,19 @@ def _gold_gap():
                       Wall.perfect_mirror())
 
 
-def test_profile_is_one_double_integral(monkeypatch):
+def test_profile_is_one_double_integral(replace_the_core):
     calls = []
-    real = engine.double_semi_infinite
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(door):
+        def rule(*args, **kwargs):
+            calls.append(args)
+            return door(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "double_semi_infinite", counting)
-    prof = stress_profile(_gold_gap(), 7)
+        return rule
+
+    with pytest.MonkeyPatch.context() as patch:
+        replace_the_core(counting, patch)
+        prof = stress_profile(_gold_gap(), 7)
     assert len(calls) == 1
     assert prof.t_zz.shape == prof.error_estimate.shape == (7,)
     assert np.all(prof.converged)
@@ -1658,6 +1660,93 @@ def test_a_plate_of_the_gap_medium_takes_the_stress_difference_across_it(
     if materials.is_nonmagnetic(medium):
         assert minkowski_plate_force(cavity, temperature, spec,
                                      **request).force_per_area == 0.0
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(d1=_log_uniform(-7.0, -5.0), thickness=_log_uniform(-2.0, 1.0),
+       delta=_log_uniform(-4.0, -3.0))
+def test_a_dilute_plate_takes_the_summed_casimir_polder_force(d1, thickness,
+                                                              delta):
+    # A plate of eps = 1 + delta in vacuum, at d1 from a mirror with nothing
+    # behind it, is a sheet of atoms: to first order in delta its force is
+    # delta times their summed Casimir-Polder force. (F/(delta CP) - 1)/delta
+    # runs from -0.34 at w/d1 = 0.01 to -0.48 at w/d1 = 10, at every d1, as
+    # scale covariance requires, so 0.6 bounds it with margin.
+    w = thickness * d1
+    cavity = CavityConfig(Wall.perfect_mirror(), VACUUM, d1,
+                          Layer(constant(eps=1.0 + delta), w), np.inf,
+                          Wall.perfect_mirror())
+    force = plate_force(cavity, spec=QuadratureSpec(rel_tol=1e-10))
+    assert force.converged
+    ratio = force.force_per_area / (delta * casimir_polder_plate_force(d1, w))
+    assert abs(ratio - 1.0) <= 0.6 * delta
+
+
+# A static (eps, mu) gap of 10 nm to 10 um between ideal mirrors, at 0 K or
+# from 10 K to about 3000 K, for each rel_tol the closed form is checked at.
+_FILLED_GAP = dict(eps=_log_uniform(0.0, 2.0), mu=_log_uniform(-0.5, 1.0),
+                   width=_log_uniform(-8.0, -5.0),
+                   temperature=st.one_of(st.just(0.0), _log_uniform(1.0, 3.5)),
+                   rel_tol=st.sampled_from([1e-4, 1e-8, 1e-12]))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(height=st.floats(1e-3, 1.0 - 1e-3), **_FILLED_GAP)
+def test_filled_mirror_gap_stress_meets_its_image_sum_at_any_height(
+        height, eps, mu, width, temperature, rel_tol):
+    # The surface term's images of the two faces sum to Hurwitz zetas at
+    # 0 K and to geometric Matsubara series at T > 0: the field-only stress
+    # in a filled gap at every height and temperature, near a face where it
+    # grows as 1/z^4 included.
+    z = height * width
+    res = stress_zz(_mirror_gap(constant(eps=eps, mu=mu), width), z,
+                    temperature, QuadratureSpec(rel_tol=rel_tol))
+    assert res.converged
+    ref = filled_mirror_gap_stress(eps, mu, z, width, temperature)
+    assert abs(res.value - ref) <= res.error_estimate
+
+
+def _meets_the_image_sum(profile, eps, mu, width, temperature):
+    assert np.all(profile.converged)
+    ref = [filled_mirror_gap_stress(eps, mu, float(z), width, temperature)
+           for z in profile.z]
+    assert np.all(np.abs(profile.t_zz - ref) <= profile.error_estimate)
+
+
+# Samples of a profile share a mesh scaled for the one nearest a face, and
+# some bars then book less than the error: the draw of 30 samples of an
+# eps = 12.4 gap, 10 um wide, at 0 K and rel_tol 1e-4 misses by 2% at
+# mid-gap, where its bar is 32 ulps and an mpmath value puts the error at
+# 7.25e-15 of the stress and the oracle's at 1.4e-16.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="profile bars under-book samples far from the face"
+                          " that sets the mesh")
+@settings(max_examples=25, derandomize=True, deadline=None, database=None,
+          phases=[Phase.generate])  # a known miss needs no shrinking
+@given(samples=st.integers(2, 41), **_FILLED_GAP)
+def test_filled_mirror_gap_profile_meets_its_image_sum(
+        samples, eps, mu, width, temperature, rel_tol):
+    view = _mirror_gap(constant(eps=eps, mu=mu), width)
+    _meets_the_image_sum(stress_profile(view, samples, temperature,
+                                        QuadratureSpec(rel_tol=rel_tol)),
+                         eps, mu, width, temperature)
+
+
+@pytest.mark.parametrize("temperature,rel_tol", [
+    (0.0, 1e-4), (0.0, 1e-8), (0.0, 1e-12),
+    pytest.param(300.0, 1e-4, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="8 of the 201 bars, near z/d = 0.34 and 0.66, book less"
+               " than the error, by up to 1.9 times")),
+    (300.0, 1e-8), (300.0, 1e-12)])
+def test_a_201_sample_filled_gap_profile_meets_its_image_sum_everywhere(
+        temperature, rel_tol):
+    # The nearest of 201 samples is d/202 from a face, so every sample
+    # shares a mesh scaled for the steepest one.
+    eps, mu, width = 2.5, 1.4, 1e-6
+    profile = stress_profile(_mirror_gap(constant(eps=eps, mu=mu), width),
+                             201, temperature, QuadratureSpec(rel_tol=rel_tol))
+    _meets_the_image_sum(profile, eps, mu, width, temperature)
 
 
 def _wall_cavity(material):
