@@ -15,7 +15,6 @@ from .materials import (
     constant,
     drude_lorentz,
     is_drude_like,
-    is_nonmagnetic,
     plasma,
 )
 from .layers import (
@@ -55,7 +54,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MIRROR", "VACUUM", "DispersionModel", "MaterialKind", "constant",
-    "drude_lorentz", "is_drude_like", "is_nonmagnetic", "plasma",
+    "drude_lorentz", "is_drude_like", "plasma",
     "CavityConfig", "Layer", "PerfectMirrorPlate", "TransverseMode",
     "Wall", "wall_reflection",
     "IntegralResult", "QuadratureSpec", "integrate_semi_infinite",

@@ -53,7 +53,7 @@ from .limits import (
     force_ratio,
     minkowski_generalized,
 )
-from .materials import MaterialKind, constant, eps_imag_axis, is_drude_like
+from .materials import MaterialKind, _response, constant, is_drude_like
 
 __all__ = ["main"]
 
@@ -291,10 +291,10 @@ def _cmd_stress_profile(rc: RunConfig, values: dict):
     return rows, sum(not row["converged"] for row in rows)
 
 
-def _static_eps(model) -> float | None:
-    if model.kind is MaterialKind.PERFECT_MIRROR or is_drude_like(model):
-        return None
-    return float(eps_imag_axis(model, 0.0))
+def _static_response(model) -> tuple:
+    """(eps, mu) of a gap medium at xi = 0, or Nones if it is Drude-like."""
+    return (None, None) if is_drude_like(model) else tuple(
+        map(float, _response(model, 0.0)))
 
 
 def _eps_list(text: str, where: str) -> list[float]:
@@ -381,14 +381,14 @@ def _contrast_row(rc: RunConfig, eps: float, mode: str, d1, d3) -> dict:
 
 
 def _quadrature_compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
-    """Both tensors' plate forces on one cavity; the ratio is None at F = 0.
-    Minkowski runs first, so a magnetic gap is refused before any integral."""
+    """Both tensors' plate forces on one cavity; the ratio is None at F = 0,
+    and n = sqrt(eps mu) of the gap at xi = 0."""
     mink = _force(rc, cavity, minkowski=True)
     force = _force(rc, cavity)
-    eps, f, f_m = (_static_eps(cavity.medium), force.force_per_area,
-                   mink.force_per_area)
+    (eps, mu), f, f_m = (_static_response(cavity.medium),
+                         force.force_per_area, mink.force_per_area)
     return _compare_row(rc, {
-        "eps": eps, "n": None if eps is None else eps ** 0.5,
+        "eps": eps, "n": None if eps is None else (eps * mu) ** 0.5,
         "force_per_area_N_per_m2": f, "minkowski_force_N_per_m2": f_m,
         "ratio_minkowski_over_force": None if f == 0.0 else f_m / f,
         "d1_m": cavity.d1, "d3_m": cavity.d3,

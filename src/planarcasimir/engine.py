@@ -21,11 +21,14 @@ D = 1 - r_+ r_- e^{-2 kappa d}:
 
 where (beta^2 + q^2)(1 - 1/n^2) = -(xi^2/c^2)(n^2 - 1). In empty interspaces
 the z-dependent terms vanish identically and g collapses to the familiar
-Fabry-Perot form. The Minkowski-tensor counterpart (defined for nonmagnetic
-interspaces only) is z-independent:
+Fabry-Perot form. The Minkowski-tensor counterpart is z-independent:
 
     T_zz^M = (hbar / 2 pi^2) Int dxi Int dq
-             q * kappa * sum_sigma r_+ r_- e^{-2 kappa d} / D_sigma .
+             q * kappa * sum_sigma r_+ r_- e^{-2 kappa d} / D_sigma ,
+
+which is dE/dd of the Lifshitz free energy E = (hbar / 4 pi^2) Int dxi Int dq
+q sum_sigma ln D_sigma for any gap medium, magnetic or not, because the
+reflections r_+ and r_- do not depend on d.
 
 Sign conventions: for an attractive configuration (e.g. vacuum between
 mirrors) the in-gap T_zz is positive. The net force per area on the central
@@ -50,7 +53,7 @@ import numpy as np
 
 from .constants import c, hbar
 from .layers import DELTA, POLARIZATIONS, CavityConfig, Plan, Wall
-from .materials import DispersionModel, MaterialKind, is_nonmagnetic
+from .materials import DispersionModel, MaterialKind
 from . import quadrature
 from .quadrature import IntegralResult, QuadratureSpec, double_semi_infinite
 
@@ -161,14 +164,6 @@ def _index(medium: DispersionModel) -> float:
     return np.sqrt(min(1.0, medium.mu_static))
 
 
-def _minkowski_medium(medium: DispersionModel) -> None:
-    """Refuse a magnetic gap: the Minkowski stress and force need mu = 1."""
-    if not is_nonmagnetic(medium):
-        raise ValueError(
-            "the Minkowski form used here requires a nonmagnetic interspace"
-            f" medium, got mu != 1 for kind {medium.kind.value!r}")
-
-
 def _zero_term(temperature, policy, value, has_drude, per_polarization=False):
     """The ``zero_term`` of ``double_semi_infinite`` for a policy and value.
 
@@ -276,11 +271,9 @@ def minkowski_stress_zz(
 ) -> IntegralResult:
     """Minkowski-tensor T_zz of the interspace (z-independent), in N/m^2.
 
-    Defined only for nonmagnetic interspace media (mu = 1); for empty
-    interspaces it coincides with :func:`stress_zz` identically.
+    For empty interspaces it coincides with :func:`stress_zz` identically.
     """
     spec = spec or DEFAULT_SPEC
-    _minkowski_medium(view.medium)
     if not np.isfinite(view.width):
         raise ValueError("the Minkowski stress needs a finite interspace"
                          f" width, got {view.width}")
@@ -295,7 +288,8 @@ def minkowski_stress_zz(
         return q * kappa * (rr / (1.0 - rr)).sum(axis=0)
 
     return double_semi_infinite(integrand, spec, view.width,
-                                _MINKOWSKI_PREFACTOR, temperature, zero_term)
+                                _MINKOWSKI_PREFACTOR, temperature, zero_term,
+                                index=_index(view.medium))
 
 
 def stress_profile(
@@ -455,14 +449,13 @@ def minkowski_plate_force(
 ) -> ForceResult:
     """Minkowski-tensor prediction for the plate force, in N/m^2.
 
-    F^M = T^M(gap 3) - T^M(gap 1) with the z-independent Minkowski stress;
-    requires a nonmagnetic interspace medium. For idealized mirror walls and
-    a static medium this reproduces the eps^{-1/2}-screened closed form.
+    F^M = T^M(gap 3) - T^M(gap 1) with the z-independent Minkowski stress.
+    For idealized mirror walls and a static medium this reproduces the
+    (eps mu)^{-1/2}-screened closed form.
     With A, B and N of ``_difference_rule``, the composite-wall
     gap difference r r_3/(1 - r r_3) - r r_1/(1 - r r_1) reduces exactly to
     r (B - A) / N.
     """
-    _minkowski_medium(cavity.medium)
     return _plate_force(cavity, *_difference_rule(cavity, True),
                         _MINKOWSKI_PREFACTOR, temperature, spec,
                         zero_term_policy, zero_term_value)

@@ -207,7 +207,3 @@ def is_drude_like(model: DispersionModel) -> bool:
     return records is not None and any(
         osc is not None and osc[1] == 0.0 for _, osc in records)
 
-
-def is_nonmagnetic(model: DispersionModel) -> bool:
-    """True when mu(omega) is identically 1: static 1, no oscillator."""
-    return model._records is not None and model._records[1] == (1.0, None)

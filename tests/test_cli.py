@@ -9,6 +9,7 @@ from scipy.constants import c, hbar
 from planarcasimir import cli, engine
 from planarcasimir.cli import main
 from planarcasimir.layers import Plan
+from planarcasimir.limits import minkowski_generalized
 
 COEF = hbar * c * math.pi ** 2 / 240.0
 
@@ -1012,12 +1013,7 @@ def test_two_infinite_gaps_exit_2_before_integrating(tmp_path, capsys,
     assert out == "" and calls == []
 
 
-def test_compare_refuses_a_magnetic_gap_before_integrating(
-        tmp_path, capsys, replace_the_core):
-    # The Minkowski force's mu = 1 check runs before the field force's
-    # integral, so nothing is integrated for a run that is refused.
-    calls = replace_the_core()
-    cfg = _write(tmp_path, """
+MAGNETIC_CAVITY = """
 [material.mag]
 kind = constant
 eps_static = 2
@@ -1025,13 +1021,24 @@ mu_static = 3
 
 [structure]
 regions = wall:mirror, gap:mag:1e-6, plate:mirror, gap:mag:3e-6, wall:mirror
-""")
-    code, out, err = _run(capsys, ["compare", "--config", cfg])
-    assert code == 2
-    assert err == ("error: the Minkowski form used here requires a"
-                   " nonmagnetic interspace medium, got mu != 1 for kind"
-                   " 'constant'\n")
-    assert out == "" and calls == []
+"""
+
+
+def test_compare_on_a_magnetic_gap_screens_by_its_index(tmp_path, capsys):
+    # An (eps, mu) = (2, 3) gap between mirrors: n = sqrt(6), the Minkowski
+    # force is 6^-1/2 times the vacuum one, and the ratio is
+    # 1/(2 mu/3 + 1/(3 eps)) = 6/13.
+    cfg = _write(tmp_path, MAGNETIC_CAVITY)
+    code, out, err = _run(capsys, ["compare", "--config", cfg,
+                                   "--format", "json"])
+    assert code == 0, err
+    row = json.loads(out)["results"][0]
+    assert row["eps"] == 2.0 and row["n"] == 6.0 ** 0.5
+    assert row["force_converged"] and row["minkowski_converged"]
+    assert row["minkowski_force_N_per_m2"] == pytest.approx(
+        6.0 ** -0.5 * minkowski_generalized(1.0, 1e-6, 3e-6), rel=1e-12)
+    assert row["ratio_minkowski_over_force"] == pytest.approx(6.0 / 13.0,
+                                                              rel=1e-12)
 
 
 def test_overflowing_oscillator_exits_2_before_integrating(

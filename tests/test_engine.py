@@ -38,7 +38,8 @@ from planarcasimir.materials import (
     eps_imag_axis,
     plasma,
 )
-from planarcasimir.limits import StaticMedium, casimir_generalized
+from planarcasimir.limits import (StaticMedium, casimir_generalized,
+                                  minkowski_generalized)
 from planarcasimir.quadrature import (
     QuadratureSpec,
     integrate_semi_infinite,
@@ -55,6 +56,7 @@ from oracles import (
     filled_mirror_gap_stress,
     ideal_mirror_pressure,
     kappa_of,
+    lifshitz_free_energy,
     lifshitz_pressure_0k,
     lifshitz_pressure_classical,
     plasma_nonretarded_pressure,
@@ -214,15 +216,38 @@ def test_minkowski_matches_field_stress_in_empty_interspaces():
         assert minkowski.value == pytest.approx(lorentz.value, rel=1e-6)
 
 
-def test_minkowski_requires_nonmagnetic_medium():
-    view = _mirror_gap(constant(eps=2.0, mu=1.5), 1e-6)
-    with pytest.raises(ValueError, match="nonmagnetic"):
-        minkowski_stress_zz(view, spec=SPEC)
-    cavity = CavityConfig(Wall.perfect_mirror(), constant(eps=2.0, mu=1.5),
-                          1e-6, PerfectMirrorPlate(), 2e-6,
-                          Wall.perfect_mirror())
-    with pytest.raises(ValueError, match="nonmagnetic"):
-        minkowski_plate_force(cavity, spec=SPEC)
+@pytest.mark.parametrize("eps, mu", [(1.0, 3.0), (2.0, 3.0), (4.0, 0.5),
+                                     (10.0, 0.32)])
+def test_minkowski_mirror_forces_of_any_gap_are_screened_by_its_index(eps,
+                                                                      mu):
+    # xi -> xi/n turns the Lifshitz integral of a static (eps, mu) gap into
+    # the vacuum one: the Minkowski stress and plate force are (eps mu)^-1/2
+    # times their vacuum closed forms, magnetic gap or not.
+    mirror, medium = Wall.perfect_mirror(), constant(eps=eps, mu=mu)
+    screen = (eps * mu) ** -0.5
+    cavity = CavityConfig(mirror, medium, 1e-6, PerfectMirrorPlate(), 3e-6,
+                          mirror)
+    force = minkowski_plate_force(cavity, spec=SPEC)
+    assert force.converged
+    assert force.force_per_area == pytest.approx(
+        screen * minkowski_generalized(1.0, 1e-6, 3e-6), rel=1e-12, abs=0.0)
+    stress = minkowski_stress_zz(_mirror_gap(medium), spec=SPEC)
+    assert stress.converged
+    assert stress.value == pytest.approx(
+        screen * _ideal_stress(1e-6), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("eps, mu", [(10.0, 0.32), (1.0, 0.1)])
+def test_minkowski_stress_of_a_low_index_gap_meets_its_bar(eps, mu):
+    # A gap with mu_static < 1 may have n(i xi) < 1: the stress passes the
+    # gap's index to the rule, as the other observables do, so that its
+    # frequency axis reaches the slower decay. Without it (1, 0.1) misses
+    # its target at rel_tol 1e-10.
+    stress = minkowski_stress_zz(_mirror_gap(constant(eps=eps, mu=mu)),
+                                 spec=QuadratureSpec(rel_tol=1e-10))
+    assert stress.converged
+    assert abs(stress.value - (eps * mu) ** -0.5 * _ideal_stress(1e-6)) <= (
+        stress.error_estimate)
 
 
 def test_minkowski_stress_refuses_an_unbounded_interspace_by_name():
@@ -1657,9 +1682,130 @@ def test_a_plate_of_the_gap_medium_takes_the_stress_difference_across_it(
                       **request)
     assert abs(force.force_per_area - (faces.value[1] - faces.value[0])) <= (
         force.error_estimate + faces.error_estimate.sum())
-    if materials.is_nonmagnetic(medium):
-        assert minkowski_plate_force(cavity, temperature, spec,
-                                     **request).force_per_area == 0.0
+    assert minkowski_plate_force(cavity, temperature, spec,
+                                 **request).force_per_area == 0.0
+
+
+def _record(model):
+    """The (eps, mu) records of a finite model, as ``oracles.response``
+    takes them."""
+    return ((model.eps_static, model.plasma_freq, model.resonance_freq,
+             model.damping),
+            (model.mu_static, *(model.mu_model or (0.0, 0.0, 0.0))))
+
+
+def _oracle_wall(wall):
+    """A ``Wall`` as the free-energy oracle's (layers, terminator)."""
+    mirror = wall.terminator.kind is MaterialKind.PERFECT_MIRROR
+    return ([(_record(layer.material), layer.thickness)
+             for layer in wall.layers],
+            None if mirror else _record(wall.terminator))
+
+
+def _slope(energy, h):
+    """(dE/dx at x = 0, error) of ``energy(x) -> (E, error)`` by the central
+    difference of step h. Its h^2 error is a third of its change from the
+    difference of step 2h, which so bounds it three times over; the
+    energies' own errors over the steps bound the rest."""
+    (up, e_up), (down, e_down), (up2, e_up2), (down2, e_down2) = (
+        energy(x) for x in (h, -h, 2.0 * h, -2.0 * h))
+    slope = (up - down) / (2.0 * h)
+    return slope, (abs((up2 - down2) / (4.0 * h) - slope)
+                   + (e_up + e_down) / (2.0 * h)
+                   + (e_up2 + e_down2) / (4.0 * h))
+
+
+_ORACLE_RATE = _log_uniform(13.0, 16.0)
+# Constant media, magnetic or not, and Lorentz and magnetic Lorentz
+# (Lorentz eps and mu) ones: the slabs. A Drude slab is left out, since at
+# xi, q -> 0 its r -> 1 faces make the oracle's matrix product 0/0.
+_ORACLE_SLAB = st.one_of(
+    st.tuples(_log_uniform(0.0, 1.5), _log_uniform(-0.5, 1.0)).map(
+        lambda a: constant(*a)),
+    st.tuples(*[_ORACLE_RATE] * 3).map(lambda a: drude_lorentz(*a)),
+    st.tuples(*[_ORACLE_RATE] * 6).map(
+        lambda a: drude_lorentz(*a[:3], mu_model=a[3:])),
+)
+# Gap media and half-spaces are those or Drude.
+_ORACLE_MEDIUM = st.one_of(_ORACLE_SLAB, st.tuples(
+    _ORACLE_RATE, _ORACLE_RATE).map(lambda a: drude_lorentz(a[0], 0.0, a[1])))
+_ORACLE_THICKNESS = _log_uniform(-9.0, -6.5)
+_ORACLE_WALL = st.tuples(
+    st.lists(st.tuples(_ORACLE_SLAB, _ORACLE_THICKNESS), max_size=3),
+    st.one_of(st.just(MIRROR), _ORACLE_MEDIUM),
+).map(lambda a: Wall.stack([Layer(m, d) for m, d in a[0]], a[1]))
+# A Lorentz eps and mu gap between a gold wall under a magnetic Lorentz
+# coat and a magnetic Lorentz half-space.
+_MAGNETIC_LORENTZ = drude_lorentz(1e16, 5e15, 1e14,
+                                  mu_model=(3e15, 4e15, 2e14))
+_MAGNETIC_GAP = drude_lorentz(5e15, 3e15, 1e14, mu_model=(2e15, 3e15, 1e14))
+_COATED_WALL = Wall.stack([Layer(_MAGNETIC_LORENTZ, 5e-8)], _GOLD)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(left=_ORACLE_WALL, right=_ORACLE_WALL, medium=_ORACLE_MEDIUM,
+       d=_log_uniform(-7.0, -5.5), temperature=st.sampled_from([0.0, 300.0]))
+@example(left=_COATED_WALL, right=Wall.semi_infinite(_MAGNETIC_LORENTZ),
+         medium=_MAGNETIC_GAP, d=7e-7, temperature=0.0)
+def test_minkowski_stress_is_the_slope_of_the_free_energy(left, right, medium,
+                                                          d, temperature):
+    # T^M = dE/dd for any gap medium, magnetic or not, with E the Lifshitz
+    # free energy of the oracle, at 0 K and, with m = 0 dropped where a
+    # medium is Drude-like, at 300 K.
+    drop = bool(temperature) and engine._plan(
+        medium, (left, right)).has_drude_like
+    res = minkowski_stress_zz(
+        interspace(left, medium, d, right), temperature,
+        QuadratureSpec(rel_tol=1e-10), "drop" if drop else None)
+    gap, walls = _record(medium), (_oracle_wall(left), _oracle_wall(right))
+    slope, error = _slope(lambda x: lifshitz_free_energy(
+        gap, *walls, d + x, temperature, drop), 1e-4 * d)
+    assert res.converged
+    assert abs(res.value - slope) <= res.error_estimate + error
+
+
+_ORACLE_PLATE = st.one_of(
+    st.just(PerfectMirrorPlate()),
+    st.tuples(_ORACLE_SLAB, _ORACLE_THICKNESS).map(lambda a: Layer(*a)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(left=_ORACLE_WALL, right=_ORACLE_WALL, medium=_ORACLE_MEDIUM,
+       plate=_ORACLE_PLATE, d1=_log_uniform(-7.0, -5.5),
+       d3=_log_uniform(-7.0, -5.5), temperature=st.sampled_from([0.0, 300.0]))
+def test_minkowski_plate_force_is_the_slope_of_the_free_energy(
+        left, right, medium, plate, d1, d3, temperature):
+    # The free energy of the cavity is that of gap 1, whose right wall is
+    # the plate, gap 3 and the right wall, plus that of gap 3 between the
+    # plate alone and the right wall: its round trips multiply to the
+    # cavity's N of ``_difference_rule``. Moving the plate by x takes d1 to
+    # d1 + x and d3 to d3 - x, and F^M = -dE/dx.
+    cavity = CavityConfig(left, medium, d1, plate, d3, right)
+    drop = bool(temperature) and engine._plan(
+        medium, (left, right), plate).has_drude_like
+    res = minkowski_plate_force(cavity, temperature,
+                                QuadratureSpec(rel_tol=1e-10),
+                                "drop" if drop else None)
+    gap, (near, far) = _record(medium), map(_oracle_wall, (left, right))
+    if isinstance(plate, PerfectMirrorPlate):
+        beside_1 = lambda d3: ([], None)
+        beside_3 = ([], None)
+    else:
+        slab = (_record(plate.material), plate.thickness)
+        beside_1 = lambda d3: ([slab, (gap, d3), *far[0]], far[1])
+        beside_3 = ([slab], gap)
+
+    def energy(x):
+        (e1, error1), (e3, error3) = (
+            lifshitz_free_energy(gap, near, beside_1(d3 - x), d1 + x,
+                                 temperature, drop),
+            lifshitz_free_energy(gap, beside_3, far, d3 - x, temperature,
+                                 drop))
+        return e1 + e3, error1 + error3
+
+    slope, error = _slope(energy, 1e-4 * min(d1, d3))
+    assert res.converged
+    assert abs(res.force_per_area + slope) <= res.error_estimate + error
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)

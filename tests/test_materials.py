@@ -14,7 +14,6 @@ from planarcasimir.materials import (
     drude_lorentz,
     eps_imag_axis,
     is_drude_like,
-    is_nonmagnetic,
     plasma,
 )
 
@@ -220,16 +219,6 @@ def test_is_drude_like():
     assert is_drude_like(drude_lorentz(1e15, 2e15, 0.0, mu_model=(1e14, 0.0, 0.0)))
 
 
-def test_is_nonmagnetic():
-    assert is_nonmagnetic(VACUUM)
-    assert is_nonmagnetic(constant(eps=4.0))
-    assert not is_nonmagnetic(constant(eps=4.0, mu=1.5))
-    assert is_nonmagnetic(drude_lorentz(1e15, 2e15, 1e13))
-    assert not is_nonmagnetic(drude_lorentz(1e15, 2e15, 1e13,
-                                            mu_model=(1e14, 2e14, 0.0)))
-    assert not is_nonmagnetic(MIRROR)
-
-
 _PARAMETER = st.one_of(st.just(0.0),
                        st.floats(8.0, 18.0).map(lambda e: 10.0 ** e))
 
@@ -290,7 +279,6 @@ def test_zero_strength_oscillator_is_no_oscillator():
                   drude_lorentz(0.0, 2e15, 0.0, mu_model=(0.0, 0.0, 1e13))):
         assert _response(model, 0.0).tolist() == [1.0, 1.0]
         assert not is_drude_like(model)
-        assert is_nonmagnetic(model)
 
 
 def test_divergent_mu_makes_any_kind_drude_like():
