@@ -355,13 +355,11 @@ def _compare_row(rc: RunConfig, values: dict) -> dict:
 
 
 def _closed_forms(medium: StaticMedium, d1, d3) -> tuple:
-    """(n, F, F^M, F^M/F) of the ideal-mirror closed forms: the forces are
-    None without distances, and the Minkowski pair None for mu != 1."""
-    force = None if d1 is None else casimir_generalized(medium, d1, d3)
-    if medium.mu != 1.0:  # the Minkowski closed forms take mu = 1
-        return medium.n, force, None, None
-    mink = None if d1 is None else minkowski_generalized(medium.eps, d1, d3)
-    return medium.n, force, mink, force_ratio(medium.eps)
+    """(n, F, F^M, F^M/F) of the ideal-mirror closed forms; the forces are
+    None without distances."""
+    forces = (None, None) if d1 is None else (casimir_generalized(
+        medium, d1, d3), minkowski_generalized(medium.eps, d1, d3, medium.mu))
+    return medium.n, *forces, force_ratio(medium.eps, medium.mu)
 
 
 def _contrast_row(rc: RunConfig, eps: float, mode: str, d1, d3) -> dict:
@@ -537,9 +535,9 @@ def main(argv=None) -> int:
         return 2
     if n_bad:
         print(f"warning: {args.command}: {n_bad} of {len(rows)} result(s) did"
-              " not reach the requested tolerance (raise --rel-tol or"
-              " [quadrature] abs_floor; thermal sums stop once rounding or q"
-              " rules miss it); error estimates stay honest", file=sys.stderr)
+              " not reach the requested tolerance (a rule stops once rounding"
+              " alone keeps it out of reach; raise --rel-tol or [quadrature]"
+              " abs_floor); error estimates stay honest", file=sys.stderr)
         return 3
     return 0
 

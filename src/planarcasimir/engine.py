@@ -104,9 +104,9 @@ class ForceResult:
 
     ``per_polarization`` maps "s" and "p" to their contributions; they sum to
     ``force_per_area`` exactly. Positive force pushes the plate toward +z.
-    ``converged`` is the verdict of the rule that produced it, at every T:
-    s, p and s + p met ``max(rel_tol*|value|, abs_floor)``, or s + p alone
-    where s and p are one array (``_plate_force``).
+    ``converged`` is its rule's verdict at every T: s, p and s + p met
+    ``max(rel_tol*|value|, abs_floor)``, or s + p alone where s and p are one
+    array (``_plate_force``); once rounding alone misses, the rule stops.
     """
 
     force_per_area: float
@@ -384,18 +384,16 @@ def _plate_force(cavity, integrand, columns, plan, prefactor, temperature,
     on the smaller gap and the gap index runs, with the ``zero_term`` of
     ``_zero_term`` as it is. (s, p) is one group (1, 2), judged on s, p and
     s + p, counted once toward ``_CHUNK`` at 0 K under ``Plan.mirrors``. One
-    array y for both runs at twice the prefactor, judged on s + p, whose
-    goal implies the others, and s = p is half of it. At T > 0 the q rules
-    judge each column against the floor, and an (s, p) m = 0 value gives s
-    and p their own targets: with either, y runs as the group (y, y)."""
+    array y for both is one column at twice the prefactor, judged on s + p,
+    whose goal implies the others, and s = p is half of it; at T > 0 an
+    (s, p) m = 0 value gives s and p targets of their own: (y, y) runs."""
     if not math.isfinite(min(cavity.d1, cavity.d3)):
         raise ValueError("a plate force needs at least one finite gap, got"
                          f" d1 = {cavity.d1} and d3 = {cavity.d3}")
     zero_term = _zero_term(temperature, policy, value, plan.has_drude_like,
                            per_polarization=True)
     spec = spec or DEFAULT_SPEC
-    if not columns and temperature > 0.0 and (
-            spec.abs_floor or isinstance(zero_term, np.ndarray)):
+    if not columns and temperature > 0.0 and isinstance(zero_term, np.ndarray):
         f, columns = integrand, (2,)
         integrand = lambda xi, q: np.stack((f(xi, q),) * 2)
     sums, error, evaluations, converged = quadrature._double(

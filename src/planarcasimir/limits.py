@@ -9,12 +9,11 @@ closed form
 
 while the Minkowski stress tensor predicts the uniformly screened
 
-    F^M = (hbar c pi^2 / 240) eps^{-1/2} (1/d3^4 - 1/d1^4)     (mu = 1).
+    F^M = (hbar c pi^2 / 240) (eps mu)^{-1/2} (1/d3^4 - 1/d1^4).
 
-Their ratio F^M/F = 1/(2/3 + 1/(3 eps)) for mu = 1 grows monotonically from 1
-(vacuum) to 3/2 (dense media), so for mu = 1 the field-only force is never
-larger in magnitude than the Minkowski one; the factor is the measurable
-discriminator between the two stress tensors.
+The ratio F^M/F = 1/(2 mu/3 + 1/(3 eps)), the measurable discriminator of the
+two tensors, grows at mu = 1 from 1 (vacuum) to 3/2 (dense media); the
+field-only force is the larger only where 2 mu/3 + 1/(3 eps) > 1, as at mu = 3.
 """
 
 from __future__ import annotations
@@ -59,17 +58,16 @@ def casimir_generalized(medium: StaticMedium, d1: float, d3: float = math.inf) -
     return _CLOSED_FORM_COEF * factor * (d3**-4 - d1**-4)
 
 
-def minkowski_generalized(eps: float, d1: float, d3: float = math.inf) -> float:
-    """Minkowski-tensor closed form: uniform eps^{-1/2} screening (N/m^2)."""
-    if not eps >= 1.0:
-        raise ValueError(f"static eps must be >= 1, got {eps}")
+def minkowski_generalized(eps: float, d1: float, d3: float = math.inf,
+                          mu: float = 1.0) -> float:
+    """Minkowski-tensor closed form: (eps mu)^{-1/2} screening (N/m^2)."""
+    StaticMedium(eps, mu)
     if not (d1 > 0.0 and d3 > 0.0):
         raise ValueError("gap widths must be positive")
-    return _CLOSED_FORM_COEF * eps**-0.5 * (d3**-4 - d1**-4)
+    return _CLOSED_FORM_COEF * (eps * mu)**-0.5 * (d3**-4 - d1**-4)
 
 
-def force_ratio(eps: float) -> float:
-    """F^M / F for mu = 1: 1/(2/3 + 1/(3 eps)), from 1 at eps=1 to 3/2."""
-    if not eps >= 1.0:
-        raise ValueError(f"static eps must be >= 1, got {eps}")
-    return 1.0 / (2.0 / 3.0 + 1.0 / (3.0 * eps))
+def force_ratio(eps: float, mu: float = 1.0) -> float:
+    """F^M / F = 1/(2 mu/3 + 1/(3 eps)); at mu = 1 from 1 (eps = 1) to 3/2."""
+    StaticMedium(eps, mu)
+    return 1.0 / (2.0 * mu / 3.0 + 1.0 / (3.0 * eps))

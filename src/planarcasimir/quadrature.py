@@ -1,24 +1,24 @@
 """Deterministic quadrature on [0, inf) and bosonic frequency sums.
 
-Every integral is one nested double-exponential rule (Takahasi & Mori,
-Publ. RIMS 9, 721 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127, 287
-(2001)) over the tensor product of two axes. An integrated axis is the
-trapezoid rule of step 2**-k in t under the exp-sinh map
-x = exp((pi/2) sinh t) on a fixed range of t: each level halves the step and
-evaluates only the nodes it adds. A fixed axis has the same nodes and
-weights at every level: the single node of a 1-D integral, or a set of
-thermal frequencies. A level's error is, per integrated axis, its change
-from the level before, squared where the axis was seen to double its digits
-(``_booked``), plus the end terms, and at least a few ulps of the sum of
-|weight * f|; the rule stops at the tolerance or at its last level. The verdict
-runs on floats, with numpy's NaNs and order of addition; results replay bit for
-bit on the same numpy, BLAS build and CPU kernel. ``integrate_semi_infinite``
-is the 1-D rule, and ``double_semi_infinite`` the tensor product of the rule in
-frequency and in momentum at T = 0. At T > 0 its frequency axis is a fixed axis
-of Matsubara frequencies (``_thermal_sum``): all the terms the sum needs where
-they cost less than the 0 K rule, or else the first ones plus the 0 K rule
-above them, corrected by Gregory's formula, whose last differences book the
-rest. ``matsubara_sum``, their reference, sums Matsubara terms in blocks.
+Every integral is one nested double-exponential rule (Takahasi & Mori, Publ.
+RIMS 9, 721 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127, 287 (2001))
+over the tensor product of two axes. An integrated axis is the trapezoid rule
+of step 2**-k in t under the exp-sinh map x = exp((pi/2) sinh t) on a fixed
+range of t: each level halves the step and evaluates only the nodes it adds. A
+fixed axis has the same nodes and weights at every level: the single node of a
+1-D integral, or a set of thermal frequencies. A level's error is, per
+integrated axis, its change from the level before, squared where the axis was
+seen to double its digits (``_booked``), plus the end terms, and at least a few
+ulps of the sum of |weight * f|; the rule stops at the tolerance, once those
+ulps alone miss it, or at its last level. The verdict runs on floats, with
+numpy's NaNs and order of addition; results replay bit for bit on the same
+numpy, BLAS build and CPU kernel. ``integrate_semi_infinite`` is the 1-D rule,
+and ``double_semi_infinite`` the tensor product of the rule in frequency and in
+momentum at T = 0. At T > 0 its frequency axis is a fixed axis of Matsubara
+frequencies (``_thermal_sum``): all the terms the sum needs where they cost
+less than the 0 K rule, or else the first ones plus the 0 K rule above them,
+corrected by Gregory's formula, whose last differences book the rest.
+``matsubara_sum``, their reference, sums Matsubara terms in blocks.
 """
 
 from __future__ import annotations
@@ -220,17 +220,19 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
     evaluates every node and reads the two levels before from every second and
     every fourth node, so one pass yields an error; each later level evaluates
     the nodes it adds. A block takes the fewest calls of at most ``_CHUNK``
-    point-columns (one per point if ``once``) or one row, one row apart.
-    The level's verdict runs on its sums as floats: each integrated axis books
+    point-columns (one per point if ``once``) or one row, one row apart. The
+    level's verdict runs on its sums as floats: each integrated axis books
     (``_booked``) the change of S_k as it alone drops to level k-1, after its
     change from k-2 to k-1, plus the end terms, integrals along the end lines
     of each such axis per unit t; ``_ULPS`` ulps of the sum of |weight * f| are
     the least error. Every column of every sum meets
     ``max(rel_tol*|S_k|, abs_floor)``, and, with an integrated outer axis, each
     pair's sum with the sum of its errors (``_judged``); a fixed axis's sums
-    are terms the caller judges. Returns (value, error, points, converged,
-    upper end term of the inner axis, sum of |weight * f|, ``shape``), as
-    floats, each column's R sums in turn."""
+    are terms the caller judges. A miss stops the rule, not converged, where
+    each miss is by its floor alone (a pair's sum by its summed floor), the
+    error it books; the last level books the larger of its last two changes.
+    Returns (value, error, points, converged, upper end term of the inner axis,
+    sum of |weight * f|, ``shape``), as floats, each column's R sums in turn."""
     first, last = levels
     integrated = len(outer) == 3
     columns = 1 if once else math.prod(shape or ())
@@ -290,17 +292,19 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
                                 abs(lines[0][4]), mass, worst + bound))
         groups, judged = ((shape, verdict) if integrated
                           else ((), verdict[::sums.shape[1]]))
-        converged = all(e <= _max(rel_tol * abs(t), abs_floor) for e, t in zip(
-            *(_judged([row[i] for row in judged], groups) for i in (1, 0))))
-        if converged or level == last:
+        missed = [(e, m) for t, e, m in zip(*(_judged(
+            [row[i] for row in judged], groups) for i in (0, 1, 3)))
+            if not e <= _max(rel_tol * abs(t), abs_floor)]
+        floored = all(e <= _FLOOR * m for e, m in missed)
+        if floored or level == last:
             break
     # (value, error, top, mass, unsettled) per column, its sums in turn.
     value, error, top, mass, unsettled = map(list, zip(*verdict))
-    if not converged:
+    if not floored:
         # The levels have not settled (rounding noise need not shrink from
         # one level to the next), so book the larger of the last two changes.
         error = list(map(_max, error, unsettled))
-    return value, error, evals, converged, top, mass, shape
+    return value, error, evals, not missed, top, mass, shape
 
 
 def integrate_semi_infinite(
@@ -317,7 +321,7 @@ def integrate_semi_infinite(
     a request to rescale it, raised as a ValueError. ``value`` and
     ``error_estimate`` are floats for one column and ndarrays of shape (k,)
     otherwise; ``converged`` requires every column to meet its target, and
-    a miss at level 12 is reported through it, never silently.
+    a miss is reported through it, never silently.
     ``evaluations`` counts abscissas.
     """
     value, error, evaluations, converged, top, _, shape = _nested(
@@ -367,8 +371,9 @@ def double_semi_infinite(
     half weight, a number or an array of the columns' shape is added in its
     place (0.0 leaves it out), and 0 K ignores it. Either rule judges its
     result at every temperature: each column, and each pair's sum with the
-    sum of its errors, must meet max(rel_tol*|.|, abs_floor), and a result
-    not finite once scaled is not converged. ``evaluations`` counts points.
+    sum of its errors, must meet max(rel_tol*|.|, abs_floor); a rule stops,
+    not converged, once rounding alone keeps a target out of reach, and no
+    result not finite once scaled converges. ``evaluations`` counts points.
     """
     *sums, evaluations, converged = _double(
         integrand_si, spec, d_ref, prefactor, temperature, zero_term,
@@ -457,24 +462,24 @@ def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
                  spec: QuadratureSpec, floor: float, zero_term: list | None):
     """(value, error, points, converged) of the thermal sum of f, as lists.
 
-    The sum is h Sum_m g(xi_m), xi_m = m ``spacing`` (rad/s), h that spacing
-    in the units of ``tensor``, the 0 K rule (first level ``first``) from a
+    The sum is h Sum_m g(xi_m), xi_m = m ``spacing`` (rad/s), h that spacing in
+    the units of ``tensor``, the 0 K rule (first level ``first``) from a
     frequency on; m = 0 is at half weight, or out given a ``zero_term``. g is
     the q rule ``inner`` of f on a fixed axis of ``_nested`` (``_rows``),
     judged on row 0 against a tenth of rel_tol. The terms fall like
-    exp(-2 m h), so n = 2 + 0.75 ln(1/rel_tol)/h meet the target. While n,
-    then twice as many, cost no more q rules than the 0 K rule has points
-    plus the first head, they are summed, the masses a, b of the last two
-    bounding the rest by a**2/(b - a) + a/(e^2h - 1): their ratio held, or
-    the slowest fall the integrand may have. Else m < M is summed, M =
-    ``_HEAD`` first, and m >= M is ``tensor(xi_M)`` plus Gregory's
-    correction, whose last differences a, b book its rest as max(a, b)
-    min(the coefficients left, |c_K+1|/(1 - a/b)). While that misses what
-    the q errors leave of the target, judged on the first tail, M doubles
-    within the same budget; the tail runs again at the M that fits. The
-    error is the q errors plus the booked rest. Each column and group sum
-    (``_judged``) of S + ``zero_term`` must meet max(rel_tol*|.|, floor);
-    once the q errors alone do not, the sum stops, not converged.
+    exp(-2 m h), so n = 2 + 0.75 ln(1/rel_tol)/h meet the target. While n, then
+    twice as many, cost no more q rules than the 0 K rule has points plus the
+    first head, they are summed, the masses a, b of the last two bounding the
+    rest by a**2/(b - a) + a/(e^2h - 1): their ratio held, or the slowest fall
+    the integrand may have. Else m < M is summed, M = ``_HEAD`` first, and m >=
+    M is ``tensor(xi_M)`` plus Gregory's correction, whose last differences a,
+    b book its rest as max(a, b) min(the coefficients left, |c_K+1|/(1 - a/b)).
+    While that misses what the q errors leave of the target, judged on the
+    first tail, M doubles within the same budget; the tail runs again at the M
+    that fits, or at the last M. The error is the q errors plus the booked
+    rest. Each column and group sum (``_judged``) of S + ``zero_term`` must
+    meet max(rel_tol*|.|, floor); once the q errors alone do not and the rest
+    booked is within them, the sum stops, not converged.
     """
     tol, start, points = spec.rel_tol, int(zero_term is not None), 0
     zero = zero_term or [0.0] * math.prod(shape)
@@ -505,7 +510,8 @@ def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
                                                           shape)]
         q, b = _judged(q_error, shape), _judged(booked, shape)
         return (all(x + y <= g for x, y, g in zip(q, b, goal)),
-                not all(x < g for x, g in zip(q, goal)))
+                not all(x < g for x, g in zip(q, goal))
+                and not any(y > x for x, y in zip(q, b)))
 
     def aim(value):  # a tenth of the least column target, for later rules
         return 0.1 * tol * min(map(abs, add(value, zero)))
@@ -542,7 +548,7 @@ def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
         m *= 2
         g_value, g_error, rest = gregory(m, aim(t_value))
         met, out = judge(value, add(g_error, t_error), rest)
-        if met:
+        if met or out or 2 * m + len(_GREGORY) - start > budget:
             t_value, t_error = tail(m)
             value, error = add(g_value, t_value), add(g_error, t_error)
             booked, met = rest, judge(value, error, rest)[0]

@@ -286,9 +286,9 @@ def test_truncated_thermal_sum_exits_3(tmp_path, capsys, temperature):
     assert float(row["error_estimate_N_per_m2"]) > 0.0
     assert "matsubara_max_terms" not in row
     # No knob sets the effort, so the warning names the target's only.
-    assert ("(raise --rel-tol or [quadrature] abs_floor; thermal sums stop"
-            " once rounding or q rules miss it); error estimates stay"
-            " honest") in err
+    assert ("(a rule stops once rounding alone keeps it out of reach;"
+            " raise --rel-tol or [quadrature] abs_floor); error estimates"
+            " stay honest") in err
     assert "matsubara" not in err
     # The thermal term cap is gone: its flag is a usage error.
     with pytest.raises(SystemExit) as exc:
@@ -602,9 +602,12 @@ def test_limits_dielectric_and_magnetic(capsys):
     row = _rows(out)[0]
     assert -float(row["force_per_area_N_per_m2"]) * (1e-6) ** 4 / COEF \
         == pytest.approx(1.1785113019775793, rel=1e-12)
-    # No Minkowski column for magnetic media: the cell is empty, not fake.
-    assert row["minkowski_force_N_per_m2"] == ""
-    assert row["ratio_minkowski_over_force"] == ""
+    # The Minkowski force of a magnetic medium: (eps mu)^-1/2 screening,
+    # and F^M/F = 1/(2 mu/3 + 1/(3 eps)) = 0.6.
+    assert -float(row["minkowski_force_N_per_m2"]) * (1e-6) ** 4 / COEF \
+        == pytest.approx(0.5 ** 0.5, rel=1e-12)
+    assert float(row["ratio_minkowski_over_force"]) == pytest.approx(
+        0.6, rel=1e-12)
 
 
 @pytest.mark.parametrize("eps", ["1", "2", "10", "1e6"])

@@ -404,14 +404,14 @@ def test_polarization_leads_the_internal_layout(replace_the_core):
     for mirror in mirrors:  # both mirror folds: (s, p), then one array
         engine.plate_force(mirror)
         engine.minkowski_plate_force(mirror)
-    # One array at T > 0 under a floor runs as the group of its two copies.
+    # One array stays one column at T > 0 under a floor too.
     engine.minkowski_plate_force(mirrors[0], 300.0,
                                  QuadratureSpec(abs_floor=1e-9))
     engine.stress_zz(view, 1.3e-7)
     engine.stress_profile(view, 3)
     engine.minkowski_stress_zz(view)
     assert [columns for _, columns in seen] == (
-        [(1, 2)] * 4 + [()] * 3 + [(1, 2), (), (3,), ()])
+        [(1, 2)] * 4 + [()] * 4 + [(), (3,), ()])
     for integrand, columns in seen:
         y = integrand(xi, q)
         assert y.shape == columns + q.shape

@@ -90,6 +90,24 @@ def test_closed_forms_are_mutually_consistent():
         ratio = minkowski_generalized(eps, d1, d3) / casimir_generalized(
             StaticMedium(eps), d1, d3)
         assert ratio == pytest.approx(force_ratio(eps), rel=1e-12)
+    # A magnetic medium: (eps mu)^-1/2 screening, F^M/F = 1/(2 mu/3 +
+    # 1/(3 eps)); the field-only force is the larger one at (1, 3).
+    for (eps, mu), want in (((1.0, 3.0), 3.0 / 7.0), ((4.0, 0.5), 2.4),
+                            ((2.0, 2.0), 2.0 / 3.0)):
+        f_m = minkowski_generalized(eps, d1, d3, mu)
+        assert f_m == pytest.approx((eps * mu) ** -0.5 * minkowski_generalized(
+            1.0, d1, d3), rel=1e-15)
+        assert force_ratio(eps, mu) == pytest.approx(want, rel=1e-15)
+        assert f_m / casimir_generalized(StaticMedium(eps, mu), d1, d3) == (
+            pytest.approx(want, rel=1e-12))
+
+
+def test_mu_one_closed_forms_are_the_dielectric_ones_bit_for_bit():
+    # The dielectric forms, as positional float calls make them.
+    for eps in (1.0, 1.7, 4.0, 1e6):
+        assert force_ratio(eps, 1.0) == 1.0 / (2.0 / 3.0 + 1.0 / (3.0 * eps))
+        assert minkowski_generalized(eps, 7e-7, 2.1e-6) == (
+            COEF * eps ** -0.5 * (2.1e-6 ** -4 - 7e-7 ** -4))
 
 
 def test_validation_errors():
@@ -103,6 +121,13 @@ def test_validation_errors():
         minkowski_generalized(2.0, -1e-6)
     with pytest.raises(ValueError):
         force_ratio(0.99)
+    # Both take the medium's checks and messages.
+    for bad, message in (((0.5, 1.0), "static eps must be >= 1, got 0.5"),
+                         ((2.0, 0.0), "static mu must be finite and > 0")):
+        for call in (lambda: minkowski_generalized(*bad[:1], 1e-6, mu=bad[1]),
+                     lambda: force_ratio(*bad)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 D1, D3 = 6e-7, 2.4e-6
@@ -171,6 +196,9 @@ def test_partially_reflecting_plate_weakens_the_force():
     pytest.param(lambda nan: minkowski_generalized(2.0, nan),
                  id="minkowski-d1"),
     pytest.param(lambda nan: force_ratio(nan), id="ratio-eps"),
+    pytest.param(lambda nan: minkowski_generalized(2.0, 1e-6, mu=nan),
+                 id="minkowski-mu"),
+    pytest.param(lambda nan: force_ratio(2.0, nan), id="ratio-mu"),
 ])
 def test_nan_inputs_are_refused(call):
     with pytest.raises(ValueError):

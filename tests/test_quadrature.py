@@ -130,6 +130,24 @@ def test_budget_exhaustion_flags_not_converged():
     assert abs(res.value - np.sqrt(np.pi)) <= 10.0 * res.error_estimate
 
 
+@pytest.mark.parametrize("f, exact, mass, rel_tol", [
+    (lambda x: (1.0 - x) * np.exp(-x), 0.0, 2.0 / np.e, 1e-8),
+    (lambda x: np.exp(-x), 1.0, 1.0, 1e-17)])
+def test_a_rule_stops_once_rounding_alone_misses_its_target(f, exact, mass,
+                                                            rel_tol):
+    # Int (1 - x) e^-x = 0 asks max(rel_tol |0|, 0) of the error, and
+    # Int e^-x = 1 at rel_tol 1e-17 asks less than rounding: the error is
+    # its ulps floor, _ULPS ulps of Int |f|, long before the last level
+    # (34,305 points). The rule stops there, flagged, booking that floor,
+    # which holds the exact value.
+    res = integrate_semi_infinite(f, QuadratureSpec(rel_tol=rel_tol))
+    assert not res.converged
+    assert res.evaluations < 34305
+    assert res.error_estimate == pytest.approx(quadrature._FLOOR * mass,
+                                               rel=1e-3)
+    assert abs(res.value - exact) <= res.error_estimate
+
+
 @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6, 1e-8])
 def test_kinked_integrand_keeps_the_plain_change(monkeypatch, rel_tol):
     # The kink at x = 1 leaves the trapezoid error algebraic in the step:
@@ -736,10 +754,10 @@ def test_thermal_rule_meets_the_exponential_sum(h, tails, head, fast):
 @pytest.mark.parametrize("temperature", [1.0, 300.0])
 def test_thermal_sum_at_an_unreachable_target_stops_at_once(temperature):
     # Below double rounding no rule can meet the target: once the q errors
-    # alone exceed it, the sum stops, flagged, after its first rule of terms
-    # (at 300 K, all of them) or its first 0 K tail and head (at 1 K), with
-    # a bar that still holds the closed form spacing/d (1/2 + r/(1 - r)),
-    # r = exp(-spacing d/c).
+    # alone exceed it, and the rest it books is within them, the sum stops,
+    # flagged, after its first rule of terms (at 300 K, all of them) or its
+    # first 0 K tail and head (at 1 K), with a bar that still holds the
+    # closed form spacing/d (1/2 + r/(1 - r)), r = exp(-spacing d/c).
     d = 1e-6
     res = double_semi_infinite(lambda xi, q: np.exp(-xi * d / c - q * d),
                                QuadratureSpec(rel_tol=1e-17), d,
