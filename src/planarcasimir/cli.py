@@ -4,9 +4,10 @@ Commands
 --------
 force           net force per unit area on the central plate of a cavity
 stress-profile  stress samples across a two-wall interspace
-compare         field-based force vs Minkowski prediction over a contrast sweep
+compare         field-based force vs Minkowski prediction by quadrature, on a
+                configured cavity or on one mirror cavity per --eps value
 sweep           force as one parameter varies
-limits          idealized-mirror closed forms
+limits          idealized-mirror closed forms at 0 K, one row per --eps value
 
 Structure and materials come from --config (see the config module for the
 format). Command flags override the matching config keys, and every JSON
@@ -121,10 +122,15 @@ def _command_values(args, rc: RunConfig) -> dict:
 
     A flag wins; else the [command] value an emission of the same command
     stored; else the flag's default. Stored values never pass through
-    argparse, so they are checked against the flag's choices here.
+    argparse, so they are checked against the flag's choices here, and a
+    stored key that is no flag of its command is refused.
     """
-    stored = rc.command_args
-    stored = stored if stored.get("name") == args.command else {}
+    stored, command = rc.command_args, rc.command_args.get("name")
+    if command in _COMMANDS and (extra := set(stored) - {"name"} - {
+            flag[0] for flag in _COMMANDS[command][2]}):
+        raise ConfigError(f"[command]: unknown key(s) of {command}:"
+                          f" {', '.join(sorted(extra))}")
+    stored = stored if command == args.command else {}
     values = {}
     for name, convert, default, shape, _ in _COMMANDS[args.command][2]:
         text, where = getattr(args, name), f"--{name}"
@@ -190,9 +196,8 @@ def _render_human(rows: list[dict], meta: dict) -> str:
         width = max(len(k) for k in rows[0])
         return "\n".join(f"{k:<{width}} = {_cell(v, True)}"
                          for k, v in rows[0].items()) + "\n"
-    # The table leaves out the settings and the columns null in every row.
-    columns = [k for k in rows[0] if k not in meta
-               and any(row[k] is not None for row in rows)]
+    # The table leaves out the settings.
+    columns = [k for k in rows[0] if k not in meta]
     table = [[_cell(row[k], True) for k in columns] for row in rows]
     widths = [max(len(name), *(len(line[i]) for line in table))
               for i, name in enumerate(columns)]
@@ -234,15 +239,6 @@ def _need_cavity(rc: RunConfig) -> CavityConfig:
         raise ConfigError("this command needs a wall/gap/plate/gap/wall"
                           " [structure] in --config")
     return rc.cavity
-
-
-def _at_zero_kelvin(rc: RunConfig) -> None:
-    # The ideal-mirror closed forms are zero-temperature results.
-    if rc.temperature != 0.0:
-        raise ConfigError(
-            f"[run] temperature: the closed forms hold at 0 K, not at"
-            f" {rc.temperature!r} K; use compare --mode quadrature for a"
-            " force at finite temperature")
 
 
 def _request(rc: RunConfig, force: bool = True) -> dict:
@@ -306,92 +302,52 @@ def _eps_list(text: str, where: str) -> list[float]:
 
 
 def _cmd_compare(rc: RunConfig, values: dict):
-    """Both tensors on the configured cavity, else over a contrast sweep."""
+    """Both tensors on the configured cavity, else on one mirror cavity per
+    --eps value, with --d1/--d3 or the configured cavity's gaps."""
     d1, d3 = values["d1"], values["d3"]
     if (d1 is None) != (d3 is None):
         raise ConfigError("compare needs both --d1 and --d3 or neither")
     if values["eps"] is None and rc.cavity is not None:
-        # Compare the two tensors on the configured cavity itself.
         if d1 is not None:
             raise ConfigError(
                 "compare on a configured cavity takes its gaps from"
                 " [structure]; --d1/--d3 apply only with --eps")
-        if values["mode"] == "closed":
-            raise ConfigError(
-                "compare on a configured cavity runs quadrature; --mode"
-                " closed applies only with --eps")
-        rows = [_quadrature_compare_row(rc, rc.cavity)]
+        cavities = [rc.cavity]
     else:
-        if d1 is None and rc.cavity is not None:
-            d1, d3 = rc.cavity.d1, rc.cavity.d3
         eps_values = values["eps"] or [1.0, 2.0, 4.0, 10.0]
-        mode = values["mode"] or "closed"
+        try:
+            media = [constant(eps=eps) for eps in eps_values]
+        except ValueError as exc:
+            raise ConfigError(f"--eps: {exc}") from None
+        if d1 is None:
+            if rc.cavity is None:
+                raise ConfigError("compare needs distances: pass --d1/--d3"
+                                  " or configure a cavity")
+            d1, d3 = rc.cavity.d1, rc.cavity.d3
         # These defaults depend on the branch; store them as [command].
-        values.update(eps=eps_values, mode=mode, d1=d1, d3=d3)
-        if mode == "quadrature" and d1 is None:
-            raise ConfigError(
-                "compare --mode quadrature needs distances: pass --d1/--d3"
-                " or configure a cavity")
-        if mode == "closed":
-            _at_zero_kelvin(rc)
-        rows = [_contrast_row(rc, eps, mode, d1, d3) for eps in eps_values]
+        values.update(eps=eps_values, d1=d1, d3=d3)
+        mirror = Wall.perfect_mirror()
+        cavities = [CavityConfig(mirror, medium, d1, PerfectMirrorPlate(), d3,
+                                 mirror) for medium in media]
+    rows = [_compare_row(rc, cavity) for cavity in cavities]
     return rows, sum(False in (row["force_converged"],
                                row["minkowski_converged"]) for row in rows)
 
 
-# The columns of every compare row, in order, for every mode and flag: a
-# closed form has no converged flags, and no forces or distances without
-# --d1/--d3, so those are None.
-_COMPARE_COLUMNS = ("eps", "n", "force_per_area_N_per_m2",
-                    "minkowski_force_N_per_m2", "ratio_minkowski_over_force",
-                    "d1_m", "d3_m", "force_converged", "minkowski_converged",
-                    "mode")
-
-
-def _compare_row(rc: RunConfig, values: dict) -> dict:
-    """``values`` in the compare columns, None where absent, and the run."""
-    return {**dict.fromkeys(_COMPARE_COLUMNS), **values,
-            **_meta(rc, quadrature=values["mode"] == "quadrature")}
-
-
-def _closed_forms(medium: StaticMedium, d1, d3) -> tuple:
-    """(n, F, F^M, F^M/F) of the ideal-mirror closed forms; the forces are
-    None without distances."""
-    forces = (None, None) if d1 is None else (casimir_generalized(
-        medium, d1, d3), minkowski_generalized(medium.eps, d1, d3, medium.mu))
-    return medium.n, *forces, force_ratio(medium.eps, medium.mu)
-
-
-def _contrast_row(rc: RunConfig, eps: float, mode: str, d1, d3) -> dict:
-    try:
-        medium = StaticMedium(eps=eps)
-    except ValueError as exc:
-        raise ConfigError(f"--eps: {exc}") from None
-    if mode == "quadrature":
-        mirror = Wall.perfect_mirror()
-        return _quadrature_compare_row(rc, CavityConfig(
-            mirror, constant(eps=eps), d1, PerfectMirrorPlate(), d3, mirror))
-    n, force, mink, ratio = _closed_forms(medium, d1, d3)
-    return _compare_row(rc, {
-        "eps": eps, "n": n, "force_per_area_N_per_m2": force,
-        "minkowski_force_N_per_m2": mink, "ratio_minkowski_over_force": ratio,
-        "d1_m": d1, "d3_m": d3, "mode": mode})
-
-
-def _quadrature_compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
+def _compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
     """Both tensors' plate forces on one cavity; the ratio is None at F = 0,
     and n = sqrt(eps mu) of the gap at xi = 0."""
     mink = _force(rc, cavity, minkowski=True)
     force = _force(rc, cavity)
     (eps, mu), f, f_m = (_static_response(cavity.medium),
                          force.force_per_area, mink.force_per_area)
-    return _compare_row(rc, {
+    return {
         "eps": eps, "n": None if eps is None else (eps * mu) ** 0.5,
         "force_per_area_N_per_m2": f, "minkowski_force_N_per_m2": f_m,
         "ratio_minkowski_over_force": None if f == 0.0 else f_m / f,
         "d1_m": cavity.d1, "d3_m": cavity.d3,
         "force_converged": force.converged,
-        "minkowski_converged": mink.converged, "mode": "quadrature"})
+        "minkowski_converged": mink.converged, **_meta(rc)}
 
 
 def _cmd_sweep(rc: RunConfig, values: dict):
@@ -458,18 +414,27 @@ def _cmd_sweep(rc: RunConfig, values: dict):
 
 
 def _cmd_limits(rc: RunConfig, values: dict):
-    _at_zero_kelvin(rc)
-    eps, mu, d1, d3 = (values[k] for k in ("eps", "mu", "d1", "d3"))
-    try:
-        n, force, mink, ratio = _closed_forms(StaticMedium(eps=eps, mu=mu),
-                                              d1, d3)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return [{"eps": eps, "mu": mu, "n": n, "d1_m": d1, "d3_m": d3,
-             "force_per_area_N_per_m2": force,
-             "minkowski_force_N_per_m2": mink,
-             "ratio_minkowski_over_force": ratio,
-             **_meta(rc, quadrature=False)}], 0
+    # The ideal-mirror closed forms are zero-temperature results.
+    if rc.temperature != 0.0:
+        raise ConfigError(
+            f"[run] temperature: the closed forms hold at 0 K, not at"
+            f" {rc.temperature!r} K; use compare --eps for a force at finite"
+            " temperature")
+    mu, d1, d3 = values["mu"], values["d1"], values["d3"]
+    rows = []
+    for eps in values["eps"]:
+        try:
+            medium = StaticMedium(eps=eps, mu=mu)
+            rows.append({
+                "eps": eps, "mu": mu, "n": medium.n, "d1_m": d1, "d3_m": d3,
+                "force_per_area_N_per_m2": casimir_generalized(medium, d1, d3),
+                "minkowski_force_N_per_m2": minkowski_generalized(eps, d1, d3,
+                                                                  mu),
+                "ratio_minkowski_over_force": force_ratio(eps, mu),
+                **_meta(rc, quadrature=False)})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return rows, 0
 
 
 # Each command: its handler, its help line and its flags. A flag is (name,
@@ -482,10 +447,8 @@ _COMMANDS = {
         (("samples", _to_int, "9", "N",
           "number of interior samples (>= 2, default 9)"),)),
     "compare": (_cmd_compare, "field-based force vs Minkowski prediction", (
-        ("eps", _eps_list, None, "LIST",
-         "comma-separated relative permittivities (default 1,2,4,10)"),
-        ("mode", None, None, ("closed", "quadrature"),
-         "closed forms (instant) or engine quadrature"),
+        ("eps", _eps_list, None, "LIST", "comma-separated relative"
+         " permittivities of a mirror cavity's gap (default 1,2,4,10)"),
         ("d1", _to_float, None, "M", "near gap width in meters"),
         ("d3", _to_float, None, "M", "far gap width in meters"),
     )),
@@ -499,7 +462,8 @@ _COMMANDS = {
          "point spacing (default log)"),
     )),
     "limits": (_cmd_limits, "idealized-mirror closed forms", (
-        ("eps", _to_float, "1", "X", "relative permittivity (default 1)"),
+        ("eps", _eps_list, "1", "LIST",
+         "comma-separated relative permittivities (default 1)"),
         ("mu", _to_float, "1", "X", "relative permeability (default 1)"),
         ("d1", _to_float, "1e-6", "M", "near gap width (default 1e-6)"),
         ("d3", _to_float, "inf", "M", "far gap width (default inf)"),

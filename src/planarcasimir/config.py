@@ -58,10 +58,10 @@ for bit on the same numpy, BLAS build and CPU kernel.
 
 A ``[command]`` section holds a run's command arguments: ``name`` (the
 command) and one key per command flag, named without its dashes, e.g.
-``name = sweep``, ``parameter = d``, ``start = 5e-07``. Every emission
-stores every resolved value there, defaults included and floats as their
-``repr``. Only a run of the same command reads it back, and a flag given
-on the command line wins over the stored value.
+``name = sweep``, ``parameter = d``, ``start = 5e-07``; any other key is
+refused. Every emission stores every resolved value there, defaults
+included and floats as their ``repr``. Only a run of the same command
+reads it back, and a flag given on the command line wins over it.
 """
 
 from __future__ import annotations

@@ -38,8 +38,9 @@ class DispersionModel:
 
     Parameters
     ----------
-    kind : MaterialKind
-        The constraints the record obeys (see the module docstring).
+    kind : MaterialKind or str
+        The constraints the record obeys (see the module docstring). A
+        string is converted to its member; an unknown one is a ValueError.
     eps_static, mu_static : float
         Static parts of eps (>= 1) and mu (> 0), the whole response where it
         has no oscillator.
@@ -63,6 +64,7 @@ class DispersionModel:
     mu_model: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", MaterialKind(self.kind))
         if self.mu_model is not None:
             mu_model = tuple(map(float, self.mu_model))
             if len(mu_model) != 3:

@@ -8,8 +8,10 @@ from scipy.constants import c, hbar
 
 from planarcasimir import cli, engine
 from planarcasimir.cli import main
-from planarcasimir.layers import Plan
+from planarcasimir.engine import minkowski_plate_force, plate_force
+from planarcasimir.layers import CavityConfig, PerfectMirrorPlate, Plan, Wall
 from planarcasimir.limits import minkowski_generalized
+from planarcasimir.materials import constant
 
 COEF = hbar * c * math.pi ** 2 / 240.0
 
@@ -111,12 +113,13 @@ def test_one_parser_serves_calls_without_carrying_flags(tmp_path, capsys):
     (["force", "--temperature", "cold"], "not a number"),
     (["sweep"], "structure"),
     (["limits", "--eps", "0.2"], "eps"),
+    (["limits", "--eps", "2,0.5"], "static eps must be >= 1, got 0.5"),
     (["compare", "--d1", "1e-6"], "both"),
     (["compare", "--eps", "2,apple"], "not a number"),
-    (["compare", "--mode", "quadrature"], "distances"),
+    (["compare"], "distances"),
     (["stress-profile", "--samples", "many"], "not an integer"),
     (["compare", "--eps", ","], "--eps: empty permittivity list"),
-    (["compare", "--eps", "0.5"], "--eps: static eps must be >= 1"),
+    (["compare", "--eps", "0.5"], "--eps: static permittivity must be >= 1"),
 ])
 def test_config_errors_exit_2(capsys, argv_tail, needle):
     code, out, err = _run(capsys, argv_tail)
@@ -385,41 +388,8 @@ rel_tol = 1e-17
 # ---------------------------------------------------------------------------
 # compare
 
-def test_compare_closed_default_ratios(capsys):
-    code, out, _ = _run(capsys, ["compare", "--format", "csv"])
-    assert code == 0
-    rows = _rows(out)
-    assert [float(r["eps"]) for r in rows] == [1.0, 2.0, 4.0, 10.0]
-    ratios = [float(r["ratio_minkowski_over_force"]) for r in rows]
-    assert ratios[0] == pytest.approx(1.0, rel=1e-12)
-    assert ratios[1] == pytest.approx(1.2, rel=1e-12)
-    assert ratios[2] == pytest.approx(4.0 / 3.0, rel=1e-12)
-    assert ratios[3] == pytest.approx(10.0 / 7.0, rel=1e-12)
-
-
-def test_compare_ratio_saturates_below_three_halves(capsys):
-    code, out, _ = _run(capsys, ["compare", "--format", "csv",
-                                 "--eps", "1e6"])
-    assert code == 0
-    ratio = float(_rows(out)[0]["ratio_minkowski_over_force"])
-    assert ratio == pytest.approx(1.5, rel=1e-5)
-    assert ratio < 1.5
-
-
-def test_compare_closed_with_distances(capsys):
-    code, out, _ = _run(capsys, ["compare", "--format", "csv", "--eps", "4",
-                                 "--d1", "5e-7", "--d3", "1.5e-6"])
-    assert code == 0
-    row = _rows(out)[0]
-    f = float(row["force_per_area_N_per_m2"])
-    fm = float(row["minkowski_force_N_per_m2"])
-    assert fm / f == pytest.approx(4.0 / 3.0, rel=1e-12)
-    assert f < 0.0
-
-
 def test_compare_quadrature_matches_closed_forms(capsys):
     code, out, _ = _run(capsys, ["compare", "--format", "csv", "--eps", "1,4",
-                                 "--mode", "quadrature",
                                  "--d1", "5e-7", "--d3", "1.5e-6"])
     assert code == 0
     rows = _rows(out)
@@ -434,6 +404,70 @@ def test_compare_quadrature_matches_closed_forms(capsys):
         assert ratio == pytest.approx(expected, rel=1e-6)
         assert row["force_converged"] == "true"
         assert row["minkowski_converged"] == "true"
+
+
+def test_compare_rows_meet_the_limits_rows(capsys):
+    # Each compare row is the engine's quadrature on a mirror cavity, and it
+    # meets the matching limits row within its own error estimate at 0 K.
+    flags = ["--eps", "1,2,4,10", "--d1", "1e-6", "--d3", "5e-6",
+             "--format", "json"]
+    runs = []
+    for command in ("compare", "limits"):
+        code, out, _ = _run(capsys, [command, *flags])
+        assert code == 0
+        runs.append(json.loads(out)["results"])
+    keys = {"force_per_area_N_per_m2": plate_force,
+            "minkowski_force_N_per_m2": minkowski_plate_force}
+    mirror = Wall.perfect_mirror()
+    for row, closed in zip(*runs, strict=True):
+        assert row["eps"] == closed["eps"] and row["n"] == closed["n"]
+        assert row["temperature_K"] == closed["temperature_K"] == 0.0
+        cavity = CavityConfig(mirror, constant(eps=row["eps"]), 1e-6,
+                              PerfectMirrorPlate(), 5e-6, mirror)
+        for key, force in keys.items():
+            result = force(cavity)
+            assert row[key] == result.force_per_area and result.converged
+            assert abs(row[key] - closed[key]) <= result.error_estimate
+    # In vacuum the two tensors give one force, by quadrature and closed form.
+    for row in (runs[0][0], runs[1][0]):
+        assert row["force_per_area_N_per_m2"] == row["minkowski_force_N_per_m2"]
+
+
+@pytest.mark.parametrize("eps,needle", [
+    ("2,0.5", "--eps: static permittivity must be >= 1, got 0.5"),
+    ("2,inf", "--eps: eps_static must be finite, got inf"),
+], ids=["below-one", "infinite"])
+def test_compare_checks_every_eps_before_integrating(capsys,
+                                                     replace_the_core, eps,
+                                                     needle):
+    calls = replace_the_core()
+    code, out, err = _run(capsys, ["compare", "--eps", eps, "--d1", "1e-6",
+                                   "--d3", "5e-6"])
+    assert code == 2 and out == ""
+    assert f"config error: {needle}" in err
+    assert calls == []
+
+
+def test_compare_runs_at_a_nonzero_temperature(capsys):
+    # Quadrature holds at every temperature. At 300 K the 1 um / 5 um vacuum
+    # cavity is pulled harder than at 0 K, and at eps = 2 the ratio F^M/F
+    # leaves its 0 K value 1.2 toward its high-T value 2 eps/(1 + eps).
+    argv = ["compare", "--eps", "1,2", "--d1", "1e-6", "--d3", "5e-6",
+            "--format", "json"]
+    runs = {}
+    for temperature in (0.0, 300.0):
+        code, out, _ = _run(capsys, argv + ["--temperature", str(temperature)])
+        assert code == 0
+        rows = json.loads(out)["results"]
+        assert [r["temperature_K"] for r in rows] == [temperature] * 2
+        assert all(r["force_converged"] and r["minkowski_converged"]
+                   for r in rows)
+        runs[temperature] = rows
+    key = "force_per_area_N_per_m2"
+    assert runs[300.0][0][key] < runs[0.0][0][key] < 0.0
+    ratio = runs[300.0][1]["ratio_minkowski_over_force"]
+    assert runs[0.0][1]["ratio_minkowski_over_force"] == pytest.approx(1.2)
+    assert 1.2 < ratio < 4.0 / 3.0
 
 
 def test_compare_on_configured_cavity(tmp_path, capsys):
@@ -458,7 +492,6 @@ def test_compare_zero_force_has_no_ratio(tmp_path, capsys):
     assert code == 0
     assert "ratio_minkowski_over_force" in out and "= -" in out
     code, out, _ = _run(capsys, ["compare", "--format", "json", "--eps", "1,2",
-                                 "--mode", "quadrature",
                                  "--d1", "8e-7", "--d3", "8e-7"])
     assert code == 0
     rows = json.loads(out)["results"]
@@ -489,11 +522,13 @@ regions = wall:mirror, gap:gas:1e-6, plate:mirror, gap:gas:2e-6, wall:mirror
 
 def test_multi_row_human_output_is_a_table(capsys):
     # Several rows print as one table of the non-metadata columns.
-    code, out, _ = _run(capsys, ["compare", "--eps", "1,4"])
+    code, out, _ = _run(capsys, ["limits", "--eps", "1,4"])
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].split() == ["eps", "n", "ratio_minkowski_over_force",
-                                "mode"]
+    assert lines[0].split() == ["eps", "mu", "n", "d1_m", "d3_m",
+                                "force_per_area_N_per_m2",
+                                "minkowski_force_N_per_m2",
+                                "ratio_minkowski_over_force"]
     assert [line.split()[0] for line in lines[1:3]] == [
         "1.000000000e+00", "4.000000000e+00"]
     assert lines[3] == ("(--format csv or json for full reproducibility"
@@ -610,20 +645,37 @@ def test_limits_dielectric_and_magnetic(capsys):
         0.6, rel=1e-12)
 
 
-@pytest.mark.parametrize("eps", ["1", "2", "10", "1e6"])
-def test_limits_and_closed_compare_agree(capsys, eps):
-    # The two commands place one set of closed-form columns.
-    gaps = ["--d1", "7e-7", "--d3", "2.1e-6", "--format", "json"]
-    rows = []
-    for command in ("limits", "compare"):
-        code, out, _ = _run(capsys, [command, "--eps", eps, *gaps])
-        assert code == 0
-        rows.append(json.loads(out)["results"][0])
-    keys = ("n", "force_per_area_N_per_m2", "minkowski_force_N_per_m2",
-            "ratio_minkowski_over_force")
-    limits, compare = ({key: row[key] for key in keys} for row in rows)
-    assert limits == compare
-    assert None not in limits.values()
+def test_limits_ratios_over_an_eps_list(capsys):
+    code, out, _ = _run(capsys, ["limits", "--format", "csv",
+                                 "--eps", "1,2,4,10"])
+    assert code == 0
+    rows = _rows(out)
+    assert [float(r["eps"]) for r in rows] == [1.0, 2.0, 4.0, 10.0]
+    ratios = [float(r["ratio_minkowski_over_force"]) for r in rows]
+    assert ratios[0] == pytest.approx(1.0, rel=1e-12)
+    assert ratios[1] == pytest.approx(1.2, rel=1e-12)
+    assert ratios[2] == pytest.approx(4.0 / 3.0, rel=1e-12)
+    assert ratios[3] == pytest.approx(10.0 / 7.0, rel=1e-12)
+
+
+def test_limits_ratio_saturates_below_three_halves(capsys):
+    code, out, _ = _run(capsys, ["limits", "--format", "csv",
+                                 "--eps", "1e6"])
+    assert code == 0
+    ratio = float(_rows(out)[0]["ratio_minkowski_over_force"])
+    assert ratio == pytest.approx(1.5, rel=1e-5)
+    assert ratio < 1.5
+
+
+def test_limits_with_distances(capsys):
+    code, out, _ = _run(capsys, ["limits", "--format", "csv", "--eps", "4",
+                                 "--d1", "5e-7", "--d3", "1.5e-6"])
+    assert code == 0
+    row = _rows(out)[0]
+    f = float(row["force_per_area_N_per_m2"])
+    fm = float(row["minkowski_force_N_per_m2"])
+    assert fm / f == pytest.approx(4.0 / 3.0, rel=1e-12)
+    assert f < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -688,11 +740,14 @@ _META_KEYS = ["temperature_K", "zero_term_policy", "rel_tol", "abs_floor",
 _FORCE_KEYS = ["force_per_area_N_per_m2", "error_estimate_N_per_m2",
                "force_s_N_per_m2", "force_p_N_per_m2", "converged",
                "evaluations"] + _META_KEYS
-# Every compare row, closed or quadrature, with or without distances.
+# Every compare row, on a configured cavity or on an --eps mirror cavity.
 _COMPARE_KEYS = ["eps", "n", "force_per_area_N_per_m2",
                  "minkowski_force_N_per_m2", "ratio_minkowski_over_force",
-                 "d1_m", "d3_m", "force_converged", "minkowski_converged",
-                 "mode"] + _META_KEYS
+                 "d1_m", "d3_m", "force_converged", "minkowski_converged"
+                 ] + _META_KEYS
+_LIMITS_KEYS = ["eps", "mu", "n", "d1_m", "d3_m", "force_per_area_N_per_m2",
+                "minkowski_force_N_per_m2", "ratio_minkowski_over_force"
+                ] + _META_KEYS
 
 
 @pytest.mark.parametrize("structure,argv,keys", [
@@ -703,19 +758,15 @@ _COMPARE_KEYS = ["eps", "n", "force_per_area_N_per_m2",
     (TWO_WALL, ["stress-profile", "--samples", "2"],
      ["z_m", "t_zz_N_per_m2", "error_estimate_N_per_m2", "converged"]
      + _META_KEYS),
-    (None, ["compare", "--eps", "2", "--d1", "1e-6", "--d3", "5e-6"],
+    (None, ["compare", "--eps", "1,2", "--d1", "1e-6", "--d3", "5e-6"],
      _COMPARE_KEYS),
-    (None, ["compare", "--eps", "1,2"], _COMPARE_KEYS),
-    (None, ["compare", "--eps", "2", "--mode", "quadrature", "--d1", "1e-6",
-            "--d3", "5e-6"], _COMPARE_KEYS),
     (VACUUM_CAVITY, ["compare"], _COMPARE_KEYS),
-    (None, ["limits"],
-     ["eps", "mu", "n", "d1_m", "d3_m", "force_per_area_N_per_m2",
-      "minkowski_force_N_per_m2", "ratio_minkowski_over_force"]
-     + _META_KEYS),
-], ids=["force", "sweep", "stress-profile", "compare-closed",
-        "compare-closed-no-distances", "compare-quadrature",
-        "compare-configured", "limits"])
+    (VACUUM_CAVITY, ["compare", "--eps", "2"], _COMPARE_KEYS),
+    (None, ["limits"], _LIMITS_KEYS),
+    (None, ["limits", "--eps", "1,2"], _LIMITS_KEYS),
+], ids=["force", "sweep", "stress-profile", "compare",
+        "compare-configured", "compare-configured-eps", "limits",
+        "limits-eps-list"])
 def test_json_row_schema(tmp_path, capsys, structure, argv, keys):
     # Every row of an emission carries exactly these columns, in this order.
     if structure is not None:
@@ -735,7 +786,7 @@ def _refuse(token):
     (None, ["limits", "--eps", "2", "--d1", "1e-6"]),
     (None, ["compare", "--eps", "2", "--d1", "1e-6", "--d3", "inf"]),
     (SYMMETRIC_CAVITY.replace("8e-7, wall", "inf, wall"), ["force"]),
-], ids=["limits", "limits-eps", "compare-closed", "force"])
+], ids=["limits", "limits-eps", "compare", "force"])
 def test_json_of_an_infinite_gap_is_strict_json(tmp_path, capsys, structure,
                                                 argv):
     # JSON (RFC 8259) has no Infinity token: an infinite width is the string
@@ -752,12 +803,9 @@ def test_json_of_an_infinite_gap_is_strict_json(tmp_path, capsys, structure,
 
 @pytest.mark.parametrize("argv,quadrature", [
     (["limits", "--eps", "2"], False),
-    (["compare", "--eps", "2"], False),
-    (["compare", "--eps", "2", "--d1", "1e-6", "--d3", "5e-6"], False),
-    (["compare", "--eps", "2", "--mode", "quadrature", "--d1", "1e-6",
-      "--d3", "5e-6"], True),
-], ids=["limits", "compare-closed-no-distances", "compare-closed",
-        "compare-quadrature"])
+    (["limits", "--eps", "2,4", "--d1", "1e-6", "--d3", "5e-6"], False),
+    (["compare", "--eps", "2", "--d1", "1e-6", "--d3", "5e-6"], True),
+], ids=["limits", "limits-eps-list", "compare"])
 def test_closed_form_rows_null_the_quadrature_settings(capsys, argv,
                                                        quadrature):
     # No quadrature or thermal sum runs for a closed form, so its rows carry
@@ -775,7 +823,7 @@ def test_closed_form_rows_null_the_quadrature_settings(capsys, argv,
     converged = [row.get(key) for key in ("force_converged",
                                           "minkowski_converged")]
     assert converged == ([True, True] if quadrature else [None, None])
-    # A CSV header is the same for every mode and flag of a command.
+    # A CSV header is the same for every flag of a command.
     code, out, _ = _run(capsys, argv + ["--format", "csv"])
     header = out.splitlines()[0].split(",")
     assert header == (_COMPARE_KEYS if argv[0] == "compare" else list(row))
@@ -796,19 +844,17 @@ def test_format_inferred_from_suffix(tmp_path, capsys):
     (VACUUM_CAVITY, ["force"], {}),
     (TWO_WALL, ["stress-profile", "--samples", "3"], {"samples": "3"}),
     (None, ["compare", "--eps", "2,4", "--d1", "7e-7", "--d3", "2.1e-6"],
-     {"eps": "2.0,4.0", "mode": "closed", "d1": "7e-07", "d3": "2.1e-06"}),
-    (None, ["compare", "--eps", "2", "--mode", "quadrature", "--d1", "1e-6",
-            "--d3", "3e-6"], {"eps": "2.0", "mode": "quadrature"}),
+     {"eps": "2.0,4.0", "d1": "7e-07", "d3": "2.1e-06"}),
     # --eps on a configured cavity takes the distances from it.
     (VACUUM_CAVITY, ["compare", "--eps", "2"],
-     {"eps": "2.0", "mode": "closed", "d1": "1e-06", "d3": "5e-05"}),
+     {"eps": "2.0", "d1": "1e-06", "d3": "5e-05"}),
     (VACUUM_CAVITY, ["sweep", "--parameter", "d1", "--start", "8e-7",
                      "--stop", "2e-6", "--points", "3"],
      {"parameter": "d1", "start": "8e-07", "points": "3", "spacing": "log"}),
-    (None, ["limits", "--eps", "2", "--mu", "1.5"],
-     {"eps": "2.0", "mu": "1.5", "d1": "1e-06", "d3": "inf"}),
-], ids=["force", "stress-profile", "compare-closed", "compare-quadrature",
-        "compare-configured-eps", "sweep", "limits"])
+    (None, ["limits", "--eps", "2,4", "--mu", "1.5"],
+     {"eps": "2.0,4.0", "mu": "1.5", "d1": "1e-06", "d3": "inf"}),
+], ids=["force", "stress-profile", "compare", "compare-configured-eps",
+        "sweep", "limits"])
 def test_command_args_replay_from_json(tmp_path, capsys, structure, argv,
                                        stored):
     config = [] if structure is None else ["--config",
@@ -852,25 +898,31 @@ def test_csv_cells_use_full_precision(tmp_path, capsys):
     assert row["rel_tol"] == format(1e-8, ".16e")
 
 
-@pytest.mark.parametrize("command,stored,key", [
-    ("sweep", "parameter = x\nstart = 8e-7\nstop = 2e-6", "parameter"),
-    ("sweep", "parameter = d1\nstart = 8e-7\nstop = 2e-6\nspacing = bogus",
-     "spacing"),
-    ("compare", "eps = 2\nmode = bogus", "mode"),
-])
+@pytest.mark.parametrize("command,stored,needle", [
+    ("sweep", "name = sweep\nparameter = x\nstart = 8e-7\nstop = 2e-6",
+     "[command] parameter: 'x' is not one of"),
+    ("sweep", "name = sweep\nparameter = d1\nstart = 8e-7\nstop = 2e-6"
+     "\nspacing = bogus", "[command] spacing: 'bogus' is not one of"),
+    # A key that is no flag of its command, as an older compare stored,
+    # also where another command ignores the stored values.
+    ("compare", "name = compare\neps = 2\nmode = quadrature",
+     "[command]: unknown key(s) of compare: mode"),
+    ("force", "name = compare\neps = 2\nmode = closed",
+     "[command]: unknown key(s) of compare: mode"),
+], ids=["parameter", "spacing", "unknown-key", "unknown-key-other-command"])
 def test_stored_command_values_are_checked_before_integrating(
-        tmp_path, capsys, monkeypatch, command, stored, key):
+        tmp_path, capsys, monkeypatch, command, stored, needle):
     # Values replayed from [command] never pass through argparse, so they
-    # get the same choices as their flags, before any force is computed.
+    # get the same choices as their flags, and only the keys of those
+    # flags, before any force is computed.
     calls = []
     monkeypatch.setattr("planarcasimir.cli.plate_force",
                         lambda *args, **kwargs: calls.append(args))
-    cfg = _write(tmp_path, VACUUM_CAVITY
-                 + f"\n[command]\nname = {command}\n{stored}\n")
+    cfg = _write(tmp_path, VACUUM_CAVITY + f"\n[command]\n{stored}\n")
     code, _, err = _run(capsys, [command, "--config", cfg,
                                  "--temperature", "1"])
     assert code == 2
-    assert f"[command] {key}:" in err and "is not one of" in err
+    assert needle in err
     assert calls == []
 
 
@@ -929,30 +981,25 @@ def test_unwritable_config_output_path_exits_2_before_integrating(
     assert calls == [] and out == ""
 
 
-@pytest.mark.parametrize("flags,named", [
-    (["--d1", "2e-6", "--d3", "3e-6"], "--d1/--d3"),
-    (["--mode", "closed"], "--mode closed"),
-], ids=["d1-d3", "mode-closed"])
-def test_compare_on_configured_cavity_rejects_ignored_flags(
-        tmp_path, capsys, flags, named):
-    # Without --eps, compare runs quadrature on the cavity's own gaps, so
-    # these flags would silently do nothing.
+def test_compare_on_configured_cavity_rejects_ignored_flags(tmp_path, capsys):
+    # Without --eps, compare runs on the cavity's own gaps, so --d1/--d3
+    # would silently do nothing.
     cfg = _write(tmp_path, VACUUM_CAVITY)
-    code, out, err = _run(capsys, ["compare", "--config", cfg, *flags])
+    code, out, err = _run(capsys, ["compare", "--config", cfg,
+                                   "--d1", "2e-6", "--d3", "3e-6"])
     assert code == 2
-    assert named in err and out == ""
+    assert "--d1/--d3" in err and out == ""
 
 
 @pytest.mark.parametrize("argv", [
-    ["compare", "--eps", "2"],
-    ["compare", "--eps", "2", "--d1", "1e-6", "--d3", "5e-6"],
     ["limits"],
-], ids=["compare", "compare-distances", "limits"])
+    ["limits", "--eps", "1,2,4,10", "--d1", "1e-6", "--d3", "5e-6"],
+], ids=["limits", "limits-eps-list"])
 def test_closed_forms_refuse_a_nonzero_temperature(capsys, argv):
     # The closed forms are 0 K results; labelling them 300 K would be wrong.
     code, out, err = _run(capsys, argv + ["--temperature", "300"])
     assert code == 2
-    assert "0 K" in err and "compare --mode quadrature" in err
+    assert "0 K" in err and "use compare --eps" in err
     assert out == ""
     code, _, _ = _run(capsys, argv + ["--temperature", "0"])
     assert code == 0

@@ -1082,6 +1082,27 @@ def test_the_plan_cache_cannot_change_a_result(monkeypatch, temperature):
     assert _force_bits(first) == _force_bits(again) == _force_bits(equal)
 
 
+@pytest.mark.parametrize("string_first", [False, True],
+                         ids=["member-first", "string-first"])
+def test_a_mirror_built_from_its_kind_string_is_the_mirror(monkeypatch,
+                                                           string_first):
+    # A model built from the kind's string is the member's model, so the two
+    # walls share one cached plan and both give the mirror force, in either
+    # call order; an unknown kind is refused.
+    monkeypatch.setattr(engine, "_plan", lru_cache(maxsize=16)(layers.Plan))
+    walls = [Wall.perfect_mirror(),
+             Wall(terminator=DispersionModel("perfect-mirror"))]
+    cavities = [CavityConfig(wall, constant(eps=2.0), 1e-6,
+                             PerfectMirrorPlate(), 5e-6, wall)
+                for wall in walls[::-1 if string_first else 1]]
+    forces = [plate_force(cavity).force_per_area for cavity in cavities]
+    assert forces[0] == forces[1] == pytest.approx(casimir_generalized(
+        StaticMedium(eps=2.0), 1e-6, 5e-6), rel=1e-9)
+    assert walls[1].terminator.kind is MaterialKind.PERFECT_MIRROR
+    with pytest.raises(ValueError, match="bogus"):
+        DispersionModel("bogus")
+
+
 def test_integrand_calls_leave_their_cached_plan_as_it_was():
     # The integrands read their cached plan and q and write neither, the
     # in-place mirror folds (empty gap, filled gap, dispersive gap,
