@@ -21,11 +21,12 @@ converge to the requested tolerance.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 from dataclasses import replace
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quoted
 
 import numpy as np
 
@@ -41,10 +42,9 @@ from .config import (
 )
 from .engine import (
     _plan,
+    _plate_force,
     _zero_term,
     interspace,
-    minkowski_plate_force,
-    plate_force,
     stress_profile,
 )
 from .layers import CavityConfig, PerfectMirrorPlate, Wall
@@ -122,14 +122,17 @@ def _command_values(args, rc: RunConfig) -> dict:
 
     A flag wins; else the [command] value an emission of the same command
     stored; else the flag's default. Stored values never pass through
-    argparse, so they are checked against the flag's choices here, and a
-    stored key that is no flag of its command is refused.
+    argparse, so they are checked against the flag's choices here; a nameless
+    section, or a stored key that is no flag of its command, is refused.
     """
     stored, command = rc.command_args, rc.command_args.get("name")
-    if command in _COMMANDS and (extra := set(stored) - {"name"} - {
-            flag[0] for flag in _COMMANDS[command][2]}):
-        raise ConfigError(f"[command]: unknown key(s) of {command}:"
-                          f" {', '.join(sorted(extra))}")
+    if stored:
+        if command is None:
+            raise ConfigError("[command]: missing 'name'")
+        flags = _COMMANDS[_choice(command, (*_COMMANDS,), "[command] name")][2]
+        if extra := set(stored) - {"name", *(flag[0] for flag in flags)}:
+            raise ConfigError(f"[command]: unknown key(s) of {command}:"
+                              f" {', '.join(sorted(extra))}")
     stored = stored if command == args.command else {}
     values = {}
     for name, convert, default, shape, _ in _COMMANDS[args.command][2]:
@@ -208,6 +211,21 @@ def _render_human(rows: list[dict], meta: dict) -> str:
     return "\n".join(out) + "\n"
 
 
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, with the C encoder's strings."""
+    if isinstance(value, str):
+        return _quoted(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (float, int)):
+        return (float if isinstance(value, float) else int).__repr__(value)
+    inner, ends = pad + "  ", "{}" if isinstance(value, dict) else "[]"
+    items = ([f"{_quoted(k)}: {_json(v, inner)}" for k, v in value.items()]
+             if isinstance(value, dict) else [_json(v, inner) for v in value])
+    return (ends[0] + inner + f",{inner}".join(items) + pad + ends[1]
+            if items else ends)
+
+
 def _emit(command: str, sections: dict, rc: RunConfig, rows: list[dict]) -> None:
     fmt = rc.output_format
     path = rc.output_path
@@ -217,10 +235,10 @@ def _emit(command: str, sections: dict, rc: RunConfig, rows: list[dict]) -> None
         text = _render_csv(rows)
     elif fmt == "json":
         # JSON has no infinity: a non-finite float is its csv cell, "inf".
-        rows = [{k: v if not isinstance(v, float) or np.isfinite(v)
+        rows = [{k: v if not isinstance(v, float) or math.isfinite(v)
                  else _cell(v, False) for k, v in row.items()} for row in rows]
         doc = {"command": command, "config": sections, "results": rows}
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json(doc) + "\n"
     else:
         text = _render_human(rows, _meta(rc))
     if path is not None:
@@ -250,12 +268,6 @@ def _request(rc: RunConfig, force: bool = True) -> dict:
                 zero_term_policy=rc.zero_term_policy, zero_term_value=value)
 
 
-def _force(rc: RunConfig, cavity: CavityConfig, minkowski: bool = False):
-    """The run's field-only (or Minkowski) plate force on ``cavity``."""
-    force = minkowski_plate_force if minkowski else plate_force
-    return force(cavity, **_request(rc))
-
-
 def _force_row(result, rc: RunConfig) -> dict:
     return {
         "force_per_area_N_per_m2": result.force_per_area,
@@ -269,7 +281,7 @@ def _force_row(result, rc: RunConfig) -> dict:
 
 
 def _cmd_force(rc: RunConfig, values: dict):
-    result = _force(rc, _need_cavity(rc))
+    (result,) = _plate_force(_need_cavity(rc), **_request(rc))
     return [_force_row(result, rc)], int(not result.converged)
 
 
@@ -337,8 +349,8 @@ def _cmd_compare(rc: RunConfig, values: dict):
 def _compare_row(rc: RunConfig, cavity: CavityConfig) -> dict:
     """Both tensors' plate forces on one cavity; the ratio is None at F = 0,
     and n = sqrt(eps mu) of the gap at xi = 0."""
-    mink = _force(rc, cavity, minkowski=True)
-    force = _force(rc, cavity)
+    (mink,), (force,) = (_plate_force(cavity, minkowski, **_request(rc))
+                         for minkowski in (True, False))
     (eps, mu), f, f_m = (_static_response(cavity.medium),
                          force.force_per_area, mink.force_per_area)
     return {
@@ -376,8 +388,9 @@ def _cmd_sweep(rc: RunConfig, values: dict):
 
     # Every point is built and checked before the first force is computed,
     # against the m = 0 flag of the structure's plan, which no sweep changes.
+    # A gap sweep runs one rule per octave of min(d1, d3) (``_plate_force``).
     grid = np.geomspace if spacing == "log" else np.linspace
-    cases, walls = [], (cavity.left_wall, cavity.right_wall)
+    groups, scales, walls = [], [], (cavity.left_wall, cavity.right_wall)
     has_drude = _plan(cavity.medium, walls, cavity.plate).has_drude_like
     for value in (float(v) for v in grid(start, stop, points)):
         run, case = rc, cavity
@@ -396,20 +409,28 @@ def _cmd_sweep(rc: RunConfig, values: dict):
                 raise ValueError("temperature must be >= 0")
             else:
                 run = replace(rc, temperature=value)
-            # The zero-term request of every point, as _force will pass it.
+            # The zero-term request of every point, as its rule will take it.
             request = _request(run)
             _zero_term(request["temperature"], request["zero_term_policy"],
                        request["zero_term_value"], has_drude,
                        per_polarization=True)
         except ValueError as exc:
             raise ConfigError(f"sweep value {value!r}: {exc}") from None
-        cases.append((value, run, case))
+        scales.append(min(case.d1, case.d3))
+        if (groups and parameter in ("d", "d1", "d3")
+                and max(scales) <= 2.0 * min(scales)):
+            groups[-1].append((value, run, case))
+        else:
+            groups.append([(value, run, case)])
+            scales = scales[-1:]
     rows = []
-    for value, run, case in cases:
-        row = {"parameter": parameter, "value": value,
-               "unit": _SWEEP_UNITS[parameter]}
-        row.update(_force_row(_force(run, case), run))
-        rows.append(row)
+    for group in groups:
+        _, run, case = group[0]
+        forces = _plate_force(case, widths=[(c.d1, c.d3) for *_, c in group],
+                              **_request(run))
+        rows += [{"parameter": parameter, "value": value,
+                  "unit": _SWEEP_UNITS[parameter], **_force_row(result, run)}
+                 for (value, *_), result in zip(group, forces)]
     return rows, sum(not row["converged"] for row in rows)
 
 

@@ -1,6 +1,10 @@
 """Run configuration: flat sectioned text parsed into engine-ready objects.
 
-The format is INI-style key-value text. A complete example:
+The format is configparser's INI, keys as written, read in one pass: [section]
+headers, ``key = value`` or ``key: value`` lines, full-line # and ; comments,
+values continued on deeper-indented lines, blank lines kept. A duplicate
+section or key, a key before any section and any other line are refused with
+their line; [DEFAULT] is an ordinary, so unknown, section. A complete example:
 
     [material.med]
     kind = constant
@@ -66,7 +70,6 @@ reads it back, and a flag given on the command line wins over it.
 
 from __future__ import annotations
 
-import configparser
 import json
 import math
 import re
@@ -213,13 +216,33 @@ def load_sections(path: str) -> dict[str, dict[str, str]]:
             sections[str(name)] = {str(k): str(v) for k, v in body.items()}
         return sections
 
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    try:
-        parser.read_string(text, source=path)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from None
-    return {name: dict(parser.items(name)) for name in parser.sections()}
+    sections, body, key, indent = {}, None, None, 0
+    for number, line in enumerate(text.split("\n"), 1):
+        value, depth = line.strip(), len(line) - len(line.lstrip())
+        if value.startswith(("#", ";")) or not (value or key):
+            continue
+        if key is not None and (depth > indent or not value):
+            body[key].append(value)  # a continuation or a blank line
+            continue
+        indent, cut = depth, value.rfind("]")
+        if value[0] == "[" and cut > 1:
+            name, key = value[1:cut], None
+            if name in sections:
+                raise ConfigError(
+                    f"{path}, line {number}: duplicate section [{name}]")
+            body = sections[name] = {}
+            continue
+        cut = value.replace(":", "=").find("=")  # the first delimiter
+        key = value[:max(cut, 0)].rstrip()
+        if body is None or not key or key in body:
+            raise ConfigError(f"{path}, line {number}: " + (
+                "a key before the first [section]" if body is None
+                else f"not [section] or key = value: {value!r}" if not key
+                else f"duplicate key {key!r} in [{name}]"))
+        body[key] = [value[cut + 1:].strip()]
+    return {name: {key: "\n".join(lines).rstrip()
+                   for key, lines in body.items()}
+            for name, body in sections.items()}
 
 
 def _build_material(name: str, body: dict[str, str]) -> DispersionModel:

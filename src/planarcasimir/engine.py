@@ -319,7 +319,7 @@ def stress_profile(
                          np.full(n_samples, res.converged))
 
 
-def _difference_rule(cavity: CavityConfig, minkowski=False):
+def _difference_rule(cavity: CavityConfig, minkowski=False, widths=None):
     """(integrand, columns, plan) of the plate's (r, t) stress difference.
 
     With the plate's (r, t) and the bare walls' reflections r_1- and r_3+,
@@ -339,10 +339,14 @@ def _difference_rule(cavity: CavityConfig, minkowski=False):
     surf)(e_3 - e_1) / N. Each takes xi (A, 1) and q (1, m) or (A, m) and
     returns ``columns`` + (A, m) from one ``Plan``: (2,), columns (s, p),
     or (), one array for both, the mirror Minkowski and empty-gap ones.
+    ``widths`` are (d1, d3) pairs for its gaps; G > 1 lead: (G,) + columns.
     """
     plan = _plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
                  cavity.plate)
-    d1, d3 = cavity.d1, cavity.d3
+    alike = plan.mirrors and (minkowski or plan.empty)
+    gaps = widths or [(cavity.d1, cavity.d3)]
+    d1, d3 = gaps[0] if len(gaps) == 1 else (np.array(d).reshape(
+        (-1, 1, 1) if alike else (-1, 1, 1, 1)) for d in zip(*gaps))
 
     def integrand(xi, q):
         call = plan(xi, q)
@@ -359,8 +363,8 @@ def _difference_rule(cavity: CavityConfig, minkowski=False):
                     fold *= np.multiply(kappa * kappa, -4.0, out=e3)
                 return fold
             pair, surf = _mode_coefficients(call)
-            return np.multiply(np.add(pair, 2.0 * DELTA * surf, out=pair),
-                               fold, out=pair)
+            return np.multiply(np.add(pair, 2.0 * DELTA * surf, out=pair), fold,
+                               out=None if fold.ndim > 2 else pair)
         (r_minus, r_plus), (r, t) = call.walls, call.plate
         a, b = r_minus * _decay(kappa, d1), r_plus * _decay(kappa, d3)
         n_den = (1.0 - r * a) * (1.0 - r * b) - t * t * a * b
@@ -373,38 +377,46 @@ def _difference_rule(cavity: CavityConfig, minkowski=False):
             curly = pair * r + surf * (1.0 + r * r - t * t)
         return q * (-mu / kappa) * curly * (b - a) / n_den
 
-    alike = plan.mirrors and (minkowski or plan.empty)
     return integrand, () if alike else (2,), plan
 
 
-def _plate_force(cavity, integrand, columns, plan, prefactor, temperature,
-                 spec, policy, value) -> ForceResult:
-    """A cavity's plate force from its ``integrand`` of ``columns`` and its
-    ``plan``: a finite gap and the m = 0 request are checked, then one rule
-    on the smaller gap and the gap index runs, with the ``zero_term`` of
-    ``_zero_term`` as it is. (s, p) is one group (1, 2), judged on s, p and
-    s + p, counted once toward ``_CHUNK`` at 0 K under ``Plan.mirrors``. One
-    array y for both is one column at twice the prefactor, judged on s + p,
-    whose goal implies the others, and s = p is half of it; at T > 0 an
-    (s, p) m = 0 value gives s and p targets of their own: (y, y) runs."""
-    if not math.isfinite(min(cavity.d1, cavity.d3)):
-        raise ValueError("a plate force needs at least one finite gap, got"
-                         f" d1 = {cavity.d1} and d3 = {cavity.d3}")
-    zero_term = _zero_term(temperature, policy, value, plan.has_drude_like,
-                           per_polarization=True)
+def _plate_force(cavity, minkowski=False, temperature=0.0, spec=None,
+                 zero_term_policy=None, zero_term_value=None,
+                 widths=None) -> list[ForceResult]:
+    """The plate forces of ``cavity`` at each (d1, d3) of ``widths`` (its own
+    gaps), checked finite and m = 0 checked by ``_zero_term``, from one rule
+    on the least gap: G (s, p) pairs (G, 2), judged on s, p and s + p and
+    counted once each toward ``_CHUNK`` at 0 K under ``Plan.mirrors``, or a
+    column per point at twice the prefactor where s and p are one array y,
+    s = p its half, unless an (s, p) m = 0 value at T > 0 runs (y, y). Each
+    force keeps its own verdict and the rule's evaluations."""
+    widths = [(cavity.d1, cavity.d3)] if widths is None else widths
+    for d1, d3 in widths:
+        if not math.isfinite(min(d1, d3)):
+            raise ValueError("a plate force needs at least one finite gap,"
+                             f" got d1 = {d1} and d3 = {d3}")
+    integrand, columns, plan = _difference_rule(cavity, minkowski, widths)
+    zero_term = _zero_term(temperature, zero_term_policy, zero_term_value,
+                           plan.has_drude_like, per_polarization=True)
     spec = spec or DEFAULT_SPEC
     if not columns and temperature > 0.0 and isinstance(zero_term, np.ndarray):
         f, columns = integrand, (2,)
-        integrand = lambda xi, q: np.stack((f(xi, q),) * 2)
+        integrand = lambda xi, q: np.stack((f(xi, q),) * 2, axis=-3)
+    prefactor = _MINKOWSKI_PREFACTOR if minkowski else _STRESS_PREFACTOR
+    if (one := len(widths) == 1) and columns:  # one point's pair: (1, 2)
+        pair, integrand = integrand, lambda xi, q: pair(xi, q)[None]
     sums, error, evaluations, converged = quadrature._double(
-        (lambda xi, q: integrand(xi, q)[None]) if columns else integrand,
-        spec, min(cavity.d1, cavity.d3), prefactor * (1.0 if columns else 2.0),
-        temperature, zero_term, index=_index(cavity.medium),
-        columns=(1, 2) if columns else (),
-        once=plan.mirrors and temperature == 0.0)
-    s, p = sums if columns else (0.5 * sums[0],) * 2
-    return ForceResult(s + p, sum(error), dict(zip(POLARIZATIONS, (s, p))),
-                       converged, evaluations)
+        integrand, spec, min(map(min, widths)),
+        prefactor * (1.0 if columns else 2.0), temperature, zero_term,
+        index=_index(cavity.medium), once=plan.mirrors and temperature == 0.0,
+        columns=() if one and not columns else (len(widths),) + columns)
+    forces, n = [], len(columns) + 1  # columns per point
+    for g, ok in enumerate(converged):
+        s, p = sums[2 * g:2 * g + 2] if columns else (0.5 * sums[g],) * 2
+        forces.append(ForceResult(s + p, sum(error[n * g:n * g + n]),
+                                  dict(zip(POLARIZATIONS, (s, p))), ok,
+                                  evaluations))
+    return forces
 
 
 def plate_force(
@@ -433,9 +445,8 @@ def plate_force(
         Positive force pushes the plate toward +z. Both polarizations are
         integrated in one pass.
     """
-    return _plate_force(cavity, *_difference_rule(cavity),
-                        _STRESS_PREFACTOR, temperature, spec, zero_term_policy,
-                        zero_term_value)
+    return _plate_force(cavity, False, temperature, spec, zero_term_policy,
+                        zero_term_value)[0]
 
 
 def minkowski_plate_force(
@@ -454,6 +465,5 @@ def minkowski_plate_force(
     gap difference r r_3/(1 - r r_3) - r r_1/(1 - r r_1) reduces exactly to
     r (B - A) / N.
     """
-    return _plate_force(cavity, *_difference_rule(cavity, True),
-                        _MINKOWSKI_PREFACTOR, temperature, spec,
-                        zero_term_policy, zero_term_value)
+    return _plate_force(cavity, True, temperature, spec, zero_term_policy,
+                        zero_term_value)[0]

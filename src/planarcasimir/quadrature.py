@@ -201,11 +201,11 @@ def _booked(change, before, total):
     return change
 
 
-def _judged(xs, shape):
-    """The floats xs of ``shape``'s columns, then s + p of each pair (G, 2)."""
-    if len(shape) < 2:
-        return xs
-    return xs + [s + p for s, p in zip(xs[::2], xs[1::2])]
+def _grouped(xs, shape):
+    """``shape``'s column floats by group: (s, p, s + p) of (G, 2), or each."""
+    if len(shape) == 2:
+        return [[s, p, s + p] for s, p in zip(xs[::2], xs[1::2])]
+    return [[x] for x in xs] if shape else [xs]
 
 
 def _nested(f: Callable, outer, inner, levels: tuple[int, int],
@@ -220,22 +220,23 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
     evaluates every node and reads the two levels before from every second and
     every fourth node, so one pass yields an error; each later level evaluates
     the nodes it adds. A block takes the fewest calls of at most ``_CHUNK``
-    point-columns (one per point if ``once``) or one row, one row apart. The
+    point-columns (one per pair if ``once``) or one row, one row apart. The
     level's verdict runs on its sums as floats: each integrated axis books
     (``_booked``) the change of S_k as it alone drops to level k-1, after its
     change from k-2 to k-1, plus the end terms, integrals along the end lines
     of each such axis per unit t; ``_ULPS`` ulps of the sum of |weight * f| are
     the least error. Every column of every sum meets
     ``max(rel_tol*|S_k|, abs_floor)``, and, with an integrated outer axis, each
-    pair's sum with the sum of its errors (``_judged``); a fixed axis's sums
+    pair's sum with the sum of its errors (``_grouped``); a fixed axis's sums
     are terms the caller judges. A miss stops the rule, not converged, where
     each miss is by its floor alone (a pair's sum by its summed floor), the
     error it books; the last level books the larger of its last two changes.
-    Returns (value, error, points, converged, upper end term of the inner axis,
-    sum of |weight * f|, ``shape``), as floats, each column's R sums in turn."""
+    Returns (value, error, points, a verdict per ``_grouped`` group, upper end
+    term of the inner axis, sum of |weight * f|, ``shape``), as floats, each
+    column's R sums in turn."""
     first, last = levels
     integrated = len(outer) == 3
-    columns = 1 if once else math.prod(shape or ())
+    columns = math.prod((shape or ())[:1] if once else shape or ())
     sums, size, evals = 0.0, 0.0, 0
     for level in range(first, last + 1):
         u, w_u, odd_u, even_u = _axis(outer, level) if integrated else outer
@@ -292,10 +293,13 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
                                 abs(lines[0][4]), mass, worst + bound))
         groups, judged = ((shape, verdict) if integrated
                           else ((), verdict[::sums.shape[1]]))
-        missed = [(e, m) for t, e, m in zip(*(_judged(
-            [row[i] for row in judged], groups) for i in (0, 1, 3)))
-            if not e <= _max(rel_tol * abs(t), abs_floor)]
-        floored = all(e <= _FLOOR * m for e, m in missed)
+        met, floored = [], True
+        for ts, es, ms in zip(*(_grouped([row[i] for row in judged], groups)
+                                for i in (0, 1, 3))):
+            miss = [(e, m) for t, e, m in zip(ts, es, ms)
+                    if not e <= _max(rel_tol * abs(t), abs_floor)]
+            met.append(not miss)
+            floored = floored and all(e <= _FLOOR * m for e, m in miss)
         if floored or level == last:
             break
     # (value, error, top, mass, unsettled) per column, its sums in turn.
@@ -304,7 +308,7 @@ def _nested(f: Callable, outer, inner, levels: tuple[int, int],
         # The levels have not settled (rounding noise need not shrink from
         # one level to the next), so book the larger of the last two changes.
         error = list(map(_max, error, unsettled))
-    return value, error, evals, not missed, top, mass, shape
+    return value, error, evals, met, top, mass, shape
 
 
 def integrate_semi_infinite(
@@ -332,7 +336,7 @@ def integrate_semi_infinite(
         raise ValueError(
             "the integrand has not decayed by x = 2.7e16; rescale the"
             " integrand so its decay scale is of order one before integrating")
-    return IntegralResult(value, error, evaluations, converged)
+    return IntegralResult(value, error, evaluations, all(converged))
 
 
 def double_semi_infinite(
@@ -351,12 +355,12 @@ def double_semi_infinite(
     per row, and a row q of shape (1, m) that broadcasts against it; it returns
     shape ``columns`` + (A, m), the columns first as in ``layers.Plan``, and
     any other is refused: () for one column, (K,) for K (the engine's
-    heights), or (G, 2) pairs, G forces' s and p (one force is (1, 2), or ()
-    where they are one array); other ``columns`` are refused before the first
-    call. The columns share one pass, and their count sizes its calls
-    (``_nested``). The q rule runs in v = q*d_ref from 3.2e-15 to 46, so
-    decay scales of order d_ref become O(1);
-    ``spec.q_cutoff`` composes it with tanh-sinh on [0, q_cutoff*d_ref].
+    heights, or G forces whose s and p are one array), or (G, 2) pairs, G
+    forces' s and p (one force is (1, 2)); other ``columns`` are refused
+    before the first call. The columns share one pass, and their count sizes
+    its calls (``_nested``). The q rule runs in v = q*d_ref from 3.2e-15 to
+    46, so decay scales of order d_ref become O(1); ``spec.q_cutoff``
+    composes it with tanh-sinh on [0, q_cutoff*d_ref].
     ``index`` is a lower bound on the medium's refractive index n(i xi): the
     integrand decays like exp(-2 n xi d_ref/c), so ``d_ref`` and ``index`` set
     the frequency scale both rules must resolve. Both must be finite and
@@ -371,20 +375,20 @@ def double_semi_infinite(
     half weight, a number or an array of the columns' shape is added in its
     place (0.0 leaves it out), and 0 K ignores it. Either rule judges its
     result at every temperature: each column, and each pair's sum with the
-    sum of its errors, must meet max(rel_tol*|.|, abs_floor); a rule stops,
-    not converged, once rounding alone keeps a target out of reach, and no
-    result not finite once scaled converges. ``evaluations`` counts points.
+    sum of its errors, must meet max(rel_tol*|.|, abs_floor); a rule stops once
+    each pair or column meets it or rounding alone keeps it out of reach, and
+    no non-finite scaled result converges. ``evaluations`` counts points.
     """
     *sums, evaluations, converged = _double(
         integrand_si, spec, d_ref, prefactor, temperature, zero_term,
         index=index, columns=columns)
     return IntegralResult(*(np.reshape(x, columns) if columns else x[0]
-                            for x in sums), evaluations, converged)
+                            for x in sums), evaluations, all(converged))
 
 
 def _double(integrand_si, spec, d_ref, prefactor, temperature, zero_term,
             index, columns, once=False):
-    """``double_semi_infinite`` in lists of floats; ``once`` is _nested's."""
+    """``double_semi_infinite`` in lists, a verdict per ``_grouped`` group."""
     for name, bound in (("d_ref", d_ref), ("index", index)):
         if not 0.0 < bound < np.inf:
             raise ValueError(f"{name} must be finite and positive: {bound}")
@@ -424,8 +428,8 @@ def _double(integrand_si, spec, d_ref, prefactor, temperature, zero_term,
     error = [float(abs(k) * x) for x in error]
     if zero_term is not None:
         value = [x + a for x, a in zip(value, zero_term)]
-    return value, error, evaluations, converged and all(
-        map(math.isfinite, value + error))
+    finite = all(map(math.isfinite, value + error))
+    return value, error, evaluations, [ok and finite for ok in converged]
 
 
 def matsubara_frequency(m: int | np.ndarray, temperature: float):
@@ -477,9 +481,9 @@ def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
     While that misses what the q errors leave of the target, judged on the
     first tail, M doubles within the same budget; the tail runs again at the M
     that fits, or at the last M. The error is the q errors plus the booked
-    rest. Each column and group sum (``_judged``) of S + ``zero_term`` must
-    meet max(rel_tol*|.|, floor); once the q errors alone do not and the rest
-    booked is within them, the sum stops, not converged.
+    rest. Each column and pair sum of S + ``zero_term`` must meet
+    max(rel_tol*|.|, floor); each group of ``_grouped`` has a verdict once
+    all have met theirs or their q errors alone miss and the rest is within.
     """
     tol, start, points = spec.rel_tol, int(zero_term is not None), 0
     zero = zero_term or [0.0] * math.prod(shape)
@@ -505,13 +509,15 @@ def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
     def add(a, b):
         return [x + y for x, y in zip(a, b)]
 
-    def judge(value, q_error, booked):  # (met, out of reach)
-        goal = [_max(tol * abs(t), floor) for t in _judged(add(value, zero),
-                                                          shape)]
-        q, b = _judged(q_error, shape), _judged(booked, shape)
-        return (all(x + y <= g for x, y, g in zip(q, b, goal)),
-                not all(x < g for x, g in zip(q, goal))
-                and not any(y > x for x, y in zip(q, b)))
+    def judge(value, q_error, booked):  # (met per group, each met or out)
+        met, done = [], True
+        for t, q, b in zip(_grouped(add(value, zero), shape),
+                           _grouped(q_error, shape), _grouped(booked, shape)):
+            goal = [_max(tol * abs(x), floor) for x in t]
+            met.append(all(x + y <= g for x, y, g in zip(q, b, goal)))
+            done = done and (met[-1] or not all(x < g for x, g in zip(q, goal))
+                             and not any(y > x for x, y in zip(q, b)))
+        return met, done
 
     def aim(value):  # a tenth of the least column target, for later rules
         return 0.1 * tol * min(map(abs, add(value, zero)))
@@ -526,8 +532,8 @@ def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
         value, error = add(value, v), add(error, e)
         rest = [x * (x / (y - x) + slow) if x < y else math.inf if x else 0.0
                 for x, y in zip(a, b)]
-        met, out = judge(value, error, rest)
-        if met or out:
+        met, done = judge(value, error, rest)
+        if done:
             return value, add(error, rest), points, met
         lo, hi = hi, 2 * hi - lo
     left, last = 0.5 - sum(map(abs, _GREGORY[:-1])), abs(_GREGORY[-1])
@@ -543,12 +549,12 @@ def _thermal_sum(tensor: Callable, f: Callable, shape: tuple[int, ...],
     t_value, t_error = tail(m)
     g_value, g_error, booked = gregory(m, aim(t_value))
     value, error = add(g_value, t_value), add(g_error, t_error)
-    met, out = judge(value, error, booked)
-    while not (met or out) and 2 * m + len(_GREGORY) - start <= budget:
+    met, done = judge(value, error, booked)
+    while not done and 2 * m + len(_GREGORY) - start <= budget:
         m *= 2
         g_value, g_error, rest = gregory(m, aim(t_value))
-        met, out = judge(value, add(g_error, t_error), rest)
-        if met or out or 2 * m + len(_GREGORY) - start > budget:
+        met, done = judge(value, add(g_error, t_error), rest)
+        if done or 2 * m + len(_GREGORY) - start > budget:
             t_value, t_error = tail(m)
             value, error = add(g_value, t_value), add(g_error, t_error)
             booked, met = rest, judge(value, error, rest)[0]

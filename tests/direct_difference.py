@@ -9,13 +9,13 @@ built from the package's own pieces: ``engine.interspace`` views, whose
 ``InterspaceView`` checks its own medium and width; one ``layers.Plan`` of
 the gap medium and the four walls of the two views, compiled once per force
 and called once per integrand call, so that each material is evaluated once
-for both faces; ``engine._g_terms`` on that call; and ``engine._plate_force``,
-the entry that ``engine.plate_force`` and ``engine.minkowski_plate_force``
-share: it checks the m = 0 request, takes the gap index from the cavity,
-runs the rule of the two columns (s, p) given here as one group (1, 2),
-judged on s, p and s + p, through the module attribute ``quadrature._double``
-(so a test that replaces that attribute sees this integrand too) and builds
-the ``ForceResult``.
+for both faces; ``engine._g_terms`` on that call; and the steps of
+``engine._plate_force``, the entry that ``engine.plate_force`` and
+``engine.minkowski_plate_force`` share: the m = 0 request checked by
+``engine._zero_term``, the gap index of ``engine._index``, and the rule of
+the two columns (s, p) as one group (1, 2), judged on s, p and s + p,
+through the module attribute ``quadrature._double`` (so a test that
+replaces that attribute sees this integrand too), into a ``ForceResult``.
 
 Its error bar does not cover the rounding of the g_3 - g_1 cancellation.
 The quadrature's 32-ulp floor is taken on the sum of |w (g_3 - g_1)|, not on
@@ -31,7 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from planarcasimir import engine, layers
+from planarcasimir import engine, layers, quadrature
 from planarcasimir.layers import CavityConfig, Layer, PerfectMirrorPlate, Wall
 
 
@@ -110,7 +110,13 @@ def plate_force(cavity, temperature=0.0, spec=None, zero_term_policy=None,
         spec = replace(spec, q_cutoff=noise_guard)
     plan = engine._plan(cavity.medium, (cavity.left_wall, cavity.right_wall),
                         cavity.plate)
-    return engine._plate_force(
-        cavity, direct_difference_integrand(cavity), (2,), plan,
-        engine._STRESS_PREFACTOR, temperature, spec, zero_term_policy,
-        zero_term_value)
+    zero_term = engine._zero_term(temperature, zero_term_policy,
+                                  zero_term_value, plan.has_drude_like,
+                                  per_polarization=True)
+    integrand = direct_difference_integrand(cavity)
+    (s, p), error, evaluations, (converged,) = quadrature._double(
+        lambda xi, q: integrand(xi, q)[None], spec, d_min,
+        engine._STRESS_PREFACTOR, temperature, zero_term,
+        index=engine._index(cavity.medium), columns=(1, 2))
+    return engine.ForceResult(s + p, sum(error), {"s": s, "p": p},
+                              converged, evaluations)

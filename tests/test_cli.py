@@ -1,13 +1,17 @@
 import functools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.constants import c, hbar
 
 from planarcasimir import cli, engine
 from planarcasimir.cli import main
+from planarcasimir.config import build_config, load_sections
 from planarcasimir.engine import minkowski_plate_force, plate_force
 from planarcasimir.layers import CavityConfig, PerfectMirrorPlate, Plan, Wall
 from planarcasimir.limits import minkowski_generalized
@@ -55,6 +59,15 @@ eps_static = 4.0
 [structure]
 regions = wall:heavy:semi-infinite, gap:med:6e-7, wall:light:semi-infinite
 """
+
+
+def _no_integrals(monkeypatch):
+    """The calls of the command line's one door to a plate force, replaced
+    by a recorder that integrates nothing."""
+    calls = []
+    monkeypatch.setattr("planarcasimir.cli._plate_force",
+                        lambda *args, **kwargs: calls.append(args))
+    return calls
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -615,6 +628,127 @@ regions = wall:mirror, gap:oil:6e-7, plate:mirror, gap:oil:1.8e-6, wall:mirror
     assert np.all(np.diff(np.abs(f)) < 0.0)
 
 
+# Cavities of 1 and 20 um gaps, with the gap medium "gap" and the walls and
+# plate of "solid" or mirrors, for gap sweeps that never cross d1 = d3,
+# where the force vanishes.
+_SWEPT = """
+[material.gap]
+{gap}
+
+[material.solid]
+{solid}
+
+[structure]
+regions = {left}, gap:gap:1e-6, {plate}, gap:gap:2e-5, {right}
+"""
+_MIRRORS = dict(solid="kind = constant", left="wall:mirror",
+                plate="plate:mirror", right="wall:mirror")
+_SWEPT_CAVITIES = {
+    "vacuum-mirrors": dict(_MIRRORS, gap="kind = constant"),
+    "filled-mirrors": dict(_MIRRORS, gap="kind = constant\neps_static = 3"),
+    "gold": dict(gap="kind = constant\neps_static = 2",
+                 solid="kind = drude-lorentz\nplasma_freq = 1.37e16\n"
+                       "resonance_freq = 0\ndamping = 5.32e13",
+                 left="wall:solid:semi-infinite", plate="plate:solid:2e-7",
+                 right="wall:solid:semi-infinite"),
+    "magnetic": dict(gap="kind = constant\neps_static = 2\nmu_static = 3",
+                     solid="kind = drude-lorentz\nplasma_freq = 1e16\n"
+                           "resonance_freq = 5e15\ndamping = 1e14\n"
+                           "mu_plasma_freq = 5e14\nmu_resonance_freq = 8e14\n"
+                           "mu_damping = 0",
+                     left="wall:mirror", plate="plate:solid:1e-7",
+                     right="wall:solid:semi-infinite"),
+}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(_SWEPT_CAVITIES)),
+       parameter=st.sampled_from(["d1", "d3", "d"]),
+       start=st.floats(0.0, 1.3), span=st.floats(1.0, 8.0),
+       points=st.integers(2, 6), spacing=st.sampled_from(["log", "linear"]),
+       reverse=st.booleans(), temperature=st.sampled_from([0.0, 300.0]))
+def test_grouped_sweep_rows_meet_separate_forces(
+        tmp_path, capsys, name, parameter, start, span, points, spacing,
+        reverse, temperature):
+    # A gap sweep runs one rule per octave of min(d1, d3). Each of its rows
+    # must meet the force of its own cavity computed alone, within both
+    # error bars, in s, p and s + p, with the same flag.
+    # From 0.1 to 2 um for d1 and d, from 2 to 40 um for d3.
+    start = 10.0 ** (start + (math.log10(2e-6) if parameter == "d3" else -7.0))
+    ends = [start, start * span][::-1 if reverse else 1]
+    cfg = _write(tmp_path, _SWEPT.format(**_SWEPT_CAVITIES[name]))
+    code, out, err = _run(capsys, [
+        "sweep", "--config", cfg, "--format", "json", "--parameter",
+        parameter, "--start", repr(ends[0]), "--stop", repr(ends[1]),
+        "--points", str(points), "--spacing", spacing, "--temperature",
+        repr(temperature), "--zero-term-policy", "drop"])
+    assert code in (0, 3), err
+    rows = json.loads(out)["results"]
+    cavity = build_config(load_sections(cfg)).cavity
+    flags = []
+    for row in rows:
+        value = row["value"]
+        case = {"d1": replace(cavity, d1=value),
+                "d3": replace(cavity, d3=value),
+                "d": replace(cavity, d1=value,
+                             d3=value * cavity.d3 / cavity.d1)}[parameter]
+        alone = plate_force(case, temperature, None, "drop")
+        flags.append(alone.converged)
+        assert row["converged"] is alone.converged
+        bar = row["error_estimate_N_per_m2"] + alone.error_estimate
+        for key, want in (("force_per_area_N_per_m2", alone.force_per_area),
+                          ("force_s_N_per_m2", alone.per_polarization["s"]),
+                          ("force_p_N_per_m2", alone.per_polarization["p"])):
+            assert abs(row[key] - want) <= bar
+    assert code == (0 if all(flags) else 3), err
+
+
+def test_a_gap_sweep_runs_one_rule_per_octave(tmp_path, capsys,
+                                              monkeypatch):
+    # Nine log-spaced d1 from 1 to 10 um against d3 = 5 um: min(d1, d3) is
+    # 1, 1.33, 1.78 | 2.37, 3.16, 4.22 | 5, 5, 5 um, three octaves of one
+    # rule each, whose evaluations every row of the octave reports. A
+    # temperature sweep keeps one rule per point.
+    rules, real = [], cli._plate_force
+
+    def counted(*args, widths, **kwargs):
+        rules.append(len(widths))
+        return real(*args, widths=widths, **kwargs)
+
+    monkeypatch.setattr(cli, "_plate_force", counted)
+    cfg = _write(tmp_path, GOLD_PLATE_CAVITY)
+    code, out, _ = _run(capsys, ["sweep", "--config", cfg, "--format", "csv",
+                                 "--parameter", "d1", "--start", "1e-6",
+                                 "--stop", "1e-5"])
+    assert code == 0 and rules == [3, 3, 3]
+    rows = _rows(out)
+    for octave in (rows[:3], rows[3:6], rows[6:]):
+        assert len({row["evaluations"] for row in octave}) == 1
+    rules.clear()
+    code, out, _ = _run(capsys, ["sweep", "--config", cfg, "--parameter",
+                                 "T", "--start", "1", "--stop", "2",
+                                 "--points", "3", "--zero-term-policy",
+                                 "drop"])
+    assert code == 0 and rules == [1, 1, 1]
+
+
+_JSON_LEAVES = st.one_of(
+    st.text(), st.integers(), st.booleans(), st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e308]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(doc=st.dictionaries(st.text(), st.recursive(
+    _JSON_LEAVES, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(), inner, max_size=4)), max_leaves=24),
+    max_size=5))
+def test_json_writer_is_json_dumps_with_indent_2(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
 # ---------------------------------------------------------------------------
 # limits
 
@@ -909,15 +1043,21 @@ def test_csv_cells_use_full_precision(tmp_path, capsys):
      "[command]: unknown key(s) of compare: mode"),
     ("force", "name = compare\neps = 2\nmode = closed",
      "[command]: unknown key(s) of compare: mode"),
-], ids=["parameter", "spacing", "unknown-key", "unknown-key-other-command"])
+    # A section that names no command, or a misspelt one, for any command
+    # that reads the config.
+    ("compare", "eps = 2", "[command]: missing 'name'"),
+    ("compare", "name = comapre\neps = 2",
+     "[command] name: 'comapre' is not one of force, stress-profile,"
+     " compare, sweep, limits"),
+    ("force", "name = comapre\neps = 2", "[command] name: 'comapre'"),
+], ids=["parameter", "spacing", "unknown-key", "unknown-key-other-command",
+        "missing-name", "unknown-name", "unknown-name-other-command"])
 def test_stored_command_values_are_checked_before_integrating(
         tmp_path, capsys, monkeypatch, command, stored, needle):
     # Values replayed from [command] never pass through argparse, so they
     # get the same choices as their flags, and only the keys of those
     # flags, before any force is computed.
-    calls = []
-    monkeypatch.setattr("planarcasimir.cli.plate_force",
-                        lambda *args, **kwargs: calls.append(args))
+    calls = _no_integrals(monkeypatch)
     cfg = _write(tmp_path, VACUUM_CAVITY + f"\n[command]\n{stored}\n")
     code, _, err = _run(capsys, [command, "--config", cfg,
                                  "--temperature", "1"])
@@ -928,9 +1068,7 @@ def test_stored_command_values_are_checked_before_integrating(
 
 def test_stored_number_is_checked_before_integrating(tmp_path, capsys,
                                                      monkeypatch):
-    calls = []
-    monkeypatch.setattr("planarcasimir.cli.plate_force",
-                        lambda *args, **kwargs: calls.append(args))
+    calls = _no_integrals(monkeypatch)
     cfg = _write(tmp_path, VACUUM_CAVITY + "\n[command]\nname = sweep\n"
                  "parameter = d1\nstart = apple\nstop = 2e-6\n")
     code, _, err = _run(capsys, ["sweep", "--config", cfg])
@@ -955,9 +1093,7 @@ def _unwritable_path(tmp_path, target):
 @_UNWRITABLE
 def test_unwritable_output_exits_2_before_integrating(tmp_path, capsys,
                                                       monkeypatch, target):
-    calls = []
-    monkeypatch.setattr("planarcasimir.cli.plate_force",
-                        lambda *args, **kwargs: calls.append(args))
+    calls = _no_integrals(monkeypatch)
     cfg = _write(tmp_path, VACUUM_CAVITY)
     out_path = _unwritable_path(tmp_path, target)
     code, _, err = _run(capsys, ["force", "--config", cfg, "--out", out_path])
@@ -969,9 +1105,7 @@ def test_unwritable_output_exits_2_before_integrating(tmp_path, capsys,
 @_UNWRITABLE
 def test_unwritable_config_output_path_exits_2_before_integrating(
         tmp_path, capsys, monkeypatch, target):
-    calls = []
-    monkeypatch.setattr("planarcasimir.cli.plate_force",
-                        lambda *args, **kwargs: calls.append(args))
+    calls = _no_integrals(monkeypatch)
     out_path = _unwritable_path(tmp_path, target)
     cfg = _write(tmp_path,
                  VACUUM_CAVITY + f"\n[output]\npath = {out_path}\n")
@@ -1036,9 +1170,7 @@ def test_closed_forms_refuse_a_nonzero_temperature(capsys, argv):
         "limits-mu-inf"])
 def test_non_finite_inputs_exit_2_before_integrating(
         tmp_path, capsys, monkeypatch, argv, config, needle):
-    calls = []
-    monkeypatch.setattr("planarcasimir.cli.plate_force",
-                        lambda *args, **kwargs: calls.append(args))
+    calls = _no_integrals(monkeypatch)
     if config is not None:
         argv = argv + ["--config", _write(tmp_path, config)]
     code, out, err = _run(capsys, argv)
@@ -1094,9 +1226,7 @@ def test_compare_on_a_magnetic_gap_screens_by_its_index(tmp_path, capsys):
 def test_overflowing_oscillator_exits_2_before_integrating(
         tmp_path, capsys, monkeypatch):
     # plasma_freq**2 overflows a float; it used to crash the integral.
-    calls = []
-    monkeypatch.setattr("planarcasimir.cli.plate_force",
-                        lambda *args, **kwargs: calls.append(args))
+    calls = _no_integrals(monkeypatch)
     cfg = _write(tmp_path, VACUUM_CAVITY.replace(
         "wall:mirror, gap", "wall:hard:semi-infinite, gap")
         + "\n[material.hard]\nkind = plasma\nplasma_freq = 1e160\n")
@@ -1219,9 +1349,7 @@ def test_sweep_checks_every_point_before_integrating(tmp_path, capsys,
                                                      monkeypatch, argv,
                                                      needle):
     # The first point is valid, the last is not: nothing may be integrated.
-    calls = []
-    monkeypatch.setattr("planarcasimir.cli.plate_force",
-                        lambda *args, **kwargs: calls.append(args))
+    calls = _no_integrals(monkeypatch)
     cfg = _write(tmp_path, VACUUM_CAVITY)
     code, out, err = _run(capsys, ["sweep", "--config", cfg, *argv,
                                    "--points", "2", "--spacing", "linear"])
@@ -1243,9 +1371,7 @@ regions = wall:mirror, gap:vac:{d1}, plate:mirror, gap:vac:{d3}, wall:mirror
 def test_distance_sweep_refuses_an_infinite_d1(tmp_path, capsys,
                                                monkeypatch):
     # d3/d1 = 0 would make every point's d3 zero: refused before any point.
-    calls = []
-    monkeypatch.setattr("planarcasimir.cli.plate_force",
-                        lambda *args, **kwargs: calls.append(args))
+    calls = _no_integrals(monkeypatch)
     cfg = _write(tmp_path, HALF_OPEN_CAVITY.format(d1="inf", d3="1e-6"))
     code, out, err = _run(capsys, ["sweep", "--config", cfg, "--parameter",
                                    "d", "--start", "1e-6", "--stop", "2e-6",
@@ -1303,9 +1429,7 @@ def test_zero_strength_wall_gives_the_constant_wall_force(tmp_path, capsys,
 
 def test_infinite_material_parameter_exits_2_before_integrating(
         tmp_path, capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr("planarcasimir.cli.plate_force",
-                        lambda *args, **kwargs: calls.append(args))
+    calls = _no_integrals(monkeypatch)
     cfg = _write(tmp_path, HARD_WALL_CAVITY.format(
         hard="kind = constant\neps_static = inf"))
     code, out, err = _run(capsys, ["force", "--config", cfg])

@@ -1,9 +1,11 @@
+import configparser
 import json
+import os
 import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from planarcasimir.config import (
@@ -14,6 +16,8 @@ from planarcasimir.config import (
 )
 from planarcasimir.layers import PerfectMirrorPlate, Wall
 from planarcasimir.materials import MaterialKind, constant
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 FULL_INI = """
 [material.med]
@@ -174,6 +178,95 @@ def test_ini_syntax_error_carries_line_number(tmp_path):
     path = _write(tmp_path, "[material.x]\nkind constant\n")
     with pytest.raises(ConfigError, match="line"):
         load_sections(path)
+
+
+@pytest.mark.parametrize("text,needle", [
+    ("[a]\nk = 1\n\n[a]\n", "line 4: duplicate section [a]"),
+    ("[a]\nk = 1\n  more\nk: 2\n", "line 4: duplicate key 'k' in [a]"),
+    ("# note\nk = 1\n[a]\n", "line 2: a key before the first [section]"),
+    ("[a]\nk = 1\n# note\nkind constant\n",
+     "line 4: not [section] or key = value: 'kind constant'"),
+    ("[a]\n = 1\n", "line 2: not [section] or key = value: '= 1'"),
+], ids=["section", "key", "no-section", "no-delimiter", "no-key"])
+def test_ini_faults_are_refused_with_their_line(tmp_path, text, needle):
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError) as info:
+        load_sections(path)
+    assert str(info.value) == f"{path}, {needle}"
+
+
+def _configparser_map(path):
+    """The section map of configparser, the reference of ``load_sections``:
+    None where it refuses the text."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        parser.read(path, encoding="utf-8")
+    except configparser.Error:
+        return None
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+def _sections_or_none(path):
+    try:
+        return load_sections(path)
+    except ConfigError:
+        return None
+
+
+_INDENT = st.sampled_from(["", " ", "  ", "\t", "    "])
+# No "{": text that starts with one is read as JSON.
+_TEXT = st.text(st.sampled_from(list("ab01 .=:#;[]\tµé")), max_size=8)
+_INI_LINES = st.one_of(
+    # Headers, from a few names so that some repeat; [DEFAULT], which
+    # configparser merges into every section, is an ordinary one here.
+    st.builds("{}[{}]{}".format, _INDENT,
+              st.sampled_from(["a", "b", "material.x", "µ-ü", "c]d"]),
+              st.sampled_from(["", " ", "x", " ; not a comment"])),
+    # Keys with either delimiter, from a few names so that some repeat.
+    st.builds("{}{}{}{}{}{}".format, _INDENT,
+              st.sampled_from(["k", "key", "K", "clé", "ключ", "a b", "[x"]),
+              st.sampled_from(["", " ", "\t"]), st.sampled_from("=:"),
+              st.sampled_from(["", " "]), _TEXT),
+    # Continuation lines, or malformed ones where they continue nothing.
+    st.builds("{}{}".format, _INDENT, _TEXT),
+    # Blank lines, which join a value, and full-line comments, which do not.
+    st.sampled_from(["", "   ", "\t", "# note", "  ; note", "#", ";k = 1"]),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_INI_LINES, max_size=14),
+       newline=st.sampled_from(["\n", "\r\n"]), last=st.booleans())
+@example(lines=["[a]", "k = 1", "  two", "", "  four", "", "x: y"],
+         newline="\n", last=True)
+def test_ini_reader_is_configparser(tmp_path, lines, newline, last):
+    # The one-pass reader against configparser on the same file: both refuse
+    # the same texts, and read the others to the same section map.
+    path = tmp_path / "drawn.ini"
+    path.write_bytes((newline.join(lines) + newline * last).encode("utf-8"))
+    assert _sections_or_none(str(path)) == _configparser_map(str(path))
+
+
+def _readme_ini_blocks():
+    with open(README, encoding="utf-8") as fh:
+        return re.findall(r"^```ini\n(.*?)^```$", fh.read(), re.M | re.S)
+
+
+@pytest.mark.parametrize("block", _readme_ini_blocks())
+def test_readme_ini_blocks_read_as_configparser_reads_them(tmp_path, block):
+    path = _write(tmp_path, block)
+    assert load_sections(path) == _configparser_map(path)
+
+
+def test_a_default_section_is_an_unknown_one(tmp_path):
+    # configparser merged [DEFAULT] into every section; here it is an
+    # ordinary section, which no run knows.
+    path = _write(tmp_path, FULL_INI + "\n[DEFAULT]\nrel_tol = 1e-4\n")
+    assert load_sections(path)["DEFAULT"] == {"rel_tol": "1e-4"}
+    with pytest.raises(ConfigError, match=re.escape("unknown section [DEFAULT]")):
+        _load(path)
 
 
 @pytest.mark.parametrize("snippet,match", [

@@ -1243,7 +1243,7 @@ def test_force_converges_only_if_the_summed_error_meets_its_target(
                                  (_MIRROR_CAVITY, ())):
                 res = force(cavity, temperature, loose)
                 columns, (_, error, _, converged) = rules[-1]
-                assert columns == want and res.converged is converged
+                assert columns == want and [res.converged] == converged
                 assert res.error_estimate == sum(error)
 
     def integrand(xi, q):
@@ -2267,3 +2267,55 @@ def test_loose_zero_temperature_rules_take_a_third_of_the_points(
                     for tol in (1e-4, 1e-8))
     assert loose.converged and tight.converged
     assert 3 * loose.evaluations <= tight.evaluations
+
+
+_FILLED_MIRRORS = replace(_MIRROR_CAVITY, medium=constant(eps=3.0, mu=2.0))
+
+
+@pytest.mark.parametrize("minkowski", [False, True], ids=["field", "minkowski"])
+@pytest.mark.parametrize("cavity", [
+    _MIRROR_CAVITY, _FILLED_MIRRORS, _asymmetric_cavity(),
+    _gold_cavity(1e-6, 5e-6)], ids=["vacuum-mirrors", "filled-mirrors",
+                                    "asymmetric", "gold"])
+def test_gap_widths_put_points_first_with_each_points_own_bits(cavity,
+                                                               minkowski):
+    # The rule of G (d1, d3) widths is the rule of each cavity alone, its
+    # point first: the same arithmetic, and so the same bits, per point.
+    widths = [(4e-7, 1.5e-6), (8e-7, 1.5e-6), (8e-7, np.inf), (3e-6, 9e-7)]
+    xi = np.geomspace(1e12, 1e16, 7)[:, None]
+    q = np.geomspace(1e4, 1e9, 11)[None, :]
+    grouped, columns, _ = _difference_rule(cavity, minkowski, widths)
+    got = grouped(xi, q)
+    assert got.shape == (len(widths),) + columns + (7, 11)
+    for row, (d1, d3) in zip(got, widths):
+        alone = _difference_rule(replace(cavity, d1=d1, d3=d3), minkowski)[0]
+        assert row.tobytes() == alone(xi, q).tobytes()
+
+
+# mu = 10 | 1 um vacuum | (eps, mu) = (2, 2) plate of 1 um | 1 um vacuum |
+# eps = 10: mirror images under eps <-> mu, so that at d1 = d3 s = -p
+# exactly, and the force is 0 with no relative target met.
+_DUAL_CAVITY = CavityConfig(Wall.semi_infinite(constant(mu=10.0)), VACUUM,
+                            1e-6, Layer(constant(eps=2.0, mu=2.0), 1e-6),
+                            1e-6, Wall.semi_infinite(constant(eps=10.0)))
+
+
+@pytest.mark.parametrize("temperature,policy,value", [
+    (0.0, None, None), (300.0, "drop", None),
+    (300.0, "custom-value", {"s": 1e-6, "p": -2e-6})])
+def test_each_point_of_a_rule_of_gap_widths_keeps_its_own_verdict(
+        temperature, policy, value):
+    # One rule for three points, the second of which is the cavity's own
+    # s = -p point: only that one is flagged, unless an (s, p) m = 0 value
+    # breaks the balance, and every point reports the rule's evaluations.
+    widths = [(8e-7, 1e-6), (1e-6, 1e-6), (1.5e-6, 1e-6)]
+    forces = engine._plate_force(_DUAL_CAVITY, False, temperature, None,
+                                 policy, value, widths)
+    assert [f.converged for f in forces] == [True, value is not None, True]
+    assert len({f.evaluations for f in forces}) == 1
+    for force, (d1, d3) in zip(forces, widths):
+        alone = plate_force(replace(_DUAL_CAVITY, d1=d1, d3=d3), temperature,
+                            None, policy, value)
+        assert alone.converged is force.converged
+        assert abs(force.force_per_area - alone.force_per_area) <= (
+            force.error_estimate + alone.error_estimate)

@@ -184,12 +184,14 @@ def _booked_array(change, before, total):
         / np.maximum(size, quadrature._TINY)), change)
 
 
-def _judged_array(x, shape):
-    """The array form of ``quadrature._judged`` that the float one replaced."""
+def _grouped_array(x, shape):
+    """The array form of ``quadrature._grouped`` that the float one replaced,
+    each group's columns and then its pair's sum in turn."""
     if len(shape) < 2:
         return x
     n, k = math.prod(shape), shape[1]
-    return np.add.reduceat(x.reshape(n, -1), [*range(n), *range(0, n, k)])
+    judged = np.add.reduceat(x.reshape(n, -1), [*range(n), *range(0, n, k)])
+    return np.concatenate([judged[:n].reshape(-1, k), judged[n:]], axis=1)
 
 
 _EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -209,7 +211,7 @@ def _bits(x):
 @example(pool=[1.0, -2.5e-3, 7.3e5, 3.1e-9], seed=1, shape=(140, 2))
 @example(pool=[1.0, -2.5e-3, 7.3e5, 3.1e-9], seed=2, shape=(300, 2))
 def test_float_verdict_is_the_array_one_bit_for_bit(pool, seed, shape):
-    # The float ``_booked``, ``_judged`` and ``_max`` against the array
+    # The float ``_booked``, ``_grouped`` and ``_max`` against the array
     # formulas they replaced, on zeros of either sign, subnormals, huge
     # values, infinities and NaNs drawn into every column: the same bits,
     # NaNs and equal zeros kept as np.minimum and np.maximum keep them, and
@@ -222,8 +224,8 @@ def test_float_verdict_is_the_array_one_bit_for_bit(pool, seed, shape):
         got = [quadrature._booked(*args) for args in zip(
             change.tolist(), before.tolist(), total.tolist())]
         assert _bits(got) == _bits(want)
-        assert _bits(quadrature._judged(change.tolist(), shape)) == _bits(
-            _judged_array(change, shape))
+        assert _bits(quadrature._grouped(change.tolist(), shape)) == _bits(
+            _grouped_array(change, shape))
     for a, b in ((change, before), (before, change)):
         assert _bits([quadrature._max(*args) for args in zip(
             a.tolist(), b.tolist())]) == _bits(np.maximum(a, b))
@@ -575,7 +577,7 @@ def test_the_q_rules_of_a_thermal_sum_judge_columns_alone():
         quadrature._fixed(x * spacing, w), quadrature._MOMENTUM,
         quadrature._TERM_LEVELS, 1e-9, 0.0, s.shape)
         for s in (scales, scales[0]))
-    assert alone[3] and grouped[2:4] == alone[2:4]
+    assert alone[3] == [True] and grouped[2:4] == alone[2:4]
     last = quadrature._axis(quadrature._MOMENTUM, quadrature._TERM_LEVELS[1])
     assert alone[2] < len(x) * last[0].size  # it stops below the last level
     for got, want in zip(grouped[:2] + grouped[4:6], alone[:2] + alone[4:6]):
@@ -597,7 +599,7 @@ def test_a_fixed_axis_is_judged_on_its_first_row_alone():
         integrand, quadrature._fixed(x * spacing, weights),
         quadrature._MOMENTUM, quadrature._TERM_LEVELS, 1e-9, 0.0, ())
         for weights in (w, w[:1]))
-    assert rows[3] and first[3] and rows[2] == first[2]
+    assert rows[3] == first[3] == [True] and rows[2] == first[2]
     # The one column's R sums.
     assert len(rows[0]) == 3 and len(first[0]) == 1
 
@@ -746,7 +748,7 @@ def test_thermal_rule_meets_the_exponential_sum(h, tails, head, fast):
     value, error, points, converged = quadrature._thermal_sum(
         lambda x: starts.append(x) or tensor(x), integrand, (),
         quadrature._MOMENTUM, 4, h, h, SPEC, 0.0, None if head else [0.0])
-    assert converged and error[0] <= SPEC.rel_tol * abs(value[0])
+    assert converged == [True] and error[0] <= SPEC.rel_tol * abs(value[0])
     assert abs(value[0] - exact) <= error[0]
     assert starts == [m * h for m in tails]
 
